@@ -16,6 +16,11 @@ questions that decide whether the incremental fold earns its keep:
   path: total shard-ingest time with the views attached vs without, at
   the largest population.  O(delta) work per commit, so the overhead is
   a bounded constant factor, not a population-dependent one.
+* **horizon** — the same overhead at a fixed population across horizons
+  (12 / 48 / 168 hourly rounds at smoke size).  Freezing a round folds
+  only that round's delta, so the overhead must not grow with the
+  horizon: the gate holds the longest horizon's overhead to at most
+  1.5x the shortest's.
 
 ``benchmarks/run_bench.py`` embeds the same block in ``BENCH_eval.json``;
 running this file directly writes the standalone artifact CI uploads::
@@ -55,6 +60,18 @@ FULL_WORKLOAD = {
     "shards": 16,
     "populations": (10_000, 40_000, 100_000),
 }
+
+#: Horizon gate: the longest horizon's maintenance overhead may be at most
+#: this factor above the shortest's.
+HORIZON_GROWTH_CEILING = 1.5
+
+#: Horizon sweeps at a fixed population (8 shards, in memory).
+SMOKE_HORIZONS = {"size": 16, "n_users": 500, "shards": 8, "horizons": (12, 48, 168)}
+FULL_HORIZONS = {"size": 16, "n_users": 2000, "shards": 8, "horizons": (24, 72, 168)}
+
+#: Ingest timings take the best of this many runs, so a slow spell of a
+#: shared host cannot masquerade as horizon-dependent overhead.
+INGEST_REPEATS = 3
 
 #: metrics_at is sub-microsecond; average this many lookups per chunk and
 #: take the best of several chunks, so one GC pause right after the heavy
@@ -158,6 +175,53 @@ def live_scaling_records(
     return records
 
 
+def horizon_sweep_records(
+    size: int = 16,
+    n_users: int = 500,
+    shards: int = 8,
+    horizons=(12, 48, 168),
+    repeats: int = INGEST_REPEATS,
+) -> list[dict]:
+    """Maintenance overhead per horizon at a fixed population.
+
+    Each horizon's plain and live ingests take the best of ``repeats``
+    runs over the same captured shards; every live round is checked
+    bit-identical to the batch recompute before anything is reported.
+    """
+    records = []
+    for horizon in horizons:
+        world, db, engine = _workload(size, n_users, horizon)
+        plan = ShardPlan.build(sorted(db.users()), shards, rng=0)
+        captured = _captured_shards(world, engine, db, plan)
+        plain_seconds = min(
+            _timed_ingest(world, db, plan, captured, live=False)[0] for _ in range(repeats)
+        )
+        live_runs = [_timed_ingest(world, db, plan, captured, live=True) for _ in range(repeats)]
+        live_seconds = min(seconds for seconds, _ in live_runs)
+        server = live_runs[-1][1]
+        reference = batch_recompute(default_views(world), plan, *_raw_rows(world, captured))
+        records.append(
+            {
+                "n_users": n_users,
+                "horizon": horizon,
+                "rows": len(db),
+                "shards": shards,
+                "matches_batch": all(
+                    dict(server.metrics_at(r)) == reference[r] for r in server.metrics.rounds
+                ),
+                "plain_ingest_seconds": round(plain_seconds, 6),
+                "live_ingest_seconds": round(live_seconds, 6),
+                "maintenance_overhead": round(live_seconds / max(plain_seconds, 1e-12), 2),
+            }
+        )
+    return records
+
+
+def _horizon_growth(records: list[dict]) -> float:
+    """Longest horizon's maintenance overhead over the shortest's."""
+    return records[-1]["maintenance_overhead"] / max(records[0]["maintenance_overhead"], 1e-12)
+
+
 def live_metrics_block(smoke: bool) -> dict:
     """The E21 payload at either size.
 
@@ -166,15 +230,21 @@ def live_metrics_block(smoke: bool) -> dict:
     """
     workload = SMOKE_WORKLOAD if smoke else FULL_WORKLOAD
     records = live_scaling_records(**workload)
+    sweep = horizon_sweep_records(**(SMOKE_HORIZONS if smoke else FULL_HORIZONS))
     largest = records[-1]
+    growth = _horizon_growth(sweep)
     return {
         "scaling": records,
+        "horizon_sweep": sweep,
         "headline": {
             "n_users": largest["n_users"],
             "query_speedup": largest["query_speedup"],
             "speedup_floor": SPEEDUP_FLOOR,
             "within_floor": largest["query_speedup"] >= SPEEDUP_FLOOR,
-            "matches_batch": all(r["matches_batch"] for r in records),
+            "matches_batch": all(r["matches_batch"] for r in records + sweep),
+            "horizon_overhead_growth": round(growth, 2),
+            "horizon_growth_ceiling": HORIZON_GROWTH_CEILING,
+            "within_horizon_ceiling": growth <= HORIZON_GROWTH_CEILING,
         },
     }
 
@@ -220,6 +290,24 @@ def test_live_query_cost_is_flat_across_population():
     assert largest["batch_recompute_seconds"] > smallest["batch_recompute_seconds"], records
 
 
+def test_maintenance_overhead_flat_across_horizon():
+    """Acceptance: upkeep per round does not grow with the horizon.
+
+    A fold that re-merged the cumulative prefix at every freeze would cost
+    O(horizon) per round, so its overhead would climb with the horizon;
+    folding only each round's delta keeps it flat.
+    """
+    records = horizon_sweep_records(**SMOKE_HORIZONS)
+    for record in records:
+        print(
+            f"\nE21: horizon={record['horizon']} rows={record['rows']} "
+            f"overhead {record['maintenance_overhead']}x "
+            f"matches_batch={record['matches_batch']}"
+        )
+        assert record["matches_batch"], record
+    assert _horizon_growth(records) <= HORIZON_GROWTH_CEILING, records
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="CI-sized configuration")
@@ -242,11 +330,21 @@ def main(argv: list[str] | None = None) -> int:
             f"  overhead {record['maintenance_overhead']}x"
             f"  matches_batch={record['matches_batch']}"
         )
+    for record in block["horizon_sweep"]:
+        print(
+            f"E21: horizon={record['horizon']:>4} rows={record['rows']:>7,}"
+            f"  plain {record['plain_ingest_seconds']:.4f}s"
+            f"  live {record['live_ingest_seconds']:.4f}s"
+            f"  overhead {record['maintenance_overhead']}x"
+            f"  matches_batch={record['matches_batch']}"
+        )
     headline = block["headline"]
     print(
         f"E21: headline n={headline['n_users']:,} speedup "
         f"{headline['query_speedup']:,.0f}x (floor {headline['speedup_floor']}x, "
-        f"within_floor={headline['within_floor']}) -> {args.output}"
+        f"within_floor={headline['within_floor']}); horizon overhead growth "
+        f"{headline['horizon_overhead_growth']}x (ceiling "
+        f"{headline['horizon_growth_ceiling']}x) -> {args.output}"
     )
     return 0
 

@@ -6,45 +6,49 @@ path (the E1–E12 runners) — but until now analytics recomputed from scratch
 after ingestion finished.  Polynesia's HTAP argument (PAPERS.md) is that
 updates should propagate into analytical state in memory, with consistency
 snapshots, instead of re-scanning the population per query.  This module is
-that propagation layer: every committed shard is folded — through the exact
-associative merge algebra of
-:class:`~repro.engine.distributed.MetricShardResult` — into running E1
-(monitoring utility), E2 (contact rate / R0) and E11 (flow matrix)
-aggregates, while commits continue.
+that propagation layer: every committed shard is folded into running E1
+(monitoring utility), E2 (contact rate / R0) and E11 (flow matrix) state
+while commits continue.
 
 Snapshot semantics
 ------------------
 ``metrics_at(round=r)`` is **cumulative**: it covers every committed release
 row with ``time <= r``, exactly what a batch evaluator scoring the prefix
-trace would see.  The registry keeps, per view, one *delta*
-:class:`MetricShardResult` per ``(shard, round)`` — computed once, at commit
-time, from that shard's rows — and freezes a round's snapshot as soon as
-every shard expected at (or before) the round has committed.  Frozen
-snapshots form a per-round version chain; a query is one dictionary lookup,
-O(1) in the population, safe to call concurrently with in-flight commits.
-Querying a round whose coverage is still incomplete raises
+trace would see.  Each view keeps one running state per registry
+(:class:`LiveFold`).  A commit parks the shard's per-round array deltas —
+int64 code/count arrays from the store accelerator's own encoding
+(:func:`~repro.store.accelerator.cell_counts`,
+:func:`~repro.store.accelerator.transitions`) plus per-row float terms —
+and a round freezes as soon as every shard expected at (or before) it has
+committed.  Freezing folds only that round's deltas into the running state,
+so upkeep is O(round delta), never O(prefix).  A query is one dictionary
+lookup, O(1) in the population, safe to call concurrently with in-flight
+commits.  Querying a round whose coverage is still incomplete raises
 :class:`~repro.errors.SnapshotUnavailableError` — a half-folded value would
 break the bit-identity contract below — naming the shards still missing.
 
 Bit-identity contract
 ---------------------
 Every frozen live value equals :func:`batch_recompute` — one from-scratch
-pass over the full raw rows — **bitwise**, at every round, for every shard
-count, execution backend, committer (sync / async / partitioned), commit
-arrival order, and across a kill-and-resume.  Three properties make this
-hold:
+pass over the full raw rows through the exact merge algebra of
+:class:`~repro.engine.distributed.MetricShardResult` — **bitwise**, at every
+round, for every shard count, execution backend, committer (sync / async /
+partitioned), commit arrival order, and across a kill-and-resume.  Three
+properties make this hold:
 
 * deltas are pure functions of a shard's rows: the fold lexsorts rows by
   ``(time, user)`` first, so arrival layout (user-major from a live worker,
   time-major from a store replay) cannot leak into the value;
-* all folding happens in one canonical order — rounds ascending, shards
-  ascending within a round, users ascending within a shard — regardless of
-  the order commits *arrive* in, so the per-key arrays reassemble the
-  identical global array every time (``np.sum`` is pairwise; order is part
-  of the bit pattern);
-* the count-valued components (flow counters, epoch-keyed occupancy) and
-  set-valued components merge by integer addition / disjoint union, which
-  no ordering can perturb at all.
+* per-row float terms are appended to one buffer per component in the
+  canonical order — rounds ascending, shards ascending within a round,
+  users ascending within a shard — regardless of the order commits
+  *arrive* in, and each value is one ``np.sum`` over the buffer's prefix:
+  the identical array the reference concatenates, so the identical bits
+  (``np.sum`` is pairwise; order is part of the bit pattern);
+* count-valued components (flow matrices, pair-event and observation
+  totals) are integers merged by addition, which no ordering can perturb.
+  Occupancy keys are ``(time, cell)``, so a round's pair events are final
+  once its shards' head counts are merged.
 
 ``tests/test_live_metrics.py`` pins the matrix; ``docs/live_metrics.md``
 documents the contract.
@@ -55,6 +59,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import TYPE_CHECKING, AbstractSet, Iterator, Mapping, Sequence
 
@@ -65,6 +70,7 @@ from repro.epidemic.analysis import pair_events
 from repro.epidemic.monitor import LocationMonitor, MonitoringReport, _flow_l1_error
 from repro.errors import DataError, SnapshotUnavailableError, ValidationError
 from repro.geo.grid import GridWorld
+from repro.store import accelerator
 from repro.utils.validation import check_positive, check_probability
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
@@ -76,6 +82,7 @@ __all__ = [
     "ContactSnapshot",
     "FlowMatrixView",
     "FlowSnapshot",
+    "LiveFold",
     "LiveMetricRegistry",
     "LiveMetricView",
     "MonitoringUtilityView",
@@ -84,6 +91,15 @@ __all__ = [
     "default_views",
     "expected_coverage",
 ]
+
+
+def _runs(values: np.ndarray) -> Iterator[tuple[int, int, int]]:
+    """``(value, start, stop)`` of each run of equal values in a sorted array."""
+    if len(values) == 0:
+        return
+    bounds = [0, *(np.flatnonzero(values[1:] != values[:-1]) + 1).tolist(), len(values)]
+    for start, stop in zip(bounds, bounds[1:]):
+        yield int(values[start]), start, stop
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,23 +166,68 @@ class ShardRows:
         Rows are time-major, so every round is one contiguous slice whose
         users are ascending — the canonical within-shard key order.
         """
-        round_times, starts = np.unique(self.times, return_index=True)
-        bounds = list(starts) + [len(self.times)]
-        for index, time in enumerate(round_times):
-            yield int(time), int(bounds[index]), int(bounds[index + 1])
+        return _runs(self.times)
+
+    # The shard's columnar deltas, in the store accelerator's encoding:
+    # computed once per commit and shared by every view that folds them.
+    @cached_property
+    def cell_counts(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """``(true, observed)`` ``(time, cell, n)`` occupancy arrays."""
+        return (
+            accelerator.cell_counts(self.times, self.true_cells),
+            accelerator.cell_counts(self.times, self.snapped_cells),
+        )
+
+    @cached_property
+    def transitions(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """``(true, observed)`` ``(time, src, dst, n)`` cell-transition arrays."""
+        return (
+            accelerator.transitions(self.users, self.times, self.true_cells),
+            accelerator.transitions(self.users, self.times, self.snapped_cells),
+        )
+
+
+class LiveFold:
+    """One view's running state inside one registry (the live protocol).
+
+    The registry calls :meth:`add` once per committed shard, in arrival
+    order, and :meth:`freeze` once per round, ascending, after every shard
+    with rows at or before that round has been added.  ``freeze`` returns
+    the view's cumulative value through the round and must cost only that
+    round's delta.  Both run under the registry lock.
+    """
+
+    def add(self, shard: int, rows: ShardRows) -> None:
+        """Park one shard's per-round deltas (a pure function of its rows)."""
+        raise NotImplementedError
+
+    def freeze(self, time: int):
+        """Fold round ``time``'s parked deltas; return the cumulative value."""
+        raise NotImplementedError
 
 
 class LiveMetricView:
-    """One incrementally maintained metric: delta fold plus finalizer.
+    """One incrementally maintained metric, with its from-scratch reference.
 
-    Subclasses implement :meth:`shard_deltas` (pure function of one shard's
-    canonical rows, one exact-mergeable delta per round) and
-    :meth:`finalize` (cumulative partial -> the metric's value object).
+    Two halves share one definition of the value:
+
+    * the **live** half, :meth:`live_fold`, returns a fresh
+      :class:`LiveFold` — the running state the registry feeds at every
+      commit and freezes round by round;
+    * the **reference** half, :meth:`shard_deltas` (one exact-mergeable
+      :class:`MetricShardResult` per round of one shard's canonical rows)
+      and :meth:`finalize` (cumulative partial -> the metric's value
+      object), which :func:`batch_recompute` folds from scratch.
+
     The registry owns ordering, freezing, and snapshot bookkeeping, so a
     view never sees commit concurrency.
     """
 
     name: str
+
+    def live_fold(self) -> LiveFold:
+        """Fresh running state for one registry."""
+        raise NotImplementedError
 
     def empty(self) -> MetricShardResult:
         """The merge identity carrying this view's component names."""
@@ -181,6 +242,104 @@ class LiveMetricView:
         raise NotImplementedError
 
 
+class _PrefixSums:
+    """Append-only float64 buffer whose total is one ``np.sum`` over its prefix."""
+
+    def __init__(self) -> None:
+        self._values = np.empty(0, dtype=float)
+        self._size = 0
+
+    def extend(self, values: np.ndarray) -> None:
+        end = self._size + len(values)
+        if end > len(self._values):
+            grown = np.empty(max(end, 2 * len(self._values)), dtype=float)
+            grown[: self._size] = self._values[: self._size]
+            self._values = grown
+        self._values[self._size : end] = values
+        self._size = end
+
+    def total(self) -> float:
+        return float(self._values[: self._size].sum())
+
+
+class _FlowFold(LiveFold):
+    """Cumulative true / observed inter-area flow matrices at one tiling.
+
+    :meth:`add` regroups a shard's cell transitions to area-pair codes and
+    parks them under their destination round; :meth:`advance` adds one
+    round's codes into two dense ``n_areas ** 2`` int64 matrices.  E11
+    freezes them as Counters; E1 reads their L1 distance.
+    """
+
+    def __init__(self, monitor: LocationMonitor) -> None:
+        self._monitor = monitor
+        self.n_areas = monitor.n_areas
+        self.true = np.zeros(self.n_areas * self.n_areas, dtype=np.int64)
+        self.observed = np.zeros_like(self.true)
+        self._pending: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+
+    def add(self, shard: int, rows: ShardRows) -> None:
+        area_of = self._monitor.area_of_batch
+        for matrix, (times, src, dst, counts) in zip((self.true, self.observed), rows.transitions):
+            codes = area_of(src) * self.n_areas + area_of(dst)
+            for time, start, stop in _runs(times):
+                self._pending.setdefault(time, []).append(
+                    (matrix, codes[start:stop], counts[start:stop])
+                )
+
+    def advance(self, time: int) -> None:
+        for matrix, codes, counts in self._pending.pop(time, ()):
+            np.add.at(matrix, codes, counts)
+
+    def _counter(self, matrix: np.ndarray) -> Counter:
+        codes = np.flatnonzero(matrix)
+        n = self.n_areas
+        pairs = zip(codes.tolist(), matrix[codes].tolist())
+        return Counter({(code // n, code % n): count for code, count in pairs})
+
+    def freeze(self, time: int) -> "FlowSnapshot":
+        self.advance(time)
+        return FlowSnapshot(
+            true_flows=self._counter(self.true),
+            observed_flows=self._counter(self.observed),
+        )
+
+
+class _MonitoringFold(LiveFold):
+    def __init__(self, view: "MonitoringUtilityView") -> None:
+        self._view = view
+        self._errors = _PrefixSums()
+        self._hits = _PrefixSums()
+        self._n_releases = 0
+        self._flows = _FlowFold(view.monitor)
+        #: round -> shard -> (errors, hits) slices, appended shard-ascending
+        self._pending: dict[int, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
+
+    def add(self, shard: int, rows: ShardRows) -> None:
+        errors, hits = self._view.row_terms(rows)
+        for time, start, stop in rows.round_slices():
+            self._pending.setdefault(time, {})[shard] = (errors[start:stop], hits[start:stop])
+        self._flows.add(shard, rows)
+
+    def freeze(self, time: int) -> MonitoringReport:
+        parts = self._pending.pop(time)
+        for shard in sorted(parts):
+            errors, hits = parts[shard]
+            self._errors.extend(errors)
+            self._hits.extend(hits)
+            self._n_releases += len(errors)
+        flows = self._flows
+        flows.advance(time)
+        total_true = int(flows.true.sum())
+        l1 = int(np.abs(flows.true - flows.observed).sum())
+        return MonitoringReport(
+            mean_euclidean_error=self._errors.total() / self._n_releases,
+            area_accuracy=self._hits.total() / self._n_releases,
+            flow_l1_error=l1 / total_true if total_true else 0.0,
+            n_releases=self._n_releases,
+        )
+
+
 class MonitoringUtilityView(LiveMetricView):
     """E1 live: mean Euclidean error, area accuracy, flow L1 error.
 
@@ -190,6 +349,8 @@ class MonitoringUtilityView(LiveMetricView):
     array); inter-area flows ride the Counter kind, each ``(t-1, t)``
     transition assigned to the destination round's delta so the cumulative
     fold at round ``r`` counts exactly the transitions a prefix trace holds.
+    Live, the same per-row terms append to one prefix-sum buffer per
+    component and the flows fold into dense area matrices.
     """
 
     def __init__(
@@ -203,10 +364,14 @@ class MonitoringUtilityView(LiveMetricView):
         self.monitor = LocationMonitor(world, block_rows, block_cols)
         self.name = str(name)
 
+    def live_fold(self) -> LiveFold:
+        return _MonitoringFold(self)
+
     def empty(self) -> MetricShardResult:
         return MetricShardResult.empty(("error", "area_hits"), ("true", "observed"))
 
-    def shard_deltas(self, rows: ShardRows) -> dict[int, MetricShardResult]:
+    def row_terms(self, rows: ShardRows) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row ``(Euclidean error, area hit)`` of one shard's canonical rows."""
         monitor = self.monitor
         centres = self.world.coords_array(rows.true_cells)
         errors = np.hypot(
@@ -216,6 +381,11 @@ class MonitoringUtilityView(LiveMetricView):
             monitor.area_of_batch(rows.snapped_cells)
             == monitor.area_of_batch(rows.true_cells)
         ).astype(float)
+        return errors, hits
+
+    def shard_deltas(self, rows: ShardRows) -> dict[int, MetricShardResult]:
+        monitor = self.monitor
+        errors, hits = self.row_terms(rows)
 
         deltas: dict[int, MetricShardResult] = {}
         previous: tuple[int, int, int] | None = None  # (round, start, stop)
@@ -267,17 +437,42 @@ class ContactSnapshot:
     n_observations: int
 
 
+class _ContactFold(LiveFold):
+    def __init__(self, view: "ContactRateView") -> None:
+        self._view = view
+        self._observations = 0
+        self._pairs = [0, 0]  # true, observed
+        #: round -> ([true (cells, n) parts], [observed (cells, n) parts])
+        self._pending: dict[int, tuple[list, list]] = {}
+
+    def add(self, shard: int, rows: ShardRows) -> None:
+        for kind, (times, cells, counts) in enumerate(rows.cell_counts):
+            for time, start, stop in _runs(times):
+                parts = self._pending.setdefault(time, ([], []))
+                parts[kind].append((cells[start:stop], counts[start:stop]))
+
+    def freeze(self, time: int) -> ContactSnapshot:
+        for kind, parts in enumerate(self._pending.pop(time)):
+            cells = np.concatenate([cells for cells, _ in parts])
+            occupancy = np.zeros(int(cells.max()) + 1, dtype=np.int64)
+            np.add.at(occupancy, cells, np.concatenate([counts for _, counts in parts]))
+            self._pairs[kind] += int((occupancy * (occupancy - 1) // 2).sum())
+            if kind == 0:
+                self._observations += int(occupancy.sum())
+        return self._view.snapshot(self._pairs[0], self._pairs[1], self._observations)
+
+
 class ContactRateView(LiveMetricView):
-    """E2 live: epoch-keyed occupancy counters -> contact rate and R0.
+    """E2 live: epoch-keyed occupancy counts -> contact rate and R0.
 
     The per-round delta is a pair of ``(time, cell) -> head count``
-    occupancy counters (true cells and snapped cells); merging is integer
-    Counter addition, so no ordering can perturb it.  The finalizer runs the
-    same estimator as :func:`repro.epidemic.analysis.contact_rate`:
+    occupancies (true cells and snapped cells); merging is integer
+    addition, so no ordering can perturb it.  The value runs the same
+    estimator as :func:`repro.epidemic.analysis.contact_rate`:
     ``2 * pair_events / observations``, then ``R0 = p * c / gamma`` — the
-    arithmetic is integers plus one identical float expression, which is
-    why the live value equals the batch estimator on the prefix trace
-    bitwise, not just approximately.
+    arithmetic is integers plus one identical float expression
+    (:meth:`snapshot`), which is why the live value equals the batch
+    estimator on the prefix trace bitwise, not just approximately.
     """
 
     def __init__(
@@ -289,6 +484,9 @@ class ContactRateView(LiveMetricView):
         self.p_transmit = check_probability("p_transmit", p_transmit)
         self.gamma = check_positive("gamma", gamma)
         self.name = str(name)
+
+    def live_fold(self) -> LiveFold:
+        return _ContactFold(self)
 
     def empty(self) -> MetricShardResult:
         return MetricShardResult.empty((), ("true_occupancy", "perturbed_occupancy"))
@@ -315,20 +513,25 @@ class ContactRateView(LiveMetricView):
             )
         return deltas
 
-    def finalize(self, partial: MetricShardResult) -> ContactSnapshot:
-        observations = partial.n_releases
+    def snapshot(self, true_pairs: int, observed_pairs: int, observations: int) -> ContactSnapshot:
+        """The E2 value of integer pair-event and observation totals."""
         if observations == 0:
             raise DataError("window contains no observations")
-        true_rate = 2.0 * pair_events(partial.flows["true_occupancy"]) / observations
-        observed_rate = (
-            2.0 * pair_events(partial.flows["perturbed_occupancy"]) / observations
-        )
+        true_rate = 2.0 * true_pairs / observations
+        observed_rate = 2.0 * observed_pairs / observations
         return ContactSnapshot(
             true_contact_rate=true_rate,
             observed_contact_rate=observed_rate,
             r0_true=self.p_transmit * true_rate / self.gamma,
             r0_observed=self.p_transmit * observed_rate / self.gamma,
             n_observations=observations,
+        )
+
+    def finalize(self, partial: MetricShardResult) -> ContactSnapshot:
+        return self.snapshot(
+            pair_events(partial.flows["true_occupancy"]),
+            pair_events(partial.flows["perturbed_occupancy"]),
+            partial.n_releases,
         )
 
 
@@ -358,6 +561,9 @@ class FlowMatrixView(LiveMetricView):
     ) -> None:
         self.monitor = LocationMonitor(world, block_rows, block_cols)
         self.name = str(name)
+
+    def live_fold(self) -> LiveFold:
+        return _FlowFold(self.monitor)
 
     def empty(self) -> MetricShardResult:
         return MetricShardResult.empty((), ("true", "observed"))
@@ -421,22 +627,22 @@ def expected_coverage(plan: "ShardPlan", true_db: "TraceDB") -> dict[int, frozen
 
     The registry's freeze schedule: a round's snapshot freezes once every
     shard listed for it (or for any earlier round) has committed.  Shards
-    with no check-ins are omitted — they never stream a commit.
+    with no check-ins are omitted — they never stream a commit.  Read from
+    the database's structure-of-arrays view (user-major), where each shard
+    owns the contiguous row range of its contiguous user range.
     """
+    users, times, _ = true_db.to_arrays()
     coverage: dict[int, frozenset[int]] = {}
     for shard, shard_users, _ in plan.iter_shards():
-        rounds = {
-            checkin.time
-            for user in shard_users
-            for checkin in true_db.user_history(user)
-        }
-        if rounds:
-            coverage[shard] = frozenset(rounds)
+        start = int(np.searchsorted(users, shard_users[0], side="left"))
+        stop = int(np.searchsorted(users, shard_users[-1], side="right"))
+        if stop > start:
+            coverage[shard] = frozenset(np.unique(times[start:stop]).tolist())
     return coverage
 
 
 class LiveMetricRegistry:
-    """Per-round version chain of frozen metric partials, fed at commit time.
+    """Per-round frozen metric values, fed at commit time.
 
     Parameters
     ----------
@@ -486,15 +692,10 @@ class LiveMetricRegistry:
             time: frozenset(shards) for time, shards in by_round.items()
         }
         self._rounds: tuple[int, ...] = tuple(sorted(by_round))
-        #: round -> shard -> view name -> delta partial (dropped once frozen)
-        self._pending: dict[int, dict[int, dict[str, MetricShardResult]]] = {
-            time: {} for time in self._rounds
-        }
+        self._folds = tuple(view.live_fold() for view in views)
         self._committed: set[int] = set()
         self._frontier = 0  # index into self._rounds of the next round to freeze
-        self._partials: dict[int, Mapping[str, MetricShardResult]] = {}
         self._values: dict[int, Mapping[str, object]] = {}
-        self._chain: dict[str, MetricShardResult] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -517,65 +718,60 @@ class LiveMetricRegistry:
         return MappingProxyType(self._expected)
 
     # ------------------------------------------------------------------
-    def ingest(self, shard: int, users, times, points, true_cells, snapped_cells) -> None:
-        """Fold one committed shard's rows into the live state.
+    def check(self, shard: int, users, times, points, true_cells, snapped_cells) -> ShardRows:
+        """Validate one shard's rows for :meth:`ingest`; return them canonical.
 
-        Pure O(shard rows) work: per-view deltas are computed once here and
-        any rounds the commit completes are frozen immediately, so query
-        cost never depends on the population.  The shard must be expected,
-        not yet folded, and must present exactly its expected rounds —
-        anything else is a :class:`~repro.errors.DataError` (a silent
-        mismatch would surface later as an inexplicable non-frozen round).
+        The shard must be expected and not yet folded, its rows aligned
+        with no duplicate ``(user, time)`` key, and it must present exactly
+        its expected rounds — anything else is a
+        :class:`~repro.errors.DataError` (a silent mismatch would surface
+        later as an inexplicable non-frozen round).  The server runs this
+        before its durable commit, so a refused shard leaves no trace.
         """
         shard = int(shard)
         owned = self._expected.get(shard)
         if owned is None:
             raise DataError(f"shard {shard} is not in the expected coverage")
+        if shard in self._committed:
+            raise DataError(f"shard {shard} was already folded into the live state")
         rows = ShardRows.build(users, times, points, true_cells, snapped_cells)
-        observed = frozenset(int(time) for time in np.unique(rows.times))
+        observed = frozenset(time for time, _, _ in rows.round_slices())
         if observed != owned:
             raise DataError(
                 f"shard {shard} committed rounds {sorted(observed)} but the "
                 f"coverage expects {sorted(owned)}"
             )
+        return rows
+
+    def ingest(self, shard: int, users, times, points, true_cells, snapped_cells) -> None:
+        """Fold one committed shard's rows into the live state.
+
+        O(shard rows) to park the shard's deltas, plus O(round delta) per
+        round the commit completes, which freezes immediately — so neither
+        commit nor query cost grows with the population or the horizon.
+        Refuses exactly what :meth:`check` refuses.
+        """
         with self._lock:
-            if shard in self._committed:
-                raise DataError(f"shard {shard} was already folded into the live state")
-            deltas = {view.name: view.shard_deltas(rows) for view in self._views}
-            self._committed.add(shard)
-            for name, per_round in deltas.items():
-                for time, delta in per_round.items():
-                    self._pending[time].setdefault(shard, {})[name] = delta
+            rows = self.check(shard, users, times, points, true_cells, snapped_cells)
+            for fold in self._folds:
+                fold.add(int(shard), rows)
+            self._committed.add(int(shard))
             self._advance()
 
     def _advance(self) -> None:
         """Freeze every newly complete round at the frontier (in order).
 
-        Rounds freeze strictly ascending because snapshot ``r`` chains off
-        snapshot ``r-1`` — that chaining is what makes the canonical fold
-        order (rounds, then shards, then users) independent of commit
-        arrival order.
+        Rounds freeze strictly ascending because each fold's running state
+        at round ``r`` extends its state at ``r-1`` — that ordering is what
+        makes the canonical fold order (rounds, then shards, then users)
+        independent of commit arrival order.
         """
         while self._frontier < len(self._rounds):
             time = self._rounds[self._frontier]
             if not self._shards_by_round[time] <= self._committed:
                 return
-            per_shard = self._pending.pop(time)
-            partials: dict[str, MetricShardResult] = {}
-            for view in self._views:
-                round_delta = MetricShardResult.fold(
-                    [per_shard[shard][view.name] for shard in sorted(per_shard)]
-                )
-                chained = (
-                    self._chain[view.name].merge(round_delta)
-                    if view.name in self._chain
-                    else round_delta
-                )
-                self._chain[view.name] = chained
-                partials[view.name] = chained.freeze()
-            self._partials[time] = MappingProxyType(partials)
             self._values[time] = MappingProxyType(
-                {view.name: view.finalize(partials[view.name]) for view in self._views}
+                {view.name: fold.freeze(time) for view, fold in zip(self._views, self._folds)}
             )
             self._frontier += 1
 
@@ -615,14 +811,6 @@ class LiveMetricRegistry:
         values = self._values.get(time)
         if values is not None:
             return values
-        raise self._unavailable(time)
-
-    def partials_at(self, round: int) -> Mapping[str, MetricShardResult]:
-        """The frozen cumulative partials behind :meth:`at` (same rules)."""
-        time = int(round)
-        partials = self._partials.get(time)
-        if partials is not None:
-            return partials
         raise self._unavailable(time)
 
     def __repr__(self) -> str:

@@ -373,7 +373,12 @@ class Server:
         SQLite transaction *before* any in-memory mutation.  A crash
         therefore never leaves the store ahead of or torn relative to what
         a resume can rebuild: either the shard is fully durable (and will
-        be replayed / skipped) or absent (and will be re-derived).
+        be replayed / skipped) or absent (and will be re-derived).  A shard
+        the attached live views would refuse (see
+        :meth:`LiveMetricRegistry.check
+        <repro.server.live_metrics.LiveMetricRegistry.check>`), or one
+        already durable in the store, raises
+        :class:`~repro.errors.DataError` before anything is written.
 
         Commit order and determinism
         ----------------------------
@@ -411,12 +416,18 @@ class Server:
                     "ground-truth cells (the shard streaming contract)"
                 )
         order = np.lexsort((users, times))  # commit by (time, user)
+        # batch.cells carry the ground-truth cells (the shard streaming
+        # contract); `cells` is the server-side snapped view.
+        true_cells = None if batch.cells is None else np.asarray(batch.cells, dtype=np.int64)
         with self._ingest_lock:
+            if self._metrics is not None:
+                # Refuse a shard the live views would refuse before any of
+                # it becomes durable or touches the trace and ledger.
+                self._metrics.check(shard, users, times, batch.points, true_cells, cells)
             if self.store is not None:
-                # batch.cells carry the ground-truth cells (the shard
-                # streaming contract): the store keeps only their aggregate
+                # The store keeps only the ground truth's aggregate
                 # accelerator summaries, never the per-row values.
-                self.store.commit_shard(
+                written = self.store.commit_shard(
                     int(shard),
                     users,
                     times,
@@ -427,12 +438,14 @@ class Server:
                         cells=np.asarray(cells, dtype=np.int64),
                         mechanism=batch.mechanism,
                     ),
-                    true_cells=(
-                        None
-                        if batch.cells is None
-                        else np.asarray(batch.cells, dtype=np.int64)
-                    ),
+                    true_cells=true_cells,
                 )
+                if not written:
+                    raise DataError(
+                        f"shard {shard} is already durable in the store; "
+                        "ingesting it again would double its trace rows and "
+                        "ledger charges (replay it with replay_shard instead)"
+                    )
             if not self.out_of_core:
                 self.released_db.record_many(users[order], times[order], cells[order])
             self.ledger.charge_many(
@@ -441,17 +454,8 @@ class Server:
             if self._metrics is not None:
                 # Fold inside the commit section: the registry sees exactly
                 # the committed rows, once, no matter which committer
-                # (sync / async / partitioned) delivered them.  batch.cells
-                # are the ground-truth cells (the shard streaming
-                # contract); `cells` the server-side snapped view.
-                self._metrics.ingest(
-                    int(shard),
-                    users,
-                    times,
-                    batch.points,
-                    np.asarray(batch.cells, dtype=int),
-                    np.asarray(cells, dtype=int),
-                )
+                # (sync / async / partitioned) delivered them.
+                self._metrics.ingest(shard, users, times, batch.points, true_cells, cells)
         return cells
 
     def replay_shard(
@@ -496,20 +500,15 @@ class Server:
             users, times, cells, points, _exact, epsilons = self.store.shard_release_rows(
                 low_user, high_user
             )
+            truth = np.asarray(true_cells(users, times), dtype=int)
+            self._metrics.check(shard, users, times, points, truth, cells)
         else:
             users, times, cells, epsilons = self.store.shard_rows(low_user, high_user)
         if not self.out_of_core:
             self.released_db.record_many(users, times, cells)
         self.ledger.charge_many(users, times, epsilons, purpose=purpose)
         if self._metrics is not None:
-            self._metrics.ingest(
-                int(shard),
-                users,
-                times,
-                points,
-                np.asarray(true_cells(users, times), dtype=int),
-                cells,
-            )
+            self._metrics.ingest(shard, users, times, points, truth, cells)
         return len(users)
 
     def push_policy(self, client: Client, policy: PolicyGraph) -> None:
@@ -1140,14 +1139,19 @@ def run_release_rounds_batched(
         else:
             server = Server(world)
         true_cells_of = None
+        coverage: "dict[int, frozenset[int]]" = {}
+        if live_metrics or committed:
+            from repro.server.live_metrics import expected_coverage
+
+            coverage = expected_coverage(plan, true_db)
         if live_metrics:
             # Attached before any replay so a resumed run folds its
             # replayed shards back into the registry — the rebuilt live
             # state then equals the uninterrupted run's at every round.
-            from repro.server.live_metrics import default_views, expected_coverage
+            from repro.server.live_metrics import default_views
 
             views = default_views(world) if live_metrics is True else list(live_metrics)
-            server.attach_metrics(views, expected_coverage(plan, true_db))
+            server.attach_metrics(views, coverage)
 
             def true_cells_of(row_users, row_times):
                 # The store never persists ground-truth cells; resolve them
@@ -1183,11 +1187,7 @@ def run_release_rounds_batched(
                 committed_rounds.setdefault(shard_id, set()).add(round_time)
             remaining = set()
             for shard_id, shard_users, _ in plan.iter_shards():
-                expected = {
-                    checkin.time
-                    for user in shard_users
-                    for checkin in true_db.user_history(user)
-                }
+                expected = coverage.get(shard_id)
                 if expected and expected <= committed_rounds.get(shard_id, set()):
                     server.replay_shard(
                         shard_users[0],

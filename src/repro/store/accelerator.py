@@ -34,7 +34,10 @@ Every delta is a pure function of the committed rows, merged by integer
 addition (``ON CONFLICT ... DO UPDATE SET n = n + excluded.n``), so the
 summary state is independent of shard count, backend, committer, commit
 arrival order, and kill-resume — the same argument that makes the live
-metric views bit-identical across those axes.
+metric views bit-identical across those axes.  The deltas are built once
+as int64 column arrays (:func:`cell_counts`, :func:`transitions`); the
+``*_rows`` functions turn them into upsert rows, and the live views
+(:mod:`repro.server.live_metrics`) fold the same arrays in memory.
 """
 
 from __future__ import annotations
@@ -51,7 +54,9 @@ __all__ = [
     "apply_deltas",
     "boundary_flow_rows",
     "cell_count_rows",
+    "cell_counts",
     "flow_rows",
+    "transitions",
     "user_summary_rows",
 ]
 
@@ -108,48 +113,75 @@ _UPSERT_USER_SUMMARY = (
 )
 
 
-def cell_count_rows(kind: int, times: np.ndarray, cells: np.ndarray) -> list[tuple]:
-    """``(kind, time, cell, n)`` occupancy increments for one commit's rows."""
-    if len(times) == 0:
+def _empty_columns(n: int) -> tuple[np.ndarray, ...]:
+    return tuple(np.empty(0, dtype=np.int64) for _ in range(n))
+
+
+def _kind_rows(kind: int, columns: tuple[np.ndarray, ...]) -> list[tuple]:
+    """``(kind, *columns)`` table rows for the SQLite upsert."""
+    if len(columns[0]) == 0:
         return []
+    kinds = np.full(len(columns[0]), int(kind), dtype=np.int64)
+    return np.column_stack((kinds, *columns)).tolist()
+
+
+def cell_counts(times: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(time, cell, n)`` int64 occupancy increments of one commit's rows.
+
+    Sorted by ``(time, cell)``.  The columnar delta both consumers fold: the
+    store upserts it into ``round_cell_counts`` and the live contact view
+    merges it into per-round head counts.
+    """
+    if len(times) == 0:
+        return _empty_columns(3)
     # Encoded int64 keys: one flat np.unique instead of the (much slower)
     # axis=0 row-wise variant — this runs inside every commit.
     base = int(cells.max()) + 1
     codes = times.astype(np.int64) * base + cells
     uniques, counts = np.unique(codes, return_counts=True)
-    kinds = np.full(len(uniques), int(kind), dtype=np.int64)
-    return np.column_stack((kinds, uniques // base, uniques % base, counts)).tolist()
+    return uniques // base, uniques % base, counts
 
 
-def flow_rows(
-    kind: int, users: np.ndarray, times: np.ndarray, cells: np.ndarray
-) -> list[tuple]:
-    """``(kind, time, src, dst, n)`` transition increments within one commit.
+def transitions(
+    users: np.ndarray, times: np.ndarray, cells: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """``(time, src, dst, n)`` int64 cell-transition increments within one commit.
 
     Rows are sorted user-major with times ascending, so a user's consecutive
     timesteps are adjacent; each ``(t-1, t)`` step contributes one count at
     destination round ``t``.  Only *within-commit* adjacency is counted —
     the shard streaming contract delivers each user's whole trace in one
     commit, and :func:`boundary_flow_rows` covers the stored side when a
-    caller commits a user's trace piecewise.
+    caller commits a user's trace piecewise.  Sorted by ``(time, src,
+    dst)``; the store upserts it into ``round_flows`` and the live flow
+    views regroup it to their own area tiling.
     """
     if len(users) < 2:
-        return []
+        return _empty_columns(4)
     order = np.lexsort((times, users))
     u, t, c = users[order], times[order], cells[order]
     step = (u[1:] == u[:-1]) & (t[1:] == t[:-1] + 1)
     if not bool(step.any()):
-        return []
+        return _empty_columns(4)
     dst_times = t[1:][step]
     src_cells = c[:-1][step]
     dst_cells = c[1:][step]
     base = int(max(src_cells.max(), dst_cells.max())) + 1
     codes = (dst_times.astype(np.int64) * base + src_cells) * base + dst_cells
     uniques, counts = np.unique(codes, return_counts=True)
-    kinds = np.full(len(uniques), int(kind), dtype=np.int64)
-    return np.column_stack(
-        (kinds, uniques // (base * base), uniques // base % base, uniques % base, counts)
-    ).tolist()
+    return uniques // (base * base), uniques // base % base, uniques % base, counts
+
+
+def cell_count_rows(kind: int, times: np.ndarray, cells: np.ndarray) -> list[tuple]:
+    """``(kind, time, cell, n)`` occupancy increments for one commit's rows."""
+    return _kind_rows(kind, cell_counts(times, cells))
+
+
+def flow_rows(
+    kind: int, users: np.ndarray, times: np.ndarray, cells: np.ndarray
+) -> list[tuple]:
+    """``(kind, time, src, dst, n)`` transition increments within one commit."""
+    return _kind_rows(kind, transitions(users, times, cells))
 
 
 def user_summary_rows(users: np.ndarray, times: np.ndarray) -> list[tuple]:

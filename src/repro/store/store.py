@@ -178,7 +178,7 @@ class TraceStore:
     # ------------------------------------------------------------------
     def commit_shard(
         self, shard: int, users, times, batch: "ReleaseBatch", true_cells=None
-    ) -> None:
+    ) -> bool:
         """Durably commit one shard's releases in a single transaction.
 
         Parameters
@@ -210,6 +210,11 @@ class TraceStore:
         already durable is an idempotent no-op (the summaries merge by
         addition, so replaying the rows would double-count them); a commit
         overlapping only *some* of its marks is a :class:`StoreError`.
+
+        Returns ``True`` when the shard was written, ``False`` for the
+        no-op, so a caller that must not apply a shard's effects twice
+        (:meth:`Server.ingest_shard
+        <repro.server.pipeline.Server.ingest_shard>`) can refuse it.
         """
         users = np.asarray(users, dtype=np.int64)
         times = np.asarray(times, dtype=np.int64)
@@ -224,7 +229,7 @@ class TraceStore:
         incoming_rounds = set(rounds.tolist())
         if incoming_rounds & existing_rounds:
             if incoming_rounds <= existing_rounds:
-                return  # the whole shard is already durable
+                return False  # the whole shard is already durable
             raise StoreError(
                 f"shard {shard} commit overlaps rounds "
                 f"{sorted(incoming_rounds & existing_rounds)} already marked "
@@ -300,6 +305,7 @@ class TraceStore:
             raise StoreError(
                 f"commit of shard {shard} ({len(users)} rows) failed: {exc}"
             ) from exc
+        return True
 
     def maintains_true_summaries(self) -> "bool | None":
         """Whether commits maintain true-side summaries (None before any)."""

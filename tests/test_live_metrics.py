@@ -8,16 +8,21 @@ rows, under **every** execution shape.  This file pins that matrix
 (shards {1, 2, 5, 7} x serial/thread/process/pool/rpc x sync/async/
 partitioned committers), the shard-count invariance of the values
 themselves, equality against independently-coded references (the E1/E11
-flow counter and the E2 contact-rate estimator), and the snapshot
-semantics around it: unavailable rounds name the shards they wait on,
-frozen partials are immutable, and every misuse fails loudly.
+flow counter and the E2 contact-rate estimator), a Hypothesis property
+driving the real registry through arbitrary commit orders, and the
+snapshot semantics around it: unavailable rounds name the shards they wait
+on, frozen values are immutable, and every misuse fails loudly — before
+the refused shard touches the store, trace or ledger.
 
 The kill-resume half of the contract lives in ``tests/test_store_resume.py``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.mechanisms.base import ReleaseBatch
 from repro.engine import PrivacyEngine, ensure_backend
 from repro.engine.sharding import ShardPlan, stream_shard_releases
 from repro.epidemic.analysis import pair_events
@@ -25,6 +30,8 @@ from repro.epidemic.monitor import LocationMonitor
 from repro.errors import DataError, SnapshotUnavailableError, ValidationError
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
+from repro.mobility.trajectory import TraceDB
+from repro.store import TraceStore
 from repro.server.live_metrics import (
     ContactRateView,
     FlowMatrixView,
@@ -150,6 +157,57 @@ class TestDeterminismMatrix:
             assert batch_values_of(shards) == reference
 
 
+@st.composite
+def gapped_traces(draw, n_cells=36, horizon=6):
+    """A small TraceDB whose users hold arbitrary (gapped) sets of rounds."""
+    db = TraceDB()
+    for user in range(draw(st.integers(1, 8))):
+        for time in sorted(draw(st.sets(st.integers(0, horizon - 1), min_size=1))):
+            db.record(user, time, draw(st.integers(0, n_cells - 1)))
+    return db
+
+
+class TestRegistryCommitOrder:
+    """The real registry, fed real shards in any order, freezes batch values.
+
+    Gapped traces give shards different round sets, so rounds freeze at
+    different points of the commit sequence; after every commit each
+    frozen round must already equal the from-scratch recompute and every
+    other round must refuse.
+    """
+
+    @settings(deadline=None, max_examples=40)
+    @given(db=gapped_traces(), shards=st.integers(1, 4), data=st.data())
+    def test_any_commit_order_freezes_batch_values(self, world, engine, db, shards, data):
+        plan = ShardPlan.build(sorted(db.users()), shards, rng=RNG)
+        parts = {
+            plan.shard_of(int(users[0])): (users, times, batch)
+            for users, times, batch in stream_shard_releases(engine, db, plan)
+        }
+        want = batch_recompute(
+            default_views(world), plan, *_raw_rows(world, engine, db, plan)
+        )
+        coverage = expected_coverage(plan, db)
+        server = Server(world)
+        server.attach_metrics(default_views(world), coverage)
+        committed = set()
+        for shard in data.draw(st.permutations(sorted(parts))):
+            server.ingest_shard(*parts[shard], shard=shard)
+            committed.add(shard)
+            for r in server.metrics.rounds:
+                ready = all(
+                    owner in committed
+                    for owner, owned in coverage.items()
+                    if min(owned) <= r
+                )
+                if ready:
+                    assert dict(server.metrics_at(r)) == want[r]
+                else:
+                    with pytest.raises(SnapshotUnavailableError):
+                        server.metrics_at(r)
+        assert server.metrics.frozen_rounds == tuple(sorted(want))
+
+
 # ----------------------------------------------------------------------
 # equality against independently-coded references
 # ----------------------------------------------------------------------
@@ -248,15 +306,18 @@ class TestSnapshotSemantics:
         with pytest.raises(ValidationError, match="not part of this run's coverage"):
             server.metrics_at(99)
 
-    def test_frozen_partials_are_immutable(self, world, db, engine):
+    def test_frozen_values_are_immutable(self, world, db, engine):
+        from dataclasses import FrozenInstanceError
+
         server, _ = _partial_commit(world, db, engine, 2, only={0, 1})
-        partials = server.metrics.partials_at(HORIZON - 1)
-        monitoring = partials["monitoring"]
-        assert not monitoring.sums["error"].flags.writeable
-        with pytest.raises(ValueError):
-            monitoring.sums["error"][0] = 0.0
+        values = server.metrics_at(HORIZON - 1)
         with pytest.raises(TypeError):
-            partials["monitoring"] = None
+            values["monitoring"] = None
+        with pytest.raises(FrozenInstanceError):
+            values["monitoring"].n_releases = 0
+        # Later rounds and repeated reads never move a published value.
+        assert server.metrics_at(HORIZON - 1) is values
+        assert server.metrics_at(0)["monitoring"].n_releases < values["monitoring"].n_releases
 
     def test_double_fold_rejected(self, world, db, engine):
         server, plan = _partial_commit(world, db, engine, 2, only={0})
@@ -293,6 +354,79 @@ class TestSnapshotSemantics:
     def test_single_stream_run_rejects_live_metrics(self, world, db, engine):
         with pytest.raises(ValidationError, match="sharded streaming path"):
             run_release_rounds_batched(world, db, engine, rng=RNG, live_metrics=True)
+
+
+def _take(batch, index):
+    return ReleaseBatch(
+        points=batch.points[index],
+        exact=batch.exact[index],
+        epsilons=batch.epsilons[index],
+        cells=np.asarray(batch.cells)[index],
+        mechanism=batch.mechanism,
+    )
+
+
+class TestRefusalsLeaveNoTrace:
+    """A shard the live views refuse never reaches the store, trace or ledger."""
+
+    @pytest.fixture()
+    def server(self, world, db):
+        plan = _plan(db, 2)
+        with TraceStore(":memory:") as store:
+            server = Server(world, store=store)
+            server.attach_metrics(default_views(world), expected_coverage(plan, db))
+            yield server
+
+    @pytest.fixture(scope="class")
+    def shard0(self, engine, db):
+        return next(
+            iter(stream_shard_releases(engine, db, _plan(db, 2), only_shards=frozenset({0})))
+        )
+
+    @staticmethod
+    def _state(server):
+        store = server.store
+        (summaries,) = store.connection.execute(
+            "SELECT COALESCE(SUM(n), 0) FROM round_cell_counts"
+        ).fetchone()
+        return (
+            store.committed(),
+            len(store),
+            summaries,
+            len(server.ledger),
+            len(server.released_db),
+            server.metrics.frozen_rounds,
+        )
+
+    @pytest.mark.parametrize(
+        "refusal, match",
+        [
+            ("unexpected shard", "not in the expected coverage"),
+            ("half the rounds", "coverage expects"),
+            ("duplicate key", "duplicate"),
+            ("misaligned", "does not match"),
+            ("already folded", "already folded"),
+        ],
+    )
+    def test_refusal_leaves_state_unchanged(self, server, shard0, refusal, match):
+        users, times, batch = shard0
+        shard = 0
+        if refusal == "unexpected shard":
+            shard = 9
+        elif refusal == "half the rounds":
+            half = times < HORIZON // 2
+            users, times, batch = users[half], times[half], _take(batch, half)
+        elif refusal == "duplicate key":
+            again = np.r_[np.arange(len(users)), 0]
+            users, times, batch = users[again], times[again], _take(batch, again)
+        elif refusal == "misaligned":
+            users = users[:-1]
+        else:
+            server.ingest_shard(users, times, batch, shard=0)
+        before = self._state(server)
+        with pytest.raises(DataError, match=match):
+            server.ingest_shard(users, times, batch, shard=shard)
+        assert self._state(server) == before
 
 
 class TestRegistryValidation:

@@ -474,6 +474,29 @@ class TestAcceleratorMaintenance:
                 "SELECT SUM(n) FROM round_cell_counts"
             ).fetchone() == counts
 
+    def test_reingested_durable_shard_is_refused_before_charging(self, world, db, engine):
+        # commit_shard swallows the duplicate, so the server must refuse it
+        # too: re-applying the shard would double its trace rows and ledger
+        # charges while the store still holds them once.
+        plan = ShardPlan.build(sorted(db.users()), 2, rng=11)
+        users, times, batch = next(
+            iter(stream_shard_releases(engine, db, plan, only_shards=frozenset({0})))
+        )
+        with TraceStore(":memory:") as store:
+            server = Server(world, store=store)
+            server.ingest_shard(users, times, batch, shard=0)
+            ledger = server.ledger
+
+            def state():
+                spent = {user: ledger.spent(user) for user in ledger.users()}
+                return len(store), len(ledger), len(server.released_db), spent
+
+            before = state()
+            with pytest.raises(DataError, match="shard 0 is already durable"):
+                server.ingest_shard(users, times, batch, shard=0)
+            assert state() == before
+            assert before[0] == before[1] == len(users)
+
     def test_partial_round_overlap_rejected(self, world, engine):
         with TraceStore(":memory:") as store:
             batch = engine.release_batch(np.array([0, 1]), rng=np.random.default_rng(0))
