@@ -9,10 +9,9 @@ decide whether anyone turns it on:
   identical in-memory run, with the bit-identity check alongside the
   timing.  ``within_budget`` (durable ≤ ``OVERHEAD_BUDGET`` x in-memory at
   CI scale) is a CI acceptance.  Since PR 10 every commit transaction also
-  maintains the query-accelerator summary tables
-  (``repro.store.accelerator``: per-round occupancy, cell-pair flows, user
-  bounds — roughly 3x the upserted rows), so the budget is 3.5x where the
-  durability-only store sat at 1.4–1.6x; E22
+  maintains the query-accelerator summaries (``repro.store.accelerator``:
+  per-round occupancy and cell-pair flow blocks, user bounds), so the
+  budget is 3.5x where the durability-only store sat at 1.4–1.6x; E22
   (``bench_e22_queries.py``) gates the >= 10x query speedup that
   maintenance buys.
 * **out_of_core** — a population far too large for an in-memory
@@ -53,8 +52,7 @@ from repro.store import TraceStore
 #: Acceptance ceiling for durable-vs-memory ingest.  The store-backed run
 #: pays for the SQLite transactions *and* (since PR 10) the in-transaction
 #: accelerator summary maintenance the windowed query surface reads
-#: (docs/queries.md) — measured ~2.8-3.2x at CI scale, vs 1.4-1.6x for the
-#: durability-only store.
+#: (docs/queries.md), vs 1.4-1.6x for the durability-only store.
 OVERHEAD_BUDGET = 3.5
 
 #: CI-sized workloads shared by ``--smoke`` here and ``run_bench.py --smoke``.

@@ -2,14 +2,15 @@
 
 PR 10 added ``repro.query``: windowed analytics (contact rate, flow
 matrices, top-k hot cells, per-user epsilon spend, trajectories) served
-from the accelerator summary tables the store maintains inside every
-shard-commit transaction (``repro.store.accelerator``), instead of a full
-pass over ``releases``.  This benchmark answers the two questions that
+from the accelerator summaries the store maintains inside every
+shard-commit transaction (``repro.store.accelerator``: one row of int32
+count blocks per kind and round), instead of a full pass over
+``releases``.  This benchmark answers the two questions that
 decide whether the commit-time maintenance earns its keep:
 
 * **scaling** — per-window cost across population sizes: the accelerator
-  bundle (contact rate + flow matrix + top-k over one window, O(answer))
-  against the naive ``repro.query.reference`` full scans (O(rows)), every
+  bundle (contact rate + flow matrix + top-k over one window, O(distinct
+  keys in the window)) against the naive ``repro.query.reference`` full scans (O(rows)), every
   size bit-checked identical across every query type before anything is
   timed.  The acceptance gates the headline: at the largest configured
   population, the accelerator bundle must be >= 10x cheaper.
@@ -158,8 +159,9 @@ def query_scaling_records(
 
     The full-scan side is what a reader without the summary tables pays per
     question: one O(rows) pass over ``releases`` per answer.  The
-    accelerator side reads the per-(window, cell) summaries — O(answer),
-    independent of the stored population.  Both are checked bit-identical
+    accelerator side reads the window's round blocks — O(distinct keys in
+    the window), independent of the stored population once the grid
+    saturates.  Both are checked bit-identical
     across every query type before anything is timed.
     """
     records = []
@@ -252,11 +254,12 @@ def test_accelerated_queries_beat_full_scans_by_floor():
 
 
 def test_query_cost_does_not_scale_with_population():
-    """Acceptance: O(answer) cost stays near-flat while the scans grow.
+    """Acceptance: the accelerator cost stays near-flat while the scans grow.
 
-    The summary tables saturate at (distinct cells x window rounds), so the
-    accelerator bundle's cost must stay within an order of magnitude across
-    a 16x population spread, while the full scans provably grow.
+    A window's round blocks saturate at (distinct cells x window rounds)
+    occupancy keys and (distinct cell pairs x window rounds) flow keys, so
+    the accelerator bundle's cost must stay within an order of magnitude
+    across a 16x population spread, while the full scans provably grow.
     """
     records = query_scaling_records(**SMOKE_WORKLOAD)
     smallest, largest = records[0], records[-1]

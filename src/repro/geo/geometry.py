@@ -60,10 +60,22 @@ def convex_hull(points: Iterable[Sequence[float]]) -> np.ndarray:
 
     lower = _chain(pts)
     upper = _chain(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1])
+    hull = lower[:-1] + upper[:-1]
+    # Each chain only tests the turns inside itself.  Where the chains meet,
+    # rounding can leave a vertex whose turn evaluates to zero (e.g. a point
+    # offset by a subnormal), which would give the polygon zero fan area.
+    # Drop such vertices until every consecutive triple turns strictly left.
+    pruned = True
+    while pruned and len(hull) >= 3:
+        pruned = False
+        for i in range(len(hull)):
+            if _cross(hull[i - 1], hull[i], hull[(i + 1) % len(hull)]) <= 0:
+                del hull[i]
+                pruned = True
+                break
     if len(hull) < 3:  # all collinear
         return np.array([pts[0], pts[-1]])
-    return hull
+    return np.array(hull)
 
 
 def _cross(o: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

@@ -1,10 +1,10 @@
 """The windowed query API over :class:`~repro.store.TraceStore`.
 
 Every query here is answered from the accelerator layout
-(:mod:`repro.store.accelerator`) — per-round summary tables and the
-``releases`` covering indexes — in time proportional to the *answer*, never
-to the stored population.  Each is bit-identical to its naive full-scan
-counterpart in :mod:`repro.query.reference`:
+(:mod:`repro.store.accelerator`) — per-round int32 summary blocks and the
+``releases`` primary key — in time proportional to the distinct keys in the
+window, never to the stored population.  Each is bit-identical to its naive
+full-scan counterpart in :mod:`repro.query.reference`:
 
 * integer components (occupancy counts, flow counts, pair events) merge by
   addition, which no aggregation order can perturb;
@@ -31,10 +31,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, AbstractSet, Mapping
 
+import numpy as np
+
 from repro.core.accounting import BudgetLedger
 from repro.errors import DataError, SnapshotUnavailableError, StoreError, ValidationError
 from repro.geo.grid import GridWorld
-from repro.store.accelerator import KIND_OBSERVED, KIND_TRUE
+from repro.store.accelerator import KIND_OBSERVED, KIND_TRUE, window_blocks
 from repro.store.store import TraceStore, open_store
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
@@ -199,25 +201,33 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def missing_shards(self, upto: int) -> list[int]:
         """Shards still owed a commit at any round ``<= upto`` (sorted)."""
-        committed = self.store.committed()
-        expected = self._expected
-        if expected is None:
-            rounds = frozenset(time for _, time in committed)
-            manifest = self.store.manifest()
-            if manifest is not None:
-                shard_ids = range(manifest.n_shards)
-            else:
-                shard_ids = sorted({shard for shard, _ in committed})
-            expected = {shard: rounds for shard in shard_ids}
         upto = int(upto)
-        return sorted(
-            {
-                shard
-                for shard, rounds in expected.items()
-                for time in rounds
-                if time <= upto and (shard, time) not in committed
-            }
+        if self._expected is not None:
+            committed = self.store.committed()
+            return sorted(
+                {
+                    shard
+                    for shard, rounds in self._expected.items()
+                    for time in rounds
+                    if time <= upto and (shard, time) not in committed
+                }
+            )
+        # The derived schedule expects every shard at every committed round,
+        # so a shard is missing exactly when it holds fewer marks <= upto
+        # than there are distinct committed rounds <= upto: two aggregates
+        # over the marks instead of loading them all.
+        connection = self.store.connection
+        (rounds,) = connection.execute(
+            "SELECT COUNT(DISTINCT round) FROM shard_commits WHERE round <= ?", (upto,)
+        ).fetchone()
+        marks = dict(
+            connection.execute(
+                "SELECT shard, SUM(round <= ?) FROM shard_commits GROUP BY shard", (upto,)
+            ).fetchall()
         )
+        manifest = self.store.manifest()
+        shard_ids = range(manifest.n_shards) if manifest is not None else sorted(marks)
+        return [shard for shard in shard_ids if marks.get(shard, 0) < rounds]
 
     def _check_coverage(self, upto: int) -> None:
         missing = self.missing_shards(upto)
@@ -247,21 +257,20 @@ class QueryEngine:
     def contact_rate(self, window: Window, kind: str = "observed") -> WindowContactRate:
         """E2 contact rate / R0 over one window, from per-round occupancy.
 
-        One primary-key range read of ``round_cell_counts`` — O(distinct
+        One range read of the window's ``cells`` blocks — O(distinct
         ``(time, cell)`` pairs in the window), independent of the stored
         population.  Raises :class:`~repro.errors.DataError` for a window
         with no observations (both sides of the bit-check agree on that).
         """
         code = self._kind(kind)
         self._check_coverage(window.end)
-        rows = self.store.connection.execute(
-            "SELECT n FROM round_cell_counts WHERE kind = ? AND time BETWEEN ? AND ?",
-            (code, window.start, window.end),
-        ).fetchall()
-        observations = sum(count for (count,) in rows)
+        counts = window_blocks(
+            self.store.connection, "cells", code, window.start, window.end
+        )[:, 1]
+        observations = int(counts.sum())
         if observations == 0:
             raise DataError("window contains no observations")
-        pairs = sum(count * (count - 1) // 2 for (count,) in rows)
+        pairs = int((counts * (counts - 1) // 2).sum())
         rate = 2.0 * pairs / observations
         return WindowContactRate(
             window=window,
@@ -281,56 +290,48 @@ class QueryEngine:
     ) -> Counter:
         """Inter-area flow counts whose destination round lies in the window.
 
-        Served from the cell-level ``round_flows`` table: a primary-key
-        range read, then an integer regroup of cell pairs into the
-        requested area tiling — any ``(block_rows, block_cols)`` is exact,
-        because the cell-level counts are the finest grain.
+        Served from the cell-level ``flows`` blocks: one range read, then an
+        integer regroup of cell pairs into the requested area tiling — any
+        ``(block_rows, block_cols)`` is exact, because the cell-level counts
+        are the finest grain.
         """
         code = self._kind(kind)
         self._check_coverage(window.end)
-        # Regrouping cells into areas inside SQLite keeps the Python side at
-        # O(area pairs): the expressions below are the same integer
-        # arithmetic as GridWorld.area_of — (cell//width//block_rows) *
-        # ceil(width/block_cols) + (cell%width)//block_cols — on
-        # non-negative ints, so the Counter equals the full scan bitwise
-        # without materialising one Python tuple per cell pair.
         world = self.world
-        world.n_areas(block_rows, block_cols)  # validates the tiling args
-        blocks_per_row = -(-world.width // int(block_cols))
-        area_of = (
-            "({cell} / {width} / {rows}) * {per_row} + ({cell} % {width}) / {cols}"
+        n_areas = world.n_areas(block_rows, block_cols)  # validates the tiling args
+        flows = window_blocks(self.store.connection, "flows", code, window.start, window.end)
+        # GridWorld.area_of_batch is the mapping the full scan uses; the
+        # dense area-pair sum is int64, so the Counter equals it bitwise.
+        src = world.area_of_batch(flows[:, 0], block_rows, block_cols)
+        dst = world.area_of_batch(flows[:, 1], block_rows, block_cols)
+        totals = np.zeros(n_areas * n_areas, dtype=np.int64)
+        np.add.at(totals, src * n_areas + dst, flows[:, 2])
+        pairs = np.flatnonzero(totals)
+        return Counter(
+            {
+                (pair // n_areas, pair % n_areas): count
+                for pair, count in zip(pairs.tolist(), totals[pairs].tolist())
+            }
         )
-        src_area = area_of.format(
-            cell="src", width=world.width, rows=int(block_rows),
-            per_row=blocks_per_row, cols=int(block_cols),
-        )
-        dst_area = src_area.replace("src", "dst")
-        rows = self.store.connection.execute(
-            f"SELECT {src_area}, {dst_area}, SUM(n) FROM round_flows "
-            "WHERE kind = ? AND time BETWEEN ? AND ? GROUP BY 1, 2",
-            (code, window.start, window.end),
-        ).fetchall()
-        return Counter({(int(src), int(dst)): int(count) for src, dst, count in rows})
 
     def top_cells(self, window: Window, k: int, kind: str = "observed") -> list[tuple[int, int]]:
         """The ``k`` busiest cells over the window as ``(cell, count)`` pairs.
 
-        Occupancy is summed per cell from ``round_cell_counts`` (one
-        primary-key range read + GROUP BY); ties break deterministically on
-        the lower cell id, so accelerator and full-scan rankings agree
-        exactly, not just up to tie shuffling.
+        Occupancy is summed per cell over the window's ``cells`` blocks (one
+        range read); ties break deterministically on the lower cell id, so
+        accelerator and full-scan rankings agree exactly, not just up to tie
+        shuffling.
         """
         if int(k) < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
         code = self._kind(kind)
         self._check_coverage(window.end)
-        rows = self.store.connection.execute(
-            "SELECT cell, SUM(n) FROM round_cell_counts "
-            "WHERE kind = ? AND time BETWEEN ? AND ? GROUP BY cell",
-            (code, window.start, window.end),
-        ).fetchall()
-        ranked = sorted(rows, key=lambda row: (-row[1], row[0]))
-        return [(int(cell), int(count)) for cell, count in ranked[: int(k)]]
+        records = window_blocks(self.store.connection, "cells", code, window.start, window.end)
+        cells, inverse = np.unique(records[:, 0], return_inverse=True)
+        totals = np.zeros(len(cells), dtype=np.int64)
+        np.add.at(totals, inverse, records[:, 1])
+        ranked = np.lexsort((cells, -totals))[: int(k)]
+        return list(zip(cells[ranked].tolist(), totals[ranked].tolist()))
 
     def epsilon_spent(self, user: int, window: Window) -> float:
         """One user's epsilon expenditure over the window, ledger-exact.

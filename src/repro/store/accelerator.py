@@ -2,46 +2,55 @@
 
 The query surface (:mod:`repro.query`) answers windowed analytics — contact
 rates, flow matrices, top-k hot cells — without a full pass over
-``releases``.  What makes that possible is this module: a small set of
-per-round summary tables (the LSST-style accelerator layout) whose rows are
-maintained *inside the same SQLite transaction* as the shard's release rows
-and ``(shard, round)`` commit marks.  Because the deltas travel in the
-shard's own transaction, the summaries can never be torn relative to
-``shard_commits``: a crash either keeps the whole shard (rows, marks, and
-summary increments) or none of it.
+``releases``.  What makes that possible is this module: per-round summary
+blocks (the LSST-style accelerator layout) maintained *inside the same
+SQLite transaction* as the shard's release rows and ``(shard, round)``
+commit marks.  Because the deltas travel in the shard's own transaction,
+the summaries can never be torn relative to ``shard_commits``: a crash
+either keeps the whole shard (rows, marks, and summary increments) or none
+of it.
 
-Tables (created by :func:`repro.store.schema.create_schema`):
+Tables (created by :func:`repro.store.schema.create_schema`, schema v3):
 
-``round_cell_counts``
-    ``(kind, time, cell) -> n``: per-round occupancy.  ``kind`` 0 summarises
-    the stored ``cell`` column (the server-side snapped view on the pipeline
-    path); ``kind`` 1 the ground-truth cells a commit supplied via
-    ``true_cells=`` — the store still never persists *per-row* ground truth,
-    only these aggregate head counts, which is exactly what the monitoring
-    estimators consume.
-``round_flows``
-    ``(kind, time, src, dst) -> n``: cell-to-cell transition counts, each
-    ``(t-1, t)`` step assigned to its *destination* round ``t`` (the live
-    metrics convention, so cumulative prefixes line up).  Area-level flow
-    matrices are derived at query time by mapping cells to areas, which is
-    an integer regrouping — any tiling is served exactly from one table.
+``round_blocks``
+    One row per ``(kind, time)`` holding two column blocks, each a
+    little-endian int32 array of records in row order:
+
+    * ``cells`` — ``(cell, n)`` sorted by cell: the round's occupancy;
+    * ``flows`` — ``(src, dst, n)`` sorted by ``(src, dst)``: cell-to-cell
+      transition counts, each ``(t-1, t)`` step assigned to its
+      *destination* round ``t`` (the live metrics convention, so cumulative
+      prefixes line up).  Area-level flow matrices are derived at query
+      time by mapping cells to areas, which is an integer regrouping — any
+      tiling is served exactly from the same blocks.
+
+    ``kind`` 0 summarises the stored ``cell`` column (the server-side
+    snapped view on the pipeline path); ``kind`` 1 the ground-truth cells a
+    commit supplied via ``true_cells=`` — the store still never persists
+    *per-row* ground truth, only these aggregate counts, which is exactly
+    what the monitoring estimators consume.  A window is one primary-key
+    range read of its rounds' blocks, decoded in one pass
+    (:func:`window_blocks`).
 ``user_summary``
     ``user -> (n_rows, min_time, max_time)``: per-user bounds, serving
     :meth:`TraceStore.users <repro.store.store.TraceStore.users>` and
     trajectory planning without a ``SELECT DISTINCT`` scan.
 
-Every delta is a pure function of the committed rows, merged by integer
-addition (``ON CONFLICT ... DO UPDATE SET n = n + excluded.n``), so the
-summary state is independent of shard count, backend, committer, commit
-arrival order, and kill-resume — the same argument that makes the live
-metric views bit-identical across those axes.  The deltas are built once
-as int64 column arrays (:func:`cell_counts`, :func:`transitions`); the
-``*_rows`` functions turn them into upsert rows, and the live views
-(:mod:`repro.server.live_metrics`) fold the same arrays in memory.
+Each commit reads the blocks of the rounds it touches, adds its own counts
+key by key (:func:`apply_deltas`), and writes back records that are sorted,
+unique and summed.  A block's bytes are therefore a pure function of the
+committed rows — independent of shard count, backend, committer, commit
+arrival order, and kill-resume, the same argument that makes the live
+metric views bit-identical across those axes.  The deltas are built once as
+int64 column arrays (:func:`cell_counts`, :func:`transitions`); the
+``*_rows`` functions split them into one entry per round block, and the
+live views (:mod:`repro.server.live_metrics`) fold the same arrays in
+memory.
 """
 
 from __future__ import annotations
 
+import math
 import sqlite3
 from typing import Iterable
 
@@ -58,31 +67,31 @@ __all__ = [
     "flow_rows",
     "transitions",
     "user_summary_rows",
+    "window_blocks",
 ]
 
 #: ``kind`` column values: 0 summarises the stored rows, 1 the ground truth.
 KIND_OBSERVED = 0
 KIND_TRUE = 1
 
+#: int32 values per record of a ``cells`` / ``flows`` block.
+CELL_WIDTH = 2
+FLOW_WIDTH = 3
+
+_BLOCK_DTYPE = np.dtype("<i4")
+_INT32 = np.iinfo(np.int32)
+
+# round_blocks keeps its rowid: a flows block runs to tens of KB, and
+# SQLite advises WITHOUT ROWID only for rows under ~1/20 of a page.
 ACCELERATOR_TABLES = (
     """
-    CREATE TABLE IF NOT EXISTS round_cell_counts (
-        kind INTEGER NOT NULL,
-        time INTEGER NOT NULL,
-        cell INTEGER NOT NULL,
-        n    INTEGER NOT NULL,
-        PRIMARY KEY (kind, time, cell)
-    ) WITHOUT ROWID
-    """,
-    """
-    CREATE TABLE IF NOT EXISTS round_flows (
-        kind INTEGER NOT NULL,
-        time INTEGER NOT NULL,
-        src  INTEGER NOT NULL,
-        dst  INTEGER NOT NULL,
-        n    INTEGER NOT NULL,
-        PRIMARY KEY (kind, time, src, dst)
-    ) WITHOUT ROWID
+    CREATE TABLE IF NOT EXISTS round_blocks (
+        kind  INTEGER NOT NULL,
+        time  INTEGER NOT NULL,
+        cells BLOB    NOT NULL,
+        flows BLOB    NOT NULL,
+        PRIMARY KEY (kind, time)
+    )
     """,
     """
     CREATE TABLE IF NOT EXISTS user_summary (
@@ -95,14 +104,6 @@ ACCELERATOR_TABLES = (
     """,
 )
 
-_UPSERT_CELL_COUNTS = (
-    "INSERT INTO round_cell_counts (kind, time, cell, n) VALUES (?, ?, ?, ?) "
-    "ON CONFLICT(kind, time, cell) DO UPDATE SET n = n + excluded.n"
-)
-_UPSERT_FLOWS = (
-    "INSERT INTO round_flows (kind, time, src, dst, n) VALUES (?, ?, ?, ?, ?) "
-    "ON CONFLICT(kind, time, src, dst) DO UPDATE SET n = n + excluded.n"
-)
 _UPSERT_USER_SUMMARY = (
     "INSERT INTO user_summary (user, n_rows, min_time, max_time) "
     "VALUES (?, ?, ?, ?) "
@@ -112,25 +113,37 @@ _UPSERT_USER_SUMMARY = (
     "max_time = MAX(max_time, excluded.max_time)"
 )
 
+#: One round block's increment: ``(kind, time, records)``, the records an
+#: int64 ``(k, CELL_WIDTH)`` or ``(k, FLOW_WIDTH)`` array sorted by key.
+RoundDelta = tuple[int, int, np.ndarray]
+
 
 def _empty_columns(n: int) -> tuple[np.ndarray, ...]:
     return tuple(np.empty(0, dtype=np.int64) for _ in range(n))
 
 
-def _kind_rows(kind: int, columns: tuple[np.ndarray, ...]) -> list[tuple]:
-    """``(kind, *columns)`` table rows for the SQLite upsert."""
-    if len(columns[0]) == 0:
+def _round_starts(times: np.ndarray) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each run of equal values in sorted ``times``."""
+    starts = np.flatnonzero(np.diff(times, prepend=times[0] - 1)).tolist()
+    return list(zip(starts, starts[1:] + [len(times)]))
+
+
+def _per_round(kind: int, times: np.ndarray, records: np.ndarray) -> list[RoundDelta]:
+    """Split time-sorted ``records`` into one ``(kind, time, records)`` per round."""
+    if len(times) == 0:
         return []
-    kinds = np.full(len(columns[0]), int(kind), dtype=np.int64)
-    return np.column_stack((kinds, *columns)).tolist()
+    return [
+        (kind, int(times[start]), records[start:stop])
+        for start, stop in _round_starts(times)
+    ]
 
 
 def cell_counts(times: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, ...]:
     """``(time, cell, n)`` int64 occupancy increments of one commit's rows.
 
     Sorted by ``(time, cell)``.  The columnar delta both consumers fold: the
-    store upserts it into ``round_cell_counts`` and the live contact view
-    merges it into per-round head counts.
+    store merges it into the ``cells`` blocks and the live contact view
+    into per-round head counts.
     """
     if len(times) == 0:
         return _empty_columns(3)
@@ -153,7 +166,7 @@ def transitions(
     the shard streaming contract delivers each user's whole trace in one
     commit, and :func:`boundary_flow_rows` covers the stored side when a
     caller commits a user's trace piecewise.  Sorted by ``(time, src,
-    dst)``; the store upserts it into ``round_flows`` and the live flow
+    dst)``; the store merges it into the ``flows`` blocks and the live flow
     views regroup it to their own area tiling.
     """
     if len(users) < 2:
@@ -172,16 +185,18 @@ def transitions(
     return uniques // (base * base), uniques // base % base, uniques % base, counts
 
 
-def cell_count_rows(kind: int, times: np.ndarray, cells: np.ndarray) -> list[tuple]:
-    """``(kind, time, cell, n)`` occupancy increments for one commit's rows."""
-    return _kind_rows(kind, cell_counts(times, cells))
+def cell_count_rows(kind: int, times: np.ndarray, cells: np.ndarray) -> list[RoundDelta]:
+    """Per-round ``(kind, time, (cell, n) records)`` occupancy increments."""
+    time, cell, n = cell_counts(times, cells)
+    return _per_round(kind, time, np.column_stack((cell, n)))
 
 
 def flow_rows(
     kind: int, users: np.ndarray, times: np.ndarray, cells: np.ndarray
-) -> list[tuple]:
-    """``(kind, time, src, dst, n)`` transition increments within one commit."""
-    return _kind_rows(kind, transitions(users, times, cells))
+) -> list[RoundDelta]:
+    """Per-round ``(kind, time, (src, dst, n) records)`` transition increments."""
+    time, src, dst, n = transitions(users, times, cells)
+    return _per_round(kind, time, np.column_stack((src, dst, n)))
 
 
 def user_summary_rows(users: np.ndarray, times: np.ndarray) -> list[tuple]:
@@ -201,7 +216,7 @@ def boundary_flow_rows(
     times: np.ndarray,
     cells: np.ndarray,
     prior_users: "set[int]",
-) -> list[tuple]:
+) -> list[RoundDelta]:
     """Observed-flow increments stitching new rows to already-stored ones.
 
     When a commit adds rows for a user who already has stored rows (a
@@ -211,9 +226,11 @@ def boundary_flow_rows(
     point lookups against the ``releases`` primary key: for each new row at
     ``(user, t)`` whose neighbour round is *not* part of this commit, an
     existing row at ``t - 1`` contributes a ``(stored -> new)`` step and an
-    existing row at ``t + 1`` a ``(new -> stored)`` step.  Only the stored
-    (``kind`` 0) side can be stitched — ground-truth cells are never
-    persisted per row, which is why piecewise commits refuse ``true_cells``.
+    existing row at ``t + 1`` a ``(new -> stored)`` step.  The steps come
+    back as per-round flow increments, merged into the stored blocks like
+    any other.  Only the stored (``kind`` 0) side can be stitched —
+    ground-truth cells are never persisted per row, which is why piecewise
+    commits refuse ``true_cells``.
     """
     if not prior_users:
         return []
@@ -221,7 +238,7 @@ def boundary_flow_rows(
     for user, time, cell in zip(users.tolist(), times.tolist(), cells.tolist()):
         if user in prior_users:
             incoming.setdefault(user, {})[time] = cell
-    rows: list[tuple] = []
+    steps: list[tuple[int, int, int]] = []
     lookup = connection.execute
     for user, trace in incoming.items():
         for time, cell in trace.items():
@@ -231,24 +248,178 @@ def boundary_flow_rows(
                     (user, time - 1),
                 ).fetchone()
                 if hit is not None:
-                    rows.append((KIND_OBSERVED, time, int(hit[0]), cell, 1))
+                    steps.append((time, int(hit[0]), cell))
             if time + 1 not in trace:
                 hit = lookup(
                     "SELECT cell FROM releases WHERE user = ? AND time = ?",
                     (user, time + 1),
                 ).fetchone()
                 if hit is not None:
-                    rows.append((KIND_OBSERVED, time + 1, cell, int(hit[0]), 1))
-    return rows
+                    steps.append((time + 1, cell, int(hit[0])))
+    if not steps:
+        return []
+    step_times, src, dst = (np.asarray(column, dtype=np.int64) for column in zip(*steps))
+    merged_times, keys, counts = _merge(
+        step_times, np.column_stack((src, dst, np.ones_like(src)))
+    )
+    return _per_round(KIND_OBSERVED, merged_times, np.column_stack((keys, counts)))
+
+
+def _decode_blocks(blobs: list[bytes], width: int) -> np.ndarray:
+    """The records of several blocks as one read-only int32 ``(k, width)`` view.
+
+    The blobs are joined and decoded once, not once per block.
+    """
+    return np.frombuffer(b"".join(blobs), dtype=_BLOCK_DTYPE).reshape(-1, width)
+
+
+def window_blocks(
+    connection: sqlite3.Connection, column: str, kind: int, start: int, end: int
+) -> np.ndarray:
+    """The ``cells`` or ``flows`` records of one kind over rounds ``start..end``.
+
+    One primary-key range read of ``round_blocks``, decoded in one pass and
+    widened to int64: ``(k, 2)`` ``(cell, n)`` or ``(k, 3)`` ``(src, dst,
+    n)`` records, block after block in round order.
+    """
+    width = {"cells": CELL_WIDTH, "flows": FLOW_WIDTH}[column]
+    rows = connection.execute(
+        f"SELECT {column} FROM round_blocks WHERE kind = ? AND time BETWEEN ? AND ?",
+        (int(kind), int(start), int(end)),
+    ).fetchall()
+    return _decode_blocks([blob for (blob,) in rows], width).astype(np.int64)
+
+
+def _merge(
+    times: np.ndarray, records: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(time, keys, n)`` of ``(key..., n)`` records summed per ``(time, key)``.
+
+    Sorted by ``(time, key)``; the sums are int64.  Each record's ``(time,
+    key...)`` is encoded as one non-negative int64 code (every column offset
+    to its minimum, mixed-radix by its span), so one flat sort groups them.
+    Raises :class:`OverflowError` when the spans do not fit one code.
+    """
+    columns = (times, *records[:, :-1].T)
+    lows = [int(column.min()) for column in columns]
+    spans = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
+    if math.prod(spans) > 2**62:
+        raise OverflowError("accelerator keys span too wide a range to merge")
+    codes = np.zeros(len(times), dtype=np.int64)
+    for column, low, span in zip(columns, lows, spans):
+        codes *= span
+        codes -= low
+        codes += column
+    order = np.argsort(codes)
+    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+    first = order[starts]
+    counts = np.add.reduceat(records[order, -1], starts, dtype=np.int64)
+    return times[first], records[first, :-1], counts
+
+
+def _check_int32(kind: int, times: np.ndarray, values: np.ndarray) -> None:
+    """Raise :class:`OverflowError` naming the first value outside int32."""
+    outside = (values < _INT32.min) | (values > _INT32.max)
+    if outside.any():
+        at = tuple(np.argwhere(outside)[0])
+        raise OverflowError(
+            f"accelerator value {int(values[at])} (kind {kind}, round "
+            f"{int(times[at[0]])}) is outside the int32 range of a round block"
+        )
+
+
+def _merged_blocks(
+    kind: int,
+    width: int,
+    stored: dict[int, bytes],
+    deltas: list[RoundDelta],
+) -> dict[int, bytes]:
+    """``time -> block bytes`` of the stored blocks plus ``deltas``, summed by key."""
+    if not deltas:
+        return {}
+    new_times = np.concatenate(
+        [np.full(len(records), time, dtype=np.int64) for _, time, records in deltas]
+    )
+    new_records = np.concatenate([records for _, _, records in deltas])
+    _check_int32(kind, new_times, new_records)
+    old_rounds = [time for time in sorted({time for _, time, _ in deltas}) if stored.get(time)]
+    old_blobs = [stored[time] for time in old_rounds]
+    old_sizes = [len(blob) // (_BLOCK_DTYPE.itemsize * width) for blob in old_blobs]
+    old_times = np.repeat(
+        np.asarray(old_rounds, dtype=np.int64), np.asarray(old_sizes, dtype=np.int64)
+    )
+    times, keys, counts = _merge(
+        np.concatenate((old_times, new_times)),
+        np.concatenate((_decode_blocks(old_blobs, width), new_records.astype(_BLOCK_DTYPE))),
+    )
+    _check_int32(kind, times, counts)
+    blocks = np.empty((len(counts), width), dtype=_BLOCK_DTYPE)
+    blocks[:, :-1] = keys
+    blocks[:, -1] = counts
+    return {
+        int(times[start]): blocks[start:stop].tobytes()
+        for start, stop in _round_starts(times)
+    }
 
 
 def apply_deltas(
     connection: sqlite3.Connection,
-    cell_counts: Iterable[tuple],
-    flows: Iterable[tuple],
+    cell_counts: Iterable[RoundDelta],
+    flows: Iterable[RoundDelta],
     summaries: Iterable[tuple],
 ) -> None:
-    """Apply one commit's summary increments (caller owns the transaction)."""
-    connection.executemany(_UPSERT_CELL_COUNTS, cell_counts)
-    connection.executemany(_UPSERT_FLOWS, flows)
+    """Merge one commit's increments into the store (caller owns the transaction).
+
+    ``cell_counts`` / ``flows`` are the per-round entries of
+    :func:`cell_count_rows`, :func:`flow_rows` and
+    :func:`boundary_flow_rows` (several may share a round).  Per kind, the
+    blocks of every touched round are fetched with one range read, summed
+    key by key with the increments, and written back whole.  Raises
+    :class:`OverflowError` when a merged value leaves the int32 range.
+    """
+    cell_counts, flows = list(cell_counts), list(flows)
+    for kind in sorted({kind for kind, _, _ in cell_counts + flows}):
+        _apply_kind(
+            connection,
+            kind,
+            [delta for delta in cell_counts if delta[0] == kind],
+            [delta for delta in flows if delta[0] == kind],
+        )
     connection.executemany(_UPSERT_USER_SUMMARY, summaries)
+
+
+def _apply_kind(
+    connection: sqlite3.Connection,
+    kind: int,
+    cell_deltas: list[RoundDelta],
+    flow_deltas: list[RoundDelta],
+) -> None:
+    """:func:`apply_deltas` for the round blocks of one kind."""
+    touched = sorted({time for _, time, _ in cell_deltas + flow_deltas})
+    stored = {
+        time: (cells, flows)
+        for time, cells, flows in connection.execute(
+            "SELECT time, cells, flows FROM round_blocks "
+            "WHERE kind = ? AND time BETWEEN ? AND ?",
+            (kind, touched[0], touched[-1]),
+        )
+    }
+    cells = _merged_blocks(
+        kind, CELL_WIDTH, {time: pair[0] for time, pair in stored.items()}, cell_deltas
+    )
+    flows = _merged_blocks(
+        kind, FLOW_WIDTH, {time: pair[1] for time, pair in stored.items()}, flow_deltas
+    )
+    empty = (b"", b"")
+    connection.executemany(
+        "INSERT OR REPLACE INTO round_blocks (kind, time, cells, flows) VALUES (?, ?, ?, ?)",
+        [
+            (
+                kind,
+                time,
+                cells.get(time, stored.get(time, empty)[0]),
+                flows.get(time, stored.get(time, empty)[1]),
+            )
+            for time in touched
+        ],
+    )

@@ -26,11 +26,12 @@ per-partition recovery-state table):
 ``local_windows``
     Spill space for out-of-core :class:`~repro.server.localdb.LocalLocationDB`
     instances (client-side rolling windows), keyed ``(user, time)``.
-``round_cell_counts`` / ``round_flows`` / ``user_summary``
-    The query accelerator (schema v2): per-round occupancy, per-round
-    cell-transition counts, and per-user bounds, maintained inside every
-    shard-commit transaction so windowed analytics never pay a full-table
-    pass — see :mod:`repro.store.accelerator` for the layout and the
+``round_blocks`` / ``user_summary``
+    The query accelerator (schema v3): one row per ``(kind, round)`` whose
+    two int32 column blocks hold that round's occupancy and cell-transition
+    counts, plus per-user bounds, maintained inside every shard-commit
+    transaction so windowed analytics never pay a full-table pass — see
+    :mod:`repro.store.accelerator` for the block layout and the
     merge-by-integer-addition argument.
 
 Pragma rationale (the Paper-Scanner recipe, see ``docs/persistence.md``):
@@ -61,9 +62,11 @@ __all__ = ["SCHEMA_VERSION", "BUSY_TIMEOUT_MS", "apply_pragmas", "create_schema"
 
 #: Bumped whenever the table layout changes; stores recorded under a
 #: different version refuse to open rather than guess at a migration.
-#: v2 added the query-accelerator tables (round_cell_counts, round_flows,
-#: user_summary) maintained inside every shard-commit transaction.
-SCHEMA_VERSION = 2
+#: v2 added the query-accelerator tables maintained inside every
+#: shard-commit transaction; v3 replaced its per-key count rows
+#: (round_cell_counts, round_flows) with one round_blocks row of int32
+#: column blocks per (kind, round).  Stores are rebuilt from their seeds.
+SCHEMA_VERSION = 3
 
 #: Default lock-retry window (milliseconds) for every connection.
 BUSY_TIMEOUT_MS = 30_000

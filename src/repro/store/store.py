@@ -201,7 +201,7 @@ class TraceStore:
             raises :class:`~repro.errors.StoreError`.
 
         The release rows, one ``(shard, round)`` mark per distinct
-        timestep, *and* the accelerator summary increments
+        timestep, *and* the merged accelerator round blocks
         (:mod:`repro.store.accelerator`) are written in the same
         transaction — either the whole shard becomes durable or none of it
         does, and the summaries can never be torn relative to the marks.
@@ -209,7 +209,11 @@ class TraceStore:
         Re-committing a shard whose ``(shard, round)`` marks are all
         already durable is an idempotent no-op (the summaries merge by
         addition, so replaying the rows would double-count them); a commit
-        overlapping only *some* of its marks is a :class:`StoreError`.
+        overlapping only *some* of its marks is a :class:`StoreError`.  So
+        is a commit that would store a ``(user, time)`` key twice — repeated
+        within the commit or already held by an earlier one — refused
+        before anything is written, and one whose merged accelerator values
+        leave the int32 range of a round block, which rolls back whole.
 
         Returns ``True`` when the shard was written, ``False`` for the
         no-op, so a caller that must not apply a shard's effects twice
@@ -258,6 +262,7 @@ class TraceStore:
                 "cannot be stitched across commits (ground-truth cells are "
                 "never persisted per row) — commit whole traces per shard"
             )
+        self._refuse_repeated_keys(shard, users, times, prior_users)
         cell_counts = accelerator.cell_count_rows(accelerator.KIND_OBSERVED, times, cells)
         flows = accelerator.flow_rows(accelerator.KIND_OBSERVED, users, times, cells)
         flows += accelerator.boundary_flow_rows(
@@ -285,7 +290,7 @@ class TraceStore:
         try:
             with self.connection:
                 self.connection.executemany(
-                    "INSERT OR REPLACE INTO releases "
+                    "INSERT INTO releases "
                     "(user, time, cell, x, y, exact, epsilon) "
                     "VALUES (?, ?, ?, ?, ?, ?, ?)",
                     rows,
@@ -301,11 +306,45 @@ class TraceStore:
                         "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
                         ("accelerator_true", "1" if true_cells is not None else "0"),
                     )
-        except sqlite3.Error as exc:
+        except (sqlite3.Error, OverflowError) as exc:
             raise StoreError(
                 f"commit of shard {shard} ({len(users)} rows) failed: {exc}"
             ) from exc
         return True
+
+    def _refuse_repeated_keys(
+        self, shard: int, users: np.ndarray, times: np.ndarray, prior_users: "set[int]"
+    ) -> None:
+        """Raise :class:`StoreError` naming the first ``(user, time)`` stored twice.
+
+        A key may repeat inside the commit, or — only for ``prior_users``,
+        who already have stored rows — match a row an earlier commit
+        stored.  Either would overwrite a row the summaries count twice.
+        """
+        order = np.lexsort((times, users))
+        users, times = users[order], times[order]
+        repeated = np.flatnonzero((users[1:] == users[:-1]) & (times[1:] == times[:-1]))
+        if repeated.size:
+            at = int(repeated[0])
+            raise StoreError(
+                f"commit of shard {shard} repeats (user, time) "
+                f"({users[at]}, {times[at]}); every key is stored once"
+            )
+        for user in sorted(prior_users):
+            incoming = times[
+                np.searchsorted(users, user, side="left"):np.searchsorted(users, user, side="right")
+            ]
+            stored = self.connection.execute(
+                "SELECT time FROM releases WHERE user = ? AND time BETWEEN ? AND ?",
+                (user, int(incoming[0]), int(incoming[-1])),
+            ).fetchall()
+            clash = np.intersect1d(incoming, [time for (time,) in stored])
+            if clash.size:
+                raise StoreError(
+                    f"commit of shard {shard} repeats (user, time) "
+                    f"({user}, {int(clash[0])}), which an earlier commit "
+                    "already stored; every key is stored once"
+                )
 
     def maintains_true_summaries(self) -> "bool | None":
         """Whether commits maintain true-side summaries (None before any)."""

@@ -38,6 +38,14 @@ class TestConvexHull:
         assert len(hull) == 2
         assert {tuple(v) for v in hull} == {(0, 0), (3, 3)}
 
+    def test_subnormal_offset_is_collinear(self):
+        # (0, 1) and (tiny, 1) differ by a subnormal: the turn at the chain
+        # junction rounds to zero, so the hull must not keep all three.
+        points = [(0.0, 1.0), (2.2729409290749604e-295, 1.0), (-1.0, 0.0)]
+        assert len(convex_hull(points)) == 2
+        poly = ConvexPolygon.from_points(points)
+        assert poly.area > 0
+
     def test_single_point(self):
         hull = convex_hull([(2, 3), (2, 3)])
         assert hull.shape == (1, 2)

@@ -386,9 +386,9 @@ class TestRefusalsLeaveNoTrace:
     @staticmethod
     def _state(server):
         store = server.store
-        (summaries,) = store.connection.execute(
-            "SELECT COALESCE(SUM(n), 0) FROM round_cell_counts"
-        ).fetchone()
+        summaries = store.connection.execute(
+            "SELECT kind, time, cells, flows FROM round_blocks ORDER BY kind, time"
+        ).fetchall()
         return (
             store.committed(),
             len(store),

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.mechanisms.base import ReleaseBatch
 from repro.engine import PrivacyEngine, ensure_backend
 from repro.engine.sharding import ShardPlan, stream_shard_releases
 from repro.errors import (
@@ -87,10 +88,18 @@ def resolver(db):
     return resolve
 
 
+#: Every accelerator round block, in key order: the stored bytes themselves.
+BLOCKS_SQL = "SELECT kind, time, cells, flows FROM round_blocks ORDER BY kind, time"
+
+
 def _fingerprint(store, world):
-    """Every query answer over the probe windows, as one comparable value."""
+    """Every query answer over the probe windows, as one comparable value.
+
+    It includes the accelerator's round-block bytes, which must not depend
+    on how the run was split: shard count, backend, committer, kill-resume.
+    """
     engine = QueryEngine(store, world=world)
-    fingerprint = {}
+    fingerprint = {("blocks",): store.connection.execute(BLOCKS_SQL).fetchall()}
     for window in WINDOWS:
         for kind in ("observed", "true"):
             key = (window.start, window.end, kind)
@@ -443,6 +452,140 @@ class TestInterleavingProperty:
                         ref.full_scan_contact_rate(store, window)
                 else:
                     assert got == ref.full_scan_contact_rate(store, window)
+
+
+# ----------------------------------------------------------------------
+# the derived coverage schedule from two aggregates
+# ----------------------------------------------------------------------
+
+
+def _set_rule_missing(store, upto):
+    """The derived-schedule refusal from the whole mark set (the reference)."""
+    committed = store.committed()
+    rounds = frozenset(time for _, time in committed)
+    manifest = store.manifest()
+    if manifest is not None:
+        shard_ids = range(manifest.n_shards)
+    else:
+        shard_ids = sorted({shard for shard, _ in committed})
+    return sorted(
+        {
+            shard
+            for shard in shard_ids
+            for time in rounds
+            if time <= upto and (shard, time) not in committed
+        }
+    )
+
+
+class TestDerivedCoverage:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        marks=st.sets(st.tuples(st.integers(0, 5), st.integers(0, 9)), max_size=30),
+        n_shards=st.none() | st.integers(1, 6),
+        upto=st.integers(-1, 10),
+    )
+    def test_aggregates_equal_the_set_rule(self, marks, n_shards, upto):
+        # With and without a run manifest (and with marks from shards the
+        # manifest does not plan), the two-aggregate answer is the set one.
+        with TraceStore(":memory:") as store:
+            if n_shards is not None:
+                store.begin_run(
+                    RunManifest(
+                        spec_hash="spec",
+                        plan_fingerprint="plan",
+                        n_users=1,
+                        n_shards=n_shards,
+                        world_width=6,
+                        world_height=6,
+                        cell_size=1.0,
+                    )
+                )
+            with store.connection:
+                store.connection.executemany(
+                    "INSERT INTO shard_commits (shard, round, n_rows) VALUES (?, ?, 1)",
+                    sorted(marks),
+                )
+            engine_q = QueryEngine(store, world=GridWorld(6, 6))
+            assert engine_q.missing_shards(upto) == _set_rule_missing(store, upto)
+
+
+# ----------------------------------------------------------------------
+# piecewise commits: one user's trace across several commits
+# ----------------------------------------------------------------------
+
+
+def _take(batch, index):
+    return ReleaseBatch(
+        points=batch.points[index],
+        exact=batch.exact[index],
+        epsilons=batch.epsilons[index],
+        cells=np.asarray(batch.cells)[index],
+        mechanism=batch.mechanism,
+    )
+
+
+@pytest.fixture(scope="module")
+def shard_parts(world, db, engine):
+    plan = ShardPlan.build(sorted(db.users()), 3, rng=RNG)
+    return [
+        (plan.shard_of(int(users[0])), users, times, batch)
+        for users, times, batch in stream_shard_releases(engine, db, plan)
+    ]
+
+
+def _assert_every_window_matches(store, world):
+    expected = {}
+    for shard, time in store.committed():
+        expected.setdefault(shard, set()).add(time)
+    engine_q = QueryEngine(store, world=world, expected=expected)
+    for start in range(HORIZON):
+        for end in range(start, HORIZON):
+            window = Window(start, end)
+            assert engine_q.flow_matrix(window) == ref.full_scan_flow_matrix(
+                store, window, world
+            )
+            assert engine_q.flow_matrix(window, block_rows=2, block_cols=3) == (
+                ref.full_scan_flow_matrix(store, window, world, block_rows=2, block_cols=3)
+            )
+            assert engine_q.top_cells(window, 4) == ref.full_scan_top_cells(store, window, 4)
+            try:
+                got = engine_q.contact_rate(window)
+            except DataError:
+                with pytest.raises(DataError):
+                    ref.full_scan_contact_rate(store, window)
+            else:
+                assert got == ref.full_scan_contact_rate(store, window)
+
+
+class TestPiecewiseCommits:
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_split_traces_answer_like_whole_ones(self, world, shard_parts, data):
+        # Each shard's rows are cut into round buckets committed separately,
+        # in any order, so most users' traces span several commits and the
+        # flows between them come from the stitch against stored rows.
+        cuts = data.draw(st.sets(st.integers(1, HORIZON - 1), max_size=HORIZON - 1))
+        bounds = [0, *sorted(cuts), HORIZON]
+        pieces = []
+        for shard, users, times, batch in shard_parts:
+            for low, high in zip(bounds[:-1], bounds[1:]):
+                rows = np.flatnonzero((times >= low) & (times < high))
+                if rows.size:
+                    pieces.append((shard, users[rows], times[rows], _take(batch, rows)))
+        order = data.draw(st.permutations(range(len(pieces))))
+        prefix = data.draw(st.integers(0, len(pieces)))
+        with TraceStore(":memory:") as store:
+            for step, index in enumerate(order):
+                if step == prefix:
+                    _assert_every_window_matches(store, world)
+                shard, users, times, batch = pieces[index]
+                assert store.commit_shard(shard, users, times, batch)
+            _assert_every_window_matches(store, world)
 
 
 # ----------------------------------------------------------------------

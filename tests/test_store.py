@@ -8,6 +8,7 @@ client-side window, bulk ledger charging, and the ExecutionSpec wiring.
 
 import shutil
 import sqlite3
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +20,16 @@ from repro.engine.specs import EngineSpec, ExecutionSpec
 from repro.errors import BudgetError, DataError, ResumeMismatchError, StoreError, ValidationError
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
+from repro.query import QueryEngine, Window
+from repro.query import reference as ref
 from repro.server.localdb import LocalLocationDB
 from repro.server.pipeline import Server, run_release_rounds_batched
 from repro.store import RunManifest, StoredTraceDB, TraceStore, engine_spec_hash
 from repro.store.resume import RunManifest as ResumeManifest
+
+
+#: Every accelerator round block, in key order (the bytes, not just sums).
+BLOCKS_SQL = "SELECT kind, time, cells, flows FROM round_blocks ORDER BY kind, time"
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +82,18 @@ class TestSchemaAndPragmas:
                     "UPDATE meta SET value='999' WHERE key='schema_version'"
                 )
         with pytest.raises(StoreError, match="schema v999"):
+            TraceStore(path)
+
+    def test_v2_store_refuses_to_open(self, tmp_path):
+        # v3 replaced the per-key accelerator rows with round blocks; an
+        # older store is rebuilt from its seeds, never read as v3.
+        path = tmp_path / "s.sqlite"
+        with TraceStore(path) as store:
+            with store.connection:
+                store.connection.execute(
+                    "UPDATE meta SET value='2' WHERE key='schema_version'"
+                )
+        with pytest.raises(StoreError, match="schema v2, this build expects v3"):
             TraceStore(path)
 
     def test_unopenable_path_raises_store_error(self, tmp_path):
@@ -461,18 +480,15 @@ class TestAcceleratorMaintenance:
             parts = list(stream_shard_releases(engine, db, plan))
             for users, times, batch in parts:
                 server.ingest_shard(users, times, batch, shard=plan.shard_of(int(users[0])))
-            counts = store.connection.execute(
-                "SELECT SUM(n) FROM round_cell_counts"
-            ).fetchone()
+            blocks = store.connection.execute(BLOCKS_SQL).fetchall()
+            assert blocks
             users, times, batch = parts[0]
             store.commit_shard(
                 plan.shard_of(int(users[0])),
                 np.asarray(users), np.asarray(times), batch,
                 true_cells=np.asarray(batch.cells),
             )
-            assert store.connection.execute(
-                "SELECT SUM(n) FROM round_cell_counts"
-            ).fetchone() == counts
+            assert store.connection.execute(BLOCKS_SQL).fetchall() == blocks
 
     def test_reingested_durable_shard_is_refused_before_charging(self, world, db, engine):
         # commit_shard swallows the duplicate, so the server must refuse it
@@ -518,3 +534,81 @@ class TestAcceleratorMaintenance:
             other = engine.release_batch(np.array([5]), rng=np.random.default_rng(1))
             with pytest.raises(StoreError, match="true"):
                 store.commit_shard(1, np.array([2]), np.array([0]), other)
+
+
+def _store_state(store):
+    """Rows, marks, round blocks and user summaries, for refusal checks."""
+    connection = store.connection
+    return (
+        connection.execute("SELECT * FROM releases ORDER BY user, time").fetchall(),
+        store.committed(),
+        connection.execute(BLOCKS_SQL).fetchall(),
+        connection.execute("SELECT * FROM user_summary ORDER BY user").fetchall(),
+    )
+
+
+class TestCommitRefusals:
+    """Commits the store refuses whole, before anything is written."""
+
+    def test_key_stored_by_an_earlier_commit_is_refused(self, world, engine):
+        # Shard 0 stores user 1 at rounds 0-1; shard 1 then offers user 1 at
+        # round 1 again.  Overwriting that row while the summaries counted it
+        # twice would make contact_rate and flow_matrix disagree with the
+        # full scans, so the whole commit is refused instead.
+        with TraceStore(":memory:") as store:
+            batch = engine.release_batch(np.array([0, 1]), rng=np.random.default_rng(0))
+            store.commit_shard(0, np.array([1, 1]), np.array([0, 1]), batch)
+            before = _store_state(store)
+            again = engine.release_batch(np.array([2, 3]), rng=np.random.default_rng(1))
+            with pytest.raises(
+                StoreError, match=r"shard 1 repeats \(user, time\) \(1, 1\), which an earlier"
+            ):
+                store.commit_shard(1, np.array([2, 1]), np.array([1, 1]), again)
+            assert _store_state(store) == before
+            engine_q = QueryEngine(store, world=world, expected={0: {0, 1}})
+            window = Window(0, 1)
+            assert engine_q.contact_rate(window) == ref.full_scan_contact_rate(store, window)
+            assert engine_q.flow_matrix(window) == ref.full_scan_flow_matrix(
+                store, window, world
+            )
+
+    def test_key_repeated_within_a_commit_is_refused(self, engine):
+        with TraceStore(":memory:") as store:
+            batch = engine.release_batch(np.array([0]), rng=np.random.default_rng(0))
+            store.commit_shard(0, np.array([7]), np.array([0]), batch)
+            before = _store_state(store)
+            repeated = engine.release_batch(
+                np.array([0, 1, 2, 3]), rng=np.random.default_rng(1)
+            )
+            # Both (2, 5) and (3, 5) repeat; the first key in order is named.
+            with pytest.raises(StoreError, match=r"shard 1 repeats \(user, time\) \(2, 5\);"):
+                store.commit_shard(
+                    1, np.array([3, 2, 2, 3]), np.array([5, 5, 5, 5]), repeated
+                )
+            assert _store_state(store) == before
+
+    def test_count_outside_int32_is_refused(self, engine):
+        with TraceStore(":memory:") as store:
+            batch = engine.release_batch(np.array([4]), rng=np.random.default_rng(0))
+            store.commit_shard(0, np.array([1]), np.array([0]), batch)
+            # A round-0 occupancy already at the int32 ceiling: one more
+            # visit to the same cell cannot be stored in the block.
+            full = np.array([[4, np.iinfo(np.int32).max]], dtype="<i4").tobytes()
+            with store.connection:
+                store.connection.execute(
+                    "UPDATE round_blocks SET cells = ? WHERE kind = 0 AND time = 0", (full,)
+                )
+            before = _store_state(store)
+            more = engine.release_batch(np.array([4]), rng=np.random.default_rng(1))
+            with pytest.raises(StoreError, match=r"shard 1 .*2147483648 \(kind 0, round 0\)"):
+                store.commit_shard(1, np.array([2]), np.array([0]), more)
+            assert _store_state(store) == before
+
+    def test_cell_id_outside_int32_is_refused(self, engine):
+        with TraceStore(":memory:") as store:
+            before = _store_state(store)
+            batch = engine.release_batch(np.array([4]), rng=np.random.default_rng(0))
+            wide = replace(batch, cells=np.array([2**31]))
+            with pytest.raises(StoreError, match="shard 3 .*outside the int32 range"):
+                store.commit_shard(3, np.array([1]), np.array([0]), wide)
+            assert _store_state(store) == before
