@@ -21,7 +21,7 @@ from repro.mobility.synthetic import geolife_like
 from repro.server.pipeline import run_release_rounds_batched
 
 SHARD_COUNTS = [1, 2, 4, 8]
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "thread", "pool"]
 N_USERS = 200
 HORIZON = 24
 

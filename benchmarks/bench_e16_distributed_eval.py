@@ -1,18 +1,14 @@
-"""E16 — distributed evaluation: sharded metric throughput, pool vs process.
+"""E16 — distributed evaluation: sharded metric throughput per backend.
 
 The distributed-metric promise mirrors E15's: shard the evaluation freely
 (throughput) without moving a single metric value (determinism).  These
 benchmarks measure sharded :func:`~repro.epidemic.monitor.monitoring_utility`
-across shard counts and backends, re-pin the bit-identity contract
-(``test_distributed_matches_serial``), and measure the headline claim of the
-``pool`` backend: on a *repeated-round* sweep — the shape of every epsilon
-sweep and harness table — a long-lived worker pool with spec-hash engine
-caching beats the per-call ``process`` backend, which pays worker startup
-and engine pickling on every round (``test_pool_beats_process``).
+across shard counts and backends and re-pin the bit-identity contract
+(``test_distributed_matches_serial``).
 
-``benchmarks/run_bench.py`` records the same sweep (plus the pool-vs-process
-comparison) into ``BENCH_eval.json``; running this file directly writes the
-standalone artifact CI uploads alongside it::
+``benchmarks/run_bench.py`` records the same sweep into ``BENCH_eval.json``;
+running this file directly writes the standalone artifact CI uploads
+alongside it::
 
     PYTHONPATH=src python benchmarks/bench_e16_distributed_eval.py --smoke
     PYTHONPATH=src pytest benchmarks/bench_e16_distributed_eval.py --benchmark-only
@@ -36,7 +32,7 @@ from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
 
 SHARD_COUNTS = [1, 2, 4]
-BACKENDS = ["serial", "thread", "process", "pool"]
+BACKENDS = ["serial", "thread", "pool"]
 N_USERS = 150
 HORIZON = 16
 
@@ -92,43 +88,8 @@ def eval_sweep_records(
     return records
 
 
-def pool_vs_process(
-    rounds: int = 5,
-    shards: int = 4,
-    size: int = 12,
-    n_users: int = N_USERS,
-    horizon: int = HORIZON,
-) -> dict:
-    """Repeated-round sweep timing ``pool`` against ``process``.
-
-    Each backend scores ``rounds`` full sharded E1 metrics through one
-    backend instance.  ``process`` spins up a fresh executor per metric
-    call; ``pool`` forks its workers once and its workers resolve the
-    engine's spec hash against their local cache after the first task —
-    the repeated-round shape where the long-lived pool is designed to win.
-    """
-    world, db, engine = _workload(size, n_users, horizon)
-    timings = {}
-    for name in ("process", "pool"):
-        with ensure_backend(name) as backend:
-            start = time.perf_counter()
-            for round_index in range(rounds):
-                monitoring_utility(
-                    world, engine, db, rng=round_index, shards=shards, backend=backend
-                )
-            timings[name] = time.perf_counter() - start
-    return {
-        "rounds": rounds,
-        "shards": shards,
-        "releases_per_round": len(db),
-        "process_seconds": round(timings["process"], 6),
-        "pool_seconds": round(timings["pool"], 6),
-        "pool_speedup": round(timings["process"] / timings["pool"], 3),
-    }
-
-
 def distributed_eval_block(smoke: bool) -> dict:
-    """The E16 payload (`sweep` + `pool_vs_process`) at either size.
+    """The E16 payload (`sweep`) at either size.
 
     The single source of truth for both artifacts: ``run_bench.py`` embeds
     this block in ``BENCH_eval.json`` and ``main`` below writes it
@@ -141,9 +102,8 @@ def distributed_eval_block(smoke: bool) -> dict:
                 shard_counts=(1, 2),
                 **SMOKE_WORKLOAD,
             ),
-            "pool_vs_process": pool_vs_process(rounds=3, shards=2, **SMOKE_WORKLOAD),
         }
-    return {"sweep": eval_sweep_records(), "pool_vs_process": pool_vs_process()}
+    return {"sweep": eval_sweep_records()}
 
 
 # ----------------------------------------------------------------------
@@ -172,14 +132,6 @@ def test_distributed_matches_serial():
                 assert report == reference, (backend, shards)
 
 
-def test_pool_beats_process():
-    """Acceptance: the long-lived pool wins the repeated-round sweep."""
-    result = pool_vs_process(rounds=4, shards=4, size=8, n_users=60, horizon=10)
-    print(f"\nE16: pool {result['pool_seconds']}s vs process "
-          f"{result['process_seconds']}s ({result['pool_speedup']}x)")
-    assert result["pool_seconds"] < result["process_seconds"], result
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="CI-sized configuration")
@@ -191,20 +143,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     block = distributed_eval_block(args.smoke)
-    sweep, comparison = block["sweep"], block["pool_vs_process"]
     payload = {"config": "smoke" if args.smoke else "full", **block}
     args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    for record in sweep:
+    for record in block["sweep"]:
         print(
             f"E16: {record['backend']:<8} shards={record['shards']}"
             f"  {record['releases_per_sec']:>12,.0f} releases/s"
             f"  matches_serial={record['matches_serial']}"
         )
-    print(
-        f"E16: pool {comparison['pool_seconds']}s vs process "
-        f"{comparison['process_seconds']}s over {comparison['rounds']} rounds "
-        f"({comparison['pool_speedup']}x) -> {args.output}"
-    )
+    print(f"E16: -> {args.output}")
     return 0
 
 

@@ -40,7 +40,7 @@ from repro.mobility.synthetic import geolife_like
 from repro.server.pipeline import run_release_rounds_batched
 
 SHARD_COUNTS = [1, 2, 4]
-BACKENDS = ["serial", "thread", "process", "pool"]
+BACKENDS = ["serial", "thread", "pool"]
 N_USERS = 120
 HORIZON = 16
 
@@ -119,7 +119,7 @@ def async_vs_sync_ingest(
     size: int = 12,
     n_users: int = N_USERS,
     horizon: int = HORIZON,
-    backend: str = "process",
+    backend: str = "pool",
 ) -> dict:
     """Sharded release run with synchronous vs async (overlapped) commits.
 

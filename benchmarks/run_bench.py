@@ -13,7 +13,7 @@ The artifact has four blocks (schema documented in ``docs/benchmarks.md``)::
       "config": "full" | "smoke",
       "timings": {"e1_monitoring_utility": 0.061, ...},   # seconds per runner
       "sharded": [                                        # E15 sweep
-        {"backend": "process", "shards": 4, "seconds": 0.21,
+        {"backend": "pool", "shards": 4, "seconds": 0.21,
          "releases_per_sec": 34000.0, "matches_serial": true,
          "eval_seconds": 0.18, "eval_releases_per_sec": 39000.0,
          "eval_matches_serial": true},
@@ -22,16 +22,13 @@ The artifact has four blocks (schema documented in ``docs/benchmarks.md``)::
       "distributed_eval": {                               # E16
         "sweep": [{"metric": "e1_monitoring_utility", "backend": "pool",
                    "shards": 4, "seconds": 0.12,
-                   "releases_per_sec": 51000.0, "matches_serial": true}, ...],
-        "pool_vs_process": {"rounds": 5, "shards": 4,
-                            "process_seconds": 1.4, "pool_seconds": 0.6,
-                            "pool_speedup": 2.3, ...}
+                   "releases_per_sec": 51000.0, "matches_serial": true}, ...]
       },
       "epidemic_eval": {                                  # E17
         "sweep": [{"metric": "e2_r0_estimation_error", "backend": "pool",
                    "shards": 4, "seconds": 0.08,
                    "releases_per_sec": 24000.0, "matches_serial": true}, ...],
-        "async_ingest": {"backend": "process", "shards": 4,
+        "async_ingest": {"backend": "pool", "shards": 4,
                          "sync_seconds": 0.9, "async_seconds": 0.7,
                          "async_speedup": 1.3, "async_matches_sync": true, ...}
       },
@@ -87,8 +84,7 @@ The artifact has four blocks (schema documented in ``docs/benchmarks.md``)::
 ``(backend, shard count)`` pair with release *and* sharded-E1 evaluation
 throughput, each with its determinism check against the 1-shard serial
 baseline.  ``distributed_eval`` is the E16 distributed-evaluation sweep
-(sharded metric throughput per backend, plus the repeated-round
-pool-vs-process comparison); ``epidemic_eval`` is the E17 epidemic sweep
+(sharded metric throughput per backend); ``epidemic_eval`` is the E17 epidemic sweep
 (sharded R0 / metapop-flow throughput per backend, plus the async-vs-sync
 shard-ingestion comparison with its state-equality bit).  E13 (engine micro
 throughput) and the per-release latency half of E8 remain pytest-benchmark
@@ -183,7 +179,7 @@ def run_sharded(config: ExperimentConfig) -> list[dict]:
 
 
 def run_distributed_eval(smoke: bool) -> dict:
-    """The E16 block: sharded-metric sweep plus the pool-vs-process rounds.
+    """The E16 block: the sharded-metric sweep.
 
     Delegates to ``bench_e16_distributed_eval.distributed_eval_block`` so
     the pytest benchmarks, the standalone artifact, and this script all
@@ -317,12 +313,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"  {record['releases_per_sec']:>12,.0f} releases/s"
                 f"  matches_serial={record['matches_serial']}"
             )
-        comparison = payload["distributed_eval"]["pool_vs_process"]
-        print(
-            f"  pool {comparison['pool_seconds']}s vs process "
-            f"{comparison['process_seconds']}s over {comparison['rounds']} rounds "
-            f"({comparison['pool_speedup']}x)"
-        )
     if EPIDEMIC_ENTRY in names:
         start = time.perf_counter()
         payload["epidemic_eval"] = run_epidemic_eval(args.smoke)

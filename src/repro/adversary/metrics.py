@@ -63,7 +63,7 @@ def _trial_cells(cells: list[int], trials_per_cell: int) -> np.ndarray:
 class _TrialShardTask:
     """One shard of the trial grid: its slots' cells, streams, and scoring kind.
 
-    Plain data plus the release source, so process backends can pickle it;
+    Plain data plus the release source, so the pool backend can pickle it;
     ``source`` is an :class:`~repro.engine.EngineRef` for spec-built engines
     (workers rebuild and cache by spec hash) or the live mechanism.
     ``kind`` selects the scorer: ``"utility"`` (Euclidean error to the true

@@ -16,8 +16,8 @@ population-scale engine:
 * :class:`ShardPlan` + :func:`sharded_release_rounds` /
   :func:`stream_shard_releases` — deterministic population sharding with
   per-user RNG streams, executed on a pluggable :class:`ExecutionBackend`
-  (``serial`` / ``thread`` / ``process`` / long-lived ``pool`` / socket
-  ``rpc`` with deterministic worker-loss retry) so one seeded run
+  (``serial`` / ``thread`` / long-lived process ``pool`` / socket ``rpc``
+  with deterministic worker-loss retry) so one seeded run
   reproduces element-wise at any shard count;
 * :mod:`~repro.engine.distributed` — the evaluation layer's counterpart:
   :func:`sharded_metric` folds per-shard :class:`MetricShardResult`
@@ -34,7 +34,6 @@ population-scale engine:
 from repro.engine.backends import (
     ExecutionBackend,
     PoolBackend,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     backend_names,
@@ -98,7 +97,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",
-    "ProcessBackend",
     "PoolBackend",
     "RpcBackend",
     "register_mechanism",

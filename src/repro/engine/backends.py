@@ -1,12 +1,13 @@
 """Pluggable execution backends for shard-parallel work.
 
 A backend answers one question: *how* do independent shard tasks run —
-in-process (``serial``), on a thread pool (``thread``), on a per-call
-process pool (``process``), or on a long-lived process pool (``pool``, all
-via :mod:`concurrent.futures`)?  Backends are registry-named exactly like
-mechanisms and policies, so an :class:`~repro.engine.specs.EngineSpec`
-(or a saved JSON spec file) can carry ``backend="process"`` and every layer —
-pipeline, experiments, CLI — resolves it through the same table.
+in-process (``serial``), on a thread pool (``thread``), on a long-lived
+process pool (``pool``, both via :mod:`concurrent.futures`), or on
+socket-connected worker processes (``rpc``)?  Backends are registry-named
+exactly like mechanisms and policies, so an
+:class:`~repro.engine.specs.EngineSpec` (or a saved JSON spec file) can carry
+``backend="pool"`` and every layer — pipeline, experiments, CLI — resolves
+it through the same table.
 
 The contract is deliberately tiny: :meth:`ExecutionBackend.run` maps a
 picklable function over a task list and returns the results **in task
@@ -53,7 +54,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",
-    "ProcessBackend",
     "PoolBackend",
     "register_backend",
     "resolve_backend",
@@ -91,7 +91,7 @@ class ExecutionBackend(abc.ABC):
         Parameters
         ----------
         fn:
-            The work function.  For :class:`ProcessBackend` both ``fn`` and
+            The work function.  For :class:`PoolBackend` both ``fn`` and
             the tasks must be picklable (module-level function, plain-data
             tasks).
         tasks:
@@ -158,10 +158,15 @@ class SerialBackend(ExecutionBackend):
         return [fn(task) for task in tasks]
 
 
-class _PoolBackend(ExecutionBackend):
-    """Shared ``concurrent.futures`` plumbing for thread/process pools."""
+class ThreadBackend(ExecutionBackend):
+    """Thread-pool execution (``concurrent.futures.ThreadPoolExecutor``).
 
-    _executor_cls: type
+    Shards share the interpreter, so speedups come from NumPy releasing the
+    GIL inside the vectorized samplers; task setup cost is near zero, and
+    it is the only concurrent backend that runs engines which do not pickle.
+    """
+
+    name = "thread"
 
     def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is not None and int(max_workers) < 1:
@@ -171,7 +176,7 @@ class _PoolBackend(ExecutionBackend):
     def run(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
         if len(tasks) <= 1:  # pool startup would dominate a singleton
             return [fn(task) for task in tasks]
-        with self._executor_cls(max_workers=self.max_workers) as pool:
+        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
             return list(pool.map(fn, tasks))
 
     def run_unordered(
@@ -184,7 +189,7 @@ class _PoolBackend(ExecutionBackend):
         if len(tasks) <= 1:
             yield from enumerate(fn(task) for task in tasks)
             return
-        with self._executor_cls(max_workers=self.max_workers) as pool:
+        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
             futures = {pool.submit(fn, task): index for index, task in enumerate(tasks)}
             for future in as_completed(futures):
                 yield futures[future], future.result()
@@ -193,43 +198,19 @@ class _PoolBackend(ExecutionBackend):
         return f"{type(self).__name__}(max_workers={self.max_workers})"
 
 
-class ThreadBackend(_PoolBackend):
-    """Thread-pool execution (``concurrent.futures.ThreadPoolExecutor``).
-
-    Shards share the interpreter, so speedups come from NumPy releasing the
-    GIL inside the vectorized samplers; task setup cost is near zero.
-    """
-
-    name = "thread"
-    _executor_cls = ThreadPoolExecutor
-
-
-class ProcessBackend(_PoolBackend):
-    """Process-pool execution (``concurrent.futures.ProcessPoolExecutor``).
-
-    True multi-core parallelism.  Tasks and results cross process boundaries
-    by pickling, so shard tasks carry plain data plus the (picklable) engine;
-    per-user RNG streams travel as integer seeds and are reconstructed in the
-    worker — which is why results are identical to :class:`SerialBackend`.
-    """
-
-    name = "process"
-    _executor_cls = ProcessPoolExecutor
-
-
 class PoolBackend(ExecutionBackend):
-    """Long-lived process-pool execution for repeated rounds and sweeps.
+    """Long-lived process-pool execution: true multi-core parallelism.
 
-    :class:`ProcessBackend` pays its full setup cost on *every* call: a
-    fresh ``ProcessPoolExecutor`` is spun up, every task pickles its whole
-    engine across the process boundary, and the workers die when the call
-    returns.  ``pool`` keeps one executor alive across :meth:`run` calls
-    instead, so repeated rounds / sweeps (the E8 harness, epsilon sweeps,
-    benchmark loops) pay worker startup once.  Combined with
-    :class:`~repro.engine.engine.EngineRef` — which ships a spec hash
-    instead of a pickled engine and lets each worker cache the built engine
-    by that hash — repeated rounds stop re-pickling construction state
-    entirely.
+    Tasks and results cross process boundaries by pickling, so shard tasks
+    carry plain data plus the (picklable) engine; per-user RNG streams
+    travel as integer seeds and are reconstructed in the worker — which is
+    why results are identical to :class:`SerialBackend`.  One executor stays
+    alive across :meth:`run` calls, so repeated rounds / sweeps (the E8
+    harness, epsilon sweeps, benchmark loops) pay worker startup once.
+    Combined with :class:`~repro.engine.engine.EngineRef` — which ships a
+    spec hash instead of a pickled engine and lets each worker cache the
+    built engine by that hash — repeated rounds stop re-pickling
+    construction state entirely.
 
     A failing task propagates its exception to the caller but leaves the
     executor intact: the pool stays usable for the next call.  The executor
@@ -355,6 +336,5 @@ def _rpc_factory(**params) -> "ExecutionBackend":
 
 register_backend("serial", SerialBackend, aliases=("sync", "inline"))
 register_backend("thread", ThreadBackend, aliases=("threads", "threadpool"))
-register_backend("process", ProcessBackend, aliases=("processes", "multiprocess"))
 register_backend("pool", PoolBackend, aliases=("worker_pool", "persistent"))
 register_backend("rpc", _rpc_factory, aliases=("socket", "tcp"))

@@ -138,27 +138,6 @@ class MetricShardResult:
 
     # ------------------------------------------------------------------
     @classmethod
-    def empty(
-        cls,
-        sum_names: Sequence[str] = (),
-        flow_names: Sequence[str] = (),
-        set_names: Sequence[str] = (),
-    ) -> "MetricShardResult":
-        """The merge identity for the given component layout.
-
-        Zero-length per-key arrays, empty counters, empty sets — merging it
-        (on either side) with any result carrying the same component names
-        returns that result's values unchanged, which is what lets live
-        folds treat rounds where a shard has no rows uniformly.
-        """
-        return cls(
-            sums={name: np.empty(0, dtype=float) for name in sum_names},
-            counts=np.empty(0, dtype=int),
-            flows={name: Counter() for name in flow_names},
-            sets={name: frozenset() for name in set_names},
-        )
-
-    @classmethod
     def fold(cls, results: Sequence["MetricShardResult"]) -> "MetricShardResult":
         """Left-fold ``results`` (in the given order) with :meth:`merge`.
 
@@ -170,30 +149,6 @@ class MetricShardResult:
         if not results:
             raise ValidationError("need at least one shard result to fold")
         return reduce(cls.merge, results)
-
-    def freeze(self) -> "MetricShardResult":
-        """A read-only view of this result, safe to hand to concurrent readers.
-
-        Per-key arrays become non-writeable views (zero copy) and the
-        component mappings become :class:`types.MappingProxyType` proxies,
-        so a frozen snapshot published from the commit path cannot be
-        mutated — accidentally or otherwise — by the analytical readers it
-        is shared with.  Idempotent: freezing a frozen result is a no-op
-        view of the same data.
-        """
-        from types import MappingProxyType
-
-        def read_only(values) -> np.ndarray:
-            view = np.asarray(values).view()
-            view.flags.writeable = False
-            return view
-
-        return MetricShardResult(
-            sums=MappingProxyType({name: read_only(v) for name, v in self.sums.items()}),
-            counts=read_only(self.counts),
-            flows=MappingProxyType(dict(self.flows)),
-            sets=MappingProxyType({name: frozenset(v) for name, v in self.sets.items()}),
-        )
 
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
@@ -280,9 +235,9 @@ def sharded_metric(
     ----------
     scorer:
         Module-level function mapping one shard task to a
-        :class:`MetricShardResult` (module-level so process backends can
-        pickle it).  Tasks carry everything the scorer needs — for process
-        backends, spec-built engines travel as
+        :class:`MetricShardResult` (module-level so the pool and rpc
+        backends can pickle it).  Tasks carry everything the scorer needs —
+        for those backends, spec-built engines travel as
         :class:`~repro.engine.engine.EngineRef` spec hashes that workers
         resolve against their local cache.
     tasks:

@@ -343,7 +343,7 @@ class EngineRef:
     """Picklable engine handle: a spec hash instead of a pickled engine.
 
     Shard tasks used to carry the live :class:`PrivacyEngine`, so every task
-    sent to a process backend re-pickled the whole construction state
+    sent to a worker process re-pickled the whole construction state
     (policy graph, cached sensitivities / hulls, the world) on every round.
     An ``EngineRef`` pickles down to the engine's declarative description —
     the canonical :meth:`EngineSpec.to_dict` JSON plus the world dimensions —
@@ -358,7 +358,7 @@ class EngineRef:
     engine would — the sharded determinism contract is unaffected.
 
     In-process (serial / thread backends, or the originating side of a
-    process backend) the live engine is kept and returned directly; only
+    pool / rpc backend) the live engine is kept and returned directly; only
     pickling drops it.
     """
 

@@ -41,7 +41,7 @@ is notified.  A task that loses its worker more than ``max_retries`` times
 raises :class:`~repro.errors.WorkerLostError` — failures surface, they
 never hang.  Exceptions *raised by the task function* are not retried; they
 travel back as ``error`` frames and re-raise in the coordinator with their
-original type, matching the ``process``/``pool`` backends.
+original type, matching the ``pool`` backend.
 
 The determinism matrix in ``tests/test_rpc_backend.py`` and the
 fault-injection suite in ``tests/test_rpc_failures.py`` (SIGKILL mid-round,

@@ -5,7 +5,7 @@ timestep); this module scales *across users*.  A :class:`ShardPlan` splits
 the population into deterministic shards, each shard releases its users'
 whole trace through the engine, an
 :class:`~repro.engine.backends.ExecutionBackend` decides how the shards run
-(serial / thread pool / process pool), and :func:`sharded_release_rounds`
+(serial / thread pool / process pool / rpc), and :func:`sharded_release_rounds`
 merges the per-shard output back into time-ordered rounds for the server.
 
 Determinism contract
@@ -18,7 +18,7 @@ the shard count or the backend — so a k-shard run reproduces the 1-shard run
 element-wise, and both reproduce the per-client protocol reference
 (:func:`repro.server.pipeline.run_release_rounds`), which spawns the same
 per-user streams.  Seeds (plain ints) rather than live generators are what a
-:class:`~repro.engine.backends.ProcessBackend` pickles across the process
+:class:`~repro.engine.backends.PoolBackend` pickles across the process
 boundary.
 """
 
@@ -200,7 +200,7 @@ class ShardPlan:
 class ShardTask:
     """One shard's work order: its users, their seeds, and their traces.
 
-    Plain data plus the engine, so a :class:`~repro.engine.backends.ProcessBackend`
+    Plain data plus the engine, so a :class:`~repro.engine.backends.PoolBackend`
     can pickle it to a worker.  ``engine`` is an
     :class:`~repro.engine.engine.EngineRef` whenever the engine was built
     from a spec — the ref pickles as a spec hash and the worker rebuilds
@@ -381,15 +381,15 @@ def sharded_release_rounds(
     Parameters
     ----------
     engine:
-        The engine every shard releases through (picklable, so process
-        backends can ship it whole).
+        The engine every shard releases through (picklable, so the pool
+        and rpc backends can ship it whole).
     true_db:
         Ground-truth traces; the plan must cover exactly its users.
     plan:
         Shard partition and per-user streams (see :class:`ShardPlan`).
     backend:
         Execution strategy — a registry name (``"serial"``, ``"thread"``,
-        ``"process"``), a live backend, or ``None`` for serial.
+        ``"pool"``), a live backend, or ``None`` for serial.
 
     Returns
     -------

@@ -71,10 +71,10 @@ class ExecutionSpec:
     """How sharded release rounds should run: shard count and backend.
 
     ``backend`` is a registry name (``"serial"``, ``"thread"``,
-    ``"process"``, ``"pool"``, ``"rpc"``, or anything added via
+    ``"pool"``, ``"rpc"``, or anything added via
     :func:`~repro.engine.backends.register_backend`); ``params`` are
-    forwarded to the backend factory — ``max_workers`` for the in-process
-    pools, ``workers`` / ``worker_timeout`` / ``max_retries`` for the
+    forwarded to the backend factory — ``max_workers`` for the thread and
+    process pools, ``workers`` / ``worker_timeout`` / ``max_retries`` for the
     socket ``rpc`` backend (:class:`~repro.engine.rpc.RpcBackend`).
     Execution never affects the released values — per-user RNG streams make
     output invariant under sharding (see :mod:`repro.engine.sharding`), and

@@ -82,7 +82,7 @@ def _occupancy_rate(occupancy: Counter, observations: int) -> float:
 class _OccupancyShardTask:
     """One shard's occupancy workload: its users' (windowed) traces.
 
-    Plain data plus an optional release source, so process backends can
+    Plain data plus an optional release source, so the pool backend can
     pickle it; ``source`` is ``None`` for the deterministic true-trace
     counters (:func:`contact_rate`), an :class:`~repro.engine.EngineRef`
     for spec-built engines (workers rebuild and cache by spec hash), or the

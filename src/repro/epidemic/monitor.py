@@ -13,7 +13,7 @@ seeded RNG stream as the scalar loop, so both paths score identically;
 ``batched=False`` keeps the per-check-in reference loop.
 
 The scorer also scales *across users*: ``monitoring_utility(...,
-shards=k, backend="process")`` partitions the population with the same
+shards=k, backend="pool")`` partitions the population with the same
 deterministic :class:`~repro.engine.sharding.ShardPlan` the release
 pipeline uses (per-**user** RNG streams over the sorted user list), scores
 each shard independently, and merges per-shard
@@ -309,7 +309,7 @@ def _monitoring_utility_scalar(
 class _MonitorShardTask:
     """One shard's monitoring workload: its users, streams, and traces.
 
-    Plain data plus the release source, so process backends can pickle it;
+    Plain data plus the release source, so the pool backend can pickle it;
     ``source`` is an :class:`~repro.engine.EngineRef` for spec-built engines
     (workers rebuild and cache by spec hash) or the live mechanism.
     ``times[i]`` / ``cells[i]`` are user ``users[i]``'s check-ins in time

@@ -23,7 +23,7 @@ reports precision/recall/F1 of the privacy-preserving procedure plus its
 communication and privacy cost.
 
 The protocol also scales *across users*: ``protocol.run(..., shards=k,
-backend="process")`` partitions the non-patient population with the same
+backend="pool")`` partitions the non-patient population with the same
 deterministic :class:`~repro.engine.sharding.ShardPlan` the release pipeline
 uses.  Every step of the procedure is per-user once the patient's infected
 ``(cell, time)`` set is known — a user's original stream, candidate screen,
@@ -66,8 +66,8 @@ MechanismFactory = Callable[[GridWorld, PolicyGraph, float], Mechanism]
 class _TracingShardTask:
     """One shard's tracing workload: its users' windowed traces and streams.
 
-    Plain data plus the two release sources (base policy and Gc), so process
-    backends can pickle it; sources are
+    Plain data plus the two release sources (base policy and Gc), so the
+    pool backend can pickle it; sources are
     :class:`~repro.engine.EngineRef`-wrapped (spec-built engines travel as
     spec hashes, live mechanisms as themselves).  ``infected`` is the
     patient's disclosed ``(cell, time)`` set — shared, deterministic input

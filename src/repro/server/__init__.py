@@ -12,7 +12,6 @@ from repro.server.policy_config import PolicyConfigurator, PolicyProposal
 from repro.server.pipeline import (
     AsyncShardCommitter,
     Client,
-    PartitionedShardCommitters,
     Server,
     run_release_rounds,
     run_release_rounds_batched,
@@ -37,7 +36,6 @@ __all__ = [
     "PolicyProposal",
     "AsyncShardCommitter",
     "Client",
-    "PartitionedShardCommitters",
     "Server",
     "run_release_rounds",
     "run_release_rounds_batched",

@@ -32,8 +32,8 @@ Bit-identity contract
 Every frozen live value equals :func:`batch_recompute` — one from-scratch
 pass over the full raw rows through the exact merge algebra of
 :class:`~repro.engine.distributed.MetricShardResult` — **bitwise**, at every
-round, for every shard count, execution backend, committer (sync / async /
-partitioned), commit arrival order, and across a kill-and-resume.  Three
+round, for every shard count, execution backend, committer (sync /
+async), commit arrival order, and across a kill-and-resume.  Three
 properties make this hold:
 
 * deltas are pure functions of a shard's rows: the fold lexsorts rows by
@@ -229,10 +229,6 @@ class LiveMetricView:
         """Fresh running state for one registry."""
         raise NotImplementedError
 
-    def empty(self) -> MetricShardResult:
-        """The merge identity carrying this view's component names."""
-        raise NotImplementedError
-
     def shard_deltas(self, rows: ShardRows) -> dict[int, MetricShardResult]:
         """Per-round delta partials for one shard's rows (keyed by round)."""
         raise NotImplementedError
@@ -367,9 +363,6 @@ class MonitoringUtilityView(LiveMetricView):
     def live_fold(self) -> LiveFold:
         return _MonitoringFold(self)
 
-    def empty(self) -> MetricShardResult:
-        return MetricShardResult.empty(("error", "area_hits"), ("true", "observed"))
-
     def row_terms(self, rows: ShardRows) -> tuple[np.ndarray, np.ndarray]:
         """Per-row ``(Euclidean error, area hit)`` of one shard's canonical rows."""
         monitor = self.monitor
@@ -488,9 +481,6 @@ class ContactRateView(LiveMetricView):
     def live_fold(self) -> LiveFold:
         return _ContactFold(self)
 
-    def empty(self) -> MetricShardResult:
-        return MetricShardResult.empty((), ("true_occupancy", "perturbed_occupancy"))
-
     def shard_deltas(self, rows: ShardRows) -> dict[int, MetricShardResult]:
         deltas: dict[int, MetricShardResult] = {}
         for time, start, stop in rows.round_slices():
@@ -564,9 +554,6 @@ class FlowMatrixView(LiveMetricView):
 
     def live_fold(self) -> LiveFold:
         return _FlowFold(self.monitor)
-
-    def empty(self) -> MetricShardResult:
-        return MetricShardResult.empty((), ("true", "observed"))
 
     def shard_deltas(self, rows: ShardRows) -> dict[int, MetricShardResult]:
         monitor = self.monitor
@@ -658,8 +645,7 @@ class LiveMetricRegistry:
     Concurrency
     -----------
     :meth:`ingest` runs under the registry lock (commit paths are already
-    serialized by the server's ingest lock; partitioned committers contend
-    only here).  :meth:`at` on a frozen round is a lock-free dictionary
+    serialized by the server's ingest lock).  :meth:`at` on a frozen round is a lock-free dictionary
     lookup against immutable published values — O(1) in the population and
     safe during in-flight commits, which is the Polynesia-style snapshot
     read the module docstring describes.

@@ -17,7 +17,7 @@ The batched path also scales *across users*: pass ``shards=`` / ``backend=``
 :class:`~repro.engine.specs.ExecutionSpec`) and the population is split by a
 deterministic :class:`~repro.engine.sharding.ShardPlan` whose per-user RNG
 streams make the output invariant under shard count and execution backend —
-a k-shard multiprocess run reproduces the 1-shard run, which itself
+a k-shard ``pool`` run reproduces the 1-shard run, which itself
 reproduces the per-client reference :func:`run_release_rounds`.  Sharded
 runs ingest *streamingly*: each shard's releases are committed via
 :meth:`Server.ingest_shard` as the shard completes, rather than waiting on
@@ -42,7 +42,6 @@ from __future__ import annotations
 import queue
 import threading
 import time as _time
-from bisect import bisect_right
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -63,7 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports core)
 __all__ = [
     "AsyncShardCommitter",
     "Client",
-    "PartitionedShardCommitters",
     "Server",
     "run_release_rounds",
     "run_release_rounds_batched",
@@ -198,11 +196,12 @@ class Server:
         else:
             self.released_db = TraceDB()
         self.ledger = ledger if ledger is not None else BudgetLedger()
-        # Serializes the commit/mutate section of ingest_shard so several
-        # partitioned committer threads can ingest concurrently: the store's
-        # single SQLite connection must not interleave transactions, and
-        # TraceDB/BudgetLedger bookkeeping is not atomic under free
-        # threading.  Snapping and lexsort stay outside the lock.
+        # Serializes the commit/mutate section of ingest_shard, which an
+        # AsyncShardCommitter thread and direct ingest_shard callers may
+        # enter concurrently: the store's single SQLite connection must not
+        # interleave transactions, and TraceDB/BudgetLedger bookkeeping is
+        # not atomic under free threading.  Snapping and lexsort stay
+        # outside the lock.
         self._ingest_lock = threading.Lock()
         self._metrics = None
 
@@ -218,8 +217,7 @@ class Server:
         """Maintain ``views`` live from this server's shard commit path.
 
         Every subsequent :meth:`ingest_shard` (including commits arriving
-        through :class:`AsyncShardCommitter` and
-        :class:`PartitionedShardCommitters` — all three funnel through the
+        through :class:`AsyncShardCommitter`, which funnels through the
         same choke point) folds its shard into a
         :class:`~repro.server.live_metrics.LiveMetricRegistry` built over
         ``expected`` (``shard -> rounds``, see
@@ -358,8 +356,8 @@ class Server:
         shard:
             The shard's index in the run's plan.  Required when the server
             is store-backed (it keys the durable ``(shard, round)`` commit
-            marks); ignored otherwise, so existing callers and subclasses
-            need not pass it.
+            marks) or has live metric views attached (it keys their
+            deltas); ignored otherwise.
 
         Returns
         -------
@@ -454,7 +452,7 @@ class Server:
             if self._metrics is not None:
                 # Fold inside the commit section: the registry sees exactly
                 # the committed rows, once, no matter which committer
-                # (sync / async / partitioned) delivered them.
+                # (sync / async) delivered them.
                 self._metrics.ingest(shard, users, times, batch.points, true_cells, cells)
         return cells
 
@@ -525,33 +523,6 @@ class Server:
         (and any commit error re-raised) when the producing loop ends.
         """
         return AsyncShardCommitter(self, max_pending=max_pending, purpose=purpose)
-
-    def partitioned_committers(
-        self,
-        partitions: int,
-        users: Sequence[int],
-        max_pending: int = 2,
-        purpose: str = "stream",
-        close_timeout: float | None = 60.0,
-    ) -> "PartitionedShardCommitters":
-        """``partitions`` user-range committer partitions over ``users``.
-
-        Each partition owns a contiguous range of the sorted population and
-        its own :class:`AsyncShardCommitter` thread, so ingest scales out
-        with the release workers instead of funnelling every shard through
-        one commit thread (LSST-style partitioned ingest).  Valid because
-        per-user server state is scheduling-independent — see
-        :class:`PartitionedShardCommitters` for the routing and ordering
-        rules.
-        """
-        return PartitionedShardCommitters(
-            self,
-            users=users,
-            partitions=partitions,
-            max_pending=max_pending,
-            purpose=purpose,
-            close_timeout=close_timeout,
-        )
 
 
 class AsyncShardCommitter:
@@ -627,15 +598,9 @@ class AsyncShardCommitter:
             seq, users, times, batch, shard = item
             if self._error is None:
                 try:
-                    if shard is None:
-                        # Keep the historical 3-arg call shape so Server
-                        # subclasses that predate store-backed ingestion
-                        # (and accept no shard kwarg) keep working.
-                        self._server.ingest_shard(users, times, batch, purpose=self._purpose)
-                    else:
-                        self._server.ingest_shard(
-                            users, times, batch, purpose=self._purpose, shard=shard
-                        )
+                    self._server.ingest_shard(
+                        users, times, batch, purpose=self._purpose, shard=shard
+                    )
                 except BaseException as exc:  # re-raised on submit/close
                     self._error = exc
             self._pending_labels.pop(seq, None)
@@ -650,8 +615,8 @@ class AsyncShardCommitter:
         shutdown should see the real failure, not a
         :class:`~repro.errors.ValidationError` masking it).
 
-        ``shard`` is forwarded to :meth:`Server.ingest_shard` for
-        store-backed servers; omit it for in-memory ingestion.
+        ``shard`` is forwarded to :meth:`Server.ingest_shard`, which needs
+        it on store-backed servers and servers with live metric views.
         """
         if self._error is not None:
             self.close()  # re-raises the pending commit error
@@ -728,147 +693,6 @@ class AsyncShardCommitter:
         return f"AsyncShardCommitter(max_pending={self._queue.maxsize}, {state})"
 
 
-class PartitionedShardCommitters:
-    """Per-user-range committer partitions: parallel ingest, one owner per user.
-
-    ``partitions`` independent :class:`AsyncShardCommitter` threads, each
-    owning a contiguous range of the sorted user population (the same
-    balanced split rule :class:`~repro.engine.sharding.ShardPlan` uses for
-    shards).  :meth:`submit` routes a **whole shard** to the partition that
-    owns the shard's lowest user id, so partitions commit concurrently while
-    per-user guarantees survive intact.
-
-    Routing and ordering rules
-    --------------------------
-    * Routing granularity is a whole shard: all rows submitted together stay
-      together.  A shard belongs to the partition owning its first (lowest)
-      user — shards and partitions are both contiguous ranges of the same
-      sorted user list, so this keeps each partition's shard set contiguous.
-    * Every user lives in exactly one shard, and every shard is routed to
-      exactly one partition, so all of one user's rows flow through a single
-      committer in submission order — per-user server state (trace rows,
-      ledger totals in time order) is element-wise identical to synchronous
-      or single-committer ingestion.  Only the interleaving of *different*
-      users' ledger entries varies with scheduling, exactly as in the
-      single-committer contract.
-    * Commits from different partitions are serialized at the server by its
-      ingest lock (one SQLite transaction / bookkeeping section at a time);
-      partitioning buys overlap of the pre-commit work (snap, lexsort,
-      pickling) and bounded per-partition backpressure, not torn state.
-
-    Failure semantics follow :class:`AsyncShardCommitter`: :meth:`close`
-    closes every partition (bounded by each one's ``close_timeout``), then
-    re-raises the first error with any other partitions' failures attached
-    as PEP 678 notes.
-    """
-
-    def __init__(
-        self,
-        server: Server,
-        users: Sequence[int],
-        partitions: int,
-        max_pending: int = 2,
-        purpose: str = "stream",
-        close_timeout: float | None = 60.0,
-    ) -> None:
-        population = sorted({int(user) for user in users})
-        if not population:
-            raise ValidationError("partitioned committers need a non-empty user population")
-        if int(partitions) < 1:
-            raise ValidationError(f"partitions must be >= 1, got {partitions}")
-        requested = int(partitions)
-        n = len(population)
-        k = min(requested, n)  # empty partitions would never receive a shard
-        base, extra = divmod(n, k)
-        self._starts: list[int] = []
-        cursor = 0
-        for index in range(k):
-            self._starts.append(population[cursor])
-            cursor += base + (1 if index < extra else 0)
-        self._low = population[0]
-        self._high = population[-1]
-        self._committers = [
-            AsyncShardCommitter(
-                server,
-                max_pending=max_pending,
-                purpose=purpose,
-                close_timeout=close_timeout,
-            )
-            for _ in range(k)
-        ]
-
-    @property
-    def partitions(self) -> int:
-        """Number of live partitions (capped at the population size)."""
-        return len(self._committers)
-
-    def partition_of(self, user: int) -> int:
-        """Index of the partition owning ``user``'s contiguous range."""
-        user = int(user)
-        if not self._low <= user <= self._high:
-            raise ValidationError(
-                f"user {user} is outside the partitioned population "
-                f"[{self._low}, {self._high}]"
-            )
-        return max(0, bisect_right(self._starts, user) - 1)
-
-    def submit(self, users, times, batch: ReleaseBatch, shard: int | None = None) -> None:
-        """Route one whole shard to its owning partition's committer.
-
-        Blocks on that partition's ``max_pending`` bound; re-raises the
-        first commit error of *that* partition, like
-        :meth:`AsyncShardCommitter.submit`.
-        """
-        if len(users) == 0:
-            return
-        owner = self.partition_of(int(users[0]))
-        self._committers[owner].submit(users, times, batch, shard=shard)
-
-    @property
-    def pending(self) -> int:
-        """Shards queued but uncommitted across all partitions (approximate)."""
-        return sum(committer.pending for committer in self._committers)
-
-    def close(self, timeout: float | None = None) -> None:
-        """Close every partition; first error wins, the rest become notes."""
-        errors: list[BaseException] = []
-        for committer in self._committers:
-            try:
-                committer.close(timeout=timeout)
-            except BaseException as exc:  # noqa: BLE001 - collected, re-raised
-                errors.append(exc)
-        if errors:
-            primary = errors[0]
-            for extra in errors[1:]:
-                if hasattr(primary, "add_note"):
-                    primary.add_note(f"another partition also failed: {extra!r}")
-            raise primary
-
-    def __enter__(self) -> "PartitionedShardCommitters":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-            return
-        try:
-            # The producer already failed; drain whole queued shards but let
-            # the producer's exception win over any commit error.
-            self.close()
-        except BaseException as commit_error:  # noqa: BLE001
-            if exc is not None and hasattr(exc, "add_note"):
-                exc.add_note(
-                    f"partitioned shard committers also failed while draining: "
-                    f"{commit_error!r}"
-                )
-
-    def __repr__(self) -> str:
-        return (
-            f"PartitionedShardCommitters(partitions={self.partitions}, "
-            f"pending={self.pending})"
-        )
-
-
 def run_release_rounds(
     world: GridWorld,
     true_db: TraceDB,
@@ -938,8 +762,7 @@ def run_release_rounds_batched(
     rng=None,
     shards: int | None = None,
     backend=None,
-    async_ingest: "bool | int" = False,
-    ingest_partitions: int | None = None,
+    async_ingest: bool = False,
     store=None,
     resume: bool = False,
     out_of_core: bool = False,
@@ -974,15 +797,15 @@ def run_release_rounds_batched(
         :func:`run_release_rounds` client reference.
     backend:
         Execution backend for the shards — a registry name (``"serial"``,
-        ``"thread"``, ``"process"``) or a live
+        ``"thread"``, ``"pool"``) or a live
         :class:`~repro.engine.backends.ExecutionBackend` instance.  When
         only one of ``shards`` / ``backend`` is given, the other falls back
         to the engine spec's execution block (if any) before the serial /
         1-shard defaults.
     async_ingest:
         ``False`` (default) commits each shard synchronously on the
-        producing thread.  ``True`` (or an ``int`` queue depth; ``True``
-        means 2) commits through an :class:`AsyncShardCommitter` instead,
+        producing thread.  ``True`` commits through an
+        :class:`AsyncShardCommitter` (default queue depth) instead,
         overlapping commit work with release computation behind a bounded
         backpressure queue — per-user server state is element-wise
         unchanged (see the committer's contract).  Requires the sharded
@@ -990,14 +813,6 @@ def run_release_rounds_batched(
         requesting async ingestion without ``shards`` / ``backend`` (or a
         spec execution block) raises :class:`~repro.errors.ValidationError`
         rather than silently switching RNG layouts.
-    ingest_partitions:
-        Scale ingestion itself out: commit through ``n`` per-user-range
-        committer partitions (:meth:`Server.partitioned_committers`) instead
-        of one committer thread, each shard routed to the partition owning
-        its lowest user.  Implies asynchronous ingestion (``async_ingest``
-        then only sets the per-partition queue depth) and, like it,
-        requires the sharded path.  Per-user server state is element-wise
-        unchanged — see :class:`PartitionedShardCommitters`.
     store:
         Optional durable store — a live :class:`~repro.store.TraceStore`,
         a path, or ``None``.  When set, every shard commits transactionally
@@ -1015,7 +830,8 @@ def run_release_rounds_batched(
         otherwise — after which fully committed shards are *replayed* from
         disk (not re-derived) and only the missing shards execute.  Because
         every shard is a pure function of its users' seed streams, the
-        resumed result is bit-identical to the uninterrupted run.
+        resumed result is bit-identical to the uninterrupted run.  Requires
+        ``store`` (:class:`~repro.errors.ValidationError` otherwise).
     out_of_core:
         With ``store``: keep the released trace on disk only.  The returned
         server's ``released_db`` is a read-only
@@ -1062,10 +878,8 @@ def run_release_rounds_batched(
         resume = bool(resume or getattr(execution, "resume", False))
         if live_metrics is False and getattr(execution, "live_metrics", False):
             live_metrics = True
-    if ingest_partitions is not None and int(ingest_partitions) < 1:
-        raise ValidationError(f"ingest_partitions must be >= 1, got {ingest_partitions}")
     if shards is None and backend is None and execution is None:
-        if async_ingest or ingest_partitions is not None:
+        if async_ingest:
             raise ValidationError(
                 "async ingestion rides the sharded streaming path; "
                 "pass shards= and/or backend= to enable it"
@@ -1108,6 +922,10 @@ def run_release_rounds_batched(
                 server.ingest_batch(users, time, batch)
         return server
 
+    if store is None and (resume or out_of_core):
+        flag = "resume" if resume else "out_of_core"
+        raise ValidationError(f"{flag}=True requires a store")
+
     from contextlib import ExitStack
 
     from repro.engine.sharding import ShardPlan, stream_shard_releases
@@ -1124,8 +942,6 @@ def run_release_rounds_batched(
         from repro.store.store import open_store
 
         live_store, owned_store = open_store(store)
-    elif out_of_core:
-        raise ValidationError("out_of_core=True requires a store")
     try:
         only_shards = None
         committed: "frozenset[tuple[int, int]]" = frozenset()
@@ -1211,47 +1027,25 @@ def run_release_rounds_batched(
                     # close it when the run ends (or raises), exactly like
                     # a named backend.
                     backend = stack.enter_context(execution.build())
-                if ingest_partitions is not None:
-                    # Partitioned ingest implies async; async_ingest (when
-                    # given as an int) sets the per-partition queue depth.
-                    committer = stack.enter_context(
-                        server.partitioned_committers(
-                            int(ingest_partitions),
-                            users=plan.users,
-                            max_pending=2 if async_ingest in (False, True) else int(async_ingest),
-                        )
-                    )
-                    commit = committer.submit
-                elif async_ingest:
+                if async_ingest:
                     # Entered after the backend, so on exit the committer
                     # drains (committing every whole queued shard) before
                     # the backend closes.
-                    committer = stack.enter_context(
-                        server.async_committer(
-                            max_pending=2 if async_ingest is True else int(async_ingest)
-                        )
-                    )
-                    commit = committer.submit
+                    commit = stack.enter_context(server.async_committer()).submit
                 else:
                     commit = server.ingest_shard
                 for shard_users, shard_times, batch in stream_shard_releases(
                     engine, true_db, plan, backend=backend, only_shards=only_shards
                 ):
-                    if live_store is not None or server.metrics is not None:
-                        # Shards own contiguous blocks of the sorted user
-                        # list, so any member identifies the shard (it keys
-                        # the durable commit and the live metric deltas).
-                        commit(
-                            shard_users,
-                            shard_times,
-                            batch,
-                            shard=plan.shard_of(int(shard_users[0])),
-                        )
-                    else:
-                        # Historical 3-arg shape: Server subclasses
-                        # predating store-backed ingestion accept no shard
-                        # kwarg.
-                        commit(shard_users, shard_times, batch)
+                    # Shards own contiguous blocks of the sorted user list,
+                    # so any member identifies the shard (it keys the
+                    # durable commit and the live metric deltas).
+                    commit(
+                        shard_users,
+                        shard_times,
+                        batch,
+                        shard=plan.shard_of(int(shard_users[0])),
+                    )
     except BaseException:
         if owned_store:
             live_store.close()

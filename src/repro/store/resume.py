@@ -48,7 +48,7 @@ def engine_spec_hash(engine: "PrivacyEngine") -> str:
     stripped first.  Execution (backend, shard count, store/resume wiring)
     is pure run control: per-user RNG streams make released values invariant
     under it, so a run committed with ``backend="thread"`` may legitimately
-    resume with ``backend="process"``.  Shard count *does* change the commit
+    resume with ``backend="pool"``.  Shard count *does* change the commit
     granularity, but that is covered by the plan fingerprint, which the
     manifest records separately.
     """

@@ -21,8 +21,9 @@ into ``local_windows``.
 Threading: the single connection is opened with ``check_same_thread=False``
 so the :class:`~repro.server.pipeline.AsyncShardCommitter` background thread
 can commit while the main thread reads; CPython's ``sqlite3`` is built in
-serialized threading mode, and all writes are additionally funnelled through
-one committer at a time by the pipeline's queue contract.
+serialized threading mode, and all writes are additionally serialized by
+:class:`~repro.server.pipeline.Server`'s ingest lock, one shard commit at a
+time.
 """
 
 from __future__ import annotations

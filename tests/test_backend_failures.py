@@ -2,7 +2,7 @@
 
 A shard that dies mid-stream must not take the process down quietly, leak a
 worker pool, or leave the server half-written: the *original* exception
-propagates through `process` / `pool` backends, backends owned by the
+propagates through the `pool` backend, backends owned by the
 failing call are closed behind it, and async ingestion commits whole shards
 or nothing — so a crashed run leaves only complete per-user state behind.
 """
@@ -26,7 +26,6 @@ from repro.mobility.synthetic import geolife_like
 from repro.mobility.trajectory import TraceDB
 from repro.server.pipeline import (
     AsyncShardCommitter,
-    PartitionedShardCommitters,
     Server,
     run_release_rounds_batched,
 )
@@ -71,7 +70,7 @@ def engine(world):
 
 
 class TestScorerFailures:
-    @pytest.mark.parametrize("backend", ["process", "pool"])
+    @pytest.mark.parametrize("backend", ["pool"])
     def test_original_exception_propagates(self, backend):
         # The marked task sits mid-list: earlier tasks succeed, and the
         # caller must still see the original exception type and message.
@@ -99,7 +98,7 @@ class TestScorerFailures:
 
 
 class TestAsyncIngestFailures:
-    @pytest.mark.parametrize("backend", ["process", "pool"])
+    @pytest.mark.parametrize("backend", ["pool"])
     def test_failing_shard_leaves_whole_user_state(self, world, engine, backend):
         # One user's trace contains an invalid cell, so exactly one shard's
         # release raises inside the worker mid-stream.  The stream must fail
@@ -168,11 +167,11 @@ class TestAsyncIngestFailures:
                 super().__init__(world)
                 self.commits = 0
 
-            def ingest_shard(self, users, times, batch, purpose="stream"):
+            def ingest_shard(self, users, times, batch, purpose="stream", shard=None):
                 self.commits += 1
                 if self.commits == 2:
                     raise ShardExploded("commit blew up")
-                return super().ingest_shard(users, times, batch, purpose=purpose)
+                return super().ingest_shard(users, times, batch, purpose=purpose, shard=shard)
 
         server = FailingServer(world)
         shard = ([1], [0], engine.release_batch([3], rng=0))
@@ -197,7 +196,7 @@ class TestAsyncIngestFailures:
 
     def test_producer_error_wins_over_commit_error(self, world, engine):
         class FailingServer(Server):
-            def ingest_shard(self, users, times, batch, purpose="stream"):
+            def ingest_shard(self, users, times, batch, purpose="stream", shard=None):
                 raise ShardExploded("commit error")
 
         server = FailingServer(world)
@@ -222,7 +221,7 @@ class TestCommitterShutdown:
     @staticmethod
     def _failing_server(world):
         class FailingServer(Server):
-            def ingest_shard(self, users, times, batch, purpose="stream"):
+            def ingest_shard(self, users, times, batch, purpose="stream", shard=None):
                 raise ShardExploded("commit blew up")
 
         return FailingServer(world)
@@ -345,56 +344,3 @@ class TestCommitterLiveness:
         while committer.pending and time.monotonic() < deadline:
             time.sleep(0.01)
         committer.close(timeout=5.0)  # drained now: no error to report
-
-
-class TestPartitionedCommitterFailures:
-    @staticmethod
-    def _failing_server(world):
-        class FailingServer(Server):
-            def ingest_shard(self, users, times, batch, purpose="stream", shard=None):
-                raise ShardExploded("partition commit blew up")
-
-        return FailingServer(world)
-
-    def test_partition_commit_error_surfaces_on_close(self, world, engine):
-        committers = PartitionedShardCommitters(
-            self._failing_server(world), users=[1, 2, 3, 4], partitions=2
-        )
-        committers.submit([1], [0], engine.release_batch([3], rng=0))
-        with pytest.raises(ShardExploded, match="partition commit blew up"):
-            committers.close()
-
-    def test_every_failing_partition_is_reported(self, world, engine):
-        committers = PartitionedShardCommitters(
-            self._failing_server(world), users=[1, 2, 3, 4], partitions=2
-        )
-        # One doomed shard per partition: the first failure is raised, the
-        # second must not vanish — it travels as a PEP 678 note.
-        committers.submit([1], [0], engine.release_batch([3], rng=0))
-        committers.submit([3], [0], engine.release_batch([4], rng=0))
-        for _ in range(200):
-            if committers.pending == 0:
-                break
-            threading.Event().wait(0.005)
-        with pytest.raises(ShardExploded) as excinfo:
-            committers.close()
-        notes = getattr(excinfo.value, "__notes__", [])
-        assert any("another partition also failed" in note for note in notes)
-
-    def test_producer_error_wins_with_drain_note(self, world, engine):
-        with pytest.raises(KeyError, match="producer") as excinfo:
-            with PartitionedShardCommitters(
-                self._failing_server(world), users=[1, 2], partitions=2
-            ) as committers:
-                committers.submit([1], [0], engine.release_batch([3], rng=0))
-                threading.Event().wait(0.05)
-                raise KeyError("producer")
-        notes = getattr(excinfo.value, "__notes__", [])
-        assert any("also failed while draining" in note for note in notes)
-
-    def test_empty_shard_submit_is_a_no_op(self, world, engine):
-        committers = PartitionedShardCommitters(
-            Server(world), users=[1, 2], partitions=2
-        )
-        committers.submit(np.array([], dtype=int), np.array([], dtype=int), None)
-        committers.close()

@@ -377,14 +377,14 @@ class TestServerStreaming:
 
         plan = ShardPlan.build(sorted(db.users()), 4, rng=2)
         collected = {}
-        for backend in ("serial", "process"):
+        for backend in ("serial", "pool"):
             rows = []
             for users, times, batch in stream_shard_releases(engine, db, plan, backend=backend):
                 rows.extend(
                     zip(users.tolist(), times.tolist(), map(tuple, batch.points.tolist()))
                 )
             collected[backend] = sorted(rows)
-        assert collected["serial"] == collected["process"]
+        assert collected["serial"] == collected["pool"]
         assert len(collected["serial"]) == len(db)
 
 
@@ -431,7 +431,7 @@ class TestHarnessIntegration:
 
         one = run_adversary_error(dataclasses.replace(base, eval_shards=1))
         many = run_adversary_error(
-            dataclasses.replace(base, eval_shards=4, eval_backend="process")
+            dataclasses.replace(base, eval_shards=4, eval_backend="pool")
         )
         assert one.rows == many.rows
 

@@ -219,7 +219,7 @@ class TestEpidemicKinds:
 
 
 class TestStructuralEquality:
-    """The ``__eq__`` / ``__repr__`` / identity / freeze surface itself."""
+    """The ``__eq__`` / ``__repr__`` / fold surface itself."""
 
     @settings(deadline=None, max_examples=40)
     @given(results=shard_results(max_shards=1))
@@ -232,8 +232,6 @@ class TestStructuralEquality:
             sets={name: frozenset(members) for name, members in result.sets.items()},
         )
         assert result == clone and clone == result
-        # Frozen/unfrozen status is irrelevant to equality.
-        assert result == result.freeze() and result.freeze() == result
 
     def test_value_and_component_perturbations_break_equality(self):
         base = MetricShardResult(
@@ -310,18 +308,6 @@ class TestStructuralEquality:
         assert "sets=['events']" in text
 
     @settings(deadline=None, max_examples=40)
-    @given(results=shard_results(max_shards=1))
-    def test_empty_is_the_merge_identity(self, results):
-        result = results[0]
-        identity = MetricShardResult.empty(
-            sum_names=sorted(result.sums),
-            flow_names=sorted(result.flows),
-            set_names=sorted(result.sets),
-        )
-        assert identity.merge(result) == result
-        assert result.merge(identity) == result
-
-    @settings(deadline=None, max_examples=40)
     @given(results=shard_results(min_shards=1))
     def test_fold_is_the_left_reduce(self, results):
         assert MetricShardResult.fold(results) == reduce(MetricShardResult.merge, results)
@@ -329,24 +315,6 @@ class TestStructuralEquality:
     def test_fold_of_nothing_is_rejected(self):
         with pytest.raises(ValidationError):
             MetricShardResult.fold([])
-
-    def test_freeze_is_read_only_zero_copy_and_idempotent(self):
-        result = MetricShardResult(
-            sums={"error": np.array([1.0, 2.0])}, counts=np.array([1, 1]), flows={}
-        )
-        frozen = result.freeze()
-        assert frozen == result
-        assert not frozen.sums["error"].flags.writeable
-        assert not frozen.counts.flags.writeable
-        with pytest.raises(ValueError):
-            frozen.sums["error"][0] = 9.0
-        with pytest.raises(TypeError):
-            frozen.sums["error"] = None  # MappingProxyType
-        # Zero copy: the frozen view shares the original buffer, which
-        # stays writeable on the unfrozen result.
-        assert frozen.sums["error"].base is result.sums["error"]
-        assert result.sums["error"].flags.writeable
-        assert frozen.freeze() == frozen
 
 
 @st.composite
@@ -414,7 +382,7 @@ class TestCommitOrderInvariance:
                     [deltas[(s, time)] for s in owners[time]]
                 )
                 live = round_delta if live is None else live.merge(round_delta)
-                frozen[time] = live.freeze()
+                frozen[time] = live
                 frontier += 1
             # Snapshot point: anything visible now must already be final —
             # a frozen round's value never changes as later shards land.

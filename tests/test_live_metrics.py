@@ -5,8 +5,8 @@ approximate: for every round ``r``, ``server.metrics_at(r)`` — maintained
 incrementally by folding each shard commit the moment it lands — equals
 :func:`~repro.server.live_metrics.batch_recompute` over the raw release
 rows, under **every** execution shape.  This file pins that matrix
-(shards {1, 2, 5, 7} x serial/thread/process/pool/rpc x sync/async/
-partitioned committers), the shard-count invariance of the values
+(shards {1, 2, 5, 7} x serial/thread/pool/rpc x sync/async committers),
+the shard-count invariance of the values
 themselves, equality against independently-coded references (the E1/E11
 flow counter and the E2 contact-rate estimator), a Hypothesis property
 driving the real registry through arbitrary commit orders, and the
@@ -48,7 +48,7 @@ HORIZON = 8
 RNG = 11
 
 SHARD_COUNTS = [1, 2, 5, 7]
-COMMITTERS = ["sync", "async", "partitioned"]
+COMMITTERS = ["sync", "async"]
 
 
 @pytest.fixture(scope="module")
@@ -67,9 +67,9 @@ def engine(world):
 
 
 # One live backend per name, shared by every matrix cell that uses it —
-# the process/pool/rpc backends pay worker spawn once per module, not per
+# the pool/rpc backends pay worker spawn once per module, not per
 # cell (the same amortisation the E8 sweep uses).
-@pytest.fixture(scope="module", params=["serial", "thread", "process", "pool", "rpc"])
+@pytest.fixture(scope="module", params=["serial", "thread", "pool", "rpc"])
 def backend(request):
     with ensure_backend(request.param) as instance:
         yield instance
@@ -120,8 +120,6 @@ def batch_values_of(world, db, engine):
 def _live_run(world, db, engine, shards, backend, committer, **kwargs):
     if committer == "async":
         kwargs["async_ingest"] = True
-    elif committer == "partitioned":
-        kwargs["ingest_partitions"] = 2
     return run_release_rounds_batched(
         world, db, engine, rng=RNG, shards=shards, backend=backend,
         live_metrics=True, **kwargs,

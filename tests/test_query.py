@@ -3,8 +3,8 @@
 The headline contract of ``repro.query`` mirrors the live-metrics one: every
 windowed answer served from the accelerator summary tables equals its naive
 ``full_scan_*`` reference **bitwise**, under every execution shape.  This
-file pins that matrix (shards {1, 2, 5, 7} x serial/thread/process/pool/rpc
-x sync/async/partitioned committers x kill-resume), the coverage-frontier
+file pins that matrix (shards {1, 2, 5, 7} x serial/thread/pool/rpc x
+sync/async committers x kill-resume), the coverage-frontier
 refusal rule (half-covered windows name the shards they wait on), awkward
 stores (empty windows, coverage gaps, ``:memory:``, resumed mid-run), and a
 Hypothesis property: under *any* interleaving of shard commits and window
@@ -40,7 +40,7 @@ HORIZON = 8
 RNG = 11
 
 SHARD_COUNTS = [1, 2, 5, 7]
-COMMITTERS = ["sync", "async", "partitioned"]
+COMMITTERS = ["sync", "async"]
 
 #: The windows every fingerprint probes: a tumbling tiling plus overlapping
 #: sliders, so boundaries, overlaps, and the clipped tail all get exercised.
@@ -65,7 +65,7 @@ def engine(world):
 
 # One live backend per name, shared across the matrix (worker spawn paid
 # once per module — the same amortisation the live-metrics matrix uses).
-@pytest.fixture(scope="module", params=["serial", "thread", "process", "pool", "rpc"])
+@pytest.fixture(scope="module", params=["serial", "thread", "pool", "rpc"])
 def backend(request):
     with ensure_backend(request.param) as instance:
         yield instance
@@ -156,8 +156,6 @@ def _store_run(world, db, engine, shards, backend, committer="sync", store=None)
     kwargs = {}
     if committer == "async":
         kwargs["async_ingest"] = True
-    elif committer == "partitioned":
-        kwargs["ingest_partitions"] = 2
     store = store if store is not None else TraceStore(":memory:")
     server = run_release_rounds_batched(
         world, db, engine, rng=RNG, shards=shards, backend=backend,

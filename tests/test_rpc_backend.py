@@ -6,9 +6,8 @@ ledger totals, and merged metric results are element-wise identical to the
 1-shard serial reference for every (shard count x worker count) cell.  This
 file pins that matrix — shards {1, 2, 5, 7} x workers {1, 2, 4} — plus the
 layers underneath it: frame encode/decode, the run/run_unordered contract,
-registry resolution (``rpc`` / ``socket`` / ``tcp``), declarative
-``ExecutionSpec`` construction, and the per-user-range partitioned
-committers that pair with the backend on the ingest side.
+registry resolution (``rpc`` / ``socket`` / ``tcp``), and declarative
+``ExecutionSpec`` construction.
 
 The failure half of the contract (SIGKILL, torn frames, retry exhaustion)
 lives in ``tests/test_rpc_failures.py``.
@@ -342,77 +341,3 @@ class TestDeterminismMatrix:
             backend=rpc,
         )
         assert got == want
-
-
-# ----------------------------------------------------------------------
-# partitioned committers: parallel ingest, identical per-user state
-# ----------------------------------------------------------------------
-
-
-class TestPartitionedCommitters:
-    @pytest.mark.parametrize("partitions", [1, 2, 3, 5])
-    def test_partitioned_ingest_matches_reference(
-        self, partitions, world, db, engine, reference
-    ):
-        server = run_release_rounds_batched(
-            world, db, engine, rng=7, shards=5, backend="thread",
-            ingest_partitions=partitions,
-        )
-        assert _state(server) == _state(reference)
-
-    def test_partitioned_ingest_over_rpc_matches_reference(
-        self, rpc, world, db, engine, reference
-    ):
-        server = run_release_rounds_batched(
-            world, db, engine, rng=7, shards=5, backend=rpc, ingest_partitions=3
-        )
-        assert _state(server) == _state(reference)
-
-    def test_partitioned_ingest_with_store_matches_reference(
-        self, world, db, engine, reference, tmp_path
-    ):
-        server = run_release_rounds_batched(
-            world, db, engine, rng=7, shards=5, backend="thread",
-            ingest_partitions=3, store=str(tmp_path / "parts.sqlite"),
-        )
-        assert _state(server) == _state(reference)
-
-    def test_partition_routing_covers_population(self, world):
-        from repro.server.pipeline import Server
-
-        users = [3, 7, 11, 20, 21, 40]
-        with Server(world).partitioned_committers(3, users=users) as committers:
-            assert committers.partitions == 3
-            owners = [committers.partition_of(u) for u in users]
-            assert owners == sorted(owners)  # contiguous ranges, in order
-            assert set(owners) == {0, 1, 2}
-            assert committers.partition_of(12) == committers.partition_of(11)
-
-    def test_partition_of_rejects_foreign_users(self, world):
-        from repro.server.pipeline import Server
-
-        with Server(world).partitioned_committers(2, users=[5, 6, 7]) as committers:
-            with pytest.raises(ValidationError, match="outside the partitioned"):
-                committers.partition_of(4)
-            with pytest.raises(ValidationError, match="outside the partitioned"):
-                committers.partition_of(8)
-
-    def test_partitions_capped_at_population(self, world):
-        from repro.server.pipeline import Server
-
-        with Server(world).partitioned_committers(10, users=[1, 2, 3]) as committers:
-            assert committers.partitions == 3
-
-    def test_invalid_partition_counts_rejected(self, world):
-        from repro.server.pipeline import Server
-
-        with pytest.raises(ValidationError, match="partitions must be >= 1"):
-            Server(world).partitioned_committers(0, users=[1, 2])
-        with pytest.raises(ValidationError, match="non-empty"):
-            Server(world).partitioned_committers(2, users=[])
-        with pytest.raises(ValidationError, match="ingest_partitions"):
-            run_release_rounds_batched(
-                world, geolife_like(world, n_users=2, horizon=2, rng=0),
-                PrivacyEngine.from_spec(world, mechanism="P-LM", policy="G1", epsilon=1.0),
-                rng=0, shards=2, ingest_partitions=0,
-            )

@@ -15,14 +15,14 @@ from repro.engine import (
     resolve_backend,
     sharded_release_rounds,
 )
-from repro.engine.backends import ExecutionBackend, ProcessBackend, SerialBackend, ThreadBackend
+from repro.engine.backends import ExecutionBackend, PoolBackend, SerialBackend, ThreadBackend
 from repro.errors import DataError, ValidationError
 from repro.experiments.configs import ExperimentConfig, build_policy
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
 from repro.server.pipeline import run_release_rounds, run_release_rounds_batched
 
-BACKENDS = ["serial", "thread", "process", "pool"]
+BACKENDS = ["serial", "thread", "pool"]
 
 
 @pytest.fixture
@@ -115,21 +115,37 @@ class TestShardPlan:
 
 class TestBackendRegistry:
     def test_builtins_registered(self):
-        assert {"serial", "thread", "process", "pool"} <= set(backend_names())
+        assert {"serial", "thread", "pool"} <= set(backend_names())
 
     def test_resolve_aliases_case_insensitive(self):
         assert resolve_backend("THREADS")[0] == "thread"
-        assert resolve_backend("multiprocess")[0] == "process"
+        assert resolve_backend("worker_pool")[0] == "pool"
         assert resolve_backend("inline")[0] == "serial"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValidationError):
             resolve_backend("gpu")
 
+    @pytest.mark.parametrize("name", ["process", "processes", "multiprocess"])
+    def test_removed_process_backend_names_pool(self, name):
+        with pytest.raises(ValidationError, match="'pool'"):
+            resolve_backend(name)
+
+    def test_saved_spec_naming_process_fails_to_build(self):
+        spec = EngineSpec.from_dict(
+            {
+                "mechanism": {"name": "P-LM", "epsilon": 1.0},
+                "policy": {"name": "G1"},
+                "execution": {"backend": "process", "shards": 2},
+            }
+        )
+        with pytest.raises(ValidationError, match="'pool'"):
+            spec.execution.build()
+
     def test_ensure_backend_coercions(self):
         assert isinstance(ensure_backend(None), SerialBackend)
         assert isinstance(ensure_backend("thread", max_workers=2), ThreadBackend)
-        live = ProcessBackend(max_workers=1)
+        live = PoolBackend(max_workers=1)
         assert ensure_backend(live) is live
         with pytest.raises(ValidationError):
             ensure_backend(live, max_workers=2)
@@ -217,7 +233,7 @@ class TestShardedDeterminism:
         # exact releases and budget charges aligned per user.
         engine = PrivacyEngine.from_spec(world, mechanism="P-LM", policy="Gc", epsilon=1.0)
         reference = run_release_rounds_batched(world, db, engine, rng=9, shards=1)
-        sharded = run_release_rounds_batched(world, db, engine, rng=9, shards=5, backend="process")
+        sharded = run_release_rounds_batched(world, db, engine, rng=9, shards=5, backend="pool")
         assert list(sharded.released_db.checkins()) == list(reference.released_db.checkins())
         for user in db.users():
             assert sharded.ledger.spent(user) == reference.ledger.spent(user)
@@ -234,7 +250,7 @@ class TestShardedDeterminism:
         # Overriding only the backend must not discard the spec's shard
         # count: the counting backend should see 3 shard tasks, not 1.
         engine = PrivacyEngine.from_spec(
-            world, mechanism="P-LM", policy="G1", epsilon=1.0, backend="process", shards=3
+            world, mechanism="P-LM", policy="G1", epsilon=1.0, backend="pool", shards=3
         )
         counting = _CountingBackend()
         run_release_rounds_batched(world, db, engine, rng=1, backend=counting)
@@ -258,7 +274,7 @@ class TestShardedDeterminism:
 
     def test_explicit_args_override_spec(self, world, db):
         engine = PrivacyEngine.from_spec(
-            world, mechanism="P-LM", policy="G1", epsilon=1.0, backend="process", shards=8
+            world, mechanism="P-LM", policy="G1", epsilon=1.0, backend="pool", shards=8
         )
         # Explicit shards/backend win over the spec's execution block; the
         # output is the same either way (that is the whole contract).
@@ -308,15 +324,15 @@ class TestExecutionSpec:
         # to_dict canonicalizes names, so exact roundtrip equality needs
         # canonical spellings (aliases still roundtrip semantically).
         spec = EngineSpec.named(
-            "planar_isotropic", "Gb", epsilon=2.0, backend="process", shards=4,
+            "planar_isotropic", "Gb", epsilon=2.0, backend="pool", shards=4,
             backend_params={"max_workers": 2},
         )
         payload = spec.to_dict()
         assert payload["execution"] == {
-            "backend": "process", "shards": 4, "params": {"max_workers": 2}
+            "backend": "pool", "shards": 4, "params": {"max_workers": 2}
         }
         assert EngineSpec.from_dict(payload) == spec
-        aliased = EngineSpec.named("P-PIM", "Gb", epsilon=2.0, backend="processes", shards=4)
+        aliased = EngineSpec.named("P-PIM", "Gb", epsilon=2.0, backend="worker_pool", shards=4)
         assert EngineSpec.from_dict(aliased.to_dict()).to_dict() == aliased.to_dict()
 
     def test_roundtrip_without_execution(self):

@@ -310,6 +310,13 @@ class TestOutOfCoreServer:
                 world, db, engine, rng=11, store=str(tmp_path / "s.sqlite")
             )
 
+    @pytest.mark.parametrize("flag", ["resume", "out_of_core"])
+    def test_sharded_request_without_store_rejected(self, world, db, engine, flag):
+        # Without a store there is nothing to resume or page out to; a
+        # silent fresh in-memory run would hide the misconfiguration.
+        with pytest.raises(ValidationError, match=f"{flag}=True requires a store"):
+            run_release_rounds_batched(world, db, engine, rng=11, shards=2, **{flag: True})
+
 
 class TestLocalWindowSpill:
     def test_spilled_window_matches_in_memory(self, tmp_path):

@@ -6,7 +6,7 @@ must resume from the SQLite store and finish **bit-identical** to the
 uninterrupted seeded run.  This file proves that three ways:
 
 * a real subprocess ``SIGKILL`` matrix over every execution backend
-  (serial / thread / process / pool), polling the WAL store read-only
+  (serial / thread / pool / rpc), polling the WAL store read-only
   from the parent until enough shards have committed to make the kill
   land mid-run;
 * a Hypothesis property: for *any* committed prefix (any subset of
@@ -139,7 +139,7 @@ def _committed_shards(path):
         conn.close()
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process", "pool", "rpc"])
+@pytest.mark.parametrize("backend", ["serial", "thread", "pool", "rpc"])
 def test_sigkill_mid_run_then_resume_is_bit_identical(
     backend, world, db, engine, reference, tmp_path
 ):
@@ -147,8 +147,8 @@ def test_sigkill_mid_run_then_resume_is_bit_identical(
     child = tmp_path / "child.py"
     child.write_text(_CHILD)
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    # New session so SIGKILL reaches the whole group: the process/pool
-    # backends fork workers that would otherwise outlive the parent and
+    # New session so SIGKILL reaches the whole group: the pool/rpc
+    # backends start workers that would otherwise outlive the parent and
     # keep the stdout/stderr pipes open forever.
     proc = subprocess.Popen(
         [sys.executable, str(child), str(store_path), backend],
@@ -386,7 +386,7 @@ def test_resume_with_different_backend_is_legal_and_identical(
     world, db, engine, reference, tmp_path
 ):
     # Run control (backend) is not part of the run identity: a run started
-    # under the process backend may finish under serial.
+    # serially may finish under the thread backend.
     path = str(tmp_path / "switch.sqlite")
     _interrupt(world, db, engine, path, shards_done=4)
     server = run_release_rounds_batched(
