@@ -28,6 +28,13 @@ would — batching is a pure throughput optimisation, not a semantic change.
 :meth:`release_batch` returns a :class:`ReleaseBatch` (structure-of-arrays),
 and :meth:`pdf_matrix` is the batched likelihood the Bayesian adversary and
 the HMM filter consume.
+
+``release_batch(cells, streams=(seeds, counts))`` releases many users' rows
+in one call, each block of rows drawing from its own
+``np.random.default_rng(seed)``.  A mechanism that declares
+:attr:`Mechanism.uniform_width` has every block's uniforms drawn into one
+buffer and runs its kernel once over all the noisy rows; one without it
+runs the kernel once per block.
 """
 
 from __future__ import annotations
@@ -133,6 +140,43 @@ class ReleaseBatch:
         return [self[i] for i in range(len(self))]
 
 
+class _DrawnUniforms:
+    """Uniforms drawn ahead of a kernel, served in draw order.
+
+    Exposes ``random(size=None, out=None)`` like
+    :meth:`numpy.random.Generator.random`, so a :attr:`Mechanism.uniform_width`
+    kernel reads the buffer exactly as it would read one generator.  Each
+    value is served once, so a kernel may use a served view as scratch.
+    """
+
+    def __init__(self, uniforms: np.ndarray) -> None:
+        self._flat = uniforms.reshape(-1)
+        self._served = 0
+
+    @property
+    def left(self) -> int:
+        """Uniforms not yet served."""
+        return len(self._flat) - self._served
+
+    def random(self, size=None, out=None):
+        if out is not None:
+            out[...] = self._take(out.size).reshape(out.shape)
+            return out
+        if size is None:
+            return float(self._take(1)[0])
+        return self._take(int(np.prod(size))).reshape(size)
+
+    def _take(self, count: int) -> np.ndarray:
+        if count > self.left:
+            raise MechanismError(
+                f"kernel asked for {count} uniforms, {self.left} left; "
+                "its uniform_width is declared too small"
+            )
+        start = self._served
+        self._served += count
+        return self._flat[start : start + count]
+
+
 class Mechanism(abc.ABC):
     """Base class for ``{epsilon, G}``-location-privacy mechanisms.
 
@@ -149,6 +193,16 @@ class Mechanism(abc.ABC):
     #: Whether :meth:`pdf` is a probability *mass* function over cells
     #: (discrete output) rather than a planar density.
     discrete: bool = False
+
+    #: Uniforms per noisy row that :meth:`_perturb_batch` consumes, or
+    #: ``None``.  Declaring it promises that the kernel draws exactly
+    #: ``rng.random((n, uniform_width))`` for ``n`` cells, in row order (as
+    #: one block, in row tiles, or through ``out=``), and that each row's
+    #: output depends only on its own uniforms.  ``release_batch(streams=)``
+    #: then draws every stream's uniforms into one buffer and runs the
+    #: kernel once; with ``None`` it runs the kernel once per stream.  A
+    #: subclass that changes how the kernel draws must declare it again.
+    uniform_width: int | None = None
 
     def __init__(self, world: GridWorld, graph: PolicyGraph, epsilon: float) -> None:
         self.world = world
@@ -250,6 +304,7 @@ class Mechanism(abc.ABC):
         cells: Sequence[int],
         rng=None,
         workspace: "RoundWorkspace | None" = None,
+        streams: "tuple[Sequence[int], Sequence[int]] | None" = None,
     ) -> ReleaseBatch:
         """Release many (possibly perturbed) locations in one call.
 
@@ -259,6 +314,15 @@ class Mechanism(abc.ABC):
         drawn by :meth:`_perturb_batch`, which the first-party mechanisms
         vectorize.
 
+        With ``streams=(seeds, counts)`` (instead of ``rng``) the rows form
+        ``len(seeds)`` consecutive blocks: block ``i`` is the next
+        ``counts[i]`` rows, and it draws from
+        ``np.random.default_rng(seeds[i])`` exactly what
+        ``release_batch(block_i, rng=seeds[i])`` would.  This is how a shard
+        releases all its users, each on their own stream, in one call.
+        Validation, the exact mask, the exact points and the epsilons run
+        once over all rows; see :attr:`uniform_width` for the kernel.
+
         With ``workspace`` (a :class:`~repro.core.workspace.RoundWorkspace`)
         every output column and kernel temporary lives in the workspace's
         reused buffers instead of fresh allocations; the returned batch then
@@ -267,6 +331,8 @@ class Mechanism(abc.ABC):
         with ``rng.random(out=...)``, which consumes the same stream as the
         allocating ``rng.random((n, k))``.
         """
+        if streams is not None and rng is not None:
+            raise MechanismError("release_batch takes rng or streams, not both")
         if not isinstance(cells, np.ndarray):
             cells = list(cells)
         cell_arr = np.asarray(cells, dtype=int)
@@ -294,27 +360,16 @@ class Mechanism(abc.ABC):
             points = workspace.points_buffer("release_points", n)
             epsilons = workspace.buffer("release_epsilons", n)
             epsilons.fill(self.epsilon)
-        has_exact = bool(exact.any())
-        if has_exact:
+        noisy = None  # every row is noisy
+        if exact.any():
             points[exact] = self.world.coords_array(cell_arr[exact])
             if workspace is not None and self.array_backend.is_numpy:
                 epsilons[exact] = 0.0
             noisy = np.flatnonzero(~exact)
-            if noisy.size:
-                points[noisy] = self._perturb_batch(
-                    cell_arr[noisy], ensure_rng(rng), workspace=workspace
-                )
-        elif n:
-            # Hot path: nothing disclosed, so the kernel can write straight
-            # into the full points view (allocation-free with a workspace).
-            drawn = self._perturb_batch(
-                cell_arr,
-                ensure_rng(rng),
-                out=points if workspace is not None and self.array_backend.is_numpy else None,
-                workspace=workspace,
-            )
-            if drawn is not points:
-                points[...] = drawn
+        if streams is not None:
+            self._draw_streams(cell_arr, noisy, points, streams, workspace)
+        elif n and (noisy is None or noisy.size):
+            self._draw(cell_arr, noisy, points, ensure_rng(rng), workspace)
         if workspace is not None:
             workspace.rounds_served += 1
         return ReleaseBatch(
@@ -324,6 +379,62 @@ class Mechanism(abc.ABC):
             cells=cell_arr,
             mechanism=self.name,
         )
+
+    def _draw(self, cells, noisy, points, rng, workspace) -> None:
+        """Fill ``points`` at the ``noisy`` rows (``None``: all) from ``rng``."""
+        if noisy is not None:
+            points[noisy] = self._perturb_batch(cells[noisy], rng, workspace=workspace)
+            return
+        # Hot path: nothing disclosed, so the kernel can write straight
+        # into the full points view (allocation-free with a workspace).
+        drawn = self._perturb_batch(
+            cells,
+            rng,
+            out=points if workspace is not None and self.array_backend.is_numpy else None,
+            workspace=workspace,
+        )
+        if drawn is not points:
+            points[...] = drawn
+
+    def _draw_streams(self, cells, noisy, points, streams, workspace) -> None:
+        """Fill ``points`` at the ``noisy`` rows, block ``i`` from ``seeds[i]``."""
+        seeds, counts = streams
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != (len(seeds),) or (counts < 0).any() or counts.sum() != len(cells):
+            raise MechanismError(
+                f"streams must give one non-negative row count per seed, "
+                f"summing to the {len(cells)} cells"
+            )
+        ends = np.cumsum(counts)
+        # Each block's range of positions among the noisy rows.
+        if noisy is None:
+            lows, highs = ends - counts, ends
+        else:
+            lows, highs = np.searchsorted(noisy, ends - counts), np.searchsorted(noisy, ends)
+        blocks = [
+            (seed, low, high)
+            for seed, low, high in zip(seeds, lows.tolist(), highs.tolist())
+            if high > low
+        ]
+        width = self.uniform_width
+        if width is None:
+            for seed, low, high in blocks:
+                rows = slice(low, high) if noisy is None else noisy[low:high]
+                points[rows] = self._perturb_batch(
+                    cells[rows], np.random.default_rng(seed), workspace=workspace
+                )
+            return
+        uniforms = np.empty((len(cells) if noisy is None else noisy.size, width))
+        for seed, low, high in blocks:
+            np.random.default_rng(seed).random(out=uniforms[low:high])
+        source = _DrawnUniforms(uniforms)
+        if len(uniforms):
+            self._draw(cells, noisy, points, source, workspace)
+        if source.left:
+            raise MechanismError(
+                f"{self.name} declares uniform_width={width} but its kernel "
+                f"left {source.left} of {uniforms.size} uniforms unread"
+            )
 
     def pdf_matrix(
         self, points, cells: Sequence[int] | None = None, dtype=None

@@ -37,6 +37,8 @@ class GeoIndistinguishabilityMechanism(Mechanism):
     the PGLP policy whose guarantee Geo-I matches on unit-spaced grids.
     """
 
+    uniform_width = 3
+
     def __init__(self, world: GridWorld, epsilon: float, graph: PolicyGraph | None = None) -> None:
         super().__init__(world, graph if graph is not None else grid_policy(world), epsilon)
 

@@ -31,6 +31,7 @@ class GraphExponentialMechanism(Mechanism):
     """Exponential mechanism scored by policy-graph distance."""
 
     discrete = True
+    uniform_width = 1
 
     def __init__(self, world: GridWorld, graph: PolicyGraph, epsilon: float) -> None:
         super().__init__(world, graph, epsilon)

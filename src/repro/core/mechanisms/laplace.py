@@ -84,6 +84,8 @@ def planar_laplace_pdf(points: np.ndarray, centres: np.ndarray, rates, xp=np) ->
 class PolicyLaplaceMechanism(Mechanism):
     """Planar Laplace noise calibrated to per-component edge sensitivity."""
 
+    uniform_width = 3
+
     def __init__(self, world: GridWorld, graph: PolicyGraph, epsilon: float) -> None:
         super().__init__(world, graph, epsilon)
         # Per-node edge sensitivity Delta(C) depends only on (world, graph),

@@ -48,6 +48,7 @@ class OptimalDiscreteMechanism(Mechanism):
     """
 
     discrete = True
+    uniform_width = 1
 
     def __init__(
         self,

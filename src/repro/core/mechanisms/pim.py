@@ -38,6 +38,8 @@ __all__ = ["PolicyPlanarIsotropicMechanism"]
 class PolicyPlanarIsotropicMechanism(Mechanism):
     """K-norm mechanism over the per-component edge sensitivity hull."""
 
+    uniform_width = 6
+
     def __init__(self, world: GridWorld, graph: PolicyGraph, epsilon: float) -> None:
         super().__init__(world, graph, epsilon)
         # Sensitivity hulls are pure (world, graph) geometry — epsilon only

@@ -19,10 +19,8 @@ allocation-free from the second round on.  Keys are namespaced by caller
 another may share scratch keys.
 
 Workspaces are **not** thread-safe: one workspace serves one release stream.
-The shard workers keep one workspace per worker thread
-(:func:`repro.engine.sharding._shard_workspace`), so concurrently executing
-shards never alias buffers — asserted by the thread-backend stress test in
-``tests/test_fused_round.py``.
+The fused single-stream path owns one per run; sharded workers use none,
+since each shard is one allocating ``release_batch`` call.
 """
 
 from __future__ import annotations

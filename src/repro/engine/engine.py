@@ -147,6 +147,7 @@ class PrivacyEngine:
         cells: Sequence[int],
         rng=None,
         workspace: RoundWorkspace | None = None,
+        streams: "tuple[Sequence[int], Sequence[int]] | None" = None,
     ) -> ReleaseBatch:
         """Perturb many true locations in one vectorized call.
 
@@ -160,6 +161,12 @@ class PrivacyEngine:
             Optional :class:`~repro.core.workspace.RoundWorkspace`; when
             given, the batch columns are views into reused buffers (copy
             what you keep before the next workspace-backed call).
+        streams:
+            ``(seeds, counts)``, instead of ``rng``: the rows are
+            consecutive blocks of ``counts[i]`` rows, and block ``i`` draws
+            from ``np.random.default_rng(seeds[i])`` exactly what
+            ``release_batch(block_i, rng=seeds[i])`` would.  The sharded
+            path releases a whole shard, one stream per user, this way.
 
         Returns
         -------
@@ -173,7 +180,9 @@ class PrivacyEngine:
         :func:`~repro.server.pipeline.run_release_rounds_batched`, which can
         additionally shard this call across users.
         """
-        return self.mechanism.release_batch(cells, rng=rng, workspace=workspace)
+        return self.mechanism.release_batch(
+            cells, rng=rng, workspace=workspace, streams=streams
+        )
 
     def pdf_matrix(
         self, points, cells: Sequence[int] | None = None, dtype=None

@@ -25,7 +25,6 @@ boundary.
 from __future__ import annotations
 
 import hashlib
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,7 +33,6 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from repro.core.mechanisms.base import ReleaseBatch
-from repro.core.workspace import RoundWorkspace
 from repro.engine.backends import ExecutionBackend, owned_backend
 from repro.engine.engine import EngineRef, resolve_release_source
 from repro.errors import DataError, ValidationError
@@ -198,76 +196,43 @@ class ShardPlan:
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One shard's work order: its users, their seeds, and their traces.
+    """One shard's work order: its users, their seeds, and their check-ins.
 
     Plain data plus the engine, so a :class:`~repro.engine.backends.PoolBackend`
     can pickle it to a worker.  ``engine`` is an
     :class:`~repro.engine.engine.EngineRef` whenever the engine was built
     from a spec — the ref pickles as a spec hash and the worker rebuilds
     (and caches) the engine, instead of re-shipping construction state with
-    every task — and the live engine otherwise.  ``times[i]`` / ``cells[i]``
-    are user ``users[i]``'s check-in times and true cells in time order.
+    every task — and the live engine otherwise.
+
+    The check-ins are int64 arrays in user-major order (the task's user
+    order, then time): user ``users[i]`` owns the next ``counts[i]`` rows of
+    ``times`` and ``cells``.  ``(seeds, counts)`` is therefore exactly the
+    ``streams=`` argument of the shard's one ``release_batch`` call.
     """
 
     engine: "PrivacyEngine | EngineRef"
     users: tuple[int, ...]
     seeds: tuple[int, ...]
-    times: tuple[tuple[int, ...], ...]
-    cells: tuple[tuple[int, ...], ...]
-
-
-#: Per-worker-thread state: each thread that executes shards keeps its own
-#: :class:`RoundWorkspace`, so the thread backend's concurrently running
-#: shards never alias a buffer (one workspace serves one release stream).
-#: Process workers get one per process the same way (a process has its own
-#: module state and, for the serial/pool cases, a single executing thread).
-_WORKER_STATE = threading.local()
-
-
-def _shard_workspace(capacity: int) -> RoundWorkspace:
-    """This worker thread's private workspace, grown to ``capacity``."""
-    workspace = getattr(_WORKER_STATE, "workspace", None)
-    if workspace is None:
-        workspace = RoundWorkspace(capacity)
-        _WORKER_STATE.workspace = workspace
-    return workspace
+    counts: np.ndarray
+    times: np.ndarray
+    cells: np.ndarray
 
 
 def _execute_shard(task: ShardTask) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     """Release one shard's users: ``(points, exact, epsilons, mechanism)``.
 
-    Each user's whole trace goes through one vectorized
-    ``engine.release_batch`` call drawn from that user's own stream —
-    element-wise identical to the scalar per-round ``release`` loop a
-    :class:`~repro.server.pipeline.Client` runs.  Rows are ordered user-major
-    (the task's user order, then time), matching the task's flattened
-    ``times``/``cells``.  Module-level so process pools can pickle it.
-
-    Kernel temporaries live in the worker thread's reused
-    :class:`RoundWorkspace` (the batch views are copied straight into the
-    shard's output arrays), so a long-lived worker allocates only the
-    per-shard outputs — zero arrays per release round.
+    One ``release_batch(cells, streams=(seeds, counts))`` call over the whole
+    shard: each user's rows draw from that user's own stream, element-wise
+    identical to the scalar per-round ``release`` loop a
+    :class:`~repro.server.pipeline.Client` runs.  The call goes through
+    :meth:`~repro.engine.engine.PrivacyEngine.release_batch` whenever the
+    task carries an engine.  Rows are ordered like the task's ``times`` /
+    ``cells``.  Module-level so process pools can pickle it.
     """
     engine = resolve_release_source(task.engine)
-    n = sum(len(cells) for cells in task.cells)
-    longest = max((len(cells) for cells in task.cells), default=0)
-    workspace = _shard_workspace(longest)
-    points = np.empty((n, 2), dtype=float)
-    exact = np.empty(n, dtype=bool)
-    epsilons = np.empty(n, dtype=float)
-    mechanism = ""
-    offset = 0
-    for seed, cells in zip(task.seeds, task.cells):
-        batch = engine.release_batch(
-            list(cells), rng=np.random.default_rng(seed), workspace=workspace
-        )
-        stop = offset + len(batch)
-        points[offset:stop] = batch.points
-        exact[offset:stop] = batch.exact
-        epsilons[offset:stop] = batch.epsilons
-        mechanism = batch.mechanism
-        offset = stop
-    return points, exact, epsilons, mechanism
+    batch = engine.release_batch(task.cells, streams=(task.seeds, task.counts))
+    return batch.points, batch.exact, batch.epsilons, batch.mechanism
 
 
 def _shard_tasks(
@@ -276,20 +241,31 @@ def _shard_tasks(
     plan: ShardPlan,
     only_shards: "frozenset[int] | set[int] | None" = None,
 ) -> list[ShardTask]:
-    """Materialise one picklable :class:`ShardTask` per selected non-empty shard."""
+    """Materialise one picklable :class:`ShardTask` per selected non-empty shard.
+
+    One ``to_arrays`` pass over the database (rows sorted by user, then
+    time) serves every shard: a shard owns a contiguous block of the sorted
+    users, hence a contiguous block of rows, found by ``searchsorted``.
+    """
     tasks = []
     transferable = EngineRef.wrap(engine)
+    row_users, row_times, row_cells = (
+        np.asarray(column, dtype=np.int64) for column in true_db.to_arrays()
+    )
     for shard, users, seeds in plan.iter_shards():
         if only_shards is not None and shard not in only_shards:
             continue
-        histories = [true_db.user_history(user) for user in users]
+        # First row of each user, then one past the last user's rows.
+        bounds = np.searchsorted(row_users, users + (users[-1] + 1,))
+        rows = slice(bounds[0], bounds[-1])
         tasks.append(
             ShardTask(
                 engine=transferable,
                 users=users,
                 seeds=seeds,
-                times=tuple(tuple(c.time for c in history) for history in histories),
-                cells=tuple(tuple(c.cell for c in history) for history in histories),
+                counts=np.diff(bounds),
+                times=row_times[rows],
+                cells=row_cells[rows],
             )
         )
     return tasks
@@ -297,18 +273,7 @@ def _shard_tasks(
 
 def _flatten_task_rows(task: ShardTask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """User-major ``(users, times, cells)`` row arrays for one shard task."""
-    n = sum(len(times) for times in task.times)
-    users_rows = np.empty(n, dtype=int)
-    times_rows = np.empty(n, dtype=int)
-    cells_rows = np.empty(n, dtype=int)
-    offset = 0
-    for user, user_times, user_cells in zip(task.users, task.times, task.cells):
-        stop = offset + len(user_times)
-        users_rows[offset:stop] = user
-        times_rows[offset:stop] = user_times
-        cells_rows[offset:stop] = user_cells
-        offset = stop
-    return users_rows, times_rows, cells_rows
+    return np.repeat(np.asarray(task.users, dtype=np.int64), task.counts), task.times, task.cells
 
 
 def stream_shard_releases(
@@ -409,30 +374,18 @@ def sharded_release_rounds(
     tasks = _shard_tasks(engine, true_db, plan)
     with owned_backend(backend) as live:
         results = live.run(_execute_shard, tasks)
+    if not tasks:
+        return []
 
-    # Flatten in shard order: shards hold contiguous blocks of the sorted
-    # user list, so rows arrive sorted by (user, time) globally.
-    n = sum(len(times) for task in tasks for times in task.times)
-    users_rows = np.empty(n, dtype=int)
-    times_rows = np.empty(n, dtype=int)
-    cells_rows = np.empty(n, dtype=int)
-    points = np.empty((n, 2), dtype=float)
-    exact = np.empty(n, dtype=bool)
-    epsilons = np.empty(n, dtype=float)
-    mechanism = ""
-    offset = 0
-    for task, (shard_points, shard_exact, shard_epsilons, shard_mechanism) in zip(tasks, results):
-        shard_start = offset
-        task_users, task_times, task_cells = _flatten_task_rows(task)
-        offset = shard_start + len(task_users)
-        users_rows[shard_start:offset] = task_users
-        times_rows[shard_start:offset] = task_times
-        cells_rows[shard_start:offset] = task_cells
-        points[shard_start:offset] = shard_points
-        exact[shard_start:offset] = shard_exact
-        epsilons[shard_start:offset] = shard_epsilons
-        if shard_mechanism:
-            mechanism = shard_mechanism
+    # Concatenate in shard order: shards hold contiguous blocks of the
+    # sorted user list, so rows arrive sorted by (user, time) globally.
+    shard_columns = [
+        _flatten_task_rows(task) + result[:3] for task, result in zip(tasks, results)
+    ]
+    users_rows, times_rows, cells_rows, points, exact, epsilons = (
+        np.concatenate(column) for column in zip(*shard_columns)
+    )
+    mechanism = results[-1][3]
 
     # Regroup user-major rows into time-major rounds; lexsort keys are
     # last-key-primary, so this orders by time then user — a deterministic

@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, AbstractSet, Mapping
 
 import numpy as np
 
-from repro.core.accounting import BudgetLedger
 from repro.errors import DataError, SnapshotUnavailableError, StoreError, ValidationError
 from repro.geo.grid import GridWorld
 from repro.store.accelerator import KIND_OBSERVED, KIND_TRUE, window_blocks
@@ -337,26 +336,21 @@ class QueryEngine:
         """One user's epsilon expenditure over the window, ledger-exact.
 
         A clustered primary-key range read of that user's rows (times
-        ascending), folded through a
-        :class:`~repro.core.accounting.BudgetLedger` — the same scalar
+        ascending), summed from 0.0 one float add at a time — the
         accumulation order the live server's ledger charges in, so the
         value is bit-identical to both the full-scan reference and the
         server's own in-window total.
         """
         self._check_coverage(window.end)
         rows = self.store.connection.execute(
-            "SELECT time, epsilon FROM releases "
+            "SELECT epsilon FROM releases "
             "WHERE user = ? AND time BETWEEN ? AND ? ORDER BY time",
             (int(user), window.start, window.end),
         ).fetchall()
-        ledger = BudgetLedger(record_entries=False)
-        ledger.charge_many(
-            [int(user)] * len(rows),
-            [time for time, _ in rows],
-            [epsilon for _, epsilon in rows],
-            purpose="query",
-        )
-        return ledger.spent(int(user))
+        total = 0.0
+        for (epsilon,) in rows:
+            total += epsilon
+        return total
 
     def trajectory(self, user: int, window: Window | None = None) -> "list[CheckIn]":
         """One user's released check-ins over the window, times ascending.

@@ -159,9 +159,8 @@ def full_scan_epsilon_spent(store: "TraceStore", user: int, window: Window) -> f
     """One user's window spend from a full pass, time-ascending accumulation.
 
     The scalar float adds run in the user's time order from 0.0 — the exact
-    accumulation the server ledger (and therefore the accelerator query's
-    :class:`~repro.core.accounting.BudgetLedger` fold) performs, so the
-    float is identical bit for bit, not merely close.
+    accumulation the server ledger and the accelerator query's fold
+    perform, so the float is identical bit for bit, not merely close.
     """
     users, times, _, epsilons = _scan(store)
     user = int(user)

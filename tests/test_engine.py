@@ -149,6 +149,47 @@ class TestBatchScalarIdentity:
         assert np.array_equal(batch.points, np.array([r.point for r in sequential]))
 
 
+class TestReleaseStreams:
+    @pytest.mark.parametrize("mechanism", FAST_MECHANISMS)
+    def test_blocks_match_one_call_per_stream(self, world, mechanism):
+        # Gc discloses cells 7 and 20: one block is empty, one all exact,
+        # one all noisy and two mixed.
+        engine = PrivacyEngine.from_spec(
+            world, mechanism=mechanism, policy="Gc", epsilon=1.0,
+            policy_params={"infected": [7, 20]},
+        )
+        cells = np.array([5, 7, 6, 20, 7, 8, 9, 7, 20, 3])
+        seeds, counts = [11, 12, 13, 14, 15], [3, 0, 2, 2, 3]
+        batch = engine.release_batch(cells, streams=(seeds, counts))
+        bounds = np.cumsum([0] + counts)
+        parts = [
+            engine.release_batch(cells[low:high], rng=seed)
+            for seed, low, high in zip(seeds, bounds[:-1], bounds[1:])
+        ]
+        for column in ("points", "exact", "epsilons", "cells"):
+            expected = np.concatenate([getattr(part, column) for part in parts])
+            assert np.array_equal(getattr(batch, column), expected)
+
+    def test_bad_streams_rejected(self, world):
+        engine = PrivacyEngine.from_spec(world, mechanism="P-LM", policy="G1", epsilon=1.0)
+        with pytest.raises(MechanismError, match="not both"):
+            engine.release_batch([1, 2], rng=0, streams=([1], [2]))
+        for streams in (([1, 2], [2]), ([1], [3]), ([1, 2], [3, -1])):
+            with pytest.raises(MechanismError, match="streams"):
+                engine.release_batch([1, 2], streams=streams)
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_misdeclared_uniform_width_caught(self, world, width):
+        from repro.core.mechanisms import PolicyLaplaceMechanism
+
+        class Misdeclared(PolicyLaplaceMechanism):
+            uniform_width = width  # the kernel reads 3 per row
+
+        mechanism = Misdeclared(world, grid_policy(world), 1.0)
+        with pytest.raises(MechanismError, match="uniform_width"):
+            mechanism.release_batch([1, 2, 3], streams=([1, 2], [2, 1]))
+
+
 class TestPdfMatrix:
     @pytest.mark.parametrize("mechanism", FAST_MECHANISMS)
     def test_matches_stacked_pdf_vector(self, world, mechanism):

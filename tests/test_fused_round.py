@@ -6,9 +6,8 @@ The contract under test (see ``docs/scaling.md``, "Kernel layer"):
   ``release_round_fused`` pass must be element-wise identical to the staged
   ``release_batch`` -> ``snap_batch`` -> ``area_of_batch`` pipeline on the
   same RNG stream, for every mechanism, workspace reuse notwithstanding;
-* shard workers never alias workspace buffers across shards (one workspace
-  per worker thread), so sharded output stays bit-identical for every shard
-  count and backend;
+* concurrently running shards never share mutable kernel state, so sharded
+  output stays bit-identical for every shard count and backend;
 * non-numpy array backends and the float32 adversary mode promise only
   *distributional* equivalence, with documented tolerances.
 """
@@ -226,8 +225,8 @@ class TestPipelineShardMatrix:
 
     def test_thread_backend_workspace_isolation_stress(self, world, engine):
         # Many shards on few threads: shard tasks share worker threads, so
-        # any cross-shard buffer aliasing in the per-thread workspaces would
-        # corrupt at least one of these runs.
+        # any cross-shard buffer aliasing would corrupt at least one of
+        # these runs.
         big_db = geolife_like(world, n_users=23, horizon=6, rng=3)
         reference = run_release_rounds_batched(world, big_db, engine, rng=11, shards=1)
         for _ in range(3):

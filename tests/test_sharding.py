@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.mechanisms import PolicyLaplaceMechanism
+from repro.core.mechanisms import Mechanism
 from repro.engine import (
     EngineSpec,
     ExecutionSpec,
@@ -13,16 +13,46 @@ from repro.engine import (
     ensure_backend,
     register_backend,
     resolve_backend,
+    resolve_policy,
     sharded_release_rounds,
 )
 from repro.engine.backends import ExecutionBackend, PoolBackend, SerialBackend, ThreadBackend
 from repro.errors import DataError, ValidationError
-from repro.experiments.configs import ExperimentConfig, build_policy
+from repro.experiments.configs import ExperimentConfig
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
 from repro.server.pipeline import run_release_rounds, run_release_rounds_batched
 
 BACKENDS = ["serial", "thread", "pool"]
+
+#: Every first-party mechanism, by canonical registry name.
+MECHANISMS = [
+    "planar_laplace",
+    "planar_isotropic",
+    "graph_exponential",
+    "geo_indistinguishability",
+    "optimal_lp",
+]
+
+#: Policy parameters: this Gc isolates (discloses) two of the cells the
+#: ``db`` fixture visits most, so its runs mix exact and noisy rows.
+POLICY_PARAMS = {"G1": {}, "Gc": {"infected": [5, 34]}}
+
+
+class _ScalarOnlyMechanism(Mechanism):
+    """A mechanism with only the scalar hooks and no ``uniform_width``.
+
+    The base class loops ``_perturb`` as its batch kernel, so a shard's
+    ``release_batch(streams=)`` runs that kernel once per user stream.
+    Normal draws consume a data-dependent amount of each stream, which only
+    that per-stream call keeps intact.
+    """
+
+    def _perturb(self, cell, rng):
+        return np.asarray(self.world.coords(cell)) + rng.normal(scale=1 / self.epsilon, size=2)
+
+    def _pdf(self, point, cell):
+        raise NotImplementedError
 
 
 @pytest.fixture
@@ -210,17 +240,47 @@ class TestShardedDeterminism:
         for user in db.users():
             assert sharded.ledger.spent(user) == reference.ledger.spent(user)
 
-    def test_sharded_matches_client_reference(self, world, db, engine):
+    @pytest.mark.parametrize("policy", ["G1", "Gc"])
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    def test_sharded_matches_client_reference(self, world, db, mechanism, policy):
         # The strongest form of the contract: the sharded aggregate view
         # replays the per-client protocol loop exactly (same per-user
-        # streams, same mechanism), shard count notwithstanding.
+        # streams, same mechanism), shard count notwithstanding — for every
+        # first-party mechanism, with and without disclosed cells.
+        engine = PrivacyEngine.from_spec(
+            world, mechanism=mechanism, policy=policy, epsilon=1.0,
+            policy_params=POLICY_PARAMS[policy],
+        )
+        if policy == "Gc" and mechanism != "geo_indistinguishability":  # Geo-I never discloses
+            exact = [engine.is_exact(checkin.cell) for checkin in db.checkins()]
+            assert any(exact) and not all(exact)
+        # Clients share the engine's mechanism: construction is deterministic,
+        # and the optimal LP over G1 takes about a second to solve.
         clients_server, _ = run_release_rounds(
-            world, db, build_policy("G1", world), PolicyLaplaceMechanism, epsilon=1.0, rng=42, window=9
+            world, db, engine.policy, lambda *_: engine.mechanism, epsilon=1.0, rng=42, window=9
         )
         sharded = run_release_rounds_batched(world, db, engine, rng=42, shards=4)
         assert list(sharded.released_db.checkins()) == list(
             clients_server.released_db.checkins()
         )
+        for user in db.users():
+            assert sharded.ledger.spent(user) == clients_server.ledger.spent(user)
+
+    @pytest.mark.parametrize("policy", ["G1", "Gc"])
+    def test_scalar_only_mechanism_matches_client_reference(self, world, db, policy):
+        graph = resolve_policy(policy)[1](world, **POLICY_PARAMS[policy])
+        mechanism = _ScalarOnlyMechanism(world, graph, 1.0)
+        clients_server, _ = run_release_rounds(
+            world, db, graph, lambda *_: mechanism, epsilon=1.0, rng=42, window=9
+        )
+        sharded = run_release_rounds_batched(
+            world, db, PrivacyEngine(world, graph, mechanism), rng=42, shards=4
+        )
+        assert list(sharded.released_db.checkins()) == list(
+            clients_server.released_db.checkins()
+        )
+        for user in db.users():
+            assert sharded.ledger.spent(user) == clients_server.ledger.spent(user)
 
     def test_discrete_mechanism_sharding(self, world, db):
         engine = PrivacyEngine.from_spec(world, mechanism="GraphExp", policy="Gb", epsilon=1.0)
