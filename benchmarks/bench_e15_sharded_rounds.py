@@ -43,12 +43,6 @@ def test_bench_sharded_rounds(benchmark, backend, shards):
     )
 
 
-def test_bench_unsharded_reference(benchmark):
-    """The PR 1 time-major single-stream path, for before/after comparison."""
-    world, db, engine = _workload()
-    benchmark(run_release_rounds_batched, world, db, engine, rng=0)
-
-
 def test_sharded_matches_unsharded():
     """Acceptance: every (backend, shards) pair releases identical values."""
     world, db, engine = _workload(size=8)

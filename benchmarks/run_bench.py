@@ -40,13 +40,6 @@ The artifact has four blocks (schema documented in ``docs/benchmarks.md``)::
                         "db_size_mb": 760.2, "rss_peak_mb": 310.5,
                         "rss_growth_mb": 45.1, ...}
       },
-      "fused_round": {                                    # E19
-        "staged_vs_fused": {"staged_seconds": 0.79, "fused_seconds": 0.41,
-                            "speedup": 1.9, "meets_target": true,
-                            "bit_exact": true, "rss_peak_mb": 265.5, ...},
-        "mega_round": {"releases": 10000000, "releases_per_sec": 5300000.0,
-                       "workspace_mb": 123.0, "rss_peak_mb": 410.2, ...}
-      },
       "rpc_backend": {                                    # E20
         "sweep": [{"backend": "rpc", "workers": 2, "shards": 4,
                    "seconds": 0.02, "releases_per_sec": 11500.0,
@@ -113,7 +106,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_e16_distributed_eval as bench_e16  # noqa: E402
 import bench_e17_epidemic_eval as bench_e17  # noqa: E402
 import bench_e18_durable_ingest as bench_e18  # noqa: E402
-import bench_e19_fused_round as bench_e19  # noqa: E402
 import bench_e20_rpc as bench_e20  # noqa: E402
 import bench_e21_live_metrics as bench_e21  # noqa: E402
 import bench_e22_queries as bench_e22  # noqa: E402
@@ -142,7 +134,6 @@ SHARDED_ENTRY = "e15_sharded_rounds"
 DISTRIBUTED_ENTRY = "e16_distributed_eval"
 EPIDEMIC_ENTRY = "e17_epidemic_eval"
 DURABLE_ENTRY = "e18_durable_ingest"
-FUSED_ENTRY = "e19_fused_round"
 RPC_ENTRY = "e20_rpc_backend"
 LIVE_ENTRY = "e21_live_metrics"
 QUERY_ENTRY = "e22_query_surface"
@@ -206,20 +197,11 @@ def run_durable_ingest(smoke: bool) -> dict:
     return bench_e18.durable_ingest_block(smoke)
 
 
-def run_fused_round(smoke: bool) -> dict:
-    """The E19 block: staged-vs-fused speedup plus the mega round.
-
-    Delegates to ``bench_e19_fused_round.fused_round_block`` — same
-    single-source-of-truth arrangement as E16/E17/E18.
-    """
-    return bench_e19.fused_round_block(smoke)
-
-
 def run_rpc_backend(smoke: bool) -> dict:
     """The E20 block: rpc sweep, pool-parity timing, and the chaos smoke.
 
     Delegates to ``bench_e20_rpc.rpc_block`` — same single-source-of-truth
-    arrangement as E16-E19.
+    arrangement as E16-E18.
     """
     return bench_e20.rpc_block(smoke)
 
@@ -249,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         "--only",
         action="append",
         choices=sorted(ENTRY_POINTS)
-        + [SHARDED_ENTRY, DISTRIBUTED_ENTRY, EPIDEMIC_ENTRY, DURABLE_ENTRY, FUSED_ENTRY, RPC_ENTRY, LIVE_ENTRY, QUERY_ENTRY],
+        + [SHARDED_ENTRY, DISTRIBUTED_ENTRY, EPIDEMIC_ENTRY, DURABLE_ENTRY, RPC_ENTRY, LIVE_ENTRY, QUERY_ENTRY],
         help="run only this entry point (repeatable)",
     )
     parser.add_argument(
@@ -266,7 +248,6 @@ def main(argv: list[str] | None = None) -> int:
         DISTRIBUTED_ENTRY,
         EPIDEMIC_ENTRY,
         DURABLE_ENTRY,
-        FUSED_ENTRY,
         RPC_ENTRY,
         LIVE_ENTRY,
         QUERY_ENTRY,
@@ -278,7 +259,6 @@ def main(argv: list[str] | None = None) -> int:
             DISTRIBUTED_ENTRY,
             EPIDEMIC_ENTRY,
             DURABLE_ENTRY,
-            FUSED_ENTRY,
             RPC_ENTRY,
             LIVE_ENTRY,
             QUERY_ENTRY,
@@ -346,24 +326,6 @@ def main(argv: list[str] | None = None) -> int:
             f"  out-of-core {ooc['rows']:,} rows at {ooc['rows_per_sec']:,.0f} rows/s, "
             f"{ooc['db_size_mb']}MB on disk, rss peak {ooc['rss_peak_mb']}MB "
             f"(growth {ooc['rss_growth_mb']}MB)"
-        )
-    if FUSED_ENTRY in names:
-        start = time.perf_counter()
-        payload["fused_round"] = run_fused_round(args.smoke)
-        payload["timings"][FUSED_ENTRY] = round(time.perf_counter() - start, 6)
-        print(f"{FUSED_ENTRY:<28} {payload['timings'][FUSED_ENTRY]:>10.3f}s")
-        versus = payload["fused_round"]["staged_vs_fused"]
-        print(
-            f"  fused {versus['fused_releases_per_sec']:>12,.0f} releases/s vs "
-            f"staged {versus['staged_releases_per_sec']:>12,.0f} releases/s "
-            f"({versus['speedup']}x, bit_exact={versus['bit_exact']}, "
-            f"rss peak {versus['rss_peak_mb']}MB)"
-        )
-        mega = payload["fused_round"]["mega_round"]
-        print(
-            f"  mega round {mega['releases']:,} releases at "
-            f"{mega['releases_per_sec']:,.0f} releases/s, workspace "
-            f"{mega['workspace_mb']}MB, rss peak {mega['rss_peak_mb']}MB"
         )
     if RPC_ENTRY in names:
         start = time.perf_counter()

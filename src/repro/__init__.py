@@ -126,7 +126,6 @@ from repro.engine import (
     ExecutionSpec,
     ShardPlan,
     ExecutionBackend,
-    sharded_release_rounds,
     register_mechanism,
     register_policy,
     register_backend,
@@ -225,7 +224,6 @@ __all__ = [
     "ExecutionSpec",
     "ShardPlan",
     "ExecutionBackend",
-    "sharded_release_rounds",
     "register_backend",
     "backend_names",
     "register_mechanism",

@@ -46,7 +46,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core.policy_graph import PolicyGraph
-from repro.core.workspace import RoundWorkspace
 from repro.core.xp import NUMPY_BACKEND, ArrayBackend, resolve_array_backend
 from repro.errors import MechanismError
 from repro.geo.grid import GridWorld
@@ -143,10 +142,10 @@ class ReleaseBatch:
 class _DrawnUniforms:
     """Uniforms drawn ahead of a kernel, served in draw order.
 
-    Exposes ``random(size=None, out=None)`` like
-    :meth:`numpy.random.Generator.random`, so a :attr:`Mechanism.uniform_width`
-    kernel reads the buffer exactly as it would read one generator.  Each
-    value is served once, so a kernel may use a served view as scratch.
+    Exposes ``random(size=None)`` like :meth:`numpy.random.Generator.random`,
+    so a :attr:`Mechanism.uniform_width` kernel reads the buffer exactly as
+    it would read one generator.  Each value is served once, so a kernel
+    may use a served view as scratch.
     """
 
     def __init__(self, uniforms: np.ndarray) -> None:
@@ -158,10 +157,7 @@ class _DrawnUniforms:
         """Uniforms not yet served."""
         return len(self._flat) - self._served
 
-    def random(self, size=None, out=None):
-        if out is not None:
-            out[...] = self._take(out.size).reshape(out.shape)
-            return out
+    def random(self, size=None):
         if size is None:
             return float(self._take(1)[0])
         return self._take(int(np.prod(size))).reshape(size)
@@ -196,12 +192,12 @@ class Mechanism(abc.ABC):
 
     #: Uniforms per noisy row that :meth:`_perturb_batch` consumes, or
     #: ``None``.  Declaring it promises that the kernel draws exactly
-    #: ``rng.random((n, uniform_width))`` for ``n`` cells, in row order (as
-    #: one block, in row tiles, or through ``out=``), and that each row's
-    #: output depends only on its own uniforms.  ``release_batch(streams=)``
-    #: then draws every stream's uniforms into one buffer and runs the
-    #: kernel once; with ``None`` it runs the kernel once per stream.  A
-    #: subclass that changes how the kernel draws must declare it again.
+    #: ``rng.random((n, uniform_width))`` for ``n`` cells, in row order, and
+    #: that each row's output depends only on its own uniforms.
+    #: ``release_batch(streams=)`` then draws every stream's uniforms into
+    #: one buffer and runs the kernel once; with ``None`` it runs the kernel
+    #: once per stream.  A subclass that changes how the kernel draws must
+    #: declare it again.
     uniform_width: int | None = None
 
     def __init__(self, world: GridWorld, graph: PolicyGraph, epsilon: float) -> None:
@@ -303,7 +299,6 @@ class Mechanism(abc.ABC):
         self,
         cells: Sequence[int],
         rng=None,
-        workspace: "RoundWorkspace | None" = None,
         streams: "tuple[Sequence[int], Sequence[int]] | None" = None,
     ) -> ReleaseBatch:
         """Release many (possibly perturbed) locations in one call.
@@ -322,14 +317,6 @@ class Mechanism(abc.ABC):
         releases all its users, each on their own stream, in one call.
         Validation, the exact mask, the exact points and the epsilons run
         once over all rows; see :attr:`uniform_width` for the kernel.
-
-        With ``workspace`` (a :class:`~repro.core.workspace.RoundWorkspace`)
-        every output column and kernel temporary lives in the workspace's
-        reused buffers instead of fresh allocations; the returned batch then
-        holds *views* that the next workspace-backed call overwrites.
-        Output is element-wise identical either way — uniforms are drawn
-        with ``rng.random(out=...)``, which consumes the same stream as the
-        allocating ``rng.random((n, k))``.
         """
         if streams is not None and rng is not None:
             raise MechanismError("release_batch takes rng or streams, not both")
@@ -351,27 +338,17 @@ class Mechanism(abc.ABC):
             raise MechanismError(
                 f"cell {int(bad[0])} is not covered by policy {self.graph.name!r}"
             )
-        if workspace is None or not self.array_backend.is_numpy:
-            exact = disclosed[cell_arr]
-            points = np.empty((n, 2), dtype=float)
-            epsilons = np.where(exact, 0.0, self.epsilon)
-        else:
-            exact = np.take(disclosed, cell_arr, out=workspace.bool_buffer("release_exact", n))
-            points = workspace.points_buffer("release_points", n)
-            epsilons = workspace.buffer("release_epsilons", n)
-            epsilons.fill(self.epsilon)
+        exact = disclosed[cell_arr]
+        points = np.empty((n, 2), dtype=float)
+        epsilons = np.where(exact, 0.0, self.epsilon)
         noisy = None  # every row is noisy
         if exact.any():
             points[exact] = self.world.coords_array(cell_arr[exact])
-            if workspace is not None and self.array_backend.is_numpy:
-                epsilons[exact] = 0.0
             noisy = np.flatnonzero(~exact)
         if streams is not None:
-            self._draw_streams(cell_arr, noisy, points, streams, workspace)
+            self._draw_streams(cell_arr, noisy, points, streams)
         elif n and (noisy is None or noisy.size):
-            self._draw(cell_arr, noisy, points, ensure_rng(rng), workspace)
-        if workspace is not None:
-            workspace.rounds_served += 1
+            self._draw(cell_arr, noisy, points, ensure_rng(rng))
         return ReleaseBatch(
             points=points,
             exact=exact,
@@ -380,23 +357,14 @@ class Mechanism(abc.ABC):
             mechanism=self.name,
         )
 
-    def _draw(self, cells, noisy, points, rng, workspace) -> None:
+    def _draw(self, cells, noisy, points, rng) -> None:
         """Fill ``points`` at the ``noisy`` rows (``None``: all) from ``rng``."""
-        if noisy is not None:
-            points[noisy] = self._perturb_batch(cells[noisy], rng, workspace=workspace)
-            return
-        # Hot path: nothing disclosed, so the kernel can write straight
-        # into the full points view (allocation-free with a workspace).
-        drawn = self._perturb_batch(
-            cells,
-            rng,
-            out=points if workspace is not None and self.array_backend.is_numpy else None,
-            workspace=workspace,
-        )
-        if drawn is not points:
-            points[...] = drawn
+        if noisy is None:
+            points[...] = self._perturb_batch(cells, rng)
+        else:
+            points[noisy] = self._perturb_batch(cells[noisy], rng)
 
-    def _draw_streams(self, cells, noisy, points, streams, workspace) -> None:
+    def _draw_streams(self, cells, noisy, points, streams) -> None:
         """Fill ``points`` at the ``noisy`` rows, block ``i`` from ``seeds[i]``."""
         seeds, counts = streams
         counts = np.asarray(counts, dtype=np.int64)
@@ -420,16 +388,14 @@ class Mechanism(abc.ABC):
         if width is None:
             for seed, low, high in blocks:
                 rows = slice(low, high) if noisy is None else noisy[low:high]
-                points[rows] = self._perturb_batch(
-                    cells[rows], np.random.default_rng(seed), workspace=workspace
-                )
+                points[rows] = self._perturb_batch(cells[rows], np.random.default_rng(seed))
             return
         uniforms = np.empty((len(cells) if noisy is None else noisy.size, width))
         for seed, low, high in blocks:
             np.random.default_rng(seed).random(out=uniforms[low:high])
         source = _DrawnUniforms(uniforms)
         if len(uniforms):
-            self._draw(cells, noisy, points, source, workspace)
+            self._draw(cells, noisy, points, source)
         if source.left:
             raise MechanismError(
                 f"{self.name} declares uniform_width={width} but its kernel "
@@ -541,25 +507,14 @@ class Mechanism(abc.ABC):
     def _pdf(self, point: np.ndarray, cell: int) -> float:
         """Release density at ``point`` for a non-disclosable ``cell``."""
 
-    def _perturb_batch(
-        self,
-        cells: np.ndarray,
-        rng: np.random.Generator,
-        out: np.ndarray | None = None,
-        workspace: RoundWorkspace | None = None,
-    ) -> np.ndarray:
+    def _perturb_batch(self, cells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Draw noisy releases for many non-disclosable cells: ``(n, 2)``.
 
         Generic fallback: a Python loop over :meth:`_perturb`.  Vectorized
         mechanisms override this (and usually delegate ``_perturb`` back to a
         singleton batch so scalar and batched runs share one RNG stream).
-        ``out`` (an ``(n, 2)`` float array) receives the draws in place when
-        given; ``workspace`` pools the kernel temporaries.  Both are
-        optional for overrides too — the fused path supplies them, the
-        staged path does not, and results are element-wise identical.
         """
-        if out is None:
-            out = np.empty((len(cells), 2), dtype=float)
+        out = np.empty((len(cells), 2), dtype=float)
         for i, cell in enumerate(cells):
             out[i] = self._perturb(int(cell), rng)
         return out

@@ -49,13 +49,7 @@ class GeoIndistinguishabilityMechanism(Mechanism):
     def _perturb(self, cell: int, rng: np.random.Generator) -> np.ndarray:
         return self._perturb_batch(np.array([cell]), rng)[0]
 
-    def _perturb_batch(
-        self,
-        cells: np.ndarray,
-        rng: np.random.Generator,
-        out: np.ndarray | None = None,
-        workspace=None,
-    ) -> np.ndarray:
+    def _perturb_batch(self, cells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         # Same inverse-CDF planar Laplace as P-LM, at the constant Geo-I rate.
         n = len(cells)
         backend = self.array_backend
@@ -66,22 +60,9 @@ class GeoIndistinguishabilityMechanism(Mechanism):
                 backend.from_numpy(rng.random((n, 3))),
                 xp=backend.xp,
             )
-            result = np.asarray(backend.asnumpy(device), dtype=float)
-            if out is not None:
-                out[...] = result
-                return out
-            return result
-        if workspace is not None:
-            centres = self.world.coords_array(
-                cells, out=workspace.points_buffer("geoi_centres", n), workspace=workspace
-            )
-            u = workspace.buffer("geoi_uniforms", n, cols=3)
-            rng.random(out=u)
-            if out is None:
-                out = workspace.points_buffer("geoi_points", n)
-            return planar_laplace_perturb(centres, self.epsilon, u, out=out)
+            return np.asarray(backend.asnumpy(device), dtype=float)
         return planar_laplace_perturb(
-            self.world.coords_array(cells), self.epsilon, rng.random((n, 3)), out=out
+            self.world.coords_array(cells), self.epsilon, rng.random((n, 3))
         )
 
     def _pdf(self, point: np.ndarray, cell: int) -> float:

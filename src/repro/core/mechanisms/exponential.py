@@ -83,30 +83,17 @@ class GraphExponentialMechanism(Mechanism):
     def _perturb(self, cell: int, rng: np.random.Generator) -> np.ndarray:
         return self._perturb_batch(np.array([cell]), rng)[0]
 
-    def _perturb_batch(
-        self,
-        cells: np.ndarray,
-        rng: np.random.Generator,
-        out: np.ndarray | None = None,
-        workspace=None,
-    ) -> np.ndarray:
+    def _perturb_batch(self, cells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         # One uniform per cell, mapped through the cell's cumulative pmf.
-        # The inverse-CDF walk is per-cell Python either way (table lookups,
-        # not arithmetic); the workspace path pools the uniform/choice
-        # buffers and writes the centres in place.
-        n = len(cells)
-        if workspace is not None:
-            u = workspace.buffer("gexp_uniforms", n)
-            rng.random(out=u)
-            choices = workspace.int_buffer("gexp_choices", n)
-        else:
-            u = rng.random(n)
-            choices = np.empty(n, dtype=int)
+        # The inverse-CDF walk is per-cell Python (table lookups, not
+        # arithmetic).
+        u = rng.random(len(cells))
+        choices = np.empty(len(cells), dtype=int)
         for i, cell in enumerate(cells):
             candidates = self._candidates[int(cell)]
             index = int(np.searchsorted(self._cmf(int(cell)), u[i], side="right"))
             choices[i] = candidates[min(index, len(candidates) - 1)]
-        return self.world.coords_array(choices, out=out, workspace=workspace)
+        return self.world.coords_array(choices)
 
     def _pdf(self, point: np.ndarray, cell: int) -> float:
         """Pmf of the cell whose centre the released point snaps to."""

@@ -30,46 +30,22 @@ from repro.core.policy_graph import PolicyGraph
 from repro.errors import MechanismError
 from repro.geo.grid import GridWorld
 
-from repro.core.workspace import FUSED_TILE_ROWS
-
 __all__ = ["PolicyLaplaceMechanism", "planar_laplace_perturb", "planar_laplace_pdf"]
 
 
-def planar_laplace_perturb(
-    centres: np.ndarray, rates, u: np.ndarray, out: np.ndarray | None = None, xp=np
-) -> np.ndarray:
+def planar_laplace_perturb(centres: np.ndarray, rates, u: np.ndarray, xp=np) -> np.ndarray:
     """Vectorized planar-Laplace draws from a block of uniforms.
 
     Inverse CDF: the radius is Gamma(2, 1/rate) (sum of two exponentials),
     the angle uniform.  ``u`` is ``(n, 3)`` with one row of uniforms per
     release, so callers consuming ``rng.random((n, 3))`` keep the stream
     identical to scalar sequential draws.  Shared by P-LM (per-component
-    rates) and the Geo-I baseline (one constant rate).
-
-    With ``out`` (numpy only) the draw runs entirely through ``out=`` ufunc
-    parameters, destroying ``u`` as scratch — the per-element operation
-    sequence is unchanged, so results are bit-identical to the allocating
-    path.  ``xp`` selects the array namespace for the allocating path
-    (CuPy / torch tensors in, same kind out).
+    rates) and the Geo-I baseline (one constant rate).  ``xp`` selects the
+    array namespace (CuPy / torch tensors in, same kind out).
     """
-    if out is None:
-        radii = -(xp.log1p(-u[:, 0]) + xp.log1p(-u[:, 1])) / rates
-        theta = 2.0 * math.pi * u[:, 2]
-        return centres + radii[:, None] * xp.column_stack((xp.cos(theta), xp.sin(theta)))
-    u0, u1, u2 = u[:, 0], u[:, 1], u[:, 2]
-    np.negative(u0, out=u0)
-    np.log1p(u0, out=u0)
-    np.negative(u1, out=u1)
-    np.log1p(u1, out=u1)
-    np.add(u0, u1, out=u0)
-    np.negative(u0, out=u0)
-    np.divide(u0, rates, out=u0)  # u0 now holds the radii
-    np.multiply(u2, 2.0 * math.pi, out=u2)  # u2 now holds theta
-    np.cos(u2, out=out[:, 0])
-    np.sin(u2, out=out[:, 1])
-    out *= u[:, 0:1]
-    out += centres
-    return out
+    radii = -(xp.log1p(-u[:, 0]) + xp.log1p(-u[:, 1])) / rates
+    theta = 2.0 * math.pi * u[:, 2]
+    return centres + radii[:, None] * xp.column_stack((xp.cos(theta), xp.sin(theta)))
 
 
 def planar_laplace_pdf(points: np.ndarray, centres: np.ndarray, rates, xp=np) -> np.ndarray:
@@ -143,19 +119,13 @@ class PolicyLaplaceMechanism(Mechanism):
         return 2.0 / self.noise_rate(cell)
 
     # ------------------------------------------------------------------
-    def _rates_for(self, cells: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.take(self._rate_table, cells, out=out)
+    def _rates_for(self, cells: np.ndarray) -> np.ndarray:
+        return np.take(self._rate_table, cells)
 
     def _perturb(self, cell: int, rng: np.random.Generator) -> np.ndarray:
         return self._perturb_batch(np.array([cell]), rng)[0]
 
-    def _perturb_batch(
-        self,
-        cells: np.ndarray,
-        rng: np.random.Generator,
-        out: np.ndarray | None = None,
-        workspace=None,
-    ) -> np.ndarray:
+    def _perturb_batch(self, cells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         n = len(cells)
         backend = self.array_backend
         if not backend.is_numpy:
@@ -167,40 +137,11 @@ class PolicyLaplaceMechanism(Mechanism):
                 backend.from_numpy(rng.random((n, 3))),
                 xp=backend.xp,
             )
-            result = np.asarray(backend.asnumpy(device), dtype=float)
-            if out is not None:
-                out[...] = result
-                return out
-            return result
-        if workspace is not None:
-            if out is None:
-                out = workspace.points_buffer("plm_points", n)
-            # Stream the round through tile-sized scratch: the centre / rate
-            # gathers and the uniform draws all land in the same small
-            # buffers every tile, so the multi-pass kernel runs out of cache
-            # and only ``out`` travels to RAM.  Draw order and per-element
-            # ops are unchanged, so the output is bit-exact against the
-            # allocating path on the same RNG stream.
-            tile_rows = min(n, FUSED_TILE_ROWS)
-            centres = workspace.points_buffer("plm_centres", tile_rows)
-            rates = workspace.buffer("plm_rates", tile_rows)
-            u = workspace.buffer("plm_uniforms", tile_rows, cols=3)
-            for start in range(0, n, FUSED_TILE_ROWS):
-                stop = min(start + FUSED_TILE_ROWS, n)
-                m = stop - start
-                tile_cells = cells[start:stop]
-                self.world.coords_array(tile_cells, out=centres[:m])
-                self._rates_for(tile_cells, out=rates[:m])
-                rng.random(out=u[:m])
-                planar_laplace_perturb(
-                    centres[:m], rates[:m], u[:m], out=out[start:stop]
-                )
-            return out
+            return np.asarray(backend.asnumpy(device), dtype=float)
         return planar_laplace_perturb(
             self.world.coords_array(cells),
             self._rates_for(cells),
             rng.random((n, 3)),
-            out=out,
         )
 
     def _pdf(self, point: np.ndarray, cell: int) -> float:

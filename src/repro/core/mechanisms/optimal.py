@@ -178,29 +178,16 @@ class OptimalDiscreteMechanism(Mechanism):
     def _perturb(self, cell: int, rng: np.random.Generator) -> np.ndarray:
         return self._perturb_batch(np.array([cell]), rng)[0]
 
-    def _perturb_batch(
-        self,
-        cells: np.ndarray,
-        rng: np.random.Generator,
-        out: np.ndarray | None = None,
-        workspace=None,
-    ) -> np.ndarray:
-        # One uniform per cell through the LP row's cumulative pmf; the
-        # workspace path pools the uniform/choice buffers and writes the
-        # centres in place (see GraphExponentialMechanism._perturb_batch).
-        n = len(cells)
-        if workspace is not None:
-            u = workspace.buffer("opt_uniforms", n)
-            rng.random(out=u)
-            choices = workspace.int_buffer("opt_choices", n)
-        else:
-            u = rng.random(n)
-            choices = np.empty(n, dtype=int)
+    def _perturb_batch(self, cells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        # One uniform per cell through the LP row's cumulative pmf (see
+        # GraphExponentialMechanism._perturb_batch).
+        u = rng.random(len(cells))
+        choices = np.empty(len(cells), dtype=int)
         for i, cell in enumerate(cells):
             support = self._support[int(cell)]
             index = int(np.searchsorted(self._cmf(int(cell)), u[i], side="right"))
             choices[i] = support[min(index, len(support) - 1)]
-        return self.world.coords_array(choices, out=out, workspace=workspace)
+        return self.world.coords_array(choices)
 
     def _pdf(self, point: np.ndarray, cell: int) -> float:
         released = self.world.snap(point)

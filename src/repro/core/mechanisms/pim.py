@@ -132,13 +132,7 @@ class PolicyPlanarIsotropicMechanism(Mechanism):
             )
         return directions
 
-    def _perturb_batch(
-        self,
-        cells: np.ndarray,
-        rng: np.random.Generator,
-        out: np.ndarray | None = None,
-        workspace=None,
-    ) -> np.ndarray:
+    def _perturb_batch(self, cells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         # Hardt-Talwar: z = x(s) + r * u with r ~ Gamma(3, 1/eps) (three
         # exponentials by inverse CDF) and u ~ Uniform(K).  Six uniforms per
         # row keep the stream identical to scalar sequential releases; cells
@@ -159,39 +153,7 @@ class PolicyPlanarIsotropicMechanism(Mechanism):
             device = backend.from_numpy(self.world.coords_array(cells)) + radii[
                 :, None
             ] * backend.from_numpy(directions)
-            result = np.asarray(backend.asnumpy(device), dtype=float)
-            if out is not None:
-                out[...] = result
-                return out
-            return result
-        if workspace is not None:
-            u = workspace.buffer("ppim_uniforms", n, cols=6)
-            rng.random(out=u)
-            u0, u1, u2 = u[:, 0], u[:, 1], u[:, 2]
-            np.negative(u0, out=u0)
-            np.log1p(u0, out=u0)
-            np.negative(u1, out=u1)
-            np.log1p(u1, out=u1)
-            np.negative(u2, out=u2)
-            np.log1p(u2, out=u2)
-            np.add(u0, u1, out=u0)
-            np.add(u0, u2, out=u0)
-            np.negative(u0, out=u0)
-            np.divide(u0, self.epsilon, out=u0)  # u0 now holds the radii
-            component = np.take(
-                self._component_table, cells, out=workspace.int_buffer("ppim_component", n)
-            )
-            directions = self._sample_directions(
-                component, u, workspace.points_buffer("ppim_directions", n)
-            )
-            centres = self.world.coords_array(
-                cells, out=workspace.points_buffer("ppim_centres", n), workspace=workspace
-            )
-            if out is None:
-                out = workspace.points_buffer("ppim_points", n)
-            np.multiply(directions, u[:, 0:1], out=out)
-            np.add(out, centres, out=out)
-            return out
+            return np.asarray(backend.asnumpy(device), dtype=float)
         u = rng.random((n, 6))
         radii = -(
             np.log1p(-u[:, 0]) + np.log1p(-u[:, 1]) + np.log1p(-u[:, 2])
@@ -199,11 +161,7 @@ class PolicyPlanarIsotropicMechanism(Mechanism):
         component = np.take(self._component_table, cells)
         directions = self._sample_directions(component, u, np.empty((n, 2)))
         centres = self.world.coords_array(cells)
-        result = centres + radii[:, None] * directions
-        if out is not None:
-            out[...] = result
-            return out
-        return result
+        return centres + radii[:, None] * directions
 
     def _pdf(self, point: np.ndarray, cell: int) -> float:
         hull = self._hull_by_component[self._component_index[cell]]

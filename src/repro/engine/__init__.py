@@ -13,9 +13,9 @@ population-scale engine:
   string-name registry;
 * :mod:`~repro.engine.registry` — one source of truth for mechanism and
   policy names shared by experiments, the CLI, and saved configs;
-* :class:`ShardPlan` + :func:`sharded_release_rounds` /
-  :func:`stream_shard_releases` — deterministic population sharding with
-  per-user RNG streams, executed on a pluggable :class:`ExecutionBackend`
+* :class:`ShardPlan` + :func:`stream_shard_releases` — deterministic
+  population sharding with per-user RNG streams, executed on a pluggable
+  :class:`ExecutionBackend`
   (``serial`` / ``thread`` / long-lived process ``pool`` / socket ``rpc``
   with deterministic worker-loss retry) so one seeded run
   reproduces element-wise at any shard count;
@@ -23,12 +23,10 @@ population-scale engine:
   :func:`sharded_metric` folds per-shard :class:`MetricShardResult`
   pieces with an exact associative merge, so E1/E4-class metrics scale
   over the same plans and backends as the release path;
-* the kernel layer (:mod:`repro.core.xp` + :mod:`repro.core.workspace`) —
-  a thin array-namespace seam (numpy reference, optional CuPy / torch by
-  registry name) under every mechanism kernel, plus
-  :meth:`PrivacyEngine.release_round_fused`: release → snap → area → flow
-  coding in one pass over a preallocated :class:`RoundWorkspace`, bit-exact
-  against the staged numpy path on the same RNG stream.
+* the kernel layer (:mod:`repro.core.xp`) — a thin array-namespace seam
+  (numpy reference, optional CuPy / torch by registry name) under every
+  mechanism kernel, plus :meth:`PrivacyEngine.release_round_fused`:
+  release → snap → area → flow coding in one call (a :class:`FusedRound`).
 """
 
 from repro.engine.backends import (
@@ -42,7 +40,6 @@ from repro.engine.backends import (
     register_backend,
     resolve_backend,
 )
-from repro.core.workspace import FusedRound, RoundWorkspace
 from repro.core.xp import (
     ArrayBackend,
     array_backend_names,
@@ -50,7 +47,7 @@ from repro.core.xp import (
     register_array_backend,
     resolve_array_backend,
 )
-from repro.engine.engine import EngineRef, PrivacyEngine, resolve_release_source
+from repro.engine.engine import EngineRef, FusedRound, PrivacyEngine, resolve_release_source
 from repro.engine.distributed import (
     MetricShardResult,
     merge_metric_results,
@@ -65,7 +62,7 @@ from repro.engine.registry import (
     resolve_mechanism,
     resolve_policy,
 )
-from repro.engine.sharding import ShardPlan, sharded_release_rounds, stream_shard_releases
+from repro.engine.sharding import ShardPlan, stream_shard_releases
 from repro.engine.specs import EngineSpec, ExecutionSpec, MechanismSpec, PolicySpec
 
 
@@ -88,7 +85,6 @@ __all__ = [
     "PolicySpec",
     "ExecutionSpec",
     "ShardPlan",
-    "sharded_release_rounds",
     "stream_shard_releases",
     "MetricShardResult",
     "sharded_metric",
@@ -110,7 +106,6 @@ __all__ = [
     "mechanism_names",
     "policy_names",
     "backend_names",
-    "RoundWorkspace",
     "FusedRound",
     "ArrayBackend",
     "register_array_backend",

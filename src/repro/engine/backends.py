@@ -33,7 +33,7 @@ extensions ride on top:
   whatever the backend holds (the ``pool`` backend's persistent executor).
   Call sites that *build* a backend from a registry name own it and must
   close it — including on error — which is what
-  :func:`~repro.engine.sharding.sharded_release_rounds` and the harness do.
+  :func:`~repro.engine.sharding.stream_shard_releases` and the harness do.
 """
 
 from __future__ import annotations

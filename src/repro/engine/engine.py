@@ -14,18 +14,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.core.mechanisms import Mechanism, Release, ReleaseBatch
 from repro.core.policy_graph import PolicyGraph
-from repro.core.workspace import FusedRound, RoundWorkspace
 from repro.engine.specs import EngineSpec
 from repro.errors import ValidationError
 from repro.geo.grid import GridWorld
 
-__all__ = ["PrivacyEngine", "EngineRef", "resolve_release_source"]
+__all__ = ["PrivacyEngine", "EngineRef", "FusedRound", "resolve_release_source"]
 
 
 class PrivacyEngine:
@@ -146,7 +146,6 @@ class PrivacyEngine:
         self,
         cells: Sequence[int],
         rng=None,
-        workspace: RoundWorkspace | None = None,
         streams: "tuple[Sequence[int], Sequence[int]] | None" = None,
     ) -> ReleaseBatch:
         """Perturb many true locations in one vectorized call.
@@ -157,10 +156,6 @@ class PrivacyEngine:
             Flat sequence of true cells, all covered by the policy.
         rng:
             Seed source (``None`` / int / generator).
-        workspace:
-            Optional :class:`~repro.core.workspace.RoundWorkspace`; when
-            given, the batch columns are views into reused buffers (copy
-            what you keep before the next workspace-backed call).
         streams:
             ``(seeds, counts)``, instead of ``rng``: the rows are
             consecutive blocks of ``counts[i]`` rows, and block ``i`` draws
@@ -180,9 +175,7 @@ class PrivacyEngine:
         :func:`~repro.server.pipeline.run_release_rounds_batched`, which can
         additionally shard this call across users.
         """
-        return self.mechanism.release_batch(
-            cells, rng=rng, workspace=workspace, streams=streams
-        )
+        return self.mechanism.release_batch(cells, rng=rng, streams=streams)
 
     def pdf_matrix(
         self, points, cells: Sequence[int] | None = None, dtype=None
@@ -218,31 +211,21 @@ class PrivacyEngine:
         cells: Sequence[int],
         rng=None,
         *,
-        workspace: RoundWorkspace | None = None,
         block_rows: int | None = None,
         block_cols: int | None = None,
         users=None,
         times=None,
     ) -> FusedRound:
-        """One fused release -> snap -> area -> flow-coding pass.
+        """Release, snap, area-code and flow-code one round in one call.
 
-        The staged pipeline materialises a fresh array at every stage; this
-        runs the same per-element operations through preallocated workspace
-        buffers, so from the second round on a fused pass allocates nothing.
-        On the numpy backend the outputs are **element-wise identical** to
-        ``release_batch`` -> ``snap_batch`` -> ``area_of_batch`` (same RNG
-        stream, same floating-op order); non-numpy backends fall back to the
-        staged kernels and copy into the workspace (distributionally
-        equivalent only).
+        The staged calls ``release_batch`` -> ``snap_batch`` ->
+        ``area_of_batch`` -> flow codes, bundled: the outputs are exactly
+        what those calls return on the same RNG stream.
 
         Parameters
         ----------
         cells / rng:
             As :meth:`release_batch`.
-        workspace:
-            Buffer pool to run over; ``None`` builds a private one sized to
-            this round (reuse it across rounds for the zero-allocation
-            steady state).
         block_rows / block_cols:
             When given, the snapped cells are also coarse-area coded
             (:meth:`~repro.geo.grid.GridWorld.area_of_batch`) into
@@ -251,53 +234,29 @@ class PrivacyEngine:
             Optional per-row user ids and time stamps, in ``(user, time)``
             order.  When given alongside the block shape, consecutive-step
             flow codes (``area[i] * n_areas + area[i+1]``) and their mask
-            are fused in as well — the exact codes
+            are computed as well — the exact codes
             :meth:`~repro.epidemic.monitor.LocationMonitor.flows_from_arrays`
             counts.
-
-        Returns
-        -------
-        FusedRound
-            Views into the workspace — consume or copy before the next
-            fused round overwrites them.
         """
-        if workspace is None:
-            workspace = RoundWorkspace.for_population(len(cells))
-        batch = self.mechanism.release_batch(cells, rng=rng, workspace=workspace)
-        n = len(batch)
-        snapped = self.world.snap_batch(
-            batch.points, out=workspace.int_buffer("fused_snapped", n), workspace=workspace
-        )
+        # The mechanism's own release_batch, not this engine's, so a traced
+        # run counts the round's releases once.
+        batch = self.mechanism.release_batch(cells, rng=rng)
+        snapped = self.world.snap_batch(batch.points)
         areas = flow_codes = flow_mask = None
         if block_rows is not None and block_cols is not None:
-            areas = self.world.area_of_batch(
-                snapped,
-                block_rows,
-                block_cols,
-                out=workspace.int_buffer("fused_areas", n),
-                workspace=workspace,
-            )
-            if users is not None and times is not None and n > 1:
+            areas = self.world.area_of_batch(snapped, block_rows, block_cols)
+            if users is not None and times is not None and len(batch) > 1:
                 users = np.asarray(users, dtype=int)
                 times = np.asarray(times, dtype=int)
                 n_areas = self.world.n_areas(block_rows, block_cols)
-                flow_mask = workspace.bool_buffer("fused_flow_mask", n - 1)
-                np.equal(users[1:], users[:-1], out=flow_mask)
-                step = workspace.int_buffer("fused_flow_scratch", n - 1)
-                np.add(times[:-1], 1, out=step)
-                same_time = workspace.bool_buffer("fused_flow_tmask", n - 1)
-                np.equal(times[1:], step, out=same_time)
-                flow_mask &= same_time
-                flow_codes = workspace.int_buffer("fused_flow_codes", n - 1)
-                np.multiply(areas[:-1], n_areas, out=flow_codes)
-                np.add(flow_codes, areas[1:], out=flow_codes)
+                flow_mask = (users[1:] == users[:-1]) & (times[1:] == times[:-1] + 1)
+                flow_codes = areas[:-1] * n_areas + areas[1:]
         return FusedRound(
             batch=batch,
             snapped=snapped,
             areas=areas,
             flow_codes=flow_codes,
             flow_mask=flow_mask,
-            workspace=workspace,
         )
 
     # ------------------------------------------------------------------
@@ -340,6 +299,40 @@ class PrivacyEngine:
             f"policy={self.policy.name!r}, epsilon={self.epsilon}, "
             f"world={self.world.width}x{self.world.height})"
         )
+
+
+@dataclass
+class FusedRound:
+    """The outputs of one :meth:`PrivacyEngine.release_round_fused` call.
+
+    ``batch`` carries the release columns in the usual
+    :class:`~repro.core.mechanisms.ReleaseBatch` shape.  ``flow_codes`` /
+    ``flow_mask`` are present only when the round was asked for flow coding
+    (``users=`` / ``times=`` given alongside the block shape):
+    ``flow_codes[i] = area[i] * n_areas + area[i+1]`` with ``flow_mask``
+    selecting consecutive same-user steps — exactly the codes
+    :meth:`~repro.epidemic.monitor.LocationMonitor.flows_from_arrays`
+    counts.
+    """
+
+    batch: ReleaseBatch
+    snapped: np.ndarray
+    areas: np.ndarray | None = None
+    flow_codes: np.ndarray | None = None
+    flow_mask: np.ndarray | None = None
+
+    @property
+    def points(self) -> np.ndarray:
+        """``(n, 2)`` released coordinates."""
+        return self.batch.points
+
+    @property
+    def cells(self) -> np.ndarray:
+        """``(n,)`` true cells the releases were drawn for."""
+        return self.batch.cells
+
+    def __len__(self) -> int:
+        return len(self.batch)
 
 
 #: spec hash -> built engine, per process.  In a worker of the ``pool``

@@ -1,12 +1,11 @@
-"""Population sharding for release rounds: plans, shard tasks, merge.
+"""Population sharding for release rounds: plans, shard tasks, streaming.
 
-PR 1–2 made a release *round* fast (one vectorized ``release_batch`` per
-timestep); this module scales *across users*.  A :class:`ShardPlan` splits
-the population into deterministic shards, each shard releases its users'
-whole trace through the engine, an
-:class:`~repro.engine.backends.ExecutionBackend` decides how the shards run
-(serial / thread pool / process pool / rpc), and :func:`sharded_release_rounds`
-merges the per-shard output back into time-ordered rounds for the server.
+A :class:`ShardPlan` splits the population into deterministic shards, each
+shard releases its users' whole trace through the engine in one
+``release_batch`` call, an :class:`~repro.engine.backends.ExecutionBackend`
+decides how the shards run (serial / thread pool / process pool / rpc), and
+:func:`stream_shard_releases` hands each finished shard to the server as it
+completes.  An unsharded run is a one-shard plan.
 
 Determinism contract
 --------------------
@@ -36,6 +35,7 @@ from repro.core.mechanisms.base import ReleaseBatch
 from repro.engine.backends import ExecutionBackend, owned_backend
 from repro.engine.engine import EngineRef, resolve_release_source
 from repro.errors import DataError, ValidationError
+from repro.utils.validation import check_integer
 from repro.utils.rng import spawn_seeds
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
@@ -45,7 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - hints only
 __all__ = [
     "ShardPlan",
     "ShardTask",
-    "sharded_release_rounds",
     "stream_shard_releases",
 ]
 
@@ -77,8 +76,9 @@ class ShardPlan:
     n_shards: int
 
     def __post_init__(self) -> None:
-        if self.n_shards < 1:
-            raise ValidationError(f"n_shards must be >= 1, got {self.n_shards}")
+        object.__setattr__(
+            self, "n_shards", check_integer("n_shards", self.n_shards, minimum=1)
+        )
         if len(self.users) != len(self.seeds):
             raise ValidationError(
                 f"{len(self.users)} users but {len(self.seeds)} seeds"
@@ -102,14 +102,15 @@ class ShardPlan:
             The population (any order; sorted and deduplicated here so the
             plan is a function of the *set* of users).
         n_shards:
-            Desired shard count, >= 1.
+            Desired shard count: a Python or numpy int >= 1 (a bool or a
+            float raises :class:`~repro.errors.ValidationError`).
         rng:
             Parent seed source for the per-user streams.  The same
             ``(rng seed, users)`` pair always yields the same plan.
         """
         ordered = sorted({int(user) for user in users})
         seeds = spawn_seeds(rng, len(ordered))
-        return cls(users=tuple(ordered), seeds=tuple(seeds), n_shards=int(n_shards))
+        return cls(users=tuple(ordered), seeds=tuple(seeds), n_shards=n_shards)
 
     # ------------------------------------------------------------------
     @cached_property
@@ -285,11 +286,10 @@ def stream_shard_releases(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, ReleaseBatch]]:
     """Yield each shard's releases **as the shard completes** (any order).
 
-    The streaming counterpart of :func:`sharded_release_rounds`: instead of
-    a full merge barrier (flatten every shard, lexsort the whole population,
-    regroup into rounds), each completed shard is handed to the consumer
-    immediately as ``(users, times, batch)`` row arrays in the shard's
-    user-major order.  :meth:`~repro.server.pipeline.Server.ingest_shard`
+    Instead of a full merge barrier (flatten every shard, lexsort the whole
+    population, regroup into rounds), each completed shard is handed to the
+    consumer immediately as ``(users, times, batch)`` row arrays in the
+    shard's user-major order.  :meth:`~repro.server.pipeline.Server.ingest_shard`
     consumes exactly this shape and commits each shard's rows ordered by
     ``(time, user)``.
 
@@ -301,9 +301,13 @@ def stream_shard_releases(
 
     Parameters
     ----------
-    engine / true_db / plan:
-        As in :func:`sharded_release_rounds` (the plan must cover exactly
-        the database's users).
+    engine:
+        The engine every shard releases through (picklable, so the pool
+        and rpc backends can ship it whole).
+    true_db:
+        Ground-truth traces; the plan must cover exactly its users.
+    plan:
+        Shard partition and per-user streams (see :class:`ShardPlan`).
     backend:
         A registry name, live backend, or ``None`` (serial).  Backends named
         here are owned by this generator and closed when the iteration
@@ -333,81 +337,3 @@ def stream_shard_releases(
                 cells=cells_rows,
                 mechanism=mechanism,
             )
-
-
-def sharded_release_rounds(
-    engine: "PrivacyEngine",
-    true_db: "TraceDB",
-    plan: ShardPlan,
-    backend: "str | ExecutionBackend | None" = "serial",
-) -> list[tuple[int, np.ndarray, ReleaseBatch]]:
-    """Release the whole population shard-parallel, merged back into rounds.
-
-    Parameters
-    ----------
-    engine:
-        The engine every shard releases through (picklable, so the pool
-        and rpc backends can ship it whole).
-    true_db:
-        Ground-truth traces; the plan must cover exactly its users.
-    plan:
-        Shard partition and per-user streams (see :class:`ShardPlan`).
-    backend:
-        Execution strategy — a registry name (``"serial"``, ``"thread"``,
-        ``"pool"``), a live backend, or ``None`` for serial.
-
-    Returns
-    -------
-    list of ``(time, users, batch)``
-        One entry per timestep, in increasing time order.  ``users`` is the
-        sorted array of users observed at that time and ``batch`` the merged
-        :class:`~repro.core.mechanisms.ReleaseBatch` with row ``i`` belonging
-        to ``users[i]`` — exactly what :meth:`Server.ingest_batch` consumes.
-
-    Determinism: output is a pure function of ``(engine, true_db, plan)``;
-    the backend and shard count never change a single release (asserted per
-    backend in ``tests/test_sharding.py``).  Backends named here (rather
-    than passed live) are closed before returning, even on error.
-    """
-    if plan.users != tuple(sorted(true_db.users())):
-        raise DataError("shard plan does not cover the trace database's users")
-    tasks = _shard_tasks(engine, true_db, plan)
-    with owned_backend(backend) as live:
-        results = live.run(_execute_shard, tasks)
-    if not tasks:
-        return []
-
-    # Concatenate in shard order: shards hold contiguous blocks of the
-    # sorted user list, so rows arrive sorted by (user, time) globally.
-    shard_columns = [
-        _flatten_task_rows(task) + result[:3] for task, result in zip(tasks, results)
-    ]
-    users_rows, times_rows, cells_rows, points, exact, epsilons = (
-        np.concatenate(column) for column in zip(*shard_columns)
-    )
-    mechanism = results[-1][3]
-
-    # Regroup user-major rows into time-major rounds; lexsort keys are
-    # last-key-primary, so this orders by time then user — a deterministic
-    # round layout shared by every shard count and backend.
-    order = np.lexsort((users_rows, times_rows))
-    rounds: list[tuple[int, np.ndarray, ReleaseBatch]] = []
-    sorted_times = times_rows[order]
-    round_times, starts = np.unique(sorted_times, return_index=True)
-    bounds = list(starts) + [len(order)]
-    for i, time in enumerate(round_times):
-        index = order[bounds[i] : bounds[i + 1]]
-        rounds.append(
-            (
-                int(time),
-                users_rows[index],
-                ReleaseBatch(
-                    points=points[index],
-                    exact=exact[index],
-                    epsilons=epsilons[index],
-                    cells=cells_rows[index],
-                    mechanism=mechanism,
-                ),
-            )
-        )
-    return rounds

@@ -21,7 +21,7 @@ from repro.engine.backends import ExecutionBackend, resolve_backend
 from repro.engine.registry import resolve_mechanism, resolve_policy
 from repro.errors import ValidationError
 from repro.geo.grid import GridWorld
-from repro.utils.validation import check_epsilon
+from repro.utils.validation import check_epsilon, check_integer
 
 __all__ = ["MechanismSpec", "PolicySpec", "ExecutionSpec", "EngineSpec"]
 
@@ -68,9 +68,11 @@ class MechanismSpec:
 
 @dataclass(frozen=True)
 class ExecutionSpec:
-    """How sharded release rounds should run: shard count and backend.
+    """How release rounds should run: shard count and backend.
 
-    ``backend`` is a registry name (``"serial"``, ``"thread"``,
+    ``shards`` is a Python or numpy int >= 1; a bool, a float or any other
+    type raises :class:`~repro.errors.ValidationError` instead of being
+    truncated.  ``backend`` is a registry name (``"serial"``, ``"thread"``,
     ``"pool"``, ``"rpc"``, or anything added via
     :func:`~repro.engine.backends.register_backend`); ``params`` are
     forwarded to the backend factory — ``max_workers`` for the thread and
@@ -115,8 +117,7 @@ class ExecutionSpec:
     live_metrics: bool = False
 
     def __post_init__(self) -> None:
-        if int(self.shards) < 1:
-            raise ValidationError(f"shards must be >= 1, got {self.shards}")
+        object.__setattr__(self, "shards", check_integer("shards", self.shards, minimum=1))
         if self.resume and self.store is None:
             raise ValidationError("resume=True requires a store path")
         if self.array_backend is not None:
@@ -141,11 +142,11 @@ class ExecutionSpec:
 class EngineSpec:
     """Everything needed to build a :class:`PrivacyEngine` except the world.
 
-    ``execution`` is optional: ``None`` (the default) means the caller never
-    asked for sharded execution, so pipelines keep their single-stream
-    behaviour; a populated :class:`ExecutionSpec` makes
-    :func:`~repro.server.pipeline.run_release_rounds_batched` shard rounds
-    with that backend unless the call site overrides it.
+    ``execution`` is optional: ``None`` (the default) means the defaults of
+    an empty :class:`ExecutionSpec` — one serial shard, in memory.  A
+    populated block makes
+    :func:`~repro.server.pipeline.run_release_rounds_batched` run with its
+    settings wherever the call site leaves an argument unset.
     """
 
     mechanism: MechanismSpec
@@ -259,7 +260,7 @@ class EngineSpec:
             if execution is None
             else ExecutionSpec(
                 backend=execution.get("backend", "serial"),
-                shards=int(execution.get("shards", 1)),
+                shards=execution.get("shards", 1),
                 params=dict(execution.get("params", {})),
                 store=execution.get("store"),
                 resume=bool(execution.get("resume", False)),

@@ -23,18 +23,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.utils.validation import check_integer, check_positive
 
-__all__ = ["GridWorld", "FUSED_TILE_ROWS"]
-
-#: Row-tile size shared by the fused kernels (P-LM / Geo-I perturbation,
-#: snapping, area coding).  A fused kernel makes several elementwise passes
-#: over its buffers; running those passes over contiguous row blocks keeps
-#: each block resident in L2 instead of streaming the whole round through
-#: RAM once per pass.  Tiling changes neither the RNG stream (uniform tiles
-#: fill the same contiguous buffer in draw order) nor any per-element
-#: floating-op sequence, so fused output stays bit-exact.  Defined here, at
-#: the bottom of the dependency graph, and re-exported by
-#: :mod:`repro.core.workspace`, the kernel layer's public face.
-FUSED_TILE_ROWS = 16384
+__all__ = ["GridWorld"]
 
 
 class GridWorld:
@@ -120,41 +109,15 @@ class GridWorld:
             raise ValidationError(f"cell id out of range in {context}")
         return arr
 
-    def _centre_table(self) -> np.ndarray:
-        """Write-protected ``(n_cells, 2)`` table of every cell centre.
-
-        Built once per world with the same formula as the allocating
-        :meth:`coords_array` path, so gathering rows from it is bit-exact
-        against computing the centres on the fly.
-        """
-        table = self.__dict__.get("_coords_table")
-        if table is None:
-            table = self.coords_array()
-            table.setflags(write=False)
-            self.__dict__["_coords_table"] = table
-        return table
-
-    def coords_array(self, cells=None, out=None, workspace=None) -> np.ndarray:
-        """``(n, 2)`` array of centre coordinates for ``cells`` (default: all).
-
-        With ``out`` (an ``(n, 2)`` float array, usually a
-        :class:`~repro.core.workspace.RoundWorkspace` view) the centres are
-        gathered from the cached :meth:`_centre_table` in one ``np.take`` —
-        element-wise identical to the allocating path, since the table rows
-        were computed with the same ``(col + 0.5) * cell_size`` formula.
-        ``workspace`` is accepted for signature symmetry with the other
-        fused kernels; the gather needs no scratch.
-        """
+    def coords_array(self, cells=None) -> np.ndarray:
+        """``(n, 2)`` array of centre coordinates for ``cells`` (default: all)."""
         if cells is None:
             cells = np.arange(self.n_cells)
         cells = self.cells_array(cells, context="coords_array")
-        if out is None:
-            rows, cols = np.divmod(cells, self.width)
-            return np.column_stack(
-                ((cols + 0.5) * self.cell_size, (rows + 0.5) * self.cell_size)
-            )
-        np.take(self._centre_table(), cells, axis=0, out=out)
-        return out
+        rows, cols = np.divmod(cells, self.width)
+        return np.column_stack(
+            ((cols + 0.5) * self.cell_size, (rows + 0.5) * self.cell_size)
+        )
 
     def snap(self, point) -> int:
         """Cell id containing the continuous point (clamped to the map edge).
@@ -169,46 +132,14 @@ class GridWorld:
         row = min(max(int(np.floor(y)), 0), self.height - 1)
         return self.cell_of(row, col)
 
-    def snap_batch(self, points, out=None, workspace=None) -> np.ndarray:
-        """Vectorized :meth:`snap`: ``(n, 2)`` points to ``(n,)`` cell ids.
-
-        With ``out`` (an ``(n,)`` int array) snapping runs through ``out=``
-        ufunc parameters over workspace scratch instead of allocating —
-        the per-element sequence (divide, floor, int cast, clip, combine)
-        is identical, so the snapped ids match the allocating path exactly.
-        """
+    def snap_batch(self, points) -> np.ndarray:
+        """Vectorized :meth:`snap`: ``(n, 2)`` points to ``(n,)`` cell ids."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValidationError(f"snap_batch expects (n, 2) points, got {pts.shape}")
-        if out is None:
-            cols = np.clip(np.floor(pts[:, 0] / self.cell_size).astype(int), 0, self.width - 1)
-            rows = np.clip(np.floor(pts[:, 1] / self.cell_size).astype(int), 0, self.height - 1)
-            return rows * self.width + cols
-        n = len(pts)
-        if workspace is not None:
-            scratch = workspace.buffer("geo_scratch_f", n)
-            cols = workspace.int_buffer("geo_scratch_i", n)
-        else:
-            scratch = np.empty(n, dtype=float)
-            cols = np.empty(n, dtype=int)
-        # Tiled over contiguous row blocks so the multi-pass sequence stays
-        # in cache; per-element ops are unchanged, so ids stay bit-exact.
-        for start in range(0, n, FUSED_TILE_ROWS):
-            stop = min(start + FUSED_TILE_ROWS, n)
-            s = scratch[start:stop]
-            c = cols[start:stop]
-            o = out[start:stop]
-            np.divide(pts[start:stop, 0], self.cell_size, out=s)
-            np.floor(s, out=s)
-            c[...] = s  # the staged path's astype(int)
-            np.clip(c, 0, self.width - 1, out=c)
-            np.divide(pts[start:stop, 1], self.cell_size, out=s)
-            np.floor(s, out=s)
-            o[...] = s
-            np.clip(o, 0, self.height - 1, out=o)
-            np.multiply(o, self.width, out=o)
-            np.add(o, c, out=o)
-        return out
+        cols = np.clip(np.floor(pts[:, 0] / self.cell_size).astype(int), 0, self.width - 1)
+        rows = np.clip(np.floor(pts[:, 1] / self.cell_size).astype(int), 0, self.height - 1)
+        return rows * self.width + cols
 
     def distance(self, a: int, b: int) -> float:
         """Euclidean distance between the centres of two cells."""
@@ -258,40 +189,14 @@ class GridWorld:
         blocks_per_row = -(-self.width // block_cols)  # ceil division
         return (row // block_rows) * blocks_per_row + (col // block_cols)
 
-    def area_of_batch(self, cells, block_rows: int, block_cols: int, out=None, workspace=None) -> np.ndarray:
-        """Vectorized :meth:`area_of`: ``(n,)`` cell ids to ``(n,)`` area ids.
-
-        With ``out`` (an ``(n,)`` int array, must not alias ``cells``) the
-        area codes are computed in place over workspace scratch; pure
-        integer arithmetic, so results are identical to the allocating
-        path.
-        """
+    def area_of_batch(self, cells, block_rows: int, block_cols: int) -> np.ndarray:
+        """Vectorized :meth:`area_of`: ``(n,)`` cell ids to ``(n,)`` area ids."""
         check_integer("block_rows", block_rows, minimum=1)
         check_integer("block_cols", block_cols, minimum=1)
         arr = self.cells_array(cells, context="area_of_batch")
         blocks_per_row = -(-self.width // block_cols)  # ceil division
-        if out is None:
-            rows, cols = np.divmod(arr, self.width)
-            return (rows // block_rows) * blocks_per_row + (cols // block_cols)
-        n = len(arr)
-        rows = (
-            workspace.int_buffer("geo_scratch_i", n)
-            if workspace is not None
-            else np.empty(n, dtype=int)
-        )
-        for start in range(0, n, FUSED_TILE_ROWS):
-            stop = min(start + FUSED_TILE_ROWS, n)
-            a = arr[start:stop]
-            r = rows[start:stop]
-            o = out[start:stop]
-            np.floor_divide(a, self.width, out=r)
-            np.multiply(r, self.width, out=o)
-            np.subtract(a, o, out=o)  # o holds cols
-            np.floor_divide(o, block_cols, out=o)
-            np.floor_divide(r, block_rows, out=r)
-            np.multiply(r, blocks_per_row, out=r)
-            np.add(o, r, out=o)
-        return out
+        rows, cols = np.divmod(arr, self.width)
+        return (rows // block_rows) * blocks_per_row + (cols // block_cols)
 
     def n_areas(self, block_rows: int, block_cols: int) -> int:
         """Number of coarse areas in the ``block_rows x block_cols`` tiling."""

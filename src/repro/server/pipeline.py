@@ -6,20 +6,17 @@ policy updates.  :func:`run_release_rounds` drives a whole population through
 a time window — the loop every experiment's "server view" comes from.
 
 For throughput work there is a second, population-level path:
-:func:`run_release_rounds_batched` releases every user's location for a
-timestep in *one* :meth:`~repro.engine.PrivacyEngine.release_batch` call and
-ingests the whole round via :meth:`Server.ingest_batch`.  It models the
-server-side aggregate view (no per-user ``Client`` objects), which is what
-the monitoring / analysis apps consume at scale.
-
-The batched path also scales *across users*: pass ``shards=`` / ``backend=``
-(or build the engine from a spec carrying an
-:class:`~repro.engine.specs.ExecutionSpec`) and the population is split by a
-deterministic :class:`~repro.engine.sharding.ShardPlan` whose per-user RNG
-streams make the output invariant under shard count and execution backend —
-a k-shard ``pool`` run reproduces the 1-shard run, which itself
-reproduces the per-client reference :func:`run_release_rounds`.  Sharded
-runs ingest *streamingly*: each shard's releases are committed via
+:func:`run_release_rounds_batched` splits the population by a deterministic
+:class:`~repro.engine.sharding.ShardPlan` (one shard unless ``shards=``,
+``backend=`` or the engine spec's
+:class:`~repro.engine.specs.ExecutionSpec` say otherwise) and releases each
+shard's users in one :meth:`~repro.engine.PrivacyEngine.release_batch` call.
+It models the server-side aggregate view (no per-user ``Client`` objects),
+which is what the monitoring / analysis apps consume at scale.  Per-user
+RNG streams make the output invariant under shard count and execution
+backend — a k-shard ``pool`` run reproduces the 1-shard run, which itself
+reproduces the per-client reference :func:`run_release_rounds`.  Runs
+ingest *streamingly*: each shard's releases are committed via
 :meth:`Server.ingest_shard` as the shard completes, rather than waiting on
 a full population merge.
 
@@ -42,13 +39,12 @@ from __future__ import annotations
 import queue
 import threading
 import time as _time
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.core.accounting import BudgetLedger
 from repro.core.mechanisms.base import Mechanism, Release, ReleaseBatch
-from repro.core.workspace import RoundWorkspace
 from repro.core.policy_graph import PolicyGraph
 from repro.errors import CommitStalledError, DataError, PolicyError, ValidationError
 from repro.geo.grid import GridWorld
@@ -224,11 +220,9 @@ class Server:
         :func:`~repro.server.live_metrics.expected_coverage`).  Read the
         live values with :meth:`metrics_at`.
 
-        Live views ride the *sharded* ingest path: attaching makes the
-        ``shard=`` argument to :meth:`ingest_shard` mandatory (it keys the
-        registry's deltas, exactly like the store's commit marks) and makes
-        :meth:`ingest_batch` refuse — the round-major path carries no shard
-        identity to fold under.
+        Attaching makes the ``shard=`` argument to :meth:`ingest_shard`
+        mandatory: it keys the registry's deltas, exactly like the store's
+        commit marks.
 
         Returns the registry.  Attaching twice is a
         :class:`~repro.errors.ValidationError`: the first registry's folded
@@ -264,67 +258,6 @@ class Server:
         self.ledger.charge(user, time, release.epsilon, purpose=purpose)
         return cell
 
-    def ingest_batch(
-        self,
-        users: Sequence[int],
-        time: int,
-        batch: ReleaseBatch,
-        purpose: str = "stream",
-        snapped=None,
-    ):
-        """Store a whole release round in bulk.
-
-        Parameters
-        ----------
-        users:
-            One user id per batch row: ``batch[i]`` is user ``users[i]``'s
-            release at ``time``.
-        time:
-            The round's timestep.
-        batch:
-            The round's releases (``len(batch) == len(users)``, else
-            :class:`~repro.errors.DataError`).
-        purpose:
-            Ledger purpose tag (defaults to the streaming feed).
-        snapped:
-            Optional precomputed snapped cells for the batch (one per row) —
-            the fused pipeline already snapped during
-            :meth:`~repro.engine.PrivacyEngine.release_round_fused`, so
-            passing ``FusedRound.snapped`` here skips a second
-            :meth:`~repro.geo.grid.GridWorld.snap_batch` pass.  Snapping is
-            deterministic, so supplying it never changes recorded state.
-
-        Returns
-        -------
-        numpy.ndarray
-            The snapped cell per row.  Snapping is vectorized; recorded
-            trace rows and budget charges are identical to what per-row
-            scalar :meth:`ingest` calls would have produced.
-        """
-        if self._metrics is not None:
-            raise DataError(
-                "live metric views ride the sharded ingest path "
-                "(ingest_shard with shard=); ingest_batch carries no shard "
-                "identity to fold under"
-            )
-        if len(users) != len(batch):
-            raise DataError(
-                f"batch of {len(batch)} releases does not match {len(users)} users"
-            )
-        if snapped is None:
-            cells = self.world.snap_batch(batch.points)
-        else:
-            cells = np.asarray(snapped)
-            if cells.shape != (len(batch),):
-                raise DataError(
-                    f"snapped cells of shape {cells.shape} do not match "
-                    f"batch of {len(batch)} releases"
-                )
-        for user, cell, epsilon in zip(users, cells, batch.epsilons):
-            self.released_db.record(int(user), time, int(cell))
-            self.ledger.charge(int(user), time, float(epsilon), purpose=purpose)
-        return cells
-
     def ingest_shard(
         self,
         users,
@@ -335,10 +268,8 @@ class Server:
     ):
         """Stream one population shard's releases into the server.
 
-        The streaming counterpart of :meth:`ingest_batch`: where that method
-        takes one *round* (one timestep, many users), this takes one
-        *shard* (many users, their whole traces) the moment the shard's
-        worker finishes — which is how the sharded pipeline ingests results
+        Takes one *shard* (many users, their whole traces) the moment the
+        shard's worker finishes — which is how the pipeline ingests results
         as they complete instead of holding every shard for a full
         merge-and-lexsort barrier.
 
@@ -384,10 +315,10 @@ class Server:
         Across shards the arrival order follows backend scheduling, but
         every user lives in exactly one shard, so all per-user state — the
         released trace rows, and each user's ledger total (charges arrive
-        in that user's time order) — is identical to what the barrier path
-        (:func:`~repro.engine.sharding.sharded_release_rounds` +
-        :meth:`ingest_batch` per round) produces.  Only the interleaving of
-        *different* users' ledger entries can vary with scheduling.
+        in that user's time order) — is identical to what the per-client
+        reference :func:`run_release_rounds` produces.  Only the
+        interleaving of *different* users' ledger entries can vary with
+        scheduling.
         """
         users = np.asarray(users, dtype=int)
         times = np.asarray(times, dtype=int)
@@ -764,18 +695,21 @@ def run_release_rounds_batched(
     backend=None,
     async_ingest: bool = False,
     store=None,
-    resume: bool = False,
+    resume: bool | None = None,
     out_of_core: bool = False,
-    live_metrics=False,
+    live_metrics=None,
 ) -> Server:
-    """Release the whole population through the engine, one round per timestep.
+    """Release the whole population through the engine, one shard at a time.
 
     The population-scale counterpart of :func:`run_release_rounds`: instead
-    of simulating a ``Client`` per user, whole rounds go through
-    :meth:`~repro.engine.PrivacyEngine.release_batch` and the server ingests
-    them in bulk via :meth:`Server.ingest_batch`.  This is the hot path a
-    collector serving millions of users runs; the per-client loop remains the
-    reference for protocol-level behaviour (local DBs, consent, re-sends).
+    of simulating a ``Client`` per user, a
+    :class:`~repro.engine.sharding.ShardPlan` splits the sorted users into
+    shards, each shard's users go through one
+    :meth:`~repro.engine.PrivacyEngine.release_batch` call, and the server
+    commits each shard via :meth:`Server.ingest_shard` as it completes.
+    This is the hot path a collector serving millions of users runs; the
+    per-client loop remains the reference for protocol-level behaviour
+    (local DBs, consent, re-sends).
 
     Parameters
     ----------
@@ -786,43 +720,30 @@ def run_release_rounds_batched(
     engine:
         The :class:`~repro.engine.PrivacyEngine` every release goes through.
     rng:
-        Seed source (``None`` / int / generator, per
-        :func:`~repro.utils.rng.ensure_rng`).
+        Parent seed source (``None`` / int / generator, per
+        :func:`~repro.utils.rng.ensure_rng`).  Every user releases from their
+        own stream, spawned :func:`~repro.utils.rng.spawn_rngs`-style from
+        ``rng`` over the sorted user list.
     shards:
-        Number of population shards (>= 1).  Selecting sharding switches the
-        randomness layout from one shared stream to *per-user* streams
-        (spawned :func:`~repro.utils.rng.spawn_rngs`-style from ``rng`` over
-        the sorted user list), so the result is identical for every shard
-        count and backend — and element-wise equal to the seeded
-        :func:`run_release_rounds` client reference.
+        Number of population shards, a Python or numpy int >= 1 (a bool or
+        a float raises :class:`~repro.errors.ValidationError`).  The result
+        is identical for every shard count and backend.
     backend:
         Execution backend for the shards — a registry name (``"serial"``,
         ``"thread"``, ``"pool"``) or a live
-        :class:`~repro.engine.backends.ExecutionBackend` instance.  When
-        only one of ``shards`` / ``backend`` is given, the other falls back
-        to the engine spec's execution block (if any) before the serial /
-        1-shard defaults.
+        :class:`~repro.engine.backends.ExecutionBackend` instance.
     async_ingest:
         ``False`` (default) commits each shard synchronously on the
         producing thread.  ``True`` commits through an
         :class:`AsyncShardCommitter` (default queue depth) instead,
         overlapping commit work with release computation behind a bounded
         backpressure queue — per-user server state is element-wise
-        unchanged (see the committer's contract).  Requires the sharded
-        path: the single-stream layout has no shard commits to overlap, so
-        requesting async ingestion without ``shards`` / ``backend`` (or a
-        spec execution block) raises :class:`~repro.errors.ValidationError`
-        rather than silently switching RNG layouts.
+        unchanged (see the committer's contract).
     store:
         Optional durable store — a live :class:`~repro.store.TraceStore`,
         a path, or ``None``.  When set, every shard commits transactionally
         with its ``(shard, round)`` recovery marks, and the run can be
-        resumed after a crash (see ``resume``).  Falls back to the engine
-        spec's execution block (``ExecutionSpec.store``).  Durability rides
-        the sharded streaming path only: the single-stream layout advances
-        one shared RNG sequentially and therefore cannot skip committed
-        work, so a store without ``shards`` / ``backend`` raises
-        :class:`~repro.errors.ValidationError`.
+        resumed after a crash (see ``resume``).
     resume:
         Continue an interrupted run recorded in ``store``.  The store's
         manifest (engine spec hash, shard-plan fingerprint, world shape)
@@ -846,10 +767,13 @@ def run_release_rounds_batched(
         attaches those.  Read with ``server.metrics_at(round=r)`` — every
         frozen value is bit-identical to the batch recomputation.  On a
         resumed run the replayed shards are folded back in, so the rebuilt
-        live state equals a never-killed run's.  Rides the sharded
-        streaming path only (deltas are keyed by shard), like ``store``;
-        falls back to the engine spec's execution block
-        (``ExecutionSpec.live_metrics``).
+        live state equals a never-killed run's.
+
+    ``shards``, ``backend``, ``store``, ``resume`` and ``live_metrics`` are
+    resolved once: a value given here wins (``None`` means "not given", so
+    an explicit ``False`` wins too), else the engine spec's
+    :class:`~repro.engine.specs.ExecutionSpec` block, else the defaults —
+    one serial shard, in memory, no resume, no live views.
 
     Returns
     -------
@@ -859,83 +783,33 @@ def run_release_rounds_batched(
 
     Determinism notes
     -----------------
-    When neither ``shards`` nor ``backend`` is given (and the engine's spec
-    carries no :class:`~repro.engine.specs.ExecutionSpec`), the original
-    single-stream path runs: one generator drawn time-major across rounds,
-    element-wise equal to scalar ``engine.release`` calls in (time, user)
-    order.  Any sharding request switches to the per-user-stream contract
-    above; the two layouts consume ``rng`` differently, so their outputs
-    differ from each other (each is individually reproducible).
+    A run without ``shards`` is a one-shard run: its output equals the
+    ``shards=1`` run's, every k-shard run's on any backend, and the seeded
+    :func:`run_release_rounds` client reference's, row for row.
     """
+    from contextlib import ExitStack
+
+    from repro.engine.sharding import ShardPlan, stream_shard_releases
+    from repro.engine.specs import ExecutionSpec
+
     if not true_db.users():
         raise DataError("true trace database has no users")
     execution = engine.spec.execution if engine.spec is not None else None
-    if execution is not None:
-        # The spec's execution block supplies store defaults the same way it
-        # supplies shards/backend: explicit arguments win, spec fills gaps.
-        if store is None and getattr(execution, "store", None):
-            store = execution.store
-        resume = bool(resume or getattr(execution, "resume", False))
-        if live_metrics is False and getattr(execution, "live_metrics", False):
-            live_metrics = True
-    if shards is None and backend is None and execution is None:
-        if async_ingest:
-            raise ValidationError(
-                "async ingestion rides the sharded streaming path; "
-                "pass shards= and/or backend= to enable it"
-            )
-        if store is not None or resume or out_of_core:
-            raise ValidationError(
-                "a durable store rides the sharded streaming path (shard "
-                "commits are its recovery unit); pass shards= and/or "
-                "backend= to enable it"
-            )
-        if live_metrics:
-            raise ValidationError(
-                "live metric views ride the sharded streaming path (deltas "
-                "are keyed by shard commits); pass shards= and/or backend= "
-                "to enable them"
-            )
-        generator = ensure_rng(rng)
-        server = Server(world)
-        # One fused release->snap pass per round over a single reused
-        # workspace: zero allocations per round from the second round on,
-        # element-wise identical to the staged release_batch + snap_batch
-        # path (same RNG stream, same floating-op order).  Bare mechanisms
-        # (accepted by some callers in place of an engine) take the staged
-        # path unchanged.
-        fused_round = getattr(engine, "release_round_fused", None)
-        workspace = (
-            RoundWorkspace.for_population(len(true_db.users()))
-            if fused_round is not None
-            else None
-        )
-        for time in true_db.times():
-            snapshot = true_db.at_time(time)
-            users = sorted(snapshot)
-            cells = [snapshot[user] for user in users]
-            if fused_round is not None:
-                fused = fused_round(cells, rng=generator, workspace=workspace)
-                server.ingest_batch(users, time, fused.batch, snapped=fused.snapped)
-            else:
-                batch = engine.release_batch(cells, rng=generator)
-                server.ingest_batch(users, time, batch)
-        return server
-
+    if execution is None:
+        execution = ExecutionSpec()
+    if shards is None:
+        shards = execution.shards
+    if store is None:
+        store = execution.store
+    if resume is None:
+        resume = execution.resume
+    if live_metrics is None:
+        live_metrics = execution.live_metrics
     if store is None and (resume or out_of_core):
         flag = "resume" if resume else "out_of_core"
         raise ValidationError(f"{flag}=True requires a store")
 
-    from contextlib import ExitStack
-
-    from repro.engine.sharding import ShardPlan, stream_shard_releases
-
-    # Each half of the spec's execution block is an independent default, so
-    # overriding just the backend keeps the spec's shard count (and vice
-    # versa) instead of silently discarding it.
-    if shards is None:
-        shards = int(execution.shards) if execution is not None else 1
-    plan = ShardPlan.build(sorted(true_db.users()), int(shards), rng=rng)
+    plan = ShardPlan.build(sorted(true_db.users()), shards, rng=rng)
     live_store = None
     owned_store = False
     if store is not None:
@@ -1022,10 +896,10 @@ def run_release_rounds_batched(
         # replay), so there is nothing left to stream.
         if only_shards is None or only_shards:
             with ExitStack() as stack:
-                if backend is None and execution is not None:
-                    # A backend built here from the spec is owned here:
-                    # close it when the run ends (or raises), exactly like
-                    # a named backend.
+                if backend is None:
+                    # A backend built here from the execution settings is
+                    # owned here: close it when the run ends (or raises),
+                    # exactly like a named backend.
                     backend = stack.enter_context(execution.build())
                 if async_ingest:
                     # Entered after the backend, so on exit the committer

@@ -119,7 +119,7 @@ class TraceStore:
         WAL mode keeps recent transactions in ``-wal`` (plus the ``-shm``
         index) until a checkpoint folds them into the main file, so the
         main file alone understates real disk usage on a live store — the
-        sum over all three is what the E18/E19 footprint numbers report.
+        sum over all three is what the E18 footprint numbers report.
         """
         if self.path == ":memory:":
             return 0

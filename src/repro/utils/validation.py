@@ -10,6 +10,7 @@ validated value so they can be used inline::
 from __future__ import annotations
 
 import math
+import numbers
 
 from repro.errors import ValidationError
 
@@ -64,9 +65,13 @@ def check_in_range(name: str, value: float, low: float, high: float) -> float:
 
 
 def check_integer(name: str, value: int, minimum: int | None = None) -> int:
-    """Validate an integer, optionally bounded below by ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """Validate a Python or numpy integer (not a bool), returned as ``int``.
+
+    Optionally bounded below by ``minimum``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an int, got {type(value).__name__}")
+    value = int(value)
     if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
     return value

@@ -253,9 +253,13 @@ class TestAsyncIngest:
         for user in stress.users():
             assert asynchronous.ledger.spent(user) == sync.ledger.spent(user)
 
-    def test_async_ingest_requires_sharded_path(self, world, db, engine):
-        with pytest.raises(ValidationError):
-            run_release_rounds_batched(world, db, engine, rng=0, async_ingest=True)
+    def test_async_ingest_without_shards_matches_sync(self, world, db, engine):
+        # No shards= or backend=: a one-shard run, committed asynchronously.
+        sync = run_release_rounds_batched(world, db, engine, rng=0)
+        asynchronous = run_release_rounds_batched(world, db, engine, rng=0, async_ingest=True)
+        assert list(asynchronous.released_db.checkins()) == list(sync.released_db.checkins())
+        for user in db.users():
+            assert asynchronous.ledger.spent(user) == sync.ledger.spent(user)
 
     def test_backpressure_blocks_producer(self, world, engine):
         # With max_pending=1 and a gated server: one shard is mid-commit,

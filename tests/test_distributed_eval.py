@@ -339,20 +339,20 @@ class TestEngineRef:
 
 
 class TestServerStreaming:
-    def test_ingest_shard_matches_ingest_batch(self, world, db, engine):
-        from repro.engine import ShardPlan, sharded_release_rounds, stream_shard_releases
-        from repro.server.pipeline import Server
+    def test_ingest_shard_matches_client_reference(self, world, db, engine):
+        from repro.engine import ShardPlan, stream_shard_releases
+        from repro.server.pipeline import Server, run_release_rounds
 
         plan = ShardPlan.build(sorted(db.users()), 3, rng=8)
-        barrier = Server(world)
-        for time, users, batch in sharded_release_rounds(engine, db, plan):
-            barrier.ingest_batch(users, time, batch)
+        reference, _ = run_release_rounds(
+            world, db, engine.policy, lambda *_: engine.mechanism, epsilon=1.0, rng=8
+        )
         streaming = Server(world)
         for users, times, batch in stream_shard_releases(engine, db, plan, backend="thread"):
             streaming.ingest_shard(users, times, batch)
-        assert list(streaming.released_db.checkins()) == list(barrier.released_db.checkins())
+        assert list(streaming.released_db.checkins()) == list(reference.released_db.checkins())
         for user in db.users():
-            assert streaming.ledger.spent(user) == barrier.ledger.spent(user)
+            assert streaming.ledger.spent(user) == reference.ledger.spent(user)
 
     def test_ingest_shard_commits_time_user_ordered(self, world, engine):
         from repro.core.mechanisms.base import ReleaseBatch

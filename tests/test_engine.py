@@ -189,6 +189,24 @@ class TestReleaseStreams:
         with pytest.raises(MechanismError, match="uniform_width"):
             mechanism.release_batch([1, 2, 3], streams=([1, 2], [2, 1]))
 
+    def test_two_argument_perturb_batch_override_runs(self, world):
+        # A kernel overridden as plain ``_perturb_batch(cells, rng)`` (no
+        # keywords) runs on both the rng= and the streams= path.
+        from repro.core.mechanisms import PolicyLaplaceMechanism
+
+        class PlainKernel(PolicyLaplaceMechanism):
+            def _perturb_batch(self, cells, rng):
+                return super()._perturb_batch(cells, rng)
+
+        plain = PlainKernel(world, grid_policy(world), 1.0)
+        stock = PolicyLaplaceMechanism(world, grid_policy(world), 1.0)
+        cells = np.array([1, 2, 3, 4])
+        for kwargs in ({"rng": 5}, {"streams": ([5, 6], [3, 1])}):
+            assert np.array_equal(
+                plain.release_batch(cells, **kwargs).points,
+                stock.release_batch(cells, **kwargs).points,
+            )
+
 
 class TestPdfMatrix:
     @pytest.mark.parametrize("mechanism", FAST_MECHANISMS)

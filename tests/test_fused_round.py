@@ -1,11 +1,11 @@
-"""Kernel layer: array-backend seam, fused rounds, workspaces, float32 mode.
+"""Kernel layer: array-backend seam, fused rounds, float32 mode.
 
 The contract under test (see ``docs/scaling.md``, "Kernel layer"):
 
-* the seeded serial **numpy** path is the bit-exact reference — the fused
-  ``release_round_fused`` pass must be element-wise identical to the staged
+* the seeded serial **numpy** path is the bit-exact reference — a
+  ``release_round_fused`` call must be element-wise identical to the staged
   ``release_batch`` -> ``snap_batch`` -> ``area_of_batch`` pipeline on the
-  same RNG stream, for every mechanism, workspace reuse notwithstanding;
+  same RNG stream;
 * concurrently running shards never share mutable kernel state, so sharded
   output stays bit-identical for every shard count and backend;
 * non-numpy array backends and the float32 adversary mode promise only
@@ -25,7 +25,6 @@ from repro.core.mechanisms import (
     PolicyLaplaceMechanism,
     PolicyPlanarIsotropicMechanism,
 )
-from repro.core.workspace import FusedRound, RoundWorkspace
 from repro.core.xp import (
     NUMPY_BACKEND,
     ArrayBackend,
@@ -35,7 +34,7 @@ from repro.core.xp import (
     register_array_backend,
     resolve_array_backend,
 )
-from repro.engine import EngineSpec, ExecutionSpec, PrivacyEngine
+from repro.engine import EngineSpec, ExecutionSpec, FusedRound, PrivacyEngine
 from repro.epidemic.monitor import LocationMonitor
 from repro.errors import ValidationError
 from repro.experiments.configs import build_policy
@@ -76,85 +75,7 @@ def _mechanism(name: str, world: GridWorld):
     )
 
 
-MECHANISMS = ["P-LM", "P-PIM", "GraphExp", "Geo-I", "optimal"]
-
-
-class TestRoundWorkspace:
-    def test_same_key_reuses_storage(self):
-        ws = RoundWorkspace(capacity=8)
-        first = ws.buffer("u", 5)
-        second = ws.buffer("u", 5)
-        assert second.base is first.base or second.base is first  # same pool array
-        assert ws.owns(first)
-
-    def test_dtype_mismatch_rejected(self):
-        ws = RoundWorkspace()
-        ws.buffer("u", 4)
-        with pytest.raises(ValueError):
-            ws.int_buffer("u", 4)
-
-    def test_growth_preserves_pool_identity_per_key(self):
-        ws = RoundWorkspace(capacity=2)
-        small = ws.buffer("u", 2)
-        big = ws.buffer("u", 64)
-        assert big.shape == (64,)
-        assert ws.buffer("u", 3).shape == (3,)
-        assert small.shape == (2,)
-
-    def test_points_and_bool_buffers(self):
-        ws = RoundWorkspace.for_population(10, horizon=4)
-        pts = ws.points_buffer("p", 7)
-        assert pts.shape == (7, 2) and pts.dtype == np.dtype(float)
-        mask = ws.bool_buffer("m", 7)
-        assert mask.dtype == np.dtype(bool)
-        assert ws.nbytes() > 0 and "p" in ws.keys
-
-
 class TestFusedEqualsStaged:
-    @pytest.mark.parametrize("name", MECHANISMS)
-    def test_release_batch_workspace_bit_exact(self, world, name):
-        mech = _mechanism(name, world)
-        cells = np.arange(mech.world.n_cells)
-        staged = mech.release_batch(cells, rng=np.random.default_rng(13))
-        ws = RoundWorkspace.for_population(len(cells))
-        fused = mech.release_batch(cells, rng=np.random.default_rng(13), workspace=ws)
-        assert np.array_equal(staged.points, fused.points)
-        assert np.array_equal(staged.exact, fused.exact)
-        assert np.array_equal(staged.epsilons, fused.epsilons)
-
-    @pytest.mark.parametrize("name", MECHANISMS)
-    def test_shared_workspace_two_rounds_identical(self, world, name):
-        # Reusing one workspace across rounds (the steady state) must give
-        # the same stream of releases as a fresh workspace per round.
-        mech = _mechanism(name, world)
-        cells = np.arange(mech.world.n_cells)
-        shared_ws = RoundWorkspace.for_population(len(cells))
-        shared_rng = np.random.default_rng(29)
-        fresh_rng = np.random.default_rng(29)
-        for _ in range(2):
-            shared = mech.release_batch(cells, rng=shared_rng, workspace=shared_ws)
-            fresh = mech.release_batch(
-                cells, rng=fresh_rng, workspace=RoundWorkspace.for_population(len(cells))
-            )
-            # Workspace-backed views are overwritten next round; compare now.
-            assert np.array_equal(shared.points, fresh.points)
-            assert np.array_equal(shared.exact, fresh.exact)
-        assert shared_ws.rounds_served == 2
-
-    def test_snap_and_area_fused_bit_exact(self, world, engine):
-        batch = engine.release_batch(np.arange(world.n_cells), rng=np.random.default_rng(5))
-        ws = RoundWorkspace.for_population(len(batch))
-        staged_cells = world.snap_batch(batch.points)
-        fused_cells = world.snap_batch(
-            batch.points, out=ws.int_buffer("cells", len(batch)), workspace=ws
-        )
-        assert np.array_equal(staged_cells, fused_cells)
-        staged_areas = world.area_of_batch(staged_cells, 3, 3)
-        fused_areas = world.area_of_batch(
-            fused_cells, 3, 3, out=ws.int_buffer("areas", len(batch)), workspace=ws
-        )
-        assert np.array_equal(staged_areas, fused_areas)
-
     def test_release_round_fused_matches_staged_triple(self, world, engine):
         cells = np.arange(world.n_cells)
         staged_batch = engine.release_batch(cells, rng=np.random.default_rng(41))
@@ -198,7 +119,7 @@ class TestFusedEqualsStaged:
 
 
 class TestPipelineShardMatrix:
-    """Acceptance matrix: fused single-stream + sharded {1,2,5,7} x backends."""
+    """Acceptance matrix: shards {1,2,5,7} x backends."""
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "pool"])
     @pytest.mark.parametrize("shards", [1, 2, 5, 7])
@@ -208,20 +129,6 @@ class TestPipelineShardMatrix:
             world, db, engine, rng=42, shards=shards, backend=backend
         )
         assert list(run.released_db.checkins()) == list(reference.released_db.checkins())
-
-    def test_single_stream_fused_matches_staged_fallback(self, world, db, engine):
-        # A release source without release_round_fused sends the pipeline
-        # down the staged fallback — the engine's fused path must agree with
-        # it element-wise on the same stream.
-        class _StagedOnly:
-            spec = None
-
-            def release_batch(self, cells, rng=None):
-                return engine.release_batch(cells, rng=rng)
-
-        fused = run_release_rounds_batched(world, db, engine, rng=17)
-        staged = run_release_rounds_batched(world, db, _StagedOnly(), rng=17)
-        assert list(fused.released_db.checkins()) == list(staged.released_db.checkins())
 
     def test_thread_backend_workspace_isolation_stress(self, world, engine):
         # Many shards on few threads: shard tasks share worker threads, so

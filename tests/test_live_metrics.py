@@ -333,13 +333,6 @@ class TestSnapshotSemantics:
         with pytest.raises(DataError, match="require the shard index"):
             server.ingest_shard(users, times, batch)
 
-    def test_round_ingest_path_refused(self, world, db, engine):
-        server, _ = _partial_commit(world, db, engine, 2, only=set())
-        with pytest.raises(DataError, match="ingest_batch carries no shard identity"):
-            server.ingest_batch([0], 0, engine.release_batch(
-                np.array([0]), rng=np.random.default_rng(0)
-            ))
-
     def test_attach_twice_rejected(self, world, db, engine):
         server, plan = _partial_commit(world, db, engine, 2, only=set())
         with pytest.raises(ValidationError, match="already attached"):
@@ -349,9 +342,13 @@ class TestSnapshotSemantics:
         with pytest.raises(ValidationError, match="no live metric views"):
             Server(world).metrics_at(0)
 
-    def test_single_stream_run_rejects_live_metrics(self, world, db, engine):
-        with pytest.raises(ValidationError, match="sharded streaming path"):
-            run_release_rounds_batched(world, db, engine, rng=RNG, live_metrics=True)
+    def test_unsharded_run_folds_live_metrics(self, world, db, engine, batch_values_of):
+        # No shards= or backend=: a one-shard run, so its live values are
+        # the one-shard batch recompute's.
+        server = run_release_rounds_batched(world, db, engine, rng=RNG, live_metrics=True)
+        want = batch_values_of(1)
+        last = max(want)
+        assert dict(server.metrics_at(last)) == want[last]
 
 
 def _take(batch, index):

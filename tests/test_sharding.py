@@ -14,14 +14,15 @@ from repro.engine import (
     register_backend,
     resolve_backend,
     resolve_policy,
-    sharded_release_rounds,
+    stream_shard_releases,
 )
 from repro.engine.backends import ExecutionBackend, PoolBackend, SerialBackend, ThreadBackend
-from repro.errors import DataError, ValidationError
+from repro.errors import DataError, StoreError, ValidationError
 from repro.experiments.configs import ExperimentConfig
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
 from repro.server.pipeline import run_release_rounds, run_release_rounds_batched
+from repro.store import TraceStore
 
 BACKENDS = ["serial", "thread", "pool"]
 
@@ -332,45 +333,101 @@ class TestShardedDeterminism:
         run_release_rounds_batched(world, db, engine, rng=1, shards=2)
         assert len(instances) == 1
 
-    def test_explicit_args_override_spec(self, world, db):
-        engine = PrivacyEngine.from_spec(
-            world, mechanism="P-LM", policy="G1", epsilon=1.0, backend="pool", shards=8
+    @pytest.mark.parametrize(
+        "setting", ["shards", "backend", "store", "resume", "live_metrics"]
+    )
+    def test_explicit_args_override_spec(self, world, db, engine, tmp_path, setting):
+        # Every execution setting resolves the same way: the explicit
+        # argument, else the spec's execution block, else the default.
+        # None means "not given", so an explicit False beats the spec too.
+        counting = _CountingBackend()
+        register_backend("spec_counting", lambda: counting)
+        spec_store = tmp_path / "spec.sqlite"
+        block = {
+            "shards": dict(backend="spec_counting", shards=8),
+            "backend": dict(backend="spec_counting", shards=8),
+            "store": dict(store=str(spec_store)),
+            "resume": dict(store=str(spec_store), resume=True),
+            "live_metrics": dict(live_metrics=True),
+        }[setting]
+        spec_engine = PrivacyEngine.from_spec(
+            world, EngineSpec.named("P-LM", "G1", epsilon=1.0, **block)
         )
-        # Explicit shards/backend win over the spec's execution block; the
-        # output is the same either way (that is the whole contract).
-        explicit = run_release_rounds_batched(world, db, engine, rng=3, shards=2, backend="serial")
         reference = run_release_rounds_batched(world, db, engine, rng=3, shards=1)
-        assert list(explicit.released_db.checkins()) == list(reference.released_db.checkins())
+        if setting == "shards":
+            run = run_release_rounds_batched(world, db, spec_engine, rng=3, shards=2)
+            assert counting.task_counts == [2]
+        elif setting == "backend":
+            run = run_release_rounds_batched(world, db, spec_engine, rng=3, backend="serial")
+            assert counting.task_counts == []
+        elif setting == "store":
+            own_store = tmp_path / "own.sqlite"
+            run = run_release_rounds_batched(world, db, spec_engine, rng=3, store=str(own_store))
+            with TraceStore(str(own_store)) as store:
+                assert len(store) == len(db)
+            assert not spec_store.exists()
+        elif setting == "resume":
+            run_release_rounds_batched(world, db, spec_engine, rng=3)
+            # The store now holds a whole run; without resume it must refuse.
+            with pytest.raises(StoreError, match="resume=True"):
+                run_release_rounds_batched(world, db, spec_engine, rng=3, resume=False)
+            return
+        else:
+            run = run_release_rounds_batched(world, db, spec_engine, rng=3, live_metrics=False)
+            assert run.metrics is None
+        assert list(run.released_db.checkins()) == list(reference.released_db.checkins())
+
+    @pytest.mark.parametrize("policy", ["G1", "Gc"])
+    def test_unsharded_run_is_the_one_shard_run(self, world, db, policy):
+        # No shards=, backend= or execution block: one serial shard, so the
+        # run equals shards=1 and the per-client reference row for row.
+        engine = PrivacyEngine.from_spec(
+            world, mechanism="P-LM", policy=policy, epsilon=1.0,
+            policy_params=POLICY_PARAMS[policy],
+        )
+        assert engine.spec.execution is None
+        unsharded = run_release_rounds_batched(world, db, engine, rng=42)
+        one_shard = run_release_rounds_batched(world, db, engine, rng=42, shards=1)
+        clients_server, _ = run_release_rounds(
+            world, db, engine.policy, lambda *_: engine.mechanism, epsilon=1.0, rng=42, window=9
+        )
+        for other in (one_shard, clients_server):
+            assert list(unsharded.released_db.checkins()) == list(other.released_db.checkins())
+            for user in db.users():
+                assert unsharded.ledger.spent(user) == other.ledger.spent(user)
+
+
+class TestShardCountValidation:
+    @pytest.mark.parametrize("count", [2.7, 1.5, 2.0, True, np.float64(2.5)])
+    def test_non_int_shard_count_rejected(self, world, db, engine, count):
+        # These used to be truncated: 2.7 ran 2 shards and True ran 1.
+        with pytest.raises(ValidationError, match="must be an int"):
+            ShardPlan.build([1, 2, 3], count, rng=0)
+        with pytest.raises(ValidationError, match="must be an int"):
+            ExecutionSpec(shards=count)
+        with pytest.raises(ValidationError, match="must be an int"):
+            EngineSpec.from_dict(
+                {
+                    "mechanism": {"name": "P-LM"},
+                    "policy": {"name": "G1"},
+                    "execution": {"shards": count},
+                }
+            )
+        with pytest.raises(ValidationError, match="must be an int"):
+            run_release_rounds_batched(world, db, engine, rng=0, shards=count)
+
+    @pytest.mark.parametrize("count", [np.int64(2), np.int32(2)])
+    def test_numpy_int_shard_counts_accepted(self, count):
+        assert ShardPlan.build([1, 2, 3], count, rng=0).n_shards == 2
+        assert ExecutionSpec(shards=count).shards == 2
+        assert type(ExecutionSpec(shards=count).shards) is int
 
 
 class TestShardedRounds:
-    def test_round_structure(self, world, db, engine):
-        plan = ShardPlan.build(sorted(db.users()), 3, rng=2)
-        rounds = sharded_release_rounds(engine, db, plan, backend="serial")
-        assert [time for time, _, _ in rounds] == db.times()
-        for time, users, batch in rounds:
-            snapshot = db.at_time(time)
-            assert users.tolist() == sorted(snapshot)
-            assert len(batch) == len(users)
-            assert batch.cells.tolist() == [snapshot[u] for u in users.tolist()]
-
     def test_plan_must_cover_users(self, world, db, engine):
         plan = ShardPlan.build([1, 2], 2, rng=0)
         with pytest.raises(DataError):
-            sharded_release_rounds(engine, db, plan)
-
-    def test_sparse_traces(self, world, engine):
-        # Users observed at disjoint times: rounds contain only present users.
-        from repro.mobility.trajectory import TraceDB
-
-        db = TraceDB()
-        db.record(1, 0, 3)
-        db.record(1, 2, 4)
-        db.record(5, 1, 6)
-        db.record(5, 2, 7)
-        plan = ShardPlan.build([1, 5], 2, rng=0)
-        rounds = sharded_release_rounds(engine, db, plan)
-        assert [(t, u.tolist()) for t, u, _ in rounds] == [(0, [1]), (1, [5]), (2, [1, 5])]
+            list(stream_shard_releases(engine, db, plan))
 
     def test_empty_db_rejected(self, world, engine):
         from repro.mobility.trajectory import TraceDB

@@ -304,18 +304,32 @@ class TestOutOfCoreServer:
         finally:
             server.store.close()
 
-    def test_unsharded_store_request_rejected(self, world, db, engine, tmp_path):
-        with pytest.raises(ValidationError, match="sharded streaming path"):
-            run_release_rounds_batched(
-                world, db, engine, rng=11, store=str(tmp_path / "s.sqlite")
+    def test_unsharded_store_round_trip(self, world, db, engine, tmp_path):
+        # No shards= or backend=: a one-shard run stores, then resumes by
+        # replaying its one committed shard.
+        path = str(tmp_path / "s.sqlite")
+        reference = run_release_rounds_batched(world, db, engine, rng=11, shards=1)
+        stored = run_release_rounds_batched(world, db, engine, rng=11, store=path)
+        resumed = run_release_rounds_batched(world, db, engine, rng=11, store=path, resume=True)
+        with TraceStore(path) as store:
+            assert len(store) == len(db)
+            assert {shard for shard, _ in store.committed()} == {0}
+        for server in (stored, resumed):
+            assert list(server.released_db.checkins()) == list(
+                reference.released_db.checkins()
             )
+            for user in db.users():
+                assert server.ledger.spent(user) == reference.ledger.spent(user)
 
     @pytest.mark.parametrize("flag", ["resume", "out_of_core"])
     def test_sharded_request_without_store_rejected(self, world, db, engine, flag):
         # Without a store there is nothing to resume or page out to; a
         # silent fresh in-memory run would hide the misconfiguration.
-        with pytest.raises(ValidationError, match=f"{flag}=True requires a store"):
-            run_release_rounds_batched(world, db, engine, rng=11, shards=2, **{flag: True})
+        for shards in (2, None):
+            with pytest.raises(ValidationError, match=f"{flag}=True requires a store"):
+                run_release_rounds_batched(
+                    world, db, engine, rng=11, shards=shards, **{flag: True}
+                )
 
 
 class TestLocalWindowSpill:
