@@ -2,11 +2,14 @@
 
 PR 2's acceptance bar: at the default ``ExperimentConfig`` the batched
 evaluation layer must run the E1 (monitoring utility) and E4 (adversary
-error) sweeps >= 5x faster than the scalar per-release reference loops the
-seed shipped with.  The scalar baselines below reproduce the seed's harness
-loops verbatim via the metrics' ``batched=False`` reference paths, and both
-paths consume identical seeded RNG streams (see
-``tests/test_eval_batched.py`` for the element-wise equivalence proof).
+error) sweeps >= 5x faster than the scalar per-release reference loops.
+The scalar baselines below run the seed's harness sweeps through the
+metrics' ``batched=False`` reference paths: one ``release`` call per
+check-in or trial and per-release scoring, on the same per-user / per-slot
+streams as the batched runners, so both paths consume identical seeded RNG
+streams (see ``tests/test_eval_batched.py`` for the equivalence proof).
+They no longer reproduce the seed's loops verbatim: the seed drew every
+release from one shared stream.
 """
 
 import time

@@ -45,8 +45,18 @@ Randomness is attached to keys, never shards: seeds come from one
 key -> stream mapping cannot move when re-sharding.  Together the two
 properties give the distributed-metric contract asserted in
 ``tests/test_distributed_eval.py``: *k*-shard output on any backend equals
-the 1-shard single-process batched output exactly, and both match the
-scalar per-release reference to float round-off.
+the 1-shard serial output exactly, and both match the scalar per-release
+reference to float round-off.
+
+Every evaluator has this one layout.  Called without ``shards=`` /
+``backend=`` it is the one-shard serial run, so a seeded evaluator scores
+exactly the per-user streams that
+:func:`~repro.server.pipeline.run_release_rounds_batched` stores for the
+same seed.  Trace evaluators slice their shards' rows from one
+``TraceDB.to_arrays()`` (:func:`shard_rows`); the monitoring and occupancy
+scorers release a whole shard in one
+``release_batch(cells, streams=(seeds, counts))`` call
+(:meth:`ShardRows.release_points`), as the trial scorer does for its slots.
 """
 
 from __future__ import annotations
@@ -62,7 +72,14 @@ from repro.engine.backends import ExecutionBackend, owned_backend
 from repro.engine.sharding import ShardPlan
 from repro.errors import ValidationError
 
-__all__ = ["MetricShardResult", "sharded_metric", "merge_metric_results", "slot_plan"]
+__all__ = [
+    "MetricShardResult",
+    "ShardRows",
+    "merge_metric_results",
+    "shard_rows",
+    "sharded_metric",
+    "slot_plan",
+]
 
 T = TypeVar("T")
 
@@ -276,3 +293,70 @@ def slot_plan(
     if n_slots < 1:
         raise ValidationError("need at least one slot to shard")
     return ShardPlan.build(range(n_slots), shards, rng=rng)
+
+
+@dataclass(frozen=True)
+class ShardRows:
+    """One shard's check-in rows: its users, their streams and their rows.
+
+    The evaluation-side twin of :class:`~repro.engine.sharding.ShardTask`.
+    The rows are int64 arrays in user-major order: user ``users[i]`` owns
+    the next ``counts[i]`` rows of ``times`` and ``cells`` (possibly none,
+    for a windowed trace).  ``(seeds, counts)`` is therefore exactly the
+    ``streams=`` argument of the shard's one ``release_batch`` call.
+    """
+
+    users: tuple[int, ...]
+    seeds: tuple[int, ...]
+    counts: np.ndarray
+    times: np.ndarray
+    cells: np.ndarray
+
+    @property
+    def bounds(self) -> np.ndarray:
+        """Row offsets: user ``users[i]`` owns rows ``bounds[i]:bounds[i + 1]``."""
+        return np.concatenate(([0], np.cumsum(self.counts)))
+
+    @property
+    def row_users(self) -> np.ndarray:
+        """The user of every row, aligned with ``times`` and ``cells``."""
+        return np.repeat(np.asarray(self.users, dtype=np.int64), self.counts)
+
+    def release_points(self, source, batched: bool = True) -> np.ndarray:
+        """``(n, 2)`` released points for every row, each user on their own stream.
+
+        Batched: one ``source.release_batch(cells, streams=(seeds, counts))``
+        call.  Otherwise the scalar reference: one ``source.release`` per
+        row, user ``i``'s rows drawing from ``np.random.default_rng(seeds[i])``
+        — the same streams, so the same points to float round-off.
+        """
+        if batched:
+            return source.release_batch(self.cells, streams=(self.seeds, self.counts)).points
+        points = np.empty((len(self.cells), 2), dtype=float)
+        bounds = self.bounds.tolist()
+        for seed, low, high in zip(self.seeds, bounds, bounds[1:]):
+            generator = np.random.default_rng(seed)
+            for row in range(low, high):
+                points[row] = source.release(int(self.cells[row]), rng=generator).point
+        return points
+
+
+def shard_rows(plan: ShardPlan, users, times, cells) -> list[ShardRows]:
+    """One :class:`ShardRows` per non-empty shard of ``plan``, in shard order.
+
+    ``users`` / ``times`` / ``cells`` are row arrays sorted by user (the
+    :meth:`~repro.mobility.trajectory.TraceDB.to_arrays` layout, possibly
+    filtered to a time window), and every row's user must be in the plan.
+    A shard owns a contiguous block of the sorted users, hence a contiguous
+    block of rows, found by ``searchsorted`` — the slicing
+    :func:`~repro.engine.sharding.stream_shard_releases` uses for its
+    release tasks.
+    """
+    users, times, cells = (np.asarray(column, dtype=np.int64) for column in (users, times, cells))
+    shards = []
+    for _, keys, seeds in plan.iter_shards():
+        # First row of each user, then one past the last user's rows.
+        bounds = np.searchsorted(users, keys + (keys[-1] + 1,))
+        rows = slice(bounds[0], bounds[-1])
+        shards.append(ShardRows(keys, seeds, np.diff(bounds), times[rows], cells[rows]))
+    return shards

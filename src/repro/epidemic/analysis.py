@@ -15,21 +15,22 @@ Both can be evaluated on the true trace database or on a perturbed copy
 produced by :func:`perturb_tracedb`, giving the paper's utility metric
 ``|R0_true - R0_perturbed|``.
 
-Both the contact-rate estimator and :func:`r0_estimation_error` also scale
-*across users*: passing ``shards=`` / ``backend=`` partitions the population
-with the same deterministic :class:`~repro.engine.sharding.ShardPlan` the
-release pipeline uses and folds per-shard **epoch-keyed occupancy counters**
-(``(time, cell) -> head count``) with the exact Counter merge of
-:mod:`repro.engine.distributed`.  The decomposition rests on a counting
-identity: the number of co-located unordered pairs at one ``(time, cell)``
-epoch is ``n * (n - 1) / 2`` where ``n`` is the occupancy, so per-user
-occupancy counters — which partition exactly, every user living in one
-shard — reassemble the global pair count without ever enumerating a
-cross-shard pair.  ``contact_rate`` involves no randomness, so its sharded
-value equals the scalar loop *exactly*; ``r0_estimation_error`` with
-``shards=`` switches to per-**user** RNG streams (the release pipeline's
-layout), making the result bit-identical for every shard count and backend,
-though deliberately not equal to the unsharded single-stream draw.
+The randomised evaluator :func:`r0_estimation_error` scores the stream the
+server stores: it and :func:`perturb_tracedb` release each user's check-ins
+on that user's own RNG stream, spawned over the sorted user list exactly as
+:func:`~repro.server.pipeline.run_release_rounds_batched` spawns them.  The
+users are partitioned by a :class:`~repro.engine.sharding.ShardPlan` (one
+shard unless ``shards=`` says otherwise) and each shard folds
+**epoch-keyed occupancy counters** (``(time, cell) -> head count``) with the
+exact Counter merge of :mod:`repro.engine.distributed`.  The decomposition
+rests on a counting identity: the number of co-located unordered pairs at
+one ``(time, cell)`` epoch is ``n * (n - 1) / 2`` where ``n`` is the
+occupancy, so per-user occupancy counters — which partition exactly, every
+user living in one shard — reassemble the global pair count without ever
+enumerating a cross-shard pair.  The result is bit-identical for every
+shard count and backend.  :func:`contact_rate` draws no randomness; its
+co-location loop is the oracle the occupancy path is tested against, and
+``shards=`` / ``backend=`` route it over the occupancy path instead.
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.mechanisms.base import Mechanism
+from repro.engine import EngineRef, ShardPlan, resolve_release_source
+from repro.engine.distributed import MetricShardResult, ShardRows, shard_rows, sharded_metric
 from repro.epidemic.seir import fit_beta
 from repro.errors import DataError, ValidationError
 from repro.geo.grid import GridWorld
 from repro.mobility.trajectory import TraceDB
-from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive, check_probability
 
 __all__ = [
@@ -75,26 +77,36 @@ def _occupancy_rate(occupancy: Counter, observations: int) -> float:
     return 2.0 * pair_events(occupancy) / observations
 
 
+def _occupancy(times: np.ndarray, cells: np.ndarray) -> Counter:
+    """``(time, cell) -> head count`` over aligned row arrays.
+
+    One ``np.unique`` over scalar ``time * span + cell`` codes, decoded back
+    into Python-int epoch keys so that counters from different shards add.
+    """
+    if len(cells) == 0:
+        return Counter()
+    span = int(cells.max()) + 1
+    codes, counts = np.unique(times * span + cells, return_counts=True)
+    epochs = zip((codes // span).tolist(), (codes % span).tolist())
+    return Counter(dict(zip(epochs, counts.tolist())))
+
+
 # ----------------------------------------------------------------------
-# Shard-parallel path (E2 over ShardPlan + ExecutionBackend)
+# Shard scoring (E2 over ShardPlan + ExecutionBackend)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class _OccupancyShardTask:
-    """One shard's occupancy workload: its users' (windowed) traces.
+    """One shard's occupancy workload: its users' (windowed) rows.
 
     Plain data plus an optional release source, so the pool backend can
     pickle it; ``source`` is ``None`` for the deterministic true-trace
     counters (:func:`contact_rate`), an :class:`~repro.engine.EngineRef`
     for spec-built engines (workers rebuild and cache by spec hash), or the
-    live mechanism.  ``times[i]`` / ``cells[i]`` are user ``users[i]``'s
-    check-ins in time order.
+    live mechanism.
     """
 
     source: object | None
-    users: tuple[int, ...]
-    seeds: tuple[int, ...]
-    times: tuple[tuple[int, ...], ...]
-    cells: tuple[tuple[int, ...], ...]
+    rows: ShardRows
     batched: bool
 
 
@@ -102,86 +114,48 @@ def _score_occupancy_shard(task: _OccupancyShardTask):
     """Epoch-keyed occupancy counters for one shard (module-level for pickling).
 
     The true counter tallies ``(time, cell)`` occupancy over the shard's own
-    users.  With a release source, each user's whole trace is additionally
-    released from that user's own seed stream (one vectorized
-    ``release_batch`` call, or the scalar per-release loop when
-    ``task.batched`` is false — same stream, so the same points to float
-    identity), snapped, and tallied into the perturbed counter.  Counts are
-    per-user observation counts, so ``n_releases`` is the window's
-    observation total after the merge.
+    users.  With a release source, the shard's rows are additionally
+    released on their users' own streams (one ``release_batch(streams=)``
+    call, or the scalar per-release loop when ``task.batched`` is false),
+    snapped, and tallied into the perturbed counter.  Counts are per-user
+    observation counts, so ``n_releases`` is the window's observation total
+    after the merge.
     """
-    from repro.engine import resolve_release_source
-    from repro.engine.distributed import MetricShardResult
-
-    counts = np.array([len(user_cells) for user_cells in task.cells], dtype=int)
-    true_occupancy: Counter = Counter()
-    for user_times, user_cells in zip(task.times, task.cells):
-        true_occupancy.update(zip(user_times, user_cells))
-    flows = {"true_occupancy": true_occupancy}
-
+    rows = task.rows
+    flows = {"true_occupancy": _occupancy(rows.times, rows.cells)}
     if task.source is not None:
         source = resolve_release_source(task.source)
-        world = source.world
-        perturbed_occupancy: Counter = Counter()
-        for seed, user_times, user_cells in zip(task.seeds, task.times, task.cells):
-            if not user_cells:
-                continue
-            generator = np.random.default_rng(seed)
-            if task.batched:
-                batch = source.release_batch(list(user_cells), rng=generator)
-                snapped = world.snap_batch(batch.points).tolist()
-            else:  # scalar reference: same stream, one release() per check-in
-                snapped = [
-                    world.snap(source.release(cell, rng=generator).point)
-                    for cell in user_cells
-                ]
-            perturbed_occupancy.update(zip(user_times, snapped))
-        flows["perturbed_occupancy"] = perturbed_occupancy
-
-    return MetricShardResult(sums={}, counts=counts, flows=flows)
+        snapped = source.world.snap_batch(rows.release_points(source, task.batched))
+        flows["perturbed_occupancy"] = _occupancy(rows.times, snapped)
+    return MetricShardResult(sums={}, counts=rows.counts, flows=flows)
 
 
-def _occupancy_tasks(
+def _occupancy_metric(
     db: TraceDB,
-    plan,
-    source,
-    batched: bool,
+    shards,
+    backend,
+    rng=None,
+    source=None,
+    batched: bool = True,
     start: int | None = None,
     end: int | None = None,
-) -> list[_OccupancyShardTask]:
-    """One picklable :class:`_OccupancyShardTask` per non-empty shard."""
-    tasks = []
-    for _, users, seeds in plan.iter_shards():
-        histories = [db.user_history(user, start=start, end=end) for user in users]
-        tasks.append(
-            _OccupancyShardTask(
-                source=source,
-                users=users,
-                seeds=seeds,
-                times=tuple(tuple(c.time for c in history) for history in histories),
-                cells=tuple(tuple(c.cell for c in history) for history in histories),
-                batched=batched,
-            )
-        )
-    return tasks
-
-
-def _contact_rate_sharded(
-    db: TraceDB, start, end, shards: int | None, backend
-) -> float:
-    """:func:`contact_rate` over ``ShardPlan`` + ``ExecutionBackend``."""
-    from repro.engine import ShardPlan
-    from repro.engine.distributed import sharded_metric
-
+) -> MetricShardResult:
+    """Plan ``db``'s users, fold every shard's occupancy counters, and merge."""
     users = sorted(db.users())
     if not users:
         raise DataError("window contains no observations")
-    # The estimator draws no randomness; the plan's per-user seeds are unused,
-    # so a fixed parent seed keeps the plan itself deterministic.
-    plan = ShardPlan.build(users, 1 if shards is None else int(shards), rng=0)
-    tasks = _occupancy_tasks(db, plan, None, batched=True, start=start, end=end)
-    merged = sharded_metric(_score_occupancy_shard, tasks, backend=backend)
-    return _occupancy_rate(merged.flows["true_occupancy"], merged.n_releases)
+    plan = ShardPlan.build(users, 1 if shards is None else shards, rng=rng)
+    row_users, times, cells = db.to_arrays()
+    window = np.ones(len(times), dtype=bool)
+    if start is not None:
+        window &= times >= start
+    if end is not None:
+        window &= times <= end
+    tasks = [
+        _OccupancyShardTask(source, rows, batched)
+        for rows in shard_rows(plan, row_users[window], times[window], cells[window])
+    ]
+    return sharded_metric(_score_occupancy_shard, tasks, backend=backend)
 
 
 def contact_rate(
@@ -197,31 +171,36 @@ def contact_rate(
     attributes it to both members (factor 2); the denominator is the number
     of (user, time) observations in the window.
 
-    ``shards`` / ``backend`` (default ``None`` / ``None``: the single-process
-    loop below) route the count over a per-user
-    :class:`~repro.engine.sharding.ShardPlan` and the named
-    :class:`~repro.engine.backends.ExecutionBackend`, folding epoch-keyed
-    occupancy counters exactly — the estimator is deterministic, so the
-    sharded value **equals the scalar loop exactly** at any shard count.
+    With ``shards=None`` and ``backend=None`` (the default) this is the
+    deterministic co-location loop below, the oracle the occupancy path is
+    tested against.  Either argument routes the count over a per-user
+    :class:`~repro.engine.sharding.ShardPlan` (``shards`` default 1) on the
+    named :class:`~repro.engine.backends.ExecutionBackend`, folding
+    epoch-keyed occupancy counters exactly — the estimator draws no
+    randomness, so that value **equals the loop exactly** at any shard
+    count.
     """
-    if shards is not None or backend is not None:
-        return _contact_rate_sharded(db, start, end, shards, backend)
-    times = db.times()
-    if start is not None:
-        times = [t for t in times if t >= start]
-    if end is not None:
-        times = [t for t in times if t <= end]
-    if not times:
-        raise DataError("window contains no observations")
-    pair_count = 0
-    observations = 0
-    for time in times:
-        snapshot = db.at_time(time)
-        observations += len(snapshot)
-        pair_count += len(db.colocations_at(time))
-    if observations == 0:
-        raise DataError("window contains no observations")
-    return 2.0 * pair_count / observations
+    if shards is None and backend is None:
+        times = db.times()
+        if start is not None:
+            times = [t for t in times if t >= start]
+        if end is not None:
+            times = [t for t in times if t <= end]
+        if not times:
+            raise DataError("window contains no observations")
+        pair_count = 0
+        observations = 0
+        for time in times:
+            snapshot = db.at_time(time)
+            observations += len(snapshot)
+            pair_count += len(db.colocations_at(time))
+        if observations == 0:
+            raise DataError("window contains no observations")
+        return 2.0 * pair_count / observations
+    # The estimator draws no randomness; the plan's per-user seeds are
+    # unused, so a fixed parent seed keeps the plan itself deterministic.
+    merged = _occupancy_metric(db, shards, backend, rng=0, start=start, end=end)
+    return _occupancy_rate(merged.flows["true_occupancy"], merged.n_releases)
 
 
 def estimate_r0_contacts(
@@ -265,55 +244,25 @@ def perturb_tracedb(
 
     This is what the semi-honest server actually stores (Fig. 1): the
     perturbed, re-discretised location stream that every downstream app —
-    monitoring, analysis, tracing baselines — consumes.
+    monitoring, analysis, tracing baselines — consumes.  Each user's
+    check-ins are released on their own stream from a one-shard
+    :class:`~repro.engine.sharding.ShardPlan` over the sorted users, in one
+    ``release_batch(streams=)`` call, so the result equals the
+    ``released_db`` that
+    :func:`~repro.server.pipeline.run_release_rounds_batched` stores for
+    the same seed, at every check-in.
     """
-    generator = ensure_rng(rng)
+    if mechanism.world != world:
+        raise ValidationError("mechanism was built for a different world")
     released = TraceDB()
     if len(db) == 0:
         return released
-    # One vectorized engine-style call over the whole stream; the checkin
-    # order matches a scalar release loop, so a seeded batched run equals a
-    # seeded scalar run of the same mechanism.
-    users, times, cells = db.to_arrays()
-    batch = mechanism.release_batch(cells, rng=generator)
-    released.record_many(users, times, world.snap_batch(batch.points))
-    return released
-
-
-def _r0_estimation_error_sharded(
-    world: GridWorld,
-    mechanism,
-    true_db: TraceDB,
-    p_transmit: float,
-    gamma: float,
-    rng,
-    batched: bool,
-    shards: int | None,
-    backend,
-) -> tuple[float, float, float]:
-    """E2 over ``ShardPlan`` + ``ExecutionBackend`` (see ``r0_estimation_error``)."""
-    from repro.engine import EngineRef, ShardPlan
-    from repro.engine.distributed import sharded_metric
-
-    # Workers score against the release source's own world; refuse a
-    # mismatched explicit world instead of silently diverging from the
-    # unsharded path (which uses the passed world throughout).
-    if mechanism.world != world:
-        raise ValidationError("mechanism was built for a different world")
-    users = sorted(true_db.users())
-    if not users:
-        raise DataError("window contains no observations")
-    plan = ShardPlan.build(users, 1 if shards is None else int(shards), rng=rng)
-    tasks = _occupancy_tasks(true_db, plan, EngineRef.wrap(mechanism), batched=batched)
-    merged = sharded_metric(_score_occupancy_shard, tasks, backend=backend)
-    # The perturbed copy keeps every (user, time) key, so one observation
-    # total serves both estimators — exactly as in the scalar path.
-    observations = merged.n_releases
-    r0_true = p_transmit * _occupancy_rate(merged.flows["true_occupancy"], observations) / gamma
-    r0_perturbed = (
-        p_transmit * _occupancy_rate(merged.flows["perturbed_occupancy"], observations) / gamma
+    plan = ShardPlan.build(sorted(db.users()), 1, rng=rng)
+    (rows,) = shard_rows(plan, *db.to_arrays())
+    released.record_many(
+        rows.row_users, rows.times, world.snap_batch(rows.release_points(mechanism))
     )
-    return r0_true, r0_perturbed, abs(r0_true - r0_perturbed)
+    return released
 
 
 def r0_estimation_error(
@@ -333,24 +282,30 @@ def r0_estimation_error(
     traces and to a perturbed copy, so the reported error isolates the effect
     of the privacy mechanism (not estimator bias).
 
-    ``shards`` / ``backend`` (default ``None`` / ``None``: the single-stream
-    path below) partition the population over a per-user
-    :class:`~repro.engine.sharding.ShardPlan` + backend and fold epoch-keyed
-    occupancy counters exactly, so the sharded triple is **bit-identical for
-    every shard count and backend** — ``R0_true`` additionally equals the
-    unsharded value exactly (no randomness), while ``R0_perturbed`` follows
-    the per-user-stream layout (each individually reproducible, the two
-    layouts deliberately unequal, as everywhere in the sharded pipeline).
-    ``batched=False`` runs the per-shard scalar per-release reference loop
-    on the same per-user streams; the unsharded path is always batched.
+    The perturbed copy is the stream the server stores for this seed (see
+    :func:`perturb_tracedb`), so ``R0_perturbed`` equals
+    ``estimate_r0_contacts`` over that stream.  The population is scored
+    over a per-user :class:`~repro.engine.sharding.ShardPlan` (``shards``
+    default 1) on an :class:`~repro.engine.backends.ExecutionBackend`
+    (``backend`` default serial), folding epoch-keyed occupancy counters
+    exactly, so the triple is **bit-identical for every shard count and
+    backend**.  ``batched=False`` runs the scalar per-release reference
+    loop on the same per-user streams.
     """
-    if shards is not None or backend is not None:
-        check_probability("p_transmit", p_transmit)
-        check_positive("gamma", gamma)
-        return _r0_estimation_error_sharded(
-            world, mechanism, true_db, p_transmit, gamma, rng, batched, shards, backend
-        )
-    perturbed = perturb_tracedb(world, mechanism, true_db, rng=rng)
-    r0_true = estimate_r0_contacts(true_db, p_transmit=p_transmit, gamma=gamma)
-    r0_perturbed = estimate_r0_contacts(perturbed, p_transmit=p_transmit, gamma=gamma)
+    check_probability("p_transmit", p_transmit)
+    check_positive("gamma", gamma)
+    # Workers score against the release source's own world; refuse a
+    # mechanism built for another world instead of scoring the wrong grid.
+    if mechanism.world != world:
+        raise ValidationError("mechanism was built for a different world")
+    merged = _occupancy_metric(
+        true_db, shards, backend, rng=rng, source=EngineRef.wrap(mechanism), batched=batched
+    )
+    # The perturbed copy keeps every (user, time) key, so one observation
+    # total serves both estimators.
+    observations = merged.n_releases
+    r0_true = p_transmit * _occupancy_rate(merged.flows["true_occupancy"], observations) / gamma
+    r0_perturbed = (
+        p_transmit * _occupancy_rate(merged.flows["perturbed_occupancy"], observations) / gamma
+    )
     return r0_true, r0_perturbed, abs(r0_true - r0_perturbed)

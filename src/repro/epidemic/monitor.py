@@ -5,20 +5,18 @@ or provinces"), tracks inter-area flows, and reports the utility metrics of
 the demo's first evaluation: per-release Euclidean error, area classification
 accuracy, and L1 flow error against the true traces.
 
-The scorer is batch-first: :func:`monitoring_utility` perturbs the whole
-trace database through one :meth:`~repro.core.mechanisms.Mechanism.release_batch`
-call and aggregates every metric with NumPy (inter-area flows via
-``np.unique`` over area-pair codes).  The batched path consumes the same
-seeded RNG stream as the scalar loop, so both paths score identically;
-``batched=False`` keeps the per-check-in reference loop.
-
-The scorer also scales *across users*: ``monitoring_utility(...,
-shards=k, backend="pool")`` partitions the population with the same
-deterministic :class:`~repro.engine.sharding.ShardPlan` the release
-pipeline uses (per-**user** RNG streams over the sorted user list), scores
-each shard independently, and merges per-shard
-:class:`~repro.engine.distributed.MetricShardResult` pieces exactly —
+:func:`monitoring_utility` and :func:`perturbed_flows` score the stream the
+server stores: each user's check-ins are released on that user's own RNG
+stream, spawned over the sorted user list exactly as
+:func:`~repro.server.pipeline.run_release_rounds_batched` spawns them.  The
+users are partitioned by a :class:`~repro.engine.sharding.ShardPlan` (one
+shard unless ``shards=`` says otherwise), each shard is released in one
+``release_batch(cells, streams=(seeds, counts))`` call and aggregated with
+NumPy, and the per-shard
+:class:`~repro.engine.distributed.MetricShardResult` pieces merge exactly —
 so the report is bit-identical for every shard count and execution backend.
+``batched=False`` keeps the per-check-in scalar reference loop on the same
+streams.
 """
 
 from __future__ import annotations
@@ -29,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.mechanisms.base import Mechanism
-from repro.errors import DataError
-from repro.geo.distance import euclidean
+from repro.engine import EngineRef, ShardPlan, resolve_release_source
+from repro.engine.distributed import MetricShardResult, ShardRows, shard_rows, sharded_metric
+from repro.errors import DataError, ValidationError
 from repro.geo.grid import GridWorld
 from repro.mobility.trajectory import TraceDB
-from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_integer
 
 __all__ = ["LocationMonitor", "MonitoringReport", "monitoring_utility", "perturbed_flows"]
@@ -195,7 +193,8 @@ def monitoring_utility(
     Parameters
     ----------
     world:
-        Location universe (also the snapping grid for area agreement).
+        Location universe (also the snapping grid for area agreement); the
+        mechanism must have been built for it.
     mechanism:
         The release mechanism to score.  A spec-built
         :class:`~repro.engine.PrivacyEngine` is also accepted — recommended
@@ -207,238 +206,97 @@ def monitoring_utility(
     block_rows / block_cols:
         Coarse-area tiling of the monitor.
     rng:
-        Seed source.  Unsharded runs consume it as one stream over the
-        check-ins in :meth:`~repro.mobility.trajectory.TraceDB.to_arrays`
-        order; sharded runs spawn one child stream per *user* from it
-        (the release pipeline's layout).
+        Seed source: one child stream per *user* is spawned from it, over
+        the sorted user list (the release pipeline's layout).
     batched:
-        ``True`` (default) scores via vectorized ``release_batch`` draws;
-        ``False`` runs the scalar per-release reference loop.  Both consume
-        the same seeded stream(s), so the two modes agree to float
-        round-off in either layout.
+        ``True`` (default) releases each shard in one
+        ``release_batch(streams=)`` call; ``False`` runs the scalar
+        per-release reference loop on the same per-user streams, so the two
+        modes agree to float round-off.
     shards / backend:
-        ``None`` / ``None`` (default) keeps the single-process paths above.
-        Providing either routes scoring over a deterministic
-        :class:`~repro.engine.sharding.ShardPlan` with per-user streams and
-        the named :class:`~repro.engine.backends.ExecutionBackend` —
-        output is then **bit-identical for every shard count and backend**
-        (exact merge, see :mod:`repro.engine.distributed`), though not
-        equal to the unsharded single-stream run (the two layouts consume
-        ``rng`` differently, exactly as in the release pipeline).
+        Shard count (default 1) and
+        :class:`~repro.engine.backends.ExecutionBackend` (default serial)
+        of the :class:`~repro.engine.sharding.ShardPlan` the users are
+        scored over.  The report is **bit-identical for every shard count
+        and backend** (exact merge, see :mod:`repro.engine.distributed`).
 
     Returns
     -------
     MonitoringReport
         Mean Euclidean error, area accuracy, flow L1 error, release count.
     """
-    if len(true_db) == 0:
-        raise DataError("true trace database is empty")
-    if shards is not None or backend is not None:
-        return _monitoring_utility_sharded(
-            world,
-            mechanism,
-            true_db,
-            block_rows,
-            block_cols,
-            rng=rng,
-            batched=batched,
-            shards=1 if shards is None else int(shards),
-            backend=backend,
-        )
-    generator = ensure_rng(rng)
-    monitor = LocationMonitor(world, block_rows, block_cols)
-
-    if not batched:
-        return _monitoring_utility_scalar(world, mechanism, true_db, monitor, generator)
-
-    users, times, cells = true_db.to_arrays()
-    batch = mechanism.release_batch(cells, rng=generator)
-    released_cells = world.snap_batch(batch.points)
-    centres = world.coords_array(cells)
-    errors = np.hypot(
-        batch.points[:, 0] - centres[:, 0], batch.points[:, 1] - centres[:, 1]
+    merged = _monitor_metric(
+        world, mechanism, true_db, block_rows, block_cols, rng, batched, shards, backend
     )
-    area_hits = int(
-        np.count_nonzero(monitor.area_of_batch(released_cells) == monitor.area_of_batch(cells))
-    )
-    count = len(cells)
-
-    true_flows = monitor.flows_from_arrays(users, times, cells)
-    observed_flows = monitor.flows_from_arrays(users, times, released_cells)
     return MonitoringReport(
-        mean_euclidean_error=float(errors.sum()) / count,
-        area_accuracy=area_hits / count,
-        flow_l1_error=_flow_l1_error(true_flows, observed_flows),
-        n_releases=count,
-    )
-
-
-def _monitoring_utility_scalar(
-    world: GridWorld,
-    mechanism: Mechanism,
-    true_db: TraceDB,
-    monitor: LocationMonitor,
-    generator,
-) -> MonitoringReport:
-    """Per-check-in reference loop (the protocol as one client experiences it)."""
-    released_db = TraceDB()
-    total_error = 0.0
-    area_hits = 0
-    count = 0
-    for checkin in true_db.checkins():
-        release = mechanism.release(checkin.cell, rng=generator)
-        released_cell = world.snap(release.point)
-        released_db.record(checkin.user, checkin.time, released_cell)
-        total_error += euclidean(release.point, world.coords(checkin.cell))
-        if monitor.area_of_cell(released_cell) == monitor.area_of_cell(checkin.cell):
-            area_hits += 1
-        count += 1
-
-    return MonitoringReport(
-        mean_euclidean_error=total_error / count,
-        area_accuracy=area_hits / count,
-        flow_l1_error=_flow_l1_error(monitor.flows(true_db), monitor.flows(released_db)),
-        n_releases=count,
+        mean_euclidean_error=merged.weighted_mean("error"),
+        area_accuracy=merged.weighted_mean("area_hits"),
+        flow_l1_error=_flow_l1_error(merged.flows["true"], merged.flows["observed"]),
+        n_releases=merged.n_releases,
     )
 
 
 # ----------------------------------------------------------------------
-# Shard-parallel path (E1 over ShardPlan + ExecutionBackend)
+# Shard scoring (E1 / E11 over ShardPlan + ExecutionBackend)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class _MonitorShardTask:
-    """One shard's monitoring workload: its users, streams, and traces.
+    """One shard's monitoring workload: its users' rows and the release source.
 
     Plain data plus the release source, so the pool backend can pickle it;
     ``source`` is an :class:`~repro.engine.EngineRef` for spec-built engines
     (workers rebuild and cache by spec hash) or the live mechanism.
-    ``times[i]`` / ``cells[i]`` are user ``users[i]``'s check-ins in time
-    order — the user-major layout whose per-user blocks concatenate back
-    into :meth:`TraceDB.to_arrays` order.
     """
 
     source: object
     block_rows: int
     block_cols: int
-    users: tuple[int, ...]
-    seeds: tuple[int, ...]
-    times: tuple[tuple[int, ...], ...]
-    cells: tuple[tuple[int, ...], ...]
+    rows: ShardRows
     batched: bool
 
 
 def _score_monitor_shard(task: _MonitorShardTask):
     """Score one shard's users on their own streams; module-level for pickling.
 
-    Per user: their whole trace is released from their own seed stream
-    (one vectorized ``release_batch`` call, or the scalar per-release loop
-    when ``task.batched`` is false — same stream, so same points to float
-    identity).  Returns a :class:`~repro.engine.distributed.MetricShardResult`
-    with per-user error / area-hit sums (weighted-mean components) and the
+    The shard's rows are released in one ``release_batch(streams=)`` call
+    (or the scalar per-release loop when ``task.batched`` is false).
+    Returns a :class:`~repro.engine.distributed.MetricShardResult` with
+    per-user error / area-hit sums (weighted-mean components) and the
     shard's true/observed flow counters (flows are within-user transitions,
     so per-user sharding partitions them exactly).
     """
-    from repro.engine import resolve_release_source
-    from repro.engine.distributed import MetricShardResult
-
     source = resolve_release_source(task.source)
     world = source.world
     monitor = LocationMonitor(world, task.block_rows, task.block_cols)
-    n_users = len(task.users)
-    n_rows = sum(len(cells) for cells in task.cells)
-
-    users_rows = np.empty(n_rows, dtype=int)
-    times_rows = np.empty(n_rows, dtype=int)
-    cells_rows = np.empty(n_rows, dtype=int)
-    points = np.empty((n_rows, 2), dtype=float)
-    error_sums = np.empty(n_users, dtype=float)
-    hit_sums = np.empty(n_users, dtype=float)
-    counts = np.empty(n_users, dtype=int)
-
-    offset = 0
-    for index, (user, seed, user_times, user_cells) in enumerate(
-        zip(task.users, task.seeds, task.times, task.cells)
-    ):
-        generator = np.random.default_rng(seed)
-        stop = offset + len(user_cells)
-        if task.batched:
-            batch = source.release_batch(list(user_cells), rng=generator)
-            points[offset:stop] = batch.points
-        else:  # scalar reference: same stream, one release() per check-in
-            for row, cell in enumerate(user_cells, start=offset):
-                points[row] = source.release(cell, rng=generator).point
-        users_rows[offset:stop] = user
-        times_rows[offset:stop] = user_times
-        cells_rows[offset:stop] = user_cells
-
-        centres = world.coords_array(np.asarray(user_cells, dtype=int))
-        errors = np.hypot(
-            points[offset:stop, 0] - centres[:, 0],
-            points[offset:stop, 1] - centres[:, 1],
-        )
-        error_sums[index] = errors.sum()
-        counts[index] = stop - offset
-        offset = stop
-
+    rows = task.rows
+    points = rows.release_points(source, task.batched)
     released_cells = world.snap_batch(points)
-    hits = monitor.area_of_batch(released_cells) == monitor.area_of_batch(cells_rows)
-    # Per-user hit counts: rows are user-major, so reduce per contiguous block.
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    for index in range(n_users):
-        hit_sums[index] = np.count_nonzero(hits[bounds[index] : bounds[index + 1]])
 
+    centres = world.coords_array(rows.cells)
+    errors = np.hypot(points[:, 0] - centres[:, 0], points[:, 1] - centres[:, 1])
+    hits = monitor.area_of_batch(released_cells) == monitor.area_of_batch(rows.cells)
+    # Per-user sums over each user's contiguous block of rows.  Float error
+    # sums stay one ``sum()`` per block; integer hit counts difference a
+    # cumulative sum.
+    bounds = rows.bounds
+    error_sums = np.array(
+        [errors[low:high].sum() for low, high in zip(bounds[:-1], bounds[1:])], dtype=float
+    )
+    hit_totals = np.concatenate(([0], np.cumsum(hits)))
+    hit_sums = (hit_totals[bounds[1:]] - hit_totals[bounds[:-1]]).astype(float)
+
+    row_users = rows.row_users
     return MetricShardResult(
         sums={"error": error_sums, "area_hits": hit_sums},
-        counts=counts,
+        counts=rows.counts,
         flows={
-            "true": monitor.flows_from_arrays(users_rows, times_rows, cells_rows),
-            "observed": monitor.flows_from_arrays(users_rows, times_rows, released_cells),
+            "true": monitor.flows_from_arrays(row_users, rows.times, rows.cells),
+            "observed": monitor.flows_from_arrays(row_users, rows.times, released_cells),
         },
     )
 
 
-def _monitor_shard_tasks(
-    world: GridWorld,
-    mechanism,
-    true_db: TraceDB,
-    block_rows: int,
-    block_cols: int,
-    plan,
-    batched: bool,
-) -> list[_MonitorShardTask]:
-    """One picklable :class:`_MonitorShardTask` per non-empty plan shard.
-
-    Shared by the E1 report and the E11 flow pipeline so both score through
-    the exact same shard layout (and the same worker-side engine cache).
-    Workers score against the release source's own world; a mismatched
-    explicit world is refused instead of silently diverging from the
-    unsharded path (which uses the passed world throughout).
-    """
-    from repro.engine import EngineRef
-    from repro.errors import ValidationError
-
-    if mechanism.world != world:
-        raise ValidationError("mechanism was built for a different world")
-    source = EngineRef.wrap(mechanism)
-    tasks = []
-    for _, users, seeds in plan.iter_shards():
-        histories = [true_db.user_history(user) for user in users]
-        tasks.append(
-            _MonitorShardTask(
-                source=source,
-                block_rows=block_rows,
-                block_cols=block_cols,
-                users=users,
-                seeds=seeds,
-                times=tuple(tuple(c.time for c in history) for history in histories),
-                cells=tuple(tuple(c.cell for c in history) for history in histories),
-                batched=batched,
-            )
-        )
-    return tasks
-
-
-def _monitoring_utility_sharded(
+def _monitor_metric(
     world: GridWorld,
     mechanism,
     true_db: TraceDB,
@@ -446,22 +304,26 @@ def _monitoring_utility_sharded(
     block_cols: int,
     rng,
     batched: bool,
-    shards: int,
+    shards,
     backend,
-) -> MonitoringReport:
-    """E1 over ``ShardPlan`` + ``ExecutionBackend`` (see ``monitoring_utility``)."""
-    from repro.engine import ShardPlan
-    from repro.engine.distributed import sharded_metric
+):
+    """Plan the users, score every shard and merge (E1's report, E11's flows).
 
-    plan = ShardPlan.build(sorted(true_db.users()), shards, rng=rng)
-    tasks = _monitor_shard_tasks(world, mechanism, true_db, block_rows, block_cols, plan, batched)
-    merged = sharded_metric(_score_monitor_shard, tasks, backend=backend)
-    return MonitoringReport(
-        mean_euclidean_error=merged.weighted_mean("error"),
-        area_accuracy=merged.weighted_mean("area_hits"),
-        flow_l1_error=_flow_l1_error(merged.flows["true"], merged.flows["observed"]),
-        n_releases=merged.n_releases,
-    )
+    Workers score against the release source's own world, so a mechanism
+    built for another world is refused rather than scored against the
+    wrong grid.
+    """
+    if len(true_db) == 0:
+        raise DataError("true trace database is empty")
+    if mechanism.world != world:
+        raise ValidationError("mechanism was built for a different world")
+    plan = ShardPlan.build(sorted(true_db.users()), 1 if shards is None else shards, rng=rng)
+    source = EngineRef.wrap(mechanism)
+    tasks = [
+        _MonitorShardTask(source, block_rows, block_cols, rows, batched)
+        for rows in shard_rows(plan, *true_db.to_arrays())
+    ]
+    return sharded_metric(_score_monitor_shard, tasks, backend=backend)
 
 
 def perturbed_flows(
@@ -482,42 +344,17 @@ def perturbed_flows(
     both the true and the released (snapped) stream.  ``true_flows`` is
     deterministic; ``observed_flows`` depends on the draws.
 
-    With ``shards=`` / ``backend=`` the population fans out over the same
-    per-user :class:`~repro.engine.sharding.ShardPlan` layout as the E1
-    report (flows are within-user transitions, so per-shard counters
-    partition the global counters and merge by exact Counter addition) —
-    both counters are then **bit-identical for every shard count and
-    backend**, though on the per-user-stream layout rather than the
-    unsharded single stream.  ``batched=False`` runs the scalar per-release
-    reference loop on whichever layout is selected.
+    Scoring follows :func:`monitoring_utility`: per-user streams over a
+    :class:`~repro.engine.sharding.ShardPlan` (``shards`` default 1,
+    ``backend`` default serial), so ``observed_flows`` equals
+    ``LocationMonitor.flows`` of the stream
+    :func:`~repro.server.pipeline.run_release_rounds_batched` stores for the
+    same seed.  Flows are within-user transitions, so per-shard counters
+    partition the global counters and merge by exact Counter addition —
+    both counters are **bit-identical for every shard count and backend**.
+    ``batched=False`` runs the scalar per-release reference loop.
     """
-    if len(true_db) == 0:
-        raise DataError("true trace database is empty")
-    if shards is not None or backend is not None:
-        from repro.engine import ShardPlan
-        from repro.engine.distributed import sharded_metric
-
-        plan = ShardPlan.build(
-            sorted(true_db.users()), 1 if shards is None else int(shards), rng=rng
-        )
-        tasks = _monitor_shard_tasks(
-            world, mechanism, true_db, block_rows, block_cols, plan, batched
-        )
-        merged = sharded_metric(_score_monitor_shard, tasks, backend=backend)
-        return Counter(merged.flows["true"]), Counter(merged.flows["observed"])
-
-    generator = ensure_rng(rng)
-    monitor = LocationMonitor(world, block_rows, block_cols)
-    users, times, cells = true_db.to_arrays()
-    if batched:
-        batch = mechanism.release_batch(cells, rng=generator)
-        released_cells = world.snap_batch(batch.points)
-    else:  # scalar reference: same stream, one release() per check-in
-        released_cells = np.array(
-            [world.snap(mechanism.release(int(cell), rng=generator).point) for cell in cells],
-            dtype=int,
-        )
-    return (
-        monitor.flows_from_arrays(users, times, cells),
-        monitor.flows_from_arrays(users, times, released_cells),
+    merged = _monitor_metric(
+        world, mechanism, true_db, block_rows, block_cols, rng, batched, shards, backend
     )
+    return Counter(merged.flows["true"]), Counter(merged.flows["observed"])

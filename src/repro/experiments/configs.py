@@ -93,15 +93,13 @@ class ExperimentConfig:
     loaded from a JSON file via the CLI's ``--engine-spec`` — pins the whole
     sweep to one declarative engine (see :meth:`with_engine_spec`).
 
-    ``eval_shards`` / ``eval_backend`` route the *evaluation* layer (the
-    E1 / E2 / E3 / E4 / E5 / E11 metric runners) over the distributed-metric
-    path (:mod:`repro.engine.distributed`): ``None`` / ``None`` (default)
-    keeps the single-process batched metrics, anything else shards metric
-    scoring with per-user / per-slot RNG streams on the named execution
-    backend — results are then invariant under the shard count and backend,
-    but use a different (equally deterministic) stream layout than the
-    unsharded default.  The CLI maps ``repro experiment e1 --shards N
-    --backend B`` onto these fields.
+    ``eval_shards`` / ``eval_backend`` set the shard count and execution
+    backend of the *evaluation* layer (the E1 / E2 / E3 / E4 / E5 / E11
+    metric runners, see :mod:`repro.engine.distributed`): ``None`` /
+    ``None`` (default) means one serial shard.  Metrics always score
+    per-user / per-slot RNG streams, so results are invariant under both
+    fields.  The CLI maps ``repro experiment e1 --shards N --backend B``
+    onto these fields.
 
     ``async_ingest`` routes E8's sharded release runs through the server's
     bounded async commit queue (:class:`~repro.server.pipeline.

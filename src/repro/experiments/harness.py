@@ -14,14 +14,15 @@ Two runners are execution-aware:
   release and eval throughput side by side, each with a live determinism
   column.  The micro-latency view (per-release / per-filter-step timings)
   additionally lives in ``benchmarks/bench_e8_scalability.py``.
-* E1 / E2 / E3 / E4 / E5 / E11 route their metric calls over the
-  distributed-metric path when ``config.eval_shards`` /
-  ``config.eval_backend`` are set (the CLI's ``repro experiment e1 --shards
-  N --backend B``): E1's monitoring report, E2's R0 occupancy counters,
-  E3's tracing event sets, E4/E5's trial grids, and E11's metapopulation
-  flow matrices all shard over the same plans.  One execution backend is
-  opened per runner and shared by every metric call in the sweep, so a
-  ``pool`` backend's workers stay warm across the whole table.
+* E1 / E2 / E3 / E4 / E5 / E11 pass ``config.eval_shards`` (default one
+  shard) and ``config.eval_backend`` (default serial) to their metric
+  calls (the CLI's ``repro experiment e1 --shards N --backend B``): E1's
+  monitoring report, E2's R0 occupancy counters, E3's tracing event sets,
+  E4/E5's trial grids, and E11's metapopulation flow matrices all run over
+  per-key streams, so every table is the same at any shard count and
+  backend.  One execution backend is opened per runner and shared by every
+  metric call in the sweep, so a ``pool`` backend's workers stay warm
+  across the whole table.
   ``config.async_ingest`` additionally overlaps E8's sharded release runs
   with server commits through the bounded async commit queue.
 """
@@ -34,7 +35,6 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.adversary.inference import BayesianAttacker
 from repro.adversary.metrics import adversary_error, utility_error
 from repro.core.mechanisms import PolicyLaplaceMechanism, PolicyPlanarIsotropicMechanism
 from repro.core.policies import random_policy
@@ -79,31 +79,24 @@ def _dataset(config: ExperimentConfig, world):
 def _eval_execution(config: ExperimentConfig):
     """``(shards, backend)`` for a runner's metric calls, backend held open.
 
-    ``(None, None)`` when the config doesn't request distributed evaluation
-    (metrics then take their single-process paths).  Otherwise one live
-    backend is opened for the *whole* runner and closed afterwards — so a
-    ``pool`` backend forks its workers once per table, not once per metric
-    call — and a missing shard count defaults to 1.
+    One live ``config.eval_backend`` (``None`` means serial) is opened for
+    the *whole* runner and closed afterwards — so a ``pool`` backend forks
+    its workers once per table, not once per metric call.
+    ``config.eval_shards`` passes through (``None`` means one shard).
     """
-    if config.eval_shards is None and config.eval_backend is None:
-        yield None, None
-        return
     with ensure_backend(config.eval_backend, **dict(config.backend_params)) as backend:
-        yield (1 if config.eval_shards is None else int(config.eval_shards)), backend
+        yield config.eval_shards, backend
 
 
-def _metric_source(world, policy, policy_name, mechanism_name, epsilon, sharded: bool):
+def _metric_source(world, policy, policy_name, mechanism_name, epsilon):
     """The release source a metric runner scores.
 
-    Single-process runs get the bare mechanism (the seed behaviour).
-    Sharded runs get the same mechanism wrapped in a spec-carrying
+    The mechanism wrapped in a spec-carrying
     :class:`~repro.engine.PrivacyEngine`, so shard tasks travel as
     :class:`~repro.engine.EngineRef` spec hashes and pool workers cache the
     built engine across the sweep instead of unpickling it per task.
     """
     mechanism = build_mechanism(mechanism_name, world, policy, epsilon)
-    if not sharded:
-        return mechanism
     spec = EngineSpec.named(mechanism_name, policy_name, epsilon=float(epsilon))
     return PrivacyEngine(world, policy, mechanism, spec=spec)
 
@@ -112,12 +105,11 @@ def run_monitoring_utility(config: ExperimentConfig = ExperimentConfig()) -> Res
     """E1: location-monitoring utility vs epsilon per policy x mechanism.
 
     One row per ``(policy, mechanism, epsilon)`` combination with the three
-    monitoring metrics (mean Euclidean error, area accuracy, flow L1).  All
-    draws come from one ``config.rng()`` stream consumed combination-major;
-    with ``config.eval_shards`` / ``config.eval_backend`` set, each
-    combination's scoring instead spawns per-user streams and fans out over
-    the distributed-metric path (values are then invariant under shard
-    count and backend, but follow that layout's — equally seeded — streams).
+    monitoring metrics (mean Euclidean error, area accuracy, flow L1).
+    Each combination spawns its per-user streams from one ``config.rng()``
+    stream consumed combination-major, so it scores what the server would
+    store; the table is invariant under ``config.eval_shards`` and
+    ``config.eval_backend``.
     """
     world = config.make_world()
     db = _dataset(config, world)
@@ -132,7 +124,7 @@ def run_monitoring_utility(config: ExperimentConfig = ExperimentConfig()) -> Res
             for mechanism_name in config.mechanisms:
                 for epsilon in config.epsilons:
                     source = _metric_source(
-                        world, policy, policy_name, mechanism_name, epsilon, shards is not None
+                        world, policy, policy_name, mechanism_name, epsilon
                     )
                     report = monitoring_utility(
                         world,
@@ -159,14 +151,11 @@ def run_r0_estimation(config: ExperimentConfig = ExperimentConfig()) -> ResultTa
     """E2: error of the R0 estimate from perturbed vs true locations.
 
     One row per ``(policy, mechanism, epsilon)`` with the true and
-    perturbed-data R0 estimates and their absolute difference.  All
-    perturbation draws come from one ``config.rng()`` stream consumed
-    combination-major (batched inside ``r0_estimation_error``, which keeps
-    the scalar loop's stream).  With ``config.eval_shards`` /
-    ``config.eval_backend`` set, each combination instead spawns per-user
-    streams and folds epoch-keyed occupancy counters over the
-    distributed-metric path (values invariant under shard count and
-    backend).
+    perturbed-data R0 estimates and their absolute difference.  Each
+    combination spawns its per-user streams from one ``config.rng()``
+    stream consumed combination-major and folds epoch-keyed occupancy
+    counters over the distributed-metric path; the table is invariant under
+    ``config.eval_shards`` and ``config.eval_backend``.
     """
     world = config.make_world()
     db = _dataset(config, world)
@@ -181,7 +170,7 @@ def run_r0_estimation(config: ExperimentConfig = ExperimentConfig()) -> ResultTa
             for mechanism_name in config.mechanisms:
                 for epsilon in config.epsilons:
                     source = _metric_source(
-                        world, policy, policy_name, mechanism_name, epsilon, shards is not None
+                        world, policy, policy_name, mechanism_name, epsilon
                     )
                     r0_true, r0_perturbed, error = r0_estimation_error(
                         world,
@@ -205,12 +194,13 @@ def run_contact_tracing(config: ExperimentConfig = ExperimentConfig()) -> Result
     Per epsilon, runs the dynamic contact-tracing protocol and the static
     baseline against the same diagnosed patient (the user with the most
     ground-truth contacts) and reports precision/recall/F1 plus the
-    epsilon actually spent.  Both methods draw from the same
-    ``config.rng()`` stream in interleaved order, so rows are reproducible
-    per config seed.  With ``config.eval_shards`` / ``config.eval_backend``
-    set, the dynamic protocol fans its non-patient population out over the
-    distributed-metric path (per-user streams; outcomes invariant under
-    shard count and backend) while the static baseline stays single-stream.
+    epsilon actually spent.  Both methods spawn their per-user streams from
+    the same ``config.rng()`` stream in interleaved order, so rows are
+    reproducible per config seed.  The dynamic protocol fans its
+    non-patient population out over ``config.eval_shards`` /
+    ``config.eval_backend`` (outcomes invariant under both); the static
+    baseline scores :func:`~repro.epidemic.analysis.perturb_tracedb`'s
+    one-shard stream.
     """
     world = config.make_world()
     db = _dataset(config, world)
@@ -272,12 +262,12 @@ def run_adversary_error(config: ExperimentConfig = ExperimentConfig()) -> Result
 
     One row per ``(policy, mechanism, epsilon)`` with the attacker's mean
     realised inference error and the matching utility error over one shared
-    sample of true cells (``config.trials`` trials per cell).  Draws come
-    from one ``config.rng()`` stream; with ``config.eval_shards`` /
-    ``config.eval_backend`` set, both metrics fan out over the
-    distributed-metric path with per-trial-slot streams (per-shard
-    attackers are built inside the workers — under the ``pool`` backend
-    their cached distance matrices survive the whole sweep).
+    sample of true cells (``config.trials`` trials per cell).  Both metrics
+    spawn per-trial-slot streams from one ``config.rng()`` stream and run
+    over ``config.eval_shards`` / ``config.eval_backend`` (the table is
+    invariant under both).  Per-shard attackers are built inside the
+    workers and share the world's cached distance matrix — under the
+    ``pool`` backend it survives the whole sweep.
     """
     world = config.make_world()
     rng = config.rng()
@@ -292,17 +282,8 @@ def run_adversary_error(config: ExperimentConfig = ExperimentConfig()) -> Result
             policy = build_policy(policy_name, world)
             for mechanism_name in config.mechanisms:
                 for epsilon in config.epsilons:
-                    sharded = shards is not None
                     source = _metric_source(
-                        world, policy, policy_name, mechanism_name, epsilon, sharded
-                    )
-                    # One attacker per built mechanism, reused across all of
-                    # this mechanism's batched adversary draws (sharded runs
-                    # build per-shard attackers in the workers instead).
-                    attacker = (
-                        None
-                        if sharded
-                        else BayesianAttacker(world, source, float32=config.float32)
+                        world, policy, policy_name, mechanism_name, epsilon
                     )
                     privacy = adversary_error(
                         world,
@@ -310,7 +291,6 @@ def run_adversary_error(config: ExperimentConfig = ExperimentConfig()) -> Result
                         true_cells,
                         rng=rng,
                         trials_per_cell=config.trials,
-                        attacker=attacker,
                         shards=shards,
                         backend=backend,
                         float32=config.float32,
@@ -340,10 +320,9 @@ def run_random_policy_tradeoff(
     ``config.rng()``, builds P-LM at ``epsilon``, and scores utility and
     adversary error over (up to 20 of) its protected cells with
     ``config.trials`` trials each — graph sampling and metric draws share
-    one stream, so the table is a pure function of the config seed.  With
-    ``config.eval_shards`` / ``config.eval_backend`` set, both metrics fan
-    out over the distributed-metric path with per-trial-slot streams
-    (per-shard attackers are built inside the workers, as in E4).
+    one stream, so the table is a pure function of the config seed.  Both
+    metrics run over per-trial-slot streams on ``config.eval_shards`` /
+    ``config.eval_backend``, as in E4.
     """
     world = config.make_world()
     rng = config.rng()
@@ -360,19 +339,13 @@ def run_random_policy_tradeoff(
                 if not protected:
                     continue
                 cells = protected[: min(20, len(protected))]
-                attacker = (
-                    None
-                    if shards is not None
-                    else BayesianAttacker(world, mechanism, float32=config.float32)
-                )
                 utility = utility_error(
                     world, mechanism, cells, rng=rng, trials_per_cell=config.trials,
                     shards=shards, backend=backend,
                 )
                 privacy = adversary_error(
                     world, mechanism, cells, rng=rng, trials_per_cell=config.trials,
-                    attacker=attacker, shards=shards, backend=backend,
-                    float32=config.float32,
+                    shards=shards, backend=backend, float32=config.float32,
                 )
                 table.add_row(size, density, policy.n_edges, utility, privacy)
     return table
@@ -623,11 +596,10 @@ def run_metapop_forecast(
     The monitoring app's end-to-end utility (Sec. 3.1's motivation): fit a
     metapopulation SEIR to the inter-area flows of the true stream and of
     each perturbed stream, and report the divergence between the forecast
-    infectious curves, per policy and budget.  With ``config.eval_shards`` /
-    ``config.eval_backend`` set, each combination's flow measurement fans
-    out over the distributed-metric path (per-user streams; the merged flow
-    matrices — and therefore the forecasts — are invariant under shard
-    count and backend).
+    infectious curves, per policy and budget.  Each combination's flow
+    measurement runs over per-user streams on ``config.eval_shards`` /
+    ``config.eval_backend``; the merged flow matrices — and therefore the
+    forecasts — are invariant under both.
     """
     from repro.epidemic.metapop import forecast_divergence, forecast_from_flows
     from repro.epidemic.monitor import LocationMonitor, perturbed_flows
@@ -667,9 +639,7 @@ def run_metapop_forecast(
         for policy_name in config.policies:
             policy = build_policy(policy_name, world)
             for epsilon in config.epsilons:
-                source = _metric_source(
-                    world, policy, policy_name, "P-LM", epsilon, shards is not None
-                )
+                source = _metric_source(world, policy, policy_name, "P-LM", epsilon)
                 _, observed_flows = perturbed_flows(
                     world,
                     source,

@@ -108,10 +108,3 @@ class TestMetrics:
     def test_expected_inference_error_positive(self, world, mechanism):
         value = expected_inference_error(world, mechanism, [0, 12], rng=3, trials_per_cell=2)
         assert value > 0
-
-    def test_shared_attacker_reused(self, world, mechanism):
-        attacker = BayesianAttacker(world, mechanism)
-        value = adversary_error(
-            world, mechanism, [0, 1], rng=4, trials_per_cell=2, attacker=attacker
-        )
-        assert value >= 0

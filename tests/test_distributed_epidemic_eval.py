@@ -106,16 +106,15 @@ class TestR0Estimation:
         )
         assert sharded[0] == unsharded[0]
 
-    def test_sharded_layout_differs_from_unsharded(self, world, db, mechanism):
-        # Per-user streams vs one shared stream: each deterministic,
-        # deliberately not equal (the sharded pipeline's usual caveat).
-        sharded = r0_estimation_error(
+    def test_unsharded_equals_one_shard(self, world, db, mechanism):
+        # One layout: without shards= / backend= the estimator is the
+        # one-shard serial run on per-user streams.
+        one = r0_estimation_error(
             world, mechanism, db, p_transmit=0.3, gamma=0.1, rng=4, shards=1
         )
-        unsharded = r0_estimation_error(
+        assert r0_estimation_error(
             world, mechanism, db, p_transmit=0.3, gamma=0.1, rng=4
-        )
-        assert sharded[1] != unsharded[1]
+        ) == one
 
     def test_mismatched_world_rejected(self, db, mechanism):
         with pytest.raises(ValidationError):
@@ -160,11 +159,27 @@ class TestContactTracing:
         scalar = protocol.run(db, patient, diagnosis, rng=3, shards=4, batched=False)
         assert scalar == batched
 
-    def test_released_db_and_ledger_unsupported_sharded(self, world, db):
+    def test_released_db_and_ledger_sharded(self, world, db, engine):
+        # Screening on a given stream and charging a ledger both work
+        # sharded, and equal the one-shard run, ledger entries included.
+        from repro.core.accounting import BudgetLedger
+
         protocol = _protocol(world)
         patient, diagnosis = _patient(db, protocol.window)
-        with pytest.raises(ValidationError):
-            protocol.run(db, patient, diagnosis, shards=2, released_db=TraceDB())
+        stored = run_release_rounds_batched(world, db, engine, rng=5).released_db
+        runs = {}
+        for shards in (1, 2):
+            for released in (None, stored):
+                ledger = BudgetLedger()
+                outcome = protocol.run(
+                    db, patient, diagnosis, rng=7, released_db=released,
+                    ledger=ledger, shards=shards, backend="thread",
+                )
+                runs[shards, released is None] = (outcome, ledger.entries)
+        for generated in (True, False):
+            assert runs[1, generated] == runs[2, generated]
+            purposes = {entry.purpose for entry in runs[2, generated][1]}
+            assert purposes == ({"stream", "tracing-resend"} if generated else {"tracing-resend"})
 
     def test_lone_patient_yields_empty_outcome(self, world):
         lone = TraceDB()

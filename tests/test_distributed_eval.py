@@ -176,27 +176,17 @@ class TestShardInvariance:
         reference = monitoring_utility(world, mechanism, db, rng=4, shards=1)
         assert monitoring_utility(world, mechanism, db, rng=4, backend="thread") == reference
 
-    def test_sharded_layout_differs_from_unsharded(self, world, db, mechanism):
-        # The two layouts consume the seed differently (per-user streams vs
-        # one shared stream) — each deterministic, deliberately not equal.
-        sharded = monitoring_utility(world, mechanism, db, rng=4, shards=1)
-        unsharded = monitoring_utility(world, mechanism, db, rng=4)
-        assert sharded.n_releases == unsharded.n_releases
-        assert sharded.mean_euclidean_error != unsharded.mean_euclidean_error
-
-    def test_attacker_prior_forwarded_to_shards(self, world, engine, mechanism):
-        prior = np.zeros(world.n_cells)
-        prior[:6] = 1.0
-        from repro.adversary.inference import BayesianAttacker
-
-        attacker = BayesianAttacker(world, mechanism, prior=prior)
-        via_attacker = adversary_error(
-            world, engine, [1, 2, 3], rng=0, attacker=attacker, shards=2
+    def test_unsharded_equals_one_shard(self, world, db, mechanism):
+        # One layout: without shards= / backend= the evaluator is the
+        # one-shard serial run, per-user streams and all.
+        assert monitoring_utility(world, mechanism, db, rng=4) == monitoring_utility(
+            world, mechanism, db, rng=4, shards=1
         )
-        via_prior = adversary_error(
-            world, engine, [1, 2, 3], rng=0, prior=prior, shards=2
-        )
-        assert via_attacker == via_prior
+        cells = [1, 2, 3, 3]
+        for metric in (utility_error, adversary_error, expected_inference_error):
+            assert metric(world, mechanism, cells, rng=0, trials_per_cell=2) == metric(
+                world, mechanism, cells, rng=0, trials_per_cell=2, shards=1
+            )
 
 
 def _boom(task):
@@ -403,37 +393,31 @@ class TestHarnessIntegration:
         assert all(table.column("eval_matches_serial"))
         assert all(seconds > 0 for seconds in table.column("eval_seconds"))
 
-    def test_e1_runner_invariant_under_eval_sharding_config(self):
-        from repro.experiments.configs import ExperimentConfig
-        from repro.experiments.harness import run_monitoring_utility
-
-        base = ExperimentConfig(
-            world_size=6, n_users=5, horizon=6,
-            policies=("G1",), mechanisms=("P-LM",), epsilons=(1.0,),
-        )
+    @pytest.mark.parametrize("runner", ["E1", "E2", "E3", "E4", "E5", "E11"])
+    def test_runner_tables_equal(self, runner):
+        # The default config, one explicit shard, and three thread shards
+        # all score the same per-key streams, so the tables are equal.
         import dataclasses
 
-        one = run_monitoring_utility(dataclasses.replace(base, eval_shards=1))
-        many = run_monitoring_utility(
-            dataclasses.replace(base, eval_shards=3, eval_backend="thread")
-        )
-        assert one.rows == many.rows
-
-    def test_e4_runner_invariant_under_eval_sharding_config(self):
+        from repro.experiments import harness
         from repro.experiments.configs import ExperimentConfig
-        from repro.experiments.harness import run_adversary_error
 
+        run = {
+            "E1": harness.run_monitoring_utility,
+            "E2": harness.run_r0_estimation,
+            "E3": harness.run_contact_tracing,
+            "E4": harness.run_adversary_error,
+            "E5": harness.run_random_policy_tradeoff,
+            "E11": harness.run_metapop_forecast,
+        }[runner]
         base = ExperimentConfig(
-            world_size=6, n_users=5, horizon=6,
+            world_size=8, n_users=5, horizon=6,
             policies=("G1",), mechanisms=("P-LM",), epsilons=(1.0,),
         )
-        import dataclasses
-
-        one = run_adversary_error(dataclasses.replace(base, eval_shards=1))
-        many = run_adversary_error(
-            dataclasses.replace(base, eval_shards=4, eval_backend="pool")
-        )
-        assert one.rows == many.rows
+        default = run(base)
+        one = run(dataclasses.replace(base, eval_shards=1))
+        many = run(dataclasses.replace(base, eval_shards=3, eval_backend="thread"))
+        assert default.rows == one.rows == many.rows
 
     def test_cli_routes_shards_to_eval_for_non_e8(self):
         from repro.cli import main

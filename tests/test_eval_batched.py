@@ -21,9 +21,11 @@ from repro.epidemic.tracing import ContactTracingProtocol
 from repro.errors import ValidationError
 from repro.experiments.configs import ExperimentConfig, build_mechanism, build_policy
 from repro.experiments.harness import run_theorem_bounds
+from repro.geo.distance import euclidean
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
 from repro.mobility.trajectory import TraceDB
+from repro.utils.rng import spawn_seeds
 
 
 @pytest.fixture
@@ -287,15 +289,10 @@ class TestTracingBatched:
         )
         outcome = protocol.run(db, patient, diagnosis_time, rng=5)
 
-        # Scalar replica of the protocol, consuming the same seeded stream.
-        rng = np.random.default_rng(5)
+        # Scalar replica of the protocol: every non-patient user releases
+        # their window and, if screened in, re-sends it, continuing their
+        # own stream (one seed per user over the sorted non-patients).
         base_mechanism = PolicyLaplaceMechanism(world, base_policy, 1.0)
-        released = TraceDB()
-        for checkin in db.checkins():
-            if not start <= checkin.time <= diagnosis_time:
-                continue
-            release = base_mechanism.release(checkin.cell, rng=rng)
-            released.record(checkin.user, checkin.time, world.snap(release.point))
         infected_pairs = {
             (checkin.cell, checkin.time)
             for checkin in db.user_history(patient, start=start, end=diagnosis_time)
@@ -305,11 +302,25 @@ class TestTracingBatched:
         )
         tracing_mechanism = PolicyLaplaceMechanism(world, tracing_policy, 1.0)
         radius = protocol._effective_radius(base_mechanism)
-        candidates = protocol._screen(released, infected_pairs, radius, exclude=patient)
-        flagged = set()
-        for user in sorted(candidates):
+        others = sorted(db.users() - {patient})
+        candidates, flagged = set(), set()
+        for user, seed in zip(others, spawn_seeds(5, len(others))):
+            rng = np.random.default_rng(seed)
+            history = db.user_history(user, start=start, end=diagnosis_time)
+            released = [
+                world.snap(base_mechanism.release(checkin.cell, rng=rng).point)
+                for checkin in history
+            ]
+            if not any(
+                euclidean(world.coords(cell), world.coords(infected_cell)) <= radius
+                for checkin, cell in zip(history, released)
+                for infected_cell, time in infected_pairs
+                if time == checkin.time
+            ):
+                continue
+            candidates.add(user)
             hits = 0
-            for checkin in db.user_history(user, start=start, end=diagnosis_time):
+            for checkin in history:
                 release = tracing_mechanism.release(checkin.cell, rng=rng)
                 if release.exact and (world.snap(release.point), checkin.time) in infected_pairs:
                     hits += 1

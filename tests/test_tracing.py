@@ -88,6 +88,24 @@ class TestProtocol:
         # Stream releases also accounted.
         assert "stream" in ledger.by_purpose()
 
+    def test_epsilon_spent_is_this_runs_spend(self, world):
+        # A ledger reused for a second identical run: each outcome reports
+        # its own re-send spend, and the ledger holds their sum.
+        db = geolife_like(world, n_users=12, horizon=24, rng=0, n_work_hubs=2)
+        protocol = ContactTracingProtocol(
+            world, area_policy(world, 2, 2, name="Gb"), PolicyLaplaceMechanism,
+            epsilon=1.0, min_count=2, window=24,
+        )
+        patient = pick_patient(db, window=24)
+        ledger = BudgetLedger()
+        first = protocol.run(db, patient, db.times()[-1], rng=2, ledger=ledger)
+        second = protocol.run(db, patient, db.times()[-1], rng=2, ledger=ledger)
+        assert first.epsilon_spent > 0
+        assert second.epsilon_spent == first.epsilon_spent
+        assert ledger.by_purpose()["tracing-resend"] == pytest.approx(
+            first.epsilon_spent + second.epsilon_spent
+        )
+
     def test_candidates_bounded_by_population(self, db, protocol):
         patient = pick_patient(db)
         outcome = protocol.run(db, patient, db.times()[-1], rng=3)
