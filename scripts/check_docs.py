@@ -6,6 +6,10 @@ Walks ``README.md`` and every ``docs/*.md``, and
 * executes each fenced ```` ```python ```` block in a fresh namespace (with
   ``src/`` importable), so quickstart code in the docs is guaranteed to run
   against the current API — the docs equivalent of a doctest;
+* parses each fenced ```` ```json ```` block, and loads every one whose top
+  level has ``mechanism`` and ``policy`` keys through
+  ``EngineSpec.from_dict``, so the documented spec wire format is checked
+  against the strict loader;
 * resolves every relative markdown link/image target against the repo tree,
   so renames can't silently strand the docs.
 
@@ -20,6 +24,7 @@ otherwise.  Run locally or in CI::
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import sys
 from pathlib import Path
@@ -28,6 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 PYTHON_FENCE = re.compile(r"^```python\s*$(.*?)^```\s*$", re.DOTALL | re.MULTILINE)
+JSON_FENCE = re.compile(r"^```json\s*$(.*?)^```\s*$", re.DOTALL | re.MULTILINE)
 #: markdown links and images, minus in-page anchors and bare URLs.
 LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 EXTERNAL = ("http://", "https://", "mailto:")
@@ -41,7 +47,14 @@ def doc_files() -> list[Path]:
 
 
 def run_snippets(path: Path) -> list[str]:
-    """Execute every python fence in ``path``; return error descriptions."""
+    """Execute every python fence and load every json fence in ``path``.
+
+    Returns error descriptions.  A json fence must parse; one whose top
+    level names a ``mechanism`` and a ``policy`` must also load through
+    ``EngineSpec.from_dict``.
+    """
+    from repro.engine import EngineSpec
+
     errors = []
     text = path.read_text(encoding="utf-8")
     for index, match in enumerate(PYTHON_FENCE.finditer(text), start=1):
@@ -52,6 +65,14 @@ def run_snippets(path: Path) -> list[str]:
             exec(code, {"__name__": f"__doc_snippet_{index}__"})  # noqa: S102
         except Exception as exc:  # noqa: BLE001 - report, don't crash
             errors.append(f"{path.name}:{line} snippet {index} failed: {exc!r}")
+    for index, match in enumerate(JSON_FENCE.finditer(text), start=1):
+        line = text[: match.start()].count("\n") + 2
+        try:
+            payload = json.loads(match.group(1))
+            if isinstance(payload, dict) and {"mechanism", "policy"} <= payload.keys():
+                EngineSpec.from_dict(payload)
+        except Exception as exc:  # noqa: BLE001 - report, don't crash
+            errors.append(f"{path.name}:{line} json fence {index} failed: {exc!r}")
     return errors
 
 
@@ -90,9 +111,14 @@ def main(argv: list[str] | None = None) -> int:
             errors += run_snippets(path)
         if not args.snippets_only:
             errors += check_links(path)
-        snippet_count = len(PYTHON_FENCE.findall(path.read_text(encoding="utf-8")))
+        text = path.read_text(encoding="utf-8")
+        snippet_count = len(PYTHON_FENCE.findall(text))
+        json_count = len(JSON_FENCE.findall(text))
         status = "ok" if not errors else f"{len(errors)} error(s)"
-        print(f"{path.relative_to(ROOT)}: {snippet_count} snippet(s), {status}")
+        print(
+            f"{path.relative_to(ROOT)}: {snippet_count} snippet(s), "
+            f"{json_count} json fence(s), {status}"
+        )
         failures.extend(errors)
     for error in failures:
         print(f"  FAIL {error}", file=sys.stderr)

@@ -5,7 +5,6 @@ Usage (after ``pip install -e .``)::
     python -m repro policy G1 --size 8
     python -m repro --seed 7 release --policy Gb --epsilon 1.0 --cell 27
     python -m repro release --mechanism planar_laplace --cell 27 --count 1000
-    python -m repro release --cell 27 --count 1000 --array-backend numpy
     python -m repro experiment e1 --size 8 --users 12 --horizon 36
     python -m repro experiment e4 --float32
     python -m repro experiment e1 --shards 4 --backend pool
@@ -118,14 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="release the cell this many times through one batched engine call",
     )
-    release.add_argument(
-        "--array-backend",
-        default=None,
-        metavar="NAME",
-        help="array namespace for mechanism kernels (numpy is the bit-exact "
-        "default; cupy/torch when installed — see `repro engines`). "
-        "Unavailable backends exit with an error.",
-    )
 
     experiment = sub.add_parser("experiment", help="run an experiment and print its table")
     experiment.add_argument("name", choices=sorted(EXPERIMENTS))
@@ -193,14 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="e8: additionally time durable ingest — every shard committed "
         "transactionally into a SQLite TraceStore at PATH (reported in the "
         "durable_releases_per_sec column; see docs/persistence.md)",
-    )
-    experiment.add_argument(
-        "--array-backend",
-        default=None,
-        metavar="NAME",
-        help="array namespace for every engine the experiment builds "
-        "(numpy is the bit-exact default; unavailable backends exit with "
-        "an error — see `repro engines` for availability)",
     )
     experiment.add_argument(
         "--float32",
@@ -341,12 +324,9 @@ def _cmd_release(args: argparse.Namespace) -> int:
             mechanism=args.mechanism,
             policy=args.policy,
             epsilon=args.epsilon,
-            array_backend=args.array_backend,
         )
     except ReproError as exc:
-        # e.g. optimal_lp's component-size guard on a large world, or an
-        # --array-backend that is unknown / not installed (the error lists
-        # what is available instead of an ImportError traceback).
+        # e.g. optimal_lp's component-size guard on a large world.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     seed = _effective_seed(args)
@@ -470,13 +450,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                     )
             if params:
                 config = replace(config, backend_params=tuple(sorted(params.items())))
-        if args.array_backend is not None:
-            # Resolve now so an unknown or uninstalled backend exits 1 with
-            # the availability table instead of surfacing mid-sweep.
-            from repro.core.xp import resolve_array_backend
-
-            backend = resolve_array_backend(args.array_backend)
-            config = replace(config, array_backend=backend.name)
         if args.float32:
             config = replace(config, float32=True)
         if args.store is not None or args.resume:
@@ -624,14 +597,6 @@ def _cmd_engines() -> int:
     print("backends:")
     for name in backend_names():
         print(f"  {name}")
-    print("array backends:")
-    from repro.core.xp import probe_array_backends
-
-    # Availability is probed without importing (importlib.find_spec), so
-    # listing never pays a CUDA/torch import or crashes on a broken install.
-    for name, available in sorted(probe_array_backends().items()):
-        status = "available" if available else "not installed"
-        print(f"  {name} ({status})")
     print("store:")
     from repro.store import SCHEMA_VERSION
 

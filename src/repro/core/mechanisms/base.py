@@ -46,7 +46,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core.policy_graph import PolicyGraph
-from repro.core.xp import NUMPY_BACKEND, ArrayBackend, resolve_array_backend
 from repro.errors import MechanismError
 from repro.geo.grid import GridWorld
 from repro.utils.rng import ensure_rng
@@ -209,34 +208,6 @@ class Mechanism(abc.ABC):
             raise MechanismError(
                 f"policy graph {graph.name!r} has nodes outside the world: {sorted(outside)[:5]}"
             )
-
-    # ------------------------------------------------------------------
-    # Array-backend seam
-    # ------------------------------------------------------------------
-    @property
-    def array_backend(self) -> ArrayBackend:
-        """The array backend the batched kernels compute on (default numpy)."""
-        backend = getattr(self, "_array_backend", None)
-        return backend if backend is not None else NUMPY_BACKEND
-
-    @property
-    def xp(self):
-        """The live array namespace (``numpy`` unless a backend was set)."""
-        return self.array_backend.xp
-
-    def use_array_backend(self, backend) -> "Mechanism":
-        """Route the batched kernels through a registry-named array backend.
-
-        ``backend`` is a name (``"numpy"`` / ``"cupy"`` / ``"torch"``), a
-        live :class:`~repro.core.xp.ArrayBackend`, or ``None`` (numpy).
-        Uniform draws stay on the *numpy* generator regardless (the RNG
-        stream contract), so a non-numpy backend changes floating-point
-        rounding only: results are distributionally equivalent, while the
-        numpy backend remains the bit-exact reference.  Returns ``self``
-        for chaining.
-        """
-        self._array_backend = resolve_array_backend(backend)
-        return self
 
     # ------------------------------------------------------------------
     @property

@@ -51,18 +51,8 @@ class GeoIndistinguishabilityMechanism(Mechanism):
 
     def _perturb_batch(self, cells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         # Same inverse-CDF planar Laplace as P-LM, at the constant Geo-I rate.
-        n = len(cells)
-        backend = self.array_backend
-        if not backend.is_numpy:
-            device = planar_laplace_perturb(
-                backend.from_numpy(self.world.coords_array(cells)),
-                self.epsilon,
-                backend.from_numpy(rng.random((n, 3))),
-                xp=backend.xp,
-            )
-            return np.asarray(backend.asnumpy(device), dtype=float)
         return planar_laplace_perturb(
-            self.world.coords_array(cells), self.epsilon, rng.random((n, 3))
+            self.world.coords_array(cells), self.epsilon, rng.random((len(cells), 3))
         )
 
     def _pdf(self, point: np.ndarray, cell: int) -> float:
@@ -71,16 +61,7 @@ class GeoIndistinguishabilityMechanism(Mechanism):
         return self.epsilon**2 / (2.0 * math.pi) * math.exp(-self.epsilon * distance)
 
     def _pdf_batch(self, points: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        backend = self.array_backend
-        if backend.is_numpy:
-            return planar_laplace_pdf(points, self.world.coords_array(cells), self.epsilon)
-        device = planar_laplace_pdf(
-            backend.from_numpy(np.asarray(points, dtype=float)),
-            backend.from_numpy(self.world.coords_array(cells)),
-            self.epsilon,
-            xp=backend.xp,
-        )
-        return np.asarray(backend.asnumpy(device), dtype=float)
+        return planar_laplace_pdf(points, self.world.coords_array(cells), self.epsilon)
 
 
 class LocationSetPIMechanism(PolicyPlanarIsotropicMechanism):

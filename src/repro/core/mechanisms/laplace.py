@@ -33,28 +33,27 @@ from repro.geo.grid import GridWorld
 __all__ = ["PolicyLaplaceMechanism", "planar_laplace_perturb", "planar_laplace_pdf"]
 
 
-def planar_laplace_perturb(centres: np.ndarray, rates, u: np.ndarray, xp=np) -> np.ndarray:
+def planar_laplace_perturb(centres: np.ndarray, rates, u: np.ndarray) -> np.ndarray:
     """Vectorized planar-Laplace draws from a block of uniforms.
 
     Inverse CDF: the radius is Gamma(2, 1/rate) (sum of two exponentials),
     the angle uniform.  ``u`` is ``(n, 3)`` with one row of uniforms per
     release, so callers consuming ``rng.random((n, 3))`` keep the stream
     identical to scalar sequential draws.  Shared by P-LM (per-component
-    rates) and the Geo-I baseline (one constant rate).  ``xp`` selects the
-    array namespace (CuPy / torch tensors in, same kind out).
+    rates) and the Geo-I baseline (one constant rate).
     """
-    radii = -(xp.log1p(-u[:, 0]) + xp.log1p(-u[:, 1])) / rates
+    radii = -(np.log1p(-u[:, 0]) + np.log1p(-u[:, 1])) / rates
     theta = 2.0 * math.pi * u[:, 2]
-    return centres + radii[:, None] * xp.column_stack((xp.cos(theta), xp.sin(theta)))
+    return centres + radii[:, None] * np.column_stack((np.cos(theta), np.sin(theta)))
 
 
-def planar_laplace_pdf(points: np.ndarray, centres: np.ndarray, rates, xp=np) -> np.ndarray:
+def planar_laplace_pdf(points: np.ndarray, centres: np.ndarray, rates) -> np.ndarray:
     """``(m, n)`` planar-Laplace densities of points against cell centres."""
-    distances = xp.hypot(
+    distances = np.hypot(
         points[:, None, 0] - centres[None, :, 0],
         points[:, None, 1] - centres[None, :, 1],
     )
-    return rates**2 / (2.0 * math.pi) * xp.exp(-rates * distances)
+    return rates**2 / (2.0 * math.pi) * np.exp(-rates * distances)
 
 
 class PolicyLaplaceMechanism(Mechanism):
@@ -126,22 +125,10 @@ class PolicyLaplaceMechanism(Mechanism):
         return self._perturb_batch(np.array([cell]), rng)[0]
 
     def _perturb_batch(self, cells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        n = len(cells)
-        backend = self.array_backend
-        if not backend.is_numpy:
-            # Uniforms still come off the numpy generator (stream contract);
-            # only the arithmetic moves to the device.
-            device = planar_laplace_perturb(
-                backend.from_numpy(self.world.coords_array(cells)),
-                backend.from_numpy(self._rates_for(cells)),
-                backend.from_numpy(rng.random((n, 3))),
-                xp=backend.xp,
-            )
-            return np.asarray(backend.asnumpy(device), dtype=float)
         return planar_laplace_perturb(
             self.world.coords_array(cells),
             self._rates_for(cells),
-            rng.random((n, 3)),
+            rng.random((len(cells), 3)),
         )
 
     def _pdf(self, point: np.ndarray, cell: int) -> float:
@@ -153,15 +140,6 @@ class PolicyLaplaceMechanism(Mechanism):
         return rate**2 / (2.0 * math.pi) * math.exp(-rate * distance)
 
     def _pdf_batch(self, points: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        backend = self.array_backend
-        if backend.is_numpy:
-            return planar_laplace_pdf(
-                points, self.world.coords_array(cells), self._rates_for(cells)
-            )
-        device = planar_laplace_pdf(
-            backend.from_numpy(np.asarray(points, dtype=float)),
-            backend.from_numpy(self.world.coords_array(cells)),
-            backend.from_numpy(self._rates_for(cells)),
-            xp=backend.xp,
+        return planar_laplace_pdf(
+            points, self.world.coords_array(cells), self._rates_for(cells)
         )
-        return np.asarray(backend.asnumpy(device), dtype=float)

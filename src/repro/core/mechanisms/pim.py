@@ -138,22 +138,6 @@ class PolicyPlanarIsotropicMechanism(Mechanism):
         # row keep the stream identical to scalar sequential releases; cells
         # are then grouped by component so each hull samples vectorized.
         n = len(cells)
-        backend = self.array_backend
-        if not backend.is_numpy:
-            # Hull sampling is host geometry; the radius/combine arithmetic
-            # runs on the device namespace (uniforms stay on the numpy RNG).
-            xp = backend.xp
-            u = rng.random((n, 6))
-            component = np.take(self._component_table, cells)
-            directions = self._sample_directions(component, u, np.empty((n, 2)))
-            du = backend.from_numpy(u[:, :3])
-            radii = -(
-                xp.log1p(-du[:, 0]) + xp.log1p(-du[:, 1]) + xp.log1p(-du[:, 2])
-            ) / self.epsilon
-            device = backend.from_numpy(self.world.coords_array(cells)) + radii[
-                :, None
-            ] * backend.from_numpy(directions)
-            return np.asarray(backend.asnumpy(device), dtype=float)
         u = rng.random((n, 6))
         radii = -(
             np.log1p(-u[:, 0]) + np.log1p(-u[:, 1]) + np.log1p(-u[:, 2])
@@ -170,7 +154,6 @@ class PolicyPlanarIsotropicMechanism(Mechanism):
         return self.epsilon**2 / (2.0 * hull.area) * math.exp(-self.epsilon * gauge)
 
     def _pdf_batch(self, points: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        backend = self.array_backend
         centres = self.world.coords_array(cells)
         component = np.take(self._component_table, cells)
         out = np.empty((len(points), len(cells)))
@@ -178,13 +161,7 @@ class PolicyPlanarIsotropicMechanism(Mechanism):
             mask = component == index
             hull = self._hull_by_component[index]
             displacements = points[:, None, :] - centres[None, mask, :]
-            gauges = hull.gauge_many(displacements)  # host geometry
+            gauges = hull.gauge_many(displacements)
             scale = self.epsilon**2 / (2.0 * hull.area)
-            if backend.is_numpy:
-                out[:, mask] = scale * np.exp(-self.epsilon * gauges)
-            else:
-                device = scale * backend.xp.exp(
-                    -self.epsilon * backend.from_numpy(np.asarray(gauges))
-                )
-                out[:, mask] = np.asarray(backend.asnumpy(device), dtype=float)
+            out[:, mask] = scale * np.exp(-self.epsilon * gauges)
         return out

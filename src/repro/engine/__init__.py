@@ -23,10 +23,8 @@ population-scale engine:
   :func:`sharded_metric` folds per-shard :class:`MetricShardResult`
   pieces with an exact associative merge, so E1/E4-class metrics scale
   over the same plans and backends as the release path;
-* the kernel layer (:mod:`repro.core.xp`) — a thin array-namespace seam
-  (numpy reference, optional CuPy / torch by registry name) under every
-  mechanism kernel, plus :meth:`PrivacyEngine.release_round_fused`:
-  release → snap → area → flow coding in one call (a :class:`FusedRound`).
+* :meth:`PrivacyEngine.release_round_fused` — release → snap → area →
+  flow coding in one call (a :class:`FusedRound`).
 """
 
 from repro.engine.backends import (
@@ -39,13 +37,6 @@ from repro.engine.backends import (
     owned_backend,
     register_backend,
     resolve_backend,
-)
-from repro.core.xp import (
-    ArrayBackend,
-    array_backend_names,
-    probe_array_backends,
-    register_array_backend,
-    resolve_array_backend,
 )
 from repro.engine.engine import EngineRef, FusedRound, PrivacyEngine, resolve_release_source
 from repro.engine.distributed import (
@@ -107,9 +98,4 @@ __all__ = [
     "policy_names",
     "backend_names",
     "FusedRound",
-    "ArrayBackend",
-    "register_array_backend",
-    "resolve_array_backend",
-    "array_backend_names",
-    "probe_array_backends",
 ]

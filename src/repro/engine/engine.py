@@ -86,7 +86,6 @@ class PrivacyEngine:
         policy_params: Mapping | None = None,
         backend: str | None = None,
         shards: int | None = None,
-        array_backend: str | None = None,
     ) -> "PrivacyEngine":
         """Build an engine from a spec, or from bare registry names.
 
@@ -110,12 +109,6 @@ class PrivacyEngine:
             (see :class:`~repro.engine.specs.ExecutionSpec`); picked up by
             :func:`~repro.server.pipeline.run_release_rounds_batched` when
             the call site does not choose explicitly.
-        array_backend:
-            Optional array namespace for the mechanism kernels
-            (``"numpy"`` / ``"cupy"`` / ``"torch"``, see
-            :mod:`repro.core.xp`); recorded on the spec's execution block
-            and applied to the built mechanism, so worker-rebuilt engines
-            (:class:`EngineRef`) compute on the same backend.
 
         Returns
         -------
@@ -131,13 +124,9 @@ class PrivacyEngine:
                 policy_params=policy_params,
                 backend=backend,
                 shards=shards,
-                array_backend=array_backend,
             )
         policy_graph = spec.policy.build(world)
-        built = spec.mechanism.build(world, policy_graph)
-        if spec.execution is not None and spec.execution.array_backend is not None:
-            built.use_array_backend(spec.execution.array_backend)
-        return cls(world, policy_graph, built, spec=spec)
+        return cls(world, policy_graph, spec.mechanism.build(world, policy_graph), spec=spec)
 
     # ------------------------------------------------------------------
     # Batched hot path

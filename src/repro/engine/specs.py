@@ -7,12 +7,14 @@ and :class:`~repro.engine.engine.PrivacyEngine` is the only place that turns
 the description into live objects.  The optional :class:`ExecutionSpec`
 block extends the same idea to *how* release rounds run (shard count and
 execution backend); the JSON wire format is documented in
-``docs/engine_specs.md``.
+``docs/engine_specs.md``.  :meth:`EngineSpec.from_dict` refuses a key it
+does not know, naming it, so a misspelt or retired setting fails loudly
+instead of silently running with its default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 from repro.core.mechanisms import Mechanism
@@ -93,13 +95,6 @@ class ExecutionSpec:
     control, not engine identity — the resume spec hash deliberately
     excludes them (:func:`~repro.store.resume.engine_spec_hash`).
 
-    ``array_backend`` selects the array namespace the mechanism kernels
-    compute on (``"numpy"`` default, ``"cupy"`` / ``"torch"`` optional; see
-    :mod:`repro.core.xp`).  Numpy is the bit-exact reference; non-numpy
-    backends keep the numpy RNG stream but round differently, so like the
-    rest of the block this never changes *which* uniforms are consumed —
-    the resume spec hash excludes it.
-
     ``live_metrics`` attaches the default
     :mod:`~repro.server.live_metrics` views (monitoring utility, contact
     rate, flow matrices) to the server so every committed shard folds into
@@ -113,20 +108,12 @@ class ExecutionSpec:
     params: Mapping = field(default_factory=dict)
     store: str | None = None
     resume: bool = False
-    array_backend: str | None = None
     live_metrics: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shards", check_integer("shards", self.shards, minimum=1))
         if self.resume and self.store is None:
             raise ValidationError("resume=True requires a store path")
-        if self.array_backend is not None:
-            # Validate the name against the registry at spec-construction
-            # time (unknown names fail fast); availability is checked only
-            # when the mechanism actually resolves the backend.
-            from repro.core.xp import _canonical
-
-            object.__setattr__(self, "array_backend", _canonical(self.array_backend))
 
     def build(self) -> ExecutionBackend:
         """Instantiate the named backend with this spec's params."""
@@ -166,15 +153,14 @@ class EngineSpec:
         backend_params: Mapping | None = None,
         store: str | None = None,
         resume: bool = False,
-        array_backend: str | None = None,
         live_metrics: bool = False,
     ) -> "EngineSpec":
         """Spec from bare names — the common construction path.
 
         ``backend`` / ``shards`` / ``backend_params`` / ``store`` /
-        ``resume`` / ``array_backend`` / ``live_metrics`` are optional;
-        providing any of them attaches an :class:`ExecutionSpec` (missing
-        pieces take the serial / 1-shard / in-memory / numpy defaults).
+        ``resume`` / ``live_metrics`` are optional; providing any of them
+        attaches an :class:`ExecutionSpec` (missing pieces take the serial /
+        1-shard / in-memory defaults).
         """
         execution = None
         if (
@@ -182,7 +168,6 @@ class EngineSpec:
             or shards is not None
             or backend_params is not None
             or store is not None
-            or array_backend is not None
             or live_metrics
         ):
             execution = ExecutionSpec(
@@ -191,7 +176,6 @@ class EngineSpec:
                 params=dict(backend_params or {}),
                 store=store,
                 resume=bool(resume),
-                array_backend=array_backend,
                 live_metrics=bool(live_metrics),
             )
         return cls(
@@ -231,10 +215,6 @@ class EngineSpec:
                 execution["store"] = self.execution.store
                 if self.execution.resume:
                     execution["resume"] = True
-            # Like the durability keys, the array backend appears only when
-            # set, so pre-seam spec files round-trip unchanged.
-            if self.execution.array_backend is not None:
-                execution["array_backend"] = self.execution.array_backend
             # Observability key, same round-trip rule: present only when on.
             if self.execution.live_metrics:
                 execution["live_metrics"] = True
@@ -243,10 +223,20 @@ class EngineSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "EngineSpec":
-        """Rebuild a spec from :meth:`to_dict` output (or hand-written JSON)."""
-        mechanism = payload["mechanism"]
-        policy = payload["policy"]
+        """Rebuild a spec from :meth:`to_dict` output (or hand-written JSON).
+
+        The accepted keys of the top level and of the ``mechanism``,
+        ``policy`` and ``execution`` blocks are the fields of the matching
+        dataclass, so ``dataclasses.asdict`` output loads too.  Any other
+        key raises :class:`~repro.errors.ValidationError` naming the block
+        and the key; the ``params`` mappings stay free-form.
+        """
+        _check_block("engine spec", payload, cls, ("mechanism", "policy"))
+        mechanism = _check_block("mechanism", payload["mechanism"], MechanismSpec, ("name",))
+        policy = _check_block("policy", payload["policy"], PolicySpec, ("name",))
         execution = payload.get("execution")
+        if execution is not None:
+            _check_block("execution", execution, ExecutionSpec, ())
         return cls(
             mechanism=MechanismSpec(
                 name=mechanism["name"],
@@ -264,7 +254,28 @@ class EngineSpec:
                 params=dict(execution.get("params", {})),
                 store=execution.get("store"),
                 resume=bool(execution.get("resume", False)),
-                array_backend=execution.get("array_backend"),
                 live_metrics=bool(execution.get("live_metrics", False)),
             ),
         )
+
+
+def _check_block(block: str, payload, spec_type: type, required: tuple[str, ...]) -> Mapping:
+    """``payload`` if it is a mapping with only ``spec_type``'s field names.
+
+    Raises :class:`~repro.errors.ValidationError` naming ``block`` for a
+    non-mapping, an unknown key, or a missing ``required`` key.
+    """
+    if not isinstance(payload, Mapping):
+        raise ValidationError(
+            f"{block} block must be a mapping, got {type(payload).__name__}"
+        )
+    allowed = {spec_field.name for spec_field in fields(spec_type)}
+    unknown = sorted(str(key) for key in payload if key not in allowed)
+    if unknown:
+        raise ValidationError(
+            f"{block} block has unknown keys {unknown}; accepted keys: {sorted(allowed)}"
+        )
+    missing = [key for key in required if key not in payload]
+    if missing:
+        raise ValidationError(f"{block} block is missing keys {missing}")
+    return payload

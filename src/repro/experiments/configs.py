@@ -115,13 +115,10 @@ class ExperimentConfig:
     rpc worker-process count (one row block per count, reported in the
     ``workers`` column); other backends ignore it.
 
-    ``array_backend`` selects the array namespace mechanism kernels compute
-    on (:mod:`repro.core.xp`; ``None`` keeps the bit-exact numpy reference)
-    and flows into every engine built through :meth:`make_engine`.
     ``float32`` runs the Bayesian attacker's batched GEMMs in single
     precision (~``1e-3`` relative tolerance on adversary metrics; see
     :class:`~repro.adversary.inference.BayesianAttacker`).  The CLI maps
-    ``--array-backend`` / ``--float32`` onto these fields.
+    ``--float32`` onto this field.
 
     ``store_path`` / ``resume`` make E8 additionally measure *durable*
     ingest: each sweep combination re-runs store-backed against a
@@ -164,7 +161,6 @@ class ExperimentConfig:
     store_path: str | None = None
     resume: bool = False
     live_metrics: bool = False
-    array_backend: str | None = None
     float32: bool = False
     engine_spec: EngineSpec | None = field(default=None, compare=False)
 
@@ -198,7 +194,6 @@ class ExperimentConfig:
             mechanism=mechanism if mechanism is not None else self.mechanisms[0],
             policy=policy if policy is not None else self.policies[0],
             epsilon=epsilon if epsilon is not None else self.epsilons[0],
-            array_backend=self.array_backend,
         )
 
     def with_engine_spec(self, spec: EngineSpec) -> "ExperimentConfig":

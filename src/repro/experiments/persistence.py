@@ -12,7 +12,7 @@ import dataclasses
 import json
 from pathlib import Path
 
-from repro.errors import DataError
+from repro.errors import DataError, ValidationError
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments.reporting import ResultTable
 
@@ -102,7 +102,10 @@ def load_manifest(path: str | Path) -> dict:
     """Read a manifest and rebuild its :class:`ExperimentConfig`.
 
     Returns the manifest dict with ``config`` replaced by a reconstructed
-    :class:`ExperimentConfig` instance.
+    :class:`ExperimentConfig` instance.  A config key that is not an
+    :class:`ExperimentConfig` field, or an unknown key in its
+    ``engine_spec``, raises :class:`~repro.errors.DataError` naming the
+    manifest and the keys.
     """
     source = Path(path)
     if not source.exists():
@@ -114,6 +117,10 @@ def load_manifest(path: str | Path) -> dict:
     raw_config = manifest.get("config")
     if not isinstance(raw_config, dict):
         raise DataError(f"manifest {source} has no config block")
+    known = {config_field.name for config_field in dataclasses.fields(ExperimentConfig)}
+    unknown = sorted(key for key in raw_config if key not in known)
+    if unknown:
+        raise DataError(f"manifest {source} config has unknown keys {unknown}")
     # Tuples arrive as lists from JSON; coerce the fields that need it.
     for key in (
         "epsilons",
@@ -135,6 +142,9 @@ def load_manifest(path: str | Path) -> dict:
     if isinstance(raw_config.get("engine_spec"), dict):
         from repro.engine import EngineSpec
 
-        raw_config["engine_spec"] = EngineSpec.from_dict(raw_config["engine_spec"])
+        try:
+            raw_config["engine_spec"] = EngineSpec.from_dict(raw_config["engine_spec"])
+        except ValidationError as exc:
+            raise DataError(f"manifest {source} engine_spec: {exc}") from exc
     manifest["config"] = ExperimentConfig(**raw_config)
     return manifest

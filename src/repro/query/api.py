@@ -37,6 +37,7 @@ from repro.errors import DataError, SnapshotUnavailableError, StoreError, Valida
 from repro.geo.grid import GridWorld
 from repro.store.accelerator import KIND_OBSERVED, KIND_TRUE, window_blocks
 from repro.store.store import TraceStore, open_store
+from repro.utils.validation import check_integer, check_positive, check_probability
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.mobility.trajectory import CheckIn
@@ -60,17 +61,21 @@ class Window:
     of the live metric views (``metrics_at(round=r)`` covers rows with
     ``time <= r``).  Flow queries count a ``(t-1, t)`` transition when its
     *destination* round ``t`` lies inside the window, so a window starting
-    at ``s`` includes arrivals from round ``s - 1``.
+    at ``s`` includes arrivals from round ``s - 1``.  Both endpoints are
+    Python or numpy ints; a bool or a float raises
+    :class:`~repro.errors.ValidationError` instead of being truncated.
     """
 
     start: int
     end: int
 
     def __post_init__(self) -> None:
-        if int(self.end) < int(self.start):
-            raise ValidationError(f"window end {self.end} precedes start {self.start}")
-        object.__setattr__(self, "start", int(self.start))
-        object.__setattr__(self, "end", int(self.end))
+        start = check_integer("window start", self.start)
+        end = check_integer("window end", self.end)
+        if end < start:
+            raise ValidationError(f"window end {end} precedes start {start}")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
     def __len__(self) -> int:
         return self.end - self.start + 1
@@ -85,22 +90,17 @@ def tumbling_windows(start: int, end: int, width: int) -> list[Window]:
     The last window is clipped at ``end`` when the span is not an exact
     multiple of ``width``.
     """
-    if width < 1:
-        raise ValidationError(f"window width must be >= 1, got {width}")
-    return [
-        Window(low, min(low + width - 1, int(end)))
-        for low in range(int(start), int(end) + 1, int(width))
-    ]
+    width = check_integer("window width", width, minimum=1)
+    return sliding_windows(start, end, width, step=width)
 
 
 def sliding_windows(start: int, end: int, width: int, step: int = 1) -> list[Window]:
     """``width``-round windows advancing by ``step``, clipped at ``end``."""
+    width, step = check_integer("window width", width), check_integer("window step", step)
     if width < 1 or step < 1:
         raise ValidationError(f"window width/step must be >= 1, got {width}/{step}")
-    return [
-        Window(low, min(low + width - 1, int(end)))
-        for low in range(int(start), int(end) + 1, int(step))
-    ]
+    start, end = check_integer("window start", start), check_integer("window end", end)
+    return [Window(low, min(low + width - 1, end)) for low in range(start, end + 1, step)]
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,9 @@ class QueryEngine:
         seen in the commit marks) is expected at every round any shard has
         committed.
     p_transmit / gamma:
-        The E2 R0 parameters applied by :meth:`contact_rate`.
+        The E2 R0 parameters applied by :meth:`contact_rate`: a
+        probability in ``[0, 1]`` and a finite rate ``> 0``, validated as
+        :class:`~repro.server.live_metrics.ContactRateView` validates them.
     """
 
     def __init__(
@@ -152,6 +154,8 @@ class QueryEngine:
         p_transmit: float = 0.3,
         gamma: float = 0.1,
     ) -> None:
+        self.p_transmit = check_probability("p_transmit", p_transmit)
+        self.gamma = check_positive("gamma", gamma)
         self.store, self._owned = open_store(store)
         if self.store is None:
             raise ValidationError("QueryEngine requires a store or a store path")
@@ -165,8 +169,6 @@ class QueryEngine:
                 if rounds
             }
         )
-        self.p_transmit = float(p_transmit)
-        self.gamma = float(gamma)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -321,15 +323,14 @@ class QueryEngine:
         accelerator and full-scan rankings agree exactly, not just up to tie
         shuffling.
         """
-        if int(k) < 1:
-            raise ValidationError(f"k must be >= 1, got {k}")
+        k = check_integer("k", k, minimum=1)
         code = self._kind(kind)
         self._check_coverage(window.end)
         records = window_blocks(self.store.connection, "cells", code, window.start, window.end)
         cells, inverse = np.unique(records[:, 0], return_inverse=True)
         totals = np.zeros(len(cells), dtype=np.int64)
         np.add.at(totals, inverse, records[:, 1])
-        ranked = np.lexsort((cells, -totals))[: int(k)]
+        ranked = np.lexsort((cells, -totals))[:k]
         return list(zip(cells[ranked].tolist(), totals[ranked].tolist()))
 
     def epsilon_spent(self, user: int, window: Window) -> float:

@@ -71,7 +71,7 @@ from repro.epidemic.monitor import LocationMonitor, MonitoringReport, _flow_l1_e
 from repro.errors import DataError, SnapshotUnavailableError, ValidationError
 from repro.geo.grid import GridWorld
 from repro.store import accelerator
-from repro.utils.validation import check_positive, check_probability
+from repro.utils.validation import check_integer, check_positive, check_probability
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.engine.sharding import ShardPlan
@@ -791,9 +791,9 @@ class LiveMetricRegistry:
         value``).  Raises :class:`~repro.errors.SnapshotUnavailableError`
         while any shard owning rows at or before ``round`` is uncommitted,
         and :class:`~repro.errors.ValidationError` for a round the run will
-        never produce.
+        never produce, or for a ``round`` that is not a Python or numpy int.
         """
-        time = int(round)
+        time = check_integer("round", round)
         values = self._values.get(time)
         if values is not None:
             return values

@@ -2,25 +2,15 @@
 
 Each user "locally maintains [a] location database (e.g., all locations in
 the past two weeks)".  :class:`LocalLocationDB` is that store: a rolling
-window of (time, cell) observations with automatic pruning.
-
-By default the window lives in a plain dict.  Pass ``store=`` (a
-:class:`~repro.store.TraceStore`) to spill it to disk instead — the entries
-then live in the store's ``local_windows`` table keyed by this database's
-``user``, with identical semantics (same retention check, same pruning, same
-query results), which is what lets population-scale simulations keep
-millions of client windows without holding them all in memory.
+window of (time, cell) observations in a plain dict, with automatic
+pruning.  The window holds true locations, so it stays on the client: the
+collector's :class:`~repro.store.TraceStore` never sees it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.errors import DataError
 from repro.utils.validation import check_integer
-
-if TYPE_CHECKING:  # pragma: no cover - hints only
-    from repro.store.store import TraceStore
 
 __all__ = ["LocalLocationDB"]
 
@@ -33,19 +23,11 @@ class LocalLocationDB:
     window:
         Retention horizon in timesteps (the paper's two weeks).  Entries
         older than ``newest_time - window + 1`` are pruned on insert.
-    store:
-        Optional :class:`~repro.store.TraceStore` to keep the window on
-        disk (out-of-core mode) instead of in memory.
-    user:
-        The user id keying this window inside ``store`` (required to be
-        unique per client when spilling; ignored in memory mode).
     """
 
-    def __init__(self, window: int = 14 * 24, store: "TraceStore | None" = None, user: int = 0) -> None:
+    def __init__(self, window: int = 14 * 24) -> None:
         self.window = check_integer("window", window, minimum=1)
-        self._store = store
-        self._user = int(user)
-        self._entries: dict[int, int] | None = None if store is not None else {}
+        self._entries: dict[int, int] = {}
 
     def record(self, time: int, cell: int) -> None:
         """Store the user's location at ``time``, pruning expired entries.
@@ -54,16 +36,6 @@ class LocalLocationDB:
         out of order as long as they are within the current window.
         """
         time = int(time)
-        if self._store is not None:
-            newest = self._store.window_newest(self._user)
-            newest = time if newest is None else max(newest, time)
-            horizon = newest - self.window + 1
-            if time < horizon:
-                raise DataError(
-                    f"time {time} is outside the {self.window}-step retention window"
-                )
-            self._store.window_record(self._user, time, int(cell), horizon)
-            return
         newest = max(self._entries) if self._entries else time
         horizon = max(newest, time) - self.window + 1
         if time < horizon:
@@ -81,42 +53,25 @@ class LocalLocationDB:
 
     # ------------------------------------------------------------------
     def location_at(self, time: int) -> int | None:
-        if self._store is not None:
-            return self._store.window_location(self._user, int(time))
         return self._entries.get(int(time))
 
     def history(self, start: int | None = None, end: int | None = None) -> list[tuple[int, int]]:
         """Time-ordered ``(time, cell)`` pairs within ``[start, end]``."""
-        if self._store is not None:
-            items = self._store.window_history(self._user)
-        else:
-            items = sorted(self._entries.items())
         return [
             (t, c)
-            for t, c in items
+            for t, c in sorted(self._entries.items())
             if (start is None or t >= start) and (end is None or t <= end)
         ]
 
     def times(self) -> list[int]:
-        if self._store is not None:
-            return [t for t, _ in self._store.window_history(self._user)]
         return sorted(self._entries)
 
     def __len__(self) -> int:
-        if self._store is not None:
-            return self._store.window_count(self._user)
         return len(self._entries)
 
     def __contains__(self, time: int) -> bool:
-        if self._store is not None:
-            return self._store.window_location(self._user, int(time)) is not None
         return int(time) in self._entries
 
     def __repr__(self) -> str:
-        if self._store is not None:
-            return (
-                f"LocalLocationDB(window={self.window}, user={self._user}, "
-                f"entries={len(self)}, spilled={self._store.path!r})"
-            )
         span = f"[{min(self._entries)}..{max(self._entries)}]" if self._entries else "[]"
         return f"LocalLocationDB(window={self.window}, entries={len(self._entries)}, span={span})"

@@ -51,6 +51,7 @@ from repro.geo.grid import GridWorld
 from repro.mobility.trajectory import TraceDB
 from repro.server.localdb import LocalLocationDB
 from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.validation import check_integer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports core)
     from repro.engine import PrivacyEngine
@@ -501,14 +502,13 @@ class AsyncShardCommitter:
         purpose: str = "stream",
         close_timeout: float | None = 60.0,
     ) -> None:
-        if int(max_pending) < 1:
-            raise ValidationError(f"max_pending must be >= 1, got {max_pending}")
+        max_pending = check_integer("max_pending", max_pending, minimum=1)
         if close_timeout is not None and float(close_timeout) <= 0:
             raise ValidationError(f"close_timeout must be > 0 or None, got {close_timeout}")
         self._server = server
         self._purpose = purpose
         self._close_timeout = None if close_timeout is None else float(close_timeout)
-        self._queue: queue.Queue = queue.Queue(maxsize=int(max_pending))
+        self._queue: queue.Queue = queue.Queue(maxsize=max_pending)
         self._error: BaseException | None = None
         self._closed = False
         #: submission seq -> shard label, removed as each commit finishes;

@@ -23,9 +23,6 @@ per-partition recovery-state table):
     in the *same transaction* as their releases, so after any crash the pair
     set exactly describes the recoverable prefix — there is no separate
     log-replay step.
-``local_windows``
-    Spill space for out-of-core :class:`~repro.server.localdb.LocalLocationDB`
-    instances (client-side rolling windows), keyed ``(user, time)``.
 ``round_blocks`` / ``user_summary``
     The query accelerator (schema v3): one row per ``(kind, round)`` whose
     two int32 column blocks hold that round's occupancy and cell-transition
@@ -33,6 +30,11 @@ per-partition recovery-state table):
     transaction so windowed analytics never pay a full-table pass — see
     :mod:`repro.store.accelerator` for the block layout and the
     merge-by-integer-addition argument.
+
+A v3 file written by an earlier version may also hold an empty table of
+spilled client windows.  Nothing reads or writes it, and the file still
+opens: clients' rolling windows hold true locations, so they stay in client
+memory and never reach the store.
 
 Pragma rationale (the Paper-Scanner recipe, see ``docs/persistence.md``):
 
@@ -96,14 +98,6 @@ _TABLES = (
         round  INTEGER NOT NULL,
         n_rows INTEGER NOT NULL,
         PRIMARY KEY (shard, round)
-    ) WITHOUT ROWID
-    """,
-    """
-    CREATE TABLE IF NOT EXISTS local_windows (
-        user INTEGER NOT NULL,
-        time INTEGER NOT NULL,
-        cell INTEGER NOT NULL,
-        PRIMARY KEY (user, time)
     ) WITHOUT ROWID
     """,
     """

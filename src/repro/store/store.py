@@ -14,9 +14,11 @@ and a resumed run re-derives only the missing shards from their seeds
 
 The same file doubles as the out-of-core backing for populations larger than
 RAM: :class:`~repro.store.outofcore.StoredTraceDB` serves the ``TraceDB``
-read API by streaming from the ``releases`` table, and
-:class:`~repro.server.localdb.LocalLocationDB` can spill its rolling window
-into ``local_windows``.
+read API by streaming from the ``releases`` table.  The store holds what
+the collector receives and nothing else: no table here keeps per-row ground
+truth, and clients' rolling windows
+(:class:`~repro.server.localdb.LocalLocationDB`) stay in memory on the
+client.
 
 Threading: the single connection is opened with ``check_same_thread=False``
 so the :class:`~repro.server.pipeline.AsyncShardCommitter` background thread
@@ -508,47 +510,6 @@ class TraceStore:
                 return db
             users, times, cells = zip(*rows)
             db.record_many(users, times, cells)
-
-    # ------------------------------------------------------------------
-    # Client-side rolling windows (LocalLocationDB spill space)
-    # ------------------------------------------------------------------
-    def window_newest(self, user: int) -> int | None:
-        row = self.connection.execute(
-            "SELECT MAX(time) FROM local_windows WHERE user = ?", (int(user),)
-        ).fetchone()
-        return None if row[0] is None else int(row[0])
-
-    def window_record(self, user: int, time: int, cell: int, horizon: int) -> None:
-        """Insert one window entry and prune expired ones, atomically."""
-        with self.connection:
-            self.connection.execute(
-                "INSERT OR REPLACE INTO local_windows (user, time, cell) VALUES (?, ?, ?)",
-                (int(user), int(time), int(cell)),
-            )
-            self.connection.execute(
-                "DELETE FROM local_windows WHERE user = ? AND time < ?",
-                (int(user), int(horizon)),
-            )
-
-    def window_location(self, user: int, time: int) -> int | None:
-        row = self.connection.execute(
-            "SELECT cell FROM local_windows WHERE user = ? AND time = ?",
-            (int(user), int(time)),
-        ).fetchone()
-        return None if row is None else int(row[0])
-
-    def window_history(self, user: int) -> list[tuple[int, int]]:
-        rows = self.connection.execute(
-            "SELECT time, cell FROM local_windows WHERE user = ? ORDER BY time",
-            (int(user),),
-        ).fetchall()
-        return [(int(t), int(c)) for t, c in rows]
-
-    def window_count(self, user: int) -> int:
-        (count,) = self.connection.execute(
-            "SELECT COUNT(*) FROM local_windows WHERE user = ?", (int(user),)
-        ).fetchone()
-        return int(count)
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:

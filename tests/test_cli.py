@@ -120,6 +120,19 @@ class TestEngineSpecFlag:
                      "--engine-spec", str(bad)]) == 1
         assert "unknown mechanism" in capsys.readouterr().err
 
+    def test_unknown_spec_key_exits_1(self, capsys, tmp_path):
+        import json
+
+        spec = tmp_path / "typo.json"
+        spec.write_text(json.dumps({
+            "mechanism": {"name": "planar_laplace"},
+            "policy": {"name": "G1"},
+            "execution": {"backend": "thread", "shard": 4},
+        }))
+        assert main(["experiment", "e8", "--size", "6", "--users", "6", "--horizon", "8",
+                     "--engine-spec", str(spec)]) == 1
+        assert "'shard'" in capsys.readouterr().err
+
 
 class TestDatasetsCommand:
     def test_lists_all(self, capsys):
@@ -252,6 +265,18 @@ class TestQueryCommand:
         }))
         assert main(["query", "summary", "--engine-spec", str(spec)]) == 0
         assert str(store_path) in capsys.readouterr().out
+
+    def test_spec_unknown_key_exits_1(self, capsys, store_path, tmp_path):
+        import json
+
+        spec = tmp_path / "typo.json"
+        spec.write_text(json.dumps({
+            "mechanism": {"name": "planar_laplace", "epsilon": 1.0},
+            "policy": {"name": "G1"},
+            "execution": {"backend": "serial", "shards": 2, "store_path": str(store_path)},
+        }))
+        assert main(["query", "summary", "--engine-spec", str(spec)]) == 1
+        assert "'store_path'" in capsys.readouterr().err
 
     def test_spec_without_store_errors(self, capsys, tmp_path):
         import json

@@ -42,3 +42,25 @@ def test_readme_has_snippets():
     # The quickstart must stay executable documentation, not prose-only.
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert len(check_docs.PYTHON_FENCE.findall(readme)) >= 2
+
+
+def test_json_fences_load_through_the_strict_spec_loader(tmp_path):
+    # Only fences shaped like an engine spec go through EngineSpec.from_dict;
+    # every json fence must parse.
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "```json\n"
+        '{"mechanism": {"name": "P-LM"}, "policy": {"name": "G1"}, "extra": 1}\n'
+        "```\n\n"
+        "```json\n"
+        '{"not": "a spec"}\n'
+        "```\n\n"
+        "```json\n"
+        "{broken\n"
+        "```\n",
+        encoding="utf-8",
+    )
+    errors = check_docs.run_snippets(doc)
+    assert len(errors) == 2
+    assert "json fence 1" in errors[0] and "'extra'" in errors[0]
+    assert "json fence 3" in errors[1]

@@ -107,6 +107,71 @@ class TestSpecs:
         assert engine.describe()["spec"]["mechanism"]["name"] == "graph_exponential"
 
 
+class TestSpecUnknownKeys:
+    """``from_dict`` refuses keys it does not know, naming block and key."""
+
+    @staticmethod
+    def _payload():
+        return {
+            "mechanism": {"name": "planar_laplace", "epsilon": 1.0, "params": {}},
+            "policy": {"name": "G1", "params": {}},
+            "execution": {"backend": "thread", "shards": 4},
+        }
+
+    @pytest.mark.parametrize(
+        "block, key",
+        [
+            (None, "extra"),
+            ("mechanism", "parms"),
+            ("policy", "param"),
+            ("execution", "shard"),
+        ],
+    )
+    def test_unknown_key_refused_by_name(self, block, key):
+        payload = self._payload()
+        (payload if block is None else payload[block])[key] = "numpy"
+        with pytest.raises(ValidationError) as info:
+            EngineSpec.from_dict(payload)
+        message = str(info.value)
+        assert repr(key) in message
+        assert (block or "engine spec") in message
+
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            ({"mechanism": "planar_laplace", "policy": {"name": "G1"}}, "mechanism block must be a mapping"),
+            ({"mechanism": {"epsilon": 1.0}, "policy": {"name": "G1"}}, r"mechanism block is missing keys \['name'\]"),
+            ({"mechanism": {"name": "planar_laplace"}}, r"missing keys \['policy'\]"),
+            ({"mechanism": {"name": "planar_laplace"}, "policy": {"name": "G1"}, "execution": 4}, "execution block must be a mapping"),
+        ],
+        ids=["mechanism-not-mapping", "mechanism-no-name", "no-policy", "execution-not-mapping"],
+    )
+    def test_malformed_blocks_refused(self, payload, match):
+        with pytest.raises(ValidationError, match=match):
+            EngineSpec.from_dict(payload)
+
+    def test_written_forms_still_load(self):
+        import dataclasses
+
+        full = EngineSpec.named(
+            "planar_isotropic", "Gb", epsilon=0.5, backend="pool", shards=3,
+            backend_params={"max_workers": 2}, store="run.sqlite", resume=True,
+            live_metrics=True,
+        )
+        bare = EngineSpec.named("planar_laplace", "G1")
+        for spec in (full, bare):
+            assert EngineSpec.from_dict(spec.to_dict()) == spec
+            assert EngineSpec.from_dict(dataclasses.asdict(spec)) == spec
+
+    def test_params_stay_free_form(self):
+        payload = self._payload()
+        payload["mechanism"]["params"] = {"anything": 1}
+        payload["execution"]["params"] = {"max_workers": 2}
+        spec = EngineSpec.from_dict(payload)
+        assert spec.mechanism.params == {"anything": 1}
+        assert spec.execution.params == {"max_workers": 2}
+
+
 class TestBatchScalarIdentity:
     @pytest.mark.parametrize("mechanism", FAST_MECHANISMS)
     def test_release_batch_matches_sequential_scalar(self, world, mechanism):

@@ -1,15 +1,14 @@
-"""Kernel layer: array-backend seam, fused rounds, float32 mode.
+"""Kernel layer: fused rounds, float32 mode.
 
 The contract under test (see ``docs/scaling.md``, "Kernel layer"):
 
-* the seeded serial **numpy** path is the bit-exact reference — a
-  ``release_round_fused`` call must be element-wise identical to the staged
-  ``release_batch`` -> ``snap_batch`` -> ``area_of_batch`` pipeline on the
-  same RNG stream;
+* a ``release_round_fused`` call must be element-wise identical to the
+  staged ``release_batch`` -> ``snap_batch`` -> ``area_of_batch`` pipeline
+  on the same RNG stream;
 * concurrently running shards never share mutable kernel state, so sharded
   output stays bit-identical for every shard count and backend;
-* non-numpy array backends and the float32 adversary mode promise only
-  *distributional* equivalence, with documented tolerances.
+* the float32 adversary mode promises only *distributional* equivalence,
+  with documented tolerances.
 """
 
 import numpy as np
@@ -20,23 +19,11 @@ from repro.adversary.inference import BayesianAttacker
 from repro.adversary.metrics import adversary_error, expected_inference_error
 from repro.core.mechanisms import (
     GeoIndistinguishabilityMechanism,
-    GraphExponentialMechanism,
-    OptimalDiscreteMechanism,
     PolicyLaplaceMechanism,
     PolicyPlanarIsotropicMechanism,
 )
-from repro.core.xp import (
-    NUMPY_BACKEND,
-    ArrayBackend,
-    array_backend_available,
-    array_backend_names,
-    probe_array_backends,
-    register_array_backend,
-    resolve_array_backend,
-)
-from repro.engine import EngineSpec, ExecutionSpec, FusedRound, PrivacyEngine
+from repro.engine import FusedRound, PrivacyEngine
 from repro.epidemic.monitor import LocationMonitor
-from repro.errors import ValidationError
 from repro.experiments.configs import build_policy
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
@@ -56,23 +43,6 @@ def db(world):
 @pytest.fixture
 def engine(world):
     return PrivacyEngine.from_spec(world, mechanism="P-LM", policy="G1", epsilon=1.0)
-
-
-def _mechanism(name: str, world: GridWorld):
-    """One instance of each kernel under test (optimal needs a small world)."""
-    graph = build_policy("G1", world)
-    if name == "P-LM":
-        return PolicyLaplaceMechanism(world, graph, 1.0)
-    if name == "P-PIM":
-        return PolicyPlanarIsotropicMechanism(world, graph, 1.0)
-    if name == "GraphExp":
-        return GraphExponentialMechanism(world, graph, 1.0)
-    if name == "Geo-I":
-        return GeoIndistinguishabilityMechanism(world, epsilon=1.0)
-    small = GridWorld(4, 4)
-    return OptimalDiscreteMechanism(
-        small, build_policy("G1", small), 1.0, max_component_size=16
-    )
 
 
 class TestFusedEqualsStaged:
@@ -143,62 +113,6 @@ class TestPipelineShardMatrix:
             assert list(run.released_db.checkins()) == list(
                 reference.released_db.checkins()
             )
-
-
-class TestArrayBackendRegistry:
-    def test_names_and_probe(self):
-        names = array_backend_names()
-        assert {"numpy", "cupy", "torch"} <= set(names)
-        availability = probe_array_backends()
-        assert availability["numpy"] is True
-
-    def test_resolve_default_and_aliases(self):
-        assert resolve_array_backend(None) is NUMPY_BACKEND
-        assert resolve_array_backend("np").name == "numpy"
-        assert resolve_array_backend("NumPy").name == "numpy"
-        assert resolve_array_backend(NUMPY_BACKEND) is NUMPY_BACKEND
-
-    def test_unknown_name_lists_backends(self):
-        with pytest.raises(ValidationError, match="numpy"):
-            resolve_array_backend("mlx")
-
-    @pytest.mark.parametrize("name", ["cupy", "torch"])
-    def test_unavailable_backend_is_a_clean_error(self, name):
-        if array_backend_available(name):
-            pytest.skip(f"{name} installed in this environment")
-        with pytest.raises(ValidationError, match="not installed"):
-            resolve_array_backend(name)
-
-    def test_registered_numpy_equivalent_backend_is_bit_exact(self, world):
-        register_array_backend(
-            "mirror",
-            lambda: ArrayBackend("mirror", np, np.asarray, np.asarray),
-            aliases=("mirror-np",),
-        )
-        backend = resolve_array_backend("mirror-np")
-        mech = _mechanism("P-LM", world)
-        routed = mech.use_array_backend(backend)
-        reference = mech.release_batch([1, 2, 3], rng=np.random.default_rng(4))
-        via_seam = routed.release_batch([1, 2, 3], rng=np.random.default_rng(4))
-        assert np.array_equal(reference.points, via_seam.points)
-
-    def test_spec_canonicalizes_and_round_trips(self):
-        spec = EngineSpec.named("P-LM", "G1", epsilon=1.0, array_backend="np")
-        assert spec.execution.array_backend == "numpy"
-        payload = spec.to_dict()
-        assert payload["execution"]["array_backend"] == "numpy"
-        assert EngineSpec.from_dict(payload).execution.array_backend == "numpy"
-        # Absent when unset, so pre-seam spec files round-trip unchanged.
-        bare = EngineSpec.named("P-LM", "G1", epsilon=1.0, shards=2)
-        assert "array_backend" not in bare.to_dict()["execution"]
-        with pytest.raises(ValidationError):
-            ExecutionSpec(array_backend="mlx")
-
-    def test_from_spec_applies_array_backend(self, world):
-        engine = PrivacyEngine.from_spec(
-            world, mechanism="P-LM", policy="G1", epsilon=1.0, array_backend="numpy"
-        )
-        assert engine.mechanism.array_backend.name == "numpy"
 
 
 class TestCoverageMaskCache:
@@ -292,30 +206,6 @@ class TestFloat32Adversary:
             backend="serial", float32=True,
         )
         assert f32 == pytest.approx(ref, rel=1e-3)
-
-
-class TestCLIArrayBackend:
-    def test_engines_lists_array_backends(self, capsys):
-        assert cli.main(["engines"]) == 0
-        out = capsys.readouterr().out
-        assert "array backends:" in out
-        assert "numpy (available)" in out
-
-    def test_release_with_numpy_backend(self, capsys):
-        assert cli.main(["--seed", "3", "release", "--cell", "5", "--array-backend", "np"]) == 0
-
-    def test_release_unavailable_backend_exits_1(self, capsys):
-        if array_backend_available("cupy"):
-            pytest.skip("cupy installed in this environment")
-        assert cli.main(["release", "--cell", "5", "--array-backend", "cupy"]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_experiment_unknown_backend_exits_1(self, capsys):
-        assert (
-            cli.main(["experiment", "e4", "--size", "6", "--array-backend", "mlx"]) == 1
-        )
-        err = capsys.readouterr().err
-        assert "error:" in err and "mlx" in err
 
     def test_experiment_float32_runs(self, capsys):
         code = cli.main(

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.engine import EngineSpec
 from repro.errors import DataError
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments.persistence import load_manifest, load_table, save_manifest, save_table
@@ -100,3 +101,38 @@ class TestManifest:
         path.write_text(json.dumps({"experiment": "e1"}))
         with pytest.raises(DataError):
             load_manifest(path)
+
+    def test_engine_spec_round_trips(self, tmp_path):
+        # engine_spec is compare=False, so config equality does not cover it.
+        spec = EngineSpec.named(
+            "planar_isotropic", "Gb", epsilon=0.5, backend="thread", shards=3,
+            backend_params={"max_workers": 2}, store=str(tmp_path / "run.sqlite"),
+            resume=True, live_metrics=True,
+        )
+        config = ExperimentConfig(world_size=6).with_engine_spec(spec)
+        path = save_manifest("e8", config, tmp_path / "e8.csv", tmp_path / "e8.json")
+        loaded = load_manifest(path)["config"]
+        assert loaded == config
+        assert loaded.engine_spec == spec
+
+    def test_unknown_config_key_refused(self, tmp_path):
+        path = save_manifest("e1", ExperimentConfig(), "t.csv", tmp_path / "m.json")
+        raw = json.loads(path.read_text())
+        raw["config"]["shard_count"] = 2
+        path.write_text(json.dumps(raw))
+        with pytest.raises(DataError) as info:
+            load_manifest(path)
+        assert str(path) in str(info.value) and "'shard_count'" in str(info.value)
+
+    def test_unknown_engine_spec_key_refused(self, tmp_path):
+        spec = EngineSpec.named("planar_laplace", "G1", shards=2)
+        config = ExperimentConfig().with_engine_spec(spec)
+        path = save_manifest("e8", config, "t.csv", tmp_path / "m.json")
+        raw = json.loads(path.read_text())
+        raw["config"]["engine_spec"]["execution"]["shard"] = 4
+        path.write_text(json.dumps(raw))
+        with pytest.raises(DataError) as info:
+            load_manifest(path)
+        message = str(info.value)
+        assert str(path) in message and "execution" in message
+        assert "'shard'" in message

@@ -2,8 +2,8 @@
 
 Covers the schema/pragma recipe, the run-manifest resume contract, the
 transactional shard-commit path (including torn-write WAL recovery), the
-``TraceDB``-equivalent read API, the out-of-core view, the spilled
-client-side window, bulk ledger charging, and the ExecutionSpec wiring.
+``TraceDB``-equivalent read API, the out-of-core view, bulk ledger
+charging, and the ExecutionSpec wiring.
 """
 
 import shutil
@@ -22,7 +22,6 @@ from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
 from repro.query import QueryEngine, Window
 from repro.query import reference as ref
-from repro.server.localdb import LocalLocationDB
 from repro.server.pipeline import Server, run_release_rounds_batched
 from repro.store import RunManifest, StoredTraceDB, TraceStore, engine_spec_hash
 from repro.store.resume import RunManifest as ResumeManifest
@@ -72,7 +71,7 @@ class TestSchemaAndPragmas:
                         "SELECT name FROM sqlite_master WHERE type='table'"
                     )
                 }
-            assert {"meta", "releases", "shard_commits", "local_windows"} <= names
+            assert {"meta", "releases", "shard_commits"} <= names
 
     def test_schema_version_mismatch_refuses_open(self, tmp_path):
         path = tmp_path / "s.sqlite"
@@ -330,38 +329,6 @@ class TestOutOfCoreServer:
                 run_release_rounds_batched(
                     world, db, engine, rng=11, shards=shards, **{flag: True}
                 )
-
-
-class TestLocalWindowSpill:
-    def test_spilled_window_matches_in_memory(self, tmp_path):
-        with TraceStore(tmp_path / "w.sqlite") as store:
-            memory = LocalLocationDB(window=5)
-            spilled = LocalLocationDB(window=5, store=store, user=7)
-            for time, cell in [(0, 3), (1, 4), (2, 5), (6, 9), (4, 2)]:
-                memory.record(time, cell)
-                spilled.record(time, cell)
-            assert spilled.history() == memory.history()
-            assert spilled.times() == memory.times()
-            assert len(spilled) == len(memory)
-            for time in range(8):
-                assert spilled.location_at(time) == memory.location_at(time)
-                assert (time in spilled) == (time in memory)
-
-    def test_spilled_window_enforces_retention(self, tmp_path):
-        with TraceStore(tmp_path / "w.sqlite") as store:
-            spilled = LocalLocationDB(window=3, store=store, user=1)
-            spilled.record(10, 4)
-            with pytest.raises(DataError, match="retention window"):
-                spilled.record(7, 1)
-
-    def test_spilled_windows_are_per_user(self, tmp_path):
-        with TraceStore(tmp_path / "w.sqlite") as store:
-            a = LocalLocationDB(window=10, store=store, user=1)
-            b = LocalLocationDB(window=10, store=store, user=2)
-            a.record(0, 5)
-            b.record(0, 9)
-            assert a.location_at(0) == 5
-            assert b.location_at(0) == 9
 
 
 class TestChargeMany:
