@@ -33,8 +33,13 @@ the HMM filter consume.
 in one call, each block of rows drawing from its own
 ``np.random.default_rng(seed)``.  A mechanism that declares
 :attr:`Mechanism.uniform_width` has every block's uniforms drawn into one
-buffer and runs its kernel once over all the noisy rows; one without it
-runs the kernel once per block.
+buffer by one :func:`~repro.utils.rng.stream_uniforms` call, which
+computes numpy's own per-seed streams in array ops (bit-identical, with no
+generator built per block), and runs its kernel once over all the noisy
+rows; one without it runs the kernel once per block on a fresh
+``default_rng(seed)``.  A seed is a Python or numpy integer in
+``[0, 2**64)`` and a count a non-negative integer, never a bool; anything
+else raises :class:`~repro.errors.MechanismError` naming the stream.
 """
 
 from __future__ import annotations
@@ -46,9 +51,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core.policy_graph import PolicyGraph
-from repro.errors import MechanismError
+from repro.errors import MechanismError, ValidationError
 from repro.geo.grid import GridWorld
-from repro.utils.rng import ensure_rng
+from repro.utils.rng import count_array, ensure_rng, seed_array, stream_uniforms
 from repro.utils.validation import check_epsilon
 
 __all__ = ["Release", "ReleaseBatch", "Mechanism"]
@@ -287,7 +292,12 @@ class Mechanism(abc.ABC):
         ``release_batch(block_i, rng=seeds[i])`` would.  This is how a shard
         releases all its users, each on their own stream, in one call.
         Validation, the exact mask, the exact points and the epsilons run
-        once over all rows; see :attr:`uniform_width` for the kernel.
+        once over all rows; see :attr:`uniform_width` for the kernel and
+        :func:`~repro.utils.rng.stream_uniforms` for how the streams are
+        drawn.  Each seed must be a Python or numpy integer in
+        ``[0, 2**64)`` and each count a non-negative integer (no bools,
+        floats or NaN); otherwise :class:`~repro.errors.MechanismError`
+        names the stream index and the value.
         """
         if streams is not None and rng is not None:
             raise MechanismError("release_batch takes rng or streams, not both")
@@ -336,10 +346,21 @@ class Mechanism(abc.ABC):
             points[noisy] = self._perturb_batch(cells[noisy], rng)
 
     def _draw_streams(self, cells, noisy, points, streams) -> None:
-        """Fill ``points`` at the ``noisy`` rows, block ``i`` from ``seeds[i]``."""
+        """Fill ``points`` at the ``noisy`` rows, block ``i`` from ``seeds[i]``.
+
+        Seeds and counts are checked first (:func:`~repro.utils.rng.seed_array`,
+        :func:`~repro.utils.rng.count_array`); a bad one raises
+        :class:`~repro.errors.MechanismError` naming its stream index and
+        value.  With a declared :attr:`uniform_width`, every stream's
+        uniforms come from one :func:`~repro.utils.rng.stream_uniforms`
+        call into one buffer, and the kernel runs once over it.
+        """
         seeds, counts = streams
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (len(seeds),) or (counts < 0).any() or counts.sum() != len(cells):
+        try:
+            seeds, counts = seed_array(seeds), count_array(counts)
+        except ValidationError as error:
+            raise MechanismError(f"streams: {error}") from None
+        if counts.shape != seeds.shape or counts.sum() != len(cells):
             raise MechanismError(
                 f"streams must give one non-negative row count per seed, "
                 f"summing to the {len(cells)} cells"
@@ -350,20 +371,15 @@ class Mechanism(abc.ABC):
             lows, highs = ends - counts, ends
         else:
             lows, highs = np.searchsorted(noisy, ends - counts), np.searchsorted(noisy, ends)
-        blocks = [
-            (seed, low, high)
-            for seed, low, high in zip(seeds, lows.tolist(), highs.tolist())
-            if high > low
-        ]
         width = self.uniform_width
         if width is None:
-            for seed, low, high in blocks:
-                rows = slice(low, high) if noisy is None else noisy[low:high]
-                points[rows] = self._perturb_batch(cells[rows], np.random.default_rng(seed))
+            for seed, low, high in zip(seeds.tolist(), lows.tolist(), highs.tolist()):
+                if high > low:
+                    rows = slice(low, high) if noisy is None else noisy[low:high]
+                    points[rows] = self._perturb_batch(cells[rows], np.random.default_rng(seed))
             return
         uniforms = np.empty((len(cells) if noisy is None else noisy.size, width))
-        for seed, low, high in blocks:
-            np.random.default_rng(seed).random(out=uniforms[low:high])
+        stream_uniforms(seeds, (highs - lows) * width, out=uniforms.reshape(-1))
         source = _DrawnUniforms(uniforms)
         if len(uniforms):
             self._draw(cells, noisy, points, source)

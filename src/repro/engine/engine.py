@@ -151,6 +151,9 @@ class PrivacyEngine:
             from ``np.random.default_rng(seeds[i])`` exactly what
             ``release_batch(block_i, rng=seeds[i])`` would.  The sharded
             path releases a whole shard, one stream per user, this way.
+            Seeds are integers in ``[0, 2**64)`` and counts non-negative
+            integers; anything else raises
+            :class:`~repro.errors.MechanismError`.
 
         Returns
         -------

@@ -36,7 +36,7 @@ from repro.engine.backends import ExecutionBackend, owned_backend
 from repro.engine.engine import EngineRef, resolve_release_source
 from repro.errors import DataError, ValidationError
 from repro.utils.validation import check_integer
-from repro.utils.rng import spawn_seeds
+from repro.utils.rng import seed_array, spawn_seeds
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.engine.engine import PrivacyEngine
@@ -65,7 +65,10 @@ class ShardPlan:
         :func:`~repro.utils.rng.spawn_seeds` from the parent ``rng``, so the
         mapping ``user -> seed`` depends only on the parent seed and the user
         list — not on ``n_shards`` — which is what makes release output
-        invariant under re-sharding.
+        invariant under re-sharding.  Each seed must be a Python or numpy
+        integer in ``[0, 2**64)`` (:func:`~repro.utils.rng.seed_array`);
+        anything else raises :class:`~repro.errors.ValidationError` at
+        construction.
     n_shards:
         Number of shards (>= 1).  May exceed ``len(users)``; the surplus
         shards are simply empty.
@@ -85,6 +88,7 @@ class ShardPlan:
             )
         if list(self.users) != sorted(set(self.users)):
             raise ValidationError("users must be sorted and unique")
+        seed_array(self.seeds)
 
     # ------------------------------------------------------------------
     @classmethod

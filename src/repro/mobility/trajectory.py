@@ -9,8 +9,10 @@ location at the same time at least twice" (Sec. 3.2).
 
 from __future__ import annotations
 
+import numbers
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -20,11 +22,25 @@ from repro.errors import DataError
 __all__ = ["CheckIn", "Trajectory", "TraceDB"]
 
 
-def _as_int_list(values) -> list[int]:
-    """Plain Python ints from an array-like, for fast dict keys/values."""
-    if isinstance(values, np.ndarray):
-        return values.tolist()
-    return [int(v) for v in values]
+def _int_column(name: str, values) -> np.ndarray:
+    """An integer column for :meth:`TraceDB.record_many` (no copy for int arrays).
+
+    Float and bool columns raise :class:`~repro.errors.DataError` naming the
+    dtype: truncating them would store check-ins nobody recorded.
+    """
+    column = values if isinstance(values, np.ndarray) else np.asarray(values)
+    if column.dtype.kind not in "iu" and column.size:
+        raise DataError(f"record_many {name} must be integers, got dtype {column.dtype}")
+    if column.ndim != 1:
+        raise DataError(f"record_many {name} must be a flat column, got shape {column.shape}")
+    return column
+
+
+def _check_int(name: str, value) -> int:
+    """``value`` as an ``int``; floats and bools raise :class:`~repro.errors.DataError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, order=True)
@@ -135,19 +151,42 @@ class TraceDB:
         self._by_user[checkin.user][checkin.time] = checkin.cell
 
     def record(self, user: int, time: int, cell: int) -> None:
-        """Convenience wrapper around :meth:`add`."""
-        self.add(CheckIn(time=int(time), user=int(user), cell=int(cell)))
+        """Insert one observation of integer ``user``, ``time`` and ``cell``.
+
+        A float or bool value raises :class:`~repro.errors.DataError`
+        instead of being truncated.
+        """
+        self.add(
+            CheckIn(
+                time=_check_int("time", time),
+                user=_check_int("user", user),
+                cell=_check_int("cell", cell),
+            )
+        )
 
     def record_many(self, users, times, cells) -> None:
-        """Bulk :meth:`record` over parallel arrays (batched-pipeline insert).
+        """Bulk :meth:`record` over parallel integer columns (batched-pipeline insert).
 
         Semantically ``for u, t, c in zip(...): self.record(u, t, c)``, but
         without per-row :class:`CheckIn` construction — this is how the
-        batched release paths materialise a whole perturbed stream.
+        batched release paths materialise a whole perturbed stream.  The
+        columns must have one length and an integer dtype (arrays, or
+        sequences numpy reads as integers); otherwise
+        :class:`~repro.errors.DataError` names the lengths or the dtype.
+        An int array column is checked in O(1).
         """
+        columns = [
+            _int_column(name, values)
+            for name, values in (("users", users), ("times", times), ("cells", cells))
+        ]
+        if len({len(column) for column in columns}) > 1:
+            raise DataError(
+                "record_many columns must have equal lengths, got users "
+                f"{len(columns[0])}, times {len(columns[1])}, cells {len(columns[2])}"
+            )
         by_time = self._by_time
         by_user = self._by_user
-        for user, time, cell in zip(_as_int_list(users), _as_int_list(times), _as_int_list(cells)):
+        for user, time, cell in zip(*(column.tolist() for column in columns)):
             history = by_user[user]
             if time not in history:
                 self._count += 1
@@ -247,26 +286,29 @@ class TraceDB:
                 yield CheckIn(time=time, user=user, cell=cell)
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(users, times, cells)`` flat int arrays in :meth:`checkins` order.
+        """``(users, times, cells)`` flat int64 arrays in :meth:`checkins` order.
 
         The structure-of-arrays view of the whole database (sorted by user,
-        then time) that the vectorized evaluation layer consumes; row ``i`` of
-        the three arrays is the ``i``-th check-in yielded by
-        :meth:`checkins`.
+        then time) that the vectorized evaluation layer and the shard task
+        build consume; row ``i`` of the three arrays is the ``i``-th
+        check-in yielded by :meth:`checkins`.  The columns are filled with
+        ``np.fromiter`` over the per-user histories and ordered by one
+        ``np.lexsort``.
         """
+        histories = self._by_user
         n = self._count
-        users = np.empty(n, dtype=int)
-        times = np.empty(n, dtype=int)
-        cells = np.empty(n, dtype=int)
-        offset = 0
-        for user, history in sorted(self._by_user.items()):
-            items = sorted(history.items())
-            stop = offset + len(items)
-            users[offset:stop] = user
-            times[offset:stop] = [time for time, _ in items]
-            cells[offset:stop] = [cell for _, cell in items]
-            offset = stop
-        return users, times, cells
+        users = np.repeat(
+            np.fromiter(histories, dtype=np.int64, count=len(histories)),
+            np.fromiter(map(len, histories.values()), dtype=np.int64, count=len(histories)),
+        )
+        times = np.fromiter(chain.from_iterable(histories.values()), dtype=np.int64, count=n)
+        cells = np.fromiter(
+            chain.from_iterable(history.values() for history in histories.values()),
+            dtype=np.int64,
+            count=n,
+        )
+        order = np.lexsort((times, users))
+        return users[order], times[order], cells[order]
 
     def trajectory_of(self, user: int) -> Trajectory:
         """Contiguous trajectory of ``user`` (requires gap-free history)."""

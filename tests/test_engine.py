@@ -20,6 +20,7 @@ from repro.errors import MechanismError, ValidationError
 from repro.geo.grid import GridWorld
 from repro.server.pipeline import run_release_rounds_batched
 from repro.mobility.synthetic import geolife_like
+from repro.utils.rng import SHORT_STREAM
 
 #: Mechanisms exercised in the batch-vs-scalar identity sweeps.  optimal_lp
 #: is covered separately on a small world (its LP is gated by component size).
@@ -218,13 +219,18 @@ class TestReleaseStreams:
     @pytest.mark.parametrize("mechanism", FAST_MECHANISMS)
     def test_blocks_match_one_call_per_stream(self, world, mechanism):
         # Gc discloses cells 7 and 20: one block is empty, one all exact,
-        # one all noisy and two mixed.
+        # one all noisy and two mixed.  The last, mixed block draws more
+        # than SHORT_STREAM uniforms at every declared width, so both of
+        # stream_uniforms' draw paths run.
         engine = PrivacyEngine.from_spec(
             world, mechanism=mechanism, policy="Gc", epsilon=1.0,
             policy_params={"infected": [7, 20]},
         )
-        cells = np.array([5, 7, 6, 20, 7, 8, 9, 7, 20, 3])
-        seeds, counts = [11, 12, 13, 14, 15], [3, 0, 2, 2, 3]
+        long_block = np.arange(150) % world.n_cells
+        cells = np.concatenate([[5, 7, 6, 20, 7, 8, 9, 7, 20, 3], long_block])
+        seeds, counts = [11, 12, 13, 14, 15, 2**64 - 1], [3, 0, 2, 2, 3, 150]
+        noisy_long = np.isin(long_block, [7, 20], invert=True).sum()
+        assert noisy_long * engine.mechanism.uniform_width > SHORT_STREAM
         batch = engine.release_batch(cells, streams=(seeds, counts))
         bounds = np.cumsum([0] + counts)
         parts = [
@@ -242,6 +248,44 @@ class TestReleaseStreams:
         for streams in (([1, 2], [2]), ([1], [3]), ([1, 2], [3, -1])):
             with pytest.raises(MechanismError, match="streams"):
                 engine.release_batch([1, 2], streams=streams)
+
+    @pytest.mark.parametrize(
+        "target, value, match",
+        [
+            pytest.param("release", ([5, 6], [2.5, 2.5]), "count 0 is 2.5", id="float-counts"),
+            pytest.param("release", ([5, 6, 7], [True, True, 2]), "count 0 is True", id="bool-counts"),
+            pytest.param("release", ([5, 6], [float("nan"), 4]), "count 0 is nan", id="nan-count"),
+            pytest.param("release", ([None, 6], [2, 2]), "seed 0 is None", id="none-seed"),
+            pytest.param("release", ([5, True], [2, 2]), "seed 1 is True", id="bool-seed"),
+            pytest.param("release", ([2**70, 6], [2, 2]), "seed 0 is 1180591620717411303424", id="huge-seed"),
+            pytest.param("release", ([2**64, 6], [2, 2]), "seed 0 is 18446744073709551616", id="seed-2**64"),
+            pytest.param("release", ([[1, 2], 6], [2, 2]), r"seed 0 is \[1, 2\]", id="list-seed"),
+            pytest.param(
+                "release", ([np.random.default_rng(3), 6], [2, 2]), "seed 0 is Generator",
+                id="generator-seed",
+            ),
+            pytest.param("release", ([-1, 6], [2, 2]), "seed 0 is -1", id="negative-seed"),
+            pytest.param("release", ([1.0, 6], [2, 2]), r"seed 0 is 1\.0", id="float-seed"),
+            pytest.param("release", (["7", 6], [2, 2]), "seed 0 is '7'", id="str-seed"),
+            pytest.param("plan", (None, 3), "seed 0 is None", id="plan-none-seed"),
+            pytest.param("plan", (2**64, 3), "seed 0 is 18446744073709551616", id="plan-seed-2**64"),
+        ],
+    )
+    def test_malformed_seeds_and_counts_raise(self, world, target, value, match):
+        # Each of these used to run silently or fail late: counts were
+        # truncated, a None seed drew OS entropy, a bool was seed 1, a huge
+        # or list seed was SeedSequence entropy, a generator was consumed,
+        # a negative / float / str seed raised numpy's bare ValueError or
+        # TypeError, and a plan only failed when its fingerprint was taken.
+        from repro.engine.sharding import ShardPlan
+
+        if target == "plan":
+            with pytest.raises(ValidationError, match=match):
+                ShardPlan(users=(1, 2), seeds=value, n_shards=1)
+            return
+        engine = PrivacyEngine.from_spec(world, mechanism="P-LM", policy="G1", epsilon=1.0)
+        with pytest.raises(MechanismError, match=match):
+            engine.release_batch([1, 2, 3, 4], streams=value)
 
     @pytest.mark.parametrize("width", [2, 4])
     def test_misdeclared_uniform_width_caught(self, world, width):

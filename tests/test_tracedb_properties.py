@@ -101,3 +101,23 @@ def test_user_history_sorted_and_complete(entries):
         assert len(times) == len(set(times))
         for checkin in history:
             assert db.location(user, checkin.time) == checkin.cell
+
+
+@given(checkins, checkins)
+@settings(max_examples=100, deadline=None)
+def test_to_arrays_matches_checkins_order(entries, overwrites):
+    # Inserts arrive out of order, and the second batch overwrites some
+    # (user, time) slots through record_many.
+    db = build_db(entries)
+    db.record_many(
+        [c.user for c in overwrites], [c.time for c in overwrites], [c.cell for c in overwrites]
+    )
+    users, times, cells = db.to_arrays()
+    ordered = list(db.checkins())
+    assert all(column.dtype.kind == "i" for column in (users, times, cells))
+    assert users.tolist() == [c.user for c in ordered]
+    assert times.tolist() == [c.time for c in ordered]
+    assert cells.tolist() == [c.cell for c in ordered]
+    latest = {(c.user, c.time): c.cell for c in list(entries) + list(overwrites)}
+    assert sorted(latest) == list(zip(users.tolist(), times.tolist()))
+    assert [latest[slot] for slot in sorted(latest)] == cells.tolist()

@@ -1,5 +1,6 @@
 """Unit tests for trajectories and the trace database."""
 
+import numpy as np
 import pytest
 
 from repro.errors import DataError
@@ -106,6 +107,55 @@ class TestTraceDBBasics:
         db.record(1, 0, 0)
         ordered = list(db.checkins())
         assert ordered == [CheckIn(0, 1, 0), CheckIn(1, 2, 0)]
+
+
+class TestTraceDBInserts:
+    """``record`` / ``record_many`` store integer check-ins or refuse."""
+
+    @pytest.mark.parametrize(
+        "columns, match",
+        [
+            pytest.param(([1, 2, 3], [0, 1], [5, 6, 7]), "users 3, times 2, cells 3", id="short-times"),
+            pytest.param(([1, 2], [0, 1], np.array([5, 6, 7])), "users 2, times 2, cells 3", id="long-cells"),
+            pytest.param(
+                (np.array([1.7, 2.2]), np.array([0.9, 1.5]), np.array([5.5, 6.1])),
+                "users must be integers, got dtype float64",
+                id="float-arrays",
+            ),
+            pytest.param(
+                ([1, 2], [0.5, 1.0], [5, 6]), "times must be integers, got dtype float64",
+                id="float-list",
+            ),
+            pytest.param(
+                ([1, 2], [0, 1], np.array([True, False])), "cells must be integers, got dtype bool",
+                id="bool-cells",
+            ),
+        ],
+    )
+    def test_record_many_refuses_malformed_columns(self, columns, match):
+        db = TraceDB()
+        with pytest.raises(DataError, match=match):
+            db.record_many(*columns)
+        assert len(db) == 0
+
+    @pytest.mark.parametrize(
+        "row",
+        [(1.9, 2, 3), (1, 2.7, 3), (1, 2, 3.2), (True, 2, 3), (1, 2, np.float64(3.0))],
+    )
+    def test_record_refuses_non_integers(self, row):
+        db = TraceDB()
+        with pytest.raises(DataError, match="must be an integer"):
+            db.record(*row)
+        assert len(db) == 0
+
+    def test_integer_columns_of_any_int_dtype(self):
+        db = TraceDB()
+        db.record_many(np.array([2, 1], dtype=np.int32), (0, 3), np.array([4, 5], dtype=np.uint16))
+        db.record(np.int64(3), np.uint8(1), 7)
+        assert list(db.checkins()) == [CheckIn(3, 1, 5), CheckIn(0, 2, 4), CheckIn(1, 3, 7)]
+        assert all(type(value) is int for c in db.checkins() for value in (c.time, c.user, c.cell))
+        db.record_many([], [], [])
+        assert len(db) == 3
 
 
 class TestColocations:
