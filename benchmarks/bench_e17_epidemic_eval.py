@@ -1,17 +1,12 @@
-"""E17 — distributed epidemic evaluators and async shard ingestion.
+"""E17 — distributed epidemic evaluators.
 
-PR 4 distributed the E1/E4 metrics (bench_e16); this benchmark covers the
-remaining trace-level evaluators and the write-side overlap:
-
-* sharded :func:`~repro.epidemic.analysis.r0_estimation_error` (epoch-keyed
-  occupancy counters) and :func:`~repro.epidemic.monitor.perturbed_flows`
-  (E11's metapop flow matrices) across shard counts and backends, each with
-  the bit-identity determinism bit against the serial 1-shard baseline;
-* synchronous vs **async** shard ingestion
-  (:class:`~repro.server.pipeline.AsyncShardCommitter` behind
-  ``run_release_rounds_batched(async_ingest=True)``): commits overlap
-  release computation, and per-user server state must stay element-wise
-  identical (``async_matches_sync`` is a CI acceptance).
+The E1/E4 metrics are distributed in bench_e16; this benchmark covers the
+remaining trace-level evaluators: sharded
+:func:`~repro.epidemic.analysis.r0_estimation_error` (epoch-keyed occupancy
+counters) and :func:`~repro.epidemic.monitor.perturbed_flows` (E11's
+metapop flow matrices) across shard counts and backends, each with the
+bit-identity determinism bit against the serial 1-shard baseline
+(``test_epidemic_matches_serial`` is a CI acceptance).
 
 ``benchmarks/run_bench.py`` records the same sweep into ``BENCH_eval.json``;
 running this file directly writes the standalone artifact CI uploads::
@@ -37,7 +32,6 @@ from repro.epidemic.analysis import r0_estimation_error
 from repro.epidemic.monitor import perturbed_flows
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
-from repro.server.pipeline import run_release_rounds_batched
 
 SHARD_COUNTS = [1, 2, 4]
 BACKENDS = ["serial", "thread", "pool"]
@@ -114,51 +108,8 @@ def epidemic_sweep_records(
     return records
 
 
-def async_vs_sync_ingest(
-    shards: int = 4,
-    size: int = 12,
-    n_users: int = N_USERS,
-    horizon: int = HORIZON,
-    backend: str = "pool",
-) -> dict:
-    """Sharded release run with synchronous vs async (overlapped) commits.
-
-    Async ingestion moves :meth:`Server.ingest_shard` onto the bounded
-    committer thread, so worker processes keep releasing while the main
-    thread commits.  ``async_matches_sync`` asserts the element-wise
-    per-user state contract alongside the timing.
-    """
-    world, db, engine = _workload(size, n_users, horizon)
-    with ensure_backend(backend) as live:
-        start = time.perf_counter()
-        sync_server = run_release_rounds_batched(
-            world, db, engine, rng=0, shards=shards, backend=live
-        )
-        sync_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        async_server = run_release_rounds_batched(
-            world, db, engine, rng=0, shards=shards, backend=live, async_ingest=True
-        )
-        async_seconds = time.perf_counter() - start
-    matches = list(async_server.released_db.checkins()) == list(
-        sync_server.released_db.checkins()
-    ) and all(
-        async_server.ledger.spent(user) == sync_server.ledger.spent(user)
-        for user in db.users()
-    )
-    return {
-        "backend": backend,
-        "shards": shards,
-        "releases": len(db),
-        "sync_seconds": round(sync_seconds, 6),
-        "async_seconds": round(async_seconds, 6),
-        "async_speedup": round(sync_seconds / async_seconds, 3),
-        "async_matches_sync": matches,
-    }
-
-
 def epidemic_eval_block(smoke: bool) -> dict:
-    """The E17 payload (`sweep` + `async_ingest`) at either size.
+    """The E17 payload (`sweep`) at either size.
 
     The single source of truth for both artifacts: ``run_bench.py`` embeds
     this block in ``BENCH_eval.json`` and ``main`` below writes it
@@ -171,11 +122,8 @@ def epidemic_eval_block(smoke: bool) -> dict:
                 shard_counts=(1, 2),
                 **SMOKE_WORKLOAD,
             ),
-            "async_ingest": async_vs_sync_ingest(
-                shards=2, backend="thread", **SMOKE_WORKLOAD
-            ),
         }
-    return {"sweep": epidemic_sweep_records(), "async_ingest": async_vs_sync_ingest()}
+    return {"sweep": epidemic_sweep_records()}
 
 
 # ----------------------------------------------------------------------
@@ -213,16 +161,6 @@ def test_epidemic_matches_serial():
     assert not failures, failures
 
 
-def test_async_ingest_matches_sync():
-    """Acceptance: overlapped commits reproduce synchronous server state."""
-    result = async_vs_sync_ingest(shards=4, size=8, n_users=40, horizon=10, backend="thread")
-    print(
-        f"\nE17: async {result['async_seconds']}s vs sync {result['sync_seconds']}s "
-        f"({result['async_speedup']}x)"
-    )
-    assert result["async_matches_sync"], result
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="CI-sized configuration")
@@ -242,12 +180,7 @@ def main(argv: list[str] | None = None) -> int:
             f"  {record['releases_per_sec']:>12,.0f} releases/s"
             f"  matches_serial={record['matches_serial']}"
         )
-    ingest = block["async_ingest"]
-    print(
-        f"E17: async ingest {ingest['async_seconds']}s vs sync {ingest['sync_seconds']}s "
-        f"({ingest['async_speedup']}x, matches={ingest['async_matches_sync']}) "
-        f"-> {args.output}"
-    )
+    print(f"E17: -> {args.output}")
     return 0
 
 

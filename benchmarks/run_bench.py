@@ -27,10 +27,7 @@ The artifact has four blocks (schema documented in ``docs/benchmarks.md``)::
       "epidemic_eval": {                                  # E17
         "sweep": [{"metric": "e2_r0_estimation_error", "backend": "pool",
                    "shards": 4, "seconds": 0.08,
-                   "releases_per_sec": 24000.0, "matches_serial": true}, ...],
-        "async_ingest": {"backend": "pool", "shards": 4,
-                         "sync_seconds": 0.9, "async_seconds": 0.7,
-                         "async_speedup": 1.3, "async_matches_sync": true, ...}
+                   "releases_per_sec": 24000.0, "matches_serial": true}, ...]
       },
       "durable_ingest": {                                 # E18
         "overhead": {"memory_seconds": 0.5, "durable_seconds": 0.6,
@@ -78,8 +75,7 @@ The artifact has four blocks (schema documented in ``docs/benchmarks.md``)::
 throughput, each with its determinism check against the 1-shard serial
 baseline.  ``distributed_eval`` is the E16 distributed-evaluation sweep
 (sharded metric throughput per backend); ``epidemic_eval`` is the E17 epidemic sweep
-(sharded R0 / metapop-flow throughput per backend, plus the async-vs-sync
-shard-ingestion comparison with its state-equality bit).  E13 (engine micro
+(sharded R0 / metapop-flow throughput per backend).  E13 (engine micro
 throughput) and the per-release latency half of E8 remain pytest-benchmark
 micro-benchmarks::
 
@@ -180,7 +176,7 @@ def run_distributed_eval(smoke: bool) -> dict:
 
 
 def run_epidemic_eval(smoke: bool) -> dict:
-    """The E17 block: epidemic-evaluator sweep plus async-vs-sync ingestion.
+    """The E17 block: the epidemic-evaluator sweep.
 
     Delegates to ``bench_e17_epidemic_eval.epidemic_eval_block`` — the same
     single-source-of-truth arrangement as E16.
@@ -304,12 +300,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"  {record['releases_per_sec']:>12,.0f} releases/s"
                 f"  matches_serial={record['matches_serial']}"
             )
-        ingest = payload["epidemic_eval"]["async_ingest"]
-        print(
-            f"  async ingest {ingest['async_seconds']}s vs sync "
-            f"{ingest['sync_seconds']}s ({ingest['async_speedup']}x, "
-            f"matches={ingest['async_matches_sync']})"
-        )
     if DURABLE_ENTRY in names:
         start = time.perf_counter()
         payload["durable_ingest"] = run_durable_ingest(args.smoke)

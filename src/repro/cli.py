@@ -10,7 +10,6 @@ Usage (after ``pip install -e .``)::
     python -m repro experiment e1 --shards 4 --backend pool
     python -m repro experiment e11 --shards 4 --backend thread
     python -m repro experiment e8 --engine-spec spec.json --shards 4 --backend pool
-    python -m repro experiment e8 --shards 4 --backend pool --async-ingest
     python -m repro experiment e8 --shards 4 --store run.sqlite
     python -m repro experiment e8 --shards 4 --store run.sqlite --resume
     python -m repro experiment e8 --shards 4 --backend rpc --workers 2 4
@@ -151,12 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="e8: pin the scalability sweep to one execution backend; "
         "e1/e2/e3/e4/e5/e11: execution backend for shard-parallel metrics "
         "(e.g. the long-lived 'pool' worker pool)",
-    )
-    experiment.add_argument(
-        "--async-ingest",
-        action="store_true",
-        help="e8: overlap sharded release computation with server commits "
-        "through the bounded async commit queue",
     )
     experiment.add_argument(
         "--workers",
@@ -403,13 +396,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 f"experiment {args.name} has no shard-parallel metrics; "
                 f"--shards/--backend apply to: {supported}"
             )
-        if args.async_ingest:
-            if args.name != "e8":
-                raise ValidationError(
-                    "--async-ingest overlaps sharded release commits and "
-                    "only applies to e8"
-                )
-            config = replace(config, async_ingest=True)
         if args.shards is not None:
             if args.shards < 1:
                 raise ValidationError(f"shards must be >= 1, got {args.shards}")

@@ -49,6 +49,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.engine.registry import _register, _resolve
 from repro.errors import ValidationError
+from repro.utils.validation import check_integer
 
 __all__ = [
     "ExecutionBackend",
@@ -169,9 +170,9 @@ class ThreadBackend(ExecutionBackend):
     name = "thread"
 
     def __init__(self, max_workers: int | None = None) -> None:
-        if max_workers is not None and int(max_workers) < 1:
-            raise ValidationError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = None if max_workers is None else int(max_workers)
+        if max_workers is not None:
+            max_workers = check_integer("max_workers", max_workers, minimum=1)
+        self.max_workers = max_workers
 
     def run(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
         if len(tasks) <= 1:  # pool startup would dominate a singleton
@@ -222,9 +223,9 @@ class PoolBackend(ExecutionBackend):
     name = "pool"
 
     def __init__(self, max_workers: int | None = None) -> None:
-        if max_workers is not None and int(max_workers) < 1:
-            raise ValidationError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = None if max_workers is None else int(max_workers)
+        if max_workers is not None:
+            max_workers = check_integer("max_workers", max_workers, minimum=1)
+        self.max_workers = max_workers
         self._executor: ProcessPoolExecutor | None = None
 
     def _pool(self) -> ProcessPoolExecutor:

@@ -67,6 +67,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from repro.engine.backends import ExecutionBackend
 from repro.errors import ValidationError, WorkerLostError
+from repro.utils.validation import check_integer, check_non_negative, check_positive
 
 __all__ = [
     "RpcBackend",
@@ -190,18 +191,10 @@ class RpcBackend(ExecutionBackend):
     ) -> None:
         if workers is None:
             workers = max(2, min(4, os.cpu_count() or 1))
-        if int(workers) < 1:
-            raise ValidationError(f"workers must be >= 1, got {workers}")
-        if float(worker_timeout) <= 0:
-            raise ValidationError(f"worker_timeout must be > 0, got {worker_timeout}")
-        if int(max_retries) < 0:
-            raise ValidationError(f"max_retries must be >= 0, got {max_retries}")
-        if float(retry_backoff) < 0:
-            raise ValidationError(f"retry_backoff must be >= 0, got {retry_backoff}")
-        self.workers = int(workers)
-        self.worker_timeout = float(worker_timeout)
-        self.max_retries = int(max_retries)
-        self.retry_backoff = float(retry_backoff)
+        self.workers = check_integer("workers", workers, minimum=1)
+        self.worker_timeout = check_positive("worker_timeout", worker_timeout)
+        self.max_retries = check_integer("max_retries", max_retries, minimum=0)
+        self.retry_backoff = check_non_negative("retry_backoff", retry_backoff)
         self.worker_args = tuple(str(a) for a in worker_args)
 
         self._listener: socket.socket | None = None

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Mapping
 
+import numpy as np
+
 from repro.core.mechanisms import Mechanism
 from repro.core.policy_graph import PolicyGraph
 from repro.engine.backends import ExecutionBackend, resolve_backend
@@ -101,6 +103,11 @@ class ExecutionSpec:
     snapshot-consistent per-round aggregates queryable via
     ``Server.metrics_at``.  Observability only — released values are
     untouched — so the resume spec hash excludes it too.
+
+    ``resume`` and ``live_metrics`` must be Python or numpy bools and
+    ``store`` a string or ``None``; anything else (a JSON ``"false"``, a
+    ``1``) raises :class:`~repro.errors.ValidationError` naming the field
+    instead of being read by its truthiness.
     """
 
     backend: str = "serial"
@@ -112,6 +119,15 @@ class ExecutionSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shards", check_integer("shards", self.shards, minimum=1))
+        if self.store is not None and not isinstance(self.store, str):
+            raise ValidationError(
+                f"store must be a path string or None, got {type(self.store).__name__}"
+            )
+        for name in ("resume", "live_metrics"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValidationError(f"{name} must be a bool, got {value!r}")
+            object.__setattr__(self, name, bool(value))
         if self.resume and self.store is None:
             raise ValidationError("resume=True requires a store path")
 
@@ -168,6 +184,7 @@ class EngineSpec:
             or shards is not None
             or backend_params is not None
             or store is not None
+            or resume
             or live_metrics
         ):
             execution = ExecutionSpec(
@@ -175,8 +192,8 @@ class EngineSpec:
                 shards=shards if shards is not None else 1,
                 params=dict(backend_params or {}),
                 store=store,
-                resume=bool(resume),
-                live_metrics=bool(live_metrics),
+                resume=resume,
+                live_metrics=live_metrics,
             )
         return cls(
             mechanism=MechanismSpec(
@@ -253,8 +270,8 @@ class EngineSpec:
                 shards=execution.get("shards", 1),
                 params=dict(execution.get("params", {})),
                 store=execution.get("store"),
-                resume=bool(execution.get("resume", False)),
-                live_metrics=bool(execution.get("live_metrics", False)),
+                resume=execution.get("resume", False),
+                live_metrics=execution.get("live_metrics", False),
             ),
         )
 

@@ -53,17 +53,6 @@ class WorkerLostError(ReproError):
     """
 
 
-class CommitStalledError(ReproError):
-    """An async shard committer failed to drain within its close timeout.
-
-    Raised by :meth:`~repro.server.pipeline.AsyncShardCommitter.close` when
-    the drain thread is still alive after the join deadline — e.g. a commit
-    wedged inside a dead store handle, or a producer died mid-submit leaving
-    the queue full.  The message names the shard ids still pending so the
-    operator knows exactly which commits never landed.
-    """
-
-
 class SnapshotUnavailableError(ReproError):
     """A live-metric snapshot was requested for a round not yet frozen.
 

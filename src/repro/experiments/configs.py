@@ -101,11 +101,6 @@ class ExperimentConfig:
     fields.  The CLI maps ``repro experiment e1 --shards N --backend B``
     onto these fields.
 
-    ``async_ingest`` routes E8's sharded release runs through the server's
-    bounded async commit queue (:class:`~repro.server.pipeline.
-    AsyncShardCommitter`) so shard commits overlap release computation;
-    per-user server state is element-wise unchanged.
-
     ``backend_params`` are extra keyword arguments for the ``rpc`` backend
     factory — how the CLI threads ``--worker-timeout`` (and, for non-E8
     runners, ``--workers``) into the worker cluster.  E8 applies them to
@@ -155,7 +150,6 @@ class ExperimentConfig:
     backends: tuple[str, ...] = ("serial", "thread", "pool")
     eval_shards: int | None = None
     eval_backend: str | None = None
-    async_ingest: bool = False
     backend_params: tuple[tuple[str, object], ...] = ()
     worker_counts: tuple[int, ...] | None = None
     store_path: str | None = None

@@ -23,8 +23,6 @@ Two runners are execution-aware:
   backend.  One execution backend is opened per runner and shared by every
   metric call in the sweep, so a ``pool`` backend's workers stay warm
   across the whole table.
-  ``config.async_ingest`` additionally overlaps E8's sharded release runs
-  with server commits through the bounded async commit queue.
 """
 
 from __future__ import annotations
@@ -770,7 +768,6 @@ def run_scalability(config: ExperimentConfig = ExperimentConfig()) -> ResultTabl
                     start = perf_counter()
                     server = run_release_rounds_batched(
                         world, db, engine, rng=config.seed, shards=shards, backend=backend,
-                        async_ingest=config.async_ingest,
                     )
                     seconds = perf_counter() - start
                     start = perf_counter()
@@ -791,7 +788,7 @@ def run_scalability(config: ExperimentConfig = ExperimentConfig()) -> ResultTabl
                         start = perf_counter()
                         durable_server = run_release_rounds_batched(
                             world, db, engine, rng=config.seed, shards=shards,
-                            backend=backend, async_ingest=config.async_ingest,
+                            backend=backend,
                             store=config.store_path, resume=config.resume,
                         )
                         durable_seconds = perf_counter() - start
@@ -821,7 +818,7 @@ def run_scalability(config: ExperimentConfig = ExperimentConfig()) -> ResultTabl
                         )
                         live_server = run_release_rounds_batched(
                             world, db, engine, rng=config.seed, shards=shards,
-                            backend=backend, async_ingest=config.async_ingest,
+                            backend=backend,
                             live_metrics=views,
                         )
                         # Re-derive the raw release rows over the same plan

@@ -10,7 +10,6 @@ updated policy (contact tracing).
 from repro.server.localdb import LocalLocationDB
 from repro.server.policy_config import PolicyConfigurator, PolicyProposal
 from repro.server.pipeline import (
-    AsyncShardCommitter,
     Client,
     Server,
     run_release_rounds,
@@ -34,7 +33,6 @@ __all__ = [
     "LocalLocationDB",
     "PolicyConfigurator",
     "PolicyProposal",
-    "AsyncShardCommitter",
     "Client",
     "Server",
     "run_release_rounds",

@@ -32,9 +32,8 @@ Bit-identity contract
 Every frozen live value equals :func:`batch_recompute` — one from-scratch
 pass over the full raw rows through the exact merge algebra of
 :class:`~repro.engine.distributed.MetricShardResult` — **bitwise**, at every
-round, for every shard count, execution backend, committer (sync /
-async), commit arrival order, and across a kill-and-resume.  Three
-properties make this hold:
+round, for every shard count, execution backend, commit arrival order,
+and across a kill-and-resume.  Three properties make this hold:
 
 * deltas are pure functions of a shard's rows: the fold lexsorts rows by
   ``(time, user)`` first, so arrival layout (user-major from a live worker,
@@ -712,9 +711,11 @@ class LiveMetricRegistry:
         its expected rounds — anything else is a
         :class:`~repro.errors.DataError` (a silent mismatch would surface
         later as an inexplicable non-frozen round).  The server runs this
-        before its durable commit, so a refused shard leaves no trace.
+        before its durable commit, so a refused shard leaves no trace.  A
+        ``shard`` that is not a Python or numpy int >= 0 is a
+        :class:`~repro.errors.ValidationError`.
         """
-        shard = int(shard)
+        shard = check_integer("shard", shard, minimum=0)
         owned = self._expected.get(shard)
         if owned is None:
             raise DataError(f"shard {shard} is not in the expected coverage")

@@ -18,27 +18,13 @@ backend — a k-shard ``pool`` run reproduces the 1-shard run, which itself
 reproduces the per-client reference :func:`run_release_rounds`.  Runs
 ingest *streamingly*: each shard's releases are committed via
 :meth:`Server.ingest_shard` as the shard completes, rather than waiting on
-a full population merge.
-
-Commits can additionally run *asynchronously*: :class:`AsyncShardCommitter`
-(``server.async_committer(max_pending=k)``) moves :meth:`Server.ingest_shard`
-onto a background committer thread behind a bounded queue, so the producer —
-the release computation draining :func:`stream_shard_releases` — overlaps
-with commit work instead of alternating with it.  The queue bound is the
-backpressure contract: at most ``max_pending`` completed shards wait
-uncommitted, and a producer that outruns the committer blocks on ``submit``
-instead of buffering the whole population.  Ordering is unchanged — shards
-commit one at a time, each ``(time, user)``-ordered within itself, in
-submission order — so per-user server state is element-wise identical to
-synchronous ingestion (``run_release_rounds_batched(..., async_ingest=True)``
-is the wired-up form).
+a full population merge.  The thread and pool backends submit every shard
+up front, so their workers keep releasing while a finished shard commits.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
-import time as _time
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -46,7 +32,7 @@ import numpy as np
 from repro.core.accounting import BudgetLedger
 from repro.core.mechanisms.base import Mechanism, Release, ReleaseBatch
 from repro.core.policy_graph import PolicyGraph
-from repro.errors import CommitStalledError, DataError, PolicyError, ValidationError
+from repro.errors import DataError, PolicyError, ValidationError
 from repro.geo.grid import GridWorld
 from repro.mobility.trajectory import TraceDB
 from repro.server.localdb import LocalLocationDB
@@ -57,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports core)
     from repro.engine import PrivacyEngine
 
 __all__ = [
-    "AsyncShardCommitter",
     "Client",
     "Server",
     "run_release_rounds",
@@ -193,12 +178,11 @@ class Server:
         else:
             self.released_db = TraceDB()
         self.ledger = ledger if ledger is not None else BudgetLedger()
-        # Serializes the commit/mutate section of ingest_shard, which an
-        # AsyncShardCommitter thread and direct ingest_shard callers may
-        # enter concurrently: the store's single SQLite connection must not
-        # interleave transactions, and TraceDB/BudgetLedger bookkeeping is
-        # not atomic under free threading.  Snapping and lexsort stay
-        # outside the lock.
+        # Serializes the commit/mutate section of ingest_shard, which
+        # callers on different threads may enter concurrently: the store's
+        # single SQLite connection must not interleave transactions, and
+        # TraceDB/BudgetLedger bookkeeping is not atomic under free
+        # threading.  Snapping and lexsort stay outside the lock.
         self._ingest_lock = threading.Lock()
         self._metrics = None
 
@@ -213,9 +197,7 @@ class Server:
     def attach_metrics(self, views, expected):
         """Maintain ``views`` live from this server's shard commit path.
 
-        Every subsequent :meth:`ingest_shard` (including commits arriving
-        through :class:`AsyncShardCommitter`, which funnels through the
-        same choke point) folds its shard into a
+        Every subsequent :meth:`ingest_shard` folds its shard into a
         :class:`~repro.server.live_metrics.LiveMetricRegistry` built over
         ``expected`` (``shard -> rounds``, see
         :func:`~repro.server.live_metrics.expected_coverage`).  Read the
@@ -286,10 +268,12 @@ class Server:
         purpose:
             Ledger purpose tag (defaults to the streaming feed).
         shard:
-            The shard's index in the run's plan.  Required when the server
-            is store-backed (it keys the durable ``(shard, round)`` commit
-            marks) or has live metric views attached (it keys their
-            deltas); ignored otherwise.
+            The shard's index in the run's plan, a Python or numpy int
+            >= 0 (anything else raises
+            :class:`~repro.errors.ValidationError`).  Required when the
+            server is store-backed (it keys the durable ``(shard, round)``
+            commit marks) or has live metric views attached (it keys their
+            deltas).
 
         Returns
         -------
@@ -321,6 +305,8 @@ class Server:
         interleaving of *different* users' ledger entries can vary with
         scheduling.
         """
+        if shard is not None:
+            shard = check_integer("shard", shard, minimum=0)
         users = np.asarray(users, dtype=int)
         times = np.asarray(times, dtype=int)
         if len(users) != len(batch) or len(times) != len(batch):
@@ -358,7 +344,7 @@ class Server:
                 # The store keeps only the ground truth's aggregate
                 # accelerator summaries, never the per-row values.
                 written = self.store.commit_shard(
-                    int(shard),
+                    shard,
                     users,
                     times,
                     ReleaseBatch(
@@ -383,8 +369,7 @@ class Server:
             )
             if self._metrics is not None:
                 # Fold inside the commit section: the registry sees exactly
-                # the committed rows, once, no matter which committer
-                # (sync / async) delivered them.
+                # the committed rows, once, whichever thread committed them.
                 self._metrics.ingest(shard, users, times, batch.points, true_cells, cells)
         return cells
 
@@ -420,6 +405,8 @@ class Server:
         """
         if self.store is None:
             raise DataError("replay_shard requires a store-backed server")
+        if shard is not None:
+            shard = check_integer("shard", shard, minimum=0)
         if self._metrics is not None:
             if shard is None or true_cells is None:
                 raise DataError(
@@ -444,184 +431,6 @@ class Server:
     def push_policy(self, client: Client, policy: PolicyGraph) -> None:
         """Offer a policy update; the demo's clients always consent."""
         client.accept_policy(policy)
-
-    def async_committer(
-        self, max_pending: int = 2, purpose: str = "stream"
-    ) -> "AsyncShardCommitter":
-        """A bounded background committer feeding :meth:`ingest_shard`.
-
-        See :class:`AsyncShardCommitter` for the ordering and backpressure
-        contract.  Use as a context manager so the queue is always drained
-        (and any commit error re-raised) when the producing loop ends.
-        """
-        return AsyncShardCommitter(self, max_pending=max_pending, purpose=purpose)
-
-
-class AsyncShardCommitter:
-    """Commit population shards on a background thread, bounded by backpressure.
-
-    The synchronous streaming path alternates between computing shards and
-    committing them: the main thread blocks inside
-    :meth:`Server.ingest_shard` while backend workers sit idle.  This
-    committer moves commits onto one daemon thread behind a
-    ``queue.Queue(maxsize=max_pending)``, so release computation and commit
-    work overlap.
-
-    Contract
-    --------
-    * **Ordering** — shards commit strictly in submission order, one at a
-      time, each ordered by ``(time, user)`` within itself (the
-      :meth:`Server.ingest_shard` contract).  Since every user lives in
-      exactly one shard, all per-user server state is element-wise identical
-      to synchronous ingestion; only the interleaving of *different* users'
-      ledger entries can differ, exactly as in the synchronous streaming
-      path.
-    * **Backpressure** — at most ``max_pending`` completed shards wait
-      uncommitted; :meth:`submit` blocks once the bound is reached, so a
-      fast producer cannot buffer an unbounded population in memory.
-    * **Atomicity / failure** — a shard is committed whole or not at all:
-      after a commit error the committer stops committing (it keeps
-      consuming, so blocked producers always unblock, and discards the
-      remainder) and re-raises the original exception from :meth:`submit`
-      or :meth:`close`.  A producer that dies mid-stream leaves only whole,
-      fully-committed shards behind.
-    * **Liveness** — :meth:`close` never blocks forever: the drain thread is
-      joined against ``close_timeout`` (default 60s) and a committer that
-      fails to drain — e.g. a commit wedged on a dead store handle — raises
-      :class:`~repro.errors.CommitStalledError` naming the shard ids still
-      pending, so a stalled pipeline surfaces as a diagnosable error.
-
-    Use as a context manager; on normal exit :meth:`close` drains every
-    queued shard before returning, so the server is fully caught up.
-    """
-
-    def __init__(
-        self,
-        server: Server,
-        max_pending: int = 2,
-        purpose: str = "stream",
-        close_timeout: float | None = 60.0,
-    ) -> None:
-        max_pending = check_integer("max_pending", max_pending, minimum=1)
-        if close_timeout is not None and float(close_timeout) <= 0:
-            raise ValidationError(f"close_timeout must be > 0 or None, got {close_timeout}")
-        self._server = server
-        self._purpose = purpose
-        self._close_timeout = None if close_timeout is None else float(close_timeout)
-        self._queue: queue.Queue = queue.Queue(maxsize=max_pending)
-        self._error: BaseException | None = None
-        self._closed = False
-        #: submission seq -> shard label, removed as each commit finishes;
-        #: what survives here is exactly what a stalled close() reports.
-        self._pending_labels: dict[int, object] = {}
-        self._seq = 0
-        self._thread = threading.Thread(
-            target=self._drain, name="shard-committer", daemon=True
-        )
-        self._thread.start()
-
-    # ------------------------------------------------------------------
-    def _drain(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            seq, users, times, batch, shard = item
-            if self._error is None:
-                try:
-                    self._server.ingest_shard(
-                        users, times, batch, purpose=self._purpose, shard=shard
-                    )
-                except BaseException as exc:  # re-raised on submit/close
-                    self._error = exc
-            self._pending_labels.pop(seq, None)
-
-    def submit(self, users, times, batch: ReleaseBatch, shard: int | None = None) -> None:
-        """Queue one shard for commit, blocking while ``max_pending`` wait.
-
-        Raises the first commit error (if any) instead of queueing more work
-        on a server whose stream already failed — including when the
-        committer was already closed, where the pending worker error still
-        wins over the "closed" misuse report (a caller that races a failed
-        shutdown should see the real failure, not a
-        :class:`~repro.errors.ValidationError` masking it).
-
-        ``shard`` is forwarded to :meth:`Server.ingest_shard`, which needs
-        it on store-backed servers and servers with live metric views.
-        """
-        if self._error is not None:
-            self.close()  # re-raises the pending commit error
-        if self._closed:
-            raise ValidationError("cannot submit to a closed committer")
-        self._seq += 1
-        seq = self._seq
-        self._pending_labels[seq] = seq if shard is None else int(shard)
-        self._queue.put((seq, users, times, batch, shard))
-
-    def close(self, timeout: float | None = None) -> None:
-        """Drain pending commits, stop the thread, re-raise any commit error.
-
-        Idempotent; after closing, :meth:`submit` refuses further shards.
-
-        The drain thread is joined with a deadline (``timeout``, defaulting
-        to the constructor's ``close_timeout``; ``None`` waits forever).  If
-        the thread is still alive when the deadline passes — a commit wedged
-        inside a dead store handle, a producer that died mid-submit with the
-        queue full — :class:`~repro.errors.CommitStalledError` is raised
-        naming the shard ids still pending, instead of blocking the caller
-        forever.  A later :meth:`close` call retries the join, so a
-        committer that eventually drains can still report its commit error.
-        """
-        limit = self._close_timeout if timeout is None else float(timeout)
-        self._closed = True
-        if self._thread.is_alive():
-            deadline = None if limit is None else _time.monotonic() + limit
-            try:
-                # The sentinel has to queue behind whatever is pending; a
-                # full queue under a wedged drain thread must not block
-                # close() forever.
-                self._queue.put(None, timeout=limit)
-            except queue.Full:
-                pass
-            remaining = None if deadline is None else max(0.0, deadline - _time.monotonic())
-            self._thread.join(timeout=remaining)
-            if self._thread.is_alive():
-                pending = list(self._pending_labels.values())
-                raise CommitStalledError(
-                    f"shard committer failed to drain within {limit:g}s; "
-                    f"{len(pending)} shard(s) still pending commit: "
-                    f"{pending if pending else '(sentinel only)'}"
-                )
-        if self._error is not None:
-            raise self._error
-
-    @property
-    def pending(self) -> int:
-        """Shards queued but not yet committed (approximate, for monitoring)."""
-        return self._queue.qsize()
-
-    def __enter__(self) -> "AsyncShardCommitter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-            return
-        try:
-            # The producer already failed; finish whole queued shards but let
-            # the producer's exception win over any commit error.
-            self.close()
-        except BaseException as commit_error:
-            # Keep the suppressed commit failure visible on the surviving
-            # exception (PEP 678 notes; no-op on interpreters without them).
-            if exc is not None and hasattr(exc, "add_note"):
-                exc.add_note(
-                    f"shard committer also failed while draining: {commit_error!r}"
-                )
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else f"pending={self.pending}"
-        return f"AsyncShardCommitter(max_pending={self._queue.maxsize}, {state})"
 
 
 def run_release_rounds(
@@ -693,7 +502,6 @@ def run_release_rounds_batched(
     rng=None,
     shards: int | None = None,
     backend=None,
-    async_ingest: bool = False,
     store=None,
     resume: bool | None = None,
     out_of_core: bool = False,
@@ -732,13 +540,6 @@ def run_release_rounds_batched(
         Execution backend for the shards — a registry name (``"serial"``,
         ``"thread"``, ``"pool"``) or a live
         :class:`~repro.engine.backends.ExecutionBackend` instance.
-    async_ingest:
-        ``False`` (default) commits each shard synchronously on the
-        producing thread.  ``True`` commits through an
-        :class:`AsyncShardCommitter` (default queue depth) instead,
-        overlapping commit work with release computation behind a bounded
-        backpressure queue — per-user server state is element-wise
-        unchanged (see the committer's contract).
     store:
         Optional durable store — a live :class:`~repro.store.TraceStore`,
         a path, or ``None``.  When set, every shard commits transactionally
@@ -901,20 +702,13 @@ def run_release_rounds_batched(
                     # owned here: close it when the run ends (or raises),
                     # exactly like a named backend.
                     backend = stack.enter_context(execution.build())
-                if async_ingest:
-                    # Entered after the backend, so on exit the committer
-                    # drains (committing every whole queued shard) before
-                    # the backend closes.
-                    commit = stack.enter_context(server.async_committer()).submit
-                else:
-                    commit = server.ingest_shard
                 for shard_users, shard_times, batch in stream_shard_releases(
                     engine, true_db, plan, backend=backend, only_shards=only_shards
                 ):
                     # Shards own contiguous blocks of the sorted user list,
                     # so any member identifies the shard (it keys the
                     # durable commit and the live metric deltas).
-                    commit(
+                    server.ingest_shard(
                         shard_users,
                         shard_times,
                         batch,

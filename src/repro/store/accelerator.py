@@ -39,9 +39,9 @@ Tables (created by :func:`repro.store.schema.create_schema`, schema v3):
 Each commit reads the blocks of the rounds it touches, adds its own counts
 key by key (:func:`apply_deltas`), and writes back records that are sorted,
 unique and summed.  A block's bytes are therefore a pure function of the
-committed rows — independent of shard count, backend, committer, commit
-arrival order, and kill-resume, the same argument that makes the live
-metric views bit-identical across those axes.  The deltas are built once as
+committed rows — independent of shard count, backend, commit arrival
+order, and kill-resume, the same argument that makes the live metric views
+bit-identical across those axes.  The deltas are built once as
 int64 column arrays (:func:`cell_counts`, :func:`transitions`); the
 ``*_rows`` functions split them into one entry per round block, and the
 live views (:mod:`repro.server.live_metrics`) fold the same arrays in

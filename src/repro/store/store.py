@@ -21,9 +21,9 @@ truth, and clients' rolling windows
 client.
 
 Threading: the single connection is opened with ``check_same_thread=False``
-so the :class:`~repro.server.pipeline.AsyncShardCommitter` background thread
-can commit while the main thread reads; CPython's ``sqlite3`` is built in
-serialized threading mode, and all writes are additionally serialized by
+so a thread other than the one that opened the store can commit while
+another reads; CPython's ``sqlite3`` is built in serialized threading mode,
+and all writes are additionally serialized by
 :class:`~repro.server.pipeline.Server`'s ingest lock, one shard commit at a
 time.
 """
@@ -41,6 +41,7 @@ from repro.errors import StoreError
 from repro.store import accelerator
 from repro.store.resume import RunManifest
 from repro.store.schema import BUSY_TIMEOUT_MS, SCHEMA_VERSION, apply_pragmas, create_schema
+from repro.utils.validation import check_integer
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.core.mechanisms.base import ReleaseBatch
@@ -187,7 +188,9 @@ class TraceStore:
         Parameters
         ----------
         shard:
-            The shard index in the run's :class:`~repro.engine.sharding.ShardPlan`.
+            The shard index in the run's :class:`~repro.engine.sharding.ShardPlan`,
+            a Python or numpy int >= 0 (anything else raises
+            :class:`~repro.errors.ValidationError` before anything is written).
         users / times:
             One user id / timestep per batch row (any order; rows are keyed
             ``(user, time)`` so the on-disk layout is order-independent).
@@ -223,6 +226,7 @@ class TraceStore:
         (:meth:`Server.ingest_shard
         <repro.server.pipeline.Server.ingest_shard>`) can refuse it.
         """
+        shard = check_integer("shard", shard, minimum=0)
         users = np.asarray(users, dtype=np.int64)
         times = np.asarray(times, dtype=np.int64)
         cells = np.asarray(batch.cells, dtype=np.int64)
@@ -230,7 +234,7 @@ class TraceStore:
         existing_rounds = {
             int(time)
             for (time,) in self.connection.execute(
-                "SELECT round FROM shard_commits WHERE shard = ?", (int(shard),)
+                "SELECT round FROM shard_commits WHERE shard = ?", (shard,)
             ).fetchall()
         }
         incoming_rounds = set(rounds.tolist())
@@ -289,7 +293,7 @@ class TraceStore:
             batch.exact.astype(np.int64).tolist(),
             batch.epsilons.tolist(),
         )
-        marks = zip([int(shard)] * len(rounds), rounds.tolist(), counts.tolist())
+        marks = zip([shard] * len(rounds), rounds.tolist(), counts.tolist())
         try:
             with self.connection:
                 self.connection.executemany(

@@ -1,15 +1,11 @@
-"""Distributed epidemic evaluators: shard/backend determinism matrix, async ingest.
+"""Distributed epidemic evaluators: shard/backend determinism matrix.
 
 The trace-level evaluators (E2's R0 estimator, E3's contact tracing, E11's
 metapop flows) ride the same `ShardPlan` + `ExecutionBackend` machinery as
 E1/E4 (tests/test_distributed_eval.py); this matrix pins the same contract
 for them: bit-identity across shard counts {1, 2, 5, 7} and all four
-built-in backends, agreement with the scalar per-release reference, and —
-for the write side — element-wise equivalence of async and synchronous
-shard ingestion.
+built-in backends, and agreement with the scalar per-release reference.
 """
-
-import threading
 
 import pytest
 
@@ -24,7 +20,7 @@ from repro.experiments.configs import build_mechanism, build_policy
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
 from repro.mobility.trajectory import TraceDB
-from repro.server.pipeline import Server, run_release_rounds_batched
+from repro.server.pipeline import run_release_rounds_batched
 
 #: the matrix the issue locks down: every built-in backend x these counts.
 BACKENDS = ["serial", "thread", "pool"]
@@ -249,64 +245,3 @@ class TestMetapopFlows:
         with pytest.raises(DataError):
             perturbed_flows(world, mechanism, TraceDB(), shards=2)
 
-
-class TestAsyncIngest:
-    @pytest.mark.parametrize("seed", [0, 7, 2020])
-    def test_async_reproduces_sync_server_state(self, world, engine, seed):
-        # Seeded stress: enough users that several shards are in flight at
-        # once on the thread backend, with a queue depth they must contend
-        # for.  Per-user state must come out element-wise identical.
-        stress = geolife_like(world, n_users=24, horizon=10, rng=seed + 1)
-        sync = run_release_rounds_batched(
-            world, stress, engine, rng=seed, shards=6, backend="thread"
-        )
-        asynchronous = run_release_rounds_batched(
-            world, stress, engine, rng=seed, shards=6, backend="thread",
-            async_ingest=True,
-        )
-        assert list(asynchronous.released_db.checkins()) == list(sync.released_db.checkins())
-        for user in stress.users():
-            assert asynchronous.ledger.spent(user) == sync.ledger.spent(user)
-
-    def test_async_ingest_without_shards_matches_sync(self, world, db, engine):
-        # No shards= or backend=: a one-shard run, committed asynchronously.
-        sync = run_release_rounds_batched(world, db, engine, rng=0)
-        asynchronous = run_release_rounds_batched(world, db, engine, rng=0, async_ingest=True)
-        assert list(asynchronous.released_db.checkins()) == list(sync.released_db.checkins())
-        for user in db.users():
-            assert asynchronous.ledger.spent(user) == sync.ledger.spent(user)
-
-    def test_backpressure_blocks_producer(self, world, engine):
-        # With max_pending=1 and a gated server: one shard is mid-commit,
-        # one sits queued — the third submit must block until the committer
-        # catches up.  That bound is the backpressure contract.
-        class GatedServer(Server):
-            def __init__(self, world):
-                super().__init__(world)
-                self.gate = threading.Event()
-
-            def ingest_shard(self, users, times, batch, purpose="stream", shard=None):
-                assert self.gate.wait(timeout=10)
-                return super().ingest_shard(users, times, batch, purpose=purpose, shard=shard)
-
-        server = GatedServer(world)
-        shard = ([4, 9], [0, 0], engine.release_batch([1, 2], rng=0))
-        with server.async_committer(max_pending=1) as committer:
-            committer.submit(*shard)  # dequeued immediately, blocked in commit
-            committer.submit(*shard)  # fills the queue
-            third = threading.Thread(target=committer.submit, args=shard)
-            third.start()
-            third.join(timeout=0.3)
-            assert third.is_alive()  # producer is being held back
-            server.gate.set()
-            third.join(timeout=10)
-            assert not third.is_alive()
-        assert len(server.ledger.entries) == 6
-
-    def test_committer_ordering_is_submission_order(self, world, engine):
-        server = Server(world)
-        with server.async_committer(max_pending=4) as committer:
-            committer.submit([9, 2], [1, 1], engine.release_batch([3, 4], rng=0))
-            committer.submit([5], [0], engine.release_batch([5], rng=1))
-        # Within each shard (time, user); across shards submission order.
-        assert [(e.time, e.user) for e in server.ledger.entries] == [(1, 2), (1, 9), (0, 5)]

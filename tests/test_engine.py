@@ -144,8 +144,15 @@ class TestSpecUnknownKeys:
             ({"mechanism": {"epsilon": 1.0}, "policy": {"name": "G1"}}, r"mechanism block is missing keys \['name'\]"),
             ({"mechanism": {"name": "planar_laplace"}}, r"missing keys \['policy'\]"),
             ({"mechanism": {"name": "planar_laplace"}, "policy": {"name": "G1"}, "execution": 4}, "execution block must be a mapping"),
+            ({"mechanism": {"name": "planar_laplace"}, "policy": {"name": "G1"}, "execution": {"store": "run.sqlite", "resume": "false"}}, "resume must be a bool"),
+            ({"mechanism": {"name": "planar_laplace"}, "policy": {"name": "G1"}, "execution": {"store": "run.sqlite", "resume": 1}}, "resume must be a bool"),
+            ({"mechanism": {"name": "planar_laplace"}, "policy": {"name": "G1"}, "execution": {"live_metrics": "false"}}, "live_metrics must be a bool"),
+            ({"mechanism": {"name": "planar_laplace"}, "policy": {"name": "G1"}, "execution": {"store": 5}}, "store must be a path string"),
         ],
-        ids=["mechanism-not-mapping", "mechanism-no-name", "no-policy", "execution-not-mapping"],
+        ids=[
+            "mechanism-not-mapping", "mechanism-no-name", "no-policy", "execution-not-mapping",
+            "resume-string", "resume-int", "live-metrics-string", "store-int",
+        ],
     )
     def test_malformed_blocks_refused(self, payload, match):
         with pytest.raises(ValidationError, match=match):

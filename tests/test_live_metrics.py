@@ -5,7 +5,7 @@ approximate: for every round ``r``, ``server.metrics_at(r)`` — maintained
 incrementally by folding each shard commit the moment it lands — equals
 :func:`~repro.server.live_metrics.batch_recompute` over the raw release
 rows, under **every** execution shape.  This file pins that matrix
-(shards {1, 2, 5, 7} x serial/thread/pool/rpc x sync/async committers),
+(shards {1, 2, 5, 7} x serial/thread/pool/rpc),
 the shard-count invariance of the values
 themselves, equality against independently-coded references (the E1/E11
 flow counter and the E2 contact-rate estimator), a Hypothesis property
@@ -48,7 +48,6 @@ HORIZON = 8
 RNG = 11
 
 SHARD_COUNTS = [1, 2, 5, 7]
-COMMITTERS = ["sync", "async"]
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +81,8 @@ def _plan(db, shards):
 def _raw_rows(world, engine, db, plan):
     """The full release row arrays a run over ``plan`` commits.
 
-    Per-user RNG streams make these identical to what any backend/committer
-    combination ingests, so one serial capture serves every comparison.
+    Per-user RNG streams make these identical to what any backend and shard
+    count ingests, so one serial capture serves every comparison.
     """
     parts = [
         (
@@ -117,12 +116,10 @@ def batch_values_of(world, db, engine):
     return get
 
 
-def _live_run(world, db, engine, shards, backend, committer, **kwargs):
-    if committer == "async":
-        kwargs["async_ingest"] = True
+def _live_run(world, db, engine, shards, backend):
     return run_release_rounds_batched(
         world, db, engine, rng=RNG, shards=shards, backend=backend,
-        live_metrics=True, **kwargs,
+        live_metrics=True,
     )
 
 
@@ -132,12 +129,11 @@ def _live_run(world, db, engine, shards, backend, committer, **kwargs):
 
 
 class TestDeterminismMatrix:
-    @pytest.mark.parametrize("committer", COMMITTERS)
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_every_round_equals_batch_recompute(
-        self, shards, committer, backend, world, db, engine, batch_values_of
+        self, shards, backend, world, db, engine, batch_values_of
     ):
-        server = _live_run(world, db, engine, shards, backend, committer)
+        server = _live_run(world, db, engine, shards, backend)
         want = batch_values_of(shards)
         assert set(server.metrics.rounds) == set(want)
         for r in server.metrics.rounds:
@@ -214,7 +210,7 @@ class TestRegistryCommitOrder:
 class TestIndependentReferences:
     @pytest.fixture(scope="class")
     def run(self, world, db, engine):
-        server = _live_run(world, db, engine, 5, "serial", "sync")
+        server = _live_run(world, db, engine, 5, "serial")
         rows = _raw_rows(world, engine, db, _plan(db, 5))
         return server, rows
 

@@ -1,10 +1,11 @@
-"""Counts, rounds and window bounds are ints; R0 parameters are checked.
+"""Counts, indices and window bounds are ints; R0 parameters are checked.
 
-The query, live-metrics and commit-queue surfaces take integer counts and
-round indices.  A bool or a float there raises
-:class:`~repro.errors.ValidationError` instead of being truncated (``2.7``
-used to act as ``2`` and ``True`` as ``1``), while numpy ints pass.  The
-``QueryEngine`` R0 parameters are validated the way
+The query, live-metrics, shard-commit and execution-backend surfaces take
+integer counts, round and shard indices and worker counts.  A bool, a float
+or a string there raises :class:`~repro.errors.ValidationError` instead of
+being truncated (``2.7`` used to act as ``2`` and ``True`` as ``1``), and a
+negative shard index is refused, while numpy ints pass.  A refused shard
+writes nothing.  The ``QueryEngine`` R0 parameters are validated the way
 :class:`~repro.server.live_metrics.ContactRateView` validates them.
 """
 
@@ -13,12 +14,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.engine import PrivacyEngine
+from repro.engine import PoolBackend, PrivacyEngine, ThreadBackend
 from repro.errors import ValidationError
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
 from repro.query import QueryEngine, Window, sliding_windows, tumbling_windows
-from repro.server.pipeline import AsyncShardCommitter, run_release_rounds_batched
+from repro.server.pipeline import Server, run_release_rounds_batched
+from repro.store import TraceStore
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +46,32 @@ def _query_engine(path, **params):
         return engine.contact_rate(Window(0, 4))
 
 
+def _batch(world):
+    """One release of cell 3, whose ``cells`` carry the true cell."""
+    engine = PrivacyEngine.from_spec(world, mechanism="P-LM", policy="G1", epsilon=1.0)
+    return engine.release_batch([3], rng=0)
+
+
+def _commit_shard(shard):
+    with TraceStore(":memory:") as store:
+        store.commit_shard(shard, [1], [0], _batch(GridWorld(6, 6)))
+
+
+def _ingest_shard(shard):
+    world = GridWorld(6, 6)
+    Server(world).ingest_shard([1], [0], _batch(world), shard=shard)
+
+
+def _live_check(server, shard):
+    batch = _batch(server.world)
+    server.metrics.check(shard, [1], [0], batch.points, batch.cells, batch.cells)
+
+
+def _replay_shard(shard):
+    with TraceStore(":memory:") as store:
+        Server(GridWorld(6, 6), store=store).replay_shard(0, 5, shard=shard)
+
+
 BAD_ARGUMENTS = {
     "window end 2.7": lambda run: Window(0, 2.7),
     "window start 0.5": lambda run: Window(0.5, 2),
@@ -56,8 +84,17 @@ BAD_ARGUMENTS = {
     "top_cells k True": lambda run: _top_cells(run[1], True),
     "metrics_at 2.7": lambda run: run[0].metrics_at(2.7),
     "metrics_at True": lambda run: run[0].metrics_at(True),
-    "max_pending 2.5": lambda run: AsyncShardCommitter(run[0], max_pending=2.5),
-    "max_pending True": lambda run: AsyncShardCommitter(run[0], max_pending=True),
+    "commit_shard 2.7": lambda run: _commit_shard(2.7),
+    "commit_shard str 3": lambda run: _commit_shard("3"),
+    "commit_shard float64 4.2": lambda run: _commit_shard(np.float64(4.2)),
+    "commit_shard -1": lambda run: _commit_shard(-1),
+    "ingest_shard shard True": lambda run: _ingest_shard(True),
+    "ingest_shard shard -1": lambda run: _ingest_shard(-1),
+    "live check shard 0.9": lambda run: _live_check(run[0], 0.9),
+    "replay_shard shard 1.5": lambda run: _replay_shard(1.5),
+    "thread max_workers 2.5": lambda run: ThreadBackend(max_workers=2.5),
+    "thread max_workers True": lambda run: ThreadBackend(max_workers=True),
+    "pool max_workers 1.5": lambda run: PoolBackend(max_workers=1.5),
     "p_transmit 2.0": lambda run: _query_engine(run[1], p_transmit=2.0),
     "p_transmit nan": lambda run: _query_engine(run[1], p_transmit=math.nan),
     "gamma -1": lambda run: _query_engine(run[1], gamma=-1),
@@ -81,5 +118,25 @@ def test_numpy_ints_accepted(run):
     assert sliding_windows(0, 4, np.int64(2), step=np.int32(1)) == sliding_windows(0, 4, 2)
     assert _top_cells(path, np.int64(2)) == _top_cells(path, 2)
     assert server.metrics_at(np.int64(4)) == server.metrics_at(4)
-    committer = AsyncShardCommitter(server, max_pending=np.int64(2))
-    committer.close()
+    assert ThreadBackend(max_workers=np.int64(2)).max_workers == 2
+
+
+def test_refused_shard_writes_nothing(run):
+    # A coerced index (2.7 -> shard 2, True -> shard 1) or a negative one
+    # would key commit marks and live deltas of a shard the plan does not
+    # hold, so the refusal must come before the store commit, the ledger
+    # charge and the live fold.
+    server, path = run
+    batch = _batch(server.world)
+    charged = len(server.ledger.entries)
+    with TraceStore(path) as store:
+        committed = store.committed()
+        durable = Server(server.world, store=store)
+        for shard in (2.7, "3", np.float64(4.2), True, -1):
+            with pytest.raises(ValidationError):
+                durable.ingest_shard([99], [0], batch, shard=shard)
+            with pytest.raises(ValidationError):
+                server.ingest_shard([99], [0], batch, shard=shard)
+        assert store.committed() == committed
+        assert durable.ledger.entries == ()
+    assert len(server.ledger.entries) == charged

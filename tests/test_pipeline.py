@@ -1,13 +1,20 @@
 """Unit tests for the client/server release pipeline."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from time import perf_counter, sleep
+
 import pytest
 
 from repro.core.mechanisms import PolicyLaplaceMechanism
 from repro.core.policies import area_policy, contact_tracing_policy, full_disclosure_policy, grid_policy
+from repro.engine import PrivacyEngine, ShardPlan, stream_shard_releases
 from repro.errors import DataError, PolicyError
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
+from repro.server.live_metrics import default_views, expected_coverage
 from repro.server.pipeline import Client, Server, run_release_rounds
+from repro.store import RunManifest, TraceStore
 
 
 @pytest.fixture
@@ -121,3 +128,79 @@ class TestRunReleaseRounds:
         a, _ = run_release_rounds(world, db, grid_policy(world), PolicyLaplaceMechanism, 1.0, rng=7, window=6)
         b, _ = run_release_rounds(world, db, grid_policy(world), PolicyLaplaceMechanism, 1.0, rng=7, window=6)
         assert list(a.released_db.checkins()) == list(b.released_db.checkins())
+
+
+class TestIngestLock:
+    """``Server.ingest_shard`` callers on different threads commit one at a time.
+
+    The server's ingest lock serializes the store transaction, the trace
+    and ledger updates and the live fold, so shards committed from
+    concurrent threads leave exactly the state of a serial ingest.
+    """
+
+    SHARDS = 4
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        world = GridWorld(6, 6)
+        engine = PrivacyEngine.from_spec(world, mechanism="P-LM", policy="G1", epsilon=1.0)
+        db = geolife_like(world, n_users=12, horizon=6, rng=4)
+        plan = ShardPlan.build(sorted(db.users()), self.SHARDS, rng=8)
+        shards = [
+            (plan.shard_of(int(users[0])), users, times, batch)
+            for users, times, batch in stream_shard_releases(engine, db, plan)
+        ]
+        return world, engine, db, plan, shards
+
+    @staticmethod
+    def _state(run, concurrent):
+        world, engine, db, plan, shards = run
+        spans = []
+        with TraceStore(":memory:") as store:
+            store.begin_run(RunManifest.for_run(engine, plan, world))
+            commit_shard = store.commit_shard
+
+            def spanned_commit(*args, **kwargs):
+                start = perf_counter()
+                sleep(0.005)  # an unserialized caller would enter meanwhile
+                try:
+                    return commit_shard(*args, **kwargs)
+                finally:
+                    spans.append((start, perf_counter()))
+
+            store.commit_shard = spanned_commit
+            server = Server(world, store=store)
+            server.attach_metrics(default_views(world), expected_coverage(plan, db))
+            if concurrent:
+                barrier = threading.Barrier(len(shards))
+
+                def commit(shard):
+                    shard_id, users, times, batch = shard
+                    barrier.wait(timeout=10)
+                    server.ingest_shard(users, times, batch, shard=shard_id)
+
+                with ThreadPoolExecutor(max_workers=len(shards)) as pool:
+                    list(pool.map(commit, shards))
+            else:
+                for shard_id, users, times, batch in shards:
+                    server.ingest_shard(users, times, batch, shard=shard_id)
+            rows = sorted(
+                store.connection.execute(
+                    "SELECT user, time, cell, x, y, exact, epsilon FROM releases"
+                ).fetchall()
+            )
+        totals = {user: server.ledger.spent(user) for user in sorted(db.users())}
+        metrics = {r: dict(server.metrics_at(r)) for r in server.metrics.rounds}
+        return rows, totals, metrics, sorted(spans)
+
+    def test_concurrent_ingest_equals_serial(self, run):
+        rows, totals, metrics, spans = self._state(run, concurrent=True)
+        want_rows, want_totals, want_metrics, _ = self._state(run, concurrent=False)
+        # The four store commits ran one at a time, never overlapping.
+        assert len(spans) == self.SHARDS
+        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+        assert len(rows) == len(run[2])
+        assert rows == want_rows
+        assert totals == want_totals
+        assert sorted(metrics) == sorted(want_metrics) == sorted(run[2].times())
+        assert metrics == want_metrics

@@ -4,7 +4,7 @@ The headline contract of ``repro.query`` mirrors the live-metrics one: every
 windowed answer served from the accelerator summary tables equals its naive
 ``full_scan_*`` reference **bitwise**, under every execution shape.  This
 file pins that matrix (shards {1, 2, 5, 7} x serial/thread/pool/rpc x
-sync/async committers x kill-resume), the coverage-frontier
+kill-resume), the coverage-frontier
 refusal rule (half-covered windows name the shards they wait on), awkward
 stores (empty windows, coverage gaps, ``:memory:``, resumed mid-run), and a
 Hypothesis property: under *any* interleaving of shard commits and window
@@ -40,7 +40,6 @@ HORIZON = 8
 RNG = 11
 
 SHARD_COUNTS = [1, 2, 5, 7]
-COMMITTERS = ["sync", "async"]
 
 #: The windows every fingerprint probes: a tumbling tiling plus overlapping
 #: sliders, so boundaries, overlaps, and the clipped tail all get exercised.
@@ -96,7 +95,7 @@ def _fingerprint(store, world):
     """Every query answer over the probe windows, as one comparable value.
 
     It includes the accelerator's round-block bytes, which must not depend
-    on how the run was split: shard count, backend, committer, kill-resume.
+    on how the run was split: shard count, backend, kill-resume.
     """
     engine = QueryEngine(store, world=world)
     fingerprint = {("blocks",): store.connection.execute(BLOCKS_SQL).fetchall()}
@@ -144,7 +143,7 @@ def _assert_matches_full_scan(store, world, resolver):
 
 @pytest.fixture(scope="module")
 def canonical(world, db, engine):
-    """The 1-shard serial sync fingerprint every other shape must equal."""
+    """The 1-shard serial fingerprint every other shape must equal."""
     with TraceStore(":memory:") as store:
         run_release_rounds_batched(
             world, db, engine, rng=RNG, shards=1, backend="serial", store=store
@@ -152,14 +151,11 @@ def canonical(world, db, engine):
         return _fingerprint(store, world)
 
 
-def _store_run(world, db, engine, shards, backend, committer="sync", store=None):
-    kwargs = {}
-    if committer == "async":
-        kwargs["async_ingest"] = True
+def _store_run(world, db, engine, shards, backend, store=None):
     store = store if store is not None else TraceStore(":memory:")
     server = run_release_rounds_batched(
         world, db, engine, rng=RNG, shards=shards, backend=backend,
-        store=store, **kwargs,
+        store=store,
     )
     return server, store
 
@@ -175,15 +171,6 @@ class TestDeterminismMatrix:
         self, shards, backend, world, db, engine, resolver, canonical
     ):
         _, store = _store_run(world, db, engine, shards, backend)
-        with store:
-            assert _fingerprint(store, world) == canonical
-            _assert_matches_full_scan(store, world, resolver)
-
-    @pytest.mark.parametrize("committer", COMMITTERS)
-    def test_every_committer_answers_identically(
-        self, committer, world, db, engine, resolver, canonical
-    ):
-        _, store = _store_run(world, db, engine, 5, "thread", committer)
         with store:
             assert _fingerprint(store, world) == canonical
             _assert_matches_full_scan(store, world, resolver)

@@ -13,6 +13,7 @@ The failure half of the contract (SIGKILL, torn frames, retry exhaustion)
 lives in ``tests/test_rpc_failures.py``.
 """
 
+import math
 import pickle
 import socket
 
@@ -237,15 +238,35 @@ class TestExecutionContract:
 
 
 class TestConstruction:
-    def test_invalid_parameters_rejected(self):
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"workers": 0},
+            {"workers": 2.5},
+            {"worker_timeout": 0.0},
+            {"worker_timeout": math.nan},
+            {"max_retries": -1},
+            {"max_retries": 1.5},
+            {"retry_backoff": -0.1},
+            {"retry_backoff": math.nan},
+        ],
+        ids=[
+            "workers 0",
+            "workers 2.5",
+            "worker_timeout 0",
+            "worker_timeout nan",
+            "max_retries -1",
+            "max_retries 1.5",
+            "retry_backoff -0.1",
+            "retry_backoff nan",
+        ],
+    )
+    def test_invalid_parameters_rejected(self, params):
+        # A float would be truncated (2.5 workers would run 2), and a NaN
+        # backoff makes a lost task's retry time NaN, so the task would
+        # never be dispatched again.
         with pytest.raises(ValidationError):
-            RpcBackend(workers=0)
-        with pytest.raises(ValidationError):
-            RpcBackend(worker_timeout=0.0)
-        with pytest.raises(ValidationError):
-            RpcBackend(max_retries=-1)
-        with pytest.raises(ValidationError):
-            RpcBackend(retry_backoff=-0.1)
+            RpcBackend(**params)
 
     def test_default_worker_count_is_bounded(self):
         backend = RpcBackend()

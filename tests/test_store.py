@@ -387,6 +387,8 @@ class TestExecutionSpecWiring:
     def test_resume_without_store_rejected(self):
         with pytest.raises(ValidationError, match="requires a store"):
             ExecutionSpec(backend="serial", shards=1, resume=True)
+        with pytest.raises(ValidationError, match="requires a store"):
+            EngineSpec.named("planar_laplace", "G1", resume=True)
 
     def test_spec_store_drives_pipeline(self, world, db, engine, tmp_path):
         path = str(tmp_path / "spec.sqlite")

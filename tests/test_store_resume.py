@@ -14,8 +14,8 @@ uninterrupted seeded run.  This file proves that three ways:
 * a re-execution audit: resuming a finished run re-derives zero shards,
   and a half-committed run re-derives exactly the missing ones.
 
-Plus the same equality through the async committer and the out-of-core
-(``StoredTraceDB``-backed) server.
+Plus the same equality through the out-of-core (``StoredTraceDB``-backed)
+server.
 """
 
 import os
@@ -343,7 +343,7 @@ def test_rpc_resume_streams_exactly_the_missing_shards(
 
 
 # ----------------------------------------------------------------------
-# resume through the async committer and the out-of-core server
+# resume through the out-of-core server
 # ----------------------------------------------------------------------
 
 
@@ -357,16 +357,6 @@ def _interrupt(world, db, engine, path, shards_done):
             engine, db, plan, only_shards=frozenset(range(shards_done))
         ):
             committer.ingest_shard(users, times, batch, shard=plan.shard_of(int(users[0])))
-
-
-def test_async_ingest_resume_matches_reference(world, db, engine, reference, tmp_path):
-    path = str(tmp_path / "async.sqlite")
-    _interrupt(world, db, engine, path, shards_done=3)
-    server = run_release_rounds_batched(
-        world, db, engine, rng=RNG, shards=N_SHARDS, backend="thread",
-        async_ingest=True, store=path, resume=True,
-    )
-    _assert_matches(server, reference)
 
 
 def test_out_of_core_resume_matches_reference(world, db, engine, reference, tmp_path):
