@@ -36,7 +36,7 @@ from repro.engine.distributed import MetricShardResult, sharded_metric, slot_pla
 from repro.errors import ValidationError
 from repro.geo.distance import euclidean
 from repro.geo.grid import GridWorld
-from repro.utils.validation import check_integer
+from repro.utils.validation import check_bool, check_integer
 
 __all__ = ["utility_error", "adversary_error", "expected_inference_error"]
 
@@ -135,6 +135,7 @@ def _trial_metric(
     float32: bool = False,
 ) -> float:
     """Common driver for the three trial metrics (see module docs)."""
+    batched = check_bool("batched", batched)
     if len(true_cells) == 0:
         raise ValidationError("need at least one true cell")
     cells = [world.check_cell(cell) for cell in true_cells]

@@ -5,9 +5,9 @@ gives the *evaluation* (analytical) path the same treatment without coupling
 the two — the classic HTAP split of shared-but-decoupled infrastructure.
 Both paths ride the same primitives: a deterministic
 :class:`~repro.engine.sharding.ShardPlan` partitions the metric's work keys
-(users for trace metrics like E1's ``monitoring_utility``, trial slots for
-cell metrics like E4's ``adversary_error``) into contiguous shards with one
-RNG-stream seed per key, and an
+(users for the contact-tracing protocol, trial slots for cell metrics like
+E4's ``adversary_error``) into contiguous shards with one RNG-stream seed
+per key, and an
 :class:`~repro.engine.backends.ExecutionBackend` decides how shards run.
 
 Each shard scores only its own keys on those keys' own streams and returns a
@@ -27,13 +27,14 @@ The merge is deliberately **exact**, not approximate:
   bit-identical for 1, 2, or 50 shards, on any backend.
 * Count-style components (*flow reduction*) are carried as
   :class:`collections.Counter` maps and merged by integer addition — exact,
-  associative, and commutative.  Three metric families ride this kind:
-  E1's inter-area flow counts and E11's metapopulation flow matrices
-  (within-user transitions, so per-user sharding partitions the global
-  counters), and E2's **epoch-keyed occupancy counters** — ``(time, cell)
-  -> head count`` maps from which the R0 contact estimator recovers the
-  global co-location pair count as ``sum(n * (n - 1) / 2)`` per key, an
-  integer identity no shard boundary can perturb.
+  associative, and commutative.  Only the live views' reference half
+  (:func:`~repro.server.live_metrics.batch_recompute`) rides this kind:
+  E1/E11 inter-area flow counts (within-user transitions, so per-user
+  sharding partitions the global counters) and E2's **epoch-keyed
+  occupancy counters** — ``(time, cell) -> head count`` maps from which
+  the R0 contact estimator recovers the global co-location pair count as
+  ``sum(n * (n - 1) / 2)`` per key, an integer identity no shard boundary
+  can perturb.
 * Membership-style components (*event sets*) are carried as frozensets and
   merged by union — the contact-tracing protocol's per-user contact-event
   sets (candidates / flagged / true contacts).  Every user lives in exactly
@@ -52,11 +53,13 @@ Every evaluator has this one layout.  Called without ``shards=`` /
 ``backend=`` it is the one-shard serial run, so a seeded evaluator scores
 exactly the per-user streams that
 :func:`~repro.server.pipeline.run_release_rounds_batched` stores for the
-same seed.  Trace evaluators slice their shards' rows from one
-``TraceDB.to_arrays()`` (:func:`shard_rows`); the monitoring and occupancy
-scorers release a whole shard in one
-``release_batch(cells, streams=(seeds, counts))`` call
-(:meth:`ShardRows.release_points`), as the trial scorer does for its slots.
+same seed.  The E4 trial metrics and the tracing protocol score their
+shards through :func:`sharded_metric`; the trial scorer releases a whole
+shard in one ``release_batch(cells, streams=(seeds, counts))`` call.  E1,
+E2 and E11 fold the release stream through the live views of
+:mod:`repro.server.live_metrics` instead; their scalar reference slices
+each shard's rows from one ``TraceDB.to_arrays()`` (:func:`shard_rows`) and
+releases them with :meth:`ShardRows.release_points`.
 """
 
 from __future__ import annotations
@@ -109,9 +112,9 @@ class MetricShardResult:
         the weights of the weighted means.
     flows:
         ``component name -> Counter`` for count-valued components merged by
-        addition (E1's true/observed inter-area flows, E11's flow matrices,
-        E2's epoch-keyed occupancy counters).  Empty for metrics without a
-        count part.
+        addition (the live views' reference deltas: E1's true/observed
+        inter-area flows, E11's flow matrices, E2's epoch-keyed occupancy
+        counters).  Empty for metrics without a count part.
     sets:
         ``component name -> frozenset`` for membership-valued components
         merged by union (the tracing protocol's per-user contact-event

@@ -17,15 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Mapping
 
-import numpy as np
-
 from repro.core.mechanisms import Mechanism
 from repro.core.policy_graph import PolicyGraph
 from repro.engine.backends import ExecutionBackend, resolve_backend
 from repro.engine.registry import resolve_mechanism, resolve_policy
 from repro.errors import ValidationError
 from repro.geo.grid import GridWorld
-from repro.utils.validation import check_epsilon, check_integer
+from repro.utils.validation import check_bool, check_epsilon, check_integer
 
 __all__ = ["MechanismSpec", "PolicySpec", "ExecutionSpec", "EngineSpec"]
 
@@ -124,10 +122,7 @@ class ExecutionSpec:
                 f"store must be a path string or None, got {type(self.store).__name__}"
             )
         for name in ("resume", "live_metrics"):
-            value = getattr(self, name)
-            if not isinstance(value, (bool, np.bool_)):
-                raise ValidationError(f"{name} must be a bool, got {value!r}")
-            object.__setattr__(self, name, bool(value))
+            object.__setattr__(self, name, check_bool(name, getattr(self, name)))
         if self.resume and self.store is None:
             raise ValidationError("resume=True requires a store path")
 

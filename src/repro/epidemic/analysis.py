@@ -18,31 +18,28 @@ produced by :func:`perturb_tracedb`, giving the paper's utility metric
 The randomised evaluator :func:`r0_estimation_error` scores the stream the
 server stores: it and :func:`perturb_tracedb` release each user's check-ins
 on that user's own RNG stream, spawned over the sorted user list exactly as
-:func:`~repro.server.pipeline.run_release_rounds_batched` spawns them.  The
-users are partitioned by a :class:`~repro.engine.sharding.ShardPlan` (one
-shard unless ``shards=`` says otherwise) and each shard folds
-**epoch-keyed occupancy counters** (``(time, cell) -> head count``) with the
-exact Counter merge of :mod:`repro.engine.distributed`.  The decomposition
-rests on a counting identity: the number of co-located unordered pairs at
-one ``(time, cell)`` epoch is ``n * (n - 1) / 2`` where ``n`` is the
-occupancy, so per-user occupancy counters — which partition exactly, every
-user living in one shard — reassemble the global pair count without ever
+:func:`~repro.server.pipeline.run_release_rounds_batched` spawns them.
+:func:`r0_estimation_error` folds those releases through the live view the
+server keeps for such a run (:class:`~repro.server.live_metrics.ContactRateView`)
+and returns its value at the last round.  The view counts **epoch-keyed
+occupancy** (``(time, cell) -> head count``) and rests on a counting
+identity: the number of co-located unordered pairs at one ``(time, cell)``
+epoch is ``n * (n - 1) / 2`` where ``n`` is the occupancy, so per-shard head
+counts, which add exactly, reassemble the global pair count without ever
 enumerating a cross-shard pair.  The result is bit-identical for every
 shard count and backend.  :func:`contact_rate` draws no randomness; its
-co-location loop is the oracle the occupancy path is tested against, and
-``shards=`` / ``backend=`` route it over the occupancy path instead.
+co-location loop is the oracle the occupancy arithmetic is tested against.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.mechanisms.base import Mechanism
-from repro.engine import EngineRef, ShardPlan, resolve_release_source
-from repro.engine.distributed import MetricShardResult, ShardRows, shard_rows, sharded_metric
+from repro.engine import ShardPlan
+from repro.engine.distributed import shard_rows
 from repro.epidemic.seir import fit_beta
 from repro.errors import DataError, ValidationError
 from repro.geo.grid import GridWorld
@@ -70,100 +67,10 @@ def pair_events(occupancy: Counter) -> int:
     return sum(count * (count - 1) // 2 for count in occupancy.values())
 
 
-def _occupancy_rate(occupancy: Counter, observations: int) -> float:
-    """``2 * pair_events / observations`` — the contact-rate estimator."""
-    if observations == 0:
-        raise DataError("window contains no observations")
-    return 2.0 * pair_events(occupancy) / observations
-
-
-def _occupancy(times: np.ndarray, cells: np.ndarray) -> Counter:
-    """``(time, cell) -> head count`` over aligned row arrays.
-
-    One ``np.unique`` over scalar ``time * span + cell`` codes, decoded back
-    into Python-int epoch keys so that counters from different shards add.
-    """
-    if len(cells) == 0:
-        return Counter()
-    span = int(cells.max()) + 1
-    codes, counts = np.unique(times * span + cells, return_counts=True)
-    epochs = zip((codes // span).tolist(), (codes % span).tolist())
-    return Counter(dict(zip(epochs, counts.tolist())))
-
-
-# ----------------------------------------------------------------------
-# Shard scoring (E2 over ShardPlan + ExecutionBackend)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _OccupancyShardTask:
-    """One shard's occupancy workload: its users' (windowed) rows.
-
-    Plain data plus an optional release source, so the pool backend can
-    pickle it; ``source`` is ``None`` for the deterministic true-trace
-    counters (:func:`contact_rate`), an :class:`~repro.engine.EngineRef`
-    for spec-built engines (workers rebuild and cache by spec hash), or the
-    live mechanism.
-    """
-
-    source: object | None
-    rows: ShardRows
-    batched: bool
-
-
-def _score_occupancy_shard(task: _OccupancyShardTask):
-    """Epoch-keyed occupancy counters for one shard (module-level for pickling).
-
-    The true counter tallies ``(time, cell)`` occupancy over the shard's own
-    users.  With a release source, the shard's rows are additionally
-    released on their users' own streams (one ``release_batch(streams=)``
-    call, or the scalar per-release loop when ``task.batched`` is false),
-    snapped, and tallied into the perturbed counter.  Counts are per-user
-    observation counts, so ``n_releases`` is the window's observation total
-    after the merge.
-    """
-    rows = task.rows
-    flows = {"true_occupancy": _occupancy(rows.times, rows.cells)}
-    if task.source is not None:
-        source = resolve_release_source(task.source)
-        snapped = source.world.snap_batch(rows.release_points(source, task.batched))
-        flows["perturbed_occupancy"] = _occupancy(rows.times, snapped)
-    return MetricShardResult(sums={}, counts=rows.counts, flows=flows)
-
-
-def _occupancy_metric(
-    db: TraceDB,
-    shards,
-    backend,
-    rng=None,
-    source=None,
-    batched: bool = True,
-    start: int | None = None,
-    end: int | None = None,
-) -> MetricShardResult:
-    """Plan ``db``'s users, fold every shard's occupancy counters, and merge."""
-    users = sorted(db.users())
-    if not users:
-        raise DataError("window contains no observations")
-    plan = ShardPlan.build(users, 1 if shards is None else shards, rng=rng)
-    row_users, times, cells = db.to_arrays()
-    window = np.ones(len(times), dtype=bool)
-    if start is not None:
-        window &= times >= start
-    if end is not None:
-        window &= times <= end
-    tasks = [
-        _OccupancyShardTask(source, rows, batched)
-        for rows in shard_rows(plan, row_users[window], times[window], cells[window])
-    ]
-    return sharded_metric(_score_occupancy_shard, tasks, backend=backend)
-
-
 def contact_rate(
     db: TraceDB,
     start: int | None = None,
     end: int | None = None,
-    shards: int | None = None,
-    backend=None,
 ) -> float:
     """Mean co-locations per user per timestep.
 
@@ -171,36 +78,26 @@ def contact_rate(
     attributes it to both members (factor 2); the denominator is the number
     of (user, time) observations in the window.
 
-    With ``shards=None`` and ``backend=None`` (the default) this is the
-    deterministic co-location loop below, the oracle the occupancy path is
-    tested against.  Either argument routes the count over a per-user
-    :class:`~repro.engine.sharding.ShardPlan` (``shards`` default 1) on the
-    named :class:`~repro.engine.backends.ExecutionBackend`, folding
-    epoch-keyed occupancy counters exactly — the estimator draws no
-    randomness, so that value **equals the loop exactly** at any shard
-    count.
+    This deterministic co-location loop is the oracle the occupancy
+    arithmetic of :class:`~repro.server.live_metrics.ContactRateView` (and
+    so :func:`r0_estimation_error`) is tested against.
     """
-    if shards is None and backend is None:
-        times = db.times()
-        if start is not None:
-            times = [t for t in times if t >= start]
-        if end is not None:
-            times = [t for t in times if t <= end]
-        if not times:
-            raise DataError("window contains no observations")
-        pair_count = 0
-        observations = 0
-        for time in times:
-            snapshot = db.at_time(time)
-            observations += len(snapshot)
-            pair_count += len(db.colocations_at(time))
-        if observations == 0:
-            raise DataError("window contains no observations")
-        return 2.0 * pair_count / observations
-    # The estimator draws no randomness; the plan's per-user seeds are
-    # unused, so a fixed parent seed keeps the plan itself deterministic.
-    merged = _occupancy_metric(db, shards, backend, rng=0, start=start, end=end)
-    return _occupancy_rate(merged.flows["true_occupancy"], merged.n_releases)
+    times = db.times()
+    if start is not None:
+        times = [t for t in times if t >= start]
+    if end is not None:
+        times = [t for t in times if t <= end]
+    if not times:
+        raise DataError("window contains no observations")
+    pair_count = 0
+    observations = 0
+    for time in times:
+        snapshot = db.at_time(time)
+        observations += len(snapshot)
+        pair_count += len(db.colocations_at(time))
+    if observations == 0:
+        raise DataError("window contains no observations")
+    return 2.0 * pair_count / observations
 
 
 def estimate_r0_contacts(
@@ -284,28 +181,19 @@ def r0_estimation_error(
 
     The perturbed copy is the stream the server stores for this seed (see
     :func:`perturb_tracedb`), so ``R0_perturbed`` equals
-    ``estimate_r0_contacts`` over that stream.  The population is scored
-    over a per-user :class:`~repro.engine.sharding.ShardPlan` (``shards``
-    default 1) on an :class:`~repro.engine.backends.ExecutionBackend`
-    (``backend`` default serial), folding epoch-keyed occupancy counters
-    exactly, so the triple is **bit-identical for every shard count and
-    backend**.  ``batched=False`` runs the scalar per-release reference
-    loop on the same per-user streams.
+    ``estimate_r0_contacts`` over that stream.  The releases are folded
+    through :class:`~repro.server.live_metrics.ContactRateView` over a
+    per-user :class:`~repro.engine.sharding.ShardPlan` (``shards`` default
+    1) on an :class:`~repro.engine.backends.ExecutionBackend` (``backend``
+    default serial): the first two entries are the view's ``r0_true`` and
+    ``r0_observed`` at the last round, the values ``metrics_at`` of the
+    live run with the same seed reports.  Pair counts are integers, so the
+    triple is **bit-identical for every shard count and backend**.
+    ``batched=False`` runs the scalar per-release reference loop on the
+    same per-user streams.
     """
-    check_probability("p_transmit", p_transmit)
-    check_positive("gamma", gamma)
-    # Workers score against the release source's own world; refuse a
-    # mechanism built for another world instead of scoring the wrong grid.
-    if mechanism.world != world:
-        raise ValidationError("mechanism was built for a different world")
-    merged = _occupancy_metric(
-        true_db, shards, backend, rng=rng, source=EngineRef.wrap(mechanism), batched=batched
-    )
-    # The perturbed copy keeps every (user, time) key, so one observation
-    # total serves both estimators.
-    observations = merged.n_releases
-    r0_true = p_transmit * _occupancy_rate(merged.flows["true_occupancy"], observations) / gamma
-    r0_perturbed = (
-        p_transmit * _occupancy_rate(merged.flows["perturbed_occupancy"], observations) / gamma
-    )
-    return r0_true, r0_perturbed, abs(r0_true - r0_perturbed)
+    from repro.server.live_metrics import ContactRateView, _final_value
+
+    view = ContactRateView(p_transmit=p_transmit, gamma=gamma)
+    contacts = _final_value(view, world, mechanism, true_db, rng, batched, shards, backend)
+    return contacts.r0_true, contacts.r0_observed, abs(contacts.r0_true - contacts.r0_observed)

@@ -8,15 +8,14 @@ accuracy, and L1 flow error against the true traces.
 :func:`monitoring_utility` and :func:`perturbed_flows` score the stream the
 server stores: each user's check-ins are released on that user's own RNG
 stream, spawned over the sorted user list exactly as
-:func:`~repro.server.pipeline.run_release_rounds_batched` spawns them.  The
-users are partitioned by a :class:`~repro.engine.sharding.ShardPlan` (one
-shard unless ``shards=`` says otherwise), each shard is released in one
-``release_batch(cells, streams=(seeds, counts))`` call and aggregated with
-NumPy, and the per-shard
-:class:`~repro.engine.distributed.MetricShardResult` pieces merge exactly —
-so the report is bit-identical for every shard count and execution backend.
-``batched=False`` keeps the per-check-in scalar reference loop on the same
-streams.
+:func:`~repro.server.pipeline.run_release_rounds_batched` spawns them, and
+folded through the live view the server keeps for such a run
+(:class:`~repro.server.live_metrics.MonitoringUtilityView`,
+:class:`~repro.server.live_metrics.FlowMatrixView`).  Each evaluator returns
+the view's value at the last round, which is what ``metrics_at`` of the
+live run with the same seed reports, so the value is bit-identical for
+every shard count and execution backend.  ``batched=False`` releases with
+the per-check-in scalar reference loop on the same streams.
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.mechanisms.base import Mechanism
-from repro.engine import EngineRef, ShardPlan, resolve_release_source
-from repro.engine.distributed import MetricShardResult, ShardRows, shard_rows, sharded_metric
-from repro.errors import DataError, ValidationError
+from repro.errors import DataError
 from repro.geo.grid import GridWorld
 from repro.mobility.trajectory import TraceDB
 from repro.utils.validation import check_integer
@@ -166,13 +163,6 @@ class LocationMonitor:
         return flows
 
 
-def _flow_l1_error(true_flows: Counter, observed_flows: Counter) -> float:
-    keys = set(true_flows) | set(observed_flows)
-    l1 = sum(abs(true_flows.get(key, 0) - observed_flows.get(key, 0)) for key in keys)
-    total_true_flow = sum(true_flows.values())
-    return l1 / total_true_flow if total_true_flow else 0.0
-
-
 def monitoring_utility(
     world: GridWorld,
     mechanism: Mechanism,
@@ -217,113 +207,20 @@ def monitoring_utility(
         Shard count (default 1) and
         :class:`~repro.engine.backends.ExecutionBackend` (default serial)
         of the :class:`~repro.engine.sharding.ShardPlan` the users are
-        scored over.  The report is **bit-identical for every shard count
-        and backend** (exact merge, see :mod:`repro.engine.distributed`).
+        released over.  The report is
+        :class:`~repro.server.live_metrics.MonitoringUtilityView`'s value
+        at the last round, so it is **bit-identical for every shard count
+        and backend** (the view's fold order does not depend on either).
 
     Returns
     -------
     MonitoringReport
         Mean Euclidean error, area accuracy, flow L1 error, release count.
     """
-    merged = _monitor_metric(
-        world, mechanism, true_db, block_rows, block_cols, rng, batched, shards, backend
-    )
-    return MonitoringReport(
-        mean_euclidean_error=merged.weighted_mean("error"),
-        area_accuracy=merged.weighted_mean("area_hits"),
-        flow_l1_error=_flow_l1_error(merged.flows["true"], merged.flows["observed"]),
-        n_releases=merged.n_releases,
-    )
+    from repro.server.live_metrics import MonitoringUtilityView, _final_value
 
-
-# ----------------------------------------------------------------------
-# Shard scoring (E1 / E11 over ShardPlan + ExecutionBackend)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _MonitorShardTask:
-    """One shard's monitoring workload: its users' rows and the release source.
-
-    Plain data plus the release source, so the pool backend can pickle it;
-    ``source`` is an :class:`~repro.engine.EngineRef` for spec-built engines
-    (workers rebuild and cache by spec hash) or the live mechanism.
-    """
-
-    source: object
-    block_rows: int
-    block_cols: int
-    rows: ShardRows
-    batched: bool
-
-
-def _score_monitor_shard(task: _MonitorShardTask):
-    """Score one shard's users on their own streams; module-level for pickling.
-
-    The shard's rows are released in one ``release_batch(streams=)`` call
-    (or the scalar per-release loop when ``task.batched`` is false).
-    Returns a :class:`~repro.engine.distributed.MetricShardResult` with
-    per-user error / area-hit sums (weighted-mean components) and the
-    shard's true/observed flow counters (flows are within-user transitions,
-    so per-user sharding partitions them exactly).
-    """
-    source = resolve_release_source(task.source)
-    world = source.world
-    monitor = LocationMonitor(world, task.block_rows, task.block_cols)
-    rows = task.rows
-    points = rows.release_points(source, task.batched)
-    released_cells = world.snap_batch(points)
-
-    centres = world.coords_array(rows.cells)
-    errors = np.hypot(points[:, 0] - centres[:, 0], points[:, 1] - centres[:, 1])
-    hits = monitor.area_of_batch(released_cells) == monitor.area_of_batch(rows.cells)
-    # Per-user sums over each user's contiguous block of rows.  Float error
-    # sums stay one ``sum()`` per block; integer hit counts difference a
-    # cumulative sum.
-    bounds = rows.bounds
-    error_sums = np.array(
-        [errors[low:high].sum() for low, high in zip(bounds[:-1], bounds[1:])], dtype=float
-    )
-    hit_totals = np.concatenate(([0], np.cumsum(hits)))
-    hit_sums = (hit_totals[bounds[1:]] - hit_totals[bounds[:-1]]).astype(float)
-
-    row_users = rows.row_users
-    return MetricShardResult(
-        sums={"error": error_sums, "area_hits": hit_sums},
-        counts=rows.counts,
-        flows={
-            "true": monitor.flows_from_arrays(row_users, rows.times, rows.cells),
-            "observed": monitor.flows_from_arrays(row_users, rows.times, released_cells),
-        },
-    )
-
-
-def _monitor_metric(
-    world: GridWorld,
-    mechanism,
-    true_db: TraceDB,
-    block_rows: int,
-    block_cols: int,
-    rng,
-    batched: bool,
-    shards,
-    backend,
-):
-    """Plan the users, score every shard and merge (E1's report, E11's flows).
-
-    Workers score against the release source's own world, so a mechanism
-    built for another world is refused rather than scored against the
-    wrong grid.
-    """
-    if len(true_db) == 0:
-        raise DataError("true trace database is empty")
-    if mechanism.world != world:
-        raise ValidationError("mechanism was built for a different world")
-    plan = ShardPlan.build(sorted(true_db.users()), 1 if shards is None else shards, rng=rng)
-    source = EngineRef.wrap(mechanism)
-    tasks = [
-        _MonitorShardTask(source, block_rows, block_cols, rows, batched)
-        for rows in shard_rows(plan, *true_db.to_arrays())
-    ]
-    return sharded_metric(_score_monitor_shard, tasks, backend=backend)
+    view = MonitoringUtilityView(world, block_rows, block_cols)
+    return _final_value(view, world, mechanism, true_db, rng, batched, shards, backend)
 
 
 def perturbed_flows(
@@ -346,15 +243,16 @@ def perturbed_flows(
 
     Scoring follows :func:`monitoring_utility`: per-user streams over a
     :class:`~repro.engine.sharding.ShardPlan` (``shards`` default 1,
-    ``backend`` default serial), so ``observed_flows`` equals
-    ``LocationMonitor.flows`` of the stream
+    ``backend`` default serial), folded through
+    :class:`~repro.server.live_metrics.FlowMatrixView`, so
+    ``observed_flows`` equals ``LocationMonitor.flows`` of the stream
     :func:`~repro.server.pipeline.run_release_rounds_batched` stores for the
-    same seed.  Flows are within-user transitions, so per-shard counters
-    partition the global counters and merge by exact Counter addition —
-    both counters are **bit-identical for every shard count and backend**.
+    same seed.  The counters are integer sums, so both are
+    **bit-identical for every shard count and backend**.
     ``batched=False`` runs the scalar per-release reference loop.
     """
-    merged = _monitor_metric(
-        world, mechanism, true_db, block_rows, block_cols, rng, batched, shards, backend
-    )
-    return Counter(merged.flows["true"]), Counter(merged.flows["observed"])
+    from repro.server.live_metrics import FlowMatrixView, _final_value
+
+    view = FlowMatrixView(world, block_rows, block_cols)
+    flows = _final_value(view, world, mechanism, true_db, rng, batched, shards, backend)
+    return flows.true_flows, flows.observed_flows

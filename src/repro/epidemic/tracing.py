@@ -53,7 +53,7 @@ from repro.errors import TracingError
 from repro.geo.distance import euclidean
 from repro.geo.grid import GridWorld
 from repro.mobility.trajectory import TraceDB
-from repro.utils.validation import check_integer, check_positive
+from repro.utils.validation import check_bool, check_integer, check_positive
 
 __all__ = ["TracingOutcome", "ContactTracingProtocol", "static_tracing"]
 
@@ -313,6 +313,7 @@ class ContactTracingProtocol:
         in-window check-ins under ``"tracing-resend"``.  The outcome's
         ``epsilon_spent`` is this run's re-send spend.
         """
+        batched = check_bool("batched", batched)
         if patient not in true_db.users():
             raise TracingError(f"patient {patient} not in the trace database")
         start = diagnosis_time - self.window + 1

@@ -17,10 +17,11 @@ Two runners are execution-aware:
 * E1 / E2 / E3 / E4 / E5 / E11 pass ``config.eval_shards`` (default one
   shard) and ``config.eval_backend`` (default serial) to their metric
   calls (the CLI's ``repro experiment e1 --shards N --backend B``): E1's
-  monitoring report, E2's R0 occupancy counters, E3's tracing event sets,
-  E4/E5's trial grids, and E11's metapopulation flow matrices all run over
-  per-key streams, so every table is the same at any shard count and
-  backend.  One execution backend is opened per runner and shared by every
+  monitoring report, E2's R0 estimates, E3's tracing event sets, E4/E5's
+  trial grids, and E11's metapopulation flow matrices all run over per-key
+  streams, so every table is the same at any shard count and backend.
+  E1, E2 and E11 read the final value of the live view
+  (:mod:`repro.server.live_metrics`) their release stream folds into.  One execution backend is opened per runner and shared by every
   metric call in the sweep, so a ``pool`` backend's workers stay warm
   across the whole table.
 """
@@ -106,7 +107,8 @@ def run_monitoring_utility(config: ExperimentConfig = ExperimentConfig()) -> Res
     monitoring metrics (mean Euclidean error, area accuracy, flow L1).
     Each combination spawns its per-user streams from one ``config.rng()``
     stream consumed combination-major, so it scores what the server would
-    store; the table is invariant under ``config.eval_shards`` and
+    store: the row is the live ``monitoring`` view's final value over that
+    stream.  The table is invariant under ``config.eval_shards`` and
     ``config.eval_backend``.
     """
     world = config.make_world()
@@ -151,9 +153,10 @@ def run_r0_estimation(config: ExperimentConfig = ExperimentConfig()) -> ResultTa
     One row per ``(policy, mechanism, epsilon)`` with the true and
     perturbed-data R0 estimates and their absolute difference.  Each
     combination spawns its per-user streams from one ``config.rng()``
-    stream consumed combination-major and folds epoch-keyed occupancy
-    counters over the distributed-metric path; the table is invariant under
-    ``config.eval_shards`` and ``config.eval_backend``.
+    stream consumed combination-major and reads the live ``contacts``
+    view's final value over that stream (epoch-keyed occupancy counts);
+    the table is invariant under ``config.eval_shards`` and
+    ``config.eval_backend``.
     """
     world = config.make_world()
     db = _dataset(config, world)
@@ -595,9 +598,9 @@ def run_metapop_forecast(
     metapopulation SEIR to the inter-area flows of the true stream and of
     each perturbed stream, and report the divergence between the forecast
     infectious curves, per policy and budget.  Each combination's flow
-    measurement runs over per-user streams on ``config.eval_shards`` /
-    ``config.eval_backend``; the merged flow matrices — and therefore the
-    forecasts — are invariant under both.
+    measurement is the live ``flows`` view's final value over per-user
+    streams on ``config.eval_shards`` / ``config.eval_backend``; the flow
+    matrices — and therefore the forecasts — are invariant under both.
     """
     from repro.epidemic.metapop import forecast_divergence, forecast_from_flows
     from repro.epidemic.monitor import LocationMonitor, perturbed_flows

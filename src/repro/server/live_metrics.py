@@ -8,7 +8,12 @@ updates should propagate into analytical state in memory, with consistency
 snapshots, instead of re-scanning the population per query.  This module is
 that propagation layer: every committed shard is folded into running E1
 (monitoring utility), E2 (contact rate / R0) and E11 (flow matrix) state
-while commits continue.
+while commits continue.  The E1, E2 and E11 evaluators
+(:func:`~repro.epidemic.monitor.monitoring_utility`,
+:func:`~repro.epidemic.analysis.r0_estimation_error`,
+:func:`~repro.epidemic.monitor.perturbed_flows`) are these views too: each
+folds its own release stream into a one-view registry and returns the
+last round's value.
 
 Snapshot semantics
 ------------------
@@ -57,6 +62,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -64,16 +70,16 @@ from typing import TYPE_CHECKING, AbstractSet, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.engine.distributed import MetricShardResult
+from repro.engine.distributed import MetricShardResult, shard_rows
+from repro.engine.sharding import ShardPlan, stream_shard_releases
 from repro.epidemic.analysis import pair_events
-from repro.epidemic.monitor import LocationMonitor, MonitoringReport, _flow_l1_error
+from repro.epidemic.monitor import LocationMonitor, MonitoringReport
 from repro.errors import DataError, SnapshotUnavailableError, ValidationError
 from repro.geo.grid import GridWorld
 from repro.store import accelerator
-from repro.utils.validation import check_integer, check_positive, check_probability
+from repro.utils.validation import check_bool, check_integer, check_positive, check_probability
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
-    from repro.engine.sharding import ShardPlan
     from repro.mobility.trajectory import TraceDB
 
 __all__ = [
@@ -300,6 +306,36 @@ class _FlowFold(LiveFold):
         )
 
 
+def _round_flows(
+    monitor: LocationMonitor, rows: ShardRows
+) -> Iterator[tuple[int, int, int, dict[str, Counter]]]:
+    """``(round, start, stop, {"true", "observed"} flows)`` per round of one shard.
+
+    The reference half's flow pairing, shared by E1 and E11: each user
+    present at rounds ``t - 1`` and ``t`` contributes one inter-area
+    transition to round ``t``'s counters, so the cumulative fold at round
+    ``r`` counts exactly the transitions a prefix trace holds.
+    """
+    previous: tuple[int, int, int] | None = None  # (round, start, stop)
+    for time, start, stop in rows.round_slices():
+        flows = {"true": Counter(), "observed": Counter()}
+        if previous is not None and previous[0] == time - 1:
+            p_start, p_stop = previous[1], previous[2]
+            _, prev_index, cur_index = np.intersect1d(
+                rows.users[p_start:p_stop],
+                rows.users[start:stop],
+                assume_unique=True,
+                return_indices=True,
+            )
+            if prev_index.size:
+                for name, cells in (("true", rows.true_cells), ("observed", rows.snapped_cells)):
+                    flows[name] = monitor.flows_between(
+                        cells[p_start:p_stop][prev_index], cells[start:stop][cur_index]
+                    )
+        yield time, start, stop, flows
+        previous = (time, start, stop)
+
+
 class _MonitoringFold(LiveFold):
     def __init__(self, view: "MonitoringUtilityView") -> None:
         self._view = view
@@ -376,44 +412,27 @@ class MonitoringUtilityView(LiveMetricView):
         return errors, hits
 
     def shard_deltas(self, rows: ShardRows) -> dict[int, MetricShardResult]:
-        monitor = self.monitor
         errors, hits = self.row_terms(rows)
-
-        deltas: dict[int, MetricShardResult] = {}
-        previous: tuple[int, int, int] | None = None  # (round, start, stop)
-        for time, start, stop in rows.round_slices():
-            true_flows: Counter = Counter()
-            observed_flows: Counter = Counter()
-            if previous is not None and previous[0] == time - 1:
-                p_start, p_stop = previous[1], previous[2]
-                _, prev_index, cur_index = np.intersect1d(
-                    rows.users[p_start:p_stop],
-                    rows.users[start:stop],
-                    assume_unique=True,
-                    return_indices=True,
-                )
-                if prev_index.size:
-                    true_flows = monitor.flows_between(
-                        rows.true_cells[p_start:p_stop][prev_index],
-                        rows.true_cells[start:stop][cur_index],
-                    )
-                    observed_flows = monitor.flows_between(
-                        rows.snapped_cells[p_start:p_stop][prev_index],
-                        rows.snapped_cells[start:stop][cur_index],
-                    )
-            deltas[time] = MetricShardResult(
+        return {
+            time: MetricShardResult(
                 sums={"error": errors[start:stop], "area_hits": hits[start:stop]},
                 counts=np.ones(stop - start, dtype=int),
-                flows={"true": true_flows, "observed": observed_flows},
+                flows=flows,
             )
-            previous = (time, start, stop)
-        return deltas
+            for time, start, stop, flows in _round_flows(self.monitor, rows)
+        }
 
     def finalize(self, partial: MetricShardResult) -> MonitoringReport:
+        true_flows, observed_flows = partial.flows["true"], partial.flows["observed"]
+        l1 = sum(
+            abs(true_flows.get(key, 0) - observed_flows.get(key, 0))
+            for key in set(true_flows) | set(observed_flows)
+        )
+        total_true = sum(true_flows.values())
         return MonitoringReport(
             mean_euclidean_error=partial.weighted_mean("error"),
             area_accuracy=partial.weighted_mean("area_hits"),
-            flow_l1_error=_flow_l1_error(partial.flows["true"], partial.flows["observed"]),
+            flow_l1_error=l1 / total_true if total_true else 0.0,
             n_releases=partial.n_releases,
         )
 
@@ -555,36 +574,12 @@ class FlowMatrixView(LiveMetricView):
         return _FlowFold(self.monitor)
 
     def shard_deltas(self, rows: ShardRows) -> dict[int, MetricShardResult]:
-        monitor = self.monitor
-        deltas: dict[int, MetricShardResult] = {}
-        previous: tuple[int, int, int] | None = None
-        for time, start, stop in rows.round_slices():
-            true_flows: Counter = Counter()
-            observed_flows: Counter = Counter()
-            if previous is not None and previous[0] == time - 1:
-                p_start, p_stop = previous[1], previous[2]
-                _, prev_index, cur_index = np.intersect1d(
-                    rows.users[p_start:p_stop],
-                    rows.users[start:stop],
-                    assume_unique=True,
-                    return_indices=True,
-                )
-                if prev_index.size:
-                    true_flows = monitor.flows_between(
-                        rows.true_cells[p_start:p_stop][prev_index],
-                        rows.true_cells[start:stop][cur_index],
-                    )
-                    observed_flows = monitor.flows_between(
-                        rows.snapped_cells[p_start:p_stop][prev_index],
-                        rows.snapped_cells[start:stop][cur_index],
-                    )
-            deltas[time] = MetricShardResult(
-                sums={},
-                counts=np.ones(stop - start, dtype=int),
-                flows={"true": true_flows, "observed": observed_flows},
+        return {
+            time: MetricShardResult(
+                sums={}, counts=np.ones(stop - start, dtype=int), flows=flows
             )
-            previous = (time, start, stop)
-        return deltas
+            for time, start, stop, flows in _round_flows(self.monitor, rows)
+        }
 
     def finalize(self, partial: MetricShardResult) -> FlowSnapshot:
         return FlowSnapshot(
@@ -608,7 +603,7 @@ def default_views(
     ]
 
 
-def expected_coverage(plan: "ShardPlan", true_db: "TraceDB") -> dict[int, frozenset[int]]:
+def expected_coverage(plan: ShardPlan, true_db: "TraceDB") -> dict[int, frozenset[int]]:
     """``shard -> rounds`` a run over ``(plan, true_db)`` will commit.
 
     The registry's freeze schedule: a round's snapshot freezes once every
@@ -810,7 +805,7 @@ class LiveMetricRegistry:
 
 def batch_recompute(
     views: Sequence[LiveMetricView],
-    plan: "ShardPlan",
+    plan: ShardPlan,
     users,
     times,
     points,
@@ -874,3 +869,50 @@ def batch_recompute(
             values[view.name] = view.finalize(chain[view.name])
         out[time] = values
     return out
+
+
+def _final_value(
+    view: LiveMetricView,
+    world: GridWorld,
+    source,
+    true_db: "TraceDB",
+    rng,
+    batched: bool,
+    shards,
+    backend,
+):
+    """``view``'s value over the whole stream the server stores for ``rng``.
+
+    The one implementation behind the E1, E2 and E11 evaluators: plan the
+    users as :func:`~repro.server.pipeline.run_release_rounds_batched`
+    does, fold every shard's releases into a one-view registry, and return
+    its last round's frozen value — ``server.metrics_at(last round)[name]``
+    of the live run with the same seed.  Batched, the shards come from
+    :func:`~repro.engine.sharding.stream_shard_releases` on ``backend``;
+    ``batched=False`` releases each shard with the per-user scalar loop
+    (:meth:`repro.engine.distributed.ShardRows.release_points`) in
+    process, so ``backend`` is not used.
+    """
+    batched = check_bool("batched", batched)
+    if len(true_db) == 0:
+        raise DataError("true trace database is empty")
+    if source.world != world:
+        raise ValidationError("mechanism was built for a different world")
+    plan = ShardPlan.build(sorted(true_db.users()), 1 if shards is None else shards, rng=rng)
+    registry = LiveMetricRegistry([view], expected_coverage(plan, true_db))
+
+    def fold(users, times, points, true_cells) -> None:
+        # Shards own contiguous user blocks, so any member names the shard.
+        shard = plan.shard_of(int(users[0]))
+        registry.ingest(shard, users, times, points, true_cells, world.snap_batch(points))
+
+    if batched:
+        # Closed on every exit, so a backend the stream owns shuts down
+        # even when a fold raises.
+        with closing(stream_shard_releases(source, true_db, plan, backend=backend)) as stream:
+            for users, times, batch in stream:
+                fold(users, times, batch.points, batch.cells)
+    else:
+        for rows in shard_rows(plan, *true_db.to_arrays()):
+            fold(rows.row_users, rows.times, rows.release_points(source, batched=False), rows.cells)
+    return registry.at(registry.rounds[-1])[view.name]

@@ -2,9 +2,10 @@
 
 Every stochastic entry point in the library accepts an optional ``rng``
 argument that may be ``None`` (fresh nondeterministic generator), an integer
-seed, or an existing :class:`numpy.random.Generator`.  Centralising the
-coercion here keeps experiments reproducible with a single seed while letting
-interactive users ignore seeding entirely.
+seed >= 0, or an existing :class:`numpy.random.Generator`; :func:`ensure_rng`
+checks it once, for every entry point.  Centralising the coercion here keeps
+experiments reproducible with a single seed while letting interactive users
+ignore seeding entirely.
 
 Per-user streams
 ----------------
@@ -131,16 +132,20 @@ def ensure_rng(rng: int | np.random.Generator | None = None) -> np.random.Genera
     Parameters
     ----------
     rng:
-        ``None`` for a fresh OS-seeded generator, an ``int`` seed, or an
-        existing generator (returned unchanged).
+        ``None`` for a fresh OS-seeded generator, a Python or numpy int
+        seed >= 0, or an existing generator (returned unchanged).  Anything
+        else — a bool, a float, a negative int, a string — raises
+        :class:`~repro.errors.ValidationError` naming ``rng``.
     """
     if rng is None:
         return np.random.default_rng()
     if isinstance(rng, np.random.Generator):
         return rng
-    if isinstance(rng, (int, np.integer)):
+    if isinstance(rng, numbers.Integral) and not isinstance(rng, bool) and rng >= 0:
         return np.random.default_rng(int(rng))
-    raise TypeError(f"rng must be None, int, or numpy Generator, got {type(rng)!r}")
+    raise ValidationError(
+        f"rng must be None, an int >= 0 or a numpy Generator, got {rng!r}"
+    )
 
 
 def spawn_seeds(rng: int | np.random.Generator | None, count: int) -> list[int]:

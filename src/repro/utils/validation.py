@@ -12,9 +12,12 @@ from __future__ import annotations
 import math
 import numbers
 
+import numpy as np
+
 from repro.errors import ValidationError
 
 __all__ = [
+    "check_bool",
     "check_epsilon",
     "check_probability",
     "check_positive",
@@ -75,6 +78,17 @@ def check_integer(name: str, value: int, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def check_bool(name: str, value: bool) -> bool:
+    """Validate a Python or numpy bool, returned as ``bool``.
+
+    Anything else (``"false"``, ``None``, ``0``) is refused instead of
+    being read by its truthiness.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
 
 
 def _as_float(name: str, value: float) -> float:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.mechanisms import PolicyLaplaceMechanism
 from repro.engine import PrivacyEngine
-from repro.epidemic.analysis import contact_rate, r0_estimation_error
+from repro.epidemic.analysis import r0_estimation_error
 from repro.epidemic.metapop import forecast_divergence, forecast_from_flows
 from repro.epidemic.monitor import LocationMonitor, perturbed_flows
 from repro.epidemic.tracing import ContactTracingProtocol
@@ -45,27 +45,6 @@ def mechanism(world):
 @pytest.fixture(scope="module")
 def engine(world):
     return PrivacyEngine.from_spec(world, mechanism="P-LM", policy="G1", epsilon=1.0)
-
-
-class TestContactRate:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_sharded_equals_scalar_exactly(self, db, backend, shards):
-        # No randomness: the sharded occupancy-counter fold must reproduce
-        # the scalar co-location loop bit for bit, not approximately.
-        assert contact_rate(db, shards=shards, backend=backend) == contact_rate(db)
-
-    def test_windowed_sharded_equals_scalar(self, db):
-        times = db.times()
-        start, end = times[1], times[-2]
-        reference = contact_rate(db, start=start, end=end)
-        assert contact_rate(db, start=start, end=end, shards=3, backend="thread") == reference
-
-    def test_empty_window_rejected(self, db):
-        with pytest.raises(DataError):
-            contact_rate(db, start=10**6, shards=2)
-        with pytest.raises(DataError):
-            contact_rate(TraceDB(), shards=2)
 
 
 class TestR0Estimation:

@@ -6,7 +6,10 @@ or a string there raises :class:`~repro.errors.ValidationError` instead of
 being truncated (``2.7`` used to act as ``2`` and ``True`` as ``1``), and a
 negative shard index is refused, while numpy ints pass.  A refused shard
 writes nothing.  The ``QueryEngine`` R0 parameters are validated the way
-:class:`~repro.server.live_metrics.ContactRateView` validates them.
+:class:`~repro.server.live_metrics.ContactRateView` validates them.  An
+``rng`` is ``None``, a numpy Generator or an int >= 0 (``True`` used to act
+as seed 1), and a ``batched`` flag is a bool (``"false"`` used to run the
+batched path).
 """
 
 import math
@@ -14,7 +17,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.adversary.metrics import adversary_error
 from repro.engine import PoolBackend, PrivacyEngine, ThreadBackend
+from repro.epidemic.monitor import monitoring_utility
 from repro.errors import ValidationError
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
@@ -46,10 +51,13 @@ def _query_engine(path, **params):
         return engine.contact_rate(Window(0, 4))
 
 
+def _engine(world):
+    return PrivacyEngine.from_spec(world, mechanism="P-LM", policy="G1", epsilon=1.0)
+
+
 def _batch(world):
     """One release of cell 3, whose ``cells`` carry the true cell."""
-    engine = PrivacyEngine.from_spec(world, mechanism="P-LM", policy="G1", epsilon=1.0)
-    return engine.release_batch([3], rng=0)
+    return _engine(world).release_batch([3], rng=0)
 
 
 def _commit_shard(shard):
@@ -70,6 +78,23 @@ def _live_check(server, shard):
 def _replay_shard(shard):
     with TraceStore(":memory:") as store:
         Server(GridWorld(6, 6), store=store).replay_shard(0, 5, shard=shard)
+
+
+def _monitoring_utility(rng=0, batched=True):
+    world = GridWorld(6, 6)
+    db = geolife_like(world, n_users=3, horizon=3, rng=1)
+    monitoring_utility(world, _engine(world), db, rng=rng, batched=batched)
+
+
+def _release_rounds(rng):
+    world = GridWorld(6, 6)
+    db = geolife_like(world, n_users=3, horizon=3, rng=1)
+    run_release_rounds_batched(world, db, _engine(world), rng=rng)
+
+
+def _adversary_error(batched):
+    world = GridWorld(6, 6)
+    adversary_error(world, _engine(world), [1, 2], rng=0, batched=batched)
 
 
 BAD_ARGUMENTS = {
@@ -100,6 +125,20 @@ BAD_ARGUMENTS = {
     "gamma -1": lambda run: _query_engine(run[1], gamma=-1),
     "gamma 0": lambda run: _query_engine(run[1], gamma=0),
     "gamma nan": lambda run: _query_engine(run[1], gamma=math.nan),
+    "monitoring_utility rng 2.5": lambda run: _monitoring_utility(rng=2.5),
+    "monitoring_utility rng -1": lambda run: _monitoring_utility(rng=-1),
+    "monitoring_utility rng True": lambda run: _monitoring_utility(rng=True),
+    "monitoring_utility rng str 7": lambda run: _monitoring_utility(rng="7"),
+    "release rounds rng 2.5": lambda run: _release_rounds(2.5),
+    "release rounds rng -1": lambda run: _release_rounds(-1),
+    "release rounds rng True": lambda run: _release_rounds(True),
+    "release rounds rng str 7": lambda run: _release_rounds("7"),
+    "monitoring_utility batched str false": lambda run: _monitoring_utility(batched="false"),
+    "monitoring_utility batched None": lambda run: _monitoring_utility(batched=None),
+    "monitoring_utility batched 0": lambda run: _monitoring_utility(batched=0),
+    "adversary_error batched str false": lambda run: _adversary_error("false"),
+    "adversary_error batched None": lambda run: _adversary_error(None),
+    "adversary_error batched 0": lambda run: _adversary_error(0),
 }
 
 

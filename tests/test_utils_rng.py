@@ -43,7 +43,7 @@ class TestEnsureRng:
         assert isinstance(ensure_rng(np.int64(3)), np.random.Generator)
 
     def test_rejects_other_types(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValidationError, match="rng"):
             ensure_rng("seed")
 
 
