@@ -43,8 +43,9 @@ from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
 from repro.query import QueryEngine, Window, tumbling_windows
 from repro.query import reference
+from repro.server.live_metrics import expected_coverage
 from repro.server.pipeline import Server
-from repro.store import TraceStore
+from repro.store import RunManifest, TraceStore
 
 #: Headline acceptance: the accelerator window bundle >= this factor
 #: cheaper than the same answers from full scans at the largest population.
@@ -76,13 +77,19 @@ def _workload(size: int, n_users: int, horizon: int):
 
 
 def _populate(world, db, engine, shards):
-    """A ``:memory:`` store fed through the real shard-commit path (timed)."""
+    """A ``:memory:`` store fed through the real shard-commit path (timed).
+
+    The run is begun first, with its manifest and coverage schedule, so
+    the timed queries pass through the coverage frontier as every
+    recorded run's readers do.
+    """
     plan = ShardPlan.build(sorted(db.users()), shards, rng=0)
     captured = [
         (plan.shard_of(int(users[0])), users, times, batch)
         for users, times, batch in stream_shard_releases(engine, db, plan)
     ]
     store = TraceStore(":memory:")
+    store.begin_run(RunManifest.for_run(engine, plan, world), expected_coverage(plan, db))
     server = Server(world, store=store)
     start = time.perf_counter()
     for shard, users, times, batch in captured:

@@ -54,7 +54,7 @@ from repro.core.policy_graph import PolicyGraph
 from repro.errors import MechanismError, ValidationError
 from repro.geo.grid import GridWorld
 from repro.utils.rng import count_array, ensure_rng, seed_array, stream_uniforms
-from repro.utils.validation import check_epsilon
+from repro.utils.validation import check_epsilon, check_int_array
 
 __all__ = ["Release", "ReleaseBatch", "Mechanism"]
 
@@ -297,13 +297,13 @@ class Mechanism(abc.ABC):
         drawn.  Each seed must be a Python or numpy integer in
         ``[0, 2**64)`` and each count a non-negative integer (no bools,
         floats or NaN); otherwise :class:`~repro.errors.MechanismError`
-        names the stream index and the value.
+        names the stream index and the value.  ``cells`` of a float or bool
+        dtype raise :class:`~repro.errors.ValidationError` instead of being
+        truncated to cell ids.
         """
         if streams is not None and rng is not None:
             raise MechanismError("release_batch takes rng or streams, not both")
-        if not isinstance(cells, np.ndarray):
-            cells = list(cells)
-        cell_arr = np.asarray(cells, dtype=int)
+        cell_arr = check_int_array("cells", cells)
         if cell_arr.ndim != 1:
             raise MechanismError(f"cells must be a flat sequence, got shape {cell_arr.shape}")
         n = len(cell_arr)
@@ -397,7 +397,8 @@ class Mechanism(abc.ABC):
         Follows :meth:`pdf_vector` semantics (not :meth:`pdf`'s): cells
         outside the policy and disclosable cells contribute likelihood 0
         instead of raising, which is exactly what Bayesian inference wants.
-        ``cells`` defaults to the whole world.
+        ``cells`` defaults to the whole world; a float or bool dtype raises
+        :class:`~repro.errors.ValidationError`.
 
         ``dtype`` selects the output precision (default float64).  The
         float32 adversary mode passes ``np.float32`` so the downstream
@@ -414,9 +415,7 @@ class Mechanism(abc.ABC):
             cell_arr = np.arange(self.world.n_cells)
             valid = self._world_pdf_mask()
         else:
-            if not isinstance(cells, np.ndarray):
-                cells = list(cells)
-            cell_arr = np.asarray(cells, dtype=int)
+            cell_arr = check_int_array("cells", cells)
             mask = self._world_pdf_mask()
             in_world = (cell_arr >= 0) & (cell_arr < self.world.n_cells)
             valid = np.zeros(len(cell_arr), dtype=bool)

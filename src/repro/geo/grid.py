@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.utils.validation import check_integer, check_positive
+from repro.utils.validation import check_int_array, check_integer, check_positive
 
 __all__ = ["GridWorld"]
 
@@ -101,10 +101,13 @@ class GridWorld:
         return ((col + 0.5) * self.cell_size, (row + 0.5) * self.cell_size)
 
     def cells_array(self, cells, context: str = "cells_array") -> np.ndarray:
-        """Validate an array-like of cell ids, returning a flat int array."""
-        if not isinstance(cells, np.ndarray):
-            cells = list(cells)
-        arr = np.asarray(cells, dtype=int)
+        """Validate an array-like of cell ids, returning a flat int array.
+
+        A float or bool dtype raises :class:`~repro.errors.ValidationError`
+        (:func:`~repro.utils.validation.check_int_array`) instead of being
+        truncated to cell ids.
+        """
+        arr = check_int_array(f"cells in {context}", cells)
         if arr.size and (arr.min() < 0 or arr.max() >= self.n_cells):
             raise ValidationError(f"cell id out of range in {context}")
         return arr

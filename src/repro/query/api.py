@@ -13,15 +13,16 @@ full-scan counterpart in :mod:`repro.query.reference`:
   same scalar accumulation order (time-ascending per user) the server's
   :class:`~repro.core.accounting.BudgetLedger` uses.
 
-Consistency follows the live-metrics coverage-frontier rule: a window is
-only answered once every shard expected at or before its last round has
-committed — anything less raises
+Consistency follows the coverage-frontier rule the live metric views
+freeze by (:class:`~repro.store.resume.Coverage`): a window is only
+answered once every shard the run scheduled at or before its last round
+has committed — anything less raises
 :class:`~repro.errors.SnapshotUnavailableError` naming the missing shards,
 because whole-shard transactions make a *committed* shard trustworthy but
-say nothing about its absent peers.  Pass ``expected=``
-(:func:`~repro.server.live_metrics.expected_coverage`) for the exact
-schedule; without it the engine derives a conservative one from the commit
-marks and the run manifest.
+say nothing about its absent peers.  The schedule is the one
+:meth:`TraceStore.begin_run <repro.store.store.TraceStore.begin_run>`
+recorded with the run; a store no run has begun on owes nothing, and its
+windows answer over what is committed.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, AbstractSet, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import DataError, SnapshotUnavailableError, StoreError, ValidationError
 from repro.geo.grid import GridWorld
 from repro.store.accelerator import KIND_OBSERVED, KIND_TRUE, window_blocks
+from repro.store.resume import Coverage
 from repro.store.store import TraceStore, open_store
 from repro.utils.validation import check_integer, check_positive, check_probability
 
@@ -133,24 +135,21 @@ class QueryEngine:
         The run's :class:`~repro.geo.grid.GridWorld`, needed only by
         area-level flow queries.  Defaults to the geometry in the store's
         run manifest; a bare store with no manifest must pass it.
-    expected:
-        Optional ``shard -> rounds`` coverage schedule (the live-metrics
-        :func:`~repro.server.live_metrics.expected_coverage` shape) gating
-        every windowed answer.  Without it the engine derives a
-        conservative schedule: every shard named by the run manifest (or
-        seen in the commit marks) is expected at every round any shard has
-        committed.
     p_transmit / gamma:
         The E2 R0 parameters applied by :meth:`contact_rate`: a
         probability in ``[0, 1]`` and a finite rate ``> 0``, validated as
         :class:`~repro.server.live_metrics.ContactRateView` validates them.
+
+    Every windowed answer is gated by the run's recorded coverage schedule,
+    loaded once (see the module docstring).  The engine keeps the frontier
+    it last saw and reads ``shard_commits`` only for a window that reaches
+    past it: marks are only ever added, so a complete round stays complete.
     """
 
     def __init__(
         self,
         store: "TraceStore | str | os.PathLike[str]",
         world: GridWorld | None = None,
-        expected: "Mapping[int, AbstractSet[int]] | None" = None,
         p_transmit: float = 0.3,
         gamma: float = 0.1,
     ) -> None:
@@ -160,15 +159,7 @@ class QueryEngine:
         if self.store is None:
             raise ValidationError("QueryEngine requires a store or a store path")
         self._world = world
-        self._expected = (
-            None
-            if expected is None
-            else {
-                int(shard): frozenset(int(time) for time in rounds)
-                for shard, rounds in expected.items()
-                if rounds
-            }
-        )
+        self._coverage: Coverage | None = None
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -201,34 +192,23 @@ class QueryEngine:
     # Coverage (the live-metrics frontier rule)
     # ------------------------------------------------------------------
     def missing_shards(self, upto: int) -> list[int]:
-        """Shards still owed a commit at any round ``<= upto`` (sorted)."""
-        upto = int(upto)
-        if self._expected is not None:
-            committed = self.store.committed()
-            return sorted(
-                {
-                    shard
-                    for shard, rounds in self._expected.items()
-                    for time in rounds
-                    if time <= upto and (shard, time) not in committed
-                }
-            )
-        # The derived schedule expects every shard at every committed round,
-        # so a shard is missing exactly when it holds fewer marks <= upto
-        # than there are distinct committed rounds <= upto: two aggregates
-        # over the marks instead of loading them all.
-        connection = self.store.connection
-        (rounds,) = connection.execute(
-            "SELECT COUNT(DISTINCT round) FROM shard_commits WHERE round <= ?", (upto,)
-        ).fetchone()
-        marks = dict(
-            connection.execute(
-                "SELECT shard, SUM(round <= ?) FROM shard_commits GROUP BY shard", (upto,)
-            ).fetchall()
-        )
-        manifest = self.store.manifest()
-        shard_ids = range(manifest.n_shards) if manifest is not None else sorted(marks)
-        return [shard for shard in shard_ids if marks.get(shard, 0) < rounds]
+        """Shards still owed a commit at any round ``<= upto`` (sorted).
+
+        Empty on a store no run has begun on.  Until a run begins, the
+        schedule is looked up again on every call, so an engine opened
+        before :meth:`TraceStore.begin_run
+        <repro.store.store.TraceStore.begin_run>` refuses half-committed
+        windows once the run has begun.
+        """
+        upto = check_integer("upto", upto)
+        if self._coverage is None:
+            schedule = self.store.coverage()
+            if schedule is None:
+                return []
+            self._coverage = Coverage(schedule)
+        if not self._coverage.complete_through(upto):
+            self._coverage.commit(self.store.committed())
+        return self._coverage.missing(upto)
 
     def _check_coverage(self, upto: int) -> None:
         missing = self.missing_shards(upto)
@@ -340,13 +320,14 @@ class QueryEngine:
         ascending), summed from 0.0 one float add at a time — the
         accumulation order the live server's ledger charges in, so the
         value is bit-identical to both the full-scan reference and the
-        server's own in-window total.
+        server's own in-window total.  ``user`` is a Python or numpy int.
         """
+        user = check_integer("user", user)
         self._check_coverage(window.end)
         rows = self.store.connection.execute(
             "SELECT epsilon FROM releases "
             "WHERE user = ? AND time BETWEEN ? AND ? ORDER BY time",
-            (int(user), window.start, window.end),
+            (user, window.start, window.end),
         ).fetchall()
         total = 0.0
         for (epsilon,) in rows:
@@ -358,14 +339,15 @@ class QueryEngine:
 
         ``releases`` is clustered on ``(user, time)``, so this is one
         contiguous primary-key range scan (the whole history when
-        ``window`` is ``None``).
+        ``window`` is ``None``).  ``user`` is a Python or numpy int.
         """
         from repro.mobility.trajectory import CheckIn
 
+        user = check_integer("user", user)
         if window is None:
             bounds = self.store.connection.execute(
                 "SELECT min_time, max_time FROM user_summary WHERE user = ?",
-                (int(user),),
+                (user,),
             ).fetchone()
             if bounds is None:
                 return []
@@ -374,9 +356,9 @@ class QueryEngine:
         rows = self.store.connection.execute(
             "SELECT time, cell FROM releases "
             "WHERE user = ? AND time BETWEEN ? AND ? ORDER BY time",
-            (int(user), window.start, window.end),
+            (user, window.start, window.end),
         ).fetchall()
-        return [CheckIn(time=int(time), user=int(user), cell=int(cell)) for time, cell in rows]
+        return [CheckIn(time=int(time), user=user, cell=int(cell)) for time, cell in rows]
 
     # ------------------------------------------------------------------
     def summary(self) -> dict:

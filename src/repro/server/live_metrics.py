@@ -77,6 +77,7 @@ from repro.epidemic.monitor import LocationMonitor, MonitoringReport
 from repro.errors import DataError, SnapshotUnavailableError, ValidationError
 from repro.geo.grid import GridWorld
 from repro.store import accelerator
+from repro.store.resume import Coverage
 from repro.utils.validation import check_bool, check_integer, check_positive, check_probability
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
@@ -632,9 +633,15 @@ class LiveMetricRegistry:
     expected:
         ``shard -> rounds`` coverage (see :func:`expected_coverage`).  This
         is the freeze schedule *and* a validation oracle: every
-        :meth:`ingest` must present exactly its shard's expected rounds, and
-        a round freezes when the shards expected at or before it have all
-        committed.
+        :meth:`ingest` must present exactly its shard's expected rounds.
+
+    The freeze rule is :class:`~repro.store.resume.Coverage`, the one the
+    store's readers follow too: a round freezes once every shard expected
+    at or before it has committed, and a refusal names the shards
+    :meth:`Coverage.missing <repro.store.resume.Coverage.missing>` names —
+    so ``metrics_at(r)`` and :meth:`QueryEngine.missing_shards
+    <repro.query.QueryEngine.missing_shards>` over the same run refuse the
+    same rounds for the same shards.
 
     Concurrency
     -----------
@@ -657,24 +664,11 @@ class LiveMetricRegistry:
         if len(set(names)) != len(names):
             raise ValidationError(f"duplicate live metric view names: {sorted(names)}")
         self._views = tuple(views)
-        self._expected = {
-            int(shard): frozenset(int(time) for time in rounds)
-            for shard, rounds in expected.items()
-            if rounds
-        }
-        if not self._expected:
+        self._coverage = Coverage(expected)
+        if not self._coverage.rounds:
             raise ValidationError("expected coverage is empty; nothing to maintain")
-        by_round: dict[int, set[int]] = {}
-        for shard, rounds in self._expected.items():
-            for time in rounds:
-                by_round.setdefault(time, set()).add(shard)
-        self._shards_by_round = {
-            time: frozenset(shards) for time, shards in by_round.items()
-        }
-        self._rounds: tuple[int, ...] = tuple(sorted(by_round))
         self._folds = tuple(view.live_fold() for view in views)
         self._committed: set[int] = set()
-        self._frontier = 0  # index into self._rounds of the next round to freeze
         self._values: dict[int, Mapping[str, object]] = {}
         self._lock = threading.Lock()
 
@@ -686,16 +680,16 @@ class LiveMetricRegistry:
     @property
     def rounds(self) -> tuple[int, ...]:
         """Every round the run will produce, ascending."""
-        return self._rounds
+        return self._coverage.rounds
 
     @property
     def frozen_rounds(self) -> tuple[int, ...]:
         """Rounds whose snapshots are already published, ascending."""
-        return self._rounds[: self._frontier]
+        return self._coverage.frozen_rounds
 
     @property
     def expected(self) -> Mapping[int, frozenset[int]]:
-        return MappingProxyType(self._expected)
+        return self._coverage.schedule
 
     # ------------------------------------------------------------------
     def check(self, shard: int, users, times, points, true_cells, snapped_cells) -> ShardRows:
@@ -711,7 +705,7 @@ class LiveMetricRegistry:
         :class:`~repro.errors.ValidationError`.
         """
         shard = check_integer("shard", shard, minimum=0)
-        owned = self._expected.get(shard)
+        owned = self._coverage.schedule.get(shard)
         if owned is None:
             raise DataError(f"shard {shard} is not in the expected coverage")
         if shard in self._committed:
@@ -731,53 +725,39 @@ class LiveMetricRegistry:
         O(shard rows) to park the shard's deltas, plus O(round delta) per
         round the commit completes, which freezes immediately — so neither
         commit nor query cost grows with the population or the horizon.
-        Refuses exactly what :meth:`check` refuses.
+        Rounds freeze strictly ascending, as the coverage frontier passes
+        them: each fold's running state at round ``r`` extends its state at
+        ``r-1``, which is what makes the canonical fold order (rounds, then
+        shards, then users) independent of commit arrival order.  Refuses
+        exactly what :meth:`check` refuses.
         """
         with self._lock:
             rows = self.check(shard, users, times, points, true_cells, snapped_cells)
+            shard = int(shard)
             for fold in self._folds:
-                fold.add(int(shard), rows)
-            self._committed.add(int(shard))
-            self._advance()
-
-    def _advance(self) -> None:
-        """Freeze every newly complete round at the frontier (in order).
-
-        Rounds freeze strictly ascending because each fold's running state
-        at round ``r`` extends its state at ``r-1`` — that ordering is what
-        makes the canonical fold order (rounds, then shards, then users)
-        independent of commit arrival order.
-        """
-        while self._frontier < len(self._rounds):
-            time = self._rounds[self._frontier]
-            if not self._shards_by_round[time] <= self._committed:
-                return
-            self._values[time] = MappingProxyType(
-                {view.name: fold.freeze(time) for view, fold in zip(self._views, self._folds)}
-            )
-            self._frontier += 1
+                fold.add(shard, rows)
+            self._committed.add(shard)
+            for time in self._coverage.commit(
+                (shard, time) for time in self._coverage.schedule[shard]
+            ):
+                self._values[time] = MappingProxyType(
+                    {view.name: fold.freeze(time) for view, fold in zip(self._views, self._folds)}
+                )
 
     # ------------------------------------------------------------------
     def _unavailable(self, time: int) -> SnapshotUnavailableError:
-        if time not in self._shards_by_round:
+        coverage = self._coverage
+        if time not in coverage:
             return ValidationError(  # type: ignore[return-value]
                 f"round {time} is not part of this run's coverage "
-                f"(rounds {list(self._rounds)})"
+                f"(rounds {list(coverage.rounds)})"
             )
         with self._lock:
-            missing = sorted(
-                {
-                    shard
-                    for pending_time in self._rounds[self._frontier :]
-                    if pending_time <= time
-                    for shard in self._shards_by_round[pending_time]
-                }
-                - self._committed
-            )
+            missing, frontier = coverage.missing(time), coverage.frontier
         return SnapshotUnavailableError(
             f"round {time} snapshot is not frozen yet: waiting on shard "
             f"commit(s) {missing} (frozen through "
-            f"{self._rounds[self._frontier - 1] if self._frontier else 'nothing'})"
+            f"{'nothing' if frontier is None else frontier})"
         )
 
     def at(self, round: int) -> Mapping[str, object]:
@@ -798,8 +778,8 @@ class LiveMetricRegistry:
     def __repr__(self) -> str:
         return (
             f"LiveMetricRegistry(views={[view.name for view in self._views]}, "
-            f"rounds={len(self._rounds)}, frozen={self._frontier}, "
-            f"shards={len(self._committed)}/{len(self._expected)})"
+            f"rounds={len(self.rounds)}, frozen={len(self.frozen_rounds)}, "
+            f"shards={len(self._committed)}/{len(self.expected)})"
         )
 
 

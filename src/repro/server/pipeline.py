@@ -542,15 +542,19 @@ def run_release_rounds_batched(
         :class:`~repro.engine.backends.ExecutionBackend` instance.
     store:
         Optional durable store — a live :class:`~repro.store.TraceStore`,
-        a path, or ``None``.  When set, every shard commits transactionally
-        with its ``(shard, round)`` recovery marks, and the run can be
-        resumed after a crash (see ``resume``).
+        a path, or ``None``.  When set, the run's manifest and coverage
+        schedule (:func:`~repro.server.live_metrics.expected_coverage`) are
+        recorded first (:meth:`TraceStore.begin_run
+        <repro.store.store.TraceStore.begin_run>`), every shard commits
+        transactionally with its ``(shard, round)`` recovery marks, and the
+        run can be resumed after a crash (see ``resume``).
     resume:
         Continue an interrupted run recorded in ``store``.  The store's
         manifest (engine spec hash, shard-plan fingerprint, world shape)
-        must match this run — :class:`~repro.errors.ResumeMismatchError`
-        otherwise — after which fully committed shards are *replayed* from
-        disk (not re-derived) and only the missing shards execute.  Because
+        and coverage schedule must match this run —
+        :class:`~repro.errors.ResumeMismatchError` otherwise — after which
+        every shard that owes the schedule nothing is *replayed* from disk
+        (not re-derived) and only the missing shards execute.  Because
         every shard is a pure function of its users' seed streams, the
         resumed result is bit-identical to the uninterrupted run.  Requires
         ``store`` (:class:`~repro.errors.ValidationError` otherwise).
@@ -620,21 +624,21 @@ def run_release_rounds_batched(
     try:
         only_shards = None
         committed: "frozenset[tuple[int, int]]" = frozenset()
+        schedule: "dict[int, frozenset[int]]" = {}
+        if live_store is not None or live_metrics:
+            from repro.server.live_metrics import expected_coverage
+
+            schedule = expected_coverage(plan, true_db)
         if live_store is not None:
             from repro.store.resume import RunManifest
 
             committed = live_store.begin_run(
-                RunManifest.for_run(engine, plan, world), resume=resume
+                RunManifest.for_run(engine, plan, world), schedule, resume=resume
             )
             server = Server(world, store=live_store, out_of_core=out_of_core)
         else:
             server = Server(world)
         true_cells_of = None
-        coverage: "dict[int, frozenset[int]]" = {}
-        if live_metrics or committed:
-            from repro.server.live_metrics import expected_coverage
-
-            coverage = expected_coverage(plan, true_db)
         if live_metrics:
             # Attached before any replay so a resumed run folds its
             # replayed shards back into the registry — the rebuilt live
@@ -642,7 +646,7 @@ def run_release_rounds_batched(
             from repro.server.live_metrics import default_views
 
             views = default_views(world) if live_metrics is True else list(live_metrics)
-            server.attach_metrics(views, coverage)
+            server.attach_metrics(views, schedule)
 
             def true_cells_of(row_users, row_times):
                 # The store never persists ground-truth cells; resolve them
@@ -668,27 +672,24 @@ def run_release_rounds_batched(
                     ) from exc
 
         if committed:
-            # A shard is recoverable iff every (shard, round) pair it
-            # would produce is durably marked; partially committed
-            # shards cannot exist (marks travel in the shard's own
-            # transaction), and a shard whose rounds are all marked is
-            # replayed from disk instead of re-derived.
-            committed_rounds: dict[int, set[int]] = {}
-            for shard_id, round_time in committed:
-                committed_rounds.setdefault(shard_id, set()).add(round_time)
-            remaining = set()
+            # A shard that owes the coverage nothing has every (shard,
+            # round) pair durably marked, and is replayed from disk instead
+            # of re-derived; partially committed shards cannot exist (marks
+            # travel in the shard's own transaction).
+            from repro.store.resume import Coverage
+
+            coverage = Coverage(schedule)
+            coverage.commit(committed)
+            owed = frozenset(coverage.missing())
             for shard_id, shard_users, _ in plan.iter_shards():
-                expected = coverage.get(shard_id)
-                if expected and expected <= committed_rounds.get(shard_id, set()):
+                if shard_id not in owed:
                     server.replay_shard(
                         shard_users[0],
                         shard_users[-1],
                         shard=shard_id,
                         true_cells=true_cells_of,
                     )
-                else:
-                    remaining.add(shard_id)
-            only_shards = frozenset(remaining)
+            only_shards = owed
         # Streaming ingestion: each shard is committed the moment its worker
         # finishes (ordered by (time, user) within the shard) instead of
         # holding all shards for a merge barrier.  Per-user server state is

@@ -8,6 +8,8 @@ An embedded-SQLite layer under :class:`~repro.server.pipeline.Server` and
   round)`` recovery state, streaming reads;
 * :class:`RunManifest` (:mod:`repro.store.resume`) — the spec-hash /
   seed-material identity that validates a resume;
+* :class:`Coverage` (:mod:`repro.store.resume`) — the run's recorded
+  coverage schedule and the frontier rule every reader of the run follows;
 * :class:`StoredTraceDB` — the out-of-core ``TraceDB`` read view.
 
 See ``docs/persistence.md`` for the full recovery model ("recovery is
@@ -15,12 +17,13 @@ re-derivation") and usage walkthrough.
 """
 
 from repro.store.outofcore import StoredTraceDB
-from repro.store.resume import RunManifest, engine_spec_hash
+from repro.store.resume import Coverage, RunManifest, engine_spec_hash
 from repro.store.schema import BUSY_TIMEOUT_MS, SCHEMA_VERSION, apply_pragmas, create_schema
 from repro.store.store import TraceStore, open_store
 
 __all__ = [
     "BUSY_TIMEOUT_MS",
+    "Coverage",
     "RunManifest",
     "SCHEMA_VERSION",
     "StoredTraceDB",

@@ -10,7 +10,7 @@ the summaries can never be torn relative to ``shard_commits``: a crash
 either keeps the whole shard (rows, marks, and summary increments) or none
 of it.
 
-Tables (created by :func:`repro.store.schema.create_schema`, schema v3):
+Tables (created by :func:`repro.store.schema.create_schema`, since schema v3):
 
 ``round_blocks``
     One row per ``(kind, time)`` holding two column blocks, each a

@@ -20,14 +20,21 @@ exactly that identity:
 the manifest on first use and validates it on reopen, raising
 :class:`~repro.errors.ResumeMismatchError` with the differing fields when a
 resume would silently re-run a different experiment.
+
+The same transaction records the run's coverage schedule — ``shard ->
+rounds`` it will commit — and :class:`Coverage` is the one implementation
+of the rule every reader of a run follows: a round may be seen only once
+every shard scheduled at or before it has committed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Mapping
+from types import MappingProxyType
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping
 
 from repro.errors import ResumeMismatchError
 
@@ -36,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.engine.sharding import ShardPlan
     from repro.geo.grid import GridWorld
 
-__all__ = ["RunManifest", "engine_spec_hash"]
+__all__ = ["Coverage", "RunManifest", "engine_spec_hash"]
 
 
 def engine_spec_hash(engine: "PrivacyEngine") -> str:
@@ -123,3 +130,91 @@ class RunManifest:
                 f"would not reproduce it ({'; '.join(diffs)}).  Use a fresh "
                 "store path, or re-run with the original spec and seed."
             )
+
+
+class Coverage:
+    """One run's coverage schedule and its frontier: the freeze rule.
+
+    The schedule maps each shard to the rounds it will commit
+    (:func:`~repro.server.live_metrics.expected_coverage`; shards with no
+    rows are left out).  A round is *complete* once every shard scheduled
+    at it has committed it, and the *frontier* is the last round through
+    which every scheduled round is complete.  Readers see rounds up to the
+    frontier and nothing past it: the live registry freezes rounds as the
+    frontier passes them, :class:`~repro.query.QueryEngine` refuses
+    windows that reach beyond it, and a resumed run replays every shard
+    that owes nothing.
+
+    The type does no I/O: callers feed it committed ``(shard, round)``
+    pairs through :meth:`commit`.  Commit marks are only ever added, so the
+    frontier only advances and a complete round never reopens.
+    """
+
+    def __init__(self, schedule: Mapping[int, AbstractSet[int]]) -> None:
+        self.schedule: Mapping[int, frozenset[int]] = MappingProxyType(
+            {
+                int(shard): frozenset(int(time) for time in rounds)
+                for shard, rounds in schedule.items()
+                if rounds
+            }
+        )
+        self._owed: dict[int, set[int]] = {}  # round -> shards yet to commit it
+        for shard, rounds in self.schedule.items():
+            for time in rounds:
+                self._owed.setdefault(time, set()).add(shard)
+        self.rounds: tuple[int, ...] = tuple(sorted(self._owed))
+        self._complete = 0  # rounds[:_complete] are complete
+
+    def __contains__(self, time: int) -> bool:
+        """Whether ``time`` is a scheduled round."""
+        return time in self._owed
+
+    def commit(self, pairs: "Iterable[tuple[int, int]]") -> tuple[int, ...]:
+        """Mark ``(shard, round)`` pairs committed; return the rounds completed.
+
+        Pairs the schedule does not hold and pairs already marked change
+        nothing, so a reader may pass a store's whole mark set each time.
+        The returned rounds are the ones the frontier passed, ascending.
+        """
+        owed = self._owed
+        for shard, time in pairs:
+            shards = owed.get(time)
+            if shards is not None:
+                shards.discard(shard)
+        start = self._complete
+        while self._complete < len(self.rounds) and not owed[self.rounds[self._complete]]:
+            self._complete += 1
+        return self.rounds[start : self._complete]
+
+    @property
+    def frozen_rounds(self) -> tuple[int, ...]:
+        """The complete rounds, ascending."""
+        return self.rounds[: self._complete]
+
+    @property
+    def frontier(self) -> "int | None":
+        """The last complete round (``None`` before the first completes)."""
+        return self.rounds[self._complete - 1] if self._complete else None
+
+    def complete_through(self, upto: int) -> bool:
+        """Whether every scheduled round ``<= upto`` is complete."""
+        return bisect_right(self.rounds, upto) <= self._complete
+
+    def missing(self, upto: "int | None" = None) -> list[int]:
+        """Shards still owed a commit at a round ``<= upto`` (any round if ``None``)."""
+        stop = len(self.rounds) if upto is None else bisect_right(self.rounds, upto)
+        pending = self.rounds[self._complete : stop]
+        return sorted(set().union(*(self._owed[time] for time in pending)))
+
+    def check_against(self, recorded: "Coverage", path: str) -> None:
+        """Raise :class:`ResumeMismatchError` naming the first shard that differs."""
+        for shard in sorted(set(self.schedule) | set(recorded.schedule)):
+            ours = sorted(self.schedule.get(shard, ()))
+            theirs = sorted(recorded.schedule.get(shard, ()))
+            if ours != theirs:
+                raise ResumeMismatchError(
+                    f"store {path!r} recorded a different coverage schedule: "
+                    f"shard {shard} commits rounds {ours} in this run, the store "
+                    f"recorded {theirs}.  The true traces differ; use a fresh "
+                    "store path, or re-run with the original traces."
+                )

@@ -10,6 +10,13 @@ per-partition recovery-state table):
     plan fingerprint, world geometry).  Written once per run; validated on
     every reopen so a resume against the wrong spec or seeds aborts instead
     of silently producing a different trace.
+``run_coverage``
+    The run's coverage schedule (schema v4): one ``(shard, round)`` row per
+    round each shard will commit, written in the manifest's transaction.
+    Every reader of the run — resume, :class:`~repro.query.QueryEngine`
+    — holds a round back until every shard scheduled at or before it has
+    its ``shard_commits`` mark (:class:`~repro.store.resume.Coverage`).  A
+    store no run has begun on has no schedule and owes nothing.
 ``releases``
     The released trace, keyed ``(user, time)``: the snapped server-side cell,
     the raw released planar point, the exact-disclosure flag, and the budget
@@ -31,9 +38,7 @@ per-partition recovery-state table):
     :mod:`repro.store.accelerator` for the block layout and the
     merge-by-integer-addition argument.
 
-A v3 file written by an earlier version may also hold an empty table of
-spilled client windows.  Nothing reads or writes it, and the file still
-opens: clients' rolling windows hold true locations, so they stay in client
+Clients' rolling windows hold true locations, so they stay in client
 memory and never reach the store.
 
 Pragma rationale (the Paper-Scanner recipe, see ``docs/persistence.md``):
@@ -67,8 +72,9 @@ __all__ = ["SCHEMA_VERSION", "BUSY_TIMEOUT_MS", "apply_pragmas", "create_schema"
 #: v2 added the query-accelerator tables maintained inside every
 #: shard-commit transaction; v3 replaced its per-key count rows
 #: (round_cell_counts, round_flows) with one round_blocks row of int32
-#: column blocks per (kind, round).  Stores are rebuilt from their seeds.
-SCHEMA_VERSION = 3
+#: column blocks per (kind, round); v4 records the run's coverage schedule
+#: in run_coverage.  Stores are rebuilt from their seeds.
+SCHEMA_VERSION = 4
 
 #: Default lock-retry window (milliseconds) for every connection.
 BUSY_TIMEOUT_MS = 30_000
@@ -97,6 +103,13 @@ _TABLES = (
         shard  INTEGER NOT NULL,
         round  INTEGER NOT NULL,
         n_rows INTEGER NOT NULL,
+        PRIMARY KEY (shard, round)
+    ) WITHOUT ROWID
+    """,
+    """
+    CREATE TABLE IF NOT EXISTS run_coverage (
+        shard INTEGER NOT NULL,
+        round INTEGER NOT NULL,
         PRIMARY KEY (shard, round)
     ) WITHOUT ROWID
     """,

@@ -33,13 +33,13 @@ from __future__ import annotations
 import os
 import sqlite3
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, AbstractSet, Iterator, Mapping
 
 import numpy as np
 
 from repro.errors import StoreError
 from repro.store import accelerator
-from repro.store.resume import RunManifest
+from repro.store.resume import Coverage, RunManifest
 from repro.store.schema import BUSY_TIMEOUT_MS, SCHEMA_VERSION, apply_pragmas, create_schema
 from repro.utils.validation import check_integer
 
@@ -140,14 +140,24 @@ class TraceStore:
         rows = self.connection.execute("SELECT key, value FROM meta").fetchall()
         return dict(rows)
 
-    def begin_run(self, manifest: RunManifest, resume: bool = False) -> frozenset[tuple[int, int]]:
-        """Record or validate the run identity; return the committed pairs.
+    def begin_run(
+        self,
+        manifest: RunManifest,
+        coverage: "Mapping[int, AbstractSet[int]]",
+        resume: bool = False,
+    ) -> frozenset[tuple[int, int]]:
+        """Record or validate the run identity and schedule; return the committed pairs.
 
-        First use of a store records ``manifest`` and returns an empty set.
-        On reopen the manifest must match what was recorded —
-        :class:`~repro.errors.ResumeMismatchError` names every differing
-        field otherwise — and, when commits already exist, ``resume=True``
-        must be passed explicitly so a forgotten old store is never silently
+        First use of a store records ``manifest`` and the run's coverage
+        schedule — ``coverage``, ``shard -> rounds`` the run will commit,
+        as :func:`~repro.server.live_metrics.expected_coverage` computes it
+        — in one transaction, and returns an empty set.  From then on every
+        reader holds back rounds some scheduled shard has not committed
+        (:class:`~repro.store.resume.Coverage`).  On reopen both must match
+        what was recorded: :class:`~repro.errors.ResumeMismatchError` names
+        every differing manifest field, or the first shard whose scheduled
+        rounds differ.  When commits already exist, ``resume=True`` must be
+        passed explicitly so a forgotten old store is never silently
         extended (:class:`~repro.errors.StoreError`).
 
         Returns
@@ -155,6 +165,7 @@ class TraceStore:
         frozenset of ``(shard, round)``
             The durably committed pairs a resumed run may skip.
         """
+        schedule = Coverage(coverage)
         recorded = RunManifest.from_meta(self._meta())
         if recorded is None:
             with self.connection:
@@ -162,8 +173,17 @@ class TraceStore:
                     "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
                     list(manifest.as_meta().items()),
                 )
+                self.connection.executemany(
+                    "INSERT INTO run_coverage (shard, round) VALUES (?, ?)",
+                    [
+                        (shard, time)
+                        for shard, rounds in schedule.schedule.items()
+                        for time in rounds
+                    ],
+                )
             return frozenset()
         manifest.check_against(recorded, self.path)
+        schedule.check_against(Coverage(self.coverage()), self.path)
         committed = self.committed()
         if committed and not resume:
             raise StoreError(
@@ -172,6 +192,23 @@ class TraceStore:
                 "resume=True to continue it, or choose a fresh store path"
             )
         return committed
+
+    def coverage(self) -> "dict[int, frozenset[int]] | None":
+        """The coverage schedule :meth:`begin_run` recorded.
+
+        ``shard -> rounds``, or ``None`` when no run has begun on the store:
+        such a store (direct :meth:`commit_shard` use) owes nothing, so its
+        readers answer over whatever is committed.
+        """
+        begun = self.connection.execute(
+            "SELECT 1 FROM meta WHERE key = 'spec_hash'"
+        ).fetchone()
+        if begun is None:
+            return None
+        schedule: dict[int, set[int]] = {}
+        for shard, time in self.connection.execute("SELECT shard, round FROM run_coverage"):
+            schedule.setdefault(int(shard), set()).add(int(time))
+        return {shard: frozenset(rounds) for shard, rounds in schedule.items()}
 
     def manifest(self) -> RunManifest | None:
         """The recorded run manifest, if any."""

@@ -23,6 +23,7 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_in_range",
+    "check_int_array",
     "check_integer",
 ]
 
@@ -91,7 +92,25 @@ def check_bool(name: str, value: bool) -> bool:
     return bool(value)
 
 
+def check_int_array(name: str, values) -> np.ndarray:
+    """``values`` as an ``int`` array, refusing a bool or non-integer dtype.
+
+    The refusal reads the dtype only, so it is O(1) on an array: an int
+    array converts as ``np.asarray(values, dtype=int)`` would, while a
+    float or bool one raises :class:`~repro.errors.ValidationError` naming
+    ``name`` instead of being truncated.  Any other iterable is read
+    through ``np.asarray`` first; an empty one is an empty int array
+    (numpy reads ``[]`` as float64).  Range checks stay with the caller.
+    """
+    array = values if isinstance(values, np.ndarray) else np.asarray(list(values))
+    if array.dtype.kind not in "iu" and array.size:
+        raise ValidationError(f"{name} must be integers, got dtype {array.dtype}")
+    return array.astype(int, copy=False)
+
+
 def _as_float(name: str, value: float) -> float:
+    if isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
     try:
         result = float(value)
     except (TypeError, ValueError) as exc:

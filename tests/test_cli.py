@@ -289,6 +289,25 @@ class TestQueryCommand:
         assert main(["query", "summary", "--engine-spec", str(spec)]) == 1
         assert "no" in capsys.readouterr().err
 
+    def test_finished_sparse_run_answers(self, capsys, tmp_path):
+        # Sparse shards do not hold rows at every round; the schedule the
+        # run recorded says which rounds each owes, so a finished run
+        # answers its whole horizon.
+        from repro.engine import PrivacyEngine
+        from repro.geo.grid import GridWorld
+        from repro.mobility.synthetic import gowalla_like
+        from repro.server.pipeline import run_release_rounds_batched
+
+        path = tmp_path / "sparse.sqlite"
+        world = GridWorld(10, 10)
+        db = gowalla_like(world, n_users=40, rng=3)
+        engine = PrivacyEngine.from_spec(
+            world, mechanism="P-LM", policy="G1", epsilon=1.0
+        )
+        run_release_rounds_batched(world, db, engine, rng=5, shards=4, store=str(path))
+        assert main(["query", "contact-rate", "--store", str(path)]) == 0
+        assert "contact_rate" in capsys.readouterr().out
+
     def test_unavailable_window_exits_nonzero(self, capsys, store_path):
         # Rounds beyond the run's coverage: DataError -> exit 1 with message.
         code = main(["query", "contact-rate", "--store", str(store_path),

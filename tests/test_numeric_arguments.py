@@ -6,10 +6,12 @@ or a string there raises :class:`~repro.errors.ValidationError` instead of
 being truncated (``2.7`` used to act as ``2`` and ``True`` as ``1``), and a
 negative shard index is refused, while numpy ints pass.  A refused shard
 writes nothing.  The ``QueryEngine`` R0 parameters are validated the way
-:class:`~repro.server.live_metrics.ContactRateView` validates them.  An
-``rng`` is ``None``, a numpy Generator or an int >= 0 (``True`` used to act
-as seed 1), and a ``batched`` flag is a bool (``"false"`` used to run the
-batched path).
+:class:`~repro.server.live_metrics.ContactRateView` validates them, and a
+bool is not a number there or in an epsilon.  An ``rng`` is ``None``, a
+numpy Generator or an int >= 0 (``True`` used to act as seed 1), and a
+``batched`` flag is a bool (``"false"`` used to run the batched path).
+Cell arrays of a float or bool dtype are refused instead of truncated to
+cell ids (``[1.5, 2.9]`` used to release cells 1 and 2).
 """
 
 import math
@@ -24,6 +26,7 @@ from repro.errors import ValidationError
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
 from repro.query import QueryEngine, Window, sliding_windows, tumbling_windows
+from repro.server.live_metrics import ContactRateView
 from repro.server.pipeline import Server, run_release_rounds_batched
 from repro.store import TraceStore
 
@@ -51,8 +54,13 @@ def _query_engine(path, **params):
         return engine.contact_rate(Window(0, 4))
 
 
-def _engine(world):
-    return PrivacyEngine.from_spec(world, mechanism="P-LM", policy="G1", epsilon=1.0)
+def _engine(world, epsilon=1.0):
+    return PrivacyEngine.from_spec(world, mechanism="P-LM", policy="G1", epsilon=epsilon)
+
+
+def _query(path, method, *args):
+    with QueryEngine(path) as engine:
+        return getattr(engine, method)(*args)
 
 
 def _batch(world):
@@ -139,6 +147,28 @@ BAD_ARGUMENTS = {
     "adversary_error batched str false": lambda run: _adversary_error("false"),
     "adversary_error batched None": lambda run: _adversary_error(None),
     "adversary_error batched 0": lambda run: _adversary_error(0),
+    "missing_shards 2.7": lambda run: _query(run[1], "missing_shards", 2.7),
+    "missing_shards True": lambda run: _query(run[1], "missing_shards", True),
+    "missing_shards str 5": lambda run: _query(run[1], "missing_shards", "5"),
+    "missing_shards nan": lambda run: _query(run[1], "missing_shards", math.nan),
+    "epsilon_spent user 1.5": lambda run: _query(run[1], "epsilon_spent", 1.5, Window(0, 3)),
+    "trajectory user True": lambda run: _query(run[1], "trajectory", True, Window(0, 3)),
+    "trajectory user 1.5": lambda run: _query(run[1], "trajectory", 1.5),
+    "engine epsilon True": lambda run: _engine(GridWorld(6, 6), epsilon=True),
+    "engine epsilon numpy True": lambda run: _engine(GridWorld(6, 6), epsilon=np.True_),
+    "ContactRateView gamma True": lambda run: ContactRateView(gamma=True),
+    "ContactRateView p_transmit numpy True": lambda run: ContactRateView(p_transmit=np.True_),
+    "p_transmit True": lambda run: _query_engine(run[1], p_transmit=True),
+    "release_batch cells float": lambda run: _engine(GridWorld(6, 6)).release_batch(
+        [1.5, 2.9], rng=0
+    ),
+    "release_batch cells bool": lambda run: _engine(GridWorld(6, 6)).release_batch(
+        [True], rng=0
+    ),
+    "pdf_matrix cells float": lambda run: _engine(GridWorld(6, 6)).pdf_matrix(
+        [[0.5, 0.5]], cells=np.array([1.5, 2.0])
+    ),
+    "cells_array float and bool": lambda run: GridWorld(6, 6).cells_array([1.7, True]),
 }
 
 
@@ -158,6 +188,16 @@ def test_numpy_ints_accepted(run):
     assert _top_cells(path, np.int64(2)) == _top_cells(path, 2)
     assert server.metrics_at(np.int64(4)) == server.metrics_at(4)
     assert ThreadBackend(max_workers=np.int64(2)).max_workers == 2
+
+
+def test_empty_cell_sequences_accepted():
+    # numpy reads [] as float64; an empty sequence is still no cells.
+    world = GridWorld(6, 6)
+    engine = _engine(world)
+    assert len(engine.release_batch([], rng=0)) == 0
+    assert engine.pdf_matrix([[0.5, 0.5]], cells=[]).shape == (1, 0)
+    assert world.cells_array([]).dtype == np.int64
+    assert world.cells_array(np.array([], dtype=float)).size == 0
 
 
 def test_refused_shard_writes_nothing(run):

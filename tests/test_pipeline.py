@@ -157,7 +157,9 @@ class TestIngestLock:
         world, engine, db, plan, shards = run
         spans = []
         with TraceStore(":memory:") as store:
-            store.begin_run(RunManifest.for_run(engine, plan, world))
+            store.begin_run(
+                RunManifest.for_run(engine, plan, world), expected_coverage(plan, db)
+            )
             commit_shard = store.commit_shard
 
             def spanned_commit(*args, **kwargs):

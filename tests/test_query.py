@@ -12,6 +12,9 @@ queries, each query either refuses or returns the exact full-scan answer
 for the committed prefix.
 """
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,11 +30,11 @@ from repro.errors import (
     ValidationError,
 )
 from repro.geo.grid import GridWorld
-from repro.mobility.synthetic import geolife_like
+from repro.mobility.synthetic import geolife_like, gowalla_like
 from repro.mobility.trajectory import TraceDB
 from repro.query import QueryEngine, Window, sliding_windows, tumbling_windows
 from repro.query import reference as ref
-from repro.server.live_metrics import expected_coverage
+from repro.server.live_metrics import default_views, expected_coverage
 from repro.server.pipeline import Server, run_release_rounds_batched
 from repro.store import RunManifest, TraceStore
 
@@ -201,7 +204,9 @@ class TestKillResume:
         path = tmp_path / "killed.sqlite"
         plan = ShardPlan.build(sorted(db.users()), 7, rng=RNG)
         with TraceStore(path) as store:
-            store.begin_run(RunManifest.for_run(engine, plan, world))
+            store.begin_run(
+                RunManifest.for_run(engine, plan, world), expected_coverage(plan, db)
+            )
             committer = Server(world, store=store)
             for users, times, batch in stream_shard_releases(
                 engine, db, plan, only_shards=frozenset(range(shards_done))
@@ -337,12 +342,13 @@ def _commit(world, store, plan, parts, shards):
 
 class TestCoverageGaps:
     def test_half_covered_window_names_missing_shards(self, staggered):
-        world, sdb, _, plan, parts = staggered
+        world, sdb, engine, plan, parts = staggered
         with TraceStore(":memory:") as store:
-            _commit(world, store, plan, parts, [0, 1])
-            engine_q = QueryEngine(
-                store, world=world, expected=expected_coverage(plan, sdb)
+            store.begin_run(
+                RunManifest.for_run(engine, plan, world), expected_coverage(plan, sdb)
             )
+            _commit(world, store, plan, parts, [0, 1])
+            engine_q = QueryEngine(store, world=world)
             # Shards 0-1 cover every round <= 1, so early windows answer
             # and match the reference over the committed prefix ...
             early = Window(0, 1)
@@ -366,16 +372,18 @@ class TestCoverageGaps:
     def test_derived_coverage_from_manifest_refuses_partial_runs(
         self, world, db, engine
     ):
-        # Without an explicit schedule the engine derives one from the run
-        # manifest: every planned shard is expected wherever any commit
-        # landed, so a half-committed run refuses until the rest arrives.
+        # The schedule recorded with the run manifest gates every window:
+        # here every shard has rows at every round, so a half-committed
+        # run refuses until the rest arrives.
         plan = ShardPlan.build(sorted(db.users()), 4, rng=RNG)
         parts = {
             plan.shard_of(int(users[0])): (users, times, batch)
             for users, times, batch in stream_shard_releases(engine, db, plan)
         }
         with TraceStore(":memory:") as store:
-            store.begin_run(RunManifest.for_run(engine, plan, world))
+            store.begin_run(
+                RunManifest.for_run(engine, plan, world), expected_coverage(plan, db)
+            )
             _commit(world, store, plan, parts, [0, 3])
             engine_q = QueryEngine(store, world=world)
             assert engine_q.missing_shards(HORIZON - 1) == [1, 2]
@@ -384,6 +392,103 @@ class TestCoverageGaps:
             _commit(world, store, plan, parts, [1, 2])
             assert engine_q.missing_shards(HORIZON - 1) == []
             engine_q.contact_rate(Window(0, 3))  # answers once complete
+
+
+# ----------------------------------------------------------------------
+# the recorded schedule: one coverage rule for every reader
+# ----------------------------------------------------------------------
+
+
+def _named_shards(refusal):
+    """The shard list a refusal message says it is waiting on."""
+    match = re.search(r"waiting on shard commit\(s\) \[([\d, ]*)\]", str(refusal))
+    assert match is not None, str(refusal)
+    return [int(shard) for shard in match.group(1).split(",") if shard.strip()]
+
+
+class TestRecordedCoverage:
+    def test_finished_sparse_run_answers_like_its_full_scans(self, tmp_path):
+        # Sparse shards never hold rows at every round, so only the
+        # recorded schedule, not "every shard at every round", lets a
+        # finished run answer its whole horizon.
+        world = GridWorld(10, 10)
+        sparse = gowalla_like(world, n_users=40, rng=3)
+        engine = PrivacyEngine.from_spec(world, mechanism="P-LM", policy="G1", epsilon=1.0)
+        path = tmp_path / "sparse.sqlite"
+        run_release_rounds_batched(world, sparse, engine, rng=5, shards=4, store=str(path))
+        with QueryEngine(path) as engine_q:
+            store = engine_q.store
+            times = store.times()
+            window = Window(times[0], times[-1])
+            assert engine_q.missing_shards(window.end) == []
+            assert engine_q.contact_rate(window) == ref.full_scan_contact_rate(store, window)
+            assert engine_q.top_cells(window, 5) == ref.full_scan_top_cells(store, window, 5)
+            assert engine_q.flow_matrix(window) == ref.full_scan_flow_matrix(
+                store, window, world
+            )
+
+    def test_live_views_and_queries_refuse_the_same_rounds(self, staggered):
+        # At every commit prefix of every commit order and every scheduled
+        # round r, metrics_at(r) refuses exactly when missing_shards(r) is
+        # non-empty, and both refusals name the same shards.
+        world, sdb, engine, plan, parts = staggered
+        schedule = expected_coverage(plan, sdb)
+        rounds = sorted(frozenset().union(*schedule.values()))
+        for order in itertools.permutations(sorted(parts)):
+            with TraceStore(":memory:") as store:
+                store.begin_run(RunManifest.for_run(engine, plan, world), schedule)
+                server = Server(world, store=store)
+                server.attach_metrics(default_views(world), schedule)
+                engine_q = QueryEngine(store, world=world)
+                for prefix in range(len(order) + 1):
+                    if prefix:
+                        users, times, batch = parts[order[prefix - 1]]
+                        server.ingest_shard(users, times, batch, shard=order[prefix - 1])
+                    for time in rounds:
+                        missing = engine_q.missing_shards(time)
+                        if not missing:
+                            server.metrics_at(time)
+                            continue
+                        with pytest.raises(SnapshotUnavailableError) as live:
+                            server.metrics_at(time)
+                        with pytest.raises(SnapshotUnavailableError) as query:
+                            engine_q.top_cells(Window(rounds[0], time), 3)
+                        assert _named_shards(live.value) == missing
+                        assert _named_shards(query.value) == missing
+
+    def test_engine_opened_before_the_run_begins_refuses_half_windows(self, staggered):
+        world, sdb, engine, plan, parts = staggered
+        with TraceStore(":memory:") as store:
+            engine_q = QueryEngine(store, world=world)
+            assert engine_q.missing_shards(HORIZON - 1) == []  # no run: owes nothing
+            store.begin_run(
+                RunManifest.for_run(engine, plan, world), expected_coverage(plan, sdb)
+            )
+            _commit(world, store, plan, parts, [0, 1])
+            with pytest.raises(
+                SnapshotUnavailableError, match=r"waiting on shard commit\(s\) \[2, 3\]"
+            ):
+                engine_q.contact_rate(Window(0, 4))
+            assert engine_q.missing_shards(1) == []
+
+    def test_marks_are_read_only_past_the_frontier(self, staggered, monkeypatch):
+        # Commit marks are only ever added, so once a round is complete no
+        # later query re-reads shard_commits for it.
+        world, sdb, engine, plan, parts = staggered
+        with TraceStore(":memory:") as store:
+            store.begin_run(
+                RunManifest.for_run(engine, plan, world), expected_coverage(plan, sdb)
+            )
+            _commit(world, store, plan, parts, [0, 1, 2, 3])
+            engine_q = QueryEngine(store, world=world)
+            reads = []
+            committed = store.committed
+            monkeypatch.setattr(store, "committed", lambda: reads.append(1) or committed())
+            assert engine_q.missing_shards(HORIZON - 1) == []
+            assert len(reads) == 1
+            for window in WINDOWS:
+                engine_q.contact_rate(window)
+            assert len(reads) == 1
 
 
 # ----------------------------------------------------------------------
@@ -403,7 +508,7 @@ class TestInterleavingProperty:
         # either raises SnapshotUnavailableError (exactly when shards are
         # missing at or before the window's end) or returns the bit-exact
         # full-scan answer over what the store currently holds.
-        world, sdb, _, plan, parts = staggered
+        world, sdb, engine, plan, parts = staggered
         order = data.draw(st.permutations(sorted(parts)))
         prefix = data.draw(st.integers(min_value=0, max_value=len(order)))
         windows = data.draw(
@@ -415,10 +520,12 @@ class TestInterleavingProperty:
                 max_size=4,
             )
         )
-        expected = expected_coverage(plan, sdb)
         with TraceStore(":memory:") as store:
+            store.begin_run(
+                RunManifest.for_run(engine, plan, world), expected_coverage(plan, sdb)
+            )
             _commit(world, store, plan, parts, order[:prefix])
-            engine_q = QueryEngine(store, world=world, expected=expected)
+            engine_q = QueryEngine(store, world=world)
             for window in windows:
                 if engine_q.missing_shards(window.end):
                     with pytest.raises(SnapshotUnavailableError):
@@ -437,62 +544,6 @@ class TestInterleavingProperty:
                         ref.full_scan_contact_rate(store, window)
                 else:
                     assert got == ref.full_scan_contact_rate(store, window)
-
-
-# ----------------------------------------------------------------------
-# the derived coverage schedule from two aggregates
-# ----------------------------------------------------------------------
-
-
-def _set_rule_missing(store, upto):
-    """The derived-schedule refusal from the whole mark set (the reference)."""
-    committed = store.committed()
-    rounds = frozenset(time for _, time in committed)
-    manifest = store.manifest()
-    if manifest is not None:
-        shard_ids = range(manifest.n_shards)
-    else:
-        shard_ids = sorted({shard for shard, _ in committed})
-    return sorted(
-        {
-            shard
-            for shard in shard_ids
-            for time in rounds
-            if time <= upto and (shard, time) not in committed
-        }
-    )
-
-
-class TestDerivedCoverage:
-    @settings(max_examples=80, deadline=None)
-    @given(
-        marks=st.sets(st.tuples(st.integers(0, 5), st.integers(0, 9)), max_size=30),
-        n_shards=st.none() | st.integers(1, 6),
-        upto=st.integers(-1, 10),
-    )
-    def test_aggregates_equal_the_set_rule(self, marks, n_shards, upto):
-        # With and without a run manifest (and with marks from shards the
-        # manifest does not plan), the two-aggregate answer is the set one.
-        with TraceStore(":memory:") as store:
-            if n_shards is not None:
-                store.begin_run(
-                    RunManifest(
-                        spec_hash="spec",
-                        plan_fingerprint="plan",
-                        n_users=1,
-                        n_shards=n_shards,
-                        world_width=6,
-                        world_height=6,
-                        cell_size=1.0,
-                    )
-                )
-            with store.connection:
-                store.connection.executemany(
-                    "INSERT INTO shard_commits (shard, round, n_rows) VALUES (?, ?, 1)",
-                    sorted(marks),
-                )
-            engine_q = QueryEngine(store, world=GridWorld(6, 6))
-            assert engine_q.missing_shards(upto) == _set_rule_missing(store, upto)
 
 
 # ----------------------------------------------------------------------
@@ -520,10 +571,9 @@ def shard_parts(world, db, engine):
 
 
 def _assert_every_window_matches(store, world):
-    expected = {}
-    for shard, time in store.committed():
-        expected.setdefault(shard, set()).add(time)
-    engine_q = QueryEngine(store, world=world, expected=expected)
+    # No run has begun on the store, so it owes nothing: every window
+    # answers over what is committed.
+    engine_q = QueryEngine(store, world=world)
     for start in range(HORIZON):
         for end in range(start, HORIZON):
             window = Window(start, end)

@@ -20,8 +20,10 @@ from repro.engine.specs import EngineSpec, ExecutionSpec
 from repro.errors import BudgetError, DataError, ResumeMismatchError, StoreError, ValidationError
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
+from repro.mobility.trajectory import TraceDB
 from repro.query import QueryEngine, Window
 from repro.query import reference as ref
+from repro.server.live_metrics import expected_coverage
 from repro.server.pipeline import Server, run_release_rounds_batched
 from repro.store import RunManifest, StoredTraceDB, TraceStore, engine_spec_hash
 from repro.store.resume import RunManifest as ResumeManifest
@@ -84,16 +86,20 @@ class TestSchemaAndPragmas:
             TraceStore(path)
 
     def test_v2_store_refuses_to_open(self, tmp_path):
-        # v3 replaced the per-key accelerator rows with round blocks; an
-        # older store is rebuilt from its seeds, never read as v3.
-        path = tmp_path / "s.sqlite"
-        with TraceStore(path) as store:
-            with store.connection:
-                store.connection.execute(
-                    "UPDATE meta SET value='2' WHERE key='schema_version'"
-                )
-        with pytest.raises(StoreError, match="schema v2, this build expects v3"):
-            TraceStore(path)
+        # v3 replaced the per-key accelerator rows with round blocks, and v4
+        # records the run's coverage schedule; an older store is rebuilt
+        # from its seeds, never read as v4.
+        for version in (2, 3):
+            path = tmp_path / f"v{version}.sqlite"
+            with TraceStore(path) as store:
+                with store.connection:
+                    store.connection.execute(
+                        "UPDATE meta SET value=? WHERE key='schema_version'", (str(version),)
+                    )
+            with pytest.raises(
+                StoreError, match=f"schema v{version}, this build expects v4"
+            ):
+                TraceStore(path)
 
     def test_unopenable_path_raises_store_error(self, tmp_path):
         with pytest.raises(StoreError, match="cannot open"):
@@ -105,8 +111,16 @@ class TestRunManifest:
         plan = ShardPlan.build(sorted(db.users()), 4, rng=11)
         manifest = RunManifest.for_run(engine, plan, world)
         with TraceStore(":memory:") as store:
-            assert store.begin_run(manifest) == frozenset()
+            assert store.begin_run(manifest, expected_coverage(plan, db)) == frozenset()
             assert store.manifest() == manifest
+
+    def test_begin_run_records_the_coverage_schedule(self, world, db, engine):
+        plan = ShardPlan.build(sorted(db.users()), 4, rng=11)
+        schedule = expected_coverage(plan, db)
+        with TraceStore(":memory:") as store:
+            assert store.coverage() is None  # no run begun: owes nothing
+            store.begin_run(RunManifest.for_run(engine, plan, world), schedule)
+            assert store.coverage() == schedule
 
     def test_meta_roundtrip(self, world, db, engine):
         plan = ShardPlan.build(sorted(db.users()), 4, rng=11)
@@ -118,9 +132,28 @@ class TestRunManifest:
         other_plan = ShardPlan.build(sorted(db.users()), 4, rng=999)
         manifest = RunManifest.for_run(engine, plan, world)
         with TraceStore(":memory:") as store:
-            store.begin_run(manifest)
+            store.begin_run(manifest, expected_coverage(plan, db))
             with pytest.raises(ResumeMismatchError, match="plan_fingerprint"):
-                store.begin_run(RunManifest.for_run(engine, other_plan, world), resume=True)
+                store.begin_run(
+                    RunManifest.for_run(engine, other_plan, world),
+                    expected_coverage(other_plan, db),
+                    resume=True,
+                )
+
+    def test_resume_with_a_different_schedule_names_the_shard(
+        self, world, db, engine, tmp_path
+    ):
+        # Same users, seeds and spec, so the manifest matches; but the last
+        # user gains a round no shard-3 user had, so resuming would commit
+        # a schedule the store's readers were never told about.
+        path = str(tmp_path / "s.sqlite")
+        _run(world, db, engine, path)
+        users, times, cells = db.to_arrays()
+        grown = TraceDB()
+        grown.record_many(users, times, cells)
+        grown.record(max(db.users()), max(db.times()) + 1, 0)
+        with pytest.raises(ResumeMismatchError, match="shard 3 commits rounds"):
+            _run(world, grown, engine, path, resume=True)
 
     def test_commits_without_resume_refused(self, world, db, engine, tmp_path):
         path = str(tmp_path / "s.sqlite")
@@ -555,7 +588,7 @@ class TestCommitRefusals:
             ):
                 store.commit_shard(1, np.array([2, 1]), np.array([1, 1]), again)
             assert _store_state(store) == before
-            engine_q = QueryEngine(store, world=world, expected={0: {0, 1}})
+            engine_q = QueryEngine(store, world=world)
             window = Window(0, 1)
             assert engine_q.contact_rate(window) == ref.full_scan_contact_rate(store, window)
             assert engine_q.flow_matrix(window) == ref.full_scan_flow_matrix(

@@ -37,6 +37,7 @@ from repro.engine import PrivacyEngine
 from repro.engine.sharding import ShardPlan, stream_shard_releases
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
+from repro.server.live_metrics import expected_coverage
 from repro.server.pipeline import Server, run_release_rounds_batched
 from repro.store import RunManifest, TraceStore
 
@@ -212,7 +213,9 @@ def test_any_committed_prefix_resumes_to_reference(world, db, engine, reference,
     plan = ShardPlan.build(sorted(db.users()), N_SHARDS, rng=RNG)
     with TraceStore(":memory:") as store:
         # Simulate a crashed run: manifest recorded, only `prefix` committed.
-        store.begin_run(RunManifest.for_run(engine, plan, world))
+        store.begin_run(
+            RunManifest.for_run(engine, plan, world), expected_coverage(plan, db)
+        )
         committer = Server(world, store=store)
         for users, times, batch in stream_shard_releases(
             engine, db, plan, only_shards=frozenset(prefix)
@@ -266,7 +269,9 @@ def test_resume_re_executes_only_missing_shards(world, db, engine, reference, tm
     plan = ShardPlan.build(sorted(db.users()), N_SHARDS, rng=RNG)
     done = frozenset(range(0, N_SHARDS, 2))
     with TraceStore(path) as store:
-        store.begin_run(RunManifest.for_run(engine, plan, world))
+        store.begin_run(
+            RunManifest.for_run(engine, plan, world), expected_coverage(plan, db)
+        )
         committer = Server(world, store=store)
         for users, times, batch in stream_shard_releases(engine, db, plan, only_shards=done):
             committer.ingest_shard(users, times, batch, shard=plan.shard_of(int(users[0])))
@@ -329,7 +334,9 @@ def test_rpc_resume_streams_exactly_the_missing_shards(
     plan = ShardPlan.build(sorted(db.users()), N_SHARDS, rng=RNG)
     done = frozenset(range(0, N_SHARDS, 2))
     with TraceStore(path) as store:
-        store.begin_run(RunManifest.for_run(engine, plan, world))
+        store.begin_run(
+            RunManifest.for_run(engine, plan, world), expected_coverage(plan, db)
+        )
         committer = Server(world, store=store)
         for users, times, batch in stream_shard_releases(engine, db, plan, only_shards=done):
             committer.ingest_shard(users, times, batch, shard=plan.shard_of(int(users[0])))
@@ -351,7 +358,9 @@ def _interrupt(world, db, engine, path, shards_done):
     """Leave `path` looking like a run killed after `shards_done` commits."""
     plan = ShardPlan.build(sorted(db.users()), N_SHARDS, rng=RNG)
     with TraceStore(path) as store:
-        store.begin_run(RunManifest.for_run(engine, plan, world))
+        store.begin_run(
+            RunManifest.for_run(engine, plan, world), expected_coverage(plan, db)
+        )
         committer = Server(world, store=store)
         for users, times, batch in stream_shard_releases(
             engine, db, plan, only_shards=frozenset(range(shards_done))
@@ -475,12 +484,14 @@ def test_half_committed_round_raises_snapshot_unavailable(world, db, engine):
     # that a missing shard owns rows for must fail loudly, naming the
     # shards the freeze is waiting on — never serve a partial value.
     from repro.errors import SnapshotUnavailableError
-    from repro.server.live_metrics import default_views, expected_coverage
+    from repro.server.live_metrics import default_views
 
     plan = ShardPlan.build(sorted(db.users()), N_SHARDS, rng=RNG)
     done = frozenset(range(3))
     with TraceStore(":memory:") as store:
-        store.begin_run(RunManifest.for_run(engine, plan, world))
+        store.begin_run(
+            RunManifest.for_run(engine, plan, world), expected_coverage(plan, db)
+        )
         server = Server(world, store=store)
         server.attach_metrics(default_views(world), expected_coverage(plan, db))
         for users, times, batch in stream_shard_releases(
