@@ -126,6 +126,14 @@ def _bit_check(engine_q: QueryEngine, store, world, db, horizon) -> bool:
                 store, window, world, kind=kind, true_resolver=resolver
             ):
                 return False
+            # A tiling that divides neither side of the grid: ragged edge areas.
+            if engine_q.flow_matrix(
+                window, kind=kind, block_rows=3, block_cols=5
+            ) != reference.full_scan_flow_matrix(
+                store, window, world, kind=kind, true_resolver=resolver,
+                block_rows=3, block_cols=5,
+            ):
+                return False
         if engine_q.top_cells(window, 10) != reference.full_scan_top_cells(
             store, window, 10
         ):

@@ -16,6 +16,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 import numpy as np
@@ -24,6 +25,21 @@ from repro.errors import ValidationError
 from repro.utils.validation import check_int_array, check_integer, check_positive
 
 __all__ = ["GridWorld"]
+
+
+@functools.lru_cache(maxsize=16)
+def _area_table(width: int, height: int, block_rows: int, block_cols: int) -> np.ndarray:
+    """Read-only int64 ``cell -> area`` table of one world shape and tiling.
+
+    Cached per ``(width, height, block_rows, block_cols)`` at module level,
+    not on a :class:`GridWorld`: worlds are pickled to workers and their
+    ``width`` / ``height`` are public attributes.
+    """
+    rows, cols = np.divmod(np.arange(width * height, dtype=np.int64), width)
+    blocks_per_row = -(-width // block_cols)  # ceil division
+    table = (rows // block_rows) * blocks_per_row + (cols // block_cols)
+    table.flags.writeable = False
+    return table
 
 
 class GridWorld:
@@ -193,13 +209,23 @@ class GridWorld:
         return (row // block_rows) * blocks_per_row + (col // block_cols)
 
     def area_of_batch(self, cells, block_rows: int, block_cols: int) -> np.ndarray:
-        """Vectorized :meth:`area_of`: ``(n,)`` cell ids to ``(n,)`` area ids."""
-        check_integer("block_rows", block_rows, minimum=1)
-        check_integer("block_cols", block_cols, minimum=1)
-        arr = self.cells_array(cells, context="area_of_batch")
-        blocks_per_row = -(-self.width // block_cols)  # ceil division
-        rows, cols = np.divmod(arr, self.width)
-        return (rows // block_rows) * blocks_per_row + (cols // block_cols)
+        """Vectorized :meth:`area_of`: ``(n,)`` cell ids to ``(n,)`` int64 area ids.
+
+        The tiling and the cells are checked as :meth:`area_of` checks them
+        (an out-of-range id or a float or bool dtype raises
+        :class:`~repro.errors.ValidationError`); the answer is then one
+        gather from a read-only ``n_cells`` int64 ``cell -> area`` table,
+        built once per world shape and tiling and shared by every caller.
+        The result is a fresh array.  The scalar :meth:`area_of` keeps its
+        own arithmetic and is the oracle this table is tested against.
+        """
+        table = _area_table(
+            self.width,
+            self.height,
+            check_integer("block_rows", block_rows, minimum=1),
+            check_integer("block_cols", block_cols, minimum=1),
+        )
+        return table[self.cells_array(cells, context="area_of_batch")]
 
     def n_areas(self, block_rows: int, block_cols: int) -> int:
         """Number of coarse areas in the ``block_rows x block_cols`` tiling."""

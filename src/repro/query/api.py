@@ -134,7 +134,12 @@ class QueryEngine:
     world:
         The run's :class:`~repro.geo.grid.GridWorld`, needed only by
         area-level flow queries.  Defaults to the geometry in the store's
-        run manifest; a bare store with no manifest must pass it.
+        run manifest; a bare store with no manifest must pass it.  When
+        the store records a manifest, a ``world`` whose width, height or
+        cell size differs from it raises
+        :class:`~repro.errors.ValidationError` naming both geometries.
+        The check runs when the world is first used, not here, because
+        the manifest may be recorded after the engine opens.
     p_transmit / gamma:
         The E2 R0 parameters applied by :meth:`contact_rate`: a
         probability in ``[0, 1]`` and a finite rate ``> 0``, validated as
@@ -159,6 +164,7 @@ class QueryEngine:
         if self.store is None:
             raise ValidationError("QueryEngine requires a store or a store path")
         self._world = world
+        self._world_from_manifest = False
         self._coverage: Coverage | None = None
 
     # ------------------------------------------------------------------
@@ -175,17 +181,30 @@ class QueryEngine:
 
     @property
     def world(self) -> GridWorld:
-        """The run's world, built lazily from the manifest when not given."""
-        if self._world is None:
+        """The run's world, read from the manifest and checked against ``world=``.
+
+        Until the store records a manifest, the manifest is looked up again
+        on every call: a bare store answers with the given world, and once
+        a run begins on it, a contradicting ``world=`` is refused.
+        """
+        if not self._world_from_manifest:
             manifest = self.store.manifest()
             if manifest is None:
-                raise ValidationError(
-                    "store has no run manifest; pass world= to QueryEngine "
-                    "for area-level queries"
-                )
-            self._world = GridWorld(
+                if self._world is None:
+                    raise ValidationError(
+                        "store has no run manifest; pass world= to QueryEngine "
+                        "for area-level queries"
+                    )
+                return self._world
+            recorded = GridWorld(
                 manifest.world_width, manifest.world_height, manifest.cell_size
             )
+            if self._world is not None and self._world != recorded:
+                raise ValidationError(
+                    f"world={self._world!r} contradicts the run manifest of "
+                    f"trace store {self.store.path!r}, which records {recorded!r}"
+                )
+            self._world, self._world_from_manifest = recorded, True
         return self._world
 
     # ------------------------------------------------------------------
@@ -271,15 +290,20 @@ class QueryEngine:
     ) -> Counter:
         """Inter-area flow counts whose destination round lies in the window.
 
-        Served from the cell-level ``flows`` blocks: one range read, then an
-        integer regroup of cell pairs into the requested area tiling — any
-        ``(block_rows, block_cols)`` is exact, because the cell-level counts
-        are the finest grain.
+        Served from the cell-level ``flows`` blocks: one range read and one
+        decode, then an integer regroup of cell pairs into the requested
+        area tiling — one gather per endpoint through the world's cached
+        ``cell -> area`` table (:meth:`GridWorld.area_of_batch
+        <repro.geo.grid.GridWorld.area_of_batch>`) and one int64 scatter-add
+        into the ``n_areas²`` area-pair totals.  Any ``(block_rows,
+        block_cols)`` is exact, because the cell-level counts are the finest
+        grain.  The world is :attr:`world`: the manifest's, or a checked
+        ``world=``.
         """
         code = self._kind(kind)
-        self._check_coverage(window.end)
         world = self.world
         n_areas = world.n_areas(block_rows, block_cols)  # validates the tiling args
+        self._check_coverage(window.end)
         flows = window_blocks(self.store.connection, "flows", code, window.start, window.end)
         # GridWorld.area_of_batch is the mapping the full scan uses; the
         # dense area-pair sum is int64, so the Counter equals it bitwise.
@@ -299,19 +323,30 @@ class QueryEngine:
         """The ``k`` busiest cells over the window as ``(cell, count)`` pairs.
 
         Occupancy is summed per cell over the window's ``cells`` blocks (one
-        range read); ties break deterministically on the lower cell id, so
-        accelerator and full-scan rankings agree exactly, not just up to tie
-        shuffling.
+        range read) into a dense int64 array indexed by cell id, sized by
+        the window's largest id, so no world is needed; a negative id
+        raises :class:`~repro.errors.StoreError`.  The occupied cells are
+        ranked by ``(-count, cell)``: ties break deterministically on the
+        lower cell id, so accelerator and full-scan rankings agree exactly,
+        not just up to tie shuffling.
         """
         k = check_integer("k", k, minimum=1)
         code = self._kind(kind)
         self._check_coverage(window.end)
         records = window_blocks(self.store.connection, "cells", code, window.start, window.end)
-        cells, inverse = np.unique(records[:, 0], return_inverse=True)
-        totals = np.zeros(len(cells), dtype=np.int64)
-        np.add.at(totals, inverse, records[:, 1])
-        ranked = np.lexsort((cells, -totals))[:k]
-        return list(zip(cells[ranked].tolist(), totals[ranked].tolist()))
+        if not len(records):
+            return []
+        low = int(records[:, 0].min())
+        if low < 0:
+            raise StoreError(
+                f"trace store {self.store.path!r} holds cell id {low} in the "
+                f"round blocks of {window}"
+            )
+        totals = np.zeros(int(records[:, 0].max()) + 1, dtype=np.int64)
+        np.add.at(totals, records[:, 0], records[:, 1])
+        cells = np.flatnonzero(totals)
+        ranked = cells[np.lexsort((cells, -totals[cells]))[:k]]
+        return list(zip(ranked.tolist(), totals[ranked].tolist()))
 
     def epsilon_spent(self, user: int, window: Window) -> float:
         """One user's epsilon expenditure over the window, ledger-exact.

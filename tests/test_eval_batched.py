@@ -39,11 +39,25 @@ def db(world):
 
 
 class TestAreaOfBatch:
-    @pytest.mark.parametrize("block", [(4, 4), (2, 2), (3, 5)])
-    def test_matches_scalar(self, world, block):
+    # (20, 20) is a tiling larger than every world here: one area.
+    @pytest.mark.parametrize("block", [(4, 4), (2, 2), (3, 5), (1, 1), (20, 20)])
+    @pytest.mark.parametrize(
+        "shape", [(8, 8), (7, 5), (1, 9), (16, 16)], ids=lambda s: f"{s[0]}x{s[1]}"
+    )
+    def test_matches_scalar(self, shape, block):
+        world = GridWorld(*shape)
         cells = np.arange(world.n_cells)
         batched = world.area_of_batch(cells, *block)
         assert batched.tolist() == [world.area_of(int(c), *block) for c in cells]
+
+    def test_returned_areas_do_not_alias_the_table(self, world):
+        # The batch mapping gathers from a cached table; mutating one answer
+        # must not leak into the next call's.
+        cells = np.arange(world.n_cells)
+        first = world.area_of_batch(cells, 3, 5)
+        want = first.copy()
+        first[:] = -1
+        assert world.area_of_batch(cells, 3, 5).tolist() == want.tolist()
 
     def test_n_areas_matches_partition(self, world):
         for block in ((4, 4), (3, 5), (2, 2)):

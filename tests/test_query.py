@@ -134,7 +134,18 @@ def _assert_matches_full_scan(store, world, resolver):
         assert engine.flow_matrix(window, block_rows=2, block_cols=3) == (
             ref.full_scan_flow_matrix(store, window, world, block_rows=2, block_cols=3)
         )
-        assert engine.top_cells(window, 5) == ref.full_scan_top_cells(store, window, 5)
+        # Edge tilings of the 6x6 world: one cell per area, ragged edge
+        # blocks, and one block larger than the world.
+        for kind, true_resolver in (("observed", None), ("true", resolver)):
+            for block in ((1, 1), (4, 5), (7, 7)):
+                assert engine.flow_matrix(window, kind, *block) == (
+                    ref.full_scan_flow_matrix(
+                        store, window, world, kind, true_resolver, *block
+                    )
+                )
+        # k = 40 asks for more cells than any window of the 6x6 world holds.
+        for k in (1, 5, 40):
+            assert engine.top_cells(window, k) == ref.full_scan_top_cells(store, window, k)
     for user in sorted(store.users()):
         assert engine.epsilon_spent(user, FULL) == ref.full_scan_epsilon_spent(
             store, user, FULL
@@ -297,6 +308,51 @@ class TestAwkwardStores:
             engine_q = QueryEngine(store)
             with pytest.raises(ValidationError, match="pass world="):
                 engine_q.flow_matrix(Window(0, 1))
+            # Top-k needs no geometry: it sums per cell id.
+            assert engine_q.top_cells(Window(0, 1), 3) == ref.full_scan_top_cells(
+                store, Window(0, 1), 3
+            )
+
+    def test_negative_cell_id_in_a_block_is_a_store_error(self, engine):
+        # Top-k indexes a dense array by cell id; a corrupt block must not
+        # wrap around to the last cell.
+        with TraceStore(":memory:") as store:
+            batch = engine.release_batch(np.array([0]), rng=np.random.default_rng(0))
+            store.commit_shard(0, np.array([1]), np.array([0]), batch)
+            corrupt = np.array([-1, 1], dtype="<i4").tobytes()
+            store.connection.execute("UPDATE round_blocks SET cells = ?", (corrupt,))
+            with pytest.raises(StoreError, match="cell id -1"):
+                QueryEngine(store).top_cells(Window(0, 0), 1)
+
+    def test_world_contradicting_the_manifest_is_refused(self, world, db, engine):
+        _, store = _store_run(world, db, engine, 2, "serial")
+        with store:
+            want = ref.full_scan_flow_matrix(store, FULL, world, block_rows=3, block_cols=3)
+            # Same cell count, other shape; same shape, other cell size.
+            for wrong in (GridWorld(12, 3), GridWorld(6, 6, cell_size=2.0)):
+                engine_q = QueryEngine(store, world=wrong)
+                with pytest.raises(ValidationError) as excinfo:
+                    engine_q.flow_matrix(FULL, block_rows=3, block_cols=3)
+                assert repr(wrong) in str(excinfo.value)
+                assert repr(world) in str(excinfo.value)
+            agreeing = QueryEngine(store, world=GridWorld(6, 6))
+            assert agreeing.flow_matrix(FULL, block_rows=3, block_cols=3) == want
+
+    def test_world_is_checked_against_a_manifest_recorded_after_open(
+        self, world, db, engine
+    ):
+        with TraceStore(":memory:") as store:
+            engine_q = QueryEngine(store, world=GridWorld(12, 3))
+            # A bare store takes any world.
+            assert engine_q.flow_matrix(FULL) == ref.full_scan_flow_matrix(
+                store, FULL, GridWorld(12, 3)
+            )
+            plan = ShardPlan.build(sorted(db.users()), 2, rng=RNG)
+            store.begin_run(
+                RunManifest.for_run(engine, plan, world), expected_coverage(plan, db)
+            )
+            with pytest.raises(ValidationError, match="contradicts the run manifest"):
+                engine_q.flow_matrix(FULL)
 
 
 # ----------------------------------------------------------------------
