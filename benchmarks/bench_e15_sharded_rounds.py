@@ -16,12 +16,12 @@ import time
 import pytest
 
 from repro.engine import PrivacyEngine
+from repro.experiments.configs import ExperimentConfig
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
 from repro.server.pipeline import run_release_rounds_batched
 
 SHARD_COUNTS = [1, 2, 4, 8]
-BACKENDS = ["serial", "thread", "pool"]
 N_USERS = 200
 HORIZON = 24
 
@@ -34,7 +34,7 @@ def _workload(size: int = 16):
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ExperimentConfig().backends)
 def test_bench_sharded_rounds(benchmark, backend, shards):
     world, db, engine = _workload()
     benchmark(
@@ -44,12 +44,13 @@ def test_bench_sharded_rounds(benchmark, backend, shards):
 
 
 def test_sharded_matches_unsharded():
-    """Acceptance: every (backend, shards) pair releases identical values."""
+    """Acceptance: every (backend, shards) pair of E8's default sweep
+    releases identical values."""
     world, db, engine = _workload(size=8)
     reference = run_release_rounds_batched(world, db, engine, rng=7, shards=1)
     expected = list(reference.released_db.checkins())
     timings = {}
-    for backend in BACKENDS:
+    for backend in ExperimentConfig().backends:
         for shards in SHARD_COUNTS:
             start = time.perf_counter()
             server = run_release_rounds_batched(

@@ -19,16 +19,6 @@ The artifact has four blocks (schema documented in ``docs/benchmarks.md``)::
          "eval_matches_serial": true},
         ...
       ],
-      "distributed_eval": {                               # E16
-        "sweep": [{"metric": "e1_monitoring_utility", "backend": "pool",
-                   "shards": 4, "seconds": 0.12,
-                   "releases_per_sec": 51000.0, "matches_serial": true}, ...]
-      },
-      "epidemic_eval": {                                  # E17
-        "sweep": [{"metric": "e2_r0_estimation_error", "backend": "pool",
-                   "shards": 4, "seconds": 0.08,
-                   "releases_per_sec": 24000.0, "matches_serial": true}, ...]
-      },
       "durable_ingest": {                                 # E18
         "overhead": {"memory_seconds": 0.5, "durable_seconds": 0.6,
                      "overhead_ratio": 1.2, "within_budget": true,
@@ -73,11 +63,8 @@ The artifact has four blocks (schema documented in ``docs/benchmarks.md``)::
 ``sharded`` is the E15 sharded-release-rounds sweep: one entry per
 ``(backend, shard count)`` pair with release *and* sharded-E1 evaluation
 throughput, each with its determinism check against the 1-shard serial
-baseline.  ``distributed_eval`` is the E16 distributed-evaluation sweep
-(sharded metric throughput per backend); ``epidemic_eval`` is the E17 epidemic sweep
-(sharded R0 / metapop-flow throughput per backend).  E13 (engine micro
-throughput) and the per-release latency half of E8 remain pytest-benchmark
-micro-benchmarks::
+baseline.  E13 (engine micro throughput) and the per-release latency half
+of E8 remain pytest-benchmark micro-benchmarks::
 
     PYTHONPATH=src pytest benchmarks/bench_e15_sharded_rounds.py --benchmark-only
 
@@ -99,8 +86,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-import bench_e16_distributed_eval as bench_e16  # noqa: E402
-import bench_e17_epidemic_eval as bench_e17  # noqa: E402
 import bench_e18_durable_ingest as bench_e18  # noqa: E402
 import bench_e20_rpc as bench_e20  # noqa: E402
 import bench_e21_live_metrics as bench_e21  # noqa: E402
@@ -127,8 +112,6 @@ ENTRY_POINTS = {
 }
 
 SHARDED_ENTRY = "e15_sharded_rounds"
-DISTRIBUTED_ENTRY = "e16_distributed_eval"
-EPIDEMIC_ENTRY = "e17_epidemic_eval"
 DURABLE_ENTRY = "e18_durable_ingest"
 RPC_ENTRY = "e20_rpc_backend"
 LIVE_ENTRY = "e21_live_metrics"
@@ -149,7 +132,6 @@ def make_config(smoke: bool) -> ExperimentConfig:
         trials=2,
         tracing_window=24,
         shard_counts=(1, 2),
-        backends=("serial", "thread"),
     )
 
 
@@ -165,30 +147,12 @@ def run_sharded(config: ExperimentConfig) -> list[dict]:
     return harness.run_scalability(config).to_dicts()
 
 
-def run_distributed_eval(smoke: bool) -> dict:
-    """The E16 block: the sharded-metric sweep.
-
-    Delegates to ``bench_e16_distributed_eval.distributed_eval_block`` so
-    the pytest benchmarks, the standalone artifact, and this script all
-    measure the same code on the same workload.
-    """
-    return bench_e16.distributed_eval_block(smoke)
-
-
-def run_epidemic_eval(smoke: bool) -> dict:
-    """The E17 block: the epidemic-evaluator sweep.
-
-    Delegates to ``bench_e17_epidemic_eval.epidemic_eval_block`` — the same
-    single-source-of-truth arrangement as E16.
-    """
-    return bench_e17.epidemic_eval_block(smoke)
-
-
 def run_durable_ingest(smoke: bool) -> dict:
     """The E18 block: durable-vs-memory overhead plus out-of-core ingest.
 
-    Delegates to ``bench_e18_durable_ingest.durable_ingest_block`` — same
-    single-source-of-truth arrangement as E16/E17.
+    Delegates to ``bench_e18_durable_ingest.durable_ingest_block`` so the
+    pytest benchmarks, the standalone artifact, and this script all
+    measure the same code on the same workload.
     """
     return bench_e18.durable_ingest_block(smoke)
 
@@ -197,7 +161,7 @@ def run_rpc_backend(smoke: bool) -> dict:
     """The E20 block: rpc sweep, pool-parity timing, and the chaos smoke.
 
     Delegates to ``bench_e20_rpc.rpc_block`` — same single-source-of-truth
-    arrangement as E16-E18.
+    arrangement as E18.
     """
     return bench_e20.rpc_block(smoke)
 
@@ -206,7 +170,7 @@ def run_live_metrics(smoke: bool) -> dict:
     """The E21 block: live snapshot query cost vs batch recompute.
 
     Delegates to ``bench_e21_live_metrics.live_metrics_block`` — same
-    single-source-of-truth arrangement as E16-E20.
+    single-source-of-truth arrangement as E18-E20.
     """
     return bench_e21.live_metrics_block(smoke)
 
@@ -215,7 +179,7 @@ def run_query_surface(smoke: bool) -> dict:
     """The E22 block: accelerator window queries vs full-table scans.
 
     Delegates to ``bench_e22_queries.query_surface_block`` — same
-    single-source-of-truth arrangement as E16-E21.
+    single-source-of-truth arrangement as E18-E21.
     """
     return bench_e22.query_surface_block(smoke)
 
@@ -227,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         "--only",
         action="append",
         choices=sorted(ENTRY_POINTS)
-        + [SHARDED_ENTRY, DISTRIBUTED_ENTRY, EPIDEMIC_ENTRY, DURABLE_ENTRY, RPC_ENTRY, LIVE_ENTRY, QUERY_ENTRY],
+        + [SHARDED_ENTRY, DURABLE_ENTRY, RPC_ENTRY, LIVE_ENTRY, QUERY_ENTRY],
         help="run only this entry point (repeatable)",
     )
     parser.add_argument(
@@ -241,8 +205,6 @@ def main(argv: list[str] | None = None) -> int:
     config = make_config(args.smoke)
     names = args.only or sorted(ENTRY_POINTS) + [
         SHARDED_ENTRY,
-        DISTRIBUTED_ENTRY,
-        EPIDEMIC_ENTRY,
         DURABLE_ENTRY,
         RPC_ENTRY,
         LIVE_ENTRY,
@@ -252,8 +214,6 @@ def main(argv: list[str] | None = None) -> int:
     for name in names:
         if name in (
             SHARDED_ENTRY,
-            DISTRIBUTED_ENTRY,
-            EPIDEMIC_ENTRY,
             DURABLE_ENTRY,
             RPC_ENTRY,
             LIVE_ENTRY,
@@ -277,28 +237,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"  matches_serial={record['matches_serial']}"
                 f"  eval {record['eval_releases_per_sec']:>12,.0f}/s"
                 f"  eval_matches={record['eval_matches_serial']}"
-            )
-    if DISTRIBUTED_ENTRY in names:
-        start = time.perf_counter()
-        payload["distributed_eval"] = run_distributed_eval(args.smoke)
-        payload["timings"][DISTRIBUTED_ENTRY] = round(time.perf_counter() - start, 6)
-        print(f"{DISTRIBUTED_ENTRY:<28} {payload['timings'][DISTRIBUTED_ENTRY]:>10.3f}s")
-        for record in payload["distributed_eval"]["sweep"]:
-            print(
-                f"  {record['backend']:<8} shards={record['shards']}"
-                f"  {record['releases_per_sec']:>12,.0f} releases/s"
-                f"  matches_serial={record['matches_serial']}"
-            )
-    if EPIDEMIC_ENTRY in names:
-        start = time.perf_counter()
-        payload["epidemic_eval"] = run_epidemic_eval(args.smoke)
-        payload["timings"][EPIDEMIC_ENTRY] = round(time.perf_counter() - start, 6)
-        print(f"{EPIDEMIC_ENTRY:<28} {payload['timings'][EPIDEMIC_ENTRY]:>10.3f}s")
-        for record in payload["epidemic_eval"]["sweep"]:
-            print(
-                f"  {record['metric']:<24} {record['backend']:<8} shards={record['shards']}"
-                f"  {record['releases_per_sec']:>12,.0f} releases/s"
-                f"  matches_serial={record['matches_serial']}"
             )
     if DURABLE_ENTRY in names:
         start = time.perf_counter()

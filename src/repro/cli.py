@@ -8,7 +8,7 @@ Usage (after ``pip install -e .``)::
     python -m repro experiment e1 --size 8 --users 12 --horizon 36
     python -m repro experiment e4 --float32
     python -m repro experiment e1 --shards 4 --backend pool
-    python -m repro experiment e11 --shards 4 --backend thread
+    python -m repro experiment e11 --shards 4 --backend serial
     python -m repro experiment e8 --engine-spec spec.json --shards 4 --backend pool
     python -m repro experiment e8 --shards 4 --store run.sqlite
     python -m repro experiment e8 --shards 4 --store run.sqlite --resume

@@ -16,7 +16,7 @@ population-scale engine:
 * :class:`ShardPlan` + :func:`stream_shard_releases` — deterministic
   population sharding with per-user RNG streams, executed on a pluggable
   :class:`ExecutionBackend`
-  (``serial`` / ``thread`` / long-lived process ``pool`` / socket ``rpc``
+  (in-process ``serial`` / long-lived process ``pool`` / socket ``rpc``
   with deterministic worker-loss retry) so one seeded run
   reproduces element-wise at any shard count;
 * :mod:`~repro.engine.distributed` — the evaluation layer's counterpart:
@@ -31,7 +31,6 @@ from repro.engine.backends import (
     ExecutionBackend,
     PoolBackend,
     SerialBackend,
-    ThreadBackend,
     backend_names,
     ensure_backend,
     owned_backend,
@@ -83,7 +82,6 @@ __all__ = [
     "slot_plan",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "PoolBackend",
     "RpcBackend",
     "register_mechanism",

@@ -1,13 +1,12 @@
 """Pluggable execution backends for shard-parallel work.
 
 A backend answers one question: *how* do independent shard tasks run —
-in-process (``serial``), on a thread pool (``thread``), on a long-lived
-process pool (``pool``, both via :mod:`concurrent.futures`), or on
-socket-connected worker processes (``rpc``)?  Backends are registry-named
-exactly like mechanisms and policies, so an
-:class:`~repro.engine.specs.EngineSpec` (or a saved JSON spec file) can carry
-``backend="pool"`` and every layer — pipeline, experiments, CLI — resolves
-it through the same table.
+in-process, one after another (``serial``), on a long-lived process pool
+(``pool``, via :mod:`concurrent.futures`), or on socket-connected worker
+processes (``rpc``)?  Backends are registry-named exactly like mechanisms
+and policies, so an :class:`~repro.engine.specs.EngineSpec` (or a saved
+JSON spec file) can carry ``backend="pool"`` and every layer — pipeline,
+experiments, CLI — resolves it through the same table.
 
 The contract is deliberately tiny: :meth:`ExecutionBackend.run` maps a
 picklable function over a task list and returns the results **in task
@@ -22,13 +21,14 @@ extensions ride on top:
   (:func:`~repro.engine.sharding.stream_shard_releases`,
   :meth:`~repro.server.pipeline.Server.ingest_shard`) use to avoid a full
   merge barrier.  The default delegates to :meth:`run`, so custom backends
-  only implement it when they can genuinely stream.  Backends that can
-  *lose* workers mid-task (the ``rpc`` backend) additionally accept an
+  only implement it when they can genuinely stream; every built-in backend
+  does (``serial`` runs one task per yield).  Backends that can *lose*
+  workers mid-task (the ``rpc`` backend) additionally accept an
   ``on_worker_lost(task_index, attempt)`` observer and transparently
   reschedule the lost task — because every shard task is a pure function
   of its seeds, a retry is bit-identical, so callers see at most one
   ``(index, result)`` pair per task regardless of how many workers died.
-  The in-process backends never lose workers and simply ignore the hook.
+  In-process backends never lose workers and simply ignore the hook.
 * :meth:`ExecutionBackend.close` / the context-manager protocol releases
   whatever the backend holds (the ``pool`` backend's persistent executor).
   Call sites that *build* a backend from a registry name own it and must
@@ -39,12 +39,9 @@ extensions ride on top:
 from __future__ import annotations
 
 import abc
+import inspect
 from contextlib import contextmanager
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.engine.registry import _register, _resolve
@@ -54,7 +51,6 @@ from repro.utils.validation import check_integer
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "PoolBackend",
     "register_backend",
     "resolve_backend",
@@ -114,8 +110,8 @@ class ExecutionBackend(abc.ABC):
         order is unspecified; the index identifies the task.  The default
         implementation delegates to :meth:`run` (one barrier, then ordered
         yields), so every registered backend — including custom ones that
-        only implement :meth:`run` — satisfies it; the built-in pool
-        backends override it to stream genuinely.
+        only implement :meth:`run` — satisfies it; the built-in backends
+        override it to stream genuinely.
 
         ``on_worker_lost(task_index, attempt)`` is an optional observer for
         backends whose workers can die mid-task (``rpc``): it is called once
@@ -158,45 +154,17 @@ class SerialBackend(ExecutionBackend):
     def run(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
         return [fn(task) for task in tasks]
 
-
-class ThreadBackend(ExecutionBackend):
-    """Thread-pool execution (``concurrent.futures.ThreadPoolExecutor``).
-
-    Shards share the interpreter, so speedups come from NumPy releasing the
-    GIL inside the vectorized samplers; task setup cost is near zero, and
-    it is the only concurrent backend that runs engines which do not pickle.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        if max_workers is not None:
-            max_workers = check_integer("max_workers", max_workers, minimum=1)
-        self.max_workers = max_workers
-
-    def run(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
-        if len(tasks) <= 1:  # pool startup would dominate a singleton
-            return [fn(task) for task in tasks]
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            return list(pool.map(fn, tasks))
-
     def run_unordered(
         self,
         fn: Callable[[T], R],
         tasks: Sequence[T],
         on_worker_lost: Callable[[int, int], None] | None = None,
     ) -> Iterator[tuple[int, R]]:
-        del on_worker_lost  # executor tasks are never abandoned mid-flight
-        if len(tasks) <= 1:
-            yield from enumerate(fn(task) for task in tasks)
-            return
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            futures = {pool.submit(fn, task): index for index, task in enumerate(tasks)}
-            for future in as_completed(futures):
-                yield futures[future], future.result()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(max_workers={self.max_workers})"
+        # One task per yield, so a streaming consumer commits each shard
+        # before the next one runs (the base default runs them all first).
+        del on_worker_lost  # in-process execution cannot lose a worker
+        for index, task in enumerate(tasks):
+            yield index, fn(task)
 
 
 class PoolBackend(ExecutionBackend):
@@ -267,7 +235,9 @@ def register_backend(name: str, factory: BackendFactory, aliases: Iterable[str] 
     """Register an execution-backend factory under ``name`` (plus aliases).
 
     ``factory(**params)`` must return an :class:`ExecutionBackend`; spec
-    params (e.g. ``max_workers``) are forwarded as keyword arguments.
+    params (e.g. ``max_workers``) are forwarded as keyword arguments, after
+    :func:`ensure_backend` has checked their names against the factory's
+    signature (a factory that takes ``**params`` checks its own).
     Resolution semantics (casefolded aliases, canonical names) are shared
     with the mechanism/policy registries.
     """
@@ -284,7 +254,10 @@ def ensure_backend(backend: "str | ExecutionBackend | None", **params) -> Execut
 
     ``None`` means :class:`SerialBackend`; a string resolves through the
     registry (``params`` forwarded to the factory); an instance passes
-    through unchanged (``params`` must then be empty).
+    through unchanged (``params`` must then be empty).  A parameter the
+    named backend's constructor does not take raises
+    :class:`~repro.errors.ValidationError` naming the backend, the
+    unexpected names and the accepted ones, before anything is built.
     """
     if backend is None:
         backend = "serial"
@@ -292,8 +265,27 @@ def ensure_backend(backend: "str | ExecutionBackend | None", **params) -> Execut
         if params:
             raise ValidationError("params only apply when resolving a backend by name")
         return backend
-    _, factory = resolve_backend(backend)
+    name, factory = resolve_backend(backend)
+    _check_params(name, factory, params)
     return factory(**params)
+
+
+def _check_params(name: str, factory: BackendFactory, params: dict) -> None:
+    """Refuse ``params`` that ``name``'s constructor does not take."""
+    if not params:
+        return
+    # _rpc_factory's **params hide RpcBackend's signature: check the class.
+    constructor = _rpc_class() if factory is _rpc_factory else factory
+    parameters = inspect.signature(constructor).parameters.values()
+    if any(p.kind is p.VAR_KEYWORD for p in parameters):
+        return  # a factory taking **params checks its own names
+    accepted = [p.name for p in parameters if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)]
+    unexpected = sorted(set(params) - set(accepted))
+    if unexpected:
+        raise ValidationError(
+            f"backend {name!r} takes no parameter {unexpected}; "
+            f"accepted parameters: {accepted or 'none'}"
+        )
 
 
 @contextmanager
@@ -326,16 +318,19 @@ def backend_names() -> list[str]:
     return sorted(_BACKENDS)
 
 
-def _rpc_factory(**params) -> "ExecutionBackend":
+def _rpc_class() -> type:
     # Imported lazily: rpc.py imports this module for ExecutionBackend, so a
-    # top-level import here would be circular.  The factory is only paid for
+    # top-level import here would be circular.  The class is only paid for
     # when a spec/CLI actually selects the rpc backend.
     from repro.engine.rpc import RpcBackend
 
-    return RpcBackend(**params)
+    return RpcBackend
+
+
+def _rpc_factory(**params) -> "ExecutionBackend":
+    return _rpc_class()(**params)
 
 
 register_backend("serial", SerialBackend, aliases=("sync", "inline"))
-register_backend("thread", ThreadBackend, aliases=("threads", "threadpool"))
 register_backend("pool", PoolBackend, aliases=("worker_pool", "persistent"))
 register_backend("rpc", _rpc_factory, aliases=("socket", "tcp"))

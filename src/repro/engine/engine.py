@@ -351,7 +351,7 @@ class EngineRef:
     a worker-rebuilt engine draws exactly the releases the originating
     engine would — the sharded determinism contract is unaffected.
 
-    In-process (serial / thread backends, or the originating side of a
+    In-process (the serial backend, or the originating side of a
     pool / rpc backend) the live engine is kept and returned directly; only
     pickling drops it.
     """

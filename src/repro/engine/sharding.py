@@ -3,7 +3,7 @@
 A :class:`ShardPlan` splits the population into deterministic shards, each
 shard releases its users' whole trace through the engine in one
 ``release_batch`` call, an :class:`~repro.engine.backends.ExecutionBackend`
-decides how the shards run (serial / thread pool / process pool / rpc), and
+decides how the shards run (serial / process pool / rpc), and
 :func:`stream_shard_releases` hands each finished shard to the server as it
 completes.  An unsharded run is a one-shard plan.
 

@@ -19,7 +19,7 @@ from typing import Mapping
 
 from repro.core.mechanisms import Mechanism
 from repro.core.policy_graph import PolicyGraph
-from repro.engine.backends import ExecutionBackend, resolve_backend
+from repro.engine.backends import ExecutionBackend, ensure_backend, resolve_backend
 from repro.engine.registry import resolve_mechanism, resolve_policy
 from repro.errors import ValidationError
 from repro.geo.grid import GridWorld
@@ -74,12 +74,14 @@ class ExecutionSpec:
 
     ``shards`` is a Python or numpy int >= 1; a bool, a float or any other
     type raises :class:`~repro.errors.ValidationError` instead of being
-    truncated.  ``backend`` is a registry name (``"serial"``, ``"thread"``,
-    ``"pool"``, ``"rpc"``, or anything added via
+    truncated.  ``backend`` is a registry name (``"serial"``, ``"pool"``,
+    ``"rpc"``, or anything added via
     :func:`~repro.engine.backends.register_backend`); ``params`` are
-    forwarded to the backend factory — ``max_workers`` for the thread and
-    process pools, ``workers`` / ``worker_timeout`` / ``max_retries`` for the
-    socket ``rpc`` backend (:class:`~repro.engine.rpc.RpcBackend`).
+    forwarded to the backend factory — ``max_workers`` for the process
+    ``pool``, ``workers`` / ``worker_timeout`` / ``max_retries`` for the
+    socket ``rpc`` backend (:class:`~repro.engine.rpc.RpcBackend`), none
+    for ``serial``.  :meth:`build` refuses a name the backend does not take
+    with :class:`~repro.errors.ValidationError`.
     Execution never affects the released values — per-user RNG streams make
     output invariant under sharding (see :mod:`repro.engine.sharding`), and
     the rpc backend's worker-loss retries re-run pure shard tasks
@@ -128,8 +130,7 @@ class ExecutionSpec:
 
     def build(self) -> ExecutionBackend:
         """Instantiate the named backend with this spec's params."""
-        _, factory = resolve_backend(self.backend)
-        return factory(**dict(self.params))
+        return ensure_backend(self.backend, **dict(self.params))
 
     @property
     def canonical_name(self) -> str:

@@ -147,7 +147,7 @@ class ExperimentConfig:
     tracing_window: int = 72
     monitor_block: tuple[int, int] = (4, 4)
     shard_counts: tuple[int, ...] = (1, 2, 4)
-    backends: tuple[str, ...] = ("serial", "thread", "pool")
+    backends: tuple[str, ...] = ("serial", "pool")
     eval_shards: int | None = None
     eval_backend: str | None = None
     backend_params: tuple[tuple[str, object], ...] = ()

@@ -758,8 +758,8 @@ def run_scalability(config: ExperimentConfig = ExperimentConfig()) -> ResultTabl
             worker_sweep = (None,)
         for workers in worker_sweep:
             # backend_params carry rpc cluster knobs (worker_timeout, ...);
-            # forwarding them to the in-process backends in a mixed sweep
-            # would be a TypeError, so they apply to rpc row blocks only.
+            # the other backends in a mixed sweep refuse them by name
+            # (ValidationError), so they apply to rpc row blocks only.
             params = dict(config.backend_params) if backend_name == "rpc" else {}
             if workers is not None:
                 params["workers"] = int(workers)

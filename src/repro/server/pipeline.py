@@ -18,8 +18,9 @@ backend — a k-shard ``pool`` run reproduces the 1-shard run, which itself
 reproduces the per-client reference :func:`run_release_rounds`.  Runs
 ingest *streamingly*: each shard's releases are committed via
 :meth:`Server.ingest_shard` as the shard completes, rather than waiting on
-a full population merge.  The thread and pool backends submit every shard
-up front, so their workers keep releasing while a finished shard commits.
+a full population merge.  The ``pool`` backend submits every shard up
+front, so its workers keep releasing while a finished shard commits;
+``serial`` runs the next shard once the last one has committed.
 """
 
 from __future__ import annotations
@@ -538,7 +539,7 @@ def run_release_rounds_batched(
         is identical for every shard count and backend.
     backend:
         Execution backend for the shards — a registry name (``"serial"``,
-        ``"thread"``, ``"pool"``) or a live
+        ``"pool"``, ``"rpc"``) or a live
         :class:`~repro.engine.backends.ExecutionBackend` instance.
     store:
         Optional durable store — a live :class:`~repro.store.TraceStore`,

@@ -54,7 +54,7 @@ def engine_spec_hash(engine: "PrivacyEngine") -> str:
     when the engine was spec-built — with the spec's ``execution`` block
     stripped first.  Execution (backend, shard count, store/resume wiring)
     is pure run control: per-user RNG streams make released values invariant
-    under it, so a run committed with ``backend="thread"`` may legitimately
+    under it, so a run committed with ``backend="serial"`` may legitimately
     resume with ``backend="pool"``.  Shard count *does* change the commit
     granularity, but that is covered by the plan fingerprint, which the
     manifest records separately.

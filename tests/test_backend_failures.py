@@ -5,7 +5,7 @@ worker pool, or leave the server half-written: the *original* exception
 propagates through the `pool` backend, backends owned by the
 failing call are closed behind it, and `Server.ingest_shard` commits whole
 shards or nothing — so a crashed run leaves only complete per-user state
-behind.
+behind, and a store-backed one resumes from it.
 """
 
 import numpy as np
@@ -121,6 +121,37 @@ class TestIngestFailures:
             assert len(history) == len(bad_db.user_history(user))
             charges = [e for e in server.ledger.entries if e.user == user]
             assert len(charges) == len(history)
+
+    def test_serial_store_run_keeps_the_shards_before_the_failing_one(
+        self, world, engine, tmp_path
+    ):
+        # Serial runs one shard per yield, so when the last shard raises (a
+        # cell outside the world) the six before it are already durable, as
+        # a pool run's finished shards are.  A plain rerun is refused;
+        # resume=True ends where an unbroken run ends.
+        from repro.errors import StoreError
+        from repro.server.pipeline import run_release_rounds_batched
+        from repro.store import TraceStore
+
+        def trace(last_cell):
+            db = TraceDB()
+            for user in range(6):
+                for time in range(4):
+                    db.record(user, time, 3 + user)
+            db.record(6, 0, last_cell)
+            return db
+
+        path = str(tmp_path / "torn.sqlite")
+        run = dict(rng=0, shards=7, backend="serial", store=path)
+        with pytest.raises(ReproError):
+            run_release_rounds_batched(world, trace(world.n_cells), engine, **run)
+        with TraceStore(path) as store:
+            assert {shard for shard, _ in store.committed()} == set(range(6))
+        with pytest.raises(StoreError, match="resume=True"):
+            run_release_rounds_batched(world, trace(9), engine, **run)
+        resumed = run_release_rounds_batched(world, trace(9), engine, resume=True, **run)
+        unbroken = run_release_rounds_batched(world, trace(9), engine, rng=0, shards=7)
+        assert sorted(resumed.released_db.checkins()) == sorted(unbroken.released_db.checkins())
 
     def test_partial_run_commits_only_whole_shards(self, world, engine):
         # Commit through ingest_shard with a producer that dies after two

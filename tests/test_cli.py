@@ -70,11 +70,17 @@ class TestExperimentCommand:
     def test_runs_e8_sharded(self, capsys):
         code = main(
             ["experiment", "e8", "--size", "6", "--users", "6", "--horizon", "8",
-             "--shards", "2", "--backend", "thread"]
+             "--shards", "2", "--backend", "pool"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "E8" in out and "thread" in out and "True" in out
+        assert "E8" in out and "pool" in out and "True" in out
+
+    def test_removed_thread_backend_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["experiment", "e8", "--backend", "thread"])
+        assert exited.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestEngineSpecFlag:
@@ -127,7 +133,7 @@ class TestEngineSpecFlag:
         spec.write_text(json.dumps({
             "mechanism": {"name": "planar_laplace"},
             "policy": {"name": "G1"},
-            "execution": {"backend": "thread", "shard": 4},
+            "execution": {"backend": "pool", "shard": 4},
         }))
         assert main(["experiment", "e8", "--size", "6", "--users", "6", "--horizon", "8",
                      "--engine-spec", str(spec)]) == 1

@@ -3,14 +3,15 @@
 The trace-level evaluators (E2's R0 estimator, E3's contact tracing, E11's
 metapop flows) ride the same `ShardPlan` + `ExecutionBackend` machinery as
 E1/E4 (tests/test_distributed_eval.py); this matrix pins the same contract
-for them: bit-identity across shard counts {1, 2, 5, 7} and all four
-built-in backends, and agreement with the scalar per-release reference.
+for them: bit-identity across shard counts {1, 2, 5, 7} and the built-in
+backends (rpc's own matrix is tests/test_rpc_backend.py), and agreement
+with the scalar per-release reference.
 """
 
 import pytest
 
 from repro.core.mechanisms import PolicyLaplaceMechanism
-from repro.engine import PrivacyEngine
+from repro.engine import PrivacyEngine, backend_names
 from repro.epidemic.analysis import r0_estimation_error
 from repro.epidemic.metapop import forecast_divergence, forecast_from_flows
 from repro.epidemic.monitor import LocationMonitor, perturbed_flows
@@ -22,8 +23,8 @@ from repro.mobility.synthetic import geolife_like
 from repro.mobility.trajectory import TraceDB
 from repro.server.pipeline import run_release_rounds_batched
 
-#: the matrix the issue locks down: every built-in backend x these counts.
-BACKENDS = ["serial", "thread", "pool"]
+#: every registered backend but rpc x these counts.
+BACKENDS = [name for name in backend_names() if name != "rpc"]
 SHARD_COUNTS = [1, 2, 5, 7]
 
 
@@ -148,7 +149,7 @@ class TestContactTracing:
                 ledger = BudgetLedger()
                 outcome = protocol.run(
                     db, patient, diagnosis, rng=7, released_db=released,
-                    ledger=ledger, shards=shards, backend="thread",
+                    ledger=ledger, shards=shards, backend="serial",
                 )
                 runs[shards, released is None] = (outcome, ledger.entries)
         for generated in (True, False):
@@ -203,10 +204,8 @@ class TestMetapopFlows:
             np.bincount(monitor.area_of_batch(cells), minlength=monitor.n_areas) * 10.0 + 1.0
         )
 
-        def divergence(shards, backend=None):
-            true_flows, observed = perturbed_flows(
-                world, mechanism, db, 3, 3, rng=8, shards=shards, backend=backend
-            )
+        def divergence(shards):
+            true_flows, observed = perturbed_flows(world, mechanism, db, 3, 3, rng=8, shards=shards)
             reference = forecast_from_flows(
                 true_flows, monitor.n_areas, populations,
                 beta=0.6, sigma=0.25, gamma=0.1, mobility_rate=0.3, steps=40,
@@ -217,7 +216,7 @@ class TestMetapopFlows:
             )
             return forecast_divergence(reference, candidate)
 
-        values = {divergence(k, backend) for k in (1, 2, 5) for backend in ("serial", "thread")}
+        values = {divergence(k) for k in (1, 2, 5)}
         assert len(values) == 1
 
     def test_empty_db_rejected(self, world, mechanism):

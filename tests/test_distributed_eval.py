@@ -174,7 +174,7 @@ class TestShardInvariance:
 
     def test_backend_only_request_defaults_to_one_shard(self, world, db, mechanism):
         reference = monitoring_utility(world, mechanism, db, rng=4, shards=1)
-        assert monitoring_utility(world, mechanism, db, rng=4, backend="thread") == reference
+        assert monitoring_utility(world, mechanism, db, rng=4, backend="serial") == reference
 
     def test_unsharded_equals_one_shard(self, world, db, mechanism):
         # One layout: without shards= / backend= the evaluator is the
@@ -338,7 +338,7 @@ class TestServerStreaming:
             world, db, engine.policy, lambda *_: engine.mechanism, epsilon=1.0, rng=8
         )
         streaming = Server(world)
-        for users, times, batch in stream_shard_releases(engine, db, plan, backend="thread"):
+        for users, times, batch in stream_shard_releases(engine, db, plan, backend="serial"):
             streaming.ingest_shard(users, times, batch)
         assert list(streaming.released_db.checkins()) == list(reference.released_db.checkins())
         for user in db.users():
@@ -385,7 +385,7 @@ class TestHarnessIntegration:
 
         config = ExperimentConfig(
             world_size=6, n_users=6, horizon=8,
-            shard_counts=(1, 2), backends=("serial", "thread"),
+            shard_counts=(1, 2), backends=("serial", "pool"),
         )
         table = run_scalability(config)
         assert len(table.rows) == 4
@@ -395,7 +395,7 @@ class TestHarnessIntegration:
 
     @pytest.mark.parametrize("runner", ["E1", "E2", "E3", "E4", "E5", "E11"])
     def test_runner_tables_equal(self, runner):
-        # The default config, one explicit shard, and three thread shards
+        # The default config, one explicit shard, and three serial shards
         # all score the same per-key streams, so the tables are equal.
         import dataclasses
 
@@ -416,7 +416,7 @@ class TestHarnessIntegration:
         )
         default = run(base)
         one = run(dataclasses.replace(base, eval_shards=1))
-        many = run(dataclasses.replace(base, eval_shards=3, eval_backend="thread"))
+        many = run(dataclasses.replace(base, eval_shards=3, eval_backend="serial"))
         assert default.rows == one.rows == many.rows
 
     def test_cli_routes_shards_to_eval_for_non_e8(self):

@@ -116,7 +116,7 @@ class TestSpecUnknownKeys:
         return {
             "mechanism": {"name": "planar_laplace", "epsilon": 1.0, "params": {}},
             "policy": {"name": "G1", "params": {}},
-            "execution": {"backend": "thread", "shards": 4},
+            "execution": {"backend": "pool", "shards": 4},
         }
 
     @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ approximate: for every round ``r``, ``server.metrics_at(r)`` — maintained
 incrementally by folding each shard commit the moment it lands — equals
 :func:`~repro.server.live_metrics.batch_recompute` over the raw release
 rows, under **every** execution shape.  This file pins that matrix
-(shards {1, 2, 5, 7} x serial/thread/pool/rpc),
+(shards {1, 2, 5, 7} x serial/pool/rpc),
 the shard-count invariance of the values
 themselves, equality against independently-coded references (the E1/E11
 flow counter and the E2 contact-rate estimator), a Hypothesis property
@@ -68,7 +68,7 @@ def engine(world):
 # One live backend per name, shared by every matrix cell that uses it —
 # the pool/rpc backends pay worker spawn once per module, not per
 # cell (the same amortisation the E8 sweep uses).
-@pytest.fixture(scope="module", params=["serial", "thread", "pool", "rpc"])
+@pytest.fixture(scope="module", params=["serial", "pool", "rpc"])
 def backend(request):
     with ensure_backend(request.param) as instance:
         yield instance

@@ -11,7 +11,9 @@ bool is not a number there or in an epsilon.  An ``rng`` is ``None``, a
 numpy Generator or an int >= 0 (``True`` used to act as seed 1), and a
 ``batched`` flag is a bool (``"false"`` used to run the batched path).
 Cell arrays of a float or bool dtype are refused instead of truncated to
-cell ids (``[1.5, 2.9]`` used to release cells 1 and 2).
+cell ids (``[1.5, 2.9]`` used to release cells 1 and 2).  A backend
+parameter the named backend does not take is refused by name too (it used
+to surface as a bare ``TypeError`` from the constructor).
 """
 
 import math
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.adversary.metrics import adversary_error
-from repro.engine import PoolBackend, PrivacyEngine, ThreadBackend
+from repro.engine import ExecutionSpec, PoolBackend, PrivacyEngine
 from repro.epidemic.monitor import monitoring_utility
 from repro.errors import ValidationError
 from repro.geo.grid import GridWorld
@@ -100,6 +102,11 @@ def _release_rounds(rng):
     run_release_rounds_batched(world, db, _engine(world), rng=rng)
 
 
+def _build_backend(name, **params):
+    with ExecutionSpec(backend=name, params=params).build():
+        pass
+
+
 def _adversary_error(batched):
     world = GridWorld(6, 6)
     adversary_error(world, _engine(world), [1, 2], rng=0, batched=batched)
@@ -125,9 +132,11 @@ BAD_ARGUMENTS = {
     "ingest_shard shard -1": lambda run: _ingest_shard(-1),
     "live check shard 0.9": lambda run: _live_check(run[0], 0.9),
     "replay_shard shard 1.5": lambda run: _replay_shard(1.5),
-    "thread max_workers 2.5": lambda run: ThreadBackend(max_workers=2.5),
-    "thread max_workers True": lambda run: ThreadBackend(max_workers=True),
     "pool max_workers 1.5": lambda run: PoolBackend(max_workers=1.5),
+    "pool max_workers True": lambda run: PoolBackend(max_workers=True),
+    "serial params max_workers": lambda run: _build_backend("serial", max_workers=2),
+    "pool params workers": lambda run: _build_backend("pool", workers=2),
+    "rpc params max_workers": lambda run: _build_backend("rpc", max_workers=2),
     "p_transmit 2.0": lambda run: _query_engine(run[1], p_transmit=2.0),
     "p_transmit nan": lambda run: _query_engine(run[1], p_transmit=math.nan),
     "gamma -1": lambda run: _query_engine(run[1], gamma=-1),
@@ -187,7 +196,7 @@ def test_numpy_ints_accepted(run):
     assert sliding_windows(0, 4, np.int64(2), step=np.int32(1)) == sliding_windows(0, 4, 2)
     assert _top_cells(path, np.int64(2)) == _top_cells(path, 2)
     assert server.metrics_at(np.int64(4)) == server.metrics_at(4)
-    assert ThreadBackend(max_workers=np.int64(2)).max_workers == 2
+    assert PoolBackend(max_workers=np.int64(2)).max_workers == 2
 
 
 def test_empty_cell_sequences_accepted():

@@ -105,7 +105,7 @@ class TestManifest:
     def test_engine_spec_round_trips(self, tmp_path):
         # engine_spec is compare=False, so config equality does not cover it.
         spec = EngineSpec.named(
-            "planar_isotropic", "Gb", epsilon=0.5, backend="thread", shards=3,
+            "planar_isotropic", "Gb", epsilon=0.5, backend="pool", shards=3,
             backend_params={"max_workers": 2}, store=str(tmp_path / "run.sqlite"),
             resume=True, live_metrics=True,
         )

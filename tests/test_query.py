@@ -3,7 +3,7 @@
 The headline contract of ``repro.query`` mirrors the live-metrics one: every
 windowed answer served from the accelerator summary tables equals its naive
 ``full_scan_*`` reference **bitwise**, under every execution shape.  This
-file pins that matrix (shards {1, 2, 5, 7} x serial/thread/pool/rpc x
+file pins that matrix (shards {1, 2, 5, 7} x serial/pool/rpc x
 kill-resume), the coverage-frontier
 refusal rule (half-covered windows name the shards they wait on), awkward
 stores (empty windows, coverage gaps, ``:memory:``, resumed mid-run), and a
@@ -67,7 +67,7 @@ def engine(world):
 
 # One live backend per name, shared across the matrix (worker spawn paid
 # once per module — the same amortisation the live-metrics matrix uses).
-@pytest.fixture(scope="module", params=["serial", "thread", "pool", "rpc"])
+@pytest.fixture(scope="module", params=["serial", "pool", "rpc"])
 def backend(request):
     with ensure_backend(request.param) as instance:
         yield instance

@@ -11,12 +11,13 @@ from repro.engine import (
     ShardPlan,
     backend_names,
     ensure_backend,
+    owned_backend,
     register_backend,
     resolve_backend,
     resolve_policy,
     stream_shard_releases,
 )
-from repro.engine.backends import ExecutionBackend, PoolBackend, SerialBackend, ThreadBackend
+from repro.engine.backends import ExecutionBackend, PoolBackend, SerialBackend
 from repro.errors import DataError, StoreError, ValidationError
 from repro.experiments.configs import ExperimentConfig
 from repro.geo.grid import GridWorld
@@ -24,7 +25,12 @@ from repro.mobility.synthetic import geolife_like
 from repro.server.pipeline import run_release_rounds, run_release_rounds_batched
 from repro.store import TraceStore
 
-BACKENDS = ["serial", "thread", "pool"]
+#: Every registered backend but rpc, whose worker-process matrix lives in
+#: tests/test_rpc_backend.py.
+BACKENDS = [name for name in backend_names() if name != "rpc"]
+
+#: Names of deleted backends: each is now an unknown registry name.
+REMOVED_BACKEND_NAMES = ["process", "thread", "threads", "threadpool"]
 
 #: Every first-party mechanism, by canonical registry name.
 MECHANISMS = [
@@ -146,10 +152,11 @@ class TestShardPlan:
 
 class TestBackendRegistry:
     def test_builtins_registered(self):
-        assert {"serial", "thread", "pool"} <= set(backend_names())
+        assert {"serial", "pool", "rpc"} <= set(backend_names())
+        assert "thread" not in backend_names()
 
     def test_resolve_aliases_case_insensitive(self):
-        assert resolve_backend("THREADS")[0] == "thread"
+        assert resolve_backend("SYNC")[0] == "serial"
         assert resolve_backend("worker_pool")[0] == "pool"
         assert resolve_backend("inline")[0] == "serial"
 
@@ -157,25 +164,49 @@ class TestBackendRegistry:
         with pytest.raises(ValidationError):
             resolve_backend("gpu")
 
-    @pytest.mark.parametrize("name", ["process", "processes", "multiprocess"])
+    @pytest.mark.parametrize("name", [*REMOVED_BACKEND_NAMES, "processes", "multiprocess"])
     def test_removed_process_backend_names_pool(self, name):
-        with pytest.raises(ValidationError, match="'pool'"):
-            resolve_backend(name)
+        # Removed backends are unknown names: the error lists what remains.
+        for refuse in (resolve_backend, ensure_backend):
+            with pytest.raises(ValidationError) as refused:
+                refuse(name)
+            _assert_lists_remaining_backends(refused.value)
 
     def test_saved_spec_naming_process_fails_to_build(self):
-        spec = EngineSpec.from_dict(
-            {
-                "mechanism": {"name": "P-LM", "epsilon": 1.0},
-                "policy": {"name": "G1"},
-                "execution": {"backend": "process", "shards": 2},
-            }
-        )
-        with pytest.raises(ValidationError, match="'pool'"):
-            spec.execution.build()
+        for name in REMOVED_BACKEND_NAMES:
+            spec = EngineSpec.from_dict(
+                {
+                    "mechanism": {"name": "P-LM", "epsilon": 1.0},
+                    "policy": {"name": "G1"},
+                    "execution": {"backend": name, "shards": 2},
+                }
+            )
+            with pytest.raises(ValidationError) as refused:
+                spec.execution.build()
+            _assert_lists_remaining_backends(refused.value)
+
+    def test_parameter_the_backend_does_not_take_is_named(self):
+        # The message names the backend, the unexpected parameter and the
+        # accepted ones, read from RpcBackend itself although its registry
+        # factory takes **params.
+        with pytest.raises(ValidationError) as refused:
+            with owned_backend("rpc", max_workers=2):
+                pass
+        message = str(refused.value)
+        assert "'rpc'" in message and "['max_workers']" in message
+        assert "'workers', 'worker_timeout'" in message
+
+    def test_serial_yields_each_task_as_it_runs(self):
+        ran = []
+        stream = SerialBackend().run_unordered(lambda task: ran.append(task) or task, [4, 5, 6])
+        assert next(stream) == (0, 4)
+        assert ran == [4]
+        assert list(stream) == [(1, 5), (2, 6)]
+        assert ran == [4, 5, 6]
 
     def test_ensure_backend_coercions(self):
         assert isinstance(ensure_backend(None), SerialBackend)
-        assert isinstance(ensure_backend("thread", max_workers=2), ThreadBackend)
+        assert isinstance(ensure_backend("pool", max_workers=2), PoolBackend)
         live = PoolBackend(max_workers=1)
         assert ensure_backend(live) is live
         with pytest.raises(ValidationError):
@@ -183,7 +214,7 @@ class TestBackendRegistry:
 
     def test_max_workers_validated(self):
         with pytest.raises(ValidationError):
-            ThreadBackend(max_workers=0)
+            PoolBackend(max_workers=0)
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_run_preserves_task_order(self, name):
@@ -204,6 +235,12 @@ class TestBackendRegistry:
 
 def _double(x):
     return 2 * x
+
+
+def _assert_lists_remaining_backends(error):
+    listed = str(error).split("choose from")[1]
+    assert all(f"{name!r}" in listed for name in ("pool", "rpc", "serial"))
+    assert "thread" not in listed and "process" not in listed
 
 
 class _CountingBackend(ExecutionBackend):
@@ -286,7 +323,7 @@ class TestShardedDeterminism:
     def test_discrete_mechanism_sharding(self, world, db):
         engine = PrivacyEngine.from_spec(world, mechanism="GraphExp", policy="Gb", epsilon=1.0)
         reference = run_release_rounds_batched(world, db, engine, rng=6, shards=1)
-        sharded = run_release_rounds_batched(world, db, engine, rng=6, shards=3, backend="thread")
+        sharded = run_release_rounds_batched(world, db, engine, rng=6, shards=3, backend="serial")
         assert list(sharded.released_db.checkins()) == list(reference.released_db.checkins())
 
     def test_disclosing_policy_sharding(self, world, db):
@@ -301,7 +338,7 @@ class TestShardedDeterminism:
 
     def test_spec_execution_block_drives_sharding(self, world, db):
         engine = PrivacyEngine.from_spec(
-            world, mechanism="P-LM", policy="G1", epsilon=1.0, backend="thread", shards=4
+            world, mechanism="P-LM", policy="G1", epsilon=1.0, backend="serial", shards=4
         )
         reference = run_release_rounds_batched(world, db, engine, rng=3, shards=1)
         via_spec = run_release_rounds_batched(world, db, engine, rng=3)  # no explicit args
@@ -459,11 +496,11 @@ class TestExecutionSpec:
         assert EngineSpec.from_dict(payload).execution is None
 
     def test_execution_build(self):
-        execution = ExecutionSpec(backend="threads", shards=2, params={"max_workers": 3})
-        backend = execution.build()
-        assert isinstance(backend, ThreadBackend)
-        assert backend.max_workers == 3
-        assert execution.canonical_name == "thread"
+        execution = ExecutionSpec(backend="persistent", shards=2, params={"max_workers": 3})
+        with execution.build() as backend:
+            assert isinstance(backend, PoolBackend)
+            assert backend.max_workers == 3
+        assert execution.canonical_name == "pool"
 
     def test_invalid_shards_rejected(self):
         with pytest.raises(ValidationError):
@@ -472,12 +509,12 @@ class TestExecutionSpec:
 
 class TestConfigIntegration:
     def test_with_engine_spec_pins_sweeps(self):
-        spec = EngineSpec.named("P-PIM", "Gb", epsilon=2.0, backend="thread", shards=4)
+        spec = EngineSpec.named("P-PIM", "Gb", epsilon=2.0, backend="pool", shards=4)
         config = ExperimentConfig().with_engine_spec(spec)
         assert config.mechanisms == ("planar_isotropic",)
         assert config.policies == ("Gb",)
         assert config.epsilons == (2.0,)
-        assert config.backends == ("thread",)
+        assert config.backends == ("pool",)
         assert config.shard_counts == (1, 4)
 
     def test_make_engine_prefers_spec(self):
@@ -495,7 +532,7 @@ class TestConfigIntegration:
 
         config = ExperimentConfig(
             world_size=6, n_users=6, horizon=8,
-            shard_counts=(1, 3), backends=("serial", "thread"),
+            shard_counts=(1, 3), backends=("serial", "pool"),
         )
         table = run_scalability(config)
         assert len(table.rows) == 4

@@ -167,7 +167,7 @@ class TestRunManifest:
         )
         sharded = PrivacyEngine.from_spec(
             world,
-            EngineSpec.named("planar_laplace", "G1", epsilon=1.0, backend="thread", shards=4),
+            EngineSpec.named("planar_laplace", "G1", epsilon=1.0, backend="pool", shards=4),
         )
         other = PrivacyEngine.from_spec(
             world, EngineSpec.named("planar_laplace", "G1", epsilon=2.0)
@@ -402,7 +402,7 @@ class TestChargeMany:
 class TestExecutionSpecWiring:
     def test_round_trip_with_store(self):
         spec = EngineSpec.named(
-            "planar_laplace", "G1", epsilon=1.0, backend="thread", shards=4,
+            "planar_laplace", "G1", epsilon=1.0, backend="pool", shards=4,
             store="run.sqlite", resume=True,
         )
         payload = spec.to_dict()
@@ -413,7 +413,7 @@ class TestExecutionSpecWiring:
         assert rebuilt.execution.resume is True
 
     def test_store_keys_absent_when_unset(self):
-        spec = EngineSpec.named("planar_laplace", "G1", epsilon=1.0, backend="thread")
+        spec = EngineSpec.named("planar_laplace", "G1", epsilon=1.0, backend="pool")
         assert "store" not in spec.to_dict()["execution"]
         assert "resume" not in spec.to_dict()["execution"]
 

@@ -6,7 +6,7 @@ must resume from the SQLite store and finish **bit-identical** to the
 uninterrupted seeded run.  This file proves that three ways:
 
 * a real subprocess ``SIGKILL`` matrix over every execution backend
-  (serial / thread / pool / rpc), polling the WAL store read-only
+  (serial / pool / rpc), polling the WAL store read-only
   from the parent until enough shards have committed to make the kill
   land mid-run;
 * a Hypothesis property: for *any* committed prefix (any subset of
@@ -140,7 +140,7 @@ def _committed_shards(path):
         conn.close()
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "pool", "rpc"])
+@pytest.mark.parametrize("backend", ["serial", "pool", "rpc"])
 def test_sigkill_mid_run_then_resume_is_bit_identical(
     backend, world, db, engine, reference, tmp_path
 ):
@@ -385,11 +385,11 @@ def test_resume_with_different_backend_is_legal_and_identical(
     world, db, engine, reference, tmp_path
 ):
     # Run control (backend) is not part of the run identity: a run started
-    # serially may finish under the thread backend.
+    # serially may finish under the pool backend.
     path = str(tmp_path / "switch.sqlite")
     _interrupt(world, db, engine, path, shards_done=4)
     server = run_release_rounds_batched(
-        world, db, engine, rng=RNG, shards=N_SHARDS, backend="thread",
+        world, db, engine, rng=RNG, shards=N_SHARDS, backend="pool",
         store=path, resume=True,
     )
     _assert_matches(server, reference)
@@ -438,14 +438,15 @@ def test_sigkill_mid_run_then_resume_rebuilds_live_metrics(
     world, db, engine, reference, live_reference, tmp_path
 ):
     # The real thing: a live-metrics run killed with SIGKILL mid-commit,
-    # resumed with the views attached again.  (The full backend kill matrix
-    # runs above without views; one cell re-runs it with them.)
+    # resumed with the views attached again, on another backend.  (The full
+    # backend kill matrix runs above without views; one cell re-runs it with
+    # them.)
     store_path = tmp_path / "killed-live.sqlite"
     child = tmp_path / "child_live.py"
     child.write_text(_CHILD_LIVE)
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.Popen(
-        [sys.executable, str(child), str(store_path), "thread"],
+        [sys.executable, str(child), str(store_path), "serial"],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -472,7 +473,7 @@ def test_sigkill_mid_run_then_resume_rebuilds_live_metrics(
     assert proc.returncode == -signal.SIGKILL, stderr[-2000:]
 
     server = run_release_rounds_batched(
-        world, db, engine, rng=RNG, shards=N_SHARDS, backend="thread",
+        world, db, engine, rng=RNG, shards=N_SHARDS, backend="pool",
         store=str(store_path), resume=True, live_metrics=True,
     )
     _assert_matches(server, reference)
