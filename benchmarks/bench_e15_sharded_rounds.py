@@ -9,13 +9,18 @@ regression fix can never silently trade determinism away.
 
 ``benchmarks/run_bench.py`` times the same sweep without pytest overhead and
 records it (with backend / shard-count metadata) into ``BENCH_eval.json``.
+
+Each backend is built once and started by one untimed release before any
+timed run, so no timing includes worker start-up (a pool starts its
+workers on first use).
 """
 
 import time
+from contextlib import contextmanager
 
 import pytest
 
-from repro.engine import PrivacyEngine
+from repro.engine import PrivacyEngine, ensure_backend
 from repro.experiments.configs import ExperimentConfig
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
@@ -33,8 +38,24 @@ def _workload(size: int = 16):
     return world, db, engine
 
 
+@contextmanager
+def _started(name: str):
+    """Backend ``name``, its workers started by one untimed release."""
+    world, db, engine = _workload(size=8)
+    with ensure_backend(name) as backend:
+        run_release_rounds_batched(
+            world, db, engine, rng=0, shards=max(SHARD_COUNTS), backend=backend
+        )
+        yield backend
+
+
+@pytest.fixture(scope="module", params=ExperimentConfig().backends)
+def backend(request):
+    with _started(request.param) as backend:
+        yield backend
+
+
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-@pytest.mark.parametrize("backend", ExperimentConfig().backends)
 def test_bench_sharded_rounds(benchmark, backend, shards):
     world, db, engine = _workload()
     benchmark(
@@ -50,14 +71,15 @@ def test_sharded_matches_unsharded():
     reference = run_release_rounds_batched(world, db, engine, rng=7, shards=1)
     expected = list(reference.released_db.checkins())
     timings = {}
-    for backend in ExperimentConfig().backends:
-        for shards in SHARD_COUNTS:
-            start = time.perf_counter()
-            server = run_release_rounds_batched(
-                world, db, engine, rng=7, shards=shards, backend=backend
-            )
-            timings[(backend, shards)] = time.perf_counter() - start
-            assert list(server.released_db.checkins()) == expected, (backend, shards)
+    for name in ExperimentConfig().backends:
+        with _started(name) as backend:
+            for shards in SHARD_COUNTS:
+                start = time.perf_counter()
+                server = run_release_rounds_batched(
+                    world, db, engine, rng=7, shards=shards, backend=backend
+                )
+                timings[(name, shards)] = time.perf_counter() - start
+                assert list(server.released_db.checkins()) == expected, (name, shards)
     releases = len(db)
     print()
     for (backend, shards), seconds in timings.items():

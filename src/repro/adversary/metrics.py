@@ -117,7 +117,6 @@ def _score_trial_shard(task: _TrialShardTask):
     return MetricShardResult(
         sums={"error": errors.reshape(n_slots, trials).sum(axis=1)},
         counts=np.full(n_slots, trials, dtype=int),
-        flows={},
     )
 
 

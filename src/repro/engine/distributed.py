@@ -25,16 +25,6 @@ The merge is deliberately **exact**, not approximate:
   *identical* global array.  The final weighted mean
   (``sums.sum() / counts.sum()``) is then one reduction over that array:
   bit-identical for 1, 2, or 50 shards, on any backend.
-* Count-style components (*flow reduction*) are carried as
-  :class:`collections.Counter` maps and merged by integer addition — exact,
-  associative, and commutative.  Only the live views' reference half
-  (:func:`~repro.server.live_metrics.batch_recompute`) rides this kind:
-  E1/E11 inter-area flow counts (within-user transitions, so per-user
-  sharding partitions the global counters) and E2's **epoch-keyed
-  occupancy counters** — ``(time, cell) -> head count`` maps from which
-  the R0 contact estimator recovers the global co-location pair count as
-  ``sum(n * (n - 1) / 2)`` per key, an integer identity no shard boundary
-  can perturb.
 * Membership-style components (*event sets*) are carried as frozensets and
   merged by union — the contact-tracing protocol's per-user contact-event
   sets (candidates / flagged / true contacts).  Every user lives in exactly
@@ -64,7 +54,6 @@ releases them with :meth:`ShardRows.release_points`.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import AbstractSet, Callable, Mapping, Sequence, TypeVar
@@ -110,11 +99,6 @@ class MetricShardResult:
     counts:
         Per-key release/trial counts aligned with every array in ``sums`` —
         the weights of the weighted means.
-    flows:
-        ``component name -> Counter`` for count-valued components merged by
-        addition (the live views' reference deltas: E1's true/observed
-        inter-area flows, E11's flow matrices, E2's epoch-keyed occupancy
-        counters).  Empty for metrics without a count part.
     sets:
         ``component name -> frozenset`` for membership-valued components
         merged by union (the tracing protocol's per-user contact-event
@@ -125,23 +109,18 @@ class MetricShardResult:
 
     sums: Mapping[str, np.ndarray]
     counts: np.ndarray
-    flows: Mapping[str, Counter]
     sets: Mapping[str, AbstractSet] = field(default_factory=dict)
 
     def merge(self, other: "MetricShardResult") -> "MetricShardResult":
         """Fold two shard results into one; associative and exact.
 
         Per-key arrays concatenate (``self`` first — callers merge in shard
-        order, which reassembles the global key order), flow counters add,
-        and event sets union.  Because none of the three operations rounds,
-        ``merge`` is associative: any grouping of shards produces the same
-        result, which is what the shard-count-invariance tests pin down.
+        order, which reassembles the global key order) and event sets
+        union.  Because neither operation rounds, ``merge`` is associative:
+        any grouping of shards produces the same result, which is what the
+        shard-count-invariance tests pin down.
         """
-        if (
-            set(self.sums) != set(other.sums)
-            or set(self.flows) != set(other.flows)
-            or set(self.sets) != set(other.sets)
-        ):
+        if set(self.sums) != set(other.sums) or set(self.sets) != set(other.sets):
             raise ValidationError("cannot merge shard results with different components")
         return MetricShardResult(
             sums={
@@ -149,26 +128,11 @@ class MetricShardResult:
                 for name, values in self.sums.items()
             },
             counts=np.concatenate([self.counts, other.counts]),
-            flows={name: flows + other.flows[name] for name, flows in self.flows.items()},
             sets={
                 name: frozenset(members) | frozenset(other.sets[name])
                 for name, members in self.sets.items()
             },
         )
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def fold(cls, results: Sequence["MetricShardResult"]) -> "MetricShardResult":
-        """Left-fold ``results`` (in the given order) with :meth:`merge`.
-
-        The caller's order *is* the canonical key order of the folded
-        per-key arrays, so two folds agree bitwise iff they present the same
-        results in the same order — exactly the contract live snapshots and
-        the batch recompute share.
-        """
-        if not results:
-            raise ValidationError("need at least one shard result to fold")
-        return reduce(cls.merge, results)
 
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
@@ -178,24 +142,19 @@ class MetricShardResult:
         chokes on array-valued fields ("truth value of an array is
         ambiguous"), forcing every test to compare field by field.  Equality
         here means what the determinism suites assert: identical component
-        names, per-key arrays equal element-wise (NaN == NaN), counters and
-        sets equal as values.  Frozen/unfrozen status is irrelevant.
+        names, per-key arrays equal element-wise (NaN == NaN), sets equal as
+        values.  Frozen/unfrozen status is irrelevant.
         """
         if not isinstance(other, MetricShardResult):
             return NotImplemented
         return (
             set(self.sums) == set(other.sums)
-            and set(self.flows) == set(other.flows)
             and set(self.sets) == set(other.sets)
             and all(
                 _component_arrays_equal(values, other.sums[name])
                 for name, values in self.sums.items()
             )
             and _component_arrays_equal(self.counts, other.counts)
-            and all(
-                Counter(flows) == Counter(other.flows[name])
-                for name, flows in self.flows.items()
-            )
             and all(
                 frozenset(members) == frozenset(other.sets[name])
                 for name, members in self.sets.items()
@@ -208,8 +167,6 @@ class MetricShardResult:
         parts = [f"keys={self.n_keys}", f"releases={self.n_releases}"]
         if self.sums:
             parts.append(f"sums={sorted(self.sums)}")
-        if self.flows:
-            parts.append(f"flows={sorted(self.flows)}")
         if self.sets:
             parts.append(f"sets={sorted(self.sets)}")
         return f"MetricShardResult({', '.join(parts)})"
@@ -273,7 +230,7 @@ def sharded_metric(
     -------
     MetricShardResult
         The exact fold of every shard's result; finalise with
-        :meth:`MetricShardResult.weighted_mean` and the flow counters.
+        :meth:`MetricShardResult.weighted_mean` and the event sets.
     """
     with owned_backend(backend) as live:
         results = live.run(scorer, tasks)

@@ -12,10 +12,10 @@ end-to-end utility of the monitoring app.
 
 The pipeline is fed by :func:`~repro.epidemic.monitor.perturbed_flows`,
 whose ``shards=`` / ``backend=`` arguments scale the flow measurement over
-metric shard plans: per-shard flow counters are integer
-:class:`~collections.Counter` maps merged by exact addition (flows are
-within-user transitions, so per-user shards partition them), and
-:func:`forecast_from_flows` turns the merged counters into a forecast —
+metric shard plans: it folds every shard into the E11 live view, whose
+flow counts are integers added in any order (flows are within-user
+transitions, so per-user shards partition them), and
+:func:`forecast_from_flows` turns the resulting counters into a forecast —
 so a sharded E11 run forecasts from *bit-identical* flow matrices at any
 shard count, on any execution backend.
 """

@@ -181,7 +181,6 @@ def _score_tracing_shard(task: _TracingShardTask):
     return MetricShardResult(
         sums={"epsilon_spent": epsilon_sums},
         counts=resend_counts,
-        flows={},
         sets={
             "candidates": frozenset(candidates),
             "flagged": frozenset(flagged),

@@ -681,7 +681,10 @@ def run_scalability(config: ExperimentConfig = ExperimentConfig()) -> ResultTabl
     ``--engine-spec`` files flow straight into this sweep.  One backend
     instance is built per backend name and shared across that backend's
     whole row block, which is what lets the ``pool`` backend amortise
-    worker startup and engine pickling across the sweep.
+    worker startup and engine pickling across the sweep.  Each block
+    starts with one untimed release on its backend, so the first timed
+    row does not pay for starting the workers (a pool starts them on
+    first use).
 
     The ``workers`` column reports remote worker-process counts for the
     ``rpc`` backend: with ``config.worker_counts`` set, the rpc backend gets
@@ -767,6 +770,11 @@ def run_scalability(config: ExperimentConfig = ExperimentConfig()) -> ResultTabl
                 # Remote-worker backends report their cluster size; the
                 # in-process backends have no matching notion and show None.
                 reported_workers = getattr(backend, "workers", None) if backend_name == "rpc" else None
+                # Untimed: starts the workers before the first timed row.
+                run_release_rounds_batched(
+                    world, db, engine, rng=config.seed,
+                    shards=max(config.shard_counts, default=1), backend=backend,
+                )
                 for shards in config.shard_counts:
                     start = perf_counter()
                     server = run_release_rounds_batched(

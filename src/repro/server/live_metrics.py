@@ -34,11 +34,11 @@ break the bit-identity contract below — naming the shards still missing.
 
 Bit-identity contract
 ---------------------
-Every frozen live value equals :func:`batch_recompute` — one from-scratch
-pass over the full raw rows through the exact merge algebra of
-:class:`~repro.engine.distributed.MetricShardResult` — **bitwise**, at every
-round, for every shard count, execution backend, commit arrival order,
-and across a kill-and-resume.  Three properties make this hold:
+Every frozen live value equals :func:`batch_recompute` — each view's
+:meth:`~LiveMetricView.reference`, computed from scratch over the whole
+run's rows in ``(time, user)`` order — **bitwise**, at every round, for
+every shard count, execution backend, commit arrival order, and across a
+kill-and-resume.  Three properties make this hold:
 
 * deltas are pure functions of a shard's rows: the fold lexsorts rows by
   ``(time, user)`` first, so arrival layout (user-major from a live worker,
@@ -47,8 +47,10 @@ and across a kill-and-resume.  Three properties make this hold:
   canonical order — rounds ascending, shards ascending within a round,
   users ascending within a shard — regardless of the order commits
   *arrive* in, and each value is one ``np.sum`` over the buffer's prefix:
-  the identical array the reference concatenates, so the identical bits
-  (``np.sum`` is pairwise; order is part of the bit pattern);
+  the identical array the reference sums (a prefix of the run's
+  ``(time, user)``-ordered terms, because shards hold ascending user
+  ranges), so the identical bits (``np.sum`` is pairwise; order is part
+  of the bit pattern);
 * count-valued components (flow matrices, pair-event and observation
   totals) are integers merged by addition, which no ordering can perturb.
   Occupancy keys are ``(time, cell)``, so a round's pair events are final
@@ -70,7 +72,7 @@ from typing import TYPE_CHECKING, AbstractSet, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.engine.distributed import MetricShardResult, shard_rows
+from repro.engine.distributed import shard_rows
 from repro.engine.sharding import ShardPlan, stream_shard_releases
 from repro.epidemic.analysis import pair_events
 from repro.epidemic.monitor import LocationMonitor, MonitoringReport
@@ -112,11 +114,12 @@ def _runs(values: np.ndarray) -> Iterator[tuple[int, int, int]]:
 class ShardRows:
     """One shard's committed rows in canonical ``(time, user)`` order.
 
-    The single input shape every view folds from: build it with
-    :meth:`build` from whatever layout the commit path has (user-major from
-    a live worker, time-major from a store replay) and the fold sees the
-    identical canonical layout either way — the first leg of the
-    bit-identity contract.
+    The single input shape every view folds from (and, holding the whole
+    run's rows, the one every :meth:`LiveMetricView.reference` reads):
+    build it with :meth:`build` from whatever layout the commit path has
+    (user-major from a live worker, time-major from a store replay) and
+    the fold sees the identical canonical layout either way — the first
+    leg of the bit-identity contract.
 
     ``true_cells`` are the ground-truth cells (the shard streaming
     contract's ``batch.cells``); ``snapped_cells`` the server-side snapped
@@ -220,10 +223,9 @@ class LiveMetricView:
     * the **live** half, :meth:`live_fold`, returns a fresh
       :class:`LiveFold` — the running state the registry feeds at every
       commit and freezes round by round;
-    * the **reference** half, :meth:`shard_deltas` (one exact-mergeable
-      :class:`MetricShardResult` per round of one shard's canonical rows)
-      and :meth:`finalize` (cumulative partial -> the metric's value
-      object), which :func:`batch_recompute` folds from scratch.
+    * the **reference** half, :meth:`reference`, computes the value at
+      every round from the whole run's rows at once; :func:`batch_recompute`
+      calls it.
 
     The registry owns ordering, freezing, and snapshot bookkeeping, so a
     view never sees commit concurrency.
@@ -235,12 +237,12 @@ class LiveMetricView:
         """Fresh running state for one registry."""
         raise NotImplementedError
 
-    def shard_deltas(self, rows: ShardRows) -> dict[int, MetricShardResult]:
-        """Per-round delta partials for one shard's rows (keyed by round)."""
-        raise NotImplementedError
+    def reference(self, rows: ShardRows) -> dict[int, object]:
+        """``round -> value`` at every round of ``rows``, from scratch.
 
-    def finalize(self, partial: MetricShardResult):
-        """The metric value of a cumulative partial (pure, deterministic)."""
+        ``rows`` are the whole run's rows in canonical ``(time, user)``
+        order; the value at round ``r`` covers every row with ``time <= r``.
+        """
         raise NotImplementedError
 
 
@@ -307,19 +309,20 @@ class _FlowFold(LiveFold):
         )
 
 
-def _round_flows(
+def _cumulative_flows(
     monitor: LocationMonitor, rows: ShardRows
-) -> Iterator[tuple[int, int, int, dict[str, Counter]]]:
-    """``(round, start, stop, {"true", "observed"} flows)`` per round of one shard.
+) -> Iterator[tuple[int, int, Counter, Counter]]:
+    """``(round, stop, true flows, observed flows)`` through each round of ``rows``.
 
-    The reference half's flow pairing, shared by E1 and E11: each user
-    present at rounds ``t - 1`` and ``t`` contributes one inter-area
-    transition to round ``t``'s counters, so the cumulative fold at round
-    ``r`` counts exactly the transitions a prefix trace holds.
+    The references' flow pairing, shared by E1 and E11: each user present
+    at rounds ``t - 1`` and ``t`` adds one inter-area transition at round
+    ``t``, so the counters yielded at round ``r`` hold exactly the
+    transitions a prefix trace holds; ``stop`` ends the round's rows.  The
+    two counters are running totals, updated in place by the next step.
     """
+    true, observed = Counter(), Counter()
     previous: tuple[int, int, int] | None = None  # (round, start, stop)
     for time, start, stop in rows.round_slices():
-        flows = {"true": Counter(), "observed": Counter()}
         if previous is not None and previous[0] == time - 1:
             p_start, p_stop = previous[1], previous[2]
             _, prev_index, cur_index = np.intersect1d(
@@ -328,12 +331,13 @@ def _round_flows(
                 assume_unique=True,
                 return_indices=True,
             )
-            if prev_index.size:
-                for name, cells in (("true", rows.true_cells), ("observed", rows.snapped_cells)):
-                    flows[name] = monitor.flows_between(
+            for flows, cells in ((true, rows.true_cells), (observed, rows.snapped_cells)):
+                flows.update(
+                    monitor.flows_between(
                         cells[p_start:p_stop][prev_index], cells[start:stop][cur_index]
                     )
-        yield time, start, stop, flows
+                )
+        yield time, stop, true, observed
         previous = (time, start, stop)
 
 
@@ -375,14 +379,14 @@ class _MonitoringFold(LiveFold):
 class MonitoringUtilityView(LiveMetricView):
     """E1 live: mean Euclidean error, area accuracy, flow L1 error.
 
-    Per-row error and area-hit contributions ride the per-key partial-sum
-    kind (each key is one release, so no intra-key float addition exists at
-    all — the only reduction is the final ``np.sum`` over the canonical
-    array); inter-area flows ride the Counter kind, each ``(t-1, t)``
-    transition assigned to the destination round's delta so the cumulative
-    fold at round ``r`` counts exactly the transitions a prefix trace holds.
-    Live, the same per-row terms append to one prefix-sum buffer per
-    component and the flows fold into dense area matrices.
+    Each release contributes one error and one area-hit term
+    (:meth:`row_terms`), so the only float reduction is one ``np.sum`` over
+    the terms in canonical order; each ``(t-1, t)`` inter-area transition
+    counts at its destination round, so the value at round ``r`` counts
+    exactly the transitions a prefix trace holds.  Live, the terms append
+    to one prefix-sum buffer per component and the flows fold into dense
+    area matrices; the reference sums a prefix of the run's terms and
+    pairs rounds into flow counters.
     """
 
     def __init__(
@@ -412,30 +416,22 @@ class MonitoringUtilityView(LiveMetricView):
         ).astype(float)
         return errors, hits
 
-    def shard_deltas(self, rows: ShardRows) -> dict[int, MetricShardResult]:
+    def reference(self, rows: ShardRows) -> dict[int, MonitoringReport]:
         errors, hits = self.row_terms(rows)
-        return {
-            time: MetricShardResult(
-                sums={"error": errors[start:stop], "area_hits": hits[start:stop]},
-                counts=np.ones(stop - start, dtype=int),
-                flows=flows,
+        values = {}
+        for time, stop, true_flows, observed_flows in _cumulative_flows(self.monitor, rows):
+            l1 = sum(
+                abs(true_flows[key] - observed_flows[key])
+                for key in true_flows.keys() | observed_flows.keys()
             )
-            for time, start, stop, flows in _round_flows(self.monitor, rows)
-        }
-
-    def finalize(self, partial: MetricShardResult) -> MonitoringReport:
-        true_flows, observed_flows = partial.flows["true"], partial.flows["observed"]
-        l1 = sum(
-            abs(true_flows.get(key, 0) - observed_flows.get(key, 0))
-            for key in set(true_flows) | set(observed_flows)
-        )
-        total_true = sum(true_flows.values())
-        return MonitoringReport(
-            mean_euclidean_error=partial.weighted_mean("error"),
-            area_accuracy=partial.weighted_mean("area_hits"),
-            flow_l1_error=l1 / total_true if total_true else 0.0,
-            n_releases=partial.n_releases,
-        )
+            total_true = sum(true_flows.values())
+            values[time] = MonitoringReport(
+                mean_euclidean_error=float(errors[:stop].sum()) / stop,
+                area_accuracy=float(hits[:stop].sum()) / stop,
+                flow_l1_error=l1 / total_true if total_true else 0.0,
+                n_releases=stop,
+            )
+        return values
 
 
 @dataclass(frozen=True)
@@ -477,9 +473,9 @@ class _ContactFold(LiveFold):
 class ContactRateView(LiveMetricView):
     """E2 live: epoch-keyed occupancy counts -> contact rate and R0.
 
-    The per-round delta is a pair of ``(time, cell) -> head count``
-    occupancies (true cells and snapped cells); merging is integer
-    addition, so no ordering can perturb it.  The value runs the same
+    Each round contributes its ``cell -> head count`` occupancies (true
+    cells and snapped cells) as integer pair events, so no ordering can
+    perturb the totals.  The value runs the same
     estimator as :func:`repro.epidemic.analysis.contact_rate`:
     ``2 * pair_events / observations``, then ``R0 = p * c / gamma`` — the
     arithmetic is integers plus one identical float expression
@@ -500,27 +496,16 @@ class ContactRateView(LiveMetricView):
     def live_fold(self) -> LiveFold:
         return _ContactFold(self)
 
-    def shard_deltas(self, rows: ShardRows) -> dict[int, MetricShardResult]:
-        deltas: dict[int, MetricShardResult] = {}
+    def reference(self, rows: ShardRows) -> dict[int, ContactSnapshot]:
+        values = {}
+        pairs = [0, 0]  # true, observed
         for time, start, stop in rows.round_slices():
-            true_occupancy: Counter = Counter()
-            perturbed_occupancy: Counter = Counter()
-            for target, cells in (
-                (true_occupancy, rows.true_cells),
-                (perturbed_occupancy, rows.snapped_cells),
-            ):
+            for kind, cells in enumerate((rows.true_cells, rows.snapped_cells)):
                 uniques, counts = np.unique(cells[start:stop], return_counts=True)
-                for cell, count in zip(uniques.tolist(), counts.tolist()):
-                    target[(time, cell)] = count
-            deltas[time] = MetricShardResult(
-                sums={},
-                counts=np.ones(stop - start, dtype=int),
-                flows={
-                    "true_occupancy": true_occupancy,
-                    "perturbed_occupancy": perturbed_occupancy,
-                },
-            )
-        return deltas
+                heads = Counter(dict(zip(uniques.tolist(), counts.tolist())))
+                pairs[kind] += pair_events(heads)
+            values[time] = self.snapshot(pairs[0], pairs[1], stop)
+        return values
 
     def snapshot(self, true_pairs: int, observed_pairs: int, observations: int) -> ContactSnapshot:
         """The E2 value of integer pair-event and observation totals."""
@@ -534,13 +519,6 @@ class ContactRateView(LiveMetricView):
             r0_true=self.p_transmit * true_rate / self.gamma,
             r0_observed=self.p_transmit * observed_rate / self.gamma,
             n_observations=observations,
-        )
-
-    def finalize(self, partial: MetricShardResult) -> ContactSnapshot:
-        return self.snapshot(
-            pair_events(partial.flows["true_occupancy"]),
-            pair_events(partial.flows["perturbed_occupancy"]),
-            partial.n_releases,
         )
 
 
@@ -574,19 +552,11 @@ class FlowMatrixView(LiveMetricView):
     def live_fold(self) -> LiveFold:
         return _FlowFold(self.monitor)
 
-    def shard_deltas(self, rows: ShardRows) -> dict[int, MetricShardResult]:
+    def reference(self, rows: ShardRows) -> dict[int, FlowSnapshot]:
         return {
-            time: MetricShardResult(
-                sums={}, counts=np.ones(stop - start, dtype=int), flows=flows
-            )
-            for time, start, stop, flows in _round_flows(self.monitor, rows)
+            time: FlowSnapshot(true_flows=Counter(true), observed_flows=Counter(observed))
+            for time, _, true, observed in _cumulative_flows(self.monitor, rows)
         }
-
-    def finalize(self, partial: MetricShardResult) -> FlowSnapshot:
-        return FlowSnapshot(
-            true_flows=Counter(partial.flows["true"]),
-            observed_flows=Counter(partial.flows["observed"]),
-        )
 
 
 def default_views(
@@ -602,6 +572,17 @@ def default_views(
         ContactRateView(p_transmit=p_transmit, gamma=gamma),
         FlowMatrixView(world, block_rows, block_cols),
     ]
+
+
+def _unique_names(views: Sequence[LiveMetricView]) -> tuple[LiveMetricView, ...]:
+    """``views`` as a tuple; refuses none, or two sharing a name (values are keyed by name)."""
+    views = tuple(views)
+    if not views:
+        raise ValidationError("need at least one live metric view")
+    names = [view.name for view in views]
+    if len(set(names)) != len(names):
+        raise ValidationError(f"duplicate live metric view names: {sorted(names)}")
+    return views
 
 
 def expected_coverage(plan: ShardPlan, true_db: "TraceDB") -> dict[int, frozenset[int]]:
@@ -657,17 +638,11 @@ class LiveMetricRegistry:
         views: Sequence[LiveMetricView],
         expected: Mapping[int, AbstractSet[int]],
     ) -> None:
-        views = list(views)
-        if not views:
-            raise ValidationError("need at least one live metric view")
-        names = [view.name for view in views]
-        if len(set(names)) != len(names):
-            raise ValidationError(f"duplicate live metric view names: {sorted(names)}")
-        self._views = tuple(views)
+        self._views = _unique_names(views)
         self._coverage = Coverage(expected)
         if not self._coverage.rounds:
             raise ValidationError("expected coverage is empty; nothing to maintain")
-        self._folds = tuple(view.live_fold() for view in views)
+        self._folds = tuple(view.live_fold() for view in self._views)
         self._committed: set[int] = set()
         self._values: dict[int, Mapping[str, object]] = {}
         self._lock = threading.Lock()
@@ -704,23 +679,28 @@ class LiveMetricRegistry:
         ``shard`` that is not a Python or numpy int >= 0 is a
         :class:`~repro.errors.ValidationError`.
         """
+        rows = ShardRows.build(users, times, points, true_cells, snapped_cells)
+        self._admit(shard, rows)
+        return rows
+
+    def _admit(self, shard: int, rows: ShardRows) -> int:
+        """``shard`` as an int, if ``rows`` may fold as that shard now."""
         shard = check_integer("shard", shard, minimum=0)
         owned = self._coverage.schedule.get(shard)
         if owned is None:
             raise DataError(f"shard {shard} is not in the expected coverage")
         if shard in self._committed:
             raise DataError(f"shard {shard} was already folded into the live state")
-        rows = ShardRows.build(users, times, points, true_cells, snapped_cells)
         observed = frozenset(time for time, _, _ in rows.round_slices())
         if observed != owned:
             raise DataError(
                 f"shard {shard} committed rounds {sorted(observed)} but the "
                 f"coverage expects {sorted(owned)}"
             )
-        return rows
+        return shard
 
-    def ingest(self, shard: int, users, times, points, true_cells, snapped_cells) -> None:
-        """Fold one committed shard's rows into the live state.
+    def ingest(self, shard: int, rows: ShardRows) -> None:
+        """Fold one committed shard's canonical rows (from :meth:`check`).
 
         O(shard rows) to park the shard's deltas, plus O(round delta) per
         round the commit completes, which freezes immediately — so neither
@@ -728,12 +708,13 @@ class LiveMetricRegistry:
         Rounds freeze strictly ascending, as the coverage frontier passes
         them: each fold's running state at round ``r`` extends its state at
         ``r-1``, which is what makes the canonical fold order (rounds, then
-        shards, then users) independent of commit arrival order.  Refuses
-        exactly what :meth:`check` refuses.
+        shards, then users) independent of commit arrival order.  Under the
+        lock it refuses, as :meth:`check` does, a shard that is not
+        expected, is already folded, or presents other rounds than its
+        scheduled ones.
         """
         with self._lock:
-            rows = self.check(shard, users, times, points, true_cells, snapped_cells)
-            shard = int(shard)
+            shard = self._admit(shard, rows)
             for fold in self._folds:
                 fold.add(shard, rows)
             self._committed.add(shard)
@@ -793,62 +774,35 @@ def batch_recompute(
     snapped_cells,
     upto: int | None = None,
 ) -> dict[int, dict[str, object]]:
-    """The O(population) reference the live values are bit-identical to.
+    """The from-scratch reference the live values are bit-identical to.
 
-    One from-scratch pass over the full raw rows: group rows by the plan's
-    shards, build every per-round delta, fold them in the canonical order
-    (rounds ascending, shards ascending, users ascending), and finalize
-    each cumulative prefix.  Returns ``round -> {view name -> value}`` for
-    every round ≤ ``upto`` (all rounds when ``None``).
+    One pass over the full raw rows: put them in canonical ``(time, user)``
+    order once (:meth:`ShardRows.build`) and take every view's
+    :meth:`~LiveMetricView.reference`.  Returns ``round -> {view name ->
+    value}`` for every round ≤ ``upto`` (all rounds when ``None``); ``{}``
+    when no row is at or before it.  Every row's user must be one of
+    ``plan``'s users — a row of any other user is a
+    :class:`~repro.errors.DataError` naming the first such row's user —
+    and the view names must be distinct, as the registry requires.
 
     No incremental state is consulted — this is what E21 times against the
     registry's O(1) lookups, and what the determinism matrix compares
     snapshots to.
     """
-    views = list(views)
-    if not views:
-        raise ValidationError("need at least one live metric view")
+    views = _unique_names(views)
     users = np.asarray(users, dtype=int)
-    times = np.asarray(times, dtype=int)
-    points = np.asarray(points, dtype=float)
-    true_cells = np.asarray(true_cells, dtype=int)
-    snapped_cells = np.asarray(snapped_cells, dtype=int)
-
-    #: view name -> round -> shard -> delta
-    deltas: dict[str, dict[int, dict[int, MetricShardResult]]] = {
-        view.name: {} for view in views
+    outside = ~np.isin(users, plan.users)
+    if outside.any():
+        raise DataError(f"user {int(users[outside][0])} is not in the shard plan")
+    if len(users) == 0:
+        return {}
+    rows = ShardRows.build(users, times, points, true_cells, snapped_cells)
+    values = {view.name: view.reference(rows) for view in views}
+    return {
+        time: {name: per_round[time] for name, per_round in values.items()}
+        for time, _, _ in rows.round_slices()
+        if upto is None or time <= int(upto)
     }
-    for shard, shard_users, _ in plan.iter_shards():
-        mask = (users >= shard_users[0]) & (users <= shard_users[-1])
-        if not bool(mask.any()):
-            continue
-        rows = ShardRows.build(
-            users[mask], times[mask], points[mask], true_cells[mask], snapped_cells[mask]
-        )
-        for view in views:
-            for time, delta in view.shard_deltas(rows).items():
-                deltas[view.name].setdefault(time, {})[shard] = delta
-
-    rounds = sorted({time for per_view in deltas.values() for time in per_view})
-    chain: dict[str, MetricShardResult] = {}
-    out: dict[int, dict[str, object]] = {}
-    for time in rounds:
-        if upto is not None and time > int(upto):
-            break
-        values: dict[str, object] = {}
-        for view in views:
-            per_shard = deltas[view.name][time]
-            round_delta = MetricShardResult.fold(
-                [per_shard[shard] for shard in sorted(per_shard)]
-            )
-            chain[view.name] = (
-                chain[view.name].merge(round_delta)
-                if view.name in chain
-                else round_delta
-            )
-            values[view.name] = view.finalize(chain[view.name])
-        out[time] = values
-    return out
 
 
 def _final_value(
@@ -884,7 +838,8 @@ def _final_value(
     def fold(users, times, points, true_cells) -> None:
         # Shards own contiguous user blocks, so any member names the shard.
         shard = plan.shard_of(int(users[0]))
-        registry.ingest(shard, users, times, points, true_cells, world.snap_batch(points))
+        rows = registry.check(shard, users, times, points, true_cells, world.snap_batch(points))
+        registry.ingest(shard, rows)
 
     if batched:
         # Closed on every exit, so a backend the stream owns shuts down

@@ -340,7 +340,7 @@ class Server:
             if self._metrics is not None:
                 # Refuse a shard the live views would refuse before any of
                 # it becomes durable or touches the trace and ledger.
-                self._metrics.check(shard, users, times, batch.points, true_cells, cells)
+                rows = self._metrics.check(shard, users, times, batch.points, true_cells, cells)
             if self.store is not None:
                 # The store keeps only the ground truth's aggregate
                 # accelerator summaries, never the per-row values.
@@ -371,7 +371,7 @@ class Server:
             if self._metrics is not None:
                 # Fold inside the commit section: the registry sees exactly
                 # the committed rows, once, whichever thread committed them.
-                self._metrics.ingest(shard, users, times, batch.points, true_cells, cells)
+                self._metrics.ingest(shard, rows)
         return cells
 
     def replay_shard(
@@ -393,8 +393,8 @@ class Server:
         state after a replay is element-wise identical to a fresh commit.
 
         When live metric views are attached, the replay also rebuilds the
-        registry's folded state: the store additionally yields the released
-        points (SQLite REALs round-trip float64 exactly), and ``shard`` /
+        registry's folded state from the released points the store returns
+        with the rows (SQLite REALs round-trip float64 exactly), and ``shard`` /
         ``true_cells`` become mandatory — ``true_cells(users, times)`` must
         resolve the ground-truth cells, which the store deliberately never
         persists.  Because delta folds canonicalise row order, a replayed
@@ -415,18 +415,17 @@ class Server:
                     "true_cells= (a resolver mapping row (users, times) to "
                     "ground-truth cells)"
                 )
-            users, times, cells, points, _exact, epsilons = self.store.shard_release_rows(
-                low_user, high_user
-            )
+        users, times, cells, points, _exact, epsilons = self.store.shard_release_rows(
+            low_user, high_user
+        )
+        if self._metrics is not None:
             truth = np.asarray(true_cells(users, times), dtype=int)
-            self._metrics.check(shard, users, times, points, truth, cells)
-        else:
-            users, times, cells, epsilons = self.store.shard_rows(low_user, high_user)
+            rows = self._metrics.check(shard, users, times, points, truth, cells)
         if not self.out_of_core:
             self.released_db.record_many(users, times, cells)
         self.ledger.charge_many(users, times, epsilons, purpose=purpose)
         if self._metrics is not None:
-            self._metrics.ingest(shard, users, times, points, truth, cells)
+            self._metrics.ingest(shard, rows)
         return len(users)
 
     def push_policy(self, client: Client, policy: PolicyGraph) -> None:

@@ -470,44 +470,22 @@ class TraceStore:
             for user, time, cell in rows:
                 yield CheckIn(time=int(time), user=int(user), cell=int(cell))
 
-    def shard_rows(
+    def shard_release_rows(
         self, low_user: int, high_user: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Replay arrays for one shard's contiguous user range.
 
         Shard members are a contiguous block of the plan's sorted user list,
         so ``user BETWEEN low AND high`` retrieves exactly that shard's rows.
-        Returned as ``(users, times, cells, epsilons)`` ordered by ``(time,
-        user)`` — the commit order of :meth:`Server.ingest_shard
+        Returned as ``(users, times, cells, points, exact, epsilons)``
+        ordered by ``(time, user)`` — the commit order of
+        :meth:`Server.ingest_shard
         <repro.server.pipeline.Server.ingest_shard>`, which is what makes a
         replayed shard's server state identical to a freshly committed one.
-        """
-        rows = self.connection.execute(
-            "SELECT user, time, cell, epsilon FROM releases "
-            "WHERE user BETWEEN ? AND ? ORDER BY time, user",
-            (int(low_user), int(high_user)),
-        ).fetchall()
-        if not rows:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy(), np.empty(0, dtype=float)
-        users, times, cells, epsilons = zip(*rows)
-        return (
-            np.asarray(users, dtype=np.int64),
-            np.asarray(times, dtype=np.int64),
-            np.asarray(cells, dtype=np.int64),
-            np.asarray(epsilons, dtype=float),
-        )
-
-    def shard_release_rows(
-        self, low_user: int, high_user: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`shard_rows` plus the released points and exact flags.
-
-        ``(users, times, cells, points, exact, epsilons)`` in the same
-        ``(time, user)`` order — everything a live-metric replay needs to
-        re-derive a shard's delta partials bit-identically (SQLite REALs
-        round-trip float64 exactly; only the ground-truth cells are absent,
-        because the store deliberately never persists them).
+        The points are what a live-metric replay re-folds bit-identically
+        (SQLite REALs round-trip float64 exactly; only the ground-truth
+        cells are absent, because the store deliberately never persists
+        them).
         """
         rows = self.connection.execute(
             "SELECT user, time, cell, x, y, exact, epsilon FROM releases "

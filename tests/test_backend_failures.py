@@ -33,9 +33,7 @@ def _explode_on_marked(task):
     """Scorer that succeeds on plain ints and raises on the marked task."""
     if task == "boom":
         raise ShardExploded("shard boom exploded mid-stream")
-    return MetricShardResult(
-        sums={"error": np.array([float(task)])}, counts=np.array([1]), flows={}
-    )
+    return MetricShardResult(sums={"error": np.array([float(task)])}, counts=np.array([1]))
 
 
 class _RecordingPool(PoolBackend):

@@ -1,7 +1,5 @@
 """Distributed evaluation: exact merges, shard/backend invariance, lifecycle."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -57,11 +55,10 @@ def engine(world):
     return PrivacyEngine.from_spec(world, mechanism="P-LM", policy="G1", epsilon=1.0)
 
 
-def _shard_result(sums, counts, true_flows, observed_flows):
+def _shard_result(sums, counts):
     return MetricShardResult(
         sums={"error": np.asarray(sums, dtype=float)},
         counts=np.asarray(counts, dtype=int),
-        flows={"true": Counter(true_flows), "observed": Counter(observed_flows)},
     )
 
 
@@ -70,23 +67,22 @@ def _results_equal(a: MetricShardResult, b: MetricShardResult) -> bool:
         set(a.sums) == set(b.sums)
         and all(np.array_equal(a.sums[k], b.sums[k]) for k in a.sums)
         and np.array_equal(a.counts, b.counts)
-        and a.flows == b.flows
     )
 
 
 class TestMergeSemantics:
     def test_merge_is_associative(self):
-        a = _shard_result([1.5], [3], {(0, 1): 2}, {(0, 1): 1})
-        b = _shard_result([0.25, 4.0], [2, 2], {(1, 0): 1}, {})
-        c = _shard_result([7.125], [5], {(0, 1): 1}, {(2, 2): 4})
+        a = _shard_result([1.5], [3])
+        b = _shard_result([0.25, 4.0], [2, 2])
+        c = _shard_result([7.125], [5])
         left = a.merge(b).merge(c)
         right = a.merge(b.merge(c))
         assert _results_equal(left, right)
         assert _results_equal(left, merge_metric_results([a, b, c]))
 
     def test_merge_concatenates_in_shard_order(self):
-        a = _shard_result([1.0, 2.0], [1, 1], {}, {})
-        b = _shard_result([3.0], [2], {}, {})
+        a = _shard_result([1.0, 2.0], [1, 1])
+        b = _shard_result([3.0], [2])
         merged = a.merge(b)
         assert merged.sums["error"].tolist() == [1.0, 2.0, 3.0]
         assert merged.counts.tolist() == [1, 1, 2]
@@ -94,18 +90,9 @@ class TestMergeSemantics:
         assert merged.n_releases == 4
         assert merged.weighted_mean("error") == 6.0 / 4
 
-    def test_flow_counters_add(self):
-        a = _shard_result([0.0], [1], {(0, 1): 2, (1, 1): 1}, {(0, 1): 1})
-        b = _shard_result([0.0], [1], {(0, 1): 3}, {(3, 0): 2})
-        merged = a.merge(b)
-        assert merged.flows["true"] == Counter({(0, 1): 5, (1, 1): 1})
-        assert merged.flows["observed"] == Counter({(0, 1): 1, (3, 0): 2})
-
     def test_component_mismatch_rejected(self):
-        a = _shard_result([1.0], [1], {}, {})
-        b = MetricShardResult(
-            sums={"other": np.array([1.0])}, counts=np.array([1]), flows={}
-        )
+        a = _shard_result([1.0], [1])
+        b = MetricShardResult(sums={"other": np.array([1.0])}, counts=np.array([1]))
         with pytest.raises(ValidationError):
             a.merge(b)
 
@@ -114,9 +101,7 @@ class TestMergeSemantics:
             merge_metric_results([])
 
     def test_weighted_mean_requires_releases(self):
-        empty = MetricShardResult(
-            sums={"error": np.array([])}, counts=np.array([], dtype=int), flows={}
-        )
+        empty = MetricShardResult(sums={"error": np.array([])}, counts=np.array([], dtype=int))
         with pytest.raises(ValidationError):
             empty.weighted_mean("error")
 
@@ -194,9 +179,7 @@ def _boom(task):
 
 
 def _identity(task):
-    return MetricShardResult(
-        sums={"error": np.array([float(task)])}, counts=np.array([1]), flows={}
-    )
+    return MetricShardResult(sums={"error": np.array([float(task)])}, counts=np.array([1]))
 
 
 class _RecordingSerial(SerialBackend):

@@ -4,12 +4,13 @@ The distributed evaluation layer's whole correctness story is that
 :meth:`MetricShardResult.merge` is an *exact* fold: regrouping shards
 (associativity) can never change anything, and reordering them
 (commutativity) can never change any **final metric value** — weighted
-means, Counter components (flows / epoch-keyed occupancy), and event sets.
-These properties generate arbitrary shard results covering every component
-kind — the original weighted-mean / flow kinds plus the three epidemic
-kinds (occupancy counters, contact-event sets, metapop flow matrices) —
-and random regroupings/permutations, rather than trusting the handful of
-fixtures in tests/test_distributed_eval.py.
+means and event sets.  These properties generate arbitrary shard results
+covering every component kind — weighted-mean partial sums and
+contact-event sets — and random regroupings/permutations, rather than
+trusting the handful of fixtures in tests/test_distributed_eval.py.  The
+epoch-keyed occupancy identity the E2 views rely on (per-shard head
+counts add up to the global ones, whose pair events are the brute-force
+co-location count) is pinned here too.
 
 Note the asymmetry, mirrored from the implementation: per-key *arrays* are
 order-sensitive by design (callers merge in shard order to reassemble the
@@ -37,12 +38,7 @@ exact_floats = st.integers(min_value=-(2**20), max_value=2**20).map(float)
 #: arbitrary finite floats for fixed-order (bit-identity) properties.
 any_floats = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, width=64)
 
-flow_keys = st.tuples(st.integers(0, 5), st.integers(0, 5))
 user_ids = st.integers(0, 99)
-
-
-def counters(keys=flow_keys, max_size=6):
-    return st.dictionaries(keys, st.integers(0, 50), max_size=max_size).map(Counter)
 
 
 @st.composite
@@ -61,10 +57,6 @@ def single_results(draw, values=any_floats):
     return MetricShardResult(
         sums=sums,
         counts=counts,
-        flows={
-            "flow": draw(counters()),
-            "occupancy": draw(counters()),
-        },
         sets={"events": frozenset(draw(st.sets(user_ids, max_size=5)))},
     )
 
@@ -113,8 +105,7 @@ class TestCommutativity:
         order = data.draw(st.permutations(range(len(results))))
         merged = merge_metric_results(results)
         permuted = merge_metric_results([results[i] for i in order])
-        # Counter and set components are commutative outright.
-        assert permuted.flows == merged.flows
+        # Set components are commutative outright.
         assert permuted.sets == merged.sets
         assert permuted.n_releases == merged.n_releases
         # Weighted means: integer-valued partials sum exactly in any order.
@@ -125,7 +116,7 @@ class TestCommutativity:
 
 
 class TestEpidemicKinds:
-    """The three new kinds against brute-force global references."""
+    """The epidemic kinds against brute-force global references."""
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -138,67 +129,32 @@ class TestEpidemicKinds:
     )
     def test_occupancy_counters_recover_global_pair_events(self, observations, data):
         # Partition users into shards arbitrarily; per-shard epoch-keyed
-        # occupancy counters must merge to the global counter, and
-        # pair_events on the merge must equal brute-force pair counting.
+        # occupancy counters must add up to the global counter, and
+        # pair_events on the sum must equal brute-force pair counting.
         users = sorted({user for user, _ in observations})
         shard_of = {
             user: data.draw(st.integers(0, 3), label=f"shard({user})") for user in users
         }
-        shards = []
-        for shard in range(4):
-            occupancy = Counter(
+        shards = [
+            Counter(
                 (time, cell)
                 for (user, time), cell in observations.items()
                 if shard_of[user] == shard
             )
-            shards.append(
-                MetricShardResult(
-                    sums={}, counts=np.array([], dtype=int),
-                    flows={"occupancy": occupancy},
-                )
-            )
-        merged = merge_metric_results(shards)
+            for shard in range(4)
+        ]
+        merged = sum(shards, Counter())
         global_occupancy = Counter(
             (time, cell) for (_, time), cell in observations.items()
         )
-        assert merged.flows["occupancy"] == global_occupancy
+        assert merged == global_occupancy
         brute_pairs = sum(
             1
             for (ua, ta), ca in observations.items()
             for (ub, tb), cb in observations.items()
             if ua < ub and ta == tb and ca == cb
         )
-        assert pair_events(merged.flows["occupancy"]) == brute_pairs
-
-    @settings(deadline=None, max_examples=60)
-    @given(
-        trajectories=st.dictionaries(
-            user_ids, st.lists(st.integers(0, 3), min_size=1, max_size=6), max_size=8
-        ),
-        data=st.data(),
-    )
-    def test_flow_matrices_partition_by_user(self, trajectories, data):
-        # Metapop flow matrices are within-user transition counts: any
-        # user partition's per-shard Counters must add to the global one.
-        def flows_of(users):
-            flows = Counter()
-            for user in users:
-                cells = trajectories[user]
-                flows.update(zip(cells, cells[1:]))
-            return flows
-
-        users = sorted(trajectories)
-        shard_of = {
-            user: data.draw(st.integers(0, 2), label=f"shard({user})") for user in users
-        }
-        shards = [
-            MetricShardResult(
-                sums={}, counts=np.array([], dtype=int),
-                flows={"flow": flows_of([u for u in users if shard_of[u] == s])},
-            )
-            for s in range(3)
-        ]
-        assert merge_metric_results(shards).flows["flow"] == flows_of(users)
+        assert pair_events(merged) == brute_pairs
 
     @settings(deadline=None, max_examples=60)
     @given(events=st.sets(user_ids, max_size=20), data=st.data())
@@ -209,7 +165,7 @@ class TestEpidemicKinds:
         }
         shards = [
             MetricShardResult(
-                sums={}, counts=np.array([], dtype=int), flows={},
+                sums={}, counts=np.array([], dtype=int),
                 sets={"events": frozenset(u for u in members if shard_of[u] == s)},
             )
             for s in range(4)
@@ -219,7 +175,7 @@ class TestEpidemicKinds:
 
 
 class TestStructuralEquality:
-    """The ``__eq__`` / ``__repr__`` / fold surface itself."""
+    """The ``__eq__`` / ``__repr__`` surface itself."""
 
     @settings(deadline=None, max_examples=40)
     @given(results=shard_results(max_shards=1))
@@ -228,7 +184,6 @@ class TestStructuralEquality:
         clone = MetricShardResult(
             sums={name: values.copy() for name, values in result.sums.items()},
             counts=result.counts.copy(),
-            flows={name: Counter(flows) for name, flows in result.flows.items()},
             sets={name: frozenset(members) for name, members in result.sets.items()},
         )
         assert result == clone and clone == result
@@ -237,38 +192,27 @@ class TestStructuralEquality:
         base = MetricShardResult(
             sums={"error": np.array([1.0, 2.0])},
             counts=np.array([1, 1]),
-            flows={"flow": Counter({(0, 1): 2})},
             sets={"events": frozenset({3})},
         )
         variants = [
             MetricShardResult(
                 sums={"error": np.array([1.0, 2.5])},  # array value
                 counts=np.array([1, 1]),
-                flows={"flow": Counter({(0, 1): 2})},
                 sets={"events": frozenset({3})},
             ),
             MetricShardResult(
                 sums={"error": np.array([1.0, 2.0])},
                 counts=np.array([1, 2]),  # counts
-                flows={"flow": Counter({(0, 1): 2})},
                 sets={"events": frozenset({3})},
             ),
             MetricShardResult(
                 sums={"error": np.array([1.0, 2.0])},
                 counts=np.array([1, 1]),
-                flows={"flow": Counter({(0, 1): 3})},  # flow count
-                sets={"events": frozenset({3})},
-            ),
-            MetricShardResult(
-                sums={"error": np.array([1.0, 2.0])},
-                counts=np.array([1, 1]),
-                flows={"flow": Counter({(0, 1): 2})},
                 sets={"events": frozenset({4})},  # set member
             ),
             MetricShardResult(
                 sums={"other": np.array([1.0, 2.0])},  # component name
                 counts=np.array([1, 1]),
-                flows={"flow": Counter({(0, 1): 2})},
                 sets={"events": frozenset({3})},
             ),
         ]
@@ -277,20 +221,20 @@ class TestStructuralEquality:
 
     def test_nan_partials_compare_equal(self):
         a = MetricShardResult(
-            sums={"error": np.array([np.nan, 1.0])}, counts=np.array([1, 1]), flows={}
+            sums={"error": np.array([np.nan, 1.0])}, counts=np.array([1, 1])
         )
         b = MetricShardResult(
-            sums={"error": np.array([np.nan, 1.0])}, counts=np.array([1, 1]), flows={}
+            sums={"error": np.array([np.nan, 1.0])}, counts=np.array([1, 1])
         )
         assert a == b
 
     def test_other_types_are_unequal_not_errors(self):
-        result = MetricShardResult(sums={}, counts=np.array([], dtype=int), flows={})
+        result = MetricShardResult(sums={}, counts=np.array([], dtype=int))
         assert result != 5
         assert (result == "shard") is False
 
     def test_results_are_unhashable(self):
-        result = MetricShardResult(sums={}, counts=np.array([], dtype=int), flows={})
+        result = MetricShardResult(sums={}, counts=np.array([], dtype=int))
         with pytest.raises(TypeError):
             hash(result)
 
@@ -298,113 +242,26 @@ class TestStructuralEquality:
         result = MetricShardResult(
             sums={"error": np.array([1.0])},
             counts=np.array([2]),
-            flows={"flow": Counter()},
             sets={"events": frozenset()},
         )
         text = repr(result)
         assert "keys=1" in text and "releases=2" in text
         assert "sums=['error']" in text
-        assert "flows=['flow']" in text
         assert "sets=['events']" in text
-
-    @settings(deadline=None, max_examples=40)
-    @given(results=shard_results(min_shards=1))
-    def test_fold_is_the_left_reduce(self, results):
-        assert MetricShardResult.fold(results) == reduce(MetricShardResult.merge, results)
-
-    def test_fold_of_nothing_is_rejected(self):
-        with pytest.raises(ValidationError):
-            MetricShardResult.fold([])
-
-
-@st.composite
-def delta_grids(draw):
-    """A ``(coverage, deltas)`` grid: shard -> owned rounds, one delta each."""
-    n_rounds = draw(st.integers(1, 4))
-    n_shards = draw(st.integers(1, 4))
-    coverage = {}
-    for shard in range(n_shards):
-        rounds = draw(st.sets(st.integers(0, n_rounds - 1), max_size=n_rounds))
-        if rounds:
-            coverage[shard] = frozenset(rounds)
-    if not coverage:
-        coverage[0] = frozenset({0})
-    deltas = {
-        (shard, time): draw(single_results())
-        for shard, rounds in sorted(coverage.items())
-        for time in sorted(rounds)
-    }
-    return coverage, deltas
-
-
-class TestCommitOrderInvariance:
-    """Live-fold discipline: any commit interleaving yields the batch merge.
-
-    The live registry freezes rounds at a frontier, folding each round's
-    shard deltas in canonical (round, shard) order no matter when the
-    commits actually arrived.  This property drives that discipline over
-    arbitrary coverage grids, commit permutations, and snapshot points:
-    every value a mid-run reader can observe is already bit-identical to
-    the one-shot batch merge over the full grid.
-    """
-
-    @settings(deadline=None, max_examples=60)
-    @given(grid=delta_grids(), data=st.data())
-    def test_any_interleaving_freezes_one_shot_values(self, grid, data):
-        coverage, deltas = grid
-        rounds = sorted({time for owned in coverage.values() for time in owned})
-        owners = {
-            time: sorted(shard for shard, owned in coverage.items() if time in owned)
-            for time in rounds
-        }
-
-        # One-shot batch merge: rounds ascending, shards ascending within.
-        reference = {}
-        chain = None
-        for time in rounds:
-            round_delta = MetricShardResult.fold(
-                [deltas[(shard, time)] for shard in owners[time]]
-            )
-            chain = round_delta if chain is None else chain.merge(round_delta)
-            reference[time] = chain
-
-        # Commit shards in an arbitrary order, freezing at the frontier.
-        order = data.draw(st.permutations(sorted(coverage)))
-        committed = set()
-        frozen = {}
-        frontier = 0
-        live = None
-        for shard in order:
-            committed.add(shard)
-            while frontier < len(rounds) and set(owners[rounds[frontier]]) <= committed:
-                time = rounds[frontier]
-                round_delta = MetricShardResult.fold(
-                    [deltas[(s, time)] for s in owners[time]]
-                )
-                live = round_delta if live is None else live.merge(round_delta)
-                frozen[time] = live
-                frontier += 1
-            # Snapshot point: anything visible now must already be final —
-            # a frozen round's value never changes as later shards land.
-            for time, snapshot in frozen.items():
-                assert snapshot == reference[time]
-        assert sorted(frozen) == rounds
 
 
 class TestMergeGuards:
     def test_mismatched_set_components_rejected(self):
         a = MetricShardResult(
-            sums={}, counts=np.array([], dtype=int), flows={}, sets={"events": frozenset()}
+            sums={}, counts=np.array([], dtype=int), sets={"events": frozenset()}
         )
-        b = MetricShardResult(sums={}, counts=np.array([], dtype=int), flows={})
+        b = MetricShardResult(sums={}, counts=np.array([], dtype=int))
         with pytest.raises(ValidationError):
             a.merge(b)
 
     def test_default_sets_component_is_empty(self):
-        # Pre-existing three-field construction sites must keep working.
-        result = MetricShardResult(
-            sums={"error": np.array([1.0])}, counts=np.array([2]), flows={}
-        )
+        # Construction sites without a set part must keep working.
+        result = MetricShardResult(sums={"error": np.array([1.0])}, counts=np.array([2]))
         merged = result.merge(result)
         assert merged.sets == {}
         assert merged.n_releases == 4

@@ -37,6 +37,7 @@ from repro.server.live_metrics import (
     FlowMatrixView,
     LiveMetricRegistry,
     MonitoringUtilityView,
+    ShardRows,
     batch_recompute,
     default_views,
     expected_coverage,
@@ -149,6 +150,44 @@ class TestDeterminismMatrix:
         reference = batch_values_of(1)
         for shards in SHARD_COUNTS[1:]:
             assert batch_values_of(shards) == reference
+
+
+class TestBatchRecomputeInputs:
+    """``batch_recompute`` refuses what would make its reference wrong."""
+
+    @pytest.fixture(scope="class")
+    def rows(self, world, engine, db):
+        return _raw_rows(world, engine, db, _plan(db, 2))
+
+    @pytest.mark.parametrize("plan_users, stray", [(range(4), 9), ((0, 2, 4), 1)])
+    def test_row_of_a_user_outside_the_plan_is_refused(self, world, rows, plan_users, stray):
+        users, times, points, true_cells, snapped = rows
+        keep = np.isin(users, list(plan_users))
+        at = np.flatnonzero(users == stray)[:2]  # two rows of a user the plan lacks
+        take = np.r_[np.flatnonzero(keep), at]
+        plan = ShardPlan.build(list(plan_users), 2, rng=RNG)
+        with pytest.raises(DataError, match=f"user {stray} is not in the shard plan"):
+            batch_recompute(
+                default_views(world), plan,
+                users[take], times[take], points[take], true_cells[take], snapped[take],
+            )
+        # Without the stray rows the same plan recomputes every round.
+        kept = np.flatnonzero(keep)
+        assert batch_recompute(
+            default_views(world), plan,
+            users[kept], times[kept], points[kept], true_cells[kept], snapped[kept],
+        )
+
+    def test_duplicate_view_names_are_refused(self, db, rows):
+        with pytest.raises(ValidationError, match="duplicate"):
+            batch_recompute([ContactRateView(), ContactRateView()], _plan(db, 2), *rows)
+
+    def test_no_rows_at_or_before_upto_is_empty(self, world, db, rows):
+        plan, views = _plan(db, 2), default_views(world)
+        assert batch_recompute(views, plan, *(column[:0] for column in rows)) == {}
+        assert batch_recompute(views, plan, *rows, upto=-1) == {}
+        every = batch_recompute(views, plan, *rows)
+        assert batch_recompute(views, plan, *rows, upto=2) == {r: every[r] for r in (0, 1, 2)}
 
 
 @st.composite
@@ -433,20 +472,49 @@ class TestRegistryValidation:
             )
 
     def test_unexpected_shard_and_round_mismatch(self, world, db, engine):
+        # ingest folds rows check() already sorted, and refuses under its
+        # lock what check() refuses about the shard itself.
         plan = _plan(db, 2)
         registry = LiveMetricRegistry(default_views(world), expected_coverage(plan, db))
         users, times, batch = next(
             iter(stream_shard_releases(engine, db, plan, only_shards=frozenset({0})))
         )
         snapped = world.snap_batch(batch.points)
+        rows = ShardRows.build(users, times, batch.points, batch.cells, snapped)
         with pytest.raises(DataError, match="not in the expected coverage"):
-            registry.ingest(9, users, times, batch.points, batch.cells, snapped)
+            registry.ingest(9, rows)
         half = times < HORIZON // 2
+        rows_half = ShardRows.build(
+            users[half], times[half], batch.points[half],
+            np.asarray(batch.cells)[half], np.asarray(snapped)[half],
+        )
         with pytest.raises(DataError, match="coverage expects"):
-            registry.ingest(
-                0, users[half], times[half], batch.points[half],
-                np.asarray(batch.cells)[half], np.asarray(snapped)[half],
-            )
+            registry.ingest(0, rows_half)
+        registry.ingest(0, registry.check(0, users, times, batch.points, batch.cells, snapped))
+        with pytest.raises(DataError, match="already folded"):
+            registry.ingest(0, rows)
+
+    def test_each_commit_sorts_its_shard_once(self, world, db, engine, monkeypatch):
+        # ingest_shard checks the shard before its durable commit and folds
+        # the rows that check returned: one canonical sort per commit.
+        plan = _plan(db, 2)
+        server = Server(world)
+        server.attach_metrics(default_views(world), expected_coverage(plan, db))
+        builds = []
+        build = ShardRows.build
+
+        def counted(*columns):
+            builds.append(len(columns[0]))
+            return build(*columns)
+
+        monkeypatch.setattr(ShardRows, "build", staticmethod(counted))
+        commits = 0
+        for users, times, batch in stream_shard_releases(engine, db, plan):
+            server.ingest_shard(users, times, batch, shard=plan.shard_of(int(users[0])))
+            commits += 1
+        assert commits == 2 and len(builds) == commits
+        assert sum(builds) == len(db)
+        assert server.metrics.frozen_rounds == server.metrics.rounds
 
     def test_repr_reports_progress(self, world, db, engine):
         server, _ = _partial_commit(world, db, engine, 2, only={0})

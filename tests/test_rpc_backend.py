@@ -56,9 +56,7 @@ def _boom(x):
 
 
 def _value_scorer(task):
-    return MetricShardResult(
-        sums={"value": np.array([float(task)])}, counts=np.array([1]), flows={}
-    )
+    return MetricShardResult(sums={"value": np.array([float(task)])}, counts=np.array([1]))
 
 
 @pytest.fixture(scope="module")
@@ -341,11 +339,7 @@ class TestDeterminismMatrix:
         tasks = list(range(9))
         want = sharded_metric(_value_scorer, tasks, backend="serial")
         got = sharded_metric(_value_scorer, tasks, backend=rpc)
-        assert got.sums.keys() == want.sums.keys()
-        for key in want.sums:
-            assert np.array_equal(got.sums[key], want.sums[key])
-        assert np.array_equal(got.counts, want.counts)
-        assert got.flows == want.flows
+        assert got == want
 
     def test_monitoring_eval_matches_serial(self, rpc, world, db, engine):
         # The distributed-metric layer on top of the backend: E1's utility
