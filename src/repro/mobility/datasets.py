@@ -85,6 +85,6 @@ def load_tracedb(path: str | Path) -> TraceDB:
             try:
                 record = json.loads(line)
                 db.add(CheckIn(time=int(record["t"]), user=int(record["u"]), cell=int(record["c"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, DataError) as exc:
                 raise DataError(f"malformed check-in at {source}:{line_number}") from exc
     return db

@@ -26,6 +26,7 @@ front, so its workers keep releasing while a finished shard commits;
 from __future__ import annotations
 
 import threading
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -495,6 +496,36 @@ def run_release_rounds(
     return server, clients
 
 
+def _true_cells(true_db: TraceDB, users, times) -> np.ndarray:
+    """The ground-truth cell of each ``(users[i], times[i])`` row, from ``true_db``.
+
+    A resume's replay resolves a stored shard's rows through this: the
+    store never persists ground-truth cells.  The keys are looked up in
+    ``true_db.to_arrays()``, whose rows are sorted by ``(user, time)``,
+    with one ``searchsorted`` over ``(user, time)`` records (numpy orders
+    them field by field).  A row with no check-in in ``true_db`` raises
+    :class:`~repro.errors.DataError` naming the first such row.
+    """
+    stored_users, stored_times, stored_cells = true_db.to_arrays()
+    users = np.asarray(users, dtype=np.int64)
+    times = np.asarray(times, dtype=np.int64)
+    key = np.dtype([("user", np.int64), ("time", np.int64)])
+    stored = np.empty(len(stored_users), dtype=key)
+    stored["user"], stored["time"] = stored_users, stored_times
+    wanted = np.empty(len(users), dtype=key)
+    wanted["user"], wanted["time"] = users, times
+    at = np.searchsorted(stored, wanted)
+    found = at < len(stored)
+    found[found] = stored[at[found]] == wanted[found]
+    if not found.all():
+        row = int(np.argmin(found))
+        raise DataError(
+            f"stored release row ({int(users[row])}, {int(times[row])}) has no "
+            "ground-truth check-in; the store does not belong to this trace database"
+        )
+    return stored_cells[at]
+
+
 def run_release_rounds_batched(
     world: GridWorld,
     true_db: TraceDB,
@@ -648,28 +679,9 @@ def run_release_rounds_batched(
             views = default_views(world) if live_metrics is True else list(live_metrics)
             server.attach_metrics(views, schedule)
 
-            def true_cells_of(row_users, row_times):
-                # The store never persists ground-truth cells; resolve them
-                # from the true trace at replay time.
-                lookup = {
-                    (int(user), checkin.time): checkin.cell
-                    for user in np.unique(np.asarray(row_users, dtype=int)).tolist()
-                    for checkin in true_db.user_history(int(user))
-                }
-                try:
-                    return np.array(
-                        [
-                            lookup[(int(user), int(time))]
-                            for user, time in zip(row_users, row_times)
-                        ],
-                        dtype=int,
-                    )
-                except KeyError as exc:
-                    raise DataError(
-                        f"stored release row {exc.args[0]} has no ground-truth "
-                        "check-in; the store does not belong to this trace "
-                        "database"
-                    ) from exc
+            # The store never persists ground-truth cells; a replay
+            # resolves them from the true trace's columns.
+            true_cells_of = partial(_true_cells, true_db)
 
         if committed:
             # A shard that owes the coverage nothing has every (shard,

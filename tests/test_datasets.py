@@ -70,6 +70,12 @@ class TestPersistence:
         with pytest.raises(DataError, match="line 2|bad.jsonl"):
             load_tracedb(path)
 
+    def test_value_outside_int64_names_the_line(self, tmp_path):
+        path = tmp_path / "wide.jsonl"
+        path.write_text('{"t": 0, "u": 1, "c": 2}\n{"t": 1180591620717411303424, "u": 1, "c": 2}\n')
+        with pytest.raises(DataError, match=r"wide\.jsonl:2$"):
+            load_tracedb(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
         path.write_text('{"t": 0, "u": 1, "c": 2}\n\n{"t": 1, "u": 1, "c": 3}\n')

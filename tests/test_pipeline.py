@@ -13,7 +13,7 @@ from repro.errors import DataError, PolicyError
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
 from repro.server.live_metrics import default_views, expected_coverage
-from repro.server.pipeline import Client, Server, run_release_rounds
+from repro.server.pipeline import Client, Server, _true_cells, run_release_rounds
 from repro.store import RunManifest, TraceStore
 
 
@@ -102,6 +102,24 @@ class TestServer:
         server = Server(world)
         server.push_policy(client, area_policy(world, 3, 3))
         assert client.policy.name.startswith("area")
+
+
+class TestTrueCells:
+    """A resume's replay resolves ground-truth cells from the true trace's columns."""
+
+    def test_resolves_each_row_in_row_order(self, world):
+        db = geolife_like(world, n_users=5, horizon=6, rng=4)
+        checkins = list(db.checkins())[::-1]
+        users = [c.user for c in checkins]
+        times = [c.time for c in checkins]
+        assert _true_cells(db, users, times).tolist() == [c.cell for c in checkins]
+
+    def test_row_missing_from_the_trace_names_the_row(self, world):
+        db = geolife_like(world, n_users=5, horizon=6, rng=4)
+        with pytest.raises(DataError, match=r"stored release row \(2, 6\) has no ground-truth"):
+            _true_cells(db, [0, 2, 3], [1, 6, 2])
+        with pytest.raises(DataError, match=r"stored release row \(9, 0\)"):
+            _true_cells(db, [4, 9], [5, 0])
 
 
 class TestRunReleaseRounds:
