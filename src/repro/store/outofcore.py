@@ -7,9 +7,11 @@ disk: a :class:`~repro.server.pipeline.Server` opened with
 ``released_db``, so server-side memory stays bounded by the largest single
 shard instead of the whole population.  The view answers the ``TraceDB``
 read API (:meth:`users`, :meth:`at_time`, :meth:`user_history`,
-:meth:`checkins`, ...) by translating each call into an indexed SQLite query
+:meth:`checkins`, ...) by translating each call into a keyed SQLite query
 — per-user trajectory scans are contiguous range reads thanks to the
-``(user, time)`` clustering, round snapshots use the ``(time, user)`` index.
+``(user, time)`` clustering, and a round snapshot probes that key once per
+user whose ``user_summary`` span covers the round (O(users) per call; the
+store has no ``(time, user)`` index since schema v5).
 
 The view is read-only: mutation goes through the store's transactional
 commit path (:meth:`TraceStore.commit_shard

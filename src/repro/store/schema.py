@@ -21,8 +21,10 @@ per-partition recovery-state table):
     The released trace, keyed ``(user, time)``: the snapped server-side cell,
     the raw released planar point, the exact-disclosure flag, and the budget
     charged.  ``WITHOUT ROWID`` clusters rows by the key, so per-user
-    trajectory scans are contiguous range reads; the ``(time, user)`` index
-    serves round-major queries.
+    trajectory scans are contiguous range reads.  It has no second index
+    (schema v5): a release costs one B-tree insert, and a round snapshot
+    (:meth:`~repro.store.store.TraceStore.at_time`) probes the key once per
+    user that ``user_summary`` says spans the round.
 ``shard_commits``
     Per-``(shard, round)`` recovery state, modelled on Paper-Scanner's
     ``journal_state`` incremental-update tables: a pair is present iff that
@@ -73,8 +75,9 @@ __all__ = ["SCHEMA_VERSION", "BUSY_TIMEOUT_MS", "apply_pragmas", "create_schema"
 #: shard-commit transaction; v3 replaced its per-key count rows
 #: (round_cell_counts, round_flows) with one round_blocks row of int32
 #: column blocks per (kind, round); v4 records the run's coverage schedule
-#: in run_coverage.  Stores are rebuilt from their seeds.
-SCHEMA_VERSION = 4
+#: in run_coverage; v5 drops the (time, user) index on releases, so each
+#: release is one B-tree insert.  Stores are rebuilt from their seeds.
+SCHEMA_VERSION = 5
 
 #: Default lock-retry window (milliseconds) for every connection.
 BUSY_TIMEOUT_MS = 30_000
@@ -113,9 +116,6 @@ _TABLES = (
         PRIMARY KEY (shard, round)
     ) WITHOUT ROWID
     """,
-    """
-    CREATE INDEX IF NOT EXISTS releases_by_time ON releases (time, user)
-    """,
 ) + ACCELERATOR_TABLES
 
 
@@ -132,7 +132,7 @@ def apply_pragmas(connection: sqlite3.Connection, busy_timeout_ms: int = BUSY_TI
 
 
 def create_schema(connection: sqlite3.Connection) -> None:
-    """Create every table/index if absent (idempotent)."""
+    """Create every table if absent (idempotent)."""
     with connection:
         for statement in _TABLES:
             connection.execute(statement)

@@ -19,13 +19,14 @@ from repro.engine.sharding import ShardPlan, stream_shard_releases
 from repro.engine.specs import EngineSpec, ExecutionSpec
 from repro.errors import BudgetError, DataError, ResumeMismatchError, StoreError, ValidationError
 from repro.geo.grid import GridWorld
-from repro.mobility.synthetic import geolife_like
+from repro.core.mechanisms.base import ReleaseBatch
+from repro.mobility.synthetic import geolife_like, gowalla_like
 from repro.mobility.trajectory import TraceDB
 from repro.query import QueryEngine, Window
 from repro.query import reference as ref
 from repro.server.live_metrics import expected_coverage
 from repro.server.pipeline import Server, run_release_rounds_batched
-from repro.store import RunManifest, StoredTraceDB, TraceStore, engine_spec_hash
+from repro.store import RunManifest, StoredTraceDB, TraceStore, accelerator, engine_spec_hash
 from repro.store.resume import RunManifest as ResumeManifest
 
 
@@ -86,10 +87,10 @@ class TestSchemaAndPragmas:
             TraceStore(path)
 
     def test_v2_store_refuses_to_open(self, tmp_path):
-        # v3 replaced the per-key accelerator rows with round blocks, and v4
-        # records the run's coverage schedule; an older store is rebuilt
-        # from its seeds, never read as v4.
-        for version in (2, 3):
+        # v3 replaced the per-key accelerator rows with round blocks, v4
+        # records the run's coverage schedule, and v5 drops the (time, user)
+        # index; an older store is rebuilt from its seeds, never read as v5.
+        for version in (2, 3, 4):
             path = tmp_path / f"v{version}.sqlite"
             with TraceStore(path) as store:
                 with store.connection:
@@ -97,9 +98,18 @@ class TestSchemaAndPragmas:
                         "UPDATE meta SET value=? WHERE key='schema_version'", (str(version),)
                     )
             with pytest.raises(
-                StoreError, match=f"schema v{version}, this build expects v4"
+                StoreError, match=f"schema v{version}, this build expects v5"
             ):
                 TraceStore(path)
+
+    def test_releases_has_no_second_index(self, tmp_path):
+        # One B-tree insert per release: the (user, time) key is the only
+        # structure a row is written into.
+        with TraceStore(tmp_path / "s.sqlite") as store:
+            indexes = store.connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index' AND tbl_name = 'releases'"
+            ).fetchall()
+        assert indexes == []
 
     def test_unopenable_path_raises_store_error(self, tmp_path):
         with pytest.raises(StoreError, match="cannot open"):
@@ -275,18 +285,69 @@ class TestReadApi:
         store, released = populated
         assert list(store.checkins()) == list(released.checkins())
 
-    def test_point_queries_match(self, populated):
-        store, released = populated
-        assert store.users() == released.users()
-        assert store.times() == released.times()
-        for time in released.times():
-            assert store.at_time(time) == released.at_time(time)
-        for user in sorted(released.users()):
-            assert store.user_history(user) == released.user_history(user)
-            assert store.location(user, released.times()[0]) == released.location(
-                user, released.times()[0]
-            )
-        assert store.location(max(released.users()) + 1, 0) is None
+    def test_point_queries_match(self, populated, world, engine, tmp_path):
+        # The geolife store holds every user at every round; the gowalla one
+        # has users whose [min_time, max_time] span covers rounds they hold
+        # no row at, which at_time's user_summary join must skip.
+        sparse = gowalla_like(world, n_users=12, checkins_per_user=4, horizon=20, rng=5)
+        sparse_path = str(tmp_path / "sparse.sqlite")
+        sparse_released = run_release_rounds_batched(
+            world, sparse, engine, rng=11, shards=4, backend="serial"
+        ).released_db
+        _run(world, sparse, engine, sparse_path)
+        assert any(
+            len(sparse.user_history(user))
+            < sparse.user_history(user)[-1].time - sparse.user_history(user)[0].time + 1
+            for user in sparse.users()
+        )
+        with TraceStore(sparse_path) as sparse_store:
+            for store, released in (populated, (sparse_store, sparse_released)):
+                assert store.users() == released.users()
+                assert store.times() == released.times()
+                for time in range(min(released.times()) - 1, max(released.times()) + 2):
+                    assert list(store.at_time(time).items()) == list(
+                        released.at_time(time).items()
+                    )
+                    assert list(StoredTraceDB(store).at_time(time).items()) == list(
+                        released.at_time(time).items()
+                    )
+                for user in sorted(released.users()):
+                    assert store.user_history(user) == released.user_history(user)
+                    assert store.location(user, released.times()[0]) == released.location(
+                        user, released.times()[0]
+                    )
+                assert store.location(max(released.users()) + 1, 0) is None
+
+    @pytest.mark.parametrize(
+        "read, name",
+        [
+            pytest.param(lambda store: store.at_time(1.9), "time", id="at_time-float"),
+            pytest.param(lambda store: store.at_time(True), "time", id="at_time-bool"),
+            pytest.param(lambda store: store.location(True, 1), "user", id="location-bool"),
+            pytest.param(lambda store: store.location(1, 0.5), "time", id="location-float"),
+            pytest.param(lambda store: store.user_history(0.5), "user", id="user_history-float"),
+            pytest.param(
+                lambda store: StoredTraceDB(store).at_time(1.2), "time", id="view-at_time-float"
+            ),
+            pytest.param(
+                lambda store: StoredTraceDB(store).location(np.float64(1.0), 1),
+                "user",
+                id="view-location-numpy-float",
+            ),
+            pytest.param(
+                lambda store: store.shard_release_rows(0.2, 1), "low_user", id="rows-low-float"
+            ),
+            pytest.param(
+                lambda store: store.shard_release_rows(0, 1.9), "high_user", id="rows-high-float"
+            ),
+        ],
+    )
+    def test_point_reads_refuse_non_integer_arguments(self, populated, read, name):
+        # Truncated, at_time(1.9) would answer round 1 and location(True, 1)
+        # user 1.
+        store, _ = populated
+        with pytest.raises(ValidationError, match=f"^{name} must be an int"):
+            read(store)
 
     def test_load_tracedb_equivalent(self, populated):
         store, released = populated
@@ -314,6 +375,35 @@ class TestReadApi:
             view.record(1, 2, 3)
         with pytest.raises(StoreError, match="read-only"):
             view.record_many([1], [2], [3])
+
+
+class TestBatchedInsert:
+    """Release rows go in as multi-row INSERTs of 64 rows; none is altered."""
+
+    @pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 129])
+    def test_every_column_reads_back_exactly(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        keys = rng.permutation(n_rows)  # commit order is not key order
+        users, times = keys // 4, keys % 4
+        points = rng.normal(scale=50.0, size=(n_rows, 2))
+        points[::7] = np.round(points[::7])  # integral REALs round-trip too
+        batch = ReleaseBatch(
+            points=points,
+            exact=rng.random(n_rows) < 0.3,
+            epsilons=rng.random(n_rows) * 3,
+            cells=rng.integers(0, 36, n_rows),
+        )
+        with TraceStore(":memory:") as store:
+            assert store.commit_shard(2, users, times, batch)
+            rows = store.connection.execute(
+                "SELECT user, time, cell, x, y, exact, epsilon FROM releases "
+                "ORDER BY user, time"
+            ).fetchall()
+            assert store.committed() == {(2, time) for time in range(min(n_rows, 4))}
+        columns = (users, times, batch.cells, *points.T, batch.exact.astype(int), batch.epsilons)
+        by_key = np.argsort(keys)
+        assert rows == list(zip(*(column[by_key].tolist() for column in columns)))
+        assert all(type(value) is float for row in rows for value in (row[3], row[4], row[6]))
 
 
 class TestOutOfCoreServer:
@@ -635,3 +725,72 @@ class TestCommitRefusals:
             with pytest.raises(StoreError, match="shard 3 .*outside the int32 range"):
                 store.commit_shard(3, np.array([1]), np.array([0]), wide)
             assert _store_state(store) == before
+
+    @pytest.mark.parametrize(
+        "column, values",
+        [
+            pytest.param("users", {"users": [0.5, 1.7]}, id="users-float"),
+            pytest.param("users", {"users": [True, False]}, id="users-bool"),
+            pytest.param("times", {"times": [0.9, 0.2]}, id="times-float"),
+            pytest.param("batch.cells", {"cells": np.array([1.7, 2.2])}, id="cells-float"),
+            pytest.param("true_cells", {"true_cells": np.array([1.0, 2.0])}, id="true_cells-float"),
+        ],
+    )
+    def test_non_integer_column_is_refused(self, engine, column, values):
+        # Truncated, users [0.5, 1.7] would be stored as users 0 and 1.
+        with TraceStore(":memory:") as store:
+            before = _store_state(store)
+            batch = engine.release_batch(np.array([4, 5]), rng=np.random.default_rng(0))
+            if "cells" in values:
+                batch = replace(batch, cells=values["cells"])
+            with pytest.raises(ValidationError, match=f"^{column} must be integers"):
+                store.commit_shard(
+                    0,
+                    values.get("users", [0, 1]),
+                    values.get("times", [0, 0]),
+                    batch,
+                    true_cells=values.get("true_cells"),
+                )
+            assert _store_state(store) == before
+
+    def test_columns_of_different_lengths_are_refused(self, engine):
+        with TraceStore(":memory:") as store:
+            before = _store_state(store)
+            batch = engine.release_batch(np.array([4, 5, 6]), rng=np.random.default_rng(0))
+            with pytest.raises(
+                StoreError,
+                match="shard 4 has columns of different lengths: users 2, times 3, batch 3;",
+            ):
+                store.commit_shard(4, [0, 1], [0, 0, 0], batch)
+            with pytest.raises(
+                StoreError,
+                match="users 3, times 3, batch 3, true_cells 2;",
+            ):
+                store.commit_shard(4, [0, 1, 2], [0, 0, 0], batch, true_cells=[4, 5])
+            assert _store_state(store) == before
+
+    def test_negative_cell_is_refused(self, engine):
+        # (0, 2, -1) beside (0, 1, 3) and (1, 2, 5): the occupancy codes
+        # time * (max + 1) + cell would count the -1 as cell 5 of round 1.
+        with TraceStore(":memory:") as store:
+            before = _store_state(store)
+            batch = engine.release_batch(np.array([3, 5, 1]), rng=np.random.default_rng(0))
+            negative = replace(batch, cells=np.array([3, 5, -1]))
+            with pytest.raises(
+                StoreError, match=r"shard 0 holds cell -1 at \(user, time\) \(0, 2\);"
+            ):
+                store.commit_shard(0, [0, 1, 0], [1, 2, 2], negative)
+            with pytest.raises(
+                StoreError, match=r"shard 0 holds true cell -2 at \(user, time\) \(1, 0\);"
+            ):
+                store.commit_shard(0, [0, 1, 0], [1, 0, 2], batch, true_cells=[3, -2, 1])
+            assert _store_state(store) == before
+
+    def test_negative_times_are_stored(self, engine):
+        # Negative rounds decode exactly (floor division), so they stay accepted.
+        with TraceStore(":memory:") as store:
+            batch = engine.release_batch(np.array([3, 3, 4]), rng=np.random.default_rng(0))
+            store.commit_shard(0, [1, 2, 1], [-1, -1, 0], batch)
+            assert store.at_time(-1) == {1: 3, 2: 3}
+            cells = accelerator.window_blocks(store.connection, "cells", 0, -1, -1)
+            assert cells.tolist() == [[3, 2]]
