@@ -80,7 +80,13 @@ from repro.errors import DataError, SnapshotUnavailableError, ValidationError
 from repro.geo.grid import GridWorld
 from repro.store import accelerator
 from repro.store.resume import Coverage
-from repro.utils.validation import check_bool, check_integer, check_positive, check_probability
+from repro.utils.validation import (
+    check_bool,
+    check_int_array,
+    check_integer,
+    check_positive,
+    check_probability,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.mobility.trajectory import TraceDB
@@ -134,11 +140,17 @@ class ShardRows:
 
     @classmethod
     def build(cls, users, times, points, true_cells, snapped_cells) -> "ShardRows":
-        users = np.asarray(users, dtype=int)
-        times = np.asarray(times, dtype=int)
+        """Canonical rows from any layout; a float or bool integer column is refused.
+
+        ``users``, ``times`` and both cell columns must be integers:
+        anything else raises :class:`~repro.errors.ValidationError` naming
+        the column instead of being truncated.
+        """
+        users = check_int_array("users", users)
+        times = check_int_array("times", times)
         points = np.asarray(points, dtype=float)
-        true_cells = np.asarray(true_cells, dtype=int)
-        snapped_cells = np.asarray(snapped_cells, dtype=int)
+        true_cells = check_int_array("true_cells", true_cells)
+        snapped_cells = check_int_array("snapped_cells", snapped_cells)
         n = len(users)
         if n == 0:
             raise DataError("shard has no rows to fold")

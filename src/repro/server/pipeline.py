@@ -39,7 +39,7 @@ from repro.geo.grid import GridWorld
 from repro.mobility.trajectory import TraceDB
 from repro.server.localdb import LocalLocationDB
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.validation import check_integer
+from repro.utils.validation import check_int_array, check_integer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports core)
     from repro.engine import PrivacyEngine
@@ -263,10 +263,14 @@ class Server:
         users / times:
             One user id and timestep per batch row (row ``i`` of ``batch``
             is user ``users[i]``'s release at ``times[i]``), in whatever
-            order the shard produced them.
+            order the shard produced them, as integer arrays or sequences:
+            a float or bool column raises
+            :class:`~repro.errors.ValidationError` naming it before
+            anything is written, instead of being truncated.
         batch:
             The shard's releases (``len(batch)`` must match, else
-            :class:`~repro.errors.DataError`).
+            :class:`~repro.errors.DataError`); ``batch.cells`` holds the
+            ground-truth cells, integers like ``users``.
         purpose:
             Ledger purpose tag (defaults to the streaming feed).
         shard:
@@ -309,8 +313,11 @@ class Server:
         """
         if shard is not None:
             shard = check_integer("shard", shard, minimum=0)
-        users = np.asarray(users, dtype=int)
-        times = np.asarray(times, dtype=int)
+        users = check_int_array("users", users)
+        times = check_int_array("times", times)
+        # batch.cells carry the ground-truth cells (the shard streaming
+        # contract); `cells` below is the server-side snapped view.
+        true_cells = None if batch.cells is None else check_int_array("batch.cells", batch.cells)
         if len(users) != len(batch) or len(times) != len(batch):
             raise DataError(
                 f"shard of {len(batch)} releases does not match "
@@ -334,9 +341,6 @@ class Server:
                     "ground-truth cells (the shard streaming contract)"
                 )
         order = np.lexsort((users, times))  # commit by (time, user)
-        # batch.cells carry the ground-truth cells (the shard streaming
-        # contract); `cells` is the server-side snapped view.
-        true_cells = None if batch.cells is None else np.asarray(batch.cells, dtype=np.int64)
         with self._ingest_lock:
             if self._metrics is not None:
                 # Refuse a shard the live views would refuse before any of
@@ -403,6 +407,15 @@ class Server:
         killed-and-resumed run converges to the uninterrupted run's live
         values.
 
+        With ``shard=``, the replay also hands the rows back to the store
+        (:meth:`TraceStore.commit_shard
+        <repro.store.store.TraceStore.commit_shard>` writes nothing for a
+        durable shard), which re-parks the shard's round-block increments
+        at rounds whose blocks are not written yet: a store reopened
+        mid-run refuses new commits until every such shard is re-parked.
+        A store that keeps true-side summaries then needs ``true_cells``
+        too.
+
         Returns the number of rows replayed.
         """
         if self.store is None:
@@ -416,12 +429,20 @@ class Server:
                     "true_cells= (a resolver mapping row (users, times) to "
                     "ground-truth cells)"
                 )
-        users, times, cells, points, _exact, epsilons = self.store.shard_release_rows(
+        users, times, cells, points, exact, epsilons = self.store.shard_release_rows(
             low_user, high_user
         )
+        truth = None if true_cells is None else np.asarray(true_cells(users, times), dtype=int)
         if self._metrics is not None:
-            truth = np.asarray(true_cells(users, times), dtype=int)
             rows = self._metrics.check(shard, users, times, points, truth, cells)
+        if shard is not None and len(users):
+            self.store.commit_shard(
+                shard,
+                users,
+                times,
+                ReleaseBatch(points=points, exact=exact, epsilons=epsilons, cells=cells),
+                true_cells=truth if self.store.maintains_true_summaries() else None,
+            )
         if not self.out_of_core:
             self.released_db.record_many(users, times, cells)
         self.ledger.charge_many(users, times, epsilons, purpose=purpose)
@@ -669,7 +690,6 @@ def run_release_rounds_batched(
             server = Server(world, store=live_store, out_of_core=out_of_core)
         else:
             server = Server(world)
-        true_cells_of = None
         if live_metrics:
             # Attached before any replay so a resumed run folds its
             # replayed shards back into the registry — the rebuilt live
@@ -678,9 +698,11 @@ def run_release_rounds_batched(
 
             views = default_views(world) if live_metrics is True else list(live_metrics)
             server.attach_metrics(views, schedule)
-
+        true_cells_of = None
+        if live_metrics or (live_store is not None and live_store.maintains_true_summaries()):
             # The store never persists ground-truth cells; a replay
-            # resolves them from the true trace's columns.
+            # resolves them from the true trace's columns, for the live
+            # views and for the true-side round blocks the store re-parks.
             true_cells_of = partial(_true_cells, true_db)
 
         if committed:

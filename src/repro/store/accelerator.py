@@ -1,14 +1,18 @@
-"""Accelerator schema for the trace store: commit-time summary maintenance.
+"""Accelerator schema for the trace store: per-round summary blocks.
 
 The query surface (:mod:`repro.query`) answers windowed analytics — contact
 rates, flow matrices, top-k hot cells — without a full pass over
 ``releases``.  What makes that possible is this module: per-round summary
-blocks (the LSST-style accelerator layout) maintained *inside the same
-SQLite transaction* as the shard's release rows and ``(shard, round)``
-commit marks.  Because the deltas travel in the shard's own transaction,
-the summaries can never be torn relative to ``shard_commits``: a crash
-either keeps the whole shard (rows, marks, and summary increments) or none
-of it.
+blocks (the LSST-style accelerator layout), each written *once*, inside the
+SQLite transaction of the shard commit that moves the run's coverage
+frontier (:class:`~repro.store.resume.Coverage`) past its round — the
+moment :class:`~repro.server.live_metrics.LiveMetricRegistry` freezes the
+round and :class:`~repro.query.QueryEngine` first serves it.  Until then a
+commit's increments wait in memory (:class:`ParkedDeltas`), so no reader
+can see a block torn relative to ``shard_commits``: a crash either keeps
+the completing commit (rows, marks and blocks) or none of it.  A store no
+run has begun on owes no schedule, and each commit writes its rounds'
+blocks at once.
 
 Tables (created by :func:`repro.store.schema.create_schema`, since schema v3):
 
@@ -34,18 +38,19 @@ Tables (created by :func:`repro.store.schema.create_schema`, since schema v3):
 ``user_summary``
     ``user -> (n_rows, min_time, max_time)``: per-user bounds, serving
     :meth:`TraceStore.users <repro.store.store.TraceStore.users>` and
-    trajectory planning without a ``SELECT DISTINCT`` scan.
+    trajectory planning without a ``SELECT DISTINCT`` scan.  Unlike the
+    blocks, it is updated in every shard commit's transaction.
 
-Each commit reads the blocks of the rounds it touches, adds its own counts
-key by key (:func:`apply_deltas`), and writes back records that are sorted,
-unique and summed.  A block's bytes are therefore a pure function of the
-committed rows — independent of shard count, backend, commit arrival
-order, and kill-resume, the same argument that makes the live metric views
-bit-identical across those axes.  The deltas are built once as
-int64 column arrays (:func:`cell_counts`, :func:`transitions`); the
-``*_rows`` functions split them into one entry per round block, and the
-live views (:mod:`repro.server.live_metrics`) fold the same arrays in
-memory.
+The writing commit reads any stored block of the rounds it writes, adds the
+rounds' parked increments and its own key by key (:func:`apply_deltas`),
+and writes back records that are sorted, unique and summed.  A block's
+bytes are therefore a pure function of the committed rows — independent of
+shard count, backend, commit arrival order, and kill-resume, the same
+argument that makes the live metric views bit-identical across those axes.
+The deltas are built once as int64 column arrays (:func:`cell_counts`,
+:func:`transitions`); the ``*_rows`` functions split them into one int32
+entry per round block, in the blocks' own encoding, and the live views
+(:mod:`repro.server.live_metrics`) fold the same arrays in memory.
 """
 
 from __future__ import annotations
@@ -60,6 +65,8 @@ __all__ = [
     "ACCELERATOR_TABLES",
     "KIND_OBSERVED",
     "KIND_TRUE",
+    "MAX_PARKED_PIECES",
+    "ParkedDeltas",
     "apply_deltas",
     "boundary_flow_rows",
     "cell_count_rows",
@@ -80,6 +87,15 @@ FLOW_WIDTH = 3
 
 _BLOCK_DTYPE = np.dtype("<i4")
 _INT32 = np.iinfo(np.int32)
+
+#: Pieces one round's ``cells`` or ``flows`` column may hold parked; one
+#: more folds them into a single sorted, summed piece, so parked memory is
+#: bounded by the round's block size, not by the number of commits.
+MAX_PARKED_PIECES = 8
+
+#: Rounds merged per range read when blocks are written, so the merge's
+#: int64 keys span a bounded group of rounds, never the whole run.
+_MERGE_ROUNDS = 8
 
 # round_blocks keeps its rowid: a flows block runs to tens of KB, and
 # SQLite advises WITHOUT ROWID only for rows under ~1/20 of a page.
@@ -114,7 +130,7 @@ _UPSERT_USER_SUMMARY = (
 )
 
 #: One round block's increment: ``(kind, time, records)``, the records an
-#: int64 ``(k, CELL_WIDTH)`` or ``(k, FLOW_WIDTH)`` array sorted by key.
+#: int32 ``(k, CELL_WIDTH)`` or ``(k, FLOW_WIDTH)`` array sorted by key.
 RoundDelta = tuple[int, int, np.ndarray]
 
 
@@ -129,9 +145,14 @@ def _round_starts(times: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _per_round(kind: int, times: np.ndarray, records: np.ndarray) -> list[RoundDelta]:
-    """Split time-sorted ``records`` into one ``(kind, time, records)`` per round."""
+    """Split time-sorted ``records`` into one ``(kind, time, int32 records)`` per round.
+
+    Raises :class:`OverflowError` naming the first value outside int32.
+    """
     if len(times) == 0:
         return []
+    _check_int32(kind, times, records)
+    records = records.astype(_BLOCK_DTYPE)
     return [
         (kind, int(times[start]), records[start:stop])
         for start, stop in _round_starts(times)
@@ -328,6 +349,14 @@ def _check_int32(kind: int, times: np.ndarray, values: np.ndarray) -> None:
         )
 
 
+def _block(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """int32 ``(k, width)`` records of summed ``keys`` and their ``counts``."""
+    records = np.empty((len(counts), keys.shape[1] + 1), dtype=_BLOCK_DTYPE)
+    records[:, :-1] = keys
+    records[:, -1] = counts
+    return records
+
+
 def _merged_blocks(
     kind: int,
     width: int,
@@ -340,8 +369,6 @@ def _merged_blocks(
     new_times = np.concatenate(
         [np.full(len(records), time, dtype=np.int64) for _, time, records in deltas]
     )
-    new_records = np.concatenate([records for _, _, records in deltas])
-    _check_int32(kind, new_times, new_records)
     old_rounds = [time for time in sorted({time for _, time, _ in deltas}) if stored.get(time)]
     old_blobs = [stored[time] for time in old_rounds]
     old_sizes = [len(blob) // (_BLOCK_DTYPE.itemsize * width) for blob in old_blobs]
@@ -350,12 +377,12 @@ def _merged_blocks(
     )
     times, keys, counts = _merge(
         np.concatenate((old_times, new_times)),
-        np.concatenate((_decode_blocks(old_blobs, width), new_records.astype(_BLOCK_DTYPE))),
+        np.concatenate(
+            [_decode_blocks(old_blobs, width)] + [records for _, _, records in deltas]
+        ),
     )
     _check_int32(kind, times, counts)
-    blocks = np.empty((len(counts), width), dtype=_BLOCK_DTYPE)
-    blocks[:, :-1] = keys
-    blocks[:, -1] = counts
+    blocks = _block(keys, counts)
     return {
         int(times[start]): blocks[start:stop].tobytes()
         for start, stop in _round_starts(times)
@@ -368,14 +395,16 @@ def apply_deltas(
     flows: Iterable[RoundDelta],
     summaries: Iterable[tuple],
 ) -> None:
-    """Merge one commit's increments into the store (caller owns the transaction).
+    """Write round blocks and user summaries (caller owns the transaction).
 
-    ``cell_counts`` / ``flows`` are the per-round entries of
+    ``cell_counts`` / ``flows`` are per-round entries of
     :func:`cell_count_rows`, :func:`flow_rows` and
-    :func:`boundary_flow_rows` (several may share a round).  Per kind, the
-    blocks of every touched round are fetched with one range read, summed
-    key by key with the increments, and written back whole.  Raises
-    :class:`OverflowError` when a merged value leaves the int32 range.
+    :func:`boundary_flow_rows`, or pieces a :class:`ParkedDeltas` held
+    (several may share a round).  Per kind, the touched rounds are merged
+    in groups of a few rounds: each group's stored blocks are fetched with
+    one range read, summed key by key with the increments, and written back
+    whole.  Raises :class:`OverflowError` when a merged value leaves the
+    int32 range.
     """
     cell_counts, flows = list(cell_counts), list(flows)
     for kind in sorted({kind for kind, _, _ in cell_counts + flows}):
@@ -396,30 +425,98 @@ def _apply_kind(
 ) -> None:
     """:func:`apply_deltas` for the round blocks of one kind."""
     touched = sorted({time for _, time, _ in cell_deltas + flow_deltas})
-    stored = {
-        time: (cells, flows)
-        for time, cells, flows in connection.execute(
-            "SELECT time, cells, flows FROM round_blocks "
-            "WHERE kind = ? AND time BETWEEN ? AND ?",
-            (kind, touched[0], touched[-1]),
-        )
-    }
-    cells = _merged_blocks(
-        kind, CELL_WIDTH, {time: pair[0] for time, pair in stored.items()}, cell_deltas
-    )
-    flows = _merged_blocks(
-        kind, FLOW_WIDTH, {time: pair[1] for time, pair in stored.items()}, flow_deltas
-    )
-    empty = (b"", b"")
-    connection.executemany(
-        "INSERT OR REPLACE INTO round_blocks (kind, time, cells, flows) VALUES (?, ?, ?, ?)",
-        [
-            (
-                kind,
-                time,
-                cells.get(time, stored.get(time, empty)[0]),
-                flows.get(time, stored.get(time, empty)[1]),
+    for start in range(0, len(touched), _MERGE_ROUNDS):
+        group = touched[start : start + _MERGE_ROUNDS]
+        first, last = group[0], group[-1]
+        stored = {
+            time: (cells, flows)
+            for time, cells, flows in connection.execute(
+                "SELECT time, cells, flows FROM round_blocks "
+                "WHERE kind = ? AND time BETWEEN ? AND ?",
+                (kind, first, last),
             )
-            for time in touched
-        ],
-    )
+        }
+        cells = _merged_blocks(
+            kind,
+            CELL_WIDTH,
+            {time: pair[0] for time, pair in stored.items()},
+            [delta for delta in cell_deltas if first <= delta[1] <= last],
+        )
+        flows = _merged_blocks(
+            kind,
+            FLOW_WIDTH,
+            {time: pair[1] for time, pair in stored.items()},
+            [delta for delta in flow_deltas if first <= delta[1] <= last],
+        )
+        empty = (b"", b"")
+        connection.executemany(
+            "INSERT OR REPLACE INTO round_blocks (kind, time, cells, flows) "
+            "VALUES (?, ?, ?, ?)",
+            [
+                (
+                    kind,
+                    time,
+                    cells.get(time, stored.get(time, empty)[0]),
+                    flows.get(time, stored.get(time, empty)[1]),
+                )
+                for time in group
+            ],
+        )
+
+
+def _fold(kind: int, time: int, pieces: "tuple[np.ndarray, ...]") -> np.ndarray:
+    """One sorted, summed int32 piece of a round column's parked ``pieces``."""
+    records = np.concatenate(pieces)
+    times, keys, counts = _merge(np.full(len(records), time, dtype=np.int64), records)
+    _check_int32(kind, times, counts)
+    return _block(keys, counts)
+
+
+class ParkedDeltas:
+    """Round-block increments held in memory until their round may be written.
+
+    Maps ``(column, kind, time)`` — ``column`` is ``"cells"`` or
+    ``"flows"`` — to its pieces: the int32 records one commit added to that
+    round's block, sorted by key.  A column holds at most
+    :data:`MAX_PARKED_PIECES` pieces; parking one more folds them into one.
+    Instances are never changed in place: :meth:`plan` returns the state to
+    adopt once the commit's transaction is durable, so a commit that fails
+    leaves the parked state as it was.
+    """
+
+    def __init__(
+        self, pieces: "dict[tuple[str, int, int], tuple[np.ndarray, ...]] | None" = None
+    ) -> None:
+        self._pieces = {} if pieces is None else pieces
+
+    def counts(self) -> dict[tuple[str, int, int], int]:
+        """The number of pieces parked per ``(column, kind, time)``."""
+        return {key: len(pieces) for key, pieces in self._pieces.items()}
+
+    def plan(
+        self,
+        cell_deltas: Iterable[RoundDelta],
+        flow_deltas: Iterable[RoundDelta],
+        writable,
+    ) -> tuple[list[RoundDelta], list[RoundDelta], "ParkedDeltas"]:
+        """Split the parked and the new increments into due and kept.
+
+        ``writable(time)`` says whether a round's block is written now.
+        Returns the ``cells`` and ``flows`` increments due at the writable
+        rounds (every parked piece there plus the new ones, for
+        :func:`apply_deltas`) and the parked state that keeps the rest.
+        Raises :class:`OverflowError` when a fold leaves the int32 range.
+        """
+        pieces = dict(self._pieces)
+        for column, deltas in (("cells", cell_deltas), ("flows", flow_deltas)):
+            for kind, time, records in deltas:
+                key = (column, kind, time)
+                held = pieces.get(key, ()) + (records,)
+                if len(held) > MAX_PARKED_PIECES and not writable(time):
+                    held = (_fold(kind, time, held),)
+                pieces[key] = held
+        due: dict[str, list[RoundDelta]] = {"cells": [], "flows": []}
+        for key in [key for key in pieces if writable(key[2])]:
+            column, kind, time = key
+            due[column].extend((kind, time, records) for records in pieces.pop(key))
+        return due["cells"], due["flows"], ParkedDeltas(pieces)

@@ -147,7 +147,9 @@ class Coverage:
 
     The type does no I/O: callers feed it committed ``(shard, round)``
     pairs through :meth:`commit`.  Commit marks are only ever added, so the
-    frontier only advances and a complete round never reopens.
+    frontier only advances and a complete round never reopens.  The store
+    writes a round's accelerator block in the commit that passes the
+    frontier over it (:meth:`first_owed_after`).
     """
 
     def __init__(self, schedule: Mapping[int, AbstractSet[int]]) -> None:
@@ -185,6 +187,23 @@ class Coverage:
         while self._complete < len(self.rounds) and not owed[self.rounds[self._complete]]:
             self._complete += 1
         return self.rounds[start : self._complete]
+
+    def first_owed_after(self, pairs: "Iterable[tuple[int, int]]") -> "int | None":
+        """The first round still owed once ``pairs`` commit, without committing them.
+
+        After :meth:`commit` of the same pairs, :meth:`complete_through`
+        holds exactly for the rounds before it, or for every round when
+        this is ``None``.  The store asks this inside a commit's
+        transaction, before the pairs are durable.
+        """
+        arriving: dict[int, int] = {}
+        for shard, time in pairs:
+            if shard in self._owed.get(time, ()):
+                arriving[time] = arriving.get(time, 0) + 1
+        for time in self.rounds[self._complete :]:
+            if len(self._owed[time]) > arriving.get(time, 0):
+                return time
+        return None
 
     @property
     def frozen_rounds(self) -> tuple[int, ...]:

@@ -35,10 +35,15 @@ per-partition recovery-state table):
 ``round_blocks`` / ``user_summary``
     The query accelerator (schema v3): one row per ``(kind, round)`` whose
     two int32 column blocks hold that round's occupancy and cell-transition
-    counts, plus per-user bounds, maintained inside every shard-commit
-    transaction so windowed analytics never pay a full-table pass — see
-    :mod:`repro.store.accelerator` for the block layout and the
-    merge-by-integer-addition argument.
+    counts, plus per-user bounds, so windowed analytics never pay a
+    full-table pass — see :mod:`repro.store.accelerator` for the block
+    layout and the merge-by-integer-addition argument.  ``user_summary``
+    rows are written in every shard commit's transaction.  A round's block
+    is written once (schema v6), in the transaction of the commit that
+    moves the coverage frontier past the round; before that the commits'
+    increments are parked in the writer's memory, so a store stopped
+    mid-run holds marks without blocks, and only for rounds no reader may
+    see yet.
 
 Clients' rolling windows hold true locations, so they stay in client
 memory and never reach the store.
@@ -71,13 +76,15 @@ __all__ = ["SCHEMA_VERSION", "BUSY_TIMEOUT_MS", "apply_pragmas", "create_schema"
 
 #: Bumped whenever the table layout changes; stores recorded under a
 #: different version refuse to open rather than guess at a migration.
-#: v2 added the query-accelerator tables maintained inside every
-#: shard-commit transaction; v3 replaced its per-key count rows
+#: v2 added the query-accelerator tables; v3 replaced its per-key count rows
 #: (round_cell_counts, round_flows) with one round_blocks row of int32
 #: column blocks per (kind, round); v4 records the run's coverage schedule
 #: in run_coverage; v5 drops the (time, user) index on releases, so each
-#: release is one B-tree insert.  Stores are rebuilt from their seeds.
-SCHEMA_VERSION = 5
+#: release is one B-tree insert; v6 writes each round block once, when the
+#: coverage frontier passes its round (a v5 store stopped mid-run holds
+#: partial blocks that a v6 resume would count twice).  Stores are rebuilt
+#: from their seeds.
+SCHEMA_VERSION = 6
 
 #: Default lock-retry window (milliseconds) for every connection.
 BUSY_TIMEOUT_MS = 30_000

@@ -25,7 +25,8 @@ so a thread other than the one that opened the store can commit while
 another reads; CPython's ``sqlite3`` is built in serialized threading mode,
 and all writes are additionally serialized by
 :class:`~repro.server.pipeline.Server`'s ingest lock, one shard commit at a
-time.
+time — which also guards the round-block increments a store holds parked
+between commits (:meth:`TraceStore.commit_shard`).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def _insert_releases(
     """Insert one commit's release rows, :data:`_ROWS_PER_INSERT` per statement.
 
     Each statement binds a slice of the seven column lists, so nothing
-    but those lists is held, and they are freed on return, before the
+    but those lists is held, and they are freed on return, before any
     accelerator merge that follows in the same transaction.
     """
     columns = (
@@ -97,6 +98,13 @@ def _insert_releases(
         connection.execute(
             _insert_releases_sql(len(chunk[0])), list(chain.from_iterable(zip(*chunk)))
         )
+
+
+def _preview(values: "list[int]", limit: int = 8) -> str:
+    """``values`` for an error message, the first ``limit`` of them."""
+    if len(values) <= limit:
+        return str(values)
+    return f"{values[:limit]} and {len(values) - limit} more"
 
 
 class TraceStore:
@@ -125,6 +133,15 @@ class TraceStore:
         apply_pragmas(self.connection, busy_timeout_ms)
         create_schema(self.connection)
         self._check_schema_version()
+        # The writer's view of the run (see _sync): round-block increments
+        # parked until the coverage frontier passes their round, the
+        # frontier, the marks this store committed or re-parked, and the
+        # stored marks at unwritten rounds whose increments it lacks.
+        self._parked = accelerator.ParkedDeltas()
+        self._frontier: "Coverage | None" = None
+        self._known: set[tuple[int, int]] = set()
+        self._unparked: set[tuple[int, int]] = set()
+        self._data_version: "int | None" = None  # None: _sync has not run
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -227,6 +244,10 @@ class TraceStore:
                         for time in rounds
                     ],
                 )
+            # Commits made before a run began wrote their blocks at once,
+            # so every mark held now is already in the blocks.
+            self._data_version = None
+            self._known = set(self.committed())
             return frozenset()
         manifest.check_against(recorded, self.path)
         schedule.check_against(Coverage(self.coverage()), self.path)
@@ -291,13 +312,29 @@ class TraceStore:
             raises :class:`~repro.errors.StoreError`.
 
         The release rows, one ``(shard, round)`` mark per distinct
-        timestep, *and* the merged accelerator round blocks
-        (:mod:`repro.store.accelerator`) are written in the same
+        timestep, and the per-user summaries are written in one
         transaction — either the whole shard becomes durable or none of it
-        does, and the summaries can never be torn relative to the marks.
-        The rows go in as multi-row ``INSERT`` statements of 64 rows each
-        (the last one holds the remainder), so the cost is one B-tree
+        does.  The rows go in as multi-row ``INSERT`` statements of 64 rows
+        each (the last one holds the remainder), so the cost is one B-tree
         insert per row and one statement per 64 rows.
+
+        Round blocks (:mod:`repro.store.accelerator`) are written once per
+        round: a round's ``cells`` and ``flows`` blocks, both kinds, are
+        written by the commit after which the run's coverage frontier has
+        passed the round (:meth:`Coverage.complete_through
+        <repro.store.resume.Coverage.complete_through>`), in that commit's
+        transaction — the moment the live views freeze the round and
+        :class:`~repro.query.QueryEngine` first serves it.  Until then the
+        commit's per-round increments are *parked* in memory as int32
+        records in the blocks' own encoding.  The writing commit merges any
+        stored block of the round, its parked increments and its own; on a
+        store no run has begun on (:meth:`coverage` is ``None``) every
+        round is writable at once, through the same merge.  Parked state
+        and the frontier change only once the transaction is durable, so a
+        failed commit leaves both as they were.  A round column holds at
+        most :data:`~repro.store.accelerator.MAX_PARKED_PIECES` pieces;
+        parking one more folds them into one sorted, summed piece, so parked
+        memory does not grow with the number of commits.
 
         Before anything is read or written, a float or bool ``users``,
         ``times``, ``batch.cells`` or ``true_cells`` column raises
@@ -307,16 +344,27 @@ class TraceStore:
         blocks), raise :class:`StoreError` naming the shard.
 
         Re-committing a shard whose ``(shard, round)`` marks are all
-        already durable is an idempotent no-op (the summaries merge by
-        addition, so replaying the rows would double-count them); a commit
-        overlapping only *some* of its marks is a :class:`StoreError`.  So
-        is a commit that would store a ``(user, time)`` key twice — repeated
-        within the commit or already held by an earlier one — refused
-        before anything is written, and one whose merged accelerator values
-        leave the int32 range of a round block, which rolls back whole.
+        already durable writes nothing.  If this store holds the shard's
+        increments parked, or its rounds' blocks are written, it is a no-op;
+        otherwise — a store reopened mid-run — the increments of its
+        unwritten rounds are re-parked from the given rows, which must
+        match the marks' row counts.  A resumed run re-parks every shard
+        it replays this way (:meth:`Server.replay_shard
+        <repro.server.pipeline.Server.replay_shard>`).  Any other commit is
+        refused with a :class:`StoreError` naming the shards and rounds
+        while the store's unwritten rounds hold marks this store has not
+        parked: it would write those rounds' blocks without them.
 
-        Returns ``True`` when the shard was written, ``False`` for the
-        no-op, so a caller that must not apply a shard's effects twice
+        A commit overlapping only *some* of a shard's marks is a
+        :class:`StoreError`.  So is a commit that would store a ``(user,
+        time)`` key twice — repeated within the commit or already held by
+        an earlier one — refused before anything is written, and one whose
+        accelerator values leave the int32 range of a round block, naming
+        the kind and round; the commit that writes the block rolls back
+        whole.
+
+        Returns ``True`` when the shard was written, ``False`` for a
+        re-commit, so a caller that must not apply a shard's effects twice
         (:meth:`Server.ingest_shard
         <repro.server.pipeline.Server.ingest_shard>`) can refuse it.
         """
@@ -328,28 +376,23 @@ class TraceStore:
             true_cells = check_int_array("true_cells", true_cells)
         self._refuse_malformed_rows(shard, users, times, len(batch), cells, true_cells)
         rounds, counts = np.unique(times, return_counts=True)
-        existing_rounds = {
-            int(time)
-            for (time,) in self.connection.execute(
-                "SELECT round FROM shard_commits WHERE shard = ?", (shard,)
+        marked = dict(
+            self.connection.execute(
+                "SELECT round, n_rows FROM shard_commits WHERE shard = ?", (shard,)
             ).fetchall()
-        }
+        )
         incoming_rounds = set(rounds.tolist())
-        if incoming_rounds & existing_rounds:
-            if incoming_rounds <= existing_rounds:
-                return False  # the whole shard is already durable
+        if incoming_rounds & marked.keys():
+            if incoming_rounds <= marked.keys():  # the whole shard is already durable
+                return self._repark(shard, users, times, cells, true_cells, rounds, counts, marked)
             raise StoreError(
                 f"shard {shard} commit overlaps rounds "
-                f"{sorted(incoming_rounds & existing_rounds)} already marked "
+                f"{sorted(incoming_rounds & marked.keys())} already marked "
                 "durable; a shard's rounds must commit together exactly once"
             )
-        maintains_true = self.maintains_true_summaries()
-        if maintains_true is not None and maintains_true != (true_cells is not None):
-            held = "maintains" if maintains_true else "does not maintain"
-            raise StoreError(
-                f"trace store {self.path!r} {held} true-side accelerator "
-                "summaries; every commit must pass true_cells consistently"
-            )
+        maintains_true = self._refuse_mixed_true_side(true_cells)
+        self._sync()
+        self._refuse_unparked(shard)
         prior_users: set[int] = set()
         if len(users):
             prior_users = {
@@ -367,6 +410,47 @@ class TraceStore:
                 "never persisted per row) — commit whole traces per shard"
             )
         self._refuse_repeated_keys(shard, users, times, prior_users)
+        pairs = [(shard, time) for time in rounds.tolist()]
+        frontier = self._frontier
+        owed = None if frontier is None else frontier.first_owed_after(pairs)
+        try:
+            cell_counts, flows = self._deltas(users, times, cells, true_cells, prior_users)
+            cell_counts, flows, parked = self._parked.plan(
+                cell_counts, flows, lambda time: owed is None or time < owed
+            )
+            summaries = accelerator.user_summary_rows(users, times)
+            with self.connection:
+                _insert_releases(self.connection, users, times, cells, batch)
+                self.connection.executemany(
+                    "INSERT OR REPLACE INTO shard_commits (shard, round, n_rows) "
+                    "VALUES (?, ?, ?)",
+                    zip([shard] * len(rounds), rounds.tolist(), counts.tolist()),
+                )
+                accelerator.apply_deltas(self.connection, cell_counts, flows, summaries)
+                if maintains_true is None:
+                    self.connection.execute(
+                        "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
+                        ("accelerator_true", "1" if true_cells is not None else "0"),
+                    )
+        except (sqlite3.Error, OverflowError) as exc:
+            raise StoreError(
+                f"commit of shard {shard} ({len(users)} rows) failed: {exc}"
+            ) from exc
+        self._parked = parked
+        self._known.update(pairs)
+        if frontier is not None:
+            frontier.commit(pairs)
+        return True
+
+    def _deltas(
+        self,
+        users: np.ndarray,
+        times: np.ndarray,
+        cells: np.ndarray,
+        true_cells: "np.ndarray | None",
+        prior_users: "set[int]",
+    ) -> tuple[list, list]:
+        """One commit's per-round ``cells`` and ``flows`` increments, both kinds."""
         cell_counts = accelerator.cell_count_rows(accelerator.KIND_OBSERVED, times, cells)
         flows = accelerator.flow_rows(accelerator.KIND_OBSERVED, users, times, cells)
         flows += accelerator.boundary_flow_rows(
@@ -379,27 +463,97 @@ class TraceStore:
             flows += accelerator.flow_rows(
                 accelerator.KIND_TRUE, users, times, true_cells
             )
-        summaries = accelerator.user_summary_rows(users, times)
-        marks = zip([shard] * len(rounds), rounds.tolist(), counts.tolist())
-        try:
-            with self.connection:
-                _insert_releases(self.connection, users, times, cells, batch)
-                self.connection.executemany(
-                    "INSERT OR REPLACE INTO shard_commits (shard, round, n_rows) "
-                    "VALUES (?, ?, ?)",
-                    marks,
-                )
-                accelerator.apply_deltas(self.connection, cell_counts, flows, summaries)
-                if maintains_true is None:
-                    self.connection.execute(
-                        "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-                        ("accelerator_true", "1" if true_cells is not None else "0"),
-                    )
-        except (sqlite3.Error, OverflowError) as exc:
+        return cell_counts, flows
+
+    def _sync(self) -> None:
+        """Load the run's frontier, unless only this store committed since.
+
+        SQLite's ``data_version`` changes only for commits made through
+        other connections, so between this store's own commits the
+        frontier it advances in memory stays exact.  A mark stored at a
+        round whose blocks are not written yet, which this store neither
+        committed nor re-parked, is *unparked*: its increments are missing
+        here, so the blocks cannot be written until it is re-parked.
+        """
+        (version,) = self.connection.execute("PRAGMA data_version").fetchone()
+        if version == self._data_version:
+            return
+        schedule = self.coverage()
+        frontier = None if schedule is None else Coverage(schedule)
+        unparked: set[tuple[int, int]] = set()
+        if frontier is not None:
+            marks = self.committed()
+            frontier.commit(marks)
+            written = frontier.complete_through
+            # Rounds another writer has written already hold their increments.
+            _, _, self._parked = self._parked.plan((), (), written)
+            unparked = {(shard, time) for shard, time in marks if not written(time)}
+            unparked -= self._known
+        self._frontier, self._unparked, self._data_version = frontier, unparked, version
+
+    def _repark(
+        self,
+        shard: int,
+        users: np.ndarray,
+        times: np.ndarray,
+        cells: np.ndarray,
+        true_cells: "np.ndarray | None",
+        rounds: np.ndarray,
+        counts: np.ndarray,
+        marked: "dict[int, int]",
+    ) -> bool:
+        """Park a durable shard's increments this store lacks; return ``False``."""
+        self._sync()
+        pairs = {(shard, time) for time in rounds.tolist()}
+        if not pairs & self._unparked:
+            return False
+        differing = [
+            time for time, n in zip(rounds.tolist(), counts.tolist()) if marked[time] != n
+        ]
+        if differing:
             raise StoreError(
-                f"commit of shard {shard} ({len(users)} rows) failed: {exc}"
-            ) from exc
-        return True
+                f"re-commit of shard {shard} holds other row counts than its "
+                f"durable marks at rounds {_preview(differing)}; only the "
+                "stored rows can be re-parked"
+            )
+        self._refuse_mixed_true_side(true_cells)
+        try:
+            cell_counts, flows = self._deltas(users, times, cells, true_cells, set())
+            # Increments of written rounds are in their blocks already.
+            _, _, parked = self._parked.plan(
+                cell_counts, flows, self._frontier.complete_through
+            )
+        except OverflowError as exc:
+            raise StoreError(f"re-commit of shard {shard} failed: {exc}") from exc
+        self._parked = parked
+        self._known |= pairs
+        self._unparked -= pairs
+        return False
+
+    def _refuse_mixed_true_side(self, true_cells: "np.ndarray | None") -> "bool | None":
+        """Raise unless ``true_cells`` matches the store's commits; return the flag."""
+        maintains_true = self.maintains_true_summaries()
+        if maintains_true is not None and maintains_true != (true_cells is not None):
+            held = "maintains" if maintains_true else "does not maintain"
+            raise StoreError(
+                f"trace store {self.path!r} {held} true-side accelerator "
+                "summaries; every commit must pass true_cells consistently"
+            )
+        return maintains_true
+
+    def _refuse_unparked(self, shard: int) -> None:
+        """Raise :class:`StoreError` while unwritten rounds hold unparked marks."""
+        if not self._unparked:
+            return
+        shards = sorted({owner for owner, _ in self._unparked})
+        rounds = sorted({time for _, time in self._unparked})
+        raise StoreError(
+            f"trace store {self.path!r} holds commits of shard(s) {shards} at "
+            f"rounds {_preview(rounds)} whose round blocks are not written yet, "
+            "and this store has not parked their increments; re-commit those "
+            "shards first (a resumed run replays them) — committing shard "
+            f"{shard} now could write those blocks without them"
+        )
 
     @staticmethod
     def _refuse_malformed_rows(
@@ -475,6 +629,16 @@ class TraceStore:
         """Whether commits maintain true-side summaries (None before any)."""
         recorded = self._meta().get("accelerator_true")
         return None if recorded is None else recorded == "1"
+
+    def parked_pieces(self) -> dict[tuple[str, int, int], int]:
+        """Round-block increments this store holds back, per block column.
+
+        ``(column, kind, round) -> pieces``, ``column`` being ``"cells"``
+        or ``"flows"``: the increments :meth:`commit_shard` parked for
+        rounds the coverage frontier has not passed.  Empty once the run
+        is complete, and always on a store no run has begun on.
+        """
+        return self._parked.counts()
 
     def committed(self) -> frozenset[tuple[int, int]]:
         """Every durably committed ``(shard, round)`` pair."""

@@ -99,10 +99,18 @@ def check_int_array(name: str, values) -> np.ndarray:
     array converts as ``np.asarray(values, dtype=int)`` would, while a
     float or bool one raises :class:`~repro.errors.ValidationError` naming
     ``name`` instead of being truncated.  Any other iterable is read
-    through ``np.asarray`` first; an empty one is an empty int array
-    (numpy reads ``[]`` as float64).  Range checks stay with the caller.
+    through ``np.asarray`` first, after its items are checked for bools
+    (numpy reads ``[True, 3]`` as the ints ``[1, 3]``); an empty one is an
+    empty int array (numpy reads ``[]`` as float64).  Range checks stay
+    with the caller.
     """
-    array = values if isinstance(values, np.ndarray) else np.asarray(list(values))
+    if isinstance(values, np.ndarray):
+        array = values
+    else:
+        items = list(values)
+        if any(isinstance(item, (bool, np.bool_)) for item in items):
+            raise ValidationError(f"{name} must be integers, got a bool in {items[:5]!r}")
+        array = np.asarray(items)
     if array.dtype.kind not in "iu" and array.size:
         raise ValidationError(f"{name} must be integers, got dtype {array.dtype}")
     return array.astype(int, copy=False)

@@ -471,6 +471,24 @@ class TestRegistryValidation:
                 {0: {0}},
             )
 
+    @pytest.mark.parametrize(
+        "column, position, value",
+        [
+            ("users", 0, [0.5, 1.7]),
+            ("times", 1, [0.9, 2.2]),
+            ("true_cells", 3, [1.9, 2.0]),
+            ("snapped_cells", 4, [True, 3]),
+            ("snapped_cells", 4, np.array([True, False])),
+        ],
+    )
+    def test_float_or_bool_integer_column_is_refused(self, column, position, value):
+        # Truncated, these rows were users [0, 1] at times [0, 2] with true
+        # cells [1, 2] and snapped cells [1, 3].
+        columns = [[0, 1], [0, 2], np.zeros((2, 2)), [1, 2], [1, 3]]
+        columns[position] = value
+        with pytest.raises(ValidationError, match=f"^{column} must be integers"):
+            ShardRows.build(*columns)
+
     def test_unexpected_shard_and_round_mismatch(self, world, db, engine):
         # ingest folds rows check() already sorted, and refuses under its
         # lock what check() refuses about the shard itself.

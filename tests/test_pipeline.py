@@ -1,15 +1,18 @@
 """Unit tests for the client/server release pipeline."""
 
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from time import perf_counter, sleep
 
+import numpy as np
 import pytest
 
 from repro.core.mechanisms import PolicyLaplaceMechanism
 from repro.core.policies import area_policy, contact_tracing_policy, full_disclosure_policy, grid_policy
 from repro.engine import PrivacyEngine, ShardPlan, stream_shard_releases
-from repro.errors import DataError, PolicyError
+from repro.errors import DataError, PolicyError, ValidationError
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
 from repro.server.live_metrics import default_views, expected_coverage
@@ -102,6 +105,47 @@ class TestServer:
         server = Server(world)
         server.push_policy(client, area_policy(world, 3, 3))
         assert client.policy.name.startswith("area")
+
+
+class TestIntegerColumns:
+    """A float or bool integer column is refused at ingest, never truncated."""
+
+    CASES = [
+        pytest.param("users", [0.5, 1.7], [0, 0], None, id="users-float"),
+        pytest.param("users", [True, False], [0, 0], None, id="users-bool"),
+        pytest.param("times", [0, 1], [0.9, 0.2], None, id="times-float"),
+        pytest.param("batch.cells", [0, 1], [0, 0], [1.9, 2.0], id="cells-float"),
+        pytest.param("batch.cells", [0, 1], [0, 0], [True, 3], id="cells-bool-in-list"),
+    ]
+
+    @pytest.fixture
+    def batch(self, world):
+        engine = PrivacyEngine.from_spec(world, mechanism="P-LM", policy="G1", epsilon=1.0)
+        return engine.release_batch(np.array([3, 5]), rng=0)
+
+    @pytest.mark.parametrize("column, users, times, cells", CASES)
+    def test_store_backed_ingest_writes_nothing(self, world, batch, column, users, times, cells):
+        # Truncated, users [0.5, 1.7] at times [0.9, 0.2] were stored and
+        # charged as users 0 and 1 at time 0.
+        if cells is not None:
+            batch = replace(batch, cells=cells)
+        with TraceStore(":memory:") as store:
+            server = Server(world, store=store)
+            with pytest.raises(ValidationError, match=f"^{re.escape(column)} must be integers"):
+                server.ingest_shard(users, times, batch, shard=0)
+            assert len(store) == 0 and not store.committed()
+            assert len(server.ledger) == 0 and len(server.released_db) == 0
+
+    @pytest.mark.parametrize("column, users, times, cells", CASES)
+    def test_live_ingest_folds_nothing(self, world, batch, column, users, times, cells):
+        if cells is not None:
+            batch = replace(batch, cells=cells)
+        server = Server(world)
+        server.attach_metrics(default_views(world), {0: frozenset({0, 1})})
+        with pytest.raises(ValidationError, match=f"^{re.escape(column)} must be integers"):
+            server.ingest_shard(users, times, batch, shard=0)
+        assert len(server.ledger) == 0 and len(server.released_db) == 0
+        assert server.metrics.frozen_rounds == ()
 
 
 class TestTrueCells:

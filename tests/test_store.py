@@ -9,6 +9,7 @@ charging, and the ExecutionSpec wiring.
 import shutil
 import sqlite3
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,8 +26,15 @@ from repro.mobility.trajectory import TraceDB
 from repro.query import QueryEngine, Window
 from repro.query import reference as ref
 from repro.server.live_metrics import expected_coverage
-from repro.server.pipeline import Server, run_release_rounds_batched
-from repro.store import RunManifest, StoredTraceDB, TraceStore, accelerator, engine_spec_hash
+from repro.server.pipeline import Server, _true_cells, run_release_rounds_batched
+from repro.store import (
+    Coverage,
+    RunManifest,
+    StoredTraceDB,
+    TraceStore,
+    accelerator,
+    engine_spec_hash,
+)
 from repro.store.resume import RunManifest as ResumeManifest
 
 
@@ -88,9 +96,11 @@ class TestSchemaAndPragmas:
 
     def test_v2_store_refuses_to_open(self, tmp_path):
         # v3 replaced the per-key accelerator rows with round blocks, v4
-        # records the run's coverage schedule, and v5 drops the (time, user)
-        # index; an older store is rebuilt from its seeds, never read as v5.
-        for version in (2, 3, 4):
+        # records the run's coverage schedule, v5 drops the (time, user)
+        # index, and v6 writes each round block once, as the coverage
+        # frontier passes it (a v5 store stopped mid-run holds partial
+        # blocks); an older store is rebuilt from its seeds, never read as v6.
+        for version in (2, 3, 4, 5):
             path = tmp_path / f"v{version}.sqlite"
             with TraceStore(path) as store:
                 with store.connection:
@@ -98,7 +108,7 @@ class TestSchemaAndPragmas:
                         "UPDATE meta SET value=? WHERE key='schema_version'", (str(version),)
                     )
             with pytest.raises(
-                StoreError, match=f"schema v{version}, this build expects v5"
+                StoreError, match=f"schema v{version}, this build expects v6"
             ):
                 TraceStore(path)
 
@@ -794,3 +804,170 @@ class TestCommitRefusals:
             assert store.at_time(-1) == {1: 3, 2: 3}
             cells = accelerator.window_blocks(store.connection, "cells", 0, -1, -1)
             assert cells.tolist() == [[3, 2]]
+
+
+# ----------------------------------------------------------------------
+# write-once round blocks
+# ----------------------------------------------------------------------
+
+
+def _staggered_db(world):
+    """12 users in 4 shards: shards 0-1 hold rounds 0-3, shards 2-3 rounds 2-7."""
+    db = TraceDB()
+    for user in range(12):
+        start, end = (0, 3) if user < 6 else (2, 7)
+        for time in range(start, end + 1):
+            db.record(user, time, (user * 7 + time * 3) % world.n_cells)
+    return db
+
+
+def _block_rounds(store):
+    rows = store.connection.execute("SELECT DISTINCT time FROM round_blocks ORDER BY time")
+    return [time for (time,) in rows]
+
+
+@pytest.fixture(scope="module")
+def run_parts(world, db, engine):
+    """The 4-shard run of ``db`` as ``(manifest, schedule, shard -> parts)``."""
+    plan = ShardPlan.build(sorted(db.users()), 4, rng=11)
+    parts = {
+        plan.shard_of(int(users[0])): (users, times, batch)
+        for users, times, batch in stream_shard_releases(engine, db, plan)
+    }
+    return RunManifest.for_run(engine, plan, world), expected_coverage(plan, db), parts
+
+
+def _replay(server, parts, db, shard):
+    users = parts[shard][0]
+    return server.replay_shard(
+        int(users.min()), int(users.max()), shard=shard, true_cells=partial(_true_cells, db)
+    )
+
+
+class TestWriteOnce:
+    """A round block is written once, by the commit that passes the frontier over it."""
+
+    @pytest.mark.parametrize("backend", ["serial", "pool"])
+    def test_blocks_hold_exactly_the_rounds_the_frontier_passed(
+        self, backend, world, engine, monkeypatch
+    ):
+        staggered = _staggered_db(world)
+        seen = []
+        commit = TraceStore.commit_shard
+
+        def observed(store, *args, **kwargs):
+            written = commit(store, *args, **kwargs)
+            frontier = Coverage(store.coverage())
+            frontier.commit(store.committed())
+            seen.append((_block_rounds(store), list(frontier.frozen_rounds)))
+            return written
+
+        monkeypatch.setattr(TraceStore, "commit_shard", observed)
+        with TraceStore(":memory:") as store:
+            run_release_rounds_batched(
+                world, staggered, engine, rng=11, shards=4, backend=backend, store=store
+            )
+            kinds = store.connection.execute(
+                "SELECT kind, COUNT(*) FROM round_blocks GROUP BY kind ORDER BY kind"
+            ).fetchall()
+            assert store.parked_pieces() == {}
+        assert [blocks for blocks, _ in seen] == [frozen for _, frozen in seen]
+        assert [frozen for _, frozen in seen][-1] == list(range(8))
+        assert kinds == [(0, 8), (1, 8)]
+        if backend == "serial":
+            # Shards commit in order: rounds 0-1 complete with shard 1.
+            assert [frozen for _, frozen in seen] == [[], [0, 1], [0, 1], list(range(8))]
+
+    def test_reopened_store_refuses_until_its_shards_are_re_parked(
+        self, world, db, engine, run_parts, tmp_path
+    ):
+        manifest, schedule, parts = run_parts
+        path = tmp_path / "reopened.sqlite"
+        with TraceStore(path) as store:
+            store.begin_run(manifest, schedule)
+            server = Server(world, store=store)
+            for shard in (0, 1):
+                server.ingest_shard(*parts[shard], shard=shard)
+            assert store.parked_pieces() and _block_rounds(store) == []
+        with TraceStore(path) as store:
+            store.begin_run(manifest, schedule, resume=True)
+            assert store.parked_pieces() == {}
+            server = Server(world, store=store)
+            before = _store_state(store)
+            with pytest.raises(
+                StoreError,
+                match=r"holds commits of shard\(s\) \[0, 1\] at rounds \[0, 1, 2, .* not parked",
+            ):
+                server.ingest_shard(*parts[2], shard=2)
+            assert _store_state(store) == before
+            for shard in (0, 1):
+                _replay(server, parts, db, shard)
+            assert _store_state(store) == before  # a re-park writes nothing
+            for shard in (2, 3):
+                server.ingest_shard(*parts[shard], shard=shard)
+            resumed = _store_state(store)
+        with TraceStore(":memory:") as whole:
+            _run(world, db, engine, whole)
+            assert resumed == _store_state(whole)
+
+    def test_a_second_writer_is_refused(self, world, db, engine, run_parts, tmp_path):
+        manifest, schedule, parts = run_parts
+        path = tmp_path / "shared.sqlite"
+        with TraceStore(path) as first, TraceStore(path) as second:
+            first.begin_run(manifest, schedule)
+            Server(world, store=first).ingest_shard(*parts[0], shard=0)
+            second.begin_run(manifest, schedule, resume=True)
+            other = Server(world, store=second)
+            _replay(other, parts, db, 0)
+            other.ingest_shard(*parts[1], shard=1)
+            before = _store_state(first)
+            with pytest.raises(StoreError, match=r"holds commits of shard\(s\) \[1\]"):
+                Server(world, store=first).ingest_shard(*parts[2], shard=2)
+            assert _store_state(first) == before
+
+    def test_many_shards_fold_their_parked_pieces(self, world, engine, monkeypatch):
+        many = geolife_like(world, n_users=64, horizon=6, rng=5)
+        peaks = []
+        commit = TraceStore.commit_shard
+
+        def observed(store, *args, **kwargs):
+            written = commit(store, *args, **kwargs)
+            peaks.append(max(store.parked_pieces().values(), default=0))
+            return written
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(TraceStore, "commit_shard", observed)
+            with TraceStore(":memory:") as split:
+                run_release_rounds_batched(world, many, engine, rng=11, shards=64, store=split)
+                got = _store_state(split)[2:]
+        with TraceStore(":memory:") as whole:
+            run_release_rounds_batched(world, many, engine, rng=11, shards=1, store=whole)
+            want = _store_state(whole)[2:]
+        assert len(peaks) == 64
+        assert max(peaks) == accelerator.MAX_PARKED_PIECES  # reached, never passed
+        assert peaks[-1] == 0
+        assert got == want
+
+    def test_re_commit_with_other_rows_is_refused(
+        self, world, db, engine, run_parts, tmp_path
+    ):
+        manifest, schedule, parts = run_parts
+        path = tmp_path / "other-rows.sqlite"
+        with TraceStore(path) as store:
+            store.begin_run(manifest, schedule)
+            Server(world, store=store).ingest_shard(*parts[0], shard=0)
+        with TraceStore(path) as store:
+            users, times, batch = parts[0]
+            keep = users != users[0]
+            fewer = replace(
+                batch,
+                points=batch.points[keep],
+                exact=batch.exact[keep],
+                epsilons=batch.epsilons[keep],
+                cells=np.asarray(batch.cells)[keep],
+            )
+            with pytest.raises(StoreError, match="other row counts than its durable marks"):
+                store.commit_shard(
+                    0, users[keep], times[keep], fewer, true_cells=fewer.cells
+                )
+            assert store.parked_pieces() == {}

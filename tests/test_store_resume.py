@@ -24,6 +24,7 @@ import signal
 import sqlite3
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 from pathlib import Path
@@ -68,6 +69,27 @@ def engine(world):
 def reference(world, db, engine):
     """The uninterrupted in-memory run every resumed run must reproduce."""
     return run_release_rounds_batched(world, db, engine, rng=RNG, shards=N_SHARDS, backend="serial")
+
+
+#: The accelerator's rows, each in key order: the bytes a resume must rebuild.
+ACCELERATOR_SQL = (
+    "SELECT kind, time, cells, flows FROM round_blocks ORDER BY kind, time",
+    "SELECT * FROM user_summary ORDER BY user",
+)
+
+
+def _accelerator_rows(store):
+    return [store.connection.execute(sql).fetchall() for sql in ACCELERATOR_SQL]
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(world, db, engine):
+    """The accelerator rows of a never-killed store-backed run."""
+    with TraceStore(":memory:") as store:
+        run_release_rounds_batched(
+            world, db, engine, rng=RNG, shards=N_SHARDS, backend="serial", store=store
+        )
+        return _accelerator_rows(store)
 
 
 def _state(server):
@@ -142,7 +164,7 @@ def _committed_shards(path):
 
 @pytest.mark.parametrize("backend", ["serial", "pool", "rpc"])
 def test_sigkill_mid_run_then_resume_is_bit_identical(
-    backend, world, db, engine, reference, tmp_path
+    backend, world, db, engine, reference, uninterrupted, tmp_path
 ):
     store_path = tmp_path / f"killed-{backend}.sqlite"
     child = tmp_path / "child.py"
@@ -197,9 +219,11 @@ def test_sigkill_mid_run_then_resume_is_bit_identical(
     )
     _assert_matches(server, reference)
 
-    # And the store itself now holds every pair.
+    # And the store itself now holds every pair, and the accelerator rows
+    # the resume re-parked and wrote equal a never-killed store's.
     with TraceStore(store_path) as store:
         assert store.committed() == expected
+        assert _accelerator_rows(store) == uninterrupted
 
 
 # ----------------------------------------------------------------------
@@ -208,11 +232,20 @@ def test_sigkill_mid_run_then_resume_is_bit_identical(
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(prefix=st.sets(st.integers(min_value=0, max_value=N_SHARDS - 1)))
-def test_any_committed_prefix_resumes_to_reference(world, db, engine, reference, prefix):
+@given(
+    prefix=st.sets(st.integers(min_value=0, max_value=N_SHARDS - 1)),
+    reopen=st.booleans(),
+)
+def test_any_committed_prefix_resumes_to_reference(
+    world, db, engine, reference, uninterrupted, prefix, reopen
+):
     plan = ShardPlan.build(sorted(db.users()), N_SHARDS, rng=RNG)
-    with TraceStore(":memory:") as store:
+    with tempfile.TemporaryDirectory() as directory:
+        path = str(Path(directory) / "crashed.sqlite")
         # Simulate a crashed run: manifest recorded, only `prefix` committed.
+        # Reopened, the writer is gone with whatever it held in memory;
+        # otherwise the resume runs on the store that committed the prefix.
+        store = TraceStore(path)
         store.begin_run(
             RunManifest.for_run(engine, plan, world), expected_coverage(plan, db)
         )
@@ -221,11 +254,16 @@ def test_any_committed_prefix_resumes_to_reference(world, db, engine, reference,
             engine, db, plan, only_shards=frozenset(prefix)
         ):
             committer.ingest_shard(users, times, batch, shard=plan.shard_of(int(users[0])))
-        server = run_release_rounds_batched(
-            world, db, engine, rng=RNG, shards=N_SHARDS, backend="serial",
-            store=store, resume=True,
-        )
-        _assert_matches(server, reference)
+        if reopen:
+            store.close()
+            store = TraceStore(path)
+        with store:
+            server = run_release_rounds_batched(
+                world, db, engine, rng=RNG, shards=N_SHARDS, backend="serial",
+                store=store, resume=True,
+            )
+            _assert_matches(server, reference)
+            assert _accelerator_rows(store) == uninterrupted
 
 
 # ----------------------------------------------------------------------
@@ -435,7 +473,7 @@ def test_resume_rebuilds_live_metrics_equal_to_uninterrupted(
 
 
 def test_sigkill_mid_run_then_resume_rebuilds_live_metrics(
-    world, db, engine, reference, live_reference, tmp_path
+    world, db, engine, reference, live_reference, uninterrupted, tmp_path
 ):
     # The real thing: a live-metrics run killed with SIGKILL mid-commit,
     # resumed with the views attached again, on another backend.  (The full
@@ -478,6 +516,8 @@ def test_sigkill_mid_run_then_resume_rebuilds_live_metrics(
     )
     _assert_matches(server, reference)
     _assert_live_matches(server, live_reference)
+    with TraceStore(store_path) as store:
+        assert _accelerator_rows(store) == uninterrupted
 
 
 def test_half_committed_round_raises_snapshot_unavailable(world, db, engine):
