@@ -12,8 +12,11 @@ decide whether the commit-time maintenance earns its keep:
   bundle (contact rate + flow matrix + top-k over one window, O(distinct
   keys in the window)) against the naive ``repro.query.reference`` full scans (O(rows)), every
   size bit-checked identical across every query type before anything is
-  timed.  The acceptance gates the headline: at the largest configured
-  population, the accelerator bundle must be >= 10x cheaper.
+  timed.  The gated bundle runs on a fresh ``QueryEngine`` each time, so
+  it reads and decodes the window's round blocks; the same bundle repeated
+  on one engine, which answers from the rounds it already holds, is
+  reported beside it.  The acceptance gates the headline: at the largest
+  configured population, the fresh-engine bundle must be >= 10x cheaper.
 * **maintenance** — the commits that pay for it: durable shard-ingest
   throughput with the summaries being maintained, for context against the
   E18 durable-ingest numbers.
@@ -47,8 +50,9 @@ from repro.server.live_metrics import expected_coverage
 from repro.server.pipeline import Server
 from repro.store import RunManifest, TraceStore
 
-#: Headline acceptance: the accelerator window bundle >= this factor
-#: cheaper than the same answers from full scans at the largest population.
+#: Headline acceptance: the accelerator window bundle on a fresh engine >=
+#: this factor cheaper than the same answers from full scans at the largest
+#: population.
 SPEEDUP_FLOOR = 10.0
 
 #: CI-sized workloads shared by ``--smoke`` here and ``run_bench.py --smoke``.
@@ -156,6 +160,17 @@ def _bundle(engine_q: QueryEngine, window: Window) -> None:
     engine_q.top_cells(window, 10)
 
 
+def _bundle_seconds(bundle, repeats: int) -> float:
+    """Best-of-chunks mean seconds of ``bundle()``."""
+    chunk_times = []
+    for _ in range(QUERY_CHUNKS):
+        start = time.perf_counter()
+        for _ in range(repeats):
+            bundle()
+        chunk_times.append((time.perf_counter() - start) / repeats)
+    return min(chunk_times)
+
+
 def _scan_bundle(store, window: Window, world) -> None:
     """The same answers a reader without the accelerator computes."""
     reference.full_scan_contact_rate(store, window)
@@ -174,10 +189,12 @@ def query_scaling_records(
 
     The full-scan side is what a reader without the summary tables pays per
     question: one O(rows) pass over ``releases`` per answer.  The
-    accelerator side reads the window's round blocks — O(distinct keys in
-    the window), independent of the stored population once the grid
-    saturates.  Both are checked bit-identical
-    across every query type before anything is timed.
+    accelerator side (``query_seconds``) opens a fresh engine on the store
+    and reads the window's round blocks — O(distinct keys in the window),
+    independent of the stored population once the grid saturates.
+    ``warm_query_seconds`` repeats the bundle on one engine, which sums the
+    rounds it already holds.  Both are checked bit-identical across every
+    query type before anything is timed.
     """
     records = []
     for n_users in populations:
@@ -188,13 +205,10 @@ def query_scaling_records(
 
         matches = _bit_check(engine_q, store, world, db, horizon)
 
-        chunk_times = []
-        for _ in range(QUERY_CHUNKS):
-            start = time.perf_counter()
-            for _ in range(query_repeats):
-                _bundle(engine_q, window)
-            chunk_times.append((time.perf_counter() - start) / query_repeats)
-        query_seconds = min(chunk_times)
+        query_seconds = _bundle_seconds(
+            lambda: _bundle(QueryEngine(store, world=world), window), query_repeats
+        )
+        warm_query_seconds = _bundle_seconds(lambda: _bundle(engine_q, window), query_repeats)
 
         scan_times = []
         for _ in range(SCAN_CHUNKS):
@@ -213,6 +227,10 @@ def query_scaling_records(
                 "query_seconds": round(query_seconds, 9),
                 "full_scan_seconds": round(full_scan_seconds, 6),
                 "query_speedup": round(full_scan_seconds / max(query_seconds, 1e-12), 1),
+                "warm_query_seconds": round(warm_query_seconds, 9),
+                "warm_query_speedup": round(
+                    full_scan_seconds / max(warm_query_seconds, 1e-12), 1
+                ),
                 "ingest_seconds": round(ingest_seconds, 6),
                 "ingest_rows_per_sec": round(len(db) / max(ingest_seconds, 1e-12), 1),
             }
@@ -235,6 +253,7 @@ def query_surface_block(smoke: bool) -> dict:
         "headline": {
             "n_users": largest["n_users"],
             "query_speedup": largest["query_speedup"],
+            "warm_query_speedup": largest["warm_query_speedup"],
             "speedup_floor": SPEEDUP_FLOOR,
             "within_floor": largest["query_speedup"] >= SPEEDUP_FLOOR,
             "matches_reference": all(r["matches_reference"] for r in records),
@@ -257,13 +276,14 @@ def test_query_answers_match_full_scans():
 
 
 def test_accelerated_queries_beat_full_scans_by_floor():
-    """Acceptance: the window bundle >= 10x cheaper at the largest size."""
+    """Acceptance: the fresh-engine window bundle >= 10x cheaper at the largest size."""
     records = query_scaling_records(**SMOKE_WORKLOAD)
     largest = records[-1]
     print(
-        f"\nE22: n={largest['n_users']} accel {largest['query_seconds']}s "
+        f"\nE22: n={largest['n_users']} accel (fresh engine) {largest['query_seconds']}s "
         f"vs scan {largest['full_scan_seconds']}s "
-        f"({largest['query_speedup']}x, floor {SPEEDUP_FLOOR}x)"
+        f"({largest['query_speedup']}x, floor {SPEEDUP_FLOOR}x; "
+        f"warm engine {largest['warm_query_speedup']}x)"
     )
     assert largest["query_speedup"] >= SPEEDUP_FLOOR, largest
 
@@ -301,6 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"E22: n={record['n_users']:>7,}"
             f"  accel {record['query_seconds'] * 1e3:>8.3f}ms/bundle"
+            f"  (warm {record['warm_query_seconds'] * 1e3:.3f}ms)"
             f"  scan {record['full_scan_seconds'] * 1e3:>9.1f}ms/bundle"
             f"  speedup {record['query_speedup']:>8,.0f}x"
             f"  ingest {record['ingest_rows_per_sec']:>10,.0f} rows/s"
@@ -310,7 +331,8 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"E22: headline n={headline['n_users']:,} speedup "
         f"{headline['query_speedup']:,.0f}x (floor {headline['speedup_floor']}x, "
-        f"within_floor={headline['within_floor']}) -> {args.output}"
+        f"within_floor={headline['within_floor']}; warm engine "
+        f"{headline['warm_query_speedup']:,.0f}x) -> {args.output}"
     )
     return 0
 

@@ -51,10 +51,12 @@ The artifact has four blocks (schema documented in ``docs/benchmarks.md``)::
         "scaling": [{"n_users": 4000, "rows": 24000, "shards": 8,
                      "window": [3, 5], "matches_reference": true,
                      "query_seconds": 0.0048, "full_scan_seconds": 0.086,
-                     "query_speedup": 17.8,
+                     "query_speedup": 17.8, "warm_query_seconds": 0.0002,
+                     "warm_query_speedup": 430.0,
                      "ingest_seconds": 0.19,
                      "ingest_rows_per_sec": 124700.0}, ...],
         "headline": {"n_users": 4000, "query_speedup": 17.8,
+                     "warm_query_speedup": 430.0,
                      "speedup_floor": 10.0, "within_floor": true,
                      "matches_reference": true}
       }
@@ -305,6 +307,7 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"  n={record['n_users']:>7,}"
                 f"  accel {record['query_seconds'] * 1e3:>8.3f}ms/bundle"
+                f"  (warm {record['warm_query_seconds'] * 1e3:.3f}ms)"
                 f"  scan {record['full_scan_seconds'] * 1e3:>9.1f}ms/bundle"
                 f"  speedup {record['query_speedup']:>8,.0f}x"
                 f"  matches_reference={record['matches_reference']}"

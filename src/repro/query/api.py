@@ -3,8 +3,10 @@
 Every query here is answered from the accelerator layout
 (:mod:`repro.store.accelerator`) — per-round int32 summary blocks and the
 ``releases`` primary key — in time proportional to the distinct keys in the
-window, never to the stored population.  Each is bit-identical to its naive
-full-scan counterpart in :mod:`repro.query.reference`:
+window the first time an engine reads its rounds, and to the rounds in it
+once the engine holds them; never to the stored population.  Each is
+bit-identical to its naive full-scan counterpart in
+:mod:`repro.query.reference`:
 
 * integer components (occupancy counts, flow counts, pair events) merge by
   addition, which no aggregation order can perturb;
@@ -28,15 +30,17 @@ windows answer over what is committed.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import accumulate
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from repro.errors import DataError, SnapshotUnavailableError, StoreError, ValidationError
 from repro.geo.grid import GridWorld
-from repro.store.accelerator import KIND_OBSERVED, KIND_TRUE, window_blocks
+from repro.store.accelerator import KIND_OBSERVED, KIND_TRUE, read_round_blocks
 from repro.store.resume import Coverage
 from repro.store.store import TraceStore, open_store
 from repro.utils.validation import check_integer, check_positive, check_probability
@@ -53,6 +57,11 @@ __all__ = [
 ]
 
 _KINDS = {"observed": KIND_OBSERVED, "true": KIND_TRUE}
+
+#: ``top_cells`` sums per cell id in a dense array while the window's
+#: largest id is below this many times its record count, and through the
+#: sorted unique ids past that, so its scratch is O(records in the window).
+_DENSE_IDS_PER_RECORD = 4
 
 
 @dataclass(frozen=True, order=True)
@@ -123,6 +132,73 @@ class WindowContactRate:
     observations: int
 
 
+class _Segment(NamedTuple):
+    """What one range read of round blocks left: rounds ``lo..hi``.
+
+    ``times`` are the rounds of the range whose block held records,
+    ascending; every other round of the range is empty.  Round
+    ``times[i]`` owns rows ``bounds[i]:bounds[i + 1]`` of each of
+    ``arrays``: per-record arrays (decoded ``cells`` records, or the flows'
+    area-pair codes and counts), or one row per round (area-pair totals).
+    """
+
+    lo: int
+    hi: int
+    times: list[int]
+    bounds: list[int]
+    arrays: tuple[np.ndarray, ...]
+
+    def rows(self, start: int, end: int) -> tuple[np.ndarray, ...]:
+        """The rows of the rounds in ``start..end``."""
+        first = self.bounds[bisect_left(self.times, start)]
+        stop = self.bounds[bisect_right(self.times, end)]
+        return tuple(array[first:stop] for array in self.arrays)
+
+
+def _segment(lo: int, hi: int, times: np.ndarray, sizes: np.ndarray, *arrays) -> _Segment:
+    """A segment whose round ``times[i]`` owns the next ``sizes[i]`` rows."""
+    return _Segment(lo, hi, times.tolist(), [0, *accumulate(sizes.tolist())], arrays)
+
+
+class _Rounds:
+    """One column's per-round state: disjoint segments in round order."""
+
+    def __init__(self) -> None:
+        self._los: list[int] = []
+        self._his: list[int] = []
+        self._segments: list[_Segment] = []
+
+    def _overlapping(self, start: int, end: int) -> list[_Segment]:
+        return self._segments[bisect_left(self._his, start) : bisect_right(self._los, end)]
+
+    def gaps(self, start: int, end: int) -> list[tuple[int, int]]:
+        """The ranges of ``start..end`` no segment holds, ascending."""
+        gaps, at = [], start
+        for segment in self._overlapping(start, end):
+            if segment.lo > at:
+                gaps.append((at, segment.lo - 1))
+            at = segment.hi + 1
+        if at <= end:
+            gaps.append((at, end))
+        return gaps
+
+    def copy(self) -> "_Rounds":
+        twin = _Rounds()
+        twin._los, twin._his, twin._segments = self._los[:], self._his[:], self._segments[:]
+        return twin
+
+    def add(self, segment: _Segment) -> None:
+        at = bisect_left(self._los, segment.lo)
+        self._los.insert(at, segment.lo)
+        self._his.insert(at, segment.hi)
+        self._segments.insert(at, segment)
+
+    def rows(self, start: int, end: int) -> list[tuple[np.ndarray, ...]]:
+        """Each segment's rows of the rounds in ``start..end``, non-empty ones."""
+        parts = (segment.rows(start, end) for segment in self._overlapping(start, end))
+        return [arrays for arrays in parts if len(arrays[0])]
+
+
 class QueryEngine:
     """Windowed analytics over one trace store, accelerator-served.
 
@@ -149,6 +225,24 @@ class QueryEngine:
     loaded once (see the module docstring).  The engine keeps the frontier
     it last saw and reads ``shard_commits`` only for a window that reaches
     past it: marks are only ever added, so a complete round stays complete.
+
+    The engine also keeps, for its whole life, what it derived from each
+    round block it read: per kind, each round's decoded ``cells`` records
+    (read-only int32 views of the bytes read, shared by
+    :meth:`contact_rate` and :meth:`top_cells`); per kind, for one area
+    tiling at a time, each round's flows as area-pair totals or as
+    per-record area-pair codes and counts, whichever is smaller.  A window
+    query reads only the rounds it lacks, with one range read per gap, and
+    answers with integer sums over its rounds.  Everything kept is dropped
+    as soon as the store changes: each windowed query first compares the
+    connection's ``PRAGMA data_version`` (commits through other
+    connections) and ``total_changes`` (writes through this one) with the
+    stamp the state was read at.  The stamp is checked again after the
+    gap reads, and a commit that landed between them drops the state and
+    reads the whole window again in one range read, kept only if the stamp
+    holds across it, so one answer never mixes blocks from both sides of a
+    commit.  Reads made while the connection is inside a transaction
+    answer the query but are not kept.  :meth:`close` drops everything.
     """
 
     def __init__(
@@ -166,10 +260,15 @@ class QueryEngine:
         self._world = world
         self._world_from_manifest = False
         self._coverage: Coverage | None = None
+        # Per-round state keyed ("cells", kind) or ("flows", kind, rows,
+        # cols), read from the store as it was at _stamp.
+        self._stamp: "tuple[int, int] | None" = None
+        self._state: dict[tuple, _Rounds] = {}
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Close the store if this engine opened it (idempotent)."""
+        """Drop the kept state; close the store if this engine opened it (idempotent)."""
+        self._drop()
         if self._owned and self.store is not None:
             self.store.close()
 
@@ -252,21 +351,76 @@ class QueryEngine:
         return code
 
     # ------------------------------------------------------------------
+    # Per-round state
+    # ------------------------------------------------------------------
+    def _drop(self) -> None:
+        self._stamp, self._state = None, {}
+
+    def _unchanged(self) -> bool:
+        """Whether the store is as the kept state read it; if not, drop that state."""
+        connection = self.store.connection
+        (version,) = connection.execute("PRAGMA data_version").fetchone()
+        stamp = (version, connection.total_changes)
+        if stamp == self._stamp:
+            return True
+        self._drop()
+        self._stamp = stamp
+        return False
+
+    def _rows(
+        self, key: tuple, window: Window, read: "Callable[[int, int], _Segment]"
+    ) -> list[tuple[np.ndarray, ...]]:
+        """The rows of ``window``'s rounds in the state at ``key``.
+
+        The state is dropped first if the store changed since it was read.
+        Each range it lacks is then one ``read(lo, hi)``.  If the stamp
+        moved while they were read, everything kept is dropped and the
+        window is read again in one range read, one snapshot, which is kept
+        only if the stamp holds across it.
+        """
+        self._unchanged()
+        rounds = self._state.setdefault(key, _Rounds())
+        segments = [read(lo, hi) for lo, hi in rounds.gaps(window.start, window.end)]
+        keep = not segments or self._unchanged()
+        if not keep:
+            rounds = self._state.setdefault(key, _Rounds())
+            segments = [read(window.start, window.end)]
+            keep = self._unchanged()
+        if not keep or self.store.connection.in_transaction:
+            rounds = rounds.copy()  # answer from these reads, keep none of them
+        for segment in segments:
+            rounds.add(segment)
+        return rounds.rows(window.start, window.end)
+
+    def _cells(self, code: int, window: Window) -> np.ndarray:
+        """The window's ``(cell, n)`` int32 records, round after round."""
+
+        def read(lo: int, hi: int) -> _Segment:
+            times, sizes, records = read_round_blocks(
+                self.store.connection, "cells", code, lo, hi
+            )
+            return _segment(lo, hi, times, sizes, records)
+
+        parts = [records for (records,) in self._rows(("cells", code), window, read)]
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.int32)
+
+    # ------------------------------------------------------------------
     # Windowed aggregates
     # ------------------------------------------------------------------
     def contact_rate(self, window: Window, kind: str = "observed") -> WindowContactRate:
         """E2 contact rate / R0 over one window, from per-round occupancy.
 
-        One range read of the window's ``cells`` blocks — O(distinct
-        ``(time, cell)`` pairs in the window), independent of the stored
-        population.  Raises :class:`~repro.errors.DataError` for a window
-        with no observations (both sides of the bit-check agree on that).
+        Sums the window's ``cells`` records — O(distinct ``(time, cell)``
+        pairs in the window), independent of the stored population — after
+        one range read per span of rounds the engine has not read yet.
+        Raises :class:`~repro.errors.DataError` for a window with no
+        observations (both sides of the bit-check agree on that).
         """
         code = self._kind(kind)
         self._check_coverage(window.end)
-        counts = window_blocks(
-            self.store.connection, "cells", code, window.start, window.end
-        )[:, 1]
+        counts = self._cells(code, window)[:, 1].astype(np.int64)
         observations = int(counts.sum())
         if observations == 0:
             raise DataError("window contains no observations")
@@ -290,63 +444,99 @@ class QueryEngine:
     ) -> Counter:
         """Inter-area flow counts whose destination round lies in the window.
 
-        Served from the cell-level ``flows`` blocks: one range read and one
-        decode, then an integer regroup of cell pairs into the requested
-        area tiling — one gather per endpoint through the world's cached
-        ``cell -> area`` table (:meth:`GridWorld.area_of_batch
-        <repro.geo.grid.GridWorld.area_of_batch>`) and one int64 scatter-add
-        into the ``n_areas²`` area-pair totals.  Any ``(block_rows,
-        block_cols)`` is exact, because the cell-level counts are the finest
-        grain.  The world is :attr:`world`: the manifest's, or a checked
-        ``world=``.
+        Served from the cell-level ``flows`` blocks.  Each span of rounds
+        the engine has not read is one range read and one decode, regrouped
+        into the requested area tiling: one gather per endpoint through the
+        world's cached ``cell -> area`` table (:meth:`GridWorld.area_of_batch
+        <repro.geo.grid.GridWorld.area_of_batch>`), kept per round as
+        ``n_areas²`` area-pair totals when the read holds at least that many
+        records per round, and as per-record area-pair codes and counts
+        otherwise.  The answer is the int64 sum of the window's rounds.  Any
+        ``(block_rows, block_cols)`` is exact, because the cell-level counts
+        are the finest grain; the engine keeps one tiling per kind, and a
+        query with another replaces it.  The world is :attr:`world`: the
+        manifest's, or a checked ``world=``.
         """
         code = self._kind(kind)
         world = self.world
         n_areas = world.n_areas(block_rows, block_cols)  # validates the tiling args
         self._check_coverage(window.end)
-        flows = window_blocks(self.store.connection, "flows", code, window.start, window.end)
-        # GridWorld.area_of_batch is the mapping the full scan uses; the
-        # dense area-pair sum is int64, so the Counter equals it bitwise.
-        src = world.area_of_batch(flows[:, 0], block_rows, block_cols)
-        dst = world.area_of_batch(flows[:, 1], block_rows, block_cols)
-        totals = np.zeros(n_areas * n_areas, dtype=np.int64)
-        np.add.at(totals, src * n_areas + dst, flows[:, 2])
+        n_pairs = n_areas * n_areas
+        key = ("flows", code, int(block_rows), int(block_cols))
+        for other in [held for held in self._state if held[:2] == key[:2] and held != key]:
+            del self._state[other]
+
+        def read(lo: int, hi: int) -> _Segment:
+            times, sizes, flows = read_round_blocks(
+                self.store.connection, "flows", code, lo, hi
+            )
+            # GridWorld.area_of_batch is the mapping the full scan uses.
+            codes = world.area_of_batch(flows[:, 0], block_rows, block_cols) * n_areas
+            codes += world.area_of_batch(flows[:, 1], block_rows, block_cols)
+            counts = flows[:, 2].astype(np.int64)
+            if len(flows) < len(times) * n_pairs:
+                return _segment(lo, hi, times, sizes, codes, counts)
+            totals = np.zeros((len(times), n_pairs), dtype=np.int64)
+            codes += np.repeat(np.arange(len(times)) * n_pairs, sizes)
+            np.add.at(totals.reshape(-1), codes, counts)
+            return _segment(lo, hi, times, np.ones(len(times), dtype=np.int64), totals)
+
+        # int64 sums throughout, so the Counter equals the full scan bitwise.
+        totals = np.zeros(n_pairs, dtype=np.int64)
+        for arrays in self._rows(key, window, read):
+            if len(arrays) == 1:  # one row of area-pair totals per round
+                totals += arrays[0].sum(axis=0)
+            else:  # area-pair codes and counts per record
+                np.add.at(totals, *arrays)
         pairs = np.flatnonzero(totals)
-        return Counter(
-            {
-                (pair // n_areas, pair % n_areas): count
-                for pair, count in zip(pairs.tolist(), totals[pairs].tolist())
-            }
-        )
+        src, dst = np.divmod(pairs, n_areas)
+        flows = Counter()
+        # The pairs are distinct, so a plain dict update builds the Counter.
+        dict.update(flows, zip(zip(src.tolist(), dst.tolist()), totals[pairs].tolist()))
+        return flows
 
     def top_cells(self, window: Window, k: int, kind: str = "observed") -> list[tuple[int, int]]:
         """The ``k`` busiest cells over the window as ``(cell, count)`` pairs.
 
-        Occupancy is summed per cell over the window's ``cells`` blocks (one
-        range read) into a dense int64 array indexed by cell id, sized by
-        the window's largest id, so no world is needed; a negative id
-        raises :class:`~repro.errors.StoreError`.  The occupied cells are
-        ranked by ``(-count, cell)``: ties break deterministically on the
-        lower cell id, so accelerator and full-scan rankings agree exactly,
-        not just up to tie shuffling.
+        Occupancy is summed per cell over the window's ``cells`` records
+        (read as :meth:`contact_rate` reads them), so no world is needed; a
+        negative id raises :class:`~repro.errors.StoreError`.  The sum goes
+        through a dense int64 array indexed by cell id while the window's
+        largest id is below a small multiple of its record count, and
+        through the sorted unique ids otherwise, so the scratch is
+        O(records in the window) however large the ids.  The occupied
+        cells are ranked by ``(-count, cell)``: ties break deterministically
+        on the lower cell id, so accelerator and full-scan rankings agree
+        exactly, not just up to tie shuffling.
         """
         k = check_integer("k", k, minimum=1)
         code = self._kind(kind)
         self._check_coverage(window.end)
-        records = window_blocks(self.store.connection, "cells", code, window.start, window.end)
+        records = self._cells(code, window)
         if not len(records):
             return []
-        low = int(records[:, 0].min())
+        # Contiguous int64 columns: np.add.at's fast path.
+        cells, counts = records[:, 0].astype(np.int64), records[:, 1].astype(np.int64)
+        low = int(cells.min())
         if low < 0:
             raise StoreError(
                 f"trace store {self.store.path!r} holds cell id {low} in the "
                 f"round blocks of {window}"
             )
-        totals = np.zeros(int(records[:, 0].max()) + 1, dtype=np.int64)
-        np.add.at(totals, records[:, 0], records[:, 1])
-        cells = np.flatnonzero(totals)
-        ranked = cells[np.lexsort((cells, -totals[cells]))[:k]]
-        return list(zip(ranked.tolist(), totals[ranked].tolist()))
+        high = int(cells.max())
+        if high < _DENSE_IDS_PER_RECORD * len(cells):
+            totals = np.zeros(high + 1, dtype=np.int64)
+            np.add.at(totals, cells, counts)
+            ids = np.flatnonzero(totals)
+            totals = totals[ids]
+        else:
+            ids, slots = np.unique(cells, return_inverse=True)
+            totals = np.zeros(len(ids), dtype=np.int64)
+            np.add.at(totals, slots, counts)
+            occupied = totals != 0
+            ids, totals = ids[occupied], totals[occupied]
+        ranked = np.lexsort((ids, -totals))[:k]
+        return list(zip(ids[ranked].tolist(), totals[ranked].tolist()))
 
     def epsilon_spent(self, user: int, window: Window) -> float:
         """One user's epsilon expenditure over the window, ledger-exact.

@@ -32,9 +32,10 @@ Tables (created by :func:`repro.store.schema.create_schema`, since schema v3):
     snapped view on the pipeline path); ``kind`` 1 the ground-truth cells a
     commit supplied via ``true_cells=`` — the store still never persists
     *per-row* ground truth, only these aggregate counts, which is exactly
-    what the monitoring estimators consume.  A window is one primary-key
-    range read of its rounds' blocks, decoded in one pass
-    (:func:`window_blocks`).
+    what the monitoring estimators consume.  A range of rounds is one
+    primary-key range read, decoded in one pass and split per round
+    (:func:`read_round_blocks`); a query engine keeps what it derives from
+    each round it read until the store changes.
 ``user_summary``
     ``user -> (n_rows, min_time, max_time)``: per-user bounds, serving
     :meth:`TraceStore.users <repro.store.store.TraceStore.users>` and
@@ -72,9 +73,9 @@ __all__ = [
     "cell_count_rows",
     "cell_counts",
     "flow_rows",
+    "read_round_blocks",
     "transitions",
     "user_summary_rows",
-    "window_blocks",
 ]
 
 #: ``kind`` column values: 0 summarises the stored rows, 1 the ground truth.
@@ -294,21 +295,28 @@ def _decode_blocks(blobs: list[bytes], width: int) -> np.ndarray:
     return np.frombuffer(b"".join(blobs), dtype=_BLOCK_DTYPE).reshape(-1, width)
 
 
-def window_blocks(
+def read_round_blocks(
     connection: sqlite3.Connection, column: str, kind: int, start: int, end: int
-) -> np.ndarray:
-    """The ``cells`` or ``flows`` records of one kind over rounds ``start..end``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``cells`` or ``flows`` blocks of one kind over rounds ``start..end``, per round.
 
-    One primary-key range read of ``round_blocks``, decoded in one pass and
-    widened to int64: ``(k, 2)`` ``(cell, n)`` or ``(k, 3)`` ``(src, dst,
-    n)`` records, block after block in round order.
+    One primary-key range read of ``round_blocks``.  Returns ``(times,
+    sizes, records)``: the rounds whose block holds records, ascending (an
+    int64 array); the number of records in each (int64); and every block's
+    records, joined and decoded once, as one read-only int32 ``(k, 2)``
+    ``(cell, n)`` or ``(k, 3)`` ``(src, dst, n)`` view, block after block
+    in round order.  Round ``times[i]``'s records are the ``sizes[i]`` rows
+    after the first ``sizes[:i].sum()``.
     """
     width = {"cells": CELL_WIDTH, "flows": FLOW_WIDTH}[column]
     rows = connection.execute(
-        f"SELECT {column} FROM round_blocks WHERE kind = ? AND time BETWEEN ? AND ?",
+        f"SELECT time, {column} FROM round_blocks WHERE kind = ? AND time BETWEEN ? AND ?",
         (int(kind), int(start), int(end)),
     ).fetchall()
-    return _decode_blocks([blob for (blob,) in rows], width).astype(np.int64)
+    times = np.array([time for time, blob in rows if blob], dtype=np.int64)
+    blobs = [blob for _, blob in rows if blob]
+    sizes = np.array([len(blob) for blob in blobs], dtype=np.int64)
+    return times, sizes // (_BLOCK_DTYPE.itemsize * width), _decode_blocks(blobs, width)
 
 
 def _merge(

@@ -14,6 +14,8 @@ for the committed prefix.
 
 import itertools
 import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -324,6 +326,25 @@ class TestAwkwardStores:
             with pytest.raises(StoreError, match="cell id -1"):
                 QueryEngine(store).top_cells(Window(0, 0), 1)
 
+    def test_top_cells_scratch_is_bounded_by_the_window_records(self, engine):
+        # Two records, ids 3 and 2**26: a dense per-id sum would size its
+        # scratch by the largest id (512 MiB of int64), not by the records.
+        with TraceStore(":memory:") as store:
+            batch = engine.release_batch(np.array([0, 1]), rng=np.random.default_rng(0))
+            batch = replace(batch, cells=np.array([3, 2**26]))
+            store.commit_shard(0, np.array([1, 2]), np.array([0, 0]), batch)
+            engine_q = QueryEngine(store)
+            window = Window(0, 0)
+            engine_q.contact_rate(window)  # reads the round's cells
+            tracemalloc.start()
+            try:
+                got = engine_q.top_cells(window, 2)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert got == [(3, 1), (2**26, 1)] == ref.full_scan_top_cells(store, window, 2)
+            assert peak < 2**20, peak
+
     def test_world_contradicting_the_manifest_is_refused(self, world, db, engine):
         _, store = _store_run(world, db, engine, 2, "serial")
         with store:
@@ -600,6 +621,237 @@ class TestInterleavingProperty:
                         ref.full_scan_contact_rate(store, window)
                 else:
                     assert got == ref.full_scan_contact_rate(store, window)
+
+
+# ----------------------------------------------------------------------
+# long-lived engines: the per-round state follows every store change
+# ----------------------------------------------------------------------
+
+
+def _assert_answers_like_full_scans(engine_q, store, world, window, blocks=(4, 4)):
+    assert engine_q.top_cells(window, 4) == ref.full_scan_top_cells(store, window, 4)
+    assert engine_q.flow_matrix(window, "observed", *blocks) == ref.full_scan_flow_matrix(
+        store, window, world, block_rows=blocks[0], block_cols=blocks[1]
+    )
+    try:
+        got = engine_q.contact_rate(window)
+    except DataError:
+        with pytest.raises(DataError):
+            ref.full_scan_contact_rate(store, window)
+    else:
+        assert got == ref.full_scan_contact_rate(store, window)
+
+
+class _ConnectionProxy:
+    """A store connection that counts round-block reads and can inject a commit.
+
+    ``commit``, when set, runs once, just before the next ``round_blocks``
+    read, through the same store: that read then sees a store the
+    engine's stamp check at the start of the query did not.
+    """
+
+    def __init__(self, connection, commit=None):
+        self._connection = connection
+        self.commit = commit
+        self.block_reads = 0
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
+
+    def __enter__(self):
+        return self._connection.__enter__()
+
+    def __exit__(self, *exc):
+        return self._connection.__exit__(*exc)
+
+    def execute(self, sql, *args):
+        if "FROM round_blocks" in sql:
+            self.block_reads += 1
+            commit, self.commit = self.commit, None
+            if commit is not None:
+                commit()
+        return self._connection.execute(sql, *args)
+
+
+@pytest.fixture
+def proxied():
+    """``wrap(store, commit=None)``: route ``store.connection`` through a proxy."""
+    wrapped = []
+
+    def wrap(store, commit=None):
+        proxy = _ConnectionProxy(store._connection, commit)
+        wrapped.append((store, store._connection))
+        store._connection = proxy
+        return proxy
+
+    yield wrap
+    for store, connection in wrapped:
+        store._connection = connection
+
+
+class TestLongLivedEngine:
+    @pytest.mark.parametrize("begun", [True, False], ids=["run", "bare"])
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_one_engine_through_every_commit_refuses_or_answers_exactly(
+        self, staggered, begun, data
+    ):
+        # The interleaving property with one engine living through every
+        # commit, probing windows between commits.  A bare store (no run
+        # begun) merges every commit into the blocks it already wrote, so
+        # the rounds the engine holds go stale at each commit; the commits
+        # run through the engine's own connection, so only total_changes
+        # tells the engine.
+        world, sdb, engine, plan, parts = staggered
+        order = data.draw(st.permutations(sorted(parts)))
+        window = st.tuples(st.integers(0, HORIZON - 1), st.integers(0, HORIZON - 1)).map(
+            lambda ends: Window(min(ends), max(ends))
+        )
+        with TraceStore(":memory:") as store:
+            if begun:
+                store.begin_run(
+                    RunManifest.for_run(engine, plan, world), expected_coverage(plan, sdb)
+                )
+            engine_q = QueryEngine(store, world=world)
+            for shard in [None, *order]:
+                if shard is not None:
+                    _commit(world, store, plan, parts, [shard])
+                for probe in data.draw(st.lists(window, min_size=1, max_size=3)):
+                    if engine_q.missing_shards(probe.end):
+                        with pytest.raises(SnapshotUnavailableError):
+                            engine_q.top_cells(probe, 4)
+                        continue
+                    blocks = data.draw(st.sampled_from([(4, 4), (2, 3)]))
+                    _assert_answers_like_full_scans(engine_q, store, world, probe, blocks)
+
+    def test_commits_by_a_second_store_on_the_path_are_seen(self, staggered, tmp_path):
+        # Another connection's commit moves PRAGMA data_version for the
+        # engine's connection, which never writes.
+        world, _, _, plan, parts = staggered
+        path = tmp_path / "shared.sqlite"
+        with TraceStore(path) as writer:
+            _commit(world, writer, plan, parts, [0, 2])
+        with QueryEngine(path, world=world) as engine_q:
+            for window in WINDOWS:  # every round warm
+                _assert_answers_like_full_scans(engine_q, engine_q.store, world, window)
+            with TraceStore(path) as writer:
+                _commit(world, writer, plan, parts, [1, 3])
+            for window in WINDOWS:
+                _assert_answers_like_full_scans(engine_q, engine_q.store, world, window)
+
+    def test_raw_block_update_is_seen_by_the_next_query(self, engine):
+        with TraceStore(":memory:") as store:
+            batch = engine.release_batch(np.array([0, 1]), rng=np.random.default_rng(0))
+            store.commit_shard(0, np.array([1, 2]), np.array([0, 0]), batch)
+            engine_q = QueryEngine(store)
+            window = Window(0, 0)
+            assert engine_q.contact_rate(window).observations == 2
+            engine_q.top_cells(window, 1)
+            store.connection.execute(
+                "UPDATE round_blocks SET cells = ?",
+                (np.array([7, 5], dtype="<i4").tobytes(),),
+            )
+            assert engine_q.top_cells(window, 1) == [(7, 5)]
+            assert engine_q.contact_rate(window).observations == 5
+            # Rolling back leaves total_changes where it was: rows read
+            # inside the transaction must not have been kept.
+            store.connection.rollback()
+            assert engine_q.contact_rate(window).observations == 2
+            corrupt = np.array([-1, 1], dtype="<i4").tobytes()
+            with store.connection:
+                store.connection.execute("UPDATE round_blocks SET cells = ?", (corrupt,))
+            for _ in range(2):  # on every query whose window holds it
+                with pytest.raises(StoreError, match="cell id -1"):
+                    engine_q.top_cells(Window(0, 3), 1)
+
+    def test_commit_between_the_stamp_check_and_the_gap_read(
+        self, staggered, proxied
+    ):
+        # Rounds 0-3 are warm from shards 0 and 2.  Shards 1 and 3 commit
+        # just before the gap read of rounds 4-7; shard 1 adds to rounds
+        # 0-3 and shard 3 to rounds 2-7.  Kept rounds joined to the gap read
+        # would count shards 1 and 3 only past round 3: the full scan of
+        # neither prefix.  The answer must be one prefix's full scan.
+        world, _, _, plan, parts = staggered
+        window = Window(0, HORIZON - 1)
+        for query in ("contact_rate", "top_cells", "flow_matrix"):
+            with TraceStore(":memory:") as store:
+                _commit(world, store, plan, parts, [0, 2])
+                engine_q = QueryEngine(store, world=world)
+                _assert_answers_like_full_scans(engine_q, store, world, Window(0, 3))
+                proxy = proxied(store, lambda: _commit(world, store, plan, parts, [1, 3]))
+                ask = {
+                    "contact_rate": lambda: engine_q.contact_rate(window),
+                    "top_cells": lambda: engine_q.top_cells(window, 40),
+                    "flow_matrix": lambda: engine_q.flow_matrix(window),
+                }[query]
+                got = ask()
+                assert proxy.commit is None  # the commit landed mid-query
+                want = {
+                    "contact_rate": lambda: ref.full_scan_contact_rate(store, window),
+                    "top_cells": lambda: ref.full_scan_top_cells(store, window, 40),
+                    "flow_matrix": lambda: ref.full_scan_flow_matrix(store, window, world),
+                }[query]
+                assert got == want()
+                assert ask() == want()
+
+    def test_commits_during_every_read_cost_one_re_read(self, staggered, proxied):
+        # A write lands before each block read: the gap read's rounds are
+        # dropped and the window is read once more, in one range read,
+        # which answers the query but is not kept.
+        world, _, _, plan, parts = staggered
+        with TraceStore(":memory:") as store:
+            _commit(world, store, plan, parts, sorted(parts))
+            engine_q = QueryEngine(store, world=world)
+            assert engine_q.contact_rate(Window(0, 3))
+            connection = store.connection
+
+            def touch():
+                proxy.commit = touch
+                with connection:
+                    connection.execute("UPDATE meta SET value = value WHERE key = 'schema_version'")
+
+            proxy = proxied(store, touch)
+            window = Window(0, HORIZON - 1)
+            assert engine_q.contact_rate(window) == ref.full_scan_contact_rate(store, window)
+            assert proxy.block_reads == 2
+            assert engine_q._state == {}
+
+    def test_unbounded_window_on_a_warm_engine_reads_nothing(self, staggered, proxied):
+        world, _, _, plan, parts = staggered
+        with TraceStore(":memory:") as store:
+            _commit(world, store, plan, parts, sorted(parts))
+            engine_q = QueryEngine(store, world=world)
+            unbounded = Window(0, 2**62)
+            for window in (Window(0, 3), Window(6, 7)):
+                _assert_answers_like_full_scans(engine_q, store, world, window)
+            proxy = proxied(store)
+            # One range read per gap and column: rounds 4-5 and 8 onwards.
+            _assert_answers_like_full_scans(engine_q, store, world, unbounded)
+            assert proxy.block_reads == 2 * 2
+            proxy.block_reads = 0
+            _assert_answers_like_full_scans(engine_q, store, world, unbounded)
+            _assert_answers_like_full_scans(engine_q, store, world, Window(-5, 2**62))
+            assert proxy.block_reads == 2 * 1  # only the rounds before 0
+
+    def test_sweeping_tilings_keeps_flow_state_for_one(self, world, db, engine, resolver):
+        _, store = _store_run(world, db, engine, 2, "serial")
+        with store:
+            engine_q = QueryEngine(store, world=world)
+            tilings = [(1, 1), (2, 3), (4, 4), (4, 5), (7, 7)]
+            for kind, true_resolver in (("observed", None), ("true", resolver)):
+                for blocks in tilings:
+                    assert engine_q.flow_matrix(FULL, kind, *blocks) == (
+                        ref.full_scan_flow_matrix(store, FULL, world, kind, true_resolver, *blocks)
+                    )
+            flows = sorted(key for key in engine_q._state if key[0] == "flows")
+            assert flows == [("flows", 0, 7, 7), ("flows", 1, 7, 7)]
+            engine_q.close()
+            assert engine_q._state == {}
 
 
 # ----------------------------------------------------------------------

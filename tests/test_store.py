@@ -802,8 +802,10 @@ class TestCommitRefusals:
             batch = engine.release_batch(np.array([3, 3, 4]), rng=np.random.default_rng(0))
             store.commit_shard(0, [1, 2, 1], [-1, -1, 0], batch)
             assert store.at_time(-1) == {1: 3, 2: 3}
-            cells = accelerator.window_blocks(store.connection, "cells", 0, -1, -1)
-            assert cells.tolist() == [[3, 2]]
+            times, sizes, cells = accelerator.read_round_blocks(
+                store.connection, "cells", 0, -1, -1
+            )
+            assert (times.tolist(), sizes.tolist(), cells.tolist()) == ([-1], [1], [[3, 2]])
 
 
 # ----------------------------------------------------------------------
