@@ -38,7 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from repro.core.mechanisms.base import ReleaseBatch
 from repro.engine import PrivacyEngine, ensure_backend
 from repro.engine.rpc import RpcBackend
-from repro.engine.sharding import ShardPlan, _execute_shard, _flatten_task_rows, _shard_tasks
+from repro.engine.sharding import ShardPlan, _execute_shard, _shard_tasks
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
 from repro.server.pipeline import Server, run_release_rounds_batched
@@ -178,15 +178,15 @@ def chaos_smoke(
                 tasks,
                 on_worker_lost=lambda index, attempt: losses.append((index, attempt)),
             ):
-                users_rows, times_rows, cells_rows = _flatten_task_rows(tasks[index])
+                rows = tasks[index].rows
                 server.ingest_shard(
-                    users_rows,
-                    times_rows,
+                    rows.row_users,
+                    rows.times,
                     ReleaseBatch(
                         points=points,
                         exact=exact,
                         epsilons=epsilons,
-                        cells=cells_rows,
+                        cells=rows.cells,
                         mechanism=mechanism,
                     ),
                 )

@@ -9,8 +9,9 @@ the attacker's expected error.
 
 Everything here is batch-first with scalar reference paths
 (``batched=False``) and — for the metric functions — an optional
-shard-parallel execution mode (``shards=`` / ``backend=``) riding the
-distributed evaluation layer (:mod:`repro.engine.distributed`).
+shard-parallel execution mode (``shards=`` / ``backend=``): the trial
+slots are sharded by a :class:`~repro.engine.sharding.ShardPlan`, and the
+per-slot error sums are folded in shard order.
 """
 
 from repro.adversary.inference import BayesianAttacker

@@ -18,8 +18,9 @@ otherwise.  A shard releases all its slots' trials in one
 through the attacker's batched posterior machinery; ``batched=False`` keeps
 the scalar per-release reference loop on the same streams.  Shards run on
 any registered :class:`~repro.engine.backends.ExecutionBackend` (serial by
-default) and fold with the exact merge of :mod:`repro.engine.distributed`,
-so results are bit-identical for every shard count and backend.
+default) and each returns its slots' error sums.  The metric lays those
+end to end in shard order and sums them once, so results are
+bit-identical for every shard count and backend.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ import numpy as np
 
 from repro.adversary.inference import BayesianAttacker
 from repro.core.mechanisms.base import Mechanism
-from repro.engine import EngineRef, resolve_release_source
-from repro.engine.distributed import MetricShardResult, sharded_metric, slot_plan
+from repro.engine import EngineRef, ShardPlan, owned_backend, resolve_release_source
 from repro.errors import ValidationError
 from repro.geo.distance import euclidean
 from repro.geo.grid import GridWorld
@@ -66,7 +66,7 @@ class _TrialShardTask:
     float32: bool = False
 
 
-def _score_trial_shard(task: _TrialShardTask):
+def _score_trial_shard(task: _TrialShardTask) -> np.ndarray:
     """Score one shard's trial slots on their own streams (module-level for pickling).
 
     Each slot draws its ``trials`` releases from its own seed stream.
@@ -74,8 +74,8 @@ def _score_trial_shard(task: _TrialShardTask):
     rows are pushed through the attacker's batched posterior machinery in
     one matrix pass (scoring is row-independent).  Otherwise the scalar
     ``release`` loop draws from the same streams, so the same points to
-    float identity, and scores release by release.  Returns per-slot error
-    sums as a :class:`~repro.engine.distributed.MetricShardResult`.
+    float identity, and scores release by release.  Returns the per-slot
+    error sums, in slot order.
     """
     source = resolve_release_source(task.source)
     world = source.world
@@ -114,10 +114,7 @@ def _score_trial_shard(task: _TrialShardTask):
                 else:
                     errors[row] = attacker.expected_error(release)
 
-    return MetricShardResult(
-        sums={"error": errors.reshape(n_slots, trials).sum(axis=1)},
-        counts=np.full(n_slots, trials, dtype=int),
-    )
+    return errors.reshape(n_slots, trials).sum(axis=1)
 
 
 def _trial_metric(
@@ -143,7 +140,7 @@ def _trial_metric(
     # mechanism built for another world instead of scoring the wrong grid.
     if mechanism.world != world:
         raise ValidationError("mechanism was built for a different world")
-    plan = slot_plan(len(cells), 1 if shards is None else shards, rng=rng)
+    plan = ShardPlan.build(range(len(cells)), 1 if shards is None else shards, rng=rng)
     source = EngineRef.wrap(mechanism)
     tasks = [
         _TrialShardTask(
@@ -158,8 +155,12 @@ def _trial_metric(
         )
         for _, slots, seeds in plan.iter_shards()
     ]
-    merged = sharded_metric(_score_trial_shard, tasks, backend=backend)
-    return merged.weighted_mean("error")
+    with owned_backend(backend) as live:
+        sums = live.run(_score_trial_shard, tasks)
+    # Shards hold consecutive slots, so their per-slot sums laid end to end
+    # (run returns them in task order) are the global per-slot array: one
+    # reduction over it gives the same bits at every shard count.
+    return float(np.concatenate(sums).sum()) / (len(cells) * trials)
 
 
 def utility_error(

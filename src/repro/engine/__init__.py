@@ -18,11 +18,9 @@ population-scale engine:
   :class:`ExecutionBackend`
   (in-process ``serial`` / long-lived process ``pool`` / socket ``rpc``
   with deterministic worker-loss retry) so one seeded run
-  reproduces element-wise at any shard count;
-* :mod:`~repro.engine.distributed` — the evaluation layer's counterpart:
-  :func:`sharded_metric` folds per-shard :class:`MetricShardResult`
-  pieces with an exact associative merge, so E1/E4-class metrics scale
-  over the same plans and backends as the release path;
+  reproduces element-wise at any shard count.  The evaluators shard their
+  work keys (users, or E4's trial slots) over the same plans and
+  backends, and fold the shards' results in shard order;
 * :meth:`PrivacyEngine.release_round_fused` — release → snap → area →
   flow coding in one call (a :class:`FusedRound`).
 """
@@ -38,12 +36,6 @@ from repro.engine.backends import (
     resolve_backend,
 )
 from repro.engine.engine import EngineRef, FusedRound, PrivacyEngine, resolve_release_source
-from repro.engine.distributed import (
-    MetricShardResult,
-    merge_metric_results,
-    sharded_metric,
-    slot_plan,
-)
 from repro.engine.registry import (
     mechanism_names,
     policy_names,
@@ -76,10 +68,6 @@ __all__ = [
     "ExecutionSpec",
     "ShardPlan",
     "stream_shard_releases",
-    "MetricShardResult",
-    "sharded_metric",
-    "merge_metric_results",
-    "slot_plan",
     "ExecutionBackend",
     "SerialBackend",
     "PoolBackend",

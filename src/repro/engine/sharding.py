@@ -44,7 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover - hints only
 
 __all__ = [
     "ShardPlan",
+    "ShardRows",
     "ShardTask",
+    "shard_rows",
     "stream_shard_releases",
 ]
 
@@ -200,8 +202,96 @@ class ShardPlan:
 
 
 @dataclass(frozen=True)
+class ShardRows:
+    """One shard's check-in rows: its users, their streams and their rows.
+
+    The rows are int64 arrays in user-major order: user ``users[i]`` owns
+    the next ``counts[i]`` rows of ``times`` and ``cells`` (possibly none,
+    for a windowed trace).  ``(seeds, counts)`` is therefore exactly the
+    ``streams=`` argument of the shard's one ``release_batch`` call.
+    ``shard`` is the shard's index in its plan.
+    """
+
+    shard: int
+    users: tuple[int, ...]
+    seeds: tuple[int, ...]
+    counts: np.ndarray
+    times: np.ndarray
+    cells: np.ndarray
+
+    @property
+    def bounds(self) -> np.ndarray:
+        """Row offsets: user ``users[i]`` owns rows ``bounds[i]:bounds[i + 1]``."""
+        return np.concatenate(([0], np.cumsum(self.counts)))
+
+    @property
+    def row_users(self) -> np.ndarray:
+        """The user of every row, aligned with ``times`` and ``cells``."""
+        return np.repeat(np.asarray(self.users, dtype=np.int64), self.counts)
+
+    def release_points(self, source, batched: bool = True) -> np.ndarray:
+        """``(n, 2)`` released points for every row, each user on their own stream.
+
+        Batched: one ``source.release_batch(cells, streams=(seeds, counts))``
+        call.  Otherwise the scalar reference: one ``source.release`` per
+        row, user ``i``'s rows drawing from ``np.random.default_rng(seeds[i])``
+        — the same streams, so the same points to float round-off.
+        """
+        if batched:
+            return source.release_batch(self.cells, streams=(self.seeds, self.counts)).points
+        points = np.empty((len(self.cells), 2), dtype=float)
+        bounds = self.bounds.tolist()
+        for seed, low, high in zip(self.seeds, bounds, bounds[1:]):
+            generator = np.random.default_rng(seed)
+            for row in range(low, high):
+                points[row] = source.release(int(self.cells[row]), rng=generator).point
+        return points
+
+
+def shard_rows(plan: ShardPlan, users, times, cells) -> list[ShardRows]:
+    """One :class:`ShardRows` per non-empty shard of ``plan``, in shard order.
+
+    ``users`` / ``times`` / ``cells`` are row arrays sorted by user (the
+    :meth:`~repro.mobility.trajectory.TraceDB.to_arrays` layout, possibly
+    filtered to a time window), and every row's user must be in the plan:
+    a row of any other user raises :class:`~repro.errors.DataError` naming
+    the user.  A shard owns a contiguous block of the sorted users, hence a
+    contiguous block of rows.  This is the one slicer of that layout:
+    release tasks, the coverage schedule and the evaluators all read it.
+    """
+    users, times, cells = (np.asarray(column, dtype=np.int64) for column in (users, times, cells))
+    # Row offsets: planned user i owns rows bounds[i]:bounds[i + 1].
+    planned = np.asarray(plan.users, dtype=np.int64)
+    bounds = np.append(np.searchsorted(users, planned), len(users))
+    # The rows are sorted, so a block holds only its planned user iff its
+    # last row does; rows before the first block belong to no one.
+    held = bounds[1:] > bounds[:-1]
+    last = users[bounds[1:][held] - 1]
+    stray = users[: bounds[0]].tolist() + last[last != planned[held]].tolist()
+    if stray:
+        raise DataError(f"row user {stray[0]} is not in the shard plan")
+    shards = []
+    start = 0
+    for shard, keys, seeds in plan.iter_shards():
+        stop = start + len(keys)
+        low, high = int(bounds[start]), int(bounds[stop])
+        shards.append(
+            ShardRows(
+                shard,
+                keys,
+                seeds,
+                np.diff(bounds[start : stop + 1]),
+                times[low:high],
+                cells[low:high],
+            )
+        )
+        start = stop
+    return shards
+
+
+@dataclass(frozen=True)
 class ShardTask:
-    """One shard's work order: its users, their seeds, and their check-ins.
+    """One shard's work order: the engine and the shard's rows.
 
     Plain data plus the engine, so a :class:`~repro.engine.backends.PoolBackend`
     can pickle it to a worker.  ``engine`` is an
@@ -209,19 +299,10 @@ class ShardTask:
     from a spec — the ref pickles as a spec hash and the worker rebuilds
     (and caches) the engine, instead of re-shipping construction state with
     every task — and the live engine otherwise.
-
-    The check-ins are int64 arrays in user-major order (the task's user
-    order, then time): user ``users[i]`` owns the next ``counts[i]`` rows of
-    ``times`` and ``cells``.  ``(seeds, counts)`` is therefore exactly the
-    ``streams=`` argument of the shard's one ``release_batch`` call.
     """
 
     engine: "PrivacyEngine | EngineRef"
-    users: tuple[int, ...]
-    seeds: tuple[int, ...]
-    counts: np.ndarray
-    times: np.ndarray
-    cells: np.ndarray
+    rows: ShardRows
 
 
 def _execute_shard(task: ShardTask) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
@@ -236,7 +317,8 @@ def _execute_shard(task: ShardTask) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     ``cells``.  Module-level so process pools can pickle it.
     """
     engine = resolve_release_source(task.engine)
-    batch = engine.release_batch(task.cells, streams=(task.seeds, task.counts))
+    rows = task.rows
+    batch = engine.release_batch(rows.cells, streams=(rows.seeds, rows.counts))
     return batch.points, batch.exact, batch.epsilons, batch.mechanism
 
 
@@ -246,39 +328,13 @@ def _shard_tasks(
     plan: ShardPlan,
     only_shards: "frozenset[int] | set[int] | None" = None,
 ) -> list[ShardTask]:
-    """Materialise one picklable :class:`ShardTask` per selected non-empty shard.
-
-    One ``to_arrays`` pass over the database (rows sorted by user, then
-    time) serves every shard: a shard owns a contiguous block of the sorted
-    users, hence a contiguous block of rows, found by ``searchsorted``.
-    """
-    tasks = []
+    """One picklable :class:`ShardTask` per selected non-empty shard, in shard order."""
     transferable = EngineRef.wrap(engine)
-    row_users, row_times, row_cells = (
-        np.asarray(column, dtype=np.int64) for column in true_db.to_arrays()
-    )
-    for shard, users, seeds in plan.iter_shards():
-        if only_shards is not None and shard not in only_shards:
-            continue
-        # First row of each user, then one past the last user's rows.
-        bounds = np.searchsorted(row_users, users + (users[-1] + 1,))
-        rows = slice(bounds[0], bounds[-1])
-        tasks.append(
-            ShardTask(
-                engine=transferable,
-                users=users,
-                seeds=seeds,
-                counts=np.diff(bounds),
-                times=row_times[rows],
-                cells=row_cells[rows],
-            )
-        )
-    return tasks
-
-
-def _flatten_task_rows(task: ShardTask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """User-major ``(users, times, cells)`` row arrays for one shard task."""
-    return np.repeat(np.asarray(task.users, dtype=np.int64), task.counts), task.times, task.cells
+    return [
+        ShardTask(transferable, rows)
+        for rows in shard_rows(plan, *true_db.to_arrays())
+        if only_shards is None or rows.shard in only_shards
+    ]
 
 
 def stream_shard_releases(
@@ -332,12 +388,11 @@ def stream_shard_releases(
         for index, (points, exact, epsilons, mechanism) in live.run_unordered(
             _execute_shard, tasks
         ):
-            task = tasks[index]
-            users_rows, times_rows, cells_rows = _flatten_task_rows(task)
-            yield users_rows, times_rows, ReleaseBatch(
+            rows = tasks[index].rows
+            yield rows.row_users, rows.times, ReleaseBatch(
                 points=points,
                 exact=exact,
                 epsilons=epsilons,
-                cells=cells_rows,
+                cells=rows.cells,
                 mechanism=mechanism,
             )

@@ -38,8 +38,7 @@ from collections import Counter
 import numpy as np
 
 from repro.core.mechanisms.base import Mechanism
-from repro.engine import ShardPlan
-from repro.engine.distributed import shard_rows
+from repro.engine.sharding import ShardPlan, shard_rows
 from repro.epidemic.seir import fit_beta
 from repro.errors import DataError, ValidationError
 from repro.geo.grid import GridWorld

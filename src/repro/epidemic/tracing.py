@@ -30,10 +30,11 @@ infected set.  :meth:`ContactTracingProtocol.run` therefore partitions the
 non-patient population with the same deterministic
 :class:`~repro.engine.sharding.ShardPlan` the release pipeline uses (one
 shard unless ``shards=`` says otherwise), so each user's original release
-is the stream the server stores for that seed.  Each shard returns
-**per-user contact-event sets** (candidates / flagged / true contacts) that
-merge by disjoint union, plus per-user re-send budget sums, so outcomes are
-bit-identical for every shard count and execution backend.
+is the stream the server stores for that seed.  Each shard returns its
+users' re-send budget sums and its **contact-event sets** (candidates /
+flagged / true contacts).  The run lays the sums end to end in shard order
+and sums them once, and unions the sets, which are disjoint; so outcomes
+are bit-identical for every shard count and execution backend.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from repro.core.accounting import BudgetLedger
 from repro.core.mechanisms.base import Mechanism
 from repro.core.policies import contact_tracing_policy
 from repro.core.policy_graph import PolicyGraph
-from repro.engine import EngineRef, ShardPlan, resolve_release_source
-from repro.engine.distributed import MetricShardResult, ShardRows, shard_rows, sharded_metric
+from repro.engine import EngineRef, ShardPlan, owned_backend, resolve_release_source
+from repro.engine.sharding import ShardRows, shard_rows
 from repro.errors import TracingError
 from repro.geo.distance import euclidean
 from repro.geo.grid import GridWorld
@@ -88,7 +89,9 @@ class _TracingShardTask:
     batched: bool
 
 
-def _score_tracing_shard(task: _TracingShardTask):
+def _score_tracing_shard(
+    task: _TracingShardTask,
+) -> tuple[np.ndarray, frozenset[int], frozenset[int], frozenset[int]]:
     """Run the tracing procedure for one shard's users (module-level for pickling).
 
     Each user's window rides their own seed stream: first the original
@@ -96,10 +99,11 @@ def _score_tracing_shard(task: _TracingShardTask):
     screened against the infected set, then — candidates only — the Gc
     re-send, continuing the *same* generator.  Every decision (candidacy,
     flag, ground-truth contact) is a pure function of the user's own trace,
-    their stream, and the shared infected set, so the per-user event sets
-    merge by disjoint union.  ``task.batched`` selects vectorized
-    ``release_batch`` draws or the scalar per-release reference loop — same
-    streams, so the same points to float identity.
+    their stream, and the shared infected set.  ``task.batched`` selects
+    vectorized ``release_batch`` draws or the scalar per-release reference
+    loop — same streams, so the same points to float identity.  Returns
+    ``(epsilon_sums, candidates, flagged, true_contacts)``: the per-user
+    re-send budgets in the shard's user order, then the event sets.
     """
     base = resolve_release_source(task.base_source)
     tracing = resolve_release_source(task.tracing_source)
@@ -123,7 +127,6 @@ def _score_tracing_shard(task: _TracingShardTask):
     screen_bounds = None if released is None else released.bounds.tolist()
     n_users = len(rows.users)
     epsilon_sums = np.zeros(n_users, dtype=float)
-    resend_counts = np.zeros(n_users, dtype=int)
     candidates: set[int] = set()
     flagged: set[int] = set()
     true_contacts: set[int] = set()
@@ -168,7 +171,6 @@ def _score_tracing_shard(task: _TracingShardTask):
         epsilon_sums[index] = sum(
             0.0 if tracing.is_exact(cell) else tracing.epsilon for cell in user_cells
         )
-        resend_counts[index] = len(user_cells)
         snapped, exact = release_cells(tracing, user_cells, generator)
         hits = sum(
             1
@@ -178,15 +180,7 @@ def _score_tracing_shard(task: _TracingShardTask):
         if hits >= task.min_count:
             flagged.add(user)
 
-    return MetricShardResult(
-        sums={"epsilon_spent": epsilon_sums},
-        counts=resend_counts,
-        sets={
-            "candidates": frozenset(candidates),
-            "flagged": frozenset(flagged),
-            "true_contacts": frozenset(true_contacts),
-        },
-    )
+    return epsilon_sums, frozenset(candidates), frozenset(flagged), frozenset(true_contacts)
 
 
 def _budgets(mechanism, cells: np.ndarray) -> np.ndarray:
@@ -296,11 +290,11 @@ class ContactTracingProtocol:
         :class:`~repro.engine.sharding.ShardPlan` seeded from ``rng``
         (``shards`` default 1) on an
         :class:`~repro.engine.backends.ExecutionBackend` (``backend``
-        default serial); per-shard contact-event sets and budget sums merge
-        exactly, so the outcome is **bit-identical for every shard count
-        and backend**.  Each user's original release and re-send ride that
-        user's own stream; ``batched=False`` runs the scalar per-release
-        reference loop on the same streams.
+        default serial); per-shard contact-event sets and budget sums fold
+        in shard order, so the outcome is **bit-identical for every shard
+        count and backend**.  Each user's original release and re-send
+        ride that user's own stream; ``batched=False`` runs the scalar
+        per-release reference loop on the same streams.
 
         ``released_db`` is the server's view of the original perturbed
         stream; when given, users are screened on its in-window rows and
@@ -308,9 +302,9 @@ class ContactTracingProtocol:
         stream is generated here.  ``ledger``, when given, is charged here:
         before any noise is drawn, every in-window check-in under
         ``"stream"`` (only when the stream is generated here, so a capped
-        ledger refuses first), and after the merge each candidate's
-        in-window check-ins under ``"tracing-resend"``.  The outcome's
-        ``epsilon_spent`` is this run's re-send spend.
+        ledger refuses first), and after the shards are folded each
+        candidate's in-window check-ins under ``"tracing-resend"``.  The
+        outcome's ``epsilon_spent`` is this run's re-send spend.
         """
         batched = check_bool("batched", batched)
         if patient not in true_db.users():
@@ -370,8 +364,14 @@ class ContactTracingProtocol:
             )
             for rows, screen in zip(shards_rows, screened)
         ]
-        merged = sharded_metric(_score_tracing_shard, tasks, backend=backend)
-        candidates = merged.sets["candidates"]
+        with owned_backend(backend) as live:
+            results = live.run(_score_tracing_shard, tasks)
+        # Shards hold consecutive users, so their per-user sums laid end to
+        # end (run returns them in task order) are the global per-user
+        # array, summed once at every shard count; every user is in one
+        # shard, so the sets are disjoint and their union is exact.
+        epsilon_sums, candidates, flagged, true_contacts = zip(*results)
+        candidates = frozenset().union(*candidates)
         if ledger is not None:
             resend = np.isin(users, sorted(candidates))
             ledger.charge_many(
@@ -381,10 +381,10 @@ class ContactTracingProtocol:
                 purpose="tracing-resend",
             )
         return TracingOutcome(
-            flagged=frozenset(merged.sets["flagged"]),
-            true_contacts=frozenset(merged.sets["true_contacts"]),
-            candidates=frozenset(candidates),
-            epsilon_spent=float(merged.sums["epsilon_spent"].sum()),
+            flagged=frozenset().union(*flagged),
+            true_contacts=frozenset().union(*true_contacts),
+            candidates=candidates,
+            epsilon_spent=float(np.concatenate(epsilon_sums).sum()),
             policy_name=tracing_policy.name,
         )
 

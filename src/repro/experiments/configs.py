@@ -95,8 +95,8 @@ class ExperimentConfig:
 
     ``eval_shards`` / ``eval_backend`` set the shard count and execution
     backend of the *evaluation* layer (the E1 / E2 / E3 / E4 / E5 / E11
-    metric runners, see :mod:`repro.engine.distributed`): ``None`` /
-    ``None`` (default) means one serial shard.  Metrics always score
+    metric runners, see ``docs/scaling.md``): ``None`` / ``None``
+    (default) means one serial shard.  Metrics always score
     per-user / per-slot RNG streams, so results are invariant under both
     fields.  The CLI maps ``repro experiment e1 --shards N --backend B``
     onto these fields.

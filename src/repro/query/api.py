@@ -264,6 +264,10 @@ class QueryEngine:
         # cols), read from the store as it was at _stamp.
         self._stamp: "tuple[int, int] | None" = None
         self._state: dict[tuple, _Rounds] = {}
+        # Whether the store keeps true-side summaries: written by its first
+        # commit and never changed (mixed commits are refused), so it is
+        # read from the store only until it exists.
+        self._true_summaries: "bool | None" = None
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -343,11 +347,14 @@ class QueryEngine:
             raise ValidationError(
                 f"kind must be one of {sorted(_KINDS)}, got {kind!r}"
             ) from None
-        if code == KIND_TRUE and self.store.maintains_true_summaries() is not True:
-            raise StoreError(
-                f"trace store {self.store.path!r} holds no true-side "
-                "accelerator summaries (its commits never passed true_cells)"
-            )
+        if code == KIND_TRUE:
+            if self._true_summaries is None:
+                self._true_summaries = self.store.maintains_true_summaries()
+            if not self._true_summaries:
+                raise StoreError(
+                    f"trace store {self.store.path!r} holds no true-side "
+                    "accelerator summaries (its commits never passed true_cells)"
+                )
         return code
 
     # ------------------------------------------------------------------

@@ -72,8 +72,7 @@ from typing import TYPE_CHECKING, AbstractSet, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.engine.distributed import shard_rows
-from repro.engine.sharding import ShardPlan, stream_shard_releases
+from repro.engine.sharding import ShardPlan, shard_rows, stream_shard_releases
 from repro.epidemic.analysis import pair_events
 from repro.epidemic.monitor import LocationMonitor, MonitoringReport
 from repro.errors import DataError, SnapshotUnavailableError, ValidationError
@@ -144,7 +143,9 @@ class ShardRows:
 
         ``users``, ``times`` and both cell columns must be integers:
         anything else raises :class:`~repro.errors.ValidationError` naming
-        the column instead of being truncated.
+        the column instead of being truncated.  A negative cell in either
+        cell column raises :class:`~repro.errors.DataError` naming the
+        column and the row's ``(user, time)``.
         """
         users = check_int_array("users", users)
         times = check_int_array("times", times)
@@ -165,6 +166,13 @@ class ShardRows:
                 f"points {points.shape}, {len(true_cells)} true cells, "
                 f"{len(snapped_cells)} snapped cells"
             )
+        for name, column in (("true_cells", true_cells), ("snapped_cells", snapped_cells)):
+            if column.min() < 0:
+                at = int(np.flatnonzero(column < 0)[0])
+                raise DataError(
+                    f"{name} holds {int(column[at])} at (user, time) "
+                    f"({int(users[at])}, {int(times[at])}); cell ids are >= 0"
+                )
         order = np.lexsort((users, times))
         users = users[order]
         times = times[order]
@@ -603,17 +611,16 @@ def expected_coverage(plan: ShardPlan, true_db: "TraceDB") -> dict[int, frozense
     The registry's freeze schedule: a round's snapshot freezes once every
     shard listed for it (or for any earlier round) has committed.  Shards
     with no check-ins are omitted — they never stream a commit.  Read from
-    the database's structure-of-arrays view (user-major), where each shard
-    owns the contiguous row range of its contiguous user range.
+    the shards' rows as :func:`~repro.engine.sharding.shard_rows` slices
+    them for the release tasks.
     """
-    users, times, _ = true_db.to_arrays()
-    coverage: dict[int, frozenset[int]] = {}
-    for shard, shard_users, _ in plan.iter_shards():
-        start = int(np.searchsorted(users, shard_users[0], side="left"))
-        stop = int(np.searchsorted(users, shard_users[-1], side="right"))
-        if stop > start:
-            coverage[shard] = frozenset(np.unique(times[start:stop]).tolist())
-    return coverage
+    # Sorting and reading the runs is several times faster than np.unique,
+    # which hashes plain integer arrays.
+    return {
+        rows.shard: frozenset(time for time, _, _ in _runs(np.sort(rows.times)))
+        for rows in shard_rows(plan, *true_db.to_arrays())
+        if len(rows.times)
+    }
 
 
 class LiveMetricRegistry:
@@ -836,7 +843,7 @@ def _final_value(
     of the live run with the same seed.  Batched, the shards come from
     :func:`~repro.engine.sharding.stream_shard_releases` on ``backend``;
     ``batched=False`` releases each shard with the per-user scalar loop
-    (:meth:`repro.engine.distributed.ShardRows.release_points`) in
+    (:meth:`repro.engine.sharding.ShardRows.release_points`) in
     process, so ``backend`` is not used.
     """
     batched = check_bool("batched", batched)

@@ -298,7 +298,9 @@ class Server:
         :meth:`LiveMetricRegistry.check
         <repro.server.live_metrics.LiveMetricRegistry.check>`), or one
         already durable in the store, raises
-        :class:`~repro.errors.DataError` before anything is written.
+        :class:`~repro.errors.DataError` before anything is written, and a
+        ground-truth cell outside the world raises
+        :class:`~repro.errors.ValidationError` just as early.
 
         Commit order and determinism
         ----------------------------
@@ -317,7 +319,10 @@ class Server:
         times = check_int_array("times", times)
         # batch.cells carry the ground-truth cells (the shard streaming
         # contract); `cells` below is the server-side snapped view.
-        true_cells = None if batch.cells is None else check_int_array("batch.cells", batch.cells)
+        true_cells = None
+        if batch.cells is not None:
+            true_cells = check_int_array("batch.cells", batch.cells)
+            self.world.cells_array(true_cells, context="batch.cells")
         if len(users) != len(batch) or len(times) != len(batch):
             raise DataError(
                 f"shard of {len(batch)} releases does not match "
@@ -432,7 +437,9 @@ class Server:
         users, times, cells, points, exact, epsilons = self.store.shard_release_rows(
             low_user, high_user
         )
-        truth = None if true_cells is None else np.asarray(true_cells(users, times), dtype=int)
+        truth = None
+        if true_cells is not None:
+            truth = self.world.cells_array(true_cells(users, times), context="true_cells")
         if self._metrics is not None:
             rows = self._metrics.check(shard, users, times, points, truth, cells)
         if shard is not None and len(users):

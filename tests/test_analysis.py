@@ -1,7 +1,11 @@
 """Unit tests for the epidemic-analysis app (contact rates, R0)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.mechanisms import PolicyLaplaceMechanism
 from repro.core.policies import full_disclosure_policy, grid_policy
@@ -9,6 +13,7 @@ from repro.epidemic.analysis import (
     contact_rate,
     estimate_r0_contacts,
     estimate_r0_seir,
+    pair_events,
     perturb_tracedb,
     r0_estimation_error,
 )
@@ -52,6 +57,46 @@ class TestContactRate:
         db = TraceDB.from_trajectories([Trajectory(0, [0])])
         with pytest.raises(DataError):
             contact_rate(db, start=5, end=9)
+
+
+class TestPairEvents:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        observations=st.dictionaries(
+            st.tuples(st.integers(0, 99), st.integers(0, 6)),  # (user, time): unique
+            st.integers(0, 4),  # cell
+            max_size=30,
+        ),
+        data=st.data(),
+    )
+    def test_occupancy_counters_recover_global_pair_events(self, observations, data):
+        # Partition users into shards arbitrarily; per-shard epoch-keyed
+        # occupancy counters must add up to the global counter, and
+        # pair_events on the sum must equal brute-force pair counting.
+        users = sorted({user for user, _ in observations})
+        shard_of = {
+            user: data.draw(st.integers(0, 3), label=f"shard({user})") for user in users
+        }
+        shards = [
+            Counter(
+                (time, cell)
+                for (user, time), cell in observations.items()
+                if shard_of[user] == shard
+            )
+            for shard in range(4)
+        ]
+        merged = sum(shards, Counter())
+        global_occupancy = Counter(
+            (time, cell) for (_, time), cell in observations.items()
+        )
+        assert merged == global_occupancy
+        brute_pairs = sum(
+            1
+            for (ua, ta), ca in observations.items()
+            for (ub, tb), cb in observations.items()
+            if ua < ub and ta == tb and ca == cb
+        )
+        assert pair_events(merged) == brute_pairs
 
 
 class TestR0Estimators:

@@ -11,13 +11,7 @@ behind, and a store-backed one resumes from it.
 import numpy as np
 import pytest
 
-from repro.engine import (
-    MetricShardResult,
-    PoolBackend,
-    PrivacyEngine,
-    register_backend,
-    sharded_metric,
-)
+from repro.engine import PoolBackend, PrivacyEngine, owned_backend, register_backend
 from repro.errors import ReproError
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
@@ -33,7 +27,7 @@ def _explode_on_marked(task):
     """Scorer that succeeds on plain ints and raises on the marked task."""
     if task == "boom":
         raise ShardExploded("shard boom exploded mid-stream")
-    return MetricShardResult(sums={"error": np.array([float(task)])}, counts=np.array([1]))
+    return np.array([float(task)])
 
 
 class _RecordingPool(PoolBackend):
@@ -67,15 +61,15 @@ class TestScorerFailures:
         # The marked task sits mid-list: earlier tasks succeed, and the
         # caller must still see the original exception type and message.
         with pytest.raises(ShardExploded, match="mid-stream"):
-            sharded_metric(_explode_on_marked, [1, 2, "boom", 4], backend=backend)
+            with owned_backend(backend) as live:
+                live.run(_explode_on_marked, [1, 2, "boom", 4])
 
     def test_owned_pool_closed_on_failure(self):
         register_backend("failure_recording_pool", _RecordingPool)
         _RecordingPool.instances.clear()
         with pytest.raises(ShardExploded):
-            sharded_metric(
-                _explode_on_marked, [1, "boom", 3], backend="failure_recording_pool"
-            )
+            with owned_backend("failure_recording_pool") as live:
+                live.run(_explode_on_marked, [1, "boom", 3])
         assert len(_RecordingPool.instances) == 1
         assert _RecordingPool.instances[0].closed
 
@@ -84,9 +78,11 @@ class TestScorerFailures:
         # must neither close it nor poison it for the next call.
         with PoolBackend(max_workers=2) as pool:
             with pytest.raises(ShardExploded):
-                sharded_metric(_explode_on_marked, [1, "boom"], backend=pool)
-            merged = sharded_metric(_explode_on_marked, [5, 6], backend=pool)
-            assert merged.sums["error"].tolist() == [5.0, 6.0]
+                with owned_backend(pool) as live:
+                    live.run(_explode_on_marked, [1, "boom"])
+            with owned_backend(pool) as live:
+                results = live.run(_explode_on_marked, [5, 6])
+            assert np.concatenate(results).tolist() == [5.0, 6.0]
 
 
 class TestIngestFailures:

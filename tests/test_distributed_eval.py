@@ -1,4 +1,4 @@
-"""Distributed evaluation: exact merges, shard/backend invariance, lifecycle."""
+"""Distributed evaluation: shard/backend invariance, backend lifecycle."""
 
 import numpy as np
 import pytest
@@ -10,16 +10,12 @@ from repro.adversary.metrics import (
 )
 from repro.engine import (
     EngineRef,
-    MetricShardResult,
     PoolBackend,
     PrivacyEngine,
     backend_names,
     ensure_backend,
-    merge_metric_results,
     owned_backend,
     register_backend,
-    sharded_metric,
-    slot_plan,
 )
 from repro.engine.backends import ExecutionBackend, SerialBackend
 from repro.engine.engine import _ENGINE_CACHE
@@ -53,65 +49,6 @@ def mechanism(world):
 @pytest.fixture(scope="module")
 def engine(world):
     return PrivacyEngine.from_spec(world, mechanism="P-LM", policy="G1", epsilon=1.0)
-
-
-def _shard_result(sums, counts):
-    return MetricShardResult(
-        sums={"error": np.asarray(sums, dtype=float)},
-        counts=np.asarray(counts, dtype=int),
-    )
-
-
-def _results_equal(a: MetricShardResult, b: MetricShardResult) -> bool:
-    return (
-        set(a.sums) == set(b.sums)
-        and all(np.array_equal(a.sums[k], b.sums[k]) for k in a.sums)
-        and np.array_equal(a.counts, b.counts)
-    )
-
-
-class TestMergeSemantics:
-    def test_merge_is_associative(self):
-        a = _shard_result([1.5], [3])
-        b = _shard_result([0.25, 4.0], [2, 2])
-        c = _shard_result([7.125], [5])
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        assert _results_equal(left, right)
-        assert _results_equal(left, merge_metric_results([a, b, c]))
-
-    def test_merge_concatenates_in_shard_order(self):
-        a = _shard_result([1.0, 2.0], [1, 1])
-        b = _shard_result([3.0], [2])
-        merged = a.merge(b)
-        assert merged.sums["error"].tolist() == [1.0, 2.0, 3.0]
-        assert merged.counts.tolist() == [1, 1, 2]
-        assert merged.n_keys == 3
-        assert merged.n_releases == 4
-        assert merged.weighted_mean("error") == 6.0 / 4
-
-    def test_component_mismatch_rejected(self):
-        a = _shard_result([1.0], [1])
-        b = MetricShardResult(sums={"other": np.array([1.0])}, counts=np.array([1]))
-        with pytest.raises(ValidationError):
-            a.merge(b)
-
-    def test_empty_merge_rejected(self):
-        with pytest.raises(ValidationError):
-            merge_metric_results([])
-
-    def test_weighted_mean_requires_releases(self):
-        empty = MetricShardResult(sums={"error": np.array([])}, counts=np.array([], dtype=int))
-        with pytest.raises(ValidationError):
-            empty.weighted_mean("error")
-
-    def test_slot_plan_reuses_shardplan_seeding(self):
-        # Slot streams must not move when re-sharding — same ShardPlan
-        # guarantee the release path relies on.
-        seeds = {k: slot_plan(9, k, rng=3).seeds for k in (1, 2, 5, 9)}
-        assert len(set(seeds.values())) == 1
-        with pytest.raises(ValidationError):
-            slot_plan(0, 1)
 
 
 class TestShardInvariance:
@@ -179,7 +116,7 @@ def _boom(task):
 
 
 def _identity(task):
-    return MetricShardResult(sums={"error": np.array([float(task)])}, counts=np.array([1]))
+    return np.array([float(task)])
 
 
 class _RecordingSerial(SerialBackend):
@@ -200,14 +137,16 @@ class TestLifecycle:
         register_backend("recording_serial", _RecordingSerial)
         _RecordingSerial.instances.clear()
         with pytest.raises(RuntimeError, match="exploded"):
-            sharded_metric(_boom, [1, 2, 3], backend="recording_serial")
+            with owned_backend("recording_serial") as live:
+                live.run(_boom, [1, 2, 3])
         assert len(_RecordingSerial.instances) == 1
         assert _RecordingSerial.instances[0].closed
 
     def test_live_backend_left_open(self):
         backend = _RecordingSerial()
-        merged = sharded_metric(_identity, [1, 2], backend=backend)
-        assert merged.n_releases == 2
+        with owned_backend(backend) as live:
+            results = live.run(_identity, [1, 2])
+        assert np.concatenate(results).tolist() == [1.0, 2.0]
         assert not backend.closed
 
     def test_failing_shard_in_harness_run_closes_pool(self, world, engine):
@@ -241,18 +180,17 @@ class TestLifecycle:
         with PoolBackend(max_workers=2) as pool:
             with pytest.raises(RuntimeError, match="exploded"):
                 pool.run(_boom, [1, 2])
-            merged = merge_metric_results(pool.run(_identity, [3, 4]))
-            assert merged.sums["error"].tolist() == [3.0, 4.0]
+            assert np.concatenate(pool.run(_identity, [3, 4])).tolist() == [3.0, 4.0]
 
     def test_pool_close_releases_and_reopens_lazily(self):
         pool = PoolBackend(max_workers=1)
-        assert pool.run(_identity, [1])[0].n_releases == 1
+        assert pool.run(_identity, [1])[0].tolist() == [1.0]
         assert pool._executor is not None
         pool.close()
         assert pool._executor is None
         pool.close()  # idempotent
         # Next use lazily re-creates the executor.
-        assert pool.run(_identity, [2])[0].sums["error"].tolist() == [2.0]
+        assert pool.run(_identity, [2])[0].tolist() == [2.0]
         pool.close()
 
     def test_pool_registered_with_aliases(self):

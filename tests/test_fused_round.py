@@ -181,7 +181,7 @@ class TestFloat32Adversary:
         )
         assert f32_e == pytest.approx(ref_e, rel=1e-3)
 
-    def test_sharded_metric_accepts_float32(self, world, engine):
+    def test_sharded_adversary_accepts_float32(self, world, engine):
         cells = list(range(8))
         ref = expected_inference_error(
             world, engine.mechanism, cells, rng=7, trials_per_cell=2, shards=2, backend="serial"

@@ -489,6 +489,30 @@ class TestRegistryValidation:
         with pytest.raises(ValidationError, match=f"^{column} must be integers"):
             ShardRows.build(*columns)
 
+    @pytest.mark.parametrize("column", ["true_cells", "snapped_cells"])
+    def test_negative_cell_is_refused_naming_the_row(self, column):
+        columns = {
+            "users": [0, 1, 0, 1],
+            "times": [0, 0, 1, 1],
+            "points": np.zeros((4, 2)),
+            "true_cells": [3, 3, 3, 2],
+            "snapped_cells": [3, 3, 3, 2],
+        }
+        columns[column] = [3, 3, -1, 2]
+        with pytest.raises(DataError, match=rf"^{column} holds -1 at \(user, time\) \(0, 1\)"):
+            ShardRows.build(**columns)
+
+    def test_contact_view_alone_refuses_a_negative_true_cell(self):
+        # Nothing else in an E2-only registry reads the cell's coordinates:
+        # unchecked, cell -1 was counted as an observation (5 where
+        # batch_recompute has 6) and the round froze with the wrong rate.
+        registry = LiveMetricRegistry([ContactRateView()], {0: {0, 1}})
+        with pytest.raises(DataError, match="true_cells holds -1"):
+            registry.check(
+                0, [0, 1, 0, 1], [0, 0, 1, 1], np.zeros((4, 2)), [-1, 3, 3, 2], [0, 3, 3, 2]
+            )
+        assert registry.frozen_rounds == ()
+
     def test_unexpected_shard_and_round_mismatch(self, world, db, engine):
         # ingest folds rows check() already sorted, and refuses under its
         # lock what check() refuses about the shard itself.

@@ -148,6 +148,56 @@ class TestIntegerColumns:
         assert server.metrics.frozen_rounds == ()
 
 
+class TestGroundTruthOutsideWorld:
+    """A ground-truth cell outside the world is refused before anything is written."""
+
+    WORLD = GridWorld(4, 4)
+    USERS, TIMES = [0, 1, 0, 1], [0, 0, 1, 1]
+
+    @classmethod
+    def _batch(cls, first_cell):
+        engine = PrivacyEngine.from_spec(cls.WORLD, mechanism="P-LM", policy="G1", epsilon=1.0)
+        return replace(
+            engine.release_batch(np.array([3, 3, 3, 2]), rng=0),
+            cells=np.array([first_cell, 3, 3, 2]),
+        )
+
+    @staticmethod
+    def _untouched(server, store):
+        assert len(server.released_db) == 0 and len(server.ledger) == 0
+        assert server.metrics.frozen_rounds == ()
+        if store is not None:
+            assert len(store) == 0 and not store.committed()
+            assert store.connection.execute("SELECT COUNT(*) FROM round_blocks").fetchone() == (0,)
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "store"])
+    @pytest.mark.parametrize("cell", [16, -1])
+    def test_ingest_refuses_before_writing(self, cell, durable):
+        # Unchecked, the rows, the ledger entries and (durably) the commit
+        # marks and true-side blocks landed before the E1 fold raised.
+        store = TraceStore(":memory:") if durable else None
+        server = Server(self.WORLD, store=store)
+        server.attach_metrics(default_views(self.WORLD, 2, 2), {0: frozenset({0, 1})})
+        with pytest.raises(ValidationError, match="cell id out of range in batch.cells"):
+            server.ingest_shard(self.USERS, self.TIMES, self._batch(cell), shard=0)
+        self._untouched(server, store)
+
+    @pytest.mark.parametrize("cell", [16, -1])
+    def test_replay_refuses_before_writing(self, cell):
+        with TraceStore(":memory:") as store:
+            Server(self.WORLD, store=store).ingest_shard(
+                self.USERS, self.TIMES, self._batch(3), shard=0
+            )
+            server = Server(self.WORLD, store=store)
+            server.attach_metrics(default_views(self.WORLD, 2, 2), {0: frozenset({0, 1})})
+            with pytest.raises(ValidationError, match="cell id out of range in true_cells"):
+                server.replay_shard(
+                    0, 1, shard=0, true_cells=lambda users, times: np.full(len(users), cell)
+                )
+            assert len(server.released_db) == 0 and len(server.ledger) == 0
+            assert server.metrics.frozen_rounds == ()
+
+
 class TestTrueCells:
     """A resume's replay resolves ground-truth cells from the true trace's columns."""
 

@@ -743,6 +743,33 @@ class TestLongLivedEngine:
             for window in WINDOWS:
                 _assert_answers_like_full_scans(engine_q, engine_q.store, world, window)
 
+    def test_warm_true_query_reads_no_meta(self, world, db, engine):
+        # The true-side flag never changes once written, so a warm
+        # kind="true" query checks the stamp but reads no meta row.
+        _, store = _store_run(world, db, engine, 2, "serial")
+        with store:
+            engine_q = QueryEngine(store, world=world)
+            engine_q.contact_rate(FULL, kind="true")
+            statements = []
+            store.connection.set_trace_callback(statements.append)
+            try:
+                engine_q.contact_rate(FULL, kind="true")
+            finally:
+                store.connection.set_trace_callback(None)
+            assert statements
+            assert [sql for sql in statements if "FROM meta" in sql] == []
+
+    def test_true_kind_answers_once_the_first_true_commit_lands(self, world, engine):
+        with TraceStore(":memory:") as store:
+            engine_q = QueryEngine(store, world=world)
+            with pytest.raises(StoreError, match="no true-side"):
+                engine_q.contact_rate(Window(0, 0), kind="true")
+            batch = engine.release_batch(np.array([0, 1]), rng=np.random.default_rng(0))
+            store.commit_shard(
+                0, np.array([1, 2]), np.array([0, 0]), batch, true_cells=np.array([4, 4])
+            )
+            assert engine_q.contact_rate(Window(0, 0), kind="true").observations == 2
+
     def test_raw_block_update_is_seen_by_the_next_query(self, engine):
         with TraceStore(":memory:") as store:
             batch = engine.release_batch(np.array([0, 1]), rng=np.random.default_rng(0))

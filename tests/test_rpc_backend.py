@@ -20,13 +20,7 @@ import socket
 import numpy as np
 import pytest
 
-from repro.engine import (
-    MetricShardResult,
-    PrivacyEngine,
-    ensure_backend,
-    resolve_backend,
-    sharded_metric,
-)
+from repro.engine import PrivacyEngine, ensure_backend, resolve_backend
 from repro.engine.rpc import (
     _HEADER,
     MAX_FRAME_BYTES,
@@ -56,7 +50,7 @@ def _boom(x):
 
 
 def _value_scorer(task):
-    return MetricShardResult(sums={"value": np.array([float(task)])}, counts=np.array([1]))
+    return np.array([float(task)])
 
 
 @pytest.fixture(scope="module")
@@ -335,11 +329,13 @@ class TestDeterminismMatrix:
         )
         assert _state(server) == _state(reference)
 
-    def test_sharded_metric_matches_serial_merge(self, rpc):
+    def test_shard_results_fold_like_serial(self, rpc):
+        # The evaluators fold run()'s results in task order, so rpc must
+        # hand them back in that order whatever order the workers finish.
         tasks = list(range(9))
-        want = sharded_metric(_value_scorer, tasks, backend="serial")
-        got = sharded_metric(_value_scorer, tasks, backend=rpc)
-        assert got == want
+        want = np.concatenate(ensure_backend("serial").run(_value_scorer, tasks))
+        got = np.concatenate(rpc.run(_value_scorer, tasks))
+        assert np.array_equal(got, want)
 
     def test_monitoring_eval_matches_serial(self, rpc, world, db, engine):
         # The distributed-metric layer on top of the backend: E1's utility

@@ -30,7 +30,7 @@ import repro.engine.sharding as sharding
 from repro.core.mechanisms.base import ReleaseBatch
 from repro.engine import PrivacyEngine
 from repro.engine.rpc import RpcBackend
-from repro.engine.sharding import ShardPlan, _flatten_task_rows, _shard_tasks
+from repro.engine.sharding import ShardPlan, _shard_tasks
 from repro.errors import ReproError, WorkerLostError
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
@@ -254,15 +254,14 @@ def test_any_retried_subset_merges_bit_identically(
     server = Server(world)
     for index, task in enumerate(tasks):
         points, exact, epsilons, mechanism = rerun.get(index, first[index])
-        users_rows, times_rows, cells_rows = _flatten_task_rows(task)
         server.ingest_shard(
-            users_rows,
-            times_rows,
+            task.rows.row_users,
+            task.rows.times,
             ReleaseBatch(
                 points=points,
                 exact=exact,
                 epsilons=epsilons,
-                cells=cells_rows,
+                cells=task.rows.cells,
                 mechanism=mechanism,
             ),
         )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.mechanisms import Mechanism
 from repro.engine import (
@@ -18,10 +20,13 @@ from repro.engine import (
     stream_shard_releases,
 )
 from repro.engine.backends import ExecutionBackend, PoolBackend, SerialBackend
+from repro.engine.sharding import _shard_tasks, shard_rows
 from repro.errors import DataError, StoreError, ValidationError
 from repro.experiments.configs import ExperimentConfig
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
+from repro.mobility.trajectory import TraceDB
+from repro.server.live_metrics import expected_coverage
 from repro.server.pipeline import run_release_rounds, run_release_rounds_batched
 from repro.store import TraceStore
 
@@ -148,6 +153,74 @@ class TestShardPlan:
         children = spawn_rngs(11, 3)
         for user, child in zip(sorted(users), children):
             assert plan.rng_for(user).random() == child.random()
+
+
+class TestShardRows:
+    """``shard_rows``, the one slicer of the user-major row layout."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        # user -> the rounds of their rows; an empty list is a user with no
+        # rows (a windowed trace), who is planned all the same.
+        rounds=st.dictionaries(
+            st.integers(0, 60),
+            st.lists(st.integers(0, 9), max_size=4, unique=True),
+            min_size=1,
+            max_size=12,
+        ),
+        n_shards=st.integers(1, 15),
+        only=st.sets(st.integers(0, 15)),
+        seed=st.integers(0, 2**32),
+        stray=st.integers(0, 61),
+    )
+    def test_shards_tile_the_rows(self, rounds, n_shards, only, seed, stray):
+        rng = np.random.default_rng(seed)
+        keys = sorted((user, time) for user, times in rounds.items() for time in times)
+        users = np.array([user for user, _ in keys], dtype=np.int64)
+        times = np.array([time for _, time in keys], dtype=np.int64)
+        cells = rng.integers(0, 36, size=len(keys))
+        plan = ShardPlan.build(rounds, n_shards, rng=seed)
+        shards = shard_rows(plan, users, times, cells)
+
+        non_empty = [shard for shard in range(n_shards) if plan.shard_members(shard)]
+        assert [rows.shard for rows in shards] == non_empty
+        for rows in shards:
+            assert rows.users == plan.shard_members(rows.shard)
+            assert rows.seeds == tuple(plan.seed_of(user) for user in rows.users)
+            assert rows.counts.tolist() == [len(rounds[user]) for user in rows.users]
+        # Laid end to end in shard order, the shards' rows are the input.
+        for column, got in (
+            (users, [rows.row_users for rows in shards]),
+            (times, [rows.times for rows in shards]),
+            (cells, [rows.cells for rows in shards]),
+        ):
+            assert np.array_equal(np.concatenate(got), column)
+        # A row of a user the plan does not hold is refused, wherever it sorts.
+        if stray not in rounds:
+            at = int(np.searchsorted(users, stray))
+            with pytest.raises(DataError, match=f"row user {stray} is not in the shard plan"):
+                shard_rows(
+                    plan, np.insert(users, at, stray), np.insert(times, at, 0), np.insert(cells, at, 0)
+                )
+
+        db = TraceDB()
+        db.record_many(users, times, cells)
+        if len(db):
+            assert expected_coverage(plan, db) == {
+                shard: frozenset(t for user in plan.shard_members(shard) for t in rounds[user])
+                for shard in non_empty
+                if any(rounds[user] for user in plan.shard_members(shard))
+            }
+            # Release tasks plan the users that have rows, as a run does.
+            run_plan = ShardPlan.build(db.users(), n_shards, rng=seed)
+            engine = object()
+            tasks = _shard_tasks(engine, db, run_plan, only_shards=only)
+            assert [task.rows.shard for task in tasks] == [
+                shard
+                for shard in range(n_shards)
+                if run_plan.shard_members(shard) and shard in only
+            ]
+            assert all(task.engine is engine for task in tasks)
 
 
 class TestBackendRegistry:

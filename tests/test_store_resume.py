@@ -271,14 +271,14 @@ def test_any_committed_prefix_resumes_to_reference(
 # ----------------------------------------------------------------------
 
 
-def _counting_execute(monkeypatch, plan):
+def _counting_execute(monkeypatch):
     import repro.engine.sharding as sharding
 
     calls = []
     real = sharding._execute_shard
 
     def counted(task):
-        calls.append(plan.shard_of(int(task.users[0])))
+        calls.append(task.rows.shard)
         return real(task)
 
     monkeypatch.setattr(sharding, "_execute_shard", counted)
@@ -292,8 +292,7 @@ def test_resume_of_finished_run_executes_zero_shards(
     run_release_rounds_batched(
         world, db, engine, rng=RNG, shards=N_SHARDS, backend="serial", store=path
     )
-    plan = ShardPlan.build(sorted(db.users()), N_SHARDS, rng=RNG)
-    calls = _counting_execute(monkeypatch, plan)
+    calls = _counting_execute(monkeypatch)
     server = run_release_rounds_batched(
         world, db, engine, rng=RNG, shards=N_SHARDS, backend="serial",
         store=path, resume=True,
@@ -314,7 +313,7 @@ def test_resume_re_executes_only_missing_shards(world, db, engine, reference, tm
         for users, times, batch in stream_shard_releases(engine, db, plan, only_shards=done):
             committer.ingest_shard(users, times, batch, shard=plan.shard_of(int(users[0])))
     with pytest.MonkeyPatch.context() as mp:
-        calls = _counting_execute(mp, plan)
+        calls = _counting_execute(mp)
         server = run_release_rounds_batched(
             world, db, engine, rng=RNG, shards=N_SHARDS, backend="serial",
             store=str(path), resume=True,
