@@ -27,16 +27,6 @@ The artifact has four blocks (schema documented in ``docs/benchmarks.md``)::
                         "db_size_mb": 760.2, "rss_peak_mb": 310.5,
                         "rss_growth_mb": 45.1, ...}
       },
-      "rpc_backend": {                                    # E20
-        "sweep": [{"backend": "rpc", "workers": 2, "shards": 4,
-                   "seconds": 0.02, "releases_per_sec": 11500.0,
-                   "matches_serial": true}, ...],
-        "rpc_vs_pool": {"rounds": 8, "shards": 4, "rpc_workers": 2,
-                        "pool_seconds": 0.032, "rpc_seconds": 0.036,
-                        "rpc_vs_pool": 0.879, "parity_budget": 0.7,
-                        "within_budget": true, ...},
-        "chaos": {"shards": 4, "worker_losses": 1, "matches_serial": true, ...}
-      },
       "live_metrics": {                                   # E21
         "scaling": [{"n_users": 4000, "rows": 24000, "shards": 8,
                      "matches_batch": true, "live_query_seconds": 1.5e-07,
@@ -89,7 +79,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import bench_e18_durable_ingest as bench_e18  # noqa: E402
-import bench_e20_rpc as bench_e20  # noqa: E402
 import bench_e21_live_metrics as bench_e21  # noqa: E402
 import bench_e22_queries as bench_e22  # noqa: E402
 
@@ -115,7 +104,6 @@ ENTRY_POINTS = {
 
 SHARDED_ENTRY = "e15_sharded_rounds"
 DURABLE_ENTRY = "e18_durable_ingest"
-RPC_ENTRY = "e20_rpc_backend"
 LIVE_ENTRY = "e21_live_metrics"
 QUERY_ENTRY = "e22_query_surface"
 
@@ -159,20 +147,11 @@ def run_durable_ingest(smoke: bool) -> dict:
     return bench_e18.durable_ingest_block(smoke)
 
 
-def run_rpc_backend(smoke: bool) -> dict:
-    """The E20 block: rpc sweep, pool-parity timing, and the chaos smoke.
-
-    Delegates to ``bench_e20_rpc.rpc_block`` — same single-source-of-truth
-    arrangement as E18.
-    """
-    return bench_e20.rpc_block(smoke)
-
-
 def run_live_metrics(smoke: bool) -> dict:
     """The E21 block: live snapshot query cost vs batch recompute.
 
     Delegates to ``bench_e21_live_metrics.live_metrics_block`` — same
-    single-source-of-truth arrangement as E18-E20.
+    single-source-of-truth arrangement as E18.
     """
     return bench_e21.live_metrics_block(smoke)
 
@@ -181,7 +160,7 @@ def run_query_surface(smoke: bool) -> dict:
     """The E22 block: accelerator window queries vs full-table scans.
 
     Delegates to ``bench_e22_queries.query_surface_block`` — same
-    single-source-of-truth arrangement as E18-E21.
+    single-source-of-truth arrangement as E18 and E21.
     """
     return bench_e22.query_surface_block(smoke)
 
@@ -193,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
         "--only",
         action="append",
         choices=sorted(ENTRY_POINTS)
-        + [SHARDED_ENTRY, DURABLE_ENTRY, RPC_ENTRY, LIVE_ENTRY, QUERY_ENTRY],
+        + [SHARDED_ENTRY, DURABLE_ENTRY, LIVE_ENTRY, QUERY_ENTRY],
         help="run only this entry point (repeatable)",
     )
     parser.add_argument(
@@ -208,7 +187,6 @@ def main(argv: list[str] | None = None) -> int:
     names = args.only or sorted(ENTRY_POINTS) + [
         SHARDED_ENTRY,
         DURABLE_ENTRY,
-        RPC_ENTRY,
         LIVE_ENTRY,
         QUERY_ENTRY,
     ]
@@ -217,7 +195,6 @@ def main(argv: list[str] | None = None) -> int:
         if name in (
             SHARDED_ENTRY,
             DURABLE_ENTRY,
-            RPC_ENTRY,
             LIVE_ENTRY,
             QUERY_ENTRY,
         ):
@@ -256,28 +233,6 @@ def main(argv: list[str] | None = None) -> int:
             f"  out-of-core {ooc['rows']:,} rows at {ooc['rows_per_sec']:,.0f} rows/s, "
             f"{ooc['db_size_mb']}MB on disk, rss peak {ooc['rss_peak_mb']}MB "
             f"(growth {ooc['rss_growth_mb']}MB)"
-        )
-    if RPC_ENTRY in names:
-        start = time.perf_counter()
-        payload["rpc_backend"] = run_rpc_backend(args.smoke)
-        payload["timings"][RPC_ENTRY] = round(time.perf_counter() - start, 6)
-        print(f"{RPC_ENTRY:<28} {payload['timings'][RPC_ENTRY]:>10.3f}s")
-        for record in payload["rpc_backend"]["sweep"]:
-            print(
-                f"  rpc workers={record['workers']} shards={record['shards']}"
-                f"  {record['releases_per_sec']:>12,.0f} releases/s"
-                f"  matches_serial={record['matches_serial']}"
-            )
-        versus = payload["rpc_backend"]["rpc_vs_pool"]
-        print(
-            f"  rpc {versus['rpc_seconds']}s vs pool {versus['pool_seconds']}s "
-            f"over {versus['rounds']} rounds ({versus['rpc_vs_pool']}x pool, "
-            f"within_budget={versus['within_budget']})"
-        )
-        chaos = payload["rpc_backend"]["chaos"]
-        print(
-            f"  chaos lost {chaos['worker_losses']} worker(s), "
-            f"matches_serial={chaos['matches_serial']}"
         )
     if LIVE_ENTRY in names:
         start = time.perf_counter()

@@ -12,8 +12,6 @@ Usage (after ``pip install -e .``)::
     python -m repro experiment e8 --engine-spec spec.json --shards 4 --backend pool
     python -m repro experiment e8 --shards 4 --store run.sqlite
     python -m repro experiment e8 --shards 4 --store run.sqlite --resume
-    python -m repro experiment e8 --shards 4 --backend rpc --workers 2 4
-    python -m repro experiment e1 --shards 4 --backend rpc --workers 2 --worker-timeout 30
     python -m repro query summary --store run.sqlite
     python -m repro query contact-rate --store run.sqlite --window 0 11
     python -m repro query flows --store run.sqlite --window 4 7 --kind true
@@ -150,24 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="e8: pin the scalability sweep to one execution backend; "
         "e1/e2/e3/e4/e5/e11: execution backend for shard-parallel metrics "
         "(e.g. the long-lived 'pool' worker pool)",
-    )
-    experiment.add_argument(
-        "--workers",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="N",
-        help="rpc backend only: remote worker-process count; e8 accepts "
-        "several counts and sweeps one row block per count, metric runners "
-        "take exactly one",
-    )
-    experiment.add_argument(
-        "--worker-timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="rpc backend only: seconds without a heartbeat/result before a "
-        "worker is declared lost and its shard is retried elsewhere",
     )
     experiment.add_argument(
         "--store",
@@ -407,35 +387,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 config = replace(config, backends=(args.backend,))
             else:
                 config = replace(config, eval_backend=args.backend)
-        if args.workers is not None or args.worker_timeout is not None:
-            # These knobs configure the rpc worker cluster; accepting them
-            # for in-process backends would silently do nothing.
-            if args.backend != "rpc":
-                raise ValidationError(
-                    "--workers/--worker-timeout configure the rpc worker "
-                    "cluster; pass --backend rpc"
-                )
-            params: dict = {}
-            if args.worker_timeout is not None:
-                if args.worker_timeout <= 0:
-                    raise ValidationError(
-                        f"worker-timeout must be > 0, got {args.worker_timeout}"
-                    )
-                params["worker_timeout"] = float(args.worker_timeout)
-            if args.workers is not None:
-                if any(count < 1 for count in args.workers):
-                    raise ValidationError(f"workers must be >= 1, got {args.workers}")
-                if args.name == "e8":
-                    config = replace(config, worker_counts=tuple(args.workers))
-                elif len(args.workers) == 1:
-                    params["workers"] = int(args.workers[0])
-                else:
-                    raise ValidationError(
-                        f"experiment {args.name} runs one worker cluster; "
-                        "pass a single --workers count (e8 sweeps several)"
-                    )
-            if params:
-                config = replace(config, backend_params=tuple(sorted(params.items())))
         if args.float32:
             config = replace(config, float32=True)
         if args.store is not None or args.resume:

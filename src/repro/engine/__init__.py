@@ -16,8 +16,8 @@ population-scale engine:
 * :class:`ShardPlan` + :func:`stream_shard_releases` — deterministic
   population sharding with per-user RNG streams, executed on a pluggable
   :class:`ExecutionBackend`
-  (in-process ``serial`` / long-lived process ``pool`` / socket ``rpc``
-  with deterministic worker-loss retry) so one seeded run
+  (in-process ``serial`` / long-lived process ``pool``, which reruns the
+  shards a dead worker took down) so one seeded run
   reproduces element-wise at any shard count.  The evaluators shard their
   work keys (users, or E4's trial slots) over the same plans and
   backends, and fold the shards' results in shard order;
@@ -48,16 +48,6 @@ from repro.engine.sharding import ShardPlan, stream_shard_releases
 from repro.engine.specs import EngineSpec, ExecutionSpec, MechanismSpec, PolicySpec
 
 
-def __getattr__(name: str):
-    # RpcBackend is exported lazily (PEP 562): the worker entrypoint is
-    # `python -m repro.engine.rpc`, and an eager import here would make runpy
-    # warn about repro.engine.rpc already sitting in sys.modules.
-    if name == "RpcBackend":
-        from repro.engine.rpc import RpcBackend
-
-        return RpcBackend
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "PrivacyEngine",
     "EngineRef",
@@ -71,7 +61,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "PoolBackend",
-    "RpcBackend",
     "register_mechanism",
     "register_policy",
     "register_backend",

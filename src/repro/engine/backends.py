@@ -1,12 +1,12 @@
 """Pluggable execution backends for shard-parallel work.
 
 A backend answers one question: *how* do independent shard tasks run —
-in-process, one after another (``serial``), on a long-lived process pool
-(``pool``, via :mod:`concurrent.futures`), or on socket-connected worker
-processes (``rpc``)?  Backends are registry-named exactly like mechanisms
-and policies, so an :class:`~repro.engine.specs.EngineSpec` (or a saved
-JSON spec file) can carry ``backend="pool"`` and every layer — pipeline,
-experiments, CLI — resolves it through the same table.
+in-process, one after another (``serial``), or on a long-lived process
+pool (``pool``, via :mod:`concurrent.futures`)?  Backends are
+registry-named exactly like mechanisms and policies, so an
+:class:`~repro.engine.specs.EngineSpec` (or a saved JSON spec file) can
+carry ``backend="pool"`` and every layer — pipeline, experiments, CLI —
+resolves it through the same table.
 
 The contract is deliberately tiny: :meth:`ExecutionBackend.run` maps a
 picklable function over a task list and returns the results **in task
@@ -22,13 +22,11 @@ extensions ride on top:
   :meth:`~repro.server.pipeline.Server.ingest_shard`) use to avoid a full
   merge barrier.  The default delegates to :meth:`run`, so custom backends
   only implement it when they can genuinely stream; every built-in backend
-  does (``serial`` runs one task per yield).  Backends that can *lose*
-  workers mid-task (the ``rpc`` backend) additionally accept an
-  ``on_worker_lost(task_index, attempt)`` observer and transparently
-  reschedule the lost task — because every shard task is a pure function
-  of its seeds, a retry is bit-identical, so callers see at most one
-  ``(index, result)`` pair per task regardless of how many workers died.
-  In-process backends never lose workers and simply ignore the hook.
+  does (``serial`` runs one task per yield).  The ``pool`` backend also
+  survives worker death: it reruns the tasks it has not yet yielded on a
+  fresh executor — because every shard task is a pure function of its
+  seeds, a rerun is bit-identical, so callers see exactly one
+  ``(index, result)`` pair per task however many workers died.
 * :meth:`ExecutionBackend.close` / the context-manager protocol releases
   whatever the backend holds (the ``pool`` backend's persistent executor).
   Call sites that *build* a backend from a registry name own it and must
@@ -42,10 +40,11 @@ import abc
 import inspect
 from contextlib import contextmanager
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.engine.registry import _register, _resolve
-from repro.errors import ValidationError
+from repro.errors import ValidationError, WorkerLostError
 from repro.utils.validation import check_integer
 
 __all__ = [
@@ -61,6 +60,10 @@ __all__ = [
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+#: Executors a :class:`PoolBackend` call rebuilds in a row without finishing
+#: a task before it gives up with :class:`~repro.errors.WorkerLostError`.
+MAX_REBUILDS = 2
 
 BackendFactory = Callable[..., "ExecutionBackend"]
 
@@ -96,31 +99,18 @@ class ExecutionBackend(abc.ABC):
             but must **return** ``[fn(t) for t in tasks]`` order.
         """
 
-    def run_unordered(
-        self,
-        fn: Callable[[T], R],
-        tasks: Sequence[T],
-        on_worker_lost: Callable[[int, int], None] | None = None,
-    ) -> Iterator[tuple[int, R]]:
+    def run_unordered(self, fn: Callable[[T], R], tasks: Sequence[T]) -> Iterator[tuple[int, R]]:
         """Yield ``(task_index, fn(task))`` pairs as tasks complete.
 
         The streaming half of the contract: consumers that can commit
         results incrementally (e.g. :meth:`Server.ingest_shard`) iterate
         this instead of waiting for the whole :meth:`run` list.  Yield
-        order is unspecified; the index identifies the task.  The default
-        implementation delegates to :meth:`run` (one barrier, then ordered
-        yields), so every registered backend — including custom ones that
-        only implement :meth:`run` — satisfies it; the built-in backends
-        override it to stream genuinely.
-
-        ``on_worker_lost(task_index, attempt)`` is an optional observer for
-        backends whose workers can die mid-task (``rpc``): it is called once
-        per lost execution *before* the task is rescheduled, with ``attempt``
-        counting dispatches so far.  In-process backends never lose workers
-        and accept-but-ignore the hook, so call sites can pass it
-        unconditionally.
+        order is unspecified; the index identifies the task, and each
+        index is yielded once.  The default implementation delegates to
+        :meth:`run` (one barrier, then ordered yields), so every registered
+        backend — including custom ones that only implement :meth:`run` —
+        satisfies it; the built-in backends override it to stream genuinely.
         """
-        del on_worker_lost  # in-process execution cannot lose a worker
         yield from enumerate(self.run(fn, tasks))
 
     def close(self) -> None:
@@ -154,15 +144,9 @@ class SerialBackend(ExecutionBackend):
     def run(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
         return [fn(task) for task in tasks]
 
-    def run_unordered(
-        self,
-        fn: Callable[[T], R],
-        tasks: Sequence[T],
-        on_worker_lost: Callable[[int, int], None] | None = None,
-    ) -> Iterator[tuple[int, R]]:
+    def run_unordered(self, fn: Callable[[T], R], tasks: Sequence[T]) -> Iterator[tuple[int, R]]:
         # One task per yield, so a streaming consumer commits each shard
         # before the next one runs (the base default runs them all first).
-        del on_worker_lost  # in-process execution cannot lose a worker
         for index, task in enumerate(tasks):
             yield index, fn(task)
 
@@ -181,11 +165,24 @@ class PoolBackend(ExecutionBackend):
     built engine by that hash — repeated rounds stop re-pickling
     construction state entirely.
 
-    A failing task propagates its exception to the caller but leaves the
-    executor intact: the pool stays usable for the next call.  The executor
-    is created lazily on first use and released by :meth:`close` (or by
-    using the backend as a context manager); call sites that resolve
-    ``"pool"`` from the registry own the instance and must close it.
+    A failing task propagates its exception (its own type, as does a task
+    or function that cannot be pickled) and leaves the executor intact: the
+    pool stays usable for the next call.  A *dead worker* breaks the
+    executor instead (:class:`~concurrent.futures.process.BrokenProcessPool`,
+    raised by ``submit`` when an idle worker died between calls, or by a
+    pending result).  The call then closes the broken executor and reruns
+    every task it has not yet yielded on a fresh one; the rerun is
+    bit-identical because each task is a pure function of its seeds.  After
+    :data:`MAX_REBUILDS` rebuilt executors in a row break without finishing
+    a task, it raises :class:`~repro.errors.WorkerLostError` naming the
+    unfinished tasks, with the backend closed, so the next call starts
+    afresh.  There is no liveness deadline: a worker that stops without
+    dying blocks the call, as a stuck task blocks ``serial``.
+
+    The executor is created lazily on first use and released by
+    :meth:`close` (or by using the backend as a context manager); call
+    sites that resolve ``"pool"`` from the registry own the instance and
+    must close it.
     """
 
     name = "pool"
@@ -204,22 +201,38 @@ class PoolBackend(ExecutionBackend):
     def run(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
         # Even a singleton task goes through the pool: the whole point is
         # that workers stay warm (cached engines) for the *next* call.
-        if not tasks:
-            return []
-        return list(self._pool().map(fn, tasks))
+        results: list = [None] * len(tasks)
+        for index, result in self.run_unordered(fn, tasks):
+            results[index] = result
+        return results
 
-    def run_unordered(
-        self,
-        fn: Callable[[T], R],
-        tasks: Sequence[T],
-        on_worker_lost: Callable[[int, int], None] | None = None,
-    ) -> Iterator[tuple[int, R]]:
-        del on_worker_lost  # executor tasks are never abandoned mid-flight
-        if not tasks:
-            return
-        futures = {self._pool().submit(fn, task): index for index, task in enumerate(tasks)}
-        for future in as_completed(futures):
-            yield futures[future], future.result()
+    def run_unordered(self, fn: Callable[[T], R], tasks: Sequence[T]) -> Iterator[tuple[int, R]]:
+        unyielded = dict(enumerate(tasks))
+        breaks = 0  # executors broken since the last finished task
+        while unyielded:
+            futures = {}
+            try:
+                for index, task in unyielded.items():
+                    futures[self._pool().submit(fn, task)] = index
+                for future in as_completed(futures):
+                    index = futures[future]
+                    result = future.result()
+                    del unyielded[index]
+                    breaks = 0
+                    yield index, result
+            except BrokenProcessPool as exc:
+                self.close()
+                breaks += 1
+                if breaks > MAX_REBUILDS:
+                    raise WorkerLostError(
+                        f"pool workers died {breaks} times in a row without finishing "
+                        f"a task; unfinished tasks {sorted(unyielded)}"
+                    ) from exc
+            finally:
+                # Queued tasks of a call that raised or was abandoned must
+                # not keep the workers busy for the next call.
+                for future in futures:
+                    future.cancel()
 
     def close(self) -> None:
         if self._executor is not None:
@@ -274,9 +287,7 @@ def _check_params(name: str, factory: BackendFactory, params: dict) -> None:
     """Refuse ``params`` that ``name``'s constructor does not take."""
     if not params:
         return
-    # _rpc_factory's **params hide RpcBackend's signature: check the class.
-    constructor = _rpc_class() if factory is _rpc_factory else factory
-    parameters = inspect.signature(constructor).parameters.values()
+    parameters = inspect.signature(factory).parameters.values()
     if any(p.kind is p.VAR_KEYWORD for p in parameters):
         return  # a factory taking **params checks its own names
     accepted = [p.name for p in parameters if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)]
@@ -318,19 +329,5 @@ def backend_names() -> list[str]:
     return sorted(_BACKENDS)
 
 
-def _rpc_class() -> type:
-    # Imported lazily: rpc.py imports this module for ExecutionBackend, so a
-    # top-level import here would be circular.  The class is only paid for
-    # when a spec/CLI actually selects the rpc backend.
-    from repro.engine.rpc import RpcBackend
-
-    return RpcBackend
-
-
-def _rpc_factory(**params) -> "ExecutionBackend":
-    return _rpc_class()(**params)
-
-
 register_backend("serial", SerialBackend, aliases=("sync", "inline"))
 register_backend("pool", PoolBackend, aliases=("worker_pool", "persistent"))
-register_backend("rpc", _rpc_factory, aliases=("socket", "tcp"))

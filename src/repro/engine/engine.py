@@ -351,9 +351,9 @@ class EngineRef:
     a worker-rebuilt engine draws exactly the releases the originating
     engine would — the sharded determinism contract is unaffected.
 
-    In-process (the serial backend, or the originating side of a
-    pool / rpc backend) the live engine is kept and returned directly; only
-    pickling drops it.
+    In-process (the serial backend, or the originating side of the pool
+    backend) the live engine is kept and returned directly; only pickling
+    drops it.
     """
 
     __slots__ = ("_engine", "_payload")

@@ -3,7 +3,7 @@
 A :class:`ShardPlan` splits the population into deterministic shards, each
 shard releases its users' whole trace through the engine in one
 ``release_batch`` call, an :class:`~repro.engine.backends.ExecutionBackend`
-decides how the shards run (serial / process pool / rpc), and
+decides how the shards run (serial or process pool), and
 :func:`stream_shard_releases` hands each finished shard to the server as it
 completes.  An unsharded run is a one-shard plan.
 
@@ -363,7 +363,7 @@ def stream_shard_releases(
     ----------
     engine:
         The engine every shard releases through (picklable, so the pool
-        and rpc backends can ship it whole).
+        backend can ship it whole).
     true_db:
         Ground-truth traces; the plan must cover exactly its users.
     plan:

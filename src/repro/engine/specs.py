@@ -75,16 +75,14 @@ class ExecutionSpec:
     ``shards`` is a Python or numpy int >= 1; a bool, a float or any other
     type raises :class:`~repro.errors.ValidationError` instead of being
     truncated.  ``backend`` is a registry name (``"serial"``, ``"pool"``,
-    ``"rpc"``, or anything added via
-    :func:`~repro.engine.backends.register_backend`); ``params`` are
-    forwarded to the backend factory — ``max_workers`` for the process
-    ``pool``, ``workers`` / ``worker_timeout`` / ``max_retries`` for the
-    socket ``rpc`` backend (:class:`~repro.engine.rpc.RpcBackend`), none
-    for ``serial``.  :meth:`build` refuses a name the backend does not take
-    with :class:`~repro.errors.ValidationError`.
+    or anything added via :func:`~repro.engine.backends.register_backend`);
+    ``params`` are forwarded to the backend factory — ``max_workers`` for
+    the process ``pool``, none for ``serial``.  :meth:`build` refuses a
+    name the backend does not take with
+    :class:`~repro.errors.ValidationError`.
     Execution never affects the released values — per-user RNG streams make
     output invariant under sharding (see :mod:`repro.engine.sharding`), and
-    the rpc backend's worker-loss retries re-run pure shard tasks
+    the pool's reruns after a worker death re-run pure shard tasks
     bit-identically — so this is a pure throughput knob that can live in a
     saved spec file.
 

@@ -41,15 +41,16 @@ class TracingError(ReproError):
 
 
 class WorkerLostError(ReproError):
-    """A remote execution worker died and the task exhausted its retries.
+    """Pool workers kept dying and the unfinished tasks were given up.
 
-    The ``rpc`` backend treats worker death (process exit, heartbeat
-    timeout, torn frame) as "re-run the shard elsewhere" — every shard is a
-    pure function of its seeds, so a retry is bit-identical.  Only when the
-    *same* task has lost its worker more than ``max_retries`` times does the
-    coordinator give up and raise this, naming the task and the failure
-    reason, so a systematically crashing shard surfaces as an error instead
-    of an infinite respawn loop.
+    The ``pool`` backend treats a dead worker (a broken executor) as "rerun
+    the unfinished shards on a fresh executor" — every shard is a pure
+    function of its seeds, so a rerun is bit-identical.  Only when
+    ``MAX_REBUILDS`` rebuilt executors in a row break without finishing a
+    task does the call give up and raise this, chained from the
+    ``BrokenProcessPool`` and naming the unfinished task indices, so a
+    shard that kills every worker it lands on surfaces as an error instead
+    of an endless rebuild loop.
     """
 
 

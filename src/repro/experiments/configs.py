@@ -101,15 +101,6 @@ class ExperimentConfig:
     fields.  The CLI maps ``repro experiment e1 --shards N --backend B``
     onto these fields.
 
-    ``backend_params`` are extra keyword arguments for the ``rpc`` backend
-    factory — how the CLI threads ``--worker-timeout`` (and, for non-E8
-    runners, ``--workers``) into the worker cluster.  E8 applies them to
-    its rpc row blocks only (in-process backends in a mixed sweep would
-    reject cluster knobs); the metric runners forward them to whatever
-    single ``eval_backend`` is named.  ``worker_counts`` makes E8 sweep the
-    rpc worker-process count (one row block per count, reported in the
-    ``workers`` column); other backends ignore it.
-
     ``float32`` runs the Bayesian attacker's batched GEMMs in single
     precision (~``1e-3`` relative tolerance on adversary metrics; see
     :class:`~repro.adversary.inference.BayesianAttacker`).  The CLI maps
@@ -150,8 +141,6 @@ class ExperimentConfig:
     backends: tuple[str, ...] = ("serial", "pool")
     eval_shards: int | None = None
     eval_backend: str | None = None
-    backend_params: tuple[tuple[str, object], ...] = ()
-    worker_counts: tuple[int, ...] | None = None
     store_path: str | None = None
     resume: bool = False
     live_metrics: bool = False

@@ -83,7 +83,7 @@ def _eval_execution(config: ExperimentConfig):
     its workers once per table, not once per metric call.
     ``config.eval_shards`` passes through (``None`` means one shard).
     """
-    with ensure_backend(config.eval_backend, **dict(config.backend_params)) as backend:
+    with ensure_backend(config.eval_backend) as backend:
         yield config.eval_shards, backend
 
 
@@ -686,15 +686,6 @@ def run_scalability(config: ExperimentConfig = ExperimentConfig()) -> ResultTabl
     row does not pay for starting the workers (a pool starts them on
     first use).
 
-    The ``workers`` column reports remote worker-process counts for the
-    ``rpc`` backend: with ``config.worker_counts`` set, the rpc backend gets
-    one row block per worker count (each count building its own persistent
-    worker cluster, shared across that block's shard sweep, exactly like the
-    pool amortisation above); without it, the backend's own default count is
-    reported.  In-process backends have no remote workers and show ``None``.
-    ``config.backend_params`` (e.g. ``worker_timeout``) are forwarded to
-    every backend built here by name.
-
     Every run is seeded with ``config.seed`` under the sharded
     per-user-stream contract, so all combinations must produce identical
     values; ``matches_serial`` re-asserts that element-wise for the
@@ -728,7 +719,6 @@ def run_scalability(config: ExperimentConfig = ExperimentConfig()) -> ResultTabl
     table = ResultTable(
         [
             "backend",
-            "workers",
             "shards",
             "seconds",
             "releases_per_sec",
@@ -755,140 +745,125 @@ def run_scalability(config: ExperimentConfig = ExperimentConfig()) -> ResultTabl
         rng=config.seed, shards=1, backend="serial",
     )
     for backend_name in config.backends:
-        if backend_name == "rpc" and config.worker_counts:
-            worker_sweep: tuple[int | None, ...] = tuple(config.worker_counts)
-        else:
-            worker_sweep = (None,)
-        for workers in worker_sweep:
-            # backend_params carry rpc cluster knobs (worker_timeout, ...);
-            # the other backends in a mixed sweep refuse them by name
-            # (ValidationError), so they apply to rpc row blocks only.
-            params = dict(config.backend_params) if backend_name == "rpc" else {}
-            if workers is not None:
-                params["workers"] = int(workers)
-            with ensure_backend(backend_name, **params) as backend:
-                # Remote-worker backends report their cluster size; the
-                # in-process backends have no matching notion and show None.
-                reported_workers = getattr(backend, "workers", None) if backend_name == "rpc" else None
-                # Untimed: starts the workers before the first timed row.
-                run_release_rounds_batched(
-                    world, db, engine, rng=config.seed,
-                    shards=max(config.shard_counts, default=1), backend=backend,
+        with ensure_backend(backend_name) as backend:
+            # Untimed: starts the workers before the first timed row.
+            run_release_rounds_batched(
+                world, db, engine, rng=config.seed,
+                shards=max(config.shard_counts, default=1), backend=backend,
+            )
+            for shards in config.shard_counts:
+                start = perf_counter()
+                server = run_release_rounds_batched(
+                    world, db, engine, rng=config.seed, shards=shards, backend=backend,
                 )
-                for shards in config.shard_counts:
+                seconds = perf_counter() - start
+                start = perf_counter()
+                report = monitoring_utility(
+                    world, engine, db, block_rows, block_cols,
+                    rng=config.seed, shards=shards, backend=backend,
+                )
+                eval_seconds = perf_counter() - start
+                durable_rate = None
+                if config.store_path is not None:
+                    # Fresh store per combination (each is a complete run
+                    # of its own) unless the caller is resuming one;
+                    # matching the serial baseline folds the durable
+                    # output into the sweep's determinism check.
+                    if not config.resume:
+                        for suffix in ("", "-wal", "-shm"):
+                            Path(config.store_path + suffix).unlink(missing_ok=True)
                     start = perf_counter()
-                    server = run_release_rounds_batched(
-                        world, db, engine, rng=config.seed, shards=shards, backend=backend,
+                    durable_server = run_release_rounds_batched(
+                        world, db, engine, rng=config.seed, shards=shards,
+                        backend=backend,
+                        store=config.store_path, resume=config.resume,
                     )
-                    seconds = perf_counter() - start
-                    start = perf_counter()
-                    report = monitoring_utility(
-                        world, engine, db, block_rows, block_cols,
-                        rng=config.seed, shards=shards, backend=backend,
+                    durable_seconds = perf_counter() - start
+                    if list(durable_server.released_db.checkins()) != baseline:
+                        raise AssertionError(
+                            "store-backed run diverged from the serial baseline"
+                        )
+                    durable_rate = round(len(db) / durable_seconds, 1)
+                live_match = None
+                live_speedup = None
+                if config.live_metrics:
+                    from repro.engine.sharding import (
+                        ShardPlan,
+                        stream_shard_releases,
                     )
-                    eval_seconds = perf_counter() - start
-                    durable_rate = None
-                    if config.store_path is not None:
-                        # Fresh store per combination (each is a complete run
-                        # of its own) unless the caller is resuming one;
-                        # matching the serial baseline folds the durable
-                        # output into the sweep's determinism check.
-                        if not config.resume:
-                            for suffix in ("", "-wal", "-shm"):
-                                Path(config.store_path + suffix).unlink(missing_ok=True)
-                        start = perf_counter()
-                        durable_server = run_release_rounds_batched(
-                            world, db, engine, rng=config.seed, shards=shards,
-                            backend=backend,
-                            store=config.store_path, resume=config.resume,
-                        )
-                        durable_seconds = perf_counter() - start
-                        if list(durable_server.released_db.checkins()) != baseline:
-                            raise AssertionError(
-                                "store-backed run diverged from the serial baseline"
-                            )
-                        durable_rate = round(len(db) / durable_seconds, 1)
-                    live_match = None
-                    live_speedup = None
-                    if config.live_metrics:
-                        from repro.engine.sharding import (
-                            ShardPlan,
-                            stream_shard_releases,
-                        )
-                        from repro.server.live_metrics import (
-                            batch_recompute,
-                            default_views,
-                        )
+                    from repro.server.live_metrics import (
+                        batch_recompute,
+                        default_views,
+                    )
 
-                        views = default_views(
-                            world,
-                            block_rows=block_rows,
-                            block_cols=block_cols,
-                            p_transmit=config.p_transmit,
-                            gamma=config.gamma,
-                        )
-                        live_server = run_release_rounds_batched(
-                            world, db, engine, rng=config.seed, shards=shards,
-                            backend=backend,
-                            live_metrics=views,
-                        )
-                        # Re-derive the raw release rows over the same plan
-                        # (per-user streams make them identical to what the
-                        # live run committed), outside both timed sections.
-                        plan = ShardPlan.build(
-                            sorted(db.users()), shards, rng=config.seed
-                        )
-                        rows = [
-                            (np.asarray(s_users, dtype=int),
-                             np.asarray(s_times, dtype=int),
-                             s_batch.points,
-                             np.asarray(s_batch.cells, dtype=int))
-                            for s_users, s_times, s_batch
-                            in stream_shard_releases(engine, db, plan)
-                        ]
-                        row_users = np.concatenate([r[0] for r in rows])
-                        row_times = np.concatenate([r[1] for r in rows])
-                        row_points = np.concatenate([r[2] for r in rows])
-                        row_true = np.concatenate([r[3] for r in rows])
-                        row_snapped = np.asarray(
-                            world.snap_batch(row_points), dtype=int
-                        )
-                        start = perf_counter()
-                        batch_values = batch_recompute(
-                            views, plan, row_users, row_times, row_points,
-                            row_true, row_snapped,
-                        )
-                        batch_seconds = perf_counter() - start
-                        registry = live_server.metrics
-                        start = perf_counter()
-                        live_values = {
-                            r: live_server.metrics_at(r) for r in registry.rounds
-                        }
-                        live_seconds = perf_counter() - start
-                        live_match = (
-                            set(live_values) == set(batch_values)
-                            and all(
-                                dict(live_values[r]) == batch_values[r]
-                                for r in live_values
-                            )
-                        )
-                        live_speedup = round(
-                            batch_seconds / max(live_seconds, 1e-9), 1
-                        )
-                    table.add_row(
-                        backend_name,
-                        reported_workers,
-                        shards,
-                        round(seconds, 6),
-                        round(len(db) / seconds, 1),
-                        list(server.released_db.checkins()) == baseline,
-                        round(eval_seconds, 6),
-                        round(len(db) / eval_seconds, 1),
-                        report == eval_baseline,
-                        durable_rate,
-                        live_match,
-                        live_speedup,
+                    views = default_views(
+                        world,
+                        block_rows=block_rows,
+                        block_cols=block_cols,
+                        p_transmit=config.p_transmit,
+                        gamma=config.gamma,
                     )
+                    live_server = run_release_rounds_batched(
+                        world, db, engine, rng=config.seed, shards=shards,
+                        backend=backend,
+                        live_metrics=views,
+                    )
+                    # Re-derive the raw release rows over the same plan
+                    # (per-user streams make them identical to what the
+                    # live run committed), outside both timed sections.
+                    plan = ShardPlan.build(
+                        sorted(db.users()), shards, rng=config.seed
+                    )
+                    rows = [
+                        (np.asarray(s_users, dtype=int),
+                         np.asarray(s_times, dtype=int),
+                         s_batch.points,
+                         np.asarray(s_batch.cells, dtype=int))
+                        for s_users, s_times, s_batch
+                        in stream_shard_releases(engine, db, plan)
+                    ]
+                    row_users = np.concatenate([r[0] for r in rows])
+                    row_times = np.concatenate([r[1] for r in rows])
+                    row_points = np.concatenate([r[2] for r in rows])
+                    row_true = np.concatenate([r[3] for r in rows])
+                    row_snapped = np.asarray(
+                        world.snap_batch(row_points), dtype=int
+                    )
+                    start = perf_counter()
+                    batch_values = batch_recompute(
+                        views, plan, row_users, row_times, row_points,
+                        row_true, row_snapped,
+                    )
+                    batch_seconds = perf_counter() - start
+                    registry = live_server.metrics
+                    start = perf_counter()
+                    live_values = {
+                        r: live_server.metrics_at(r) for r in registry.rounds
+                    }
+                    live_seconds = perf_counter() - start
+                    live_match = (
+                        set(live_values) == set(batch_values)
+                        and all(
+                            dict(live_values[r]) == batch_values[r]
+                            for r in live_values
+                        )
+                    )
+                    live_speedup = round(
+                        batch_seconds / max(live_seconds, 1e-9), 1
+                    )
+                table.add_row(
+                    backend_name,
+                    shards,
+                    round(seconds, 6),
+                    round(len(db) / seconds, 1),
+                    list(server.released_db.checkins()) == baseline,
+                    round(eval_seconds, 6),
+                    round(len(db) / eval_seconds, 1),
+                    report == eval_baseline,
+                    durable_rate,
+                    live_match,
+                    live_speedup,
+                )
     return table
 
 

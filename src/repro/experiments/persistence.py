@@ -129,15 +129,9 @@ def load_manifest(path: str | Path) -> dict:
         "monitor_block",
         "shard_counts",
         "backends",
-        "worker_counts",
     ):
         if key in raw_config and isinstance(raw_config[key], list):
             raw_config[key] = tuple(raw_config[key])
-    if isinstance(raw_config.get("backend_params"), list):
-        # Nested (name, value) pairs flatten to lists-of-lists in JSON.
-        raw_config["backend_params"] = tuple(
-            tuple(pair) for pair in raw_config["backend_params"]
-        )
     # A pinned engine spec serializes as its dict form; rebuild the dataclass.
     if isinstance(raw_config.get("engine_spec"), dict):
         from repro.engine import EngineSpec

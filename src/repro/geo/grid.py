@@ -17,6 +17,7 @@ Conventions
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterator
 
 import numpy as np
@@ -143,21 +144,33 @@ class GridWorld:
 
         Perturbed locations can land outside the map; the paper's utility and
         tracing pipelines snap them back to the nearest cell, which this clamp
-        implements.
+        implements.  A NaN or infinite coordinate has no nearest cell and
+        raises :class:`~repro.errors.ValidationError`.
         """
-        x = float(point[0]) / self.cell_size
-        y = float(point[1]) / self.cell_size
-        col = min(max(int(np.floor(x)), 0), self.width - 1)
-        row = min(max(int(np.floor(y)), 0), self.height - 1)
+        x, y = float(point[0]), float(point[1])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValidationError(f"point must be finite, got ({x}, {y})")
+        # Clamp before the int cast, so a huge finite point lands on the edge.
+        col = int(min(max(np.floor(x / self.cell_size), 0), self.width - 1))
+        row = int(min(max(np.floor(y / self.cell_size), 0), self.height - 1))
         return self.cell_of(row, col)
 
     def snap_batch(self, points) -> np.ndarray:
-        """Vectorized :meth:`snap`: ``(n, 2)`` points to ``(n,)`` cell ids."""
+        """Vectorized :meth:`snap`: ``(n, 2)`` points to ``(n,)`` cell ids.
+
+        A row with a NaN or infinite coordinate raises
+        :class:`~repro.errors.ValidationError` naming the first such row.
+        """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValidationError(f"snap_batch expects (n, 2) points, got {pts.shape}")
-        cols = np.clip(np.floor(pts[:, 0] / self.cell_size).astype(int), 0, self.width - 1)
-        rows = np.clip(np.floor(pts[:, 1] / self.cell_size).astype(int), 0, self.height - 1)
+        if not np.isfinite(pts).all():
+            row = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
+            raise ValidationError(
+                f"points must be finite; row {row} is {tuple(pts[row].tolist())}"
+            )
+        cols = np.clip(np.floor(pts[:, 0] / self.cell_size), 0, self.width - 1).astype(int)
+        rows = np.clip(np.floor(pts[:, 1] / self.cell_size), 0, self.height - 1).astype(int)
         return rows * self.width + cols
 
     def distance(self, a: int, b: int) -> float:

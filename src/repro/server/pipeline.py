@@ -299,8 +299,8 @@ class Server:
         <repro.server.live_metrics.LiveMetricRegistry.check>`), or one
         already durable in the store, raises
         :class:`~repro.errors.DataError` before anything is written, and a
-        ground-truth cell outside the world raises
-        :class:`~repro.errors.ValidationError` just as early.
+        ground-truth cell outside the world or a NaN or infinite release
+        point raises :class:`~repro.errors.ValidationError` just as early.
 
         Commit order and determinism
         ----------------------------
@@ -597,7 +597,7 @@ def run_release_rounds_batched(
         is identical for every shard count and backend.
     backend:
         Execution backend for the shards — a registry name (``"serial"``,
-        ``"pool"``, ``"rpc"``) or a live
+        ``"pool"``) or a live
         :class:`~repro.engine.backends.ExecutionBackend` instance.
     store:
         Optional durable store — a live :class:`~repro.store.TraceStore`,

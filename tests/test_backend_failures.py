@@ -6,17 +6,36 @@ propagates through the `pool` backend, backends owned by the
 failing call are closed behind it, and `Server.ingest_shard` commits whole
 shards or nothing — so a crashed run leaves only complete per-user state
 behind, and a store-backed one resumes from it.
+
+A *worker* that dies is different: the pool reruns the tasks it has not yet
+yielded on a fresh executor, and the run finishes bit-identical to serial,
+because every shard task is a pure function of its per-user seeds
+(`TestWorkerLoss`, and the closing property that re-executing any subset
+of shards ingests into exactly the reference state).
 """
+
+import os
+import re
+import signal
+import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import repro.engine.sharding as sharding
+from repro.core.mechanisms.base import ReleaseBatch
 from repro.engine import PoolBackend, PrivacyEngine, owned_backend, register_backend
-from repro.errors import ReproError
+from repro.engine.sharding import ShardPlan, _shard_tasks
+from repro.errors import ReproError, WorkerLostError
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
 from repro.mobility.trajectory import TraceDB
-from repro.server.pipeline import Server
+from repro.server.pipeline import Server, run_release_rounds_batched
+from repro.store import TraceStore
+
+N_SHARDS = 7
 
 
 class ShardExploded(RuntimeError):
@@ -45,6 +64,54 @@ class _RecordingPool(PoolBackend):
         super().close()
 
 
+# Everything shipped to a pool worker is module-level (pickled by
+# module + qualname); the kill switches are armed through marker files,
+# claimed with O_EXCL so exactly one worker dies per marker.
+
+_KILL_MARKER_ENV = "REPRO_TEST_POOL_KILL_MARKER"
+_real_execute_shard = sharding._execute_shard
+
+
+def _claim(marker):
+    try:
+        with open(marker, "x"):
+            return True
+    except FileExistsError:
+        return False
+
+
+def _square(x):
+    return x * x
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def _kill_on_three_once(task):
+    """Square ``x``; the worker that runs ``x == 3`` first dies instead."""
+    marker, x = task
+    if x == 3 and _claim(marker):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x * x
+
+
+def _kill_on_zero(x):
+    """Square ``x``; task 0 kills every worker it lands on."""
+    if x == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x * x
+
+
+def _execute_shard_killing_once(task):
+    """Real shard execution, except the worker that first runs shard 2 of
+    the armed run SIGKILLs itself halfway through the round."""
+    marker = os.environ.get(_KILL_MARKER_ENV)
+    if marker and task.rows.shard == 2 and _claim(marker):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _real_execute_shard(task)
+
+
 @pytest.fixture(scope="module")
 def world():
     return GridWorld(6, 6)
@@ -53,6 +120,30 @@ def world():
 @pytest.fixture(scope="module")
 def engine(world):
     return PrivacyEngine.from_spec(world, mechanism="P-LM", policy="G1", epsilon=1.0)
+
+
+@pytest.fixture(scope="module")
+def db(world):
+    return geolife_like(world, n_users=12, horizon=8, rng=5)
+
+
+@pytest.fixture(scope="module")
+def reference(world, db, engine):
+    return run_release_rounds_batched(world, db, engine, rng=7, shards=1, backend="serial")
+
+
+def _state(server):
+    """Every released row and every user's spend: the run's whole output."""
+    arrays = [column.tolist() for column in server.released_db.to_arrays()]
+    ledger = {u: server.ledger.spent(u) for u in server.released_db.users()}
+    return arrays, ledger
+
+
+def _store_rows(store):
+    return [
+        store.connection.execute(f"SELECT * FROM {table} ORDER BY 1, 2").fetchall()
+        for table in ("releases", "round_blocks", "user_summary")
+    ]
 
 
 class TestScorerFailures:
@@ -167,3 +258,141 @@ class TestIngestFailures:
         for user in committed:
             assert len(server.released_db.user_history(user)) == len(db.user_history(user))
             assert server.ledger.spent(user) > 0
+
+
+class TestWorkerLoss:
+    def test_worker_killed_mid_stream_reruns_its_tasks(self, tmp_path):
+        with PoolBackend(max_workers=2) as pool:
+            unordered = tmp_path / "unordered"
+            got = list(pool.run_unordered(_kill_on_three_once, [(str(unordered), i) for i in range(6)]))
+            assert sorted(got) == [(i, i * i) for i in range(6)]  # each index once
+            ordered = tmp_path / "ordered"
+            assert pool.run(_kill_on_three_once, [(str(ordered), i) for i in range(6)]) == [
+                i * i for i in range(6)
+            ]
+        assert unordered.exists() and ordered.exists(), "no worker was killed"
+
+    def test_sigkill_mid_release_round_matches_serial(
+        self, world, db, engine, reference, tmp_path, monkeypatch
+    ):
+        marker = tmp_path / "round-kill"
+        monkeypatch.setenv(_KILL_MARKER_ENV, str(marker))
+        monkeypatch.setattr(sharding, "_execute_shard", _execute_shard_killing_once)
+        with PoolBackend(max_workers=2) as pool:
+            server = run_release_rounds_batched(world, db, engine, rng=7, shards=5, backend=pool)
+        assert marker.exists(), "no worker was killed"
+        assert _state(server) == _state(reference)
+
+    def test_sigkill_mid_store_run_matches_serial_store(
+        self, world, db, engine, tmp_path, monkeypatch
+    ):
+        with TraceStore(":memory:") as store:
+            run_release_rounds_batched(world, db, engine, rng=7, shards=5, store=store)
+            want = _store_rows(store)
+        marker = tmp_path / "store-kill"
+        monkeypatch.setenv(_KILL_MARKER_ENV, str(marker))
+        monkeypatch.setattr(sharding, "_execute_shard", _execute_shard_killing_once)
+        with PoolBackend(max_workers=2) as pool, TraceStore(":memory:") as store:
+            run_release_rounds_batched(
+                world, db, engine, rng=7, shards=5, backend=pool, store=store
+            )
+            assert store.parked_pieces() == {}
+            got = _store_rows(store)
+        assert marker.exists(), "no worker was killed"
+        assert got == want
+
+    @pytest.mark.parametrize("tasks", [[0], list(range(6))], ids=["alone", "among-6"])
+    def test_worker_killer_task_raises_worker_lost(self, tasks):
+        with PoolBackend(max_workers=2) as pool:
+            start = time.monotonic()
+            with pytest.raises(WorkerLostError) as excinfo:
+                pool.run(_kill_on_zero, tasks)
+            assert time.monotonic() - start < 60.0
+            # Sorted indices, so the killer leads the unfinished list.
+            assert re.search(r"unfinished tasks \[0[],]", str(excinfo.value))
+            assert type(excinfo.value.__cause__).__name__ == "BrokenProcessPool"
+            assert pool.run(_square, [4]) == [16]
+
+    def test_idle_worker_killed_between_runs(self):
+        with PoolBackend(max_workers=2) as pool:
+            victim = pool.run(_pid, [0])[0]
+            os.kill(victim, signal.SIGKILL)
+            time.sleep(0.5)  # let the executor see the death before the next submit
+            assert pool.run(_square, list(range(8))) == [i * i for i in range(8)]
+            victim = pool.run(_pid, [0])[0]
+            os.kill(victim, signal.SIGKILL)  # and one it may not have seen yet
+            assert sorted(pool.run_unordered(_square, list(range(8)))) == [
+                (i, i * i) for i in range(8)
+            ]
+
+    def test_task_and_pickling_errors_keep_their_types(self):
+        with PoolBackend(max_workers=2) as pool:
+            with pytest.raises(ShardExploded):
+                pool.run(_explode_on_marked, [1, "boom", 3])
+            with pytest.raises(ShardExploded):
+                list(pool.run_unordered(_explode_on_marked, ["boom"]))
+            with pytest.raises(Exception) as excinfo:
+                pool.run(lambda x: x, [1])
+            assert not isinstance(excinfo.value, WorkerLostError)
+            assert pool.run(_square, [5]) == [25]
+
+    def test_empty_task_list_starts_no_executor(self):
+        pool = PoolBackend(max_workers=2)
+        assert pool.run(_square, []) == []
+        assert list(pool.run_unordered(_square, [])) == []
+        assert pool._executor is None
+
+    def test_worker_lost_error_is_a_repro_error(self):
+        assert issubclass(WorkerLostError, ReproError)
+
+
+# ----------------------------------------------------------------------
+# any rerun subset merges bit-identically (property)
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def shard_runs(db, engine):
+    """One serial execution of every shard task — the rerun baseline."""
+    plan = ShardPlan.build(sorted(db.users()), N_SHARDS, rng=7)
+    tasks = _shard_tasks(engine, db, plan)
+    first = [_real_execute_shard(task) for task in tasks]
+    return tasks, first
+
+
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(retried=st.sets(st.integers(min_value=0, max_value=N_SHARDS - 1)))
+def test_any_retried_subset_merges_bit_identically(world, reference, shard_runs, retried):
+    # What a rerun actually does is re-execute a pure shard task from its
+    # seeds.  For ANY subset of shards, the re-execution is byte-for-byte
+    # the first execution, so splicing re-runs over originals and ingesting
+    # yields exactly the reference server state — which is why the pool may
+    # rerun an arbitrary set of unfinished shards without ever changing the
+    # output.
+    tasks, first = shard_runs
+    rerun = {index: _real_execute_shard(tasks[index]) for index in retried}
+    for index, redo in rerun.items():
+        points, exact, epsilons, mechanism = first[index]
+        assert np.array_equal(redo[0], points)
+        assert np.array_equal(redo[1], exact)
+        assert np.array_equal(redo[2], epsilons)
+        assert redo[3] == mechanism
+    server = Server(world)
+    for index, task in enumerate(tasks):
+        points, exact, epsilons, mechanism = rerun.get(index, first[index])
+        server.ingest_shard(
+            task.rows.row_users,
+            task.rows.times,
+            ReleaseBatch(
+                points=points,
+                exact=exact,
+                epsilons=epsilons,
+                cells=task.rows.cells,
+                mechanism=mechanism,
+            ),
+        )
+    assert _state(server) == _state(reference)

@@ -3,9 +3,8 @@
 The trace-level evaluators (E2's R0 estimator, E3's contact tracing, E11's
 metapop flows) ride the same `ShardPlan` + `ExecutionBackend` machinery as
 E1/E4 (tests/test_distributed_eval.py); this matrix pins the same contract
-for them: bit-identity across shard counts {1, 2, 5, 7} and the built-in
-backends (rpc's own matrix is tests/test_rpc_backend.py), and agreement
-with the scalar per-release reference.
+for them: bit-identity across shard counts {1, 2, 5, 7} and every
+registered backend, and agreement with the scalar per-release reference.
 """
 
 import pytest
@@ -23,8 +22,8 @@ from repro.mobility.synthetic import geolife_like
 from repro.mobility.trajectory import TraceDB
 from repro.server.pipeline import run_release_rounds_batched
 
-#: every registered backend but rpc x these counts.
-BACKENDS = [name for name in backend_names() if name != "rpc"]
+#: every registered backend x these counts.
+BACKENDS = backend_names()
 SHARD_COUNTS = [1, 2, 5, 7]
 
 

@@ -90,7 +90,7 @@ class TestFusedEqualsStaged:
 class TestPipelineShardMatrix:
     """Acceptance matrix: shards {1,2,5,7} x backends."""
 
-    @pytest.mark.parametrize("backend", [name for name in backend_names() if name != "rpc"])
+    @pytest.mark.parametrize("backend", backend_names())
     @pytest.mark.parametrize("shards", [1, 2, 5, 7])
     def test_sharded_matrix_reproduces_reference(self, world, db, engine, shards, backend):
         reference = run_release_rounds_batched(world, db, engine, rng=42, shards=1)

@@ -5,7 +5,7 @@ approximate: for every round ``r``, ``server.metrics_at(r)`` — maintained
 incrementally by folding each shard commit the moment it lands — equals
 :func:`~repro.server.live_metrics.batch_recompute` over the raw release
 rows, under **every** execution shape.  This file pins that matrix
-(shards {1, 2, 5, 7} x serial/pool/rpc),
+(shards {1, 2, 5, 7} x every registered backend),
 the shard-count invariance of the values
 themselves, equality against independently-coded references (the E1/E11
 flow counter and the E2 contact-rate estimator), a Hypothesis property
@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.mechanisms.base import ReleaseBatch
-from repro.engine import PrivacyEngine, ensure_backend
+from repro.engine import PrivacyEngine, backend_names, ensure_backend
 from repro.engine.sharding import ShardPlan, stream_shard_releases
 from repro.epidemic.analysis import pair_events
 from repro.epidemic.monitor import LocationMonitor
@@ -67,9 +67,9 @@ def engine(world):
 
 
 # One live backend per name, shared by every matrix cell that uses it —
-# the pool/rpc backends pay worker spawn once per module, not per
+# the pool backend pays worker spawn once per module, not per
 # cell (the same amortisation the E8 sweep uses).
-@pytest.fixture(scope="module", params=["serial", "pool", "rpc"])
+@pytest.fixture(scope="module", params=backend_names())
 def backend(request):
     with ensure_backend(request.param) as instance:
         yield instance

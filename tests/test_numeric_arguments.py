@@ -13,9 +13,13 @@ numpy Generator or an int >= 0 (``True`` used to act as seed 1), and a
 Cell arrays of a float or bool dtype are refused instead of truncated to
 cell ids (``[1.5, 2.9]`` used to release cells 1 and 2).  A backend
 parameter the named backend does not take is refused by name too (it used
-to surface as a bare ``TypeError`` from the constructor).
+to surface as a bare ``TypeError`` from the constructor).  A NaN or
+infinite point is refused by ``snap`` / ``snap_batch`` instead of snapped
+to a real cell (NaN used to land in cell 4 of a 4 x 4 grid, and infinity in
+column 0), so a shard carrying one writes nothing.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -136,7 +140,6 @@ BAD_ARGUMENTS = {
     "pool max_workers True": lambda run: PoolBackend(max_workers=True),
     "serial params max_workers": lambda run: _build_backend("serial", max_workers=2),
     "pool params workers": lambda run: _build_backend("pool", workers=2),
-    "rpc params max_workers": lambda run: _build_backend("rpc", max_workers=2),
     "p_transmit 2.0": lambda run: _query_engine(run[1], p_transmit=2.0),
     "p_transmit nan": lambda run: _query_engine(run[1], p_transmit=math.nan),
     "gamma -1": lambda run: _query_engine(run[1], gamma=-1),
@@ -178,6 +181,10 @@ BAD_ARGUMENTS = {
         [[0.5, 0.5]], cells=np.array([1.5, 2.0])
     ),
     "cells_array float and bool": lambda run: GridWorld(6, 6).cells_array([1.7, True]),
+    "snap_batch nan": lambda run: GridWorld(4, 4).snap_batch([[math.nan, 1.0]]),
+    "snap_batch inf": lambda run: GridWorld(4, 4).snap_batch([[0.5, 0.5], [math.inf, 2.5]]),
+    "snap nan": lambda run: GridWorld(4, 4).snap((math.nan, 1.0)),
+    "snap inf": lambda run: GridWorld(4, 4).snap((math.inf, 1.0)),
 }
 
 
@@ -214,17 +221,20 @@ def test_refused_shard_writes_nothing(run):
     # would key commit marks and live deltas of a shard the plan does not
     # hold, so the refusal must come before the store commit, the ledger
     # charge and the live fold.
+    # So must a release point with no nearest cell, under a valid index.
     server, path = run
     batch = _batch(server.world)
+    nan_point = dataclasses.replace(batch, points=np.array([[math.nan, 1.0]]))
+    refused = [(shard, batch) for shard in (2.7, "3", np.float64(4.2), True, -1)]
     charged = len(server.ledger.entries)
     with TraceStore(path) as store:
         committed = store.committed()
         durable = Server(server.world, store=store)
-        for shard in (2.7, "3", np.float64(4.2), True, -1):
+        for shard, shard_batch in [*refused, (1, nan_point)]:
             with pytest.raises(ValidationError):
-                durable.ingest_shard([99], [0], batch, shard=shard)
+                durable.ingest_shard([99], [0], shard_batch, shard=shard)
             with pytest.raises(ValidationError):
-                server.ingest_shard([99], [0], batch, shard=shard)
+                server.ingest_shard([99], [0], shard_batch, shard=shard)
         assert store.committed() == committed
         assert durable.ledger.entries == ()
     assert len(server.ledger.entries) == charged

@@ -67,18 +67,6 @@ class TestManifest:
         assert manifest["notes"] == "smoke"
         assert manifest["config"] == config
 
-    def test_roundtrip_rpc_execution_fields(self, tmp_path):
-        config = ExperimentConfig(
-            backends=("rpc",),
-            backend_params=(("worker_timeout", 30.0),),
-            worker_counts=(1, 2, 4),
-        )
-        path = save_manifest("e8", config, tmp_path / "e8.csv", tmp_path / "e8.json")
-        manifest = load_manifest(path)
-        assert manifest["config"] == config
-        assert manifest["config"].backend_params == (("worker_timeout", 30.0),)
-        assert manifest["config"].worker_counts == (1, 2, 4)
-
     def test_version_recorded(self, tmp_path):
         import repro
 
@@ -123,6 +111,16 @@ class TestManifest:
         with pytest.raises(DataError) as info:
             load_manifest(path)
         assert str(path) in str(info.value) and "'shard_count'" in str(info.value)
+
+    def test_removed_worker_fields_refused(self, tmp_path):
+        # Manifests written while E8 swept worker-process counts carry two
+        # fields ExperimentConfig no longer has: both are named.
+        path = save_manifest("e8", ExperimentConfig(), "t.csv", tmp_path / "m.json")
+        raw = json.loads(path.read_text())
+        raw["config"].update(backend_params=[["workers", 2]], worker_counts=[1, 2])
+        path.write_text(json.dumps(raw))
+        with pytest.raises(DataError, match=r"\['backend_params', 'worker_counts'\]"):
+            load_manifest(path)
 
     def test_unknown_engine_spec_key_refused(self, tmp_path):
         spec = EngineSpec.named("planar_laplace", "G1", shards=2)

@@ -3,7 +3,7 @@
 The headline contract of ``repro.query`` mirrors the live-metrics one: every
 windowed answer served from the accelerator summary tables equals its naive
 ``full_scan_*`` reference **bitwise**, under every execution shape.  This
-file pins that matrix (shards {1, 2, 5, 7} x serial/pool/rpc x
+file pins that matrix (shards {1, 2, 5, 7} x every registered backend x
 kill-resume), the coverage-frontier
 refusal rule (half-covered windows name the shards they wait on), awkward
 stores (empty windows, coverage gaps, ``:memory:``, resumed mid-run), and a
@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.mechanisms.base import ReleaseBatch
-from repro.engine import PrivacyEngine, ensure_backend
+from repro.engine import PrivacyEngine, backend_names, ensure_backend
 from repro.engine.sharding import ShardPlan, stream_shard_releases
 from repro.errors import (
     DataError,
@@ -69,7 +69,7 @@ def engine(world):
 
 # One live backend per name, shared across the matrix (worker spawn paid
 # once per module — the same amortisation the live-metrics matrix uses).
-@pytest.fixture(scope="module", params=["serial", "pool", "rpc"])
+@pytest.fixture(scope="module", params=backend_names())
 def backend(request):
     with ensure_backend(request.param) as instance:
         yield instance

@@ -13,7 +13,6 @@ from repro.engine import (
     ShardPlan,
     backend_names,
     ensure_backend,
-    owned_backend,
     register_backend,
     resolve_backend,
     resolve_policy,
@@ -30,12 +29,11 @@ from repro.server.live_metrics import expected_coverage
 from repro.server.pipeline import run_release_rounds, run_release_rounds_batched
 from repro.store import TraceStore
 
-#: Every registered backend but rpc, whose worker-process matrix lives in
-#: tests/test_rpc_backend.py.
-BACKENDS = [name for name in backend_names() if name != "rpc"]
+#: Every registered backend.
+BACKENDS = backend_names()
 
 #: Names of deleted backends: each is now an unknown registry name.
-REMOVED_BACKEND_NAMES = ["process", "thread", "threads", "threadpool"]
+REMOVED_BACKEND_NAMES = ["process", "thread", "threads", "threadpool", "rpc", "socket", "tcp"]
 
 #: Every first-party mechanism, by canonical registry name.
 MECHANISMS = [
@@ -225,8 +223,8 @@ class TestShardRows:
 
 class TestBackendRegistry:
     def test_builtins_registered(self):
-        assert {"serial", "pool", "rpc"} <= set(backend_names())
-        assert "thread" not in backend_names()
+        assert {"serial", "pool"} <= set(backend_names())
+        assert not set(REMOVED_BACKEND_NAMES) & set(backend_names())
 
     def test_resolve_aliases_case_insensitive(self):
         assert resolve_backend("SYNC")[0] == "serial"
@@ -260,14 +258,12 @@ class TestBackendRegistry:
 
     def test_parameter_the_backend_does_not_take_is_named(self):
         # The message names the backend, the unexpected parameter and the
-        # accepted ones, read from RpcBackend itself although its registry
-        # factory takes **params.
+        # accepted ones, read from the constructor's signature.
         with pytest.raises(ValidationError) as refused:
-            with owned_backend("rpc", max_workers=2):
-                pass
+            ensure_backend("pool", workers=2)
         message = str(refused.value)
-        assert "'rpc'" in message and "['max_workers']" in message
-        assert "'workers', 'worker_timeout'" in message
+        assert "'pool'" in message and "['workers']" in message
+        assert "['max_workers']" in message
 
     def test_serial_yields_each_task_as_it_runs(self):
         ran = []
@@ -312,8 +308,8 @@ def _double(x):
 
 def _assert_lists_remaining_backends(error):
     listed = str(error).split("choose from")[1]
-    assert all(f"{name!r}" in listed for name in ("pool", "rpc", "serial"))
-    assert "thread" not in listed and "process" not in listed
+    assert all(f"{name!r}" in listed for name in ("pool", "serial"))
+    assert not any(name in listed for name in REMOVED_BACKEND_NAMES)
 
 
 class _CountingBackend(ExecutionBackend):

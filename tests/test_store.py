@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.accounting import BudgetLedger
-from repro.engine import PrivacyEngine
+from repro.engine import PrivacyEngine, backend_names
 from repro.engine.sharding import ShardPlan, stream_shard_releases
 from repro.engine.specs import EngineSpec, ExecutionSpec
 from repro.errors import BudgetError, DataError, ResumeMismatchError, StoreError, ValidationError
@@ -849,7 +849,7 @@ def _replay(server, parts, db, shard):
 class TestWriteOnce:
     """A round block is written once, by the commit that passes the frontier over it."""
 
-    @pytest.mark.parametrize("backend", ["serial", "pool"])
+    @pytest.mark.parametrize("backend", backend_names())
     def test_blocks_hold_exactly_the_rounds_the_frontier_passed(
         self, backend, world, engine, monkeypatch
     ):

@@ -6,7 +6,7 @@ must resume from the SQLite store and finish **bit-identical** to the
 uninterrupted seeded run.  This file proves that three ways:
 
 * a real subprocess ``SIGKILL`` matrix over every execution backend
-  (serial / pool / rpc), polling the WAL store read-only
+  (serial / pool), polling the WAL store read-only
   from the parent until enough shards have committed to make the kill
   land mid-run;
 * a Hypothesis property: for *any* committed prefix (any subset of
@@ -34,7 +34,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import PrivacyEngine
+from repro.engine import PrivacyEngine, backend_names
 from repro.engine.sharding import ShardPlan, stream_shard_releases
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
@@ -162,7 +162,7 @@ def _committed_shards(path):
         conn.close()
 
 
-@pytest.mark.parametrize("backend", ["serial", "pool", "rpc"])
+@pytest.mark.parametrize("backend", backend_names())
 def test_sigkill_mid_run_then_resume_is_bit_identical(
     backend, world, db, engine, reference, uninterrupted, tmp_path
 ):
@@ -170,8 +170,8 @@ def test_sigkill_mid_run_then_resume_is_bit_identical(
     child = tmp_path / "child.py"
     child.write_text(_CHILD)
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    # New session so SIGKILL reaches the whole group: the pool/rpc
-    # backends start workers that would otherwise outlive the parent and
+    # New session so SIGKILL reaches the whole group: the pool backend
+    # starts workers that would otherwise outlive the parent and
     # keep the stdout/stderr pipes open forever.
     proc = subprocess.Popen(
         [sys.executable, str(child), str(store_path), backend],
@@ -323,13 +323,13 @@ def test_resume_re_executes_only_missing_shards(world, db, engine, reference, tm
 
 
 # ----------------------------------------------------------------------
-# the same audit under the rpc backend
+# the same audit under the pool backend
 # ----------------------------------------------------------------------
 
-# The in-process `_counting_execute` hook cannot observe rpc execution (the
-# patched closure never crosses the process boundary), so the rpc audit
+# The in-process `_counting_execute` hook cannot observe pool execution (the
+# patched closure never crosses the process boundary), so the pool audit
 # records one level up: `only_shards`, the exact work-set the pipeline hands
-# to `stream_shard_releases` — which the rpc cluster then executes verbatim.
+# to `stream_shard_releases` — which the pool workers then execute verbatim.
 
 
 def _recording_stream(monkeypatch):
@@ -346,28 +346,28 @@ def _recording_stream(monkeypatch):
     return streamed
 
 
-def test_rpc_resume_of_finished_run_streams_nothing(
+def test_pool_resume_of_finished_run_streams_nothing(
     world, db, engine, reference, tmp_path, monkeypatch
 ):
-    # Zero re-derivation: resuming a fully committed run under rpc must not
-    # even spawn the cluster — every shard is replayed from the store.
-    path = str(tmp_path / "full-rpc.sqlite")
+    # Zero re-derivation: resuming a fully committed run under the pool must
+    # not even start its workers — every shard is replayed from the store.
+    path = str(tmp_path / "full-pool.sqlite")
     run_release_rounds_batched(
         world, db, engine, rng=RNG, shards=N_SHARDS, backend="serial", store=path
     )
     streamed = _recording_stream(monkeypatch)
     server = run_release_rounds_batched(
-        world, db, engine, rng=RNG, shards=N_SHARDS, backend="rpc",
+        world, db, engine, rng=RNG, shards=N_SHARDS, backend="pool",
         store=path, resume=True,
     )
     assert streamed == []  # pure replay: no stream, no workers
     _assert_matches(server, reference)
 
 
-def test_rpc_resume_streams_exactly_the_missing_shards(
+def test_pool_resume_streams_exactly_the_missing_shards(
     world, db, engine, reference, tmp_path, monkeypatch
 ):
-    path = tmp_path / "half-rpc.sqlite"
+    path = tmp_path / "half-pool.sqlite"
     plan = ShardPlan.build(sorted(db.users()), N_SHARDS, rng=RNG)
     done = frozenset(range(0, N_SHARDS, 2))
     with TraceStore(path) as store:
@@ -379,7 +379,7 @@ def test_rpc_resume_streams_exactly_the_missing_shards(
             committer.ingest_shard(users, times, batch, shard=plan.shard_of(int(users[0])))
     streamed = _recording_stream(monkeypatch)
     server = run_release_rounds_batched(
-        world, db, engine, rng=RNG, shards=N_SHARDS, backend="rpc",
+        world, db, engine, rng=RNG, shards=N_SHARDS, backend="pool",
         store=str(path), resume=True,
     )
     assert streamed == [frozenset(range(N_SHARDS)) - done]
