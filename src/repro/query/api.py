@@ -323,13 +323,13 @@ class QueryEngine:
         windows once the run has begun.
         """
         upto = check_integer("upto", upto)
-        if self._coverage is None:
-            schedule = self.store.coverage()
-            if schedule is None:
+        if self._coverage is None or not self._coverage.complete_through(upto):
+            # What the run still owes, in one statement; a store's marks
+            # are only ever added, so rounds it no longer owes stay served.
+            owed = self.store.owed()
+            if owed is None:
                 return []
-            self._coverage = Coverage(schedule)
-        if not self._coverage.complete_through(upto):
-            self._coverage.commit(self.store.committed())
+            self._coverage = Coverage(owed)
         return self._coverage.missing(upto)
 
     def _check_coverage(self, upto: int) -> None:

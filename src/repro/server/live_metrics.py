@@ -20,10 +20,10 @@ Snapshot semantics
 ``metrics_at(round=r)`` is **cumulative**: it covers every committed release
 row with ``time <= r``, exactly what a batch evaluator scoring the prefix
 trace would see.  Each view keeps one running state per registry
-(:class:`LiveFold`).  A commit parks the shard's per-round array deltas —
-int64 code/count arrays from the store accelerator's own encoding
-(:func:`~repro.store.accelerator.cell_counts`,
-:func:`~repro.store.accelerator.transitions`) plus per-row float terms —
+(:class:`LiveFold`).  A commit parks the shard's per-round deltas — the
+round blocks' ``cells`` records and the flows' area-pair codes, read from
+the commit's :class:`~repro.store.prepared.PreparedShard`, which derives
+each of them once for the store and every view, plus per-row float terms —
 and a round freezes as soon as every shard expected at (or before) it has
 committed.  Freezing folds only that round's deltas into the running state,
 so upkeep is O(round delta), never O(prefix).  A query is one dictionary
@@ -40,9 +40,11 @@ run's rows in ``(time, user)`` order — **bitwise**, at every round, for
 every shard count, execution backend, commit arrival order, and across a
 kill-and-resume.  Three properties make this hold:
 
-* deltas are pure functions of a shard's rows: the fold lexsorts rows by
-  ``(time, user)`` first, so arrival layout (user-major from a live worker,
-  time-major from a store replay) cannot leak into the value;
+* deltas are pure functions of a shard's rows: the fold reads them from a
+  :class:`~repro.store.prepared.PreparedShard`, which orders the rows by
+  ``(user, time)`` and by ``(time, user)`` whatever layout they arrived in
+  (user-major from a live worker, time-major from a store replay), so
+  arrival layout cannot leak into the value;
 * per-row float terms are appended to one buffer per component in the
   canonical order — rounds ascending, shards ascending within a round,
   users ascending within a shard — regardless of the order commits
@@ -66,7 +68,6 @@ import threading
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
 from typing import TYPE_CHECKING, AbstractSet, Iterator, Mapping, Sequence
 
@@ -77,15 +78,10 @@ from repro.epidemic.analysis import pair_events
 from repro.epidemic.monitor import LocationMonitor, MonitoringReport
 from repro.errors import DataError, SnapshotUnavailableError, ValidationError
 from repro.geo.grid import GridWorld
-from repro.store import accelerator
+from repro.store.accelerator import KIND_OBSERVED, KIND_TRUE
+from repro.store.prepared import PreparedShard
 from repro.store.resume import Coverage
-from repro.utils.validation import (
-    check_bool,
-    check_int_array,
-    check_integer,
-    check_positive,
-    check_probability,
-)
+from repro.utils.validation import check_bool, check_integer, check_positive, check_probability
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.mobility.trajectory import TraceDB
@@ -99,7 +95,6 @@ __all__ = [
     "LiveMetricRegistry",
     "LiveMetricView",
     "MonitoringUtilityView",
-    "ShardRows",
     "batch_recompute",
     "default_views",
     "expected_coverage",
@@ -115,107 +110,6 @@ def _runs(values: np.ndarray) -> Iterator[tuple[int, int, int]]:
         yield int(values[start]), start, stop
 
 
-@dataclass(frozen=True, eq=False)
-class ShardRows:
-    """One shard's committed rows in canonical ``(time, user)`` order.
-
-    The single input shape every view folds from (and, holding the whole
-    run's rows, the one every :meth:`LiveMetricView.reference` reads):
-    build it with :meth:`build` from whatever layout the commit path has
-    (user-major from a live worker, time-major from a store replay) and
-    the fold sees the identical canonical layout either way — the first
-    leg of the bit-identity contract.
-
-    ``true_cells`` are the ground-truth cells (the shard streaming
-    contract's ``batch.cells``); ``snapped_cells`` the server-side snapped
-    view; ``points`` the released coordinates.
-    """
-
-    users: np.ndarray
-    times: np.ndarray
-    points: np.ndarray
-    true_cells: np.ndarray
-    snapped_cells: np.ndarray
-
-    @classmethod
-    def build(cls, users, times, points, true_cells, snapped_cells) -> "ShardRows":
-        """Canonical rows from any layout; a float or bool integer column is refused.
-
-        ``users``, ``times`` and both cell columns must be integers:
-        anything else raises :class:`~repro.errors.ValidationError` naming
-        the column instead of being truncated.  A negative cell in either
-        cell column raises :class:`~repro.errors.DataError` naming the
-        column and the row's ``(user, time)``.
-        """
-        users = check_int_array("users", users)
-        times = check_int_array("times", times)
-        points = np.asarray(points, dtype=float)
-        true_cells = check_int_array("true_cells", true_cells)
-        snapped_cells = check_int_array("snapped_cells", snapped_cells)
-        n = len(users)
-        if n == 0:
-            raise DataError("shard has no rows to fold")
-        if (
-            len(times) != n
-            or points.shape != (n, 2)
-            or len(true_cells) != n
-            or len(snapped_cells) != n
-        ):
-            raise DataError(
-                f"shard rows are misaligned: {n} users, {len(times)} times, "
-                f"points {points.shape}, {len(true_cells)} true cells, "
-                f"{len(snapped_cells)} snapped cells"
-            )
-        for name, column in (("true_cells", true_cells), ("snapped_cells", snapped_cells)):
-            if column.min() < 0:
-                at = int(np.flatnonzero(column < 0)[0])
-                raise DataError(
-                    f"{name} holds {int(column[at])} at (user, time) "
-                    f"({int(users[at])}, {int(times[at])}); cell ids are >= 0"
-                )
-        order = np.lexsort((users, times))
-        users = users[order]
-        times = times[order]
-        if n > 1 and bool(np.any((times[1:] == times[:-1]) & (users[1:] == users[:-1]))):
-            raise DataError("shard rows contain duplicate (user, time) keys")
-        return cls(
-            users=users,
-            times=times,
-            points=points[order],
-            true_cells=true_cells[order],
-            snapped_cells=snapped_cells[order],
-        )
-
-    def __len__(self) -> int:
-        return len(self.users)
-
-    def round_slices(self) -> Iterator[tuple[int, int, int]]:
-        """Yield ``(round, start, stop)`` per distinct time, ascending.
-
-        Rows are time-major, so every round is one contiguous slice whose
-        users are ascending — the canonical within-shard key order.
-        """
-        return _runs(self.times)
-
-    # The shard's columnar deltas, in the store accelerator's encoding:
-    # computed once per commit and shared by every view that folds them.
-    @cached_property
-    def cell_counts(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """``(true, observed)`` ``(time, cell, n)`` occupancy arrays."""
-        return (
-            accelerator.cell_counts(self.times, self.true_cells),
-            accelerator.cell_counts(self.times, self.snapped_cells),
-        )
-
-    @cached_property
-    def transitions(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """``(true, observed)`` ``(time, src, dst, n)`` cell-transition arrays."""
-        return (
-            accelerator.transitions(self.users, self.times, self.true_cells),
-            accelerator.transitions(self.users, self.times, self.snapped_cells),
-        )
-
-
 class LiveFold:
     """One view's running state inside one registry (the live protocol).
 
@@ -226,8 +120,11 @@ class LiveFold:
     round's delta.  Both run under the registry lock.
     """
 
-    def add(self, shard: int, rows: ShardRows) -> None:
-        """Park one shard's per-round deltas (a pure function of its rows)."""
+    def add(self, shard: int, prepared: PreparedShard) -> None:
+        """Park one shard's per-round deltas (a pure function of its rows).
+
+        Keep only the arrays the fold needs, never ``prepared`` itself.
+        """
         raise NotImplementedError
 
     def freeze(self, time: int):
@@ -257,11 +154,12 @@ class LiveMetricView:
         """Fresh running state for one registry."""
         raise NotImplementedError
 
-    def reference(self, rows: ShardRows) -> dict[int, object]:
+    def reference(self, rows: PreparedShard) -> dict[int, object]:
         """``round -> value`` at every round of ``rows``, from scratch.
 
-        ``rows`` are the whole run's rows in canonical ``(time, user)``
-        order; the value at round ``r`` covers every row with ``time <= r``.
+        ``rows`` are the whole run's rows; the references read them in
+        canonical ``(time, user)`` order (``rows.canonical``).  The value at
+        round ``r`` covers every row with ``time <= r``.
         """
         raise NotImplementedError
 
@@ -289,10 +187,12 @@ class _PrefixSums:
 class _FlowFold(LiveFold):
     """Cumulative true / observed inter-area flow matrices at one tiling.
 
-    :meth:`add` regroups a shard's cell transitions to area-pair codes and
-    parks them under their destination round; :meth:`advance` adds one
-    round's codes into two dense ``n_areas ** 2`` int64 matrices.  E11
-    freezes them as Counters; E1 reads their L1 distance.
+    :meth:`add` parks a shard's area-pair codes under their destination
+    round (:meth:`PreparedShard.area_flows
+    <repro.store.prepared.PreparedShard.area_flows>`, regrouped once per
+    tiling for every view that folds it); :meth:`advance` adds one round's
+    codes into two dense ``n_areas ** 2`` int64 matrices.  E11 freezes them
+    as Counters; E1 reads their L1 distance.
     """
 
     def __init__(self, monitor: LocationMonitor) -> None:
@@ -302,14 +202,13 @@ class _FlowFold(LiveFold):
         self.observed = np.zeros_like(self.true)
         self._pending: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
 
-    def add(self, shard: int, rows: ShardRows) -> None:
-        area_of = self._monitor.area_of_batch
-        for matrix, (times, src, dst, counts) in zip((self.true, self.observed), rows.transitions):
-            codes = area_of(src) * self.n_areas + area_of(dst)
-            for time, start, stop in _runs(times):
-                self._pending.setdefault(time, []).append(
-                    (matrix, codes[start:stop], counts[start:stop])
-                )
+    def add(self, shard: int, prepared: PreparedShard) -> None:
+        monitor = self._monitor
+        for matrix, kind in ((self.true, KIND_TRUE), (self.observed, KIND_OBSERVED)):
+            for time, codes, counts in prepared.area_flows(
+                kind, monitor.world, monitor.block_rows, monitor.block_cols
+            ):
+                self._pending.setdefault(time, []).append((matrix, codes, counts))
 
     def advance(self, time: int) -> None:
         for matrix, codes, counts in self._pending.pop(time, ()):
@@ -330,7 +229,7 @@ class _FlowFold(LiveFold):
 
 
 def _cumulative_flows(
-    monitor: LocationMonitor, rows: ShardRows
+    monitor: LocationMonitor, rows: PreparedShard
 ) -> Iterator[tuple[int, int, Counter, Counter]]:
     """``(round, stop, true flows, observed flows)`` through each round of ``rows``.
 
@@ -341,17 +240,18 @@ def _cumulative_flows(
     two counters are running totals, updated in place by the next step.
     """
     true, observed = Counter(), Counter()
+    canonical = rows.canonical
     previous: tuple[int, int, int] | None = None  # (round, start, stop)
-    for time, start, stop in rows.round_slices():
+    for time, start, stop in rows.round_slices:
         if previous is not None and previous[0] == time - 1:
             p_start, p_stop = previous[1], previous[2]
             _, prev_index, cur_index = np.intersect1d(
-                rows.users[p_start:p_stop],
-                rows.users[start:stop],
+                canonical.users[p_start:p_stop],
+                canonical.users[start:stop],
                 assume_unique=True,
                 return_indices=True,
             )
-            for flows, cells in ((true, rows.true_cells), (observed, rows.snapped_cells)):
+            for flows, cells in ((true, canonical.true_cells), (observed, canonical.cells)):
                 flows.update(
                     monitor.flows_between(
                         cells[p_start:p_stop][prev_index], cells[start:stop][cur_index]
@@ -371,11 +271,11 @@ class _MonitoringFold(LiveFold):
         #: round -> shard -> (errors, hits) slices, appended shard-ascending
         self._pending: dict[int, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
 
-    def add(self, shard: int, rows: ShardRows) -> None:
-        errors, hits = self._view.row_terms(rows)
-        for time, start, stop in rows.round_slices():
+    def add(self, shard: int, prepared: PreparedShard) -> None:
+        errors, hits = self._view.row_terms(prepared)
+        for time, start, stop in prepared.round_slices:
             self._pending.setdefault(time, {})[shard] = (errors[start:stop], hits[start:stop])
-        self._flows.add(shard, rows)
+        self._flows.add(shard, prepared)
 
     def freeze(self, time: int) -> MonitoringReport:
         parts = self._pending.pop(time)
@@ -423,20 +323,21 @@ class MonitoringUtilityView(LiveMetricView):
     def live_fold(self) -> LiveFold:
         return _MonitoringFold(self)
 
-    def row_terms(self, rows: ShardRows) -> tuple[np.ndarray, np.ndarray]:
+    def row_terms(self, rows: PreparedShard) -> tuple[np.ndarray, np.ndarray]:
         """Per-row ``(Euclidean error, area hit)`` of one shard's canonical rows."""
         monitor = self.monitor
-        centres = self.world.coords_array(rows.true_cells)
+        canonical = rows.canonical
+        centres = self.world.coords_array(canonical.true_cells)
         errors = np.hypot(
-            rows.points[:, 0] - centres[:, 0], rows.points[:, 1] - centres[:, 1]
+            canonical.points[:, 0] - centres[:, 0], canonical.points[:, 1] - centres[:, 1]
         )
         hits = (
-            monitor.area_of_batch(rows.snapped_cells)
-            == monitor.area_of_batch(rows.true_cells)
+            monitor.area_of_batch(canonical.cells)
+            == monitor.area_of_batch(canonical.true_cells)
         ).astype(float)
         return errors, hits
 
-    def reference(self, rows: ShardRows) -> dict[int, MonitoringReport]:
+    def reference(self, rows: PreparedShard) -> dict[int, MonitoringReport]:
         errors, hits = self.row_terms(rows)
         values = {}
         for time, stop, true_flows, observed_flows in _cumulative_flows(self.monitor, rows):
@@ -469,25 +370,26 @@ class _ContactFold(LiveFold):
     def __init__(self, view: "ContactRateView") -> None:
         self._view = view
         self._observations = 0
-        self._pairs = [0, 0]  # true, observed
-        #: round -> ([true (cells, n) parts], [observed (cells, n) parts])
-        self._pending: dict[int, tuple[list, list]] = {}
+        self._pairs = {KIND_TRUE: 0, KIND_OBSERVED: 0}
+        #: round -> kind -> the shards' (cell, n) records
+        self._pending: dict[int, dict[int, list[np.ndarray]]] = {}
 
-    def add(self, shard: int, rows: ShardRows) -> None:
-        for kind, (times, cells, counts) in enumerate(rows.cell_counts):
-            for time, start, stop in _runs(times):
-                parts = self._pending.setdefault(time, ([], []))
-                parts[kind].append((cells[start:stop], counts[start:stop]))
+    def add(self, shard: int, prepared: PreparedShard) -> None:
+        for kind in (KIND_TRUE, KIND_OBSERVED):
+            for _, time, records in prepared.cell_rows(kind):
+                self._pending.setdefault(time, {}).setdefault(kind, []).append(records)
 
     def freeze(self, time: int) -> ContactSnapshot:
-        for kind, parts in enumerate(self._pending.pop(time)):
-            cells = np.concatenate([cells for cells, _ in parts])
+        for kind, parts in self._pending.pop(time).items():
+            cells, counts = np.concatenate(parts).astype(np.int64).T
             occupancy = np.zeros(int(cells.max()) + 1, dtype=np.int64)
-            np.add.at(occupancy, cells, np.concatenate([counts for _, counts in parts]))
+            np.add.at(occupancy, cells, counts)
             self._pairs[kind] += int((occupancy * (occupancy - 1) // 2).sum())
-            if kind == 0:
+            if kind == KIND_TRUE:
                 self._observations += int(occupancy.sum())
-        return self._view.snapshot(self._pairs[0], self._pairs[1], self._observations)
+        return self._view.snapshot(
+            self._pairs[KIND_TRUE], self._pairs[KIND_OBSERVED], self._observations
+        )
 
 
 class ContactRateView(LiveMetricView):
@@ -516,11 +418,11 @@ class ContactRateView(LiveMetricView):
     def live_fold(self) -> LiveFold:
         return _ContactFold(self)
 
-    def reference(self, rows: ShardRows) -> dict[int, ContactSnapshot]:
+    def reference(self, rows: PreparedShard) -> dict[int, ContactSnapshot]:
         values = {}
         pairs = [0, 0]  # true, observed
-        for time, start, stop in rows.round_slices():
-            for kind, cells in enumerate((rows.true_cells, rows.snapped_cells)):
+        for time, start, stop in rows.round_slices:
+            for kind, cells in enumerate((rows.canonical.true_cells, rows.canonical.cells)):
                 uniques, counts = np.unique(cells[start:stop], return_counts=True)
                 heads = Counter(dict(zip(uniques.tolist(), counts.tolist())))
                 pairs[kind] += pair_events(heads)
@@ -572,7 +474,7 @@ class FlowMatrixView(LiveMetricView):
     def live_fold(self) -> LiveFold:
         return _FlowFold(self.monitor)
 
-    def reference(self, rows: ShardRows) -> dict[int, FlowSnapshot]:
+    def reference(self, rows: PreparedShard) -> dict[int, FlowSnapshot]:
         return {
             time: FlowSnapshot(true_flows=Counter(true), observed_flows=Counter(observed))
             for time, _, true, observed in _cumulative_flows(self.monitor, rows)
@@ -686,31 +588,33 @@ class LiveMetricRegistry:
         return self._coverage.schedule
 
     # ------------------------------------------------------------------
-    def check(self, shard: int, users, times, points, true_cells, snapped_cells) -> ShardRows:
-        """Validate one shard's rows for :meth:`ingest`; return them canonical.
+    def check(self, shard: int, prepared: PreparedShard) -> None:
+        """Refuse a shard :meth:`ingest` would refuse, before its durable commit.
 
-        The shard must be expected and not yet folded, its rows aligned
-        with no duplicate ``(user, time)`` key, and it must present exactly
-        its expected rounds — anything else is a
-        :class:`~repro.errors.DataError` (a silent mismatch would surface
-        later as an inexplicable non-frozen round).  The server runs this
-        before its durable commit, so a refused shard leaves no trace.  A
-        ``shard`` that is not a Python or numpy int >= 0 is a
-        :class:`~repro.errors.ValidationError`.
+        The shard must be expected and not yet folded, hold rows with their
+        ground-truth cells, and present exactly its expected rounds —
+        anything else is a :class:`~repro.errors.DataError` (a silent
+        mismatch would surface later as an inexplicable non-frozen round).
+        The rows themselves were checked when ``prepared`` was built.  The
+        server runs this before its durable commit, so a refused shard
+        leaves no trace.  A ``shard`` that is not a Python or numpy int >= 0
+        is a :class:`~repro.errors.ValidationError`.
         """
-        rows = ShardRows.build(users, times, points, true_cells, snapped_cells)
-        self._admit(shard, rows)
-        return rows
+        self._admit(shard, prepared)
 
-    def _admit(self, shard: int, rows: ShardRows) -> int:
-        """``shard`` as an int, if ``rows`` may fold as that shard now."""
+    def _admit(self, shard: int, prepared: PreparedShard) -> int:
+        """``shard`` as an int, if ``prepared`` may fold as that shard now."""
+        if len(prepared) == 0:
+            raise DataError("shard has no rows to fold")
+        if prepared.canonical.true_cells is None:
+            raise DataError("live metric views need the shard's ground-truth cells")
         shard = check_integer("shard", shard, minimum=0)
         owned = self._coverage.schedule.get(shard)
         if owned is None:
             raise DataError(f"shard {shard} is not in the expected coverage")
         if shard in self._committed:
             raise DataError(f"shard {shard} was already folded into the live state")
-        observed = frozenset(time for time, _, _ in rows.round_slices())
+        observed = frozenset(time for time, _ in prepared.marks)
         if observed != owned:
             raise DataError(
                 f"shard {shard} committed rounds {sorted(observed)} but the "
@@ -718,24 +622,25 @@ class LiveMetricRegistry:
             )
         return shard
 
-    def ingest(self, shard: int, rows: ShardRows) -> None:
-        """Fold one committed shard's canonical rows (from :meth:`check`).
+    def ingest(self, shard: int, prepared: PreparedShard) -> None:
+        """Fold one committed shard's prepared rows.
 
         O(shard rows) to park the shard's deltas, plus O(round delta) per
         round the commit completes, which freezes immediately — so neither
         commit nor query cost grows with the population or the horizon.
-        Rounds freeze strictly ascending, as the coverage frontier passes
-        them: each fold's running state at round ``r`` extends its state at
-        ``r-1``, which is what makes the canonical fold order (rounds, then
-        shards, then users) independent of commit arrival order.  Under the
-        lock it refuses, as :meth:`check` does, a shard that is not
-        expected, is already folded, or presents other rounds than its
-        scheduled ones.
+        The deltas are the ones ``prepared`` derived, shared with the store
+        and between views.  Rounds freeze strictly ascending, as the
+        coverage frontier passes them: each fold's running state at round
+        ``r`` extends its state at ``r-1``, which is what makes the
+        canonical fold order (rounds, then shards, then users) independent
+        of commit arrival order.  Under the lock it refuses, as
+        :meth:`check` does, a shard that is not expected, is already
+        folded, or presents other rounds than its scheduled ones.
         """
         with self._lock:
-            shard = self._admit(shard, rows)
+            shard = self._admit(shard, prepared)
             for fold in self._folds:
-                fold.add(shard, rows)
+                fold.add(shard, prepared)
             self._committed.add(shard)
             for time in self._coverage.commit(
                 (shard, time) for time in self._coverage.schedule[shard]
@@ -795,8 +700,9 @@ def batch_recompute(
 ) -> dict[int, dict[str, object]]:
     """The from-scratch reference the live values are bit-identical to.
 
-    One pass over the full raw rows: put them in canonical ``(time, user)``
-    order once (:meth:`ShardRows.build`) and take every view's
+    One pass over the full raw rows: prepare them once
+    (:meth:`PreparedShard.build <repro.store.prepared.PreparedShard.build>`,
+    which orders them canonically) and take every view's
     :meth:`~LiveMetricView.reference`.  Returns ``round -> {view name ->
     value}`` for every round ≤ ``upto`` (all rounds when ``None``); ``{}``
     when no row is at or before it.  Every row's user must be one of
@@ -815,11 +721,11 @@ def batch_recompute(
         raise DataError(f"user {int(users[outside][0])} is not in the shard plan")
     if len(users) == 0:
         return {}
-    rows = ShardRows.build(users, times, points, true_cells, snapped_cells)
+    rows = PreparedShard.build(users, times, snapped_cells, points, true_cells=true_cells)
     values = {view.name: view.reference(rows) for view in views}
     return {
         time: {name: per_round[time] for name, per_round in values.items()}
-        for time, _, _ in rows.round_slices()
+        for time, _, _ in rows.round_slices
         if upto is None or time <= int(upto)
     }
 
@@ -856,9 +762,12 @@ def _final_value(
 
     def fold(users, times, points, true_cells) -> None:
         # Shards own contiguous user blocks, so any member names the shard.
-        shard = plan.shard_of(int(users[0]))
-        rows = registry.check(shard, users, times, points, true_cells, world.snap_batch(points))
-        registry.ingest(shard, rows)
+        registry.ingest(
+            plan.shard_of(int(users[0])),
+            PreparedShard.build(
+                users, times, world.snap_batch(points), points, true_cells=true_cells
+            ),
+        )
 
     if batched:
         # Closed on every exit, so a backend the stream owns shuts down

@@ -38,6 +38,7 @@ from repro.errors import DataError, PolicyError, ValidationError
 from repro.geo.grid import GridWorld
 from repro.mobility.trajectory import TraceDB
 from repro.server.localdb import LocalLocationDB
+from repro.store.prepared import PreparedShard
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.validation import check_int_array, check_integer
 
@@ -184,7 +185,7 @@ class Server:
         # callers on different threads may enter concurrently: the store's
         # single SQLite connection must not interleave transactions, and
         # TraceDB/BudgetLedger bookkeeping is not atomic under free
-        # threading.  Snapping and lexsort stay outside the lock.
+        # threading.  Snapping and the shard's prepare stay outside the lock.
         self._ingest_lock = threading.Lock()
         self._metrics = None
 
@@ -304,19 +305,24 @@ class Server:
 
         Commit order and determinism
         ----------------------------
-        Rows are committed in ``(time, user)`` order *within the shard*.
-        Across shards the arrival order follows backend scheduling, but
-        every user lives in exactly one shard, so all per-user state — the
-        released trace rows, and each user's ledger total (charges arrive
-        in that user's time order) — is identical to what the per-client
-        reference :func:`run_release_rounds` produces.  Only the
+        The rows are checked and ordered once, before the ingest lock, as a
+        :class:`~repro.store.prepared.PreparedShard`: a float or bool
+        column is a :class:`~repro.errors.ValidationError`, and a
+        ``(user, time)`` key held twice a :class:`~repro.errors.DataError`.
+        The same object then feeds the store (which inserts the rows in
+        ``(user, time)`` key order), the trace and the ledger (which take
+        them in ``(time, user)`` order within the shard) and the live
+        views, so nothing is derived twice.  Across shards the arrival
+        order follows backend scheduling, but every user lives in exactly
+        one shard, so all per-user state — the released trace rows, and
+        each user's ledger total (charges arrive in that user's time
+        order) — is identical to what the per-client reference
+        :func:`run_release_rounds` produces.  Only the
         interleaving of *different* users' ledger entries can vary with
         scheduling.
         """
         if shard is not None:
             shard = check_integer("shard", shard, minimum=0)
-        users = check_int_array("users", users)
-        times = check_int_array("times", times)
         # batch.cells carry the ground-truth cells (the shard streaming
         # contract); `cells` below is the server-side snapped view.
         true_cells = None
@@ -345,44 +351,42 @@ class Server:
                     "live metric views require batch.cells to carry the "
                     "ground-truth cells (the shard streaming contract)"
                 )
-        order = np.lexsort((users, times))  # commit by (time, user)
+        prepared = PreparedShard.build(
+            users,
+            times,
+            cells,
+            batch.points,
+            batch.exact,
+            batch.epsilons,
+            true_cells=true_cells,
+        )
         with self._ingest_lock:
             if self._metrics is not None:
                 # Refuse a shard the live views would refuse before any of
                 # it becomes durable or touches the trace and ledger.
-                rows = self._metrics.check(shard, users, times, batch.points, true_cells, cells)
+                self._metrics.check(shard, prepared)
             if self.store is not None:
                 # The store keeps only the ground truth's aggregate
                 # accelerator summaries, never the per-row values.
-                written = self.store.commit_shard(
-                    shard,
-                    users,
-                    times,
-                    ReleaseBatch(
-                        points=batch.points,
-                        exact=batch.exact,
-                        epsilons=batch.epsilons,
-                        cells=np.asarray(cells, dtype=np.int64),
-                        mechanism=batch.mechanism,
-                    ),
-                    true_cells=true_cells,
-                )
-                if not written:
+                if not self.store.commit_shard(shard, prepared):
                     raise DataError(
                         f"shard {shard} is already durable in the store; "
                         "ingesting it again would double its trace rows and "
                         "ledger charges (replay it with replay_shard instead)"
                     )
-            if not self.out_of_core:
-                self.released_db.record_many(users[order], times[order], cells[order])
-            self.ledger.charge_many(
-                users[order], times[order], batch.epsilons[order], purpose=purpose
-            )
+            self._apply(prepared, purpose)
             if self._metrics is not None:
                 # Fold inside the commit section: the registry sees exactly
                 # the committed rows, once, whichever thread committed them.
-                self._metrics.ingest(shard, rows)
+                self._metrics.ingest(shard, prepared)
         return cells
+
+    def _apply(self, prepared: PreparedShard, purpose: str) -> None:
+        """Record a committed shard in the trace and charge it, in ``(time, user)`` order."""
+        rows = prepared.canonical
+        if not self.out_of_core:
+            self.released_db.record_many(rows.users, rows.times, rows.cells)
+        self.ledger.charge_many(rows.users, rows.times, rows.epsilons, purpose=purpose)
 
     def replay_shard(
         self,
@@ -440,22 +444,19 @@ class Server:
         truth = None
         if true_cells is not None:
             truth = self.world.cells_array(true_cells(users, times), context="true_cells")
+        # The stored rows come back time-major: the build sorts them into
+        # key order, which the canonical order is then derived from.
+        prepared = PreparedShard.build(
+            users, times, cells, points, exact, epsilons, true_cells=truth
+        )
         if self._metrics is not None:
-            rows = self._metrics.check(shard, users, times, points, truth, cells)
-        if shard is not None and len(users):
-            self.store.commit_shard(
-                shard,
-                users,
-                times,
-                ReleaseBatch(points=points, exact=exact, epsilons=epsilons, cells=cells),
-                true_cells=truth if self.store.maintains_true_summaries() else None,
-            )
-        if not self.out_of_core:
-            self.released_db.record_many(users, times, cells)
-        self.ledger.charge_many(users, times, epsilons, purpose=purpose)
+            self._metrics.check(shard, prepared)
+        if shard is not None and len(prepared):
+            self.store.commit_shard(shard, prepared)
+        self._apply(prepared, purpose)
         if self._metrics is not None:
-            self._metrics.ingest(shard, rows)
-        return len(users)
+            self._metrics.ingest(shard, prepared)
+        return len(prepared)
 
     def push_policy(self, client: Client, policy: PolicyGraph) -> None:
         """Offer a policy update; the demo's clients always consent."""

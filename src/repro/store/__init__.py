@@ -4,6 +4,9 @@ An embedded-SQLite layer under :class:`~repro.server.pipeline.Server` and
 ``TraceDB``:
 
 * :mod:`repro.store.schema` — the table layout and WAL pragma recipe;
+* :class:`PreparedShard` (:mod:`repro.store.prepared`) — one shard's rows
+  checked and ordered once, with the derivations every commit consumer
+  reads;
 * :class:`TraceStore` — transactional whole-shard commits, per-``(shard,
   round)`` recovery state, streaming reads;
 * :class:`RunManifest` (:mod:`repro.store.resume`) — the spec-hash /
@@ -17,6 +20,7 @@ re-derivation") and usage walkthrough.
 """
 
 from repro.store.outofcore import StoredTraceDB
+from repro.store.prepared import PreparedShard
 from repro.store.resume import Coverage, RunManifest, engine_spec_hash
 from repro.store.schema import BUSY_TIMEOUT_MS, SCHEMA_VERSION, apply_pragmas, create_schema
 from repro.store.store import TraceStore, open_store
@@ -24,6 +28,7 @@ from repro.store.store import TraceStore, open_store
 __all__ = [
     "BUSY_TIMEOUT_MS",
     "Coverage",
+    "PreparedShard",
     "RunManifest",
     "SCHEMA_VERSION",
     "StoredTraceDB",

@@ -48,10 +48,11 @@ and writes back records that are sorted, unique and summed.  A block's
 bytes are therefore a pure function of the committed rows — independent of
 shard count, backend, commit arrival order, and kill-resume, the same
 argument that makes the live metric views bit-identical across those axes.
-The deltas are built once as int64 column arrays (:func:`cell_counts`,
-:func:`transitions`); the ``*_rows`` functions split them into one int32
-entry per round block, in the blocks' own encoding, and the live views
-(:mod:`repro.server.live_metrics`) fold the same arrays in memory.
+The ``*_rows`` functions derive one commit's increments in the blocks' own
+encoding, one int32 entry per round block.  A
+:class:`~repro.store.prepared.PreparedShard` calls each of them at most
+once per commit, and the store and the live views
+(:mod:`repro.server.live_metrics`) both read the result.
 """
 
 from __future__ import annotations
@@ -71,10 +72,8 @@ __all__ = [
     "apply_deltas",
     "boundary_flow_rows",
     "cell_count_rows",
-    "cell_counts",
     "flow_rows",
     "read_round_blocks",
-    "transitions",
     "user_summary_rows",
 ]
 
@@ -97,6 +96,14 @@ MAX_PARKED_PIECES = 8
 #: Rounds merged per range read when blocks are written, so the merge's
 #: int64 keys span a bounded group of rounds, never the whole run.
 _MERGE_ROUNDS = 8
+
+#: The largest key code :func:`_grouped` encodes; wider keys are lexsorted.
+_MAX_CODE = 2**62
+
+#: Counted codes spanning at most this many times the rows are grouped by
+#: ``bincount``.  A dense shard's ``(round, cell)`` codes span about one
+#: code per row, and counting them is several times faster than a sort.
+_DENSE_CODES = 4
 
 # round_blocks keeps its rowid: a flows block runs to tens of KB, and
 # SQLite advises WITHOUT ROWID only for rows under ~1/20 of a page.
@@ -135,13 +142,9 @@ _UPSERT_USER_SUMMARY = (
 RoundDelta = tuple[int, int, np.ndarray]
 
 
-def _empty_columns(n: int) -> tuple[np.ndarray, ...]:
-    return tuple(np.empty(0, dtype=np.int64) for _ in range(n))
-
-
 def _round_starts(times: np.ndarray) -> list[tuple[int, int]]:
     """``(start, stop)`` of each run of equal values in sorted ``times``."""
-    starts = np.flatnonzero(np.diff(times, prepend=times[0] - 1)).tolist()
+    starts = [0, *(np.flatnonzero(times[1:] != times[:-1]) + 1).tolist()]
     return list(zip(starts, starts[1:] + [len(times)]))
 
 
@@ -160,76 +163,118 @@ def _per_round(kind: int, times: np.ndarray, records: np.ndarray) -> list[RoundD
     ]
 
 
-def cell_counts(times: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(time, cell, n)`` int64 occupancy increments of one commit's rows.
+def _in_key_order(users: np.ndarray, times: np.ndarray) -> bool:
+    """Whether the rows are sorted by ``(user, time)``, in one O(n) pass."""
+    later_user = users[1:] > users[:-1]
+    same_user = users[1:] == users[:-1]
+    return bool((later_user | (same_user & (times[1:] >= times[:-1]))).all())
 
-    Sorted by ``(time, cell)``.  The columnar delta both consumers fold: the
-    store merges it into the ``cells`` blocks and the live contact view
-    into per-round head counts.
+
+def _grouped(
+    keys: "tuple[np.ndarray, ...]", values: "np.ndarray | None" = None
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The distinct rows of the ``keys`` columns, sorted, and the sum of ``values`` per row.
+
+    ``values`` defaults to ones, so the sums are row counts; they are int64.
+    Each key row is encoded as one non-negative int64 code, every column
+    offset to its minimum and mixed-radix by its span, so a flat sort
+    groups the rows — or a ``bincount`` when the counted codes are dense,
+    spanning at most :data:`_DENSE_CODES` times the rows.  When the spans'
+    product leaves that code range, a lexsort over the columns groups them
+    instead: a code never wraps.
     """
-    if len(times) == 0:
-        return _empty_columns(3)
-    # Encoded int64 keys: one flat np.unique instead of the (much slower)
-    # axis=0 row-wise variant — this runs inside every commit.
-    base = int(cells.max()) + 1
-    codes = times.astype(np.int64) * base + cells
-    uniques, counts = np.unique(codes, return_counts=True)
-    return uniques // base, uniques % base, counts
-
-
-def transitions(
-    users: np.ndarray, times: np.ndarray, cells: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """``(time, src, dst, n)`` int64 cell-transition increments within one commit.
-
-    Rows are sorted user-major with times ascending, so a user's consecutive
-    timesteps are adjacent; each ``(t-1, t)`` step contributes one count at
-    destination round ``t``.  Only *within-commit* adjacency is counted —
-    the shard streaming contract delivers each user's whole trace in one
-    commit, and :func:`boundary_flow_rows` covers the stored side when a
-    caller commits a user's trace piecewise.  Sorted by ``(time, src,
-    dst)``; the store merges it into the ``flows`` blocks and the live flow
-    views regroup it to their own area tiling.
-    """
-    if len(users) < 2:
-        return _empty_columns(4)
-    order = np.lexsort((times, users))
-    u, t, c = users[order], times[order], cells[order]
-    step = (u[1:] == u[:-1]) & (t[1:] == t[:-1] + 1)
-    if not bool(step.any()):
-        return _empty_columns(4)
-    dst_times = t[1:][step]
-    src_cells = c[:-1][step]
-    dst_cells = c[1:][step]
-    base = int(max(src_cells.max(), dst_cells.max())) + 1
-    codes = (dst_times.astype(np.int64) * base + src_cells) * base + dst_cells
-    uniques, counts = np.unique(codes, return_counts=True)
-    return uniques // (base * base), uniques // base % base, uniques % base, counts
+    n = len(keys[0])
+    lows = [int(column.min()) for column in keys]
+    spans = [int(column.max()) - low + 1 for column, low in zip(keys, lows)]
+    size = math.prod(spans)
+    if size > _MAX_CODE:
+        order = np.lexsort(keys[::-1])
+        keys = tuple(column[order] for column in keys)
+        change = np.zeros(n - 1, dtype=bool)
+        for column in keys:
+            change |= column[1:] != column[:-1]
+        starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+        if values is None:
+            sums = np.diff(np.append(starts, n))
+        else:
+            sums = np.add.reduceat(values[order], starts, dtype=np.int64)
+        return [column[starts] for column in keys], sums
+    codes = np.zeros(n, dtype=np.int64)
+    for column, low, span in zip(keys, lows, spans):
+        # int64 arithmetic wraps modulo 2**64, so only the final code,
+        # which is below size, has to fit.
+        codes *= span
+        codes += column
+        codes -= low
+    if values is not None:
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        starts = np.concatenate(([0], np.flatnonzero(codes[1:] != codes[:-1]) + 1))
+        sums = np.add.reduceat(values[order], starts, dtype=np.int64)
+        codes = codes[starts]
+    elif size <= _DENSE_CODES * n:
+        sums = np.bincount(codes, minlength=size)
+        codes = np.flatnonzero(sums)
+        sums = sums[codes]
+    else:
+        codes, sums = np.unique(codes, return_counts=True)
+    columns = []
+    for low, span in zip(reversed(lows), reversed(spans)):
+        codes, digit = np.divmod(codes, span)
+        columns.append(digit + low)
+    return columns[::-1], sums
 
 
 def cell_count_rows(kind: int, times: np.ndarray, cells: np.ndarray) -> list[RoundDelta]:
-    """Per-round ``(kind, time, (cell, n) records)`` occupancy increments."""
-    time, cell, n = cell_counts(times, cells)
+    """Per-round ``(kind, time, (cell, n) records)`` occupancy increments of one commit.
+
+    The rows may come in any order.
+    """
+    if len(times) == 0:
+        return []
+    (time, cell), n = _grouped((times, cells))
     return _per_round(kind, time, np.column_stack((cell, n)))
 
 
 def flow_rows(
     kind: int, users: np.ndarray, times: np.ndarray, cells: np.ndarray
 ) -> list[RoundDelta]:
-    """Per-round ``(kind, time, (src, dst, n) records)`` transition increments."""
-    time, src, dst, n = transitions(users, times, cells)
+    """Per-round ``(kind, time, (src, dst, n) records)`` cell-transition increments.
+
+    In ``(user, time)`` key order a user's consecutive timesteps are
+    adjacent rows, and each ``(t-1, t)`` step counts once at destination
+    round ``t``; rows in any other order are sorted into it first.  Only
+    *within-commit* adjacency is counted — the shard streaming contract
+    delivers each user's whole trace in one commit, and
+    :func:`boundary_flow_rows` covers the stored side when a caller commits
+    a user's trace piecewise.
+    """
+    if not _in_key_order(users, times):
+        order = np.lexsort((times, users))
+        users, times, cells = users[order], times[order], cells[order]
+    step = (users[1:] == users[:-1]) & (times[1:] - times[:-1] == 1)
+    if not bool(step.any()):
+        return []
+    (time, src, dst), n = _grouped((times[1:][step], cells[:-1][step], cells[1:][step]))
     return _per_round(kind, time, np.column_stack((src, dst, n)))
 
 
 def user_summary_rows(users: np.ndarray, times: np.ndarray) -> list[tuple]:
-    """``(user, n_rows, min_time, max_time)`` increments for one commit."""
+    """``(user, n_rows, min_time, max_time)`` increments for one commit.
+
+    Rows in ``(user, time)`` key order are read in one pass; any other
+    order is sorted into it first.
+    """
     if len(users) == 0:
         return []
-    order = np.lexsort((times, users))
-    u, t = users[order], times[order]
-    uniques, starts, counts = np.unique(u, return_index=True, return_counts=True)
-    stops = starts + counts - 1
-    return np.column_stack((uniques, counts, t[starts], t[stops])).tolist()
+    if not _in_key_order(users, times):
+        order = np.lexsort((times, users))
+        users, times = users[order], times[order]
+    starts = np.concatenate(([0], np.flatnonzero(users[1:] != users[:-1]) + 1))
+    stops = np.append(starts[1:], len(users))
+    return np.column_stack(
+        (users[starts], stops - starts, times[starts], times[stops - 1])
+    ).tolist()
 
 
 def boundary_flow_rows(
@@ -324,26 +369,10 @@ def _merge(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(time, keys, n)`` of ``(key..., n)`` records summed per ``(time, key)``.
 
-    Sorted by ``(time, key)``; the sums are int64.  Each record's ``(time,
-    key...)`` is encoded as one non-negative int64 code (every column offset
-    to its minimum, mixed-radix by its span), so one flat sort groups them.
-    Raises :class:`OverflowError` when the spans do not fit one code.
+    Sorted by ``(time, key)``; the sums are int64.
     """
-    columns = (times, *records[:, :-1].T)
-    lows = [int(column.min()) for column in columns]
-    spans = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
-    if math.prod(spans) > 2**62:
-        raise OverflowError("accelerator keys span too wide a range to merge")
-    codes = np.zeros(len(times), dtype=np.int64)
-    for column, low, span in zip(columns, lows, spans):
-        codes *= span
-        codes -= low
-        codes += column
-    order = np.argsort(codes)
-    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
-    first = order[starts]
-    counts = np.add.reduceat(records[order, -1], starts, dtype=np.int64)
-    return times[first], records[first, :-1], counts
+    (time, *keys), counts = _grouped((times, *records[:, :-1].T), records[:, -1])
+    return time, np.column_stack(keys), counts
 
 
 def _check_int32(kind: int, times: np.ndarray, values: np.ndarray) -> None:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import os
 import sqlite3
-from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, AbstractSet, Iterator, Mapping
 
@@ -44,11 +43,11 @@ from repro.errors import StoreError
 from repro.store import accelerator
 from repro.store.resume import Coverage, RunManifest
 from repro.store.schema import BUSY_TIMEOUT_MS, SCHEMA_VERSION, apply_pragmas, create_schema
-from repro.utils.validation import check_int_array, check_integer
+from repro.utils.validation import check_integer
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
-    from repro.core.mechanisms.base import ReleaseBatch
     from repro.mobility.trajectory import CheckIn, TraceDB
+    from repro.store.prepared import PreparedShard, ShardColumns
 
 __all__ = ["TraceStore"]
 
@@ -71,33 +70,46 @@ def _insert_releases_sql(rows: int) -> str:
     )
 
 
-def _insert_releases(
-    connection: sqlite3.Connection,
-    users: np.ndarray,
-    times: np.ndarray,
-    cells: np.ndarray,
-    batch: "ReleaseBatch",
-) -> None:
+def _insert_releases(connection: sqlite3.Connection, rows: "ShardColumns") -> None:
     """Insert one commit's release rows, :data:`_ROWS_PER_INSERT` per statement.
 
-    Each statement binds a slice of the seven column lists, so nothing
-    but those lists is held, and they are freed on return, before any
+    The seven columns are interleaved once into one row-major parameter
+    list, and each statement binds a slice of it: no per-statement
+    regrouping of the columns.  The list is freed on return, before any
     accelerator merge that follows in the same transaction.
     """
     columns = (
-        users.tolist(),
-        times.tolist(),
-        cells.tolist(),
-        batch.points[:, 0].tolist(),
-        batch.points[:, 1].tolist(),
-        batch.exact.astype(np.int64).tolist(),
-        batch.epsilons.tolist(),
+        rows.users.tolist(),
+        rows.times.tolist(),
+        rows.cells.tolist(),
+        rows.points[:, 0].tolist(),
+        rows.points[:, 1].tolist(),
+        rows.exact.astype(np.int64).tolist(),
+        rows.epsilons.tolist(),
     )
-    for start in range(0, len(users), _ROWS_PER_INSERT):
-        chunk = [column[start:start + _ROWS_PER_INSERT] for column in columns]
-        connection.execute(
-            _insert_releases_sql(len(chunk[0])), list(chain.from_iterable(zip(*chunk)))
-        )
+    width = len(columns)
+    values: list = [None] * (width * len(rows.users))
+    for offset, column in enumerate(columns):
+        values[offset::width] = column
+    step = width * _ROWS_PER_INSERT
+    for start in range(0, len(values), step):
+        chunk = values[start:start + step]
+        connection.execute(_insert_releases_sql(len(chunk) // width), chunk)
+
+
+def _increments(prepared: "PreparedShard", with_true: bool) -> tuple[list, list]:
+    """A commit's ``cells`` and ``flows`` round-block increments, observed then true.
+
+    The true kind is left out unless ``with_true``.  Raises
+    :class:`OverflowError` for a value outside a block's int32 range.
+    """
+    kinds = (accelerator.KIND_OBSERVED,)
+    if with_true:
+        kinds += (accelerator.KIND_TRUE,)
+    return (
+        [delta for kind in kinds for delta in prepared.cell_rows(kind)],
+        [delta for kind in kinds for delta in prepared.flow_rows(kind)],
+    )
 
 
 def _preview(values: "list[int]", limit: int = 8) -> str:
@@ -277,6 +289,30 @@ class TraceStore:
             schedule.setdefault(int(shard), set()).add(int(time))
         return {shard: frozenset(rounds) for shard, rounds in schedule.items()}
 
+    def owed(self) -> "dict[int, frozenset[int]] | None":
+        """``shard -> rounds`` the recorded schedule holds and no commit has marked.
+
+        One statement: the schedule minus the marks.  ``None`` when no run
+        has begun on the store, which owes nothing until one does.
+        :class:`Coverage` over the owed pairs alone names the same missing
+        shards, at every round, as one over the whole schedule fed every
+        mark (:class:`~repro.query.QueryEngine` reads it this way).
+        """
+        rows = self.connection.execute(
+            # Compound selects run left to right: the (NULL, NULL) row
+            # only marks that a run has begun.
+            "SELECT shard, round FROM run_coverage "
+            "EXCEPT SELECT shard, round FROM shard_commits "
+            "UNION ALL SELECT NULL, NULL FROM meta WHERE key = 'spec_hash'"
+        ).fetchall()
+        if (None, None) not in rows:
+            return None
+        owed: dict[int, set[int]] = {}
+        for shard, time in rows:
+            if shard is not None:
+                owed.setdefault(int(shard), set()).add(int(time))
+        return {shard: frozenset(rounds) for shard, rounds in owed.items()}
+
     def manifest(self) -> RunManifest | None:
         """The recorded run manifest, if any."""
         return RunManifest.from_meta(self._meta())
@@ -284,10 +320,8 @@ class TraceStore:
     # ------------------------------------------------------------------
     # Transactional commits
     # ------------------------------------------------------------------
-    def commit_shard(
-        self, shard: int, users, times, batch: "ReleaseBatch", true_cells=None
-    ) -> bool:
-        """Durably commit one shard's releases in a single transaction.
+    def commit_shard(self, shard: int, prepared: "PreparedShard") -> bool:
+        """Durably commit one prepared shard's releases in a single transaction.
 
         Parameters
         ----------
@@ -295,28 +329,28 @@ class TraceStore:
             The shard index in the run's :class:`~repro.engine.sharding.ShardPlan`,
             a Python or numpy int >= 0 (anything else raises
             :class:`~repro.errors.ValidationError` before anything is written).
-        users / times:
-            One user id / timestep per batch row (any order; rows are keyed
-            ``(user, time)`` so the on-disk layout is order-independent), as
-            integer arrays or sequences.
-        batch:
-            The shard's releases.  ``batch.cells`` must already hold the
-            *snapped* server-side cells (the pipeline stores the server
-            view, exactly what the in-memory ``released_db`` records).
-        true_cells:
-            Optional ground-truth cell per row, as integers.  When given,
-            the commit additionally maintains the accelerator's true-side
-            summary rows (aggregate occupancy and flows only — per-row
-            ground truth is still never persisted).  A store must be written
-            consistently: mixing commits with and without ``true_cells``
-            raises :class:`~repro.errors.StoreError`.
+        prepared:
+            The shard's rows as a :class:`~repro.store.prepared.PreparedShard`,
+            which has already refused non-integer, misaligned or negative
+            cell columns and repeated keys.  Its ``cells`` are what the
+            store keeps: the *snapped* server-side cells on the pipeline path,
+            exactly what the in-memory ``released_db`` records.  It must carry
+            ``exact`` and ``epsilons`` (:class:`StoreError` otherwise).  When
+            it carries ``true_cells``, the commit additionally maintains the
+            accelerator's true-side summary rows (aggregate occupancy and
+            flows only — per-row ground truth is still never persisted).  A
+            store must be written consistently: mixing commits with and
+            without ``true_cells`` raises :class:`StoreError`.
 
-        The release rows, one ``(shard, round)`` mark per distinct
-        timestep, and the per-user summaries are written in one
-        transaction — either the whole shard becomes durable or none of it
-        does.  The rows go in as multi-row ``INSERT`` statements of 64 rows
-        each (the last one holds the remainder), so the cost is one B-tree
-        insert per row and one statement per 64 rows.
+        The release rows, in ``(user, time)`` key order, one ``(shard,
+        round)`` mark per distinct timestep, and the per-user summaries are
+        written in one transaction — either the whole shard becomes durable
+        or none of it does.  The rows go in as multi-row ``INSERT``
+        statements of 64 rows each (the last one holds the remainder), so
+        the cost is one B-tree insert per row and one statement per 64 rows.
+        The marks, increments and summaries are the prepared shard's own, so
+        whatever else reads them in the same commit (the live views) reuses
+        them rather than deriving them again.
 
         Round blocks (:mod:`repro.store.accelerator`) are written once per
         round: a round's ``cells`` and ``flows`` blocks, both kinds, are
@@ -336,20 +370,14 @@ class TraceStore:
         parking one more folds them into one sorted, summed piece, so parked
         memory does not grow with the number of commits.
 
-        Before anything is read or written, a float or bool ``users``,
-        ``times``, ``batch.cells`` or ``true_cells`` column raises
-        :class:`~repro.errors.ValidationError` naming the column; columns
-        of different lengths, or a negative cell id in either cell column
-        (which would be counted against another cell or round of the
-        blocks), raise :class:`StoreError` naming the shard.
-
         Re-committing a shard whose ``(shard, round)`` marks are all
         already durable writes nothing.  If this store holds the shard's
         increments parked, or its rounds' blocks are written, it is a no-op;
         otherwise — a store reopened mid-run — the increments of its
         unwritten rounds are re-parked from the given rows, which must
-        match the marks' row counts.  A resumed run re-parks every shard
-        it replays this way (:meth:`Server.replay_shard
+        match the marks' row counts; the true side is re-parked when the
+        store maintains it.  A resumed run re-parks every shard it replays
+        this way (:meth:`Server.replay_shard
         <repro.server.pipeline.Server.replay_shard>`).  Any other commit is
         refused with a :class:`StoreError` naming the shards and rounds
         while the store's unwritten rounds hold marks this store has not
@@ -357,11 +385,10 @@ class TraceStore:
 
         A commit overlapping only *some* of a shard's marks is a
         :class:`StoreError`.  So is a commit that would store a ``(user,
-        time)`` key twice — repeated within the commit or already held by
-        an earlier one — refused before anything is written, and one whose
-        accelerator values leave the int32 range of a round block, naming
-        the kind and round; the commit that writes the block rolls back
-        whole.
+        time)`` key an earlier commit already stored, refused before
+        anything is written, and one whose accelerator values leave the
+        int32 range of a round block, naming the kind and round; the commit
+        that writes the block rolls back whole.
 
         Returns ``True`` when the shard was written, ``False`` for a
         re-commit, so a caller that must not apply a shard's effects twice
@@ -369,72 +396,68 @@ class TraceStore:
         <repro.server.pipeline.Server.ingest_shard>`) can refuse it.
         """
         shard = check_integer("shard", shard, minimum=0)
-        users = check_int_array("users", users)
-        times = check_int_array("times", times)
-        cells = check_int_array("batch.cells", batch.cells)
-        if true_cells is not None:
-            true_cells = check_int_array("true_cells", true_cells)
-        self._refuse_malformed_rows(shard, users, times, len(batch), cells, true_cells)
-        rounds, counts = np.unique(times, return_counts=True)
+        rows = prepared.keyed
+        if rows.exact is None or rows.epsilons is None:
+            raise StoreError(
+                f"commit of shard {shard} carries no exact or epsilons column; "
+                "the store keeps both for every release"
+            )
         marked = dict(
             self.connection.execute(
                 "SELECT round, n_rows FROM shard_commits WHERE shard = ?", (shard,)
             ).fetchall()
         )
-        incoming_rounds = set(rounds.tolist())
+        incoming_rounds = {time for time, _ in prepared.marks}
         if incoming_rounds & marked.keys():
             if incoming_rounds <= marked.keys():  # the whole shard is already durable
-                return self._repark(shard, users, times, cells, true_cells, rounds, counts, marked)
+                return self._repark(shard, prepared, marked)
             raise StoreError(
                 f"shard {shard} commit overlaps rounds "
                 f"{sorted(incoming_rounds & marked.keys())} already marked "
                 "durable; a shard's rounds must commit together exactly once"
             )
-        maintains_true = self._refuse_mixed_true_side(true_cells)
+        with_true = rows.true_cells is not None
+        maintains_true = self._refuse_mixed_true_side(with_true)
         self._sync()
         self._refuse_unparked(shard)
-        prior_users: set[int] = set()
-        if len(users):
-            prior_users = {
-                int(user)
-                for (user,) in self.connection.execute(
-                    "SELECT user FROM user_summary WHERE user BETWEEN ? AND ?",
-                    (int(users.min()), int(users.max())),
-                ).fetchall()
-            } & set(users.tolist())
-        if prior_users and true_cells is not None:
+        prior_users = self._prior_users(prepared)
+        if prior_users and with_true:
             raise StoreError(
                 f"commit of shard {shard} extends users {sorted(prior_users)[:5]}"
                 "... whose rows are already stored: true-side summaries "
                 "cannot be stitched across commits (ground-truth cells are "
                 "never persisted per row) — commit whole traces per shard"
             )
-        self._refuse_repeated_keys(shard, users, times, prior_users)
-        pairs = [(shard, time) for time in rounds.tolist()]
+        self._refuse_stored_keys(shard, rows, prior_users)
+        pairs = [(shard, time) for time, _ in prepared.marks]
         frontier = self._frontier
         owed = None if frontier is None else frontier.first_owed_after(pairs)
         try:
-            cell_counts, flows = self._deltas(users, times, cells, true_cells, prior_users)
+            cell_counts, flows = _increments(prepared, with_true)
+            flows += accelerator.boundary_flow_rows(
+                self.connection, rows.users, rows.times, rows.cells, prior_users
+            )
             cell_counts, flows, parked = self._parked.plan(
                 cell_counts, flows, lambda time: owed is None or time < owed
             )
-            summaries = accelerator.user_summary_rows(users, times)
             with self.connection:
-                _insert_releases(self.connection, users, times, cells, batch)
+                _insert_releases(self.connection, rows)
                 self.connection.executemany(
                     "INSERT OR REPLACE INTO shard_commits (shard, round, n_rows) "
                     "VALUES (?, ?, ?)",
-                    zip([shard] * len(rounds), rounds.tolist(), counts.tolist()),
+                    [(shard, time, n) for time, n in prepared.marks],
                 )
-                accelerator.apply_deltas(self.connection, cell_counts, flows, summaries)
+                accelerator.apply_deltas(
+                    self.connection, cell_counts, flows, prepared.user_summaries
+                )
                 if maintains_true is None:
                     self.connection.execute(
                         "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-                        ("accelerator_true", "1" if true_cells is not None else "0"),
+                        ("accelerator_true", "1" if with_true else "0"),
                     )
         except (sqlite3.Error, OverflowError) as exc:
             raise StoreError(
-                f"commit of shard {shard} ({len(users)} rows) failed: {exc}"
+                f"commit of shard {shard} ({len(prepared)} rows) failed: {exc}"
             ) from exc
         self._parked = parked
         self._known.update(pairs)
@@ -442,28 +465,21 @@ class TraceStore:
             frontier.commit(pairs)
         return True
 
-    def _deltas(
-        self,
-        users: np.ndarray,
-        times: np.ndarray,
-        cells: np.ndarray,
-        true_cells: "np.ndarray | None",
-        prior_users: "set[int]",
-    ) -> tuple[list, list]:
-        """One commit's per-round ``cells`` and ``flows`` increments, both kinds."""
-        cell_counts = accelerator.cell_count_rows(accelerator.KIND_OBSERVED, times, cells)
-        flows = accelerator.flow_rows(accelerator.KIND_OBSERVED, users, times, cells)
-        flows += accelerator.boundary_flow_rows(
-            self.connection, users, times, cells, prior_users
-        )
-        if true_cells is not None:
-            cell_counts += accelerator.cell_count_rows(
-                accelerator.KIND_TRUE, times, true_cells
-            )
-            flows += accelerator.flow_rows(
-                accelerator.KIND_TRUE, users, times, true_cells
-            )
-        return cell_counts, flows
+    def _prior_users(self, prepared: "PreparedShard") -> set[int]:
+        """The shard's users who already have stored rows (a piecewise commit)."""
+        users = prepared.keyed.users
+        if not len(users):
+            return set()
+        stored = {
+            int(user)
+            for (user,) in self.connection.execute(
+                "SELECT user FROM user_summary WHERE user BETWEEN ? AND ?",
+                (int(users[0]), int(users[-1])),
+            ).fetchall()
+        }
+        if not stored:
+            return stored
+        return stored & {user for user, *_ in prepared.user_summaries}
 
     def _sync(self) -> None:
         """Load the run's frontier, unless only this store committed since.
@@ -491,37 +507,26 @@ class TraceStore:
             unparked -= self._known
         self._frontier, self._unparked, self._data_version = frontier, unparked, version
 
-    def _repark(
-        self,
-        shard: int,
-        users: np.ndarray,
-        times: np.ndarray,
-        cells: np.ndarray,
-        true_cells: "np.ndarray | None",
-        rounds: np.ndarray,
-        counts: np.ndarray,
-        marked: "dict[int, int]",
-    ) -> bool:
+    def _repark(self, shard: int, prepared: "PreparedShard", marked: "dict[int, int]") -> bool:
         """Park a durable shard's increments this store lacks; return ``False``."""
         self._sync()
-        pairs = {(shard, time) for time in rounds.tolist()}
+        pairs = {(shard, time) for time, _ in prepared.marks}
         if not pairs & self._unparked:
             return False
-        differing = [
-            time for time, n in zip(rounds.tolist(), counts.tolist()) if marked[time] != n
-        ]
+        differing = [time for time, n in prepared.marks if marked[time] != n]
         if differing:
             raise StoreError(
                 f"re-commit of shard {shard} holds other row counts than its "
                 f"durable marks at rounds {_preview(differing)}; only the "
                 "stored rows can be re-parked"
             )
-        self._refuse_mixed_true_side(true_cells)
+        with_true = bool(self.maintains_true_summaries())
+        if with_true:
+            self._refuse_mixed_true_side(prepared.keyed.true_cells is not None)
         try:
-            cell_counts, flows = self._deltas(users, times, cells, true_cells, set())
             # Increments of written rounds are in their blocks already.
             _, _, parked = self._parked.plan(
-                cell_counts, flows, self._frontier.complete_through
+                *_increments(prepared, with_true), self._frontier.complete_through
             )
         except OverflowError as exc:
             raise StoreError(f"re-commit of shard {shard} failed: {exc}") from exc
@@ -530,10 +535,10 @@ class TraceStore:
         self._unparked -= pairs
         return False
 
-    def _refuse_mixed_true_side(self, true_cells: "np.ndarray | None") -> "bool | None":
-        """Raise unless ``true_cells`` matches the store's commits; return the flag."""
+    def _refuse_mixed_true_side(self, with_true: bool) -> "bool | None":
+        """Raise unless ``with_true`` matches the store's commits; return the flag."""
         maintains_true = self.maintains_true_summaries()
-        if maintains_true is not None and maintains_true != (true_cells is not None):
+        if maintains_true is not None and maintains_true != with_true:
             held = "maintains" if maintains_true else "does not maintain"
             raise StoreError(
                 f"trace store {self.path!r} {held} true-side accelerator "
@@ -555,60 +560,15 @@ class TraceStore:
             f"{shard} now could write those blocks without them"
         )
 
-    @staticmethod
-    def _refuse_malformed_rows(
-        shard: int,
-        users: np.ndarray,
-        times: np.ndarray,
-        n_batch: int,
-        cells: np.ndarray,
-        true_cells: "np.ndarray | None",
+    def _refuse_stored_keys(
+        self, shard: int, rows: "ShardColumns", prior_users: "set[int]"
     ) -> None:
-        """Raise :class:`StoreError` for columns no round block can hold.
+        """Raise :class:`StoreError` naming a ``(user, time)`` an earlier commit stored.
 
-        The columns must be one row each, and no cell id may be negative:
-        the blocks key a round's cells from 0, so a negative cell would be
-        counted against another cell, or another round.
+        Only ``prior_users``, who already have stored rows, can hold one;
+        overwriting it would leave a row the summaries count twice.
         """
-        lengths = {"users": len(users), "times": len(times), "batch": n_batch}
-        if true_cells is not None:
-            lengths["true_cells"] = len(true_cells)
-        if len(set(lengths.values())) > 1:
-            described = ", ".join(f"{name} {n}" for name, n in lengths.items())
-            raise StoreError(
-                f"commit of shard {shard} has columns of different lengths: "
-                f"{described}; every column holds one value per row"
-            )
-        for name, column in (("cell", cells), ("true cell", true_cells)):
-            if column is None:
-                continue
-            negative = np.flatnonzero(column < 0)
-            if negative.size:
-                at = int(negative[0])
-                raise StoreError(
-                    f"commit of shard {shard} holds {name} {int(column[at])} at "
-                    f"(user, time) ({int(users[at])}, {int(times[at])}); "
-                    "cell ids are >= 0"
-                )
-
-    def _refuse_repeated_keys(
-        self, shard: int, users: np.ndarray, times: np.ndarray, prior_users: "set[int]"
-    ) -> None:
-        """Raise :class:`StoreError` naming the first ``(user, time)`` stored twice.
-
-        A key may repeat inside the commit, or — only for ``prior_users``,
-        who already have stored rows — match a row an earlier commit
-        stored.  Either would overwrite a row the summaries count twice.
-        """
-        order = np.lexsort((times, users))
-        users, times = users[order], times[order]
-        repeated = np.flatnonzero((users[1:] == users[:-1]) & (times[1:] == times[:-1]))
-        if repeated.size:
-            at = int(repeated[0])
-            raise StoreError(
-                f"commit of shard {shard} repeats (user, time) "
-                f"({users[at]}, {times[at]}); every key is stored once"
-            )
+        users, times = rows.users, rows.times
         for user in sorted(prior_users):
             incoming = times[
                 np.searchsorted(users, user, side="left"):np.searchsorted(users, user, side="right")

@@ -31,13 +31,12 @@ from repro.errors import DataError, SnapshotUnavailableError, ValidationError
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
 from repro.mobility.trajectory import TraceDB
-from repro.store import TraceStore
+from repro.store import PreparedShard, TraceStore
 from repro.server.live_metrics import (
     ContactRateView,
     FlowMatrixView,
     LiveMetricRegistry,
     MonitoringUtilityView,
-    ShardRows,
     batch_recompute,
     default_views,
     expected_coverage,
@@ -303,6 +302,26 @@ class TestIndependentReferences:
         assert report.mean_euclidean_error == pytest.approx(float(errors.mean()), rel=1e-12)
         assert 0.0 <= report.area_accuracy <= 1.0
 
+    def test_epoch_second_rounds_on_a_wide_world_fold_every_flow(self):
+        # 400 x 400 cells at rounds near 2e9: the transition codes
+        # (round * base + src) * base + dst wrapped in int64, and the live
+        # view froze {} where batch_recompute counts two flows.
+        world = GridWorld(400, 400)
+        t = 2_000_000_000
+        users = np.array([1, 1, 2, 2])
+        times = np.array([t, t + 1, t, t + 1])
+        cells = np.array([100_000, 99_999, 5, 6])
+        points = world.coords_array(cells)
+        registry = LiveMetricRegistry([FlowMatrixView(world)], {0: {t, t + 1}})
+        registry.ingest(0, PreparedShard.build(users, times, cells, points, true_cells=cells))
+        want = batch_recompute(
+            [FlowMatrixView(world)], ShardPlan.build([1, 2], 1, rng=0),
+            users, times, points, cells, cells,
+        )
+        flows = registry.at(t + 1)["flows"]
+        assert flows == want[t + 1]["flows"]
+        assert flows.true_flows == flows.observed_flows == {(1, 1): 1, (6200, 6299): 1}
+
 
 # ----------------------------------------------------------------------
 # snapshot semantics: availability, immutability, misuse
@@ -483,11 +502,14 @@ class TestRegistryValidation:
     )
     def test_float_or_bool_integer_column_is_refused(self, column, position, value):
         # Truncated, these rows were users [0, 1] at times [0, 2] with true
-        # cells [1, 2] and snapped cells [1, 3].
+        # cells [1, 2] and snapped cells [1, 3].  The prepared shard names
+        # the snapped column by what the store keeps of it: ``cells``.
         columns = [[0, 1], [0, 2], np.zeros((2, 2)), [1, 2], [1, 3]]
         columns[position] = value
-        with pytest.raises(ValidationError, match=f"^{column} must be integers"):
-            ShardRows.build(*columns)
+        users, times, points, true_cells, snapped_cells = columns
+        name = "cells" if column == "snapped_cells" else column
+        with pytest.raises(ValidationError, match=f"^{name} must be integers"):
+            PreparedShard.build(users, times, snapped_cells, points, true_cells=true_cells)
 
     @pytest.mark.parametrize("column", ["true_cells", "snapped_cells"])
     def test_negative_cell_is_refused_naming_the_row(self, column):
@@ -499,8 +521,15 @@ class TestRegistryValidation:
             "snapped_cells": [3, 3, 3, 2],
         }
         columns[column] = [3, 3, -1, 2]
-        with pytest.raises(DataError, match=rf"^{column} holds -1 at \(user, time\) \(0, 1\)"):
-            ShardRows.build(**columns)
+        name = "cells" if column == "snapped_cells" else column
+        with pytest.raises(DataError, match=rf"^{name} holds -1 at \(user, time\) \(0, 1\)"):
+            PreparedShard.build(
+                columns["users"],
+                columns["times"],
+                columns["snapped_cells"],
+                columns["points"],
+                true_cells=columns["true_cells"],
+            )
 
     def test_contact_view_alone_refuses_a_negative_true_cell(self):
         # Nothing else in an E2-only registry reads the cell's coordinates:
@@ -508,8 +537,12 @@ class TestRegistryValidation:
         # batch_recompute has 6) and the round froze with the wrong rate.
         registry = LiveMetricRegistry([ContactRateView()], {0: {0, 1}})
         with pytest.raises(DataError, match="true_cells holds -1"):
-            registry.check(
-                0, [0, 1, 0, 1], [0, 0, 1, 1], np.zeros((4, 2)), [-1, 3, 3, 2], [0, 3, 3, 2]
+            registry.ingest(
+                0,
+                PreparedShard.build(
+                    [0, 1, 0, 1], [0, 0, 1, 1], [0, 3, 3, 2], np.zeros((4, 2)),
+                    true_cells=[-1, 3, 3, 2],
+                ),
             )
         assert registry.frozen_rounds == ()
 
@@ -522,34 +555,37 @@ class TestRegistryValidation:
             iter(stream_shard_releases(engine, db, plan, only_shards=frozenset({0})))
         )
         snapped = world.snap_batch(batch.points)
-        rows = ShardRows.build(users, times, batch.points, batch.cells, snapped)
+        rows = PreparedShard.build(users, times, snapped, batch.points, true_cells=batch.cells)
         with pytest.raises(DataError, match="not in the expected coverage"):
             registry.ingest(9, rows)
         half = times < HORIZON // 2
-        rows_half = ShardRows.build(
-            users[half], times[half], batch.points[half],
-            np.asarray(batch.cells)[half], np.asarray(snapped)[half],
+        rows_half = PreparedShard.build(
+            users[half], times[half], np.asarray(snapped)[half], batch.points[half],
+            true_cells=np.asarray(batch.cells)[half],
         )
         with pytest.raises(DataError, match="coverage expects"):
             registry.ingest(0, rows_half)
-        registry.ingest(0, registry.check(0, users, times, batch.points, batch.cells, snapped))
+        with pytest.raises(DataError, match="ground-truth cells"):
+            registry.check(0, PreparedShard.build(users, times, snapped, batch.points))
+        registry.check(0, rows)
+        registry.ingest(0, rows)
         with pytest.raises(DataError, match="already folded"):
             registry.ingest(0, rows)
 
     def test_each_commit_sorts_its_shard_once(self, world, db, engine, monkeypatch):
-        # ingest_shard checks the shard before its durable commit and folds
-        # the rows that check returned: one canonical sort per commit.
+        # ingest_shard prepares the shard once, before its durable commit,
+        # and the check, the trace, the ledger and the fold all read it.
         plan = _plan(db, 2)
         server = Server(world)
         server.attach_metrics(default_views(world), expected_coverage(plan, db))
         builds = []
-        build = ShardRows.build
+        build = PreparedShard.build.__func__
 
-        def counted(*columns):
+        def counted(cls, *columns, **named):
             builds.append(len(columns[0]))
-            return build(*columns)
+            return build(cls, *columns, **named)
 
-        monkeypatch.setattr(ShardRows, "build", staticmethod(counted))
+        monkeypatch.setattr(PreparedShard, "build", classmethod(counted))
         commits = 0
         for users, times, batch in stream_shard_releases(engine, db, plan):
             server.ingest_shard(users, times, batch, shard=plan.shard_of(int(users[0])))

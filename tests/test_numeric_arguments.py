@@ -34,7 +34,7 @@ from repro.mobility.synthetic import geolife_like
 from repro.query import QueryEngine, Window, sliding_windows, tumbling_windows
 from repro.server.live_metrics import ContactRateView
 from repro.server.pipeline import Server, run_release_rounds_batched
-from repro.store import TraceStore
+from repro.store import PreparedShard, TraceStore
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +75,12 @@ def _batch(world):
 
 
 def _commit_shard(shard):
+    batch = _batch(GridWorld(6, 6))
     with TraceStore(":memory:") as store:
-        store.commit_shard(shard, [1], [0], _batch(GridWorld(6, 6)))
+        store.commit_shard(
+            shard,
+            PreparedShard.build([1], [0], batch.cells, batch.points, batch.exact, batch.epsilons),
+        )
 
 
 def _ingest_shard(shard):
@@ -86,7 +90,9 @@ def _ingest_shard(shard):
 
 def _live_check(server, shard):
     batch = _batch(server.world)
-    server.metrics.check(shard, [1], [0], batch.points, batch.cells, batch.cells)
+    server.metrics.check(
+        shard, PreparedShard.build([1], [0], batch.cells, batch.points, true_cells=batch.cells)
+    )
 
 
 def _replay_shard(shard):

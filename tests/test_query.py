@@ -38,7 +38,7 @@ from repro.query import QueryEngine, Window, sliding_windows, tumbling_windows
 from repro.query import reference as ref
 from repro.server.live_metrics import default_views, expected_coverage
 from repro.server.pipeline import Server, run_release_rounds_batched
-from repro.store import RunManifest, TraceStore
+from repro.store import Coverage, PreparedShard, RunManifest, TraceStore
 
 N_USERS = 16
 HORIZON = 8
@@ -50,6 +50,13 @@ SHARD_COUNTS = [1, 2, 5, 7]
 #: sliders, so boundaries, overlaps, and the clipped tail all get exercised.
 WINDOWS = tumbling_windows(0, HORIZON - 1, 3) + sliding_windows(0, HORIZON - 1, 4, step=2)
 FULL = Window(0, HORIZON - 1)
+
+
+def _prepared(users, times, batch, true_cells=None):
+    """``batch``'s rows prepared for a direct commit; its ``cells`` are what is stored."""
+    return PreparedShard.build(
+        users, times, batch.cells, batch.points, batch.exact, batch.epsilons, true_cells=true_cells
+    )
 
 
 @pytest.fixture(scope="module")
@@ -287,7 +294,7 @@ class TestAwkwardStores:
             batch = engine.release_batch(
                 np.array([0, 1, 2]), rng=np.random.default_rng(0)
             )
-            store.commit_shard(0, np.array([1, 2, 3]), np.array([0, 0, 0]), batch)
+            store.commit_shard(0, _prepared(np.array([1, 2, 3]), np.array([0, 0, 0]), batch))
             assert store.maintains_true_summaries() is False
             engine_q = QueryEngine(store, world=world)
             engine_q.contact_rate(Window(0, 0))  # observed side fine
@@ -306,7 +313,7 @@ class TestAwkwardStores:
             # One 2-step trace, so the window holds a real transition and
             # the area regrouping actually needs the grid geometry.
             batch = engine.release_batch(np.array([0, 1]), rng=np.random.default_rng(0))
-            store.commit_shard(0, np.array([1, 1]), np.array([0, 1]), batch)
+            store.commit_shard(0, _prepared(np.array([1, 1]), np.array([0, 1]), batch))
             engine_q = QueryEngine(store)
             with pytest.raises(ValidationError, match="pass world="):
                 engine_q.flow_matrix(Window(0, 1))
@@ -320,7 +327,7 @@ class TestAwkwardStores:
         # wrap around to the last cell.
         with TraceStore(":memory:") as store:
             batch = engine.release_batch(np.array([0]), rng=np.random.default_rng(0))
-            store.commit_shard(0, np.array([1]), np.array([0]), batch)
+            store.commit_shard(0, _prepared(np.array([1]), np.array([0]), batch))
             corrupt = np.array([-1, 1], dtype="<i4").tobytes()
             store.connection.execute("UPDATE round_blocks SET cells = ?", (corrupt,))
             with pytest.raises(StoreError, match="cell id -1"):
@@ -332,7 +339,7 @@ class TestAwkwardStores:
         with TraceStore(":memory:") as store:
             batch = engine.release_batch(np.array([0, 1]), rng=np.random.default_rng(0))
             batch = replace(batch, cells=np.array([3, 2**26]))
-            store.commit_shard(0, np.array([1, 2]), np.array([0, 0]), batch)
+            store.commit_shard(0, _prepared(np.array([1, 2]), np.array([0, 0]), batch))
             engine_q = QueryEngine(store)
             window = Window(0, 0)
             engine_q.contact_rate(window)  # reads the round's cells
@@ -550,7 +557,8 @@ class TestRecordedCoverage:
 
     def test_marks_are_read_only_past_the_frontier(self, staggered, monkeypatch):
         # Commit marks are only ever added, so once a round is complete no
-        # later query re-reads shard_commits for it.
+        # later query re-reads shard_commits for it (the engine reads the
+        # marks through TraceStore.owed).
         world, sdb, engine, plan, parts = staggered
         with TraceStore(":memory:") as store:
             store.begin_run(
@@ -559,13 +567,61 @@ class TestRecordedCoverage:
             _commit(world, store, plan, parts, [0, 1, 2, 3])
             engine_q = QueryEngine(store, world=world)
             reads = []
-            committed = store.committed
-            monkeypatch.setattr(store, "committed", lambda: reads.append(1) or committed())
+            owed = store.owed
+            monkeypatch.setattr(store, "owed", lambda: reads.append(1) or owed())
             assert engine_q.missing_shards(HORIZON - 1) == []
             assert len(reads) == 1
             for window in WINDOWS:
                 engine_q.contact_rate(window)
             assert len(reads) == 1
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_fresh_engine_owes_what_the_schedule_rule_owes(self, world, engine, data):
+        # A fresh engine reads what the run still owes in one statement;
+        # its answer at every round must be Coverage's over the whole
+        # schedule fed every mark, and stay so as more marks land.
+        schedule = data.draw(
+            st.dictionaries(
+                st.integers(0, 5),
+                st.frozensets(st.integers(0, 9), min_size=1, max_size=6),
+                min_size=1,
+                max_size=4,
+            ),
+            label="schedule",
+        )
+        scheduled = sorted((shard, time) for shard, rounds in schedule.items() for time in rounds)
+        stray = st.tuples(st.integers(0, 6), st.integers(0, 10))  # marks no schedule holds
+        pairs = st.sampled_from(scheduled) | stray
+        first = data.draw(st.sets(pairs), label="first marks")
+        more = data.draw(st.sets(pairs), label="more marks") - first
+        plan = ShardPlan.build(range(6), 6, rng=0)
+        expected = Coverage(schedule)
+
+        def mark(store, marks):
+            with store.connection:
+                store.connection.executemany(
+                    "INSERT INTO shard_commits (shard, round, n_rows) VALUES (?, ?, 1)",
+                    sorted(marks),
+                )
+            expected.commit(marks)
+
+        def assert_owes_as_scheduled(engine_q):
+            for upto in range(-1, 12):
+                assert engine_q.missing_shards(upto) == expected.missing(upto), upto
+
+        with TraceStore(":memory:") as store:
+            store.begin_run(RunManifest.for_run(engine, plan, world), schedule)
+            mark(store, first)
+            engine_q = QueryEngine(store, world=world)
+            assert_owes_as_scheduled(engine_q)
+            mark(store, more)
+            assert_owes_as_scheduled(engine_q)
+            assert_owes_as_scheduled(QueryEngine(store, world=world))
 
 
 # ----------------------------------------------------------------------
@@ -766,14 +822,14 @@ class TestLongLivedEngine:
                 engine_q.contact_rate(Window(0, 0), kind="true")
             batch = engine.release_batch(np.array([0, 1]), rng=np.random.default_rng(0))
             store.commit_shard(
-                0, np.array([1, 2]), np.array([0, 0]), batch, true_cells=np.array([4, 4])
+                0, _prepared(np.array([1, 2]), np.array([0, 0]), batch, true_cells=[4, 4])
             )
             assert engine_q.contact_rate(Window(0, 0), kind="true").observations == 2
 
     def test_raw_block_update_is_seen_by_the_next_query(self, engine):
         with TraceStore(":memory:") as store:
             batch = engine.release_batch(np.array([0, 1]), rng=np.random.default_rng(0))
-            store.commit_shard(0, np.array([1, 2]), np.array([0, 0]), batch)
+            store.commit_shard(0, _prepared(np.array([1, 2]), np.array([0, 0]), batch))
             engine_q = QueryEngine(store)
             window = Window(0, 0)
             assert engine_q.contact_rate(window).observations == 2
@@ -954,7 +1010,7 @@ class TestPiecewiseCommits:
                 if step == prefix:
                     _assert_every_window_matches(store, world)
                 shard, users, times, batch = pieces[index]
-                assert store.commit_shard(shard, users, times, batch)
+                assert store.commit_shard(shard, _prepared(users, times, batch))
             _assert_every_window_matches(store, world)
 
 

@@ -29,6 +29,7 @@ from repro.server.live_metrics import expected_coverage
 from repro.server.pipeline import Server, _true_cells, run_release_rounds_batched
 from repro.store import (
     Coverage,
+    PreparedShard,
     RunManifest,
     StoredTraceDB,
     TraceStore,
@@ -40,6 +41,13 @@ from repro.store.resume import RunManifest as ResumeManifest
 
 #: Every accelerator round block, in key order (the bytes, not just sums).
 BLOCKS_SQL = "SELECT kind, time, cells, flows FROM round_blocks ORDER BY kind, time"
+
+
+def _prepared(users, times, batch, true_cells=None):
+    """``batch``'s rows prepared for a direct commit; its ``cells`` are what is stored."""
+    return PreparedShard.build(
+        users, times, batch.cells, batch.points, batch.exact, batch.epsilons, true_cells=true_cells
+    )
 
 
 @pytest.fixture(scope="module")
@@ -276,7 +284,7 @@ class TestShardCommits:
         store.close()
         batch = engine.release_batch([3], rng=0)
         with pytest.raises(StoreError, match="closed"):
-            store.commit_shard(0, np.array([1]), np.array([0]), batch)
+            store.commit_shard(0, _prepared(np.array([1]), np.array([0]), batch))
 
 
 class TestReadApi:
@@ -404,7 +412,7 @@ class TestBatchedInsert:
             cells=rng.integers(0, 36, n_rows),
         )
         with TraceStore(":memory:") as store:
-            assert store.commit_shard(2, users, times, batch)
+            assert store.commit_shard(2, _prepared(users, times, batch))
             rows = store.connection.execute(
                 "SELECT user, time, cell, x, y, exact, epsilon FROM releases "
                 "ORDER BY user, time"
@@ -608,8 +616,7 @@ class TestAcceleratorMaintenance:
             users, times, batch = parts[0]
             store.commit_shard(
                 plan.shard_of(int(users[0])),
-                np.asarray(users), np.asarray(times), batch,
-                true_cells=np.asarray(batch.cells),
+                _prepared(users, times, batch, true_cells=batch.cells),
             )
             assert store.connection.execute(BLOCKS_SQL).fetchall() == blocks
 
@@ -639,24 +646,25 @@ class TestAcceleratorMaintenance:
     def test_partial_round_overlap_rejected(self, world, engine):
         with TraceStore(":memory:") as store:
             batch = engine.release_batch(np.array([0, 1]), rng=np.random.default_rng(0))
-            store.commit_shard(0, np.array([1, 1]), np.array([0, 1]), batch)
+            store.commit_shard(0, _prepared(np.array([1, 1]), np.array([0, 1]), batch))
             grown = engine.release_batch(
                 np.array([0, 1, 2]), rng=np.random.default_rng(0)
             )
             with pytest.raises(StoreError, match="must commit together exactly once"):
-                store.commit_shard(0, np.array([1, 1, 1]), np.array([1, 2, 3]), grown)
+                store.commit_shard(
+                    0, _prepared(np.array([1, 1, 1]), np.array([1, 2, 3]), grown)
+                )
 
     def test_true_and_plain_commit_styles_cannot_mix(self, world, engine):
         with TraceStore(":memory:") as store:
             batch = engine.release_batch(np.array([0]), rng=np.random.default_rng(0))
             store.commit_shard(
-                0, np.array([1]), np.array([0]), batch,
-                true_cells=np.asarray(batch.cells),
+                0, _prepared(np.array([1]), np.array([0]), batch, true_cells=batch.cells)
             )
             assert store.maintains_true_summaries() is True
             other = engine.release_batch(np.array([5]), rng=np.random.default_rng(1))
             with pytest.raises(StoreError, match="true"):
-                store.commit_shard(1, np.array([2]), np.array([0]), other)
+                store.commit_shard(1, _prepared(np.array([2]), np.array([0]), other))
 
 
 def _store_state(store):
@@ -680,13 +688,13 @@ class TestCommitRefusals:
         # full scans, so the whole commit is refused instead.
         with TraceStore(":memory:") as store:
             batch = engine.release_batch(np.array([0, 1]), rng=np.random.default_rng(0))
-            store.commit_shard(0, np.array([1, 1]), np.array([0, 1]), batch)
+            store.commit_shard(0, _prepared(np.array([1, 1]), np.array([0, 1]), batch))
             before = _store_state(store)
             again = engine.release_batch(np.array([2, 3]), rng=np.random.default_rng(1))
             with pytest.raises(
                 StoreError, match=r"shard 1 repeats \(user, time\) \(1, 1\), which an earlier"
             ):
-                store.commit_shard(1, np.array([2, 1]), np.array([1, 1]), again)
+                store.commit_shard(1, _prepared(np.array([2, 1]), np.array([1, 1]), again))
             assert _store_state(store) == before
             engine_q = QueryEngine(store, world=world)
             window = Window(0, 1)
@@ -698,22 +706,23 @@ class TestCommitRefusals:
     def test_key_repeated_within_a_commit_is_refused(self, engine):
         with TraceStore(":memory:") as store:
             batch = engine.release_batch(np.array([0]), rng=np.random.default_rng(0))
-            store.commit_shard(0, np.array([7]), np.array([0]), batch)
+            store.commit_shard(0, _prepared(np.array([7]), np.array([0]), batch))
             before = _store_state(store)
             repeated = engine.release_batch(
                 np.array([0, 1, 2, 3]), rng=np.random.default_rng(1)
             )
-            # Both (2, 5) and (3, 5) repeat; the first key in order is named.
-            with pytest.raises(StoreError, match=r"shard 1 repeats \(user, time\) \(2, 5\);"):
+            # Both (2, 5) and (3, 5) repeat; the first key in order is named,
+            # when the shard is prepared, before the store sees it.
+            with pytest.raises(DataError, match=r"duplicate \(user, time\) key \(2, 5\);"):
                 store.commit_shard(
-                    1, np.array([3, 2, 2, 3]), np.array([5, 5, 5, 5]), repeated
+                    1, _prepared(np.array([3, 2, 2, 3]), np.array([5, 5, 5, 5]), repeated)
                 )
             assert _store_state(store) == before
 
     def test_count_outside_int32_is_refused(self, engine):
         with TraceStore(":memory:") as store:
             batch = engine.release_batch(np.array([4]), rng=np.random.default_rng(0))
-            store.commit_shard(0, np.array([1]), np.array([0]), batch)
+            store.commit_shard(0, _prepared(np.array([1]), np.array([0]), batch))
             # A round-0 occupancy already at the int32 ceiling: one more
             # visit to the same cell cannot be stored in the block.
             full = np.array([[4, np.iinfo(np.int32).max]], dtype="<i4").tobytes()
@@ -724,7 +733,7 @@ class TestCommitRefusals:
             before = _store_state(store)
             more = engine.release_batch(np.array([4]), rng=np.random.default_rng(1))
             with pytest.raises(StoreError, match=r"shard 1 .*2147483648 \(kind 0, round 0\)"):
-                store.commit_shard(1, np.array([2]), np.array([0]), more)
+                store.commit_shard(1, _prepared(np.array([2]), np.array([0]), more))
             assert _store_state(store) == before
 
     def test_cell_id_outside_int32_is_refused(self, engine):
@@ -733,7 +742,7 @@ class TestCommitRefusals:
             batch = engine.release_batch(np.array([4]), rng=np.random.default_rng(0))
             wide = replace(batch, cells=np.array([2**31]))
             with pytest.raises(StoreError, match="shard 3 .*outside the int32 range"):
-                store.commit_shard(3, np.array([1]), np.array([0]), wide)
+                store.commit_shard(3, _prepared(np.array([1]), np.array([0]), wide))
             assert _store_state(store) == before
 
     @pytest.mark.parametrize(
@@ -742,7 +751,7 @@ class TestCommitRefusals:
             pytest.param("users", {"users": [0.5, 1.7]}, id="users-float"),
             pytest.param("users", {"users": [True, False]}, id="users-bool"),
             pytest.param("times", {"times": [0.9, 0.2]}, id="times-float"),
-            pytest.param("batch.cells", {"cells": np.array([1.7, 2.2])}, id="cells-float"),
+            pytest.param("cells", {"cells": np.array([1.7, 2.2])}, id="cells-float"),
             pytest.param("true_cells", {"true_cells": np.array([1.0, 2.0])}, id="true_cells-float"),
         ],
     )
@@ -754,12 +763,10 @@ class TestCommitRefusals:
             if "cells" in values:
                 batch = replace(batch, cells=values["cells"])
             with pytest.raises(ValidationError, match=f"^{column} must be integers"):
+                users = values.get("users", [0, 1])
+                times = values.get("times", [0, 0])
                 store.commit_shard(
-                    0,
-                    values.get("users", [0, 1]),
-                    values.get("times", [0, 0]),
-                    batch,
-                    true_cells=values.get("true_cells"),
+                    0, _prepared(users, times, batch, true_cells=values.get("true_cells"))
                 )
             assert _store_state(store) == before
 
@@ -768,15 +775,12 @@ class TestCommitRefusals:
             before = _store_state(store)
             batch = engine.release_batch(np.array([4, 5, 6]), rng=np.random.default_rng(0))
             with pytest.raises(
-                StoreError,
-                match="shard 4 has columns of different lengths: users 2, times 3, batch 3;",
+                DataError,
+                match=r"misaligned: users \(2,\), times \(3,\), cells \(3,\), points \(3, 2\)",
             ):
-                store.commit_shard(4, [0, 1], [0, 0, 0], batch)
-            with pytest.raises(
-                StoreError,
-                match="users 3, times 3, batch 3, true_cells 2;",
-            ):
-                store.commit_shard(4, [0, 1, 2], [0, 0, 0], batch, true_cells=[4, 5])
+                store.commit_shard(4, _prepared([0, 1], [0, 0, 0], batch))
+            with pytest.raises(DataError, match=r"epsilons \(3,\), true_cells \(2,\);"):
+                store.commit_shard(4, _prepared([0, 1, 2], [0, 0, 0], batch, true_cells=[4, 5]))
             assert _store_state(store) == before
 
     def test_negative_cell_is_refused(self, engine):
@@ -786,26 +790,64 @@ class TestCommitRefusals:
             before = _store_state(store)
             batch = engine.release_batch(np.array([3, 5, 1]), rng=np.random.default_rng(0))
             negative = replace(batch, cells=np.array([3, 5, -1]))
+            with pytest.raises(DataError, match=r"^cells holds -1 at \(user, time\) \(0, 2\);"):
+                store.commit_shard(0, _prepared([0, 1, 0], [1, 2, 2], negative))
             with pytest.raises(
-                StoreError, match=r"shard 0 holds cell -1 at \(user, time\) \(0, 2\);"
+                DataError, match=r"^true_cells holds -2 at \(user, time\) \(1, 0\);"
             ):
-                store.commit_shard(0, [0, 1, 0], [1, 2, 2], negative)
-            with pytest.raises(
-                StoreError, match=r"shard 0 holds true cell -2 at \(user, time\) \(1, 0\);"
-            ):
-                store.commit_shard(0, [0, 1, 0], [1, 0, 2], batch, true_cells=[3, -2, 1])
+                store.commit_shard(
+                    0, _prepared([0, 1, 0], [1, 0, 2], batch, true_cells=[3, -2, 1])
+                )
+            assert _store_state(store) == before
+
+    def test_prepared_shard_without_release_columns_is_refused(self, engine):
+        # A shard prepared for the live views alone has no exact or epsilon
+        # columns; the store keeps both for every release.
+        with TraceStore(":memory:") as store:
+            before = _store_state(store)
+            batch = engine.release_batch(np.array([4, 5]), rng=np.random.default_rng(0))
+            views_only = PreparedShard.build([0, 1], [0, 0], batch.cells, batch.points)
+            with pytest.raises(StoreError, match="shard 2 carries no exact or epsilons column"):
+                store.commit_shard(2, views_only)
             assert _store_state(store) == before
 
     def test_negative_times_are_stored(self, engine):
         # Negative rounds decode exactly (floor division), so they stay accepted.
         with TraceStore(":memory:") as store:
             batch = engine.release_batch(np.array([3, 3, 4]), rng=np.random.default_rng(0))
-            store.commit_shard(0, [1, 2, 1], [-1, -1, 0], batch)
+            store.commit_shard(0, _prepared([1, 2, 1], [-1, -1, 0], batch))
             assert store.at_time(-1) == {1: 3, 2: 3}
             times, sizes, cells = accelerator.read_round_blocks(
                 store.connection, "cells", 0, -1, -1
             )
             assert (times.tolist(), sizes.tolist(), cells.tolist()) == ([-1], [1], [[3, 2]])
+
+    def test_epoch_second_rounds_keep_their_blocks(self):
+        # Rounds near 2e9 with cell ids near 1e5: an int64 code of
+        # (round * base + src) * base + dst wraps, and the flows block once
+        # landed at round 155362487 holding (56380 -> 29517) while the
+        # window at 2e9 read nothing.  Each key column is now offset by its
+        # minimum before it is encoded, so the block keeps round and cells.
+        t = 2_000_000_000
+        batch = ReleaseBatch(
+            points=np.zeros((2, 2)),
+            exact=np.zeros(2, dtype=bool),
+            epsilons=np.ones(2),
+            cells=np.array([100_000, 99_999]),
+        )
+        with TraceStore(":memory:") as store:
+            store.commit_shard(0, _prepared([1, 1], [t, t + 1], batch))
+            assert _block_rounds(store) == [t, t + 1]
+            times, sizes, flows = accelerator.read_round_blocks(
+                store.connection, "flows", 0, t - 5, t + 5
+            )
+            assert (times.tolist(), sizes.tolist()) == ([t + 1], [1])
+            assert flows.tolist() == [[100_000, 99_999, 1]]
+            times, _, cells = accelerator.read_round_blocks(
+                store.connection, "cells", 0, t - 5, t + 5
+            )
+            assert times.tolist() == [t, t + 1]
+            assert cells.tolist() == [[100_000, 1], [99_999, 1]]
 
 
 # ----------------------------------------------------------------------
@@ -970,6 +1012,6 @@ class TestWriteOnce:
             )
             with pytest.raises(StoreError, match="other row counts than its durable marks"):
                 store.commit_shard(
-                    0, users[keep], times[keep], fewer, true_cells=fewer.cells
+                    0, _prepared(users[keep], times[keep], fewer, true_cells=fewer.cells)
                 )
             assert store.parked_pieces() == {}

@@ -14,7 +14,7 @@ from repro.errors import StoreError
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
 from repro.server.live_metrics import expected_coverage
-from repro.store import RunManifest, TraceStore
+from repro.store import PreparedShard, RunManifest, TraceStore
 
 #: Every table of a store, each in key order.
 TABLES = {
@@ -59,7 +59,10 @@ def shards(run):
 
 def _commit(store, part):
     shard, users, times, batch = part
-    return store.commit_shard(shard, users, times, batch, true_cells=batch.cells)
+    prepared = PreparedShard.build(
+        users, times, batch.cells, batch.points, batch.exact, batch.epsilons, true_cells=batch.cells
+    )
+    return store.commit_shard(shard, prepared)
 
 
 class TestDiskFull:
